@@ -6,7 +6,8 @@ reproduces it on re-evaluation.  Tolerance policy: a point passes when
 ``margin <= tol * (1 + |RHS|)``; a strictly positive margin within tolerance
 is reported as "pass (tolerance)".  Suprema over the disturbance set are
 sampled (corners + grid + random), so failed checks are conclusive while
-passes are evidence at the sampled points only.
+passes are evidence at the sampled points only.  A NaN margin fails (the
+witness is its first occurrence), and an empty sample set is a ValueError.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .comparison import KFn, TimeGain, validate_class
-from .expr import Dims, compile_expression
-from .system import SampleConfig, SystemDef, d_candidates, sphere_points, vecnorm
+from .expr import Dims, parse_expression
+from .system import (SampleConfig, SystemDef, _beats, d_candidates, first_max,
+                     row_norms, sampled_sup, sphere_points, vecnorm)
 
 __all__ = [
     "LyapunovCandidate", "CertificateReport", "StateGrid",
@@ -56,20 +58,32 @@ class LyapunovCandidate:
     name: str = "V"
 
     def __post_init__(self):
+        self._V_rows = None  # array evaluator, expression candidates only
         if callable(self.V):
             self._V = self.V
         else:
             if self.n is None:
                 raise ValueError("state dimension n required for an expression V")
-            fn = compile_expression(self.V, Dims(n=self.n))
+            node = parse_expression(self.V, Dims(n=self.n))
+            fn = node.compiled()
             empty = np.zeros(0)
             self._V = lambda t, x: fn(float(t), np.asarray(x, dtype=float),
                                       empty, empty, {})
+            self._V_rows = lambda t, X: node.batched()(float(t), X.T, empty,
+                                                       empty, {})
         if self.lam is not None and not 0.0 < self.lam < 1.0:
             raise ValueError(f"lam must lie in (0,1), got {self.lam!r}")
 
     def V_eval(self, t, x) -> float:
         return float(self._V(float(t), np.asarray(x, dtype=float)))
+
+    def V_rows(self, t, X) -> np.ndarray:
+        """V(t, x) for every row x of X, bit-identical to :meth:`V_eval`."""
+        X = np.asarray(X, dtype=float)
+        if self._V_rows is None:
+            return np.array([self.V_eval(t, x) for x in X], dtype=float)
+        return np.broadcast_to(np.asarray(self._V_rows(t, X), dtype=float),
+                               (X.shape[0],))
 
     @property
     def rate_c(self) -> float:
@@ -175,6 +189,12 @@ def _d_values(sys, d_values, cfg: SampleConfig, seed):
                         rng=seed)
 
 
+def _require_samples(**sets):
+    for name, values in sets.items():
+        if len(values) == 0:
+            raise ValueError(f"empty sample set: no {name}")
+
+
 def _require_zero_at_origin(sys, cand):
     bad = cand.validate_zero(n=sys.n)
     if bad:
@@ -190,32 +210,32 @@ def check_sandwich(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
     """
     cand.require("a1", "a2", "beta")
     _require_zero_at_origin(sys, cand)
-    lo_worst, lo_wit = -math.inf, None
-    hi_worst, hi_wit = -math.inf, None
+    _require_samples(times=grid.ts, states=grid.xs)
+    xs = grid.xs
+    nx = row_norms(xs)
+    lo_worst = hi_worst = None
     for t in grid.ts:
         bt = cand.beta(t)
-        mt = cand.mu(t) if cand.mu is not None else 0.0
-        for x in grid.xs:
-            V = cand.V_eval(t, x)
-            nx = vecnorm(x)
-            nY = vecnorm(sys.H_eval(t, x))
-            lo_lhs = cand.a1(nY + mt * nx) if cand.mu is not None else cand.a1(nY)
-            lo_margin = lo_lhs - V
-            if lo_margin > lo_worst:
-                lo_worst, lo_wit = lo_margin, {
-                    "t": int(t), "x": x.tolist(), "d": None, "u": None,
-                    "lhs": lo_lhs, "rhs": V}
-            hi_rhs = cand.a2(bt * nx)
-            hi_margin = V - hi_rhs
-            if hi_margin > hi_worst:
-                hi_worst, hi_wit = hi_margin, {
-                    "t": int(t), "x": x.tolist(), "d": None, "u": None,
-                    "lhs": V, "rhs": hi_rhs}
+        V = cand.V_rows(t, xs)
+        nY = row_norms(sys.H_rows(t, xs))
+        lo_arg = nY + cand.mu(t) * nx if cand.mu is not None else nY
+        lo_lhs = np.array([cand.a1(s) for s in lo_arg])
+        hi_rhs = np.array([cand.a2(s) for s in bt * nx])
+        lo, i = first_max(lo_lhs - V)
+        if lo_worst is None or _beats(lo, lo_worst):
+            lo_worst, lo_wit = lo, {"t": int(t), "x": xs[i].tolist(), "d": None,
+                                    "u": None, "lhs": float(lo_lhs[i]),
+                                    "rhs": float(V[i])}
+        hi, i = first_max(V - hi_rhs)
+        if hi_worst is None or _beats(hi, hi_worst):
+            hi_worst, hi_wit = hi, {"t": int(t), "x": xs[i].tolist(), "d": None,
+                                    "u": None, "lhs": float(V[i]),
+                                    "rhs": float(hi_rhs[i])}
     lo_v = _verdict(lo_worst, lo_wit["rhs"], tol)
     hi_v = _verdict(hi_worst, hi_wit["rhs"], tol)
     verdict = _worst_verdict(lo_v, hi_v)
-    worst, wit = ((lo_worst, dict(lo_wit, side="lower"))
-                  if lo_worst >= hi_worst else (hi_worst, dict(hi_wit, side="upper")))
+    worst, wit = ((hi_worst, dict(hi_wit, side="upper"))
+                  if _beats(hi_worst, lo_worst) else (lo_worst, dict(lo_wit, side="lower")))
     return CertificateReport(
         "sandwich", verdict, worst, wit, len(grid), tol,
         details={"lower": {"verdict": lo_v, "worst_margin": lo_worst, "witness": lo_wit},
@@ -225,28 +245,26 @@ def check_sandwich(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
 def _sup_decrease(sys, cand, grid, rhs_fn, dvals, check_name, tol,
                   u_values=None):
     """Shared kernel: sup_d V(t+1, f(t,d,x,u)) <= rhs(t, x, V, u) pointwise."""
-    worst, wit = -math.inf, None
-    count = 0
-    us = (np.zeros((1, 0)),) if u_values is None else (u_values,)
+    us = np.zeros((1, 0)) if u_values is None else u_values
+    _require_samples(times=grid.ts, states=grid.xs)  # sampled_sup checks d, u
+    xs = grid.xs
+    sets = (("x", xs), ("u", us), ("d", dvals))
+    worst, wit = None, None
     for t in grid.ts:
-        for x in grid.xs:
-            V0 = cand.V_eval(t, x)
-            for u in us[0]:
-                sup_v, sup_d = -math.inf, None
-                for d in dvals:
-                    nxt = sys.f_eval(t, d, x, u if u_values is not None else None)
-                    v1 = cand.V_eval(t + 1, nxt)
-                    if v1 > sup_v:
-                        sup_v, sup_d = v1, d
-                rhs = rhs_fn(t, x, V0, u)
-                margin = sup_v - rhs
-                count += 1
-                if margin > worst:
-                    worst = margin
-                    wit = {"t": int(t), "x": np.asarray(x).tolist(),
-                           "d": np.asarray(sup_d).tolist(),
-                           "u": (np.asarray(u).tolist() if u_values is not None else None),
-                           "lhs": sup_v, "rhs": rhs}
+        V0 = cand.V_rows(t, xs)
+        sup_v, arg_d = sampled_sup(sys, t, sets,
+                                   lambda F, idx: cand.V_rows(t + 1, F), keep=2)
+        rhs = np.array([[rhs_fn(t, x, v0, u) for u in us]
+                        for x, v0 in zip(xs, V0)], dtype=float)
+        margin, i = first_max((sup_v - rhs).reshape(-1))
+        if worst is None or _beats(margin, worst):
+            xi, ui = divmod(i, len(us))
+            worst = margin
+            wit = {"t": int(t), "x": xs[xi].tolist(),
+                   "d": dvals[arg_d[xi, ui]].tolist(),
+                   "u": us[ui].tolist() if u_values is not None else None,
+                   "lhs": float(sup_v[xi, ui]), "rhs": float(rhs[xi, ui])}
+    count = len(grid.ts) * len(xs) * len(us)
     return CertificateReport(check_name, _verdict(worst, wit["rhs"], tol),
                              worst, wit, count, tol)
 
@@ -502,40 +520,36 @@ def check_rofs_inf_sup(sys: SystemDef, cand: LyapunovCandidate,
             fiber = np.asarray(fiber_sampler(t, y), dtype=float).reshape(-1, sys.n)
             cands, note = u_candidates, ""
             if mode == "strong":
-                zero_fiber = [x for x in fiber
-                              if vecnorm(sys.H_eval(t, x)) <= filter_tol]
-                if not zero_fiber:
+                zero_fiber = fiber[row_norms(sys.H_rows(t, fiber)) <= filter_tol]
+                if zero_fiber.shape[0] == 0:
                     entries.append(ROFSEntry(int(t), y.tolist(), -math.inf, None,
                                              {}, 0, "zero-output fiber empty; skipped"))
                     continue
-                keep = []
-                for u in u_candidates:
-                    if all(vecnorm(sys.H_eval(t + 1, sys.f_eval(t, d, x, u)))
-                           <= filter_tol for x in zero_fiber for d in dvals):
-                        keep.append(u)
-                if not keep:
+                out_sup, _ = sampled_sup(
+                    sys, t, (("u", u_candidates), ("x", zero_fiber), ("d", dvals)),
+                    lambda F, idx: row_norms(sys.H_rows(t + 1, F)), keep=1)
+                cands = u_candidates[out_sup <= filter_tol]
+                if cands.shape[0] == 0:
                     entries.append(ROFSEntry(
                         int(t), y.tolist(), math.inf, None, {}, 0,
                         "no admissible input found at tolerance"))
                     continue
-                cands = np.asarray(keep)
-            best, best_u, best_wit = math.inf, None, None
-            for u in cands:
-                sup_v, sup_wit = -math.inf, None
-                for x in fiber:
-                    V0 = cand.V_eval(t, x)
-                    for d in dvals:
-                        val = cand.V_eval(t + 1, sys.f_eval(t, d, x, u)) - lam * V0
-                        if val > sup_v:
-                            sup_v = val
-                            sup_wit = {"x": x.tolist(), "d": d.tolist()}
-                if sup_v < best:
-                    best, best_u, best_wit = sup_v, u, sup_wit
-            entries.append(ROFSEntry(int(t), y.tolist(), best,
-                                     best_u.tolist() if best_u is not None else None,
-                                     best_wit, cands.shape[0], note))
+            if fiber.shape[0] == 0:
+                entries.append(ROFSEntry(int(t), y.tolist(), -math.inf, None,
+                                         {}, 0, "fiber empty; skipped"))
+                continue
+            lam_V0 = lam * cand.V_rows(t, fiber)
+            sups, args = sampled_sup(
+                sys, t, (("u", cands), ("x", fiber), ("d", dvals)),
+                lambda F, idx: cand.V_rows(t + 1, F) - lam_V0[idx["x"]], keep=1)
+            j = int(np.argmin(sups))  # the first inf; NaN wins
+            xi, di = divmod(int(args[j]), len(dvals))
+            entries.append(ROFSEntry(int(t), y.tolist(), float(sups[j]),
+                                     cands[j].tolist(),
+                                     {"x": fiber[xi].tolist(), "d": dvals[di].tolist()},
+                                     cands.shape[0], note))
     informative = [e.inf_sup for e in entries if e.inf_sup != -math.inf]
-    worst = max(informative) if informative else -math.inf
+    worst = first_max(np.array(informative))[0] if informative else -math.inf
     verdict = _verdict(worst, 0.0, tol) if informative else PASS
     return ROFSReport(mode, entries, worst, verdict, tol,
                       notes=["fiber-restricted estimate: finite u grid "

@@ -40,26 +40,13 @@ class UsageError(Exception):
     """Invalid input: maps to exit code 2."""
 
 
-def _contains_variables(node):
-    from .expr import Bin, Call, Neg, Var
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Neg):
-        return _contains_variables(node.operand)
-    if isinstance(node, Bin):
-        return _contains_variables(node.left) or _contains_variables(node.right)
-    if isinstance(node, Call):
-        return any(_contains_variables(a) for a in node.args)
-    return False
-
-
 def num_expr(text: str) -> float:
     """Numeric flag: a literal or a variable-free constant expression."""
     try:
         node = parse_expression(text, Dims())
     except ExprError as ex:
         raise argparse.ArgumentTypeError(str(ex)) from None
-    if _contains_variables(node):
+    if node.variables():
         raise argparse.ArgumentTypeError(
             f"numeric flag may not reference variables: {text!r}")
     from .expr import eval_expression, Env

@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import Dims, compile_expression
-from .system import SampleConfig, d_candidates, sphere_points, vecnorm
+from .system import (SampleConfig, _beats, _norm_score, d_candidates,
+                     sampled_sup, sphere_points, vecnorm)
 
 __all__ = [
     "KFn", "TimeGain", "KLEnvelope", "identity", "linear", "power_fn",
@@ -451,7 +452,10 @@ class DominationReport:
 def check_domination(sampler: Callable[[float, float], float], zeta: KFn,
                      beta: TimeGain, Ts: Sequence[int] = (0, 1, 2, 5, 10, 20),
                      ss: np.ndarray = None, tol: float = 1e-9) -> DominationReport:
-    """Check a(T, s) <= zeta(beta(T) * s) on a (T, s) grid, witness on failure."""
+    """Check a(T, s) <= zeta(beta(T) * s) on a (T, s) grid, witness on failure.
+
+    The witness is the first worst margin; a NaN margin wins and fails.
+    """
     if ss is None:
         ss = np.logspace(-6, 6, 25)
     worst, witness, count = -math.inf, None, 0
@@ -462,7 +466,7 @@ def check_domination(sampler: Callable[[float, float], float], zeta: KFn,
             rhs = zeta(bT * float(s))
             margin = lhs - rhs
             count += 1
-            if margin > worst:
+            if _beats(margin, worst):
                 worst = margin
                 witness = {"T": int(T), "s": float(s), "lhs": lhs, "rhs": rhs}
     passed = worst <= tol * (1.0 + abs(witness["rhs"])) if witness else True
@@ -473,7 +477,7 @@ def sup_f_sampler(sys, cfg: SampleConfig = None, seed: int = 0):
     """Sampled a(T, s) = sup ||f(t,d,x,u)|| over t<=T, d in D, ||x||<=s (||u||<=s).
 
     A finite under-approximation of the true sup, suitable as the lhs of
-    :func:`check_domination`.
+    :func:`check_domination`.  A NaN norm makes the sample NaN.
     """
     cfg = cfg or SampleConfig(d_grid=9, d_random=16, x_directions=8,
                               x_scales=(1.0, 0.5), u_directions=4)
@@ -492,10 +496,10 @@ def sup_f_sampler(sys, cfg: SampleConfig = None, seed: int = 0):
             us = np.zeros((1, 0))
         best = 0.0
         for t in ts:
-            for dc in dcands:
-                for xc in xs:
-                    for uc in us:
-                        best = max(best, vecnorm(sys.f_eval(t, dc, xc, uc)))
+            val, _ = sampled_sup(sys, t, (("d", dcands), ("x", xs), ("u", us)),
+                                 _norm_score)
+            if _beats(val, best):
+                best = val
         return best
 
     return sampler

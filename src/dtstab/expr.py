@@ -20,6 +20,16 @@ Conventions: ``0^0`` evaluates to 1; ``a^b`` with a < 0 and non-integer b,
 ``log``/``sqrt`` of a negative number and division by zero are domain errors
 reported with the offending subexpression.  Evaluation is pure and
 deterministic; ASTs are immutable and safe to share.
+
+Each node generates one Python source, compiled twice: against scalar
+kernels (:meth:`Expr.compiled`, one point) and against an array namespace
+(:meth:`Expr.batched`, a slab of points).  The array namespace runs the
+operations IEEE 754 rounds exactly (``+ - * /``, ``sqrt``, ``abs``, negation)
+in numpy, keeps Python's comparison semantics for ``min``/``max``/``sign``
+and maps the scalar kernels of ``^``, ``exp`` and ``log`` element by element,
+so every value equals the scalar result bit for bit.  The one exception is
+the sign of a NaN, which IEEE 754 leaves unspecified: NaNs appear at the
+same points, but their sign bit may differ.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ import numpy as np
 __all__ = [
     "Dims", "Env", "Expr", "Num", "Var", "Neg", "Bin", "Call",
     "parse_expression", "eval_expression", "compile_expression",
+    "substitute",
     "ExprError", "ExprSyntaxError", "ExprNameError", "ExprDomainError",
 ]
 
@@ -191,6 +202,38 @@ class Expr:
             object.__setattr__(self, "_compiled", fn)
         return fn
 
+    def batched(self) -> Callable:
+        """Array evaluator ``fn(t, x, d, u, aux)`` over a slab of points.
+
+        ``x``, ``d`` and ``u`` are indexed by component, so ``x[i]`` is the
+        column of ``x_{i+1}`` over the slab (pass the ``(N, n)`` row array
+        transposed); ``t`` is a float or a column.  Returns a column, or a
+        float when the value does not depend on the slab.  Bit-identical to
+        :meth:`compiled` at every point (NaN signs aside, see the module
+        docstring); raises :class:`ExprDomainError` iff some point would.
+        """
+        fn = getattr(self, "_batched", None)
+        if fn is None:
+            src = "lambda t, x, d, u, aux: " + self._codegen()
+            columns = eval(src, _ARRAY_NAMESPACE)  # namespace is module-controlled
+
+            def fn(t, x, d, u, aux):
+                with np.errstate(all="ignore"):  # IEEE results, no warnings
+                    return columns(t, x, d, u, aux)
+
+            object.__setattr__(self, "_batched", fn)
+        return fn
+
+    def children(self) -> tuple:
+        return ()
+
+    def _rebuild(self, children) -> "Expr":
+        return self
+
+    def variables(self) -> frozenset:
+        """Names of the variables and auxiliaries the expression reads."""
+        return frozenset().union(*(c.variables() for c in self.children()))
+
     def _codegen(self) -> str:
         raise NotImplementedError
 
@@ -221,6 +264,9 @@ class Var(Expr):
     def to_string(self):
         return self.name
 
+    def variables(self):
+        return frozenset((self.name,))
+
     def _codegen(self):
         name = self.name
         if name == "t":
@@ -239,6 +285,12 @@ class Neg(Expr):
 
     def to_string(self):
         return "-" + self._wrap(self.operand, _PREC_NEG)
+
+    def children(self):
+        return (self.operand,)
+
+    def _rebuild(self, children):
+        return Neg(*children)
 
     def _codegen(self):
         return f"(-({self.operand._codegen()}))"
@@ -265,6 +317,12 @@ class Bin(Expr):
         rhs = self._wrap(self.right, p + 1)  # left-associative
         return f"{lhs} {self.op} {rhs}" if self.op in "+-" else f"{lhs}{self.op}{rhs}"
 
+    def children(self):
+        return (self.left, self.right)
+
+    def _rebuild(self, children):
+        return Bin(self.op, *children)
+
     def _codegen(self):
         a, b = self.left._codegen(), self.right._codegen()
         if self.op == "^":
@@ -284,6 +342,12 @@ class Call(Expr):
     def to_string(self):
         return f"{self.fn}({', '.join(a.to_string() for a in self.args)})"
 
+    def children(self):
+        return self.args
+
+    def _rebuild(self, children):
+        return Call(self.fn, tuple(children))
+
     def _codegen(self):
         args = ", ".join(a._codegen() for a in self.args)
         return f"_fn_{self.fn}({args})"
@@ -294,6 +358,71 @@ _CODEGEN_NAMESPACE = {
     "_pow": _pow,
     "_div": _div,
     **{f"_fn_{name}": fn for name, (_, fn) in _FUNCTIONS.items()},
+}
+
+
+# --- array namespace: the same generated source over columns of points ---
+
+def _has_array(*args):
+    return any(isinstance(a, np.ndarray) for a in args)
+
+
+def _elementwise(kernel):
+    """Apply a scalar kernel point by point; all-scalar calls stay scalar."""
+
+    def apply(*args):
+        if not _has_array(*args):
+            return kernel(*args)
+        cols = np.broadcast_arrays(*args)
+        lists = [c.ravel().tolist() for c in cols]
+        values = np.fromiter(map(kernel, *lists), float, count=cols[0].size)
+        return values.reshape(cols[0].shape)
+
+    return apply
+
+
+def _array_div(a, b):
+    if not _has_array(a, b):
+        return _div(a, b)
+    if np.any(np.equal(b, 0.0)):
+        raise ExprDomainError("division by zero")
+    return np.true_divide(a, b)
+
+
+def _array_sqrt(a):
+    if not _has_array(a):
+        return _sqrt(a)
+    if np.any(a < 0.0):
+        raise ExprDomainError("sqrt of a negative number")
+    return np.sqrt(a)
+
+
+def _array_min(a, b):
+    # min(a, b) keeps a unless b < a: NaN and signed-zero ties as in Python
+    return np.where(b < a, b, a) if _has_array(a, b) else min(a, b)
+
+
+def _array_max(a, b):
+    return np.where(b > a, b, a) if _has_array(a, b) else max(a, b)
+
+
+def _array_sign(a):
+    if not _has_array(a):
+        return _sign(a)
+    return np.where(a > 0.0, 1.0, np.where(a < 0.0, -1.0, 0.0))
+
+
+_ARRAY_NAMESPACE = {
+    **_CODEGEN_NAMESPACE,
+    "_pow": _elementwise(_pow),
+    "_div": _array_div,
+    "_fn_exp": _elementwise(_exp),
+    "_fn_log": _elementwise(_log),
+    "_fn_sqrt": _array_sqrt,
+    "_fn_sign": _array_sign,
+    "_fn_min": _array_min,
+    "_fn_max": _array_max,
+    "_fn_pow": _elementwise(_pow),
 }
 
 
@@ -500,6 +629,21 @@ def eval_expression(expr: Expr, env: Env) -> float:
         except ExprDomainError as ex:
             raise ExprDomainError(str(ex).split(" in subexpression")[0], expr) from None
     raise TypeError(f"not an Expr node: {expr!r}")
+
+
+def substitute(expr: Expr, bindings: Mapping[str, Expr]) -> Expr:
+    """``expr`` with every variable named in ``bindings`` replaced by its AST.
+
+    Evaluating the result equals evaluating ``expr`` with those variables set
+    to the values of their bindings, bit for bit: the same operations run on
+    the same operands.
+    """
+    if isinstance(expr, Var):
+        return bindings.get(expr.name, expr)
+    kids = expr.children()
+    if not kids:
+        return expr
+    return expr._rebuild(tuple(substitute(c, bindings) for c in kids))
 
 
 def compile_expression(text: str, dims: Dims = Dims()) -> Callable:

@@ -10,12 +10,13 @@ policies with fixed seeds and trajectories are deterministic and replayable.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
 
-from .expr import Dims, Expr, parse_expression
+from .expr import Dims, Expr, parse_expression, substitute
 
 __all__ = [
     "SystemDef", "Trajectory", "SampleConfig", "ReachableBound",
@@ -23,9 +24,12 @@ __all__ = [
     "GreedyDisturbance", "InputPolicy", "ZeroInput", "ConstantInput",
     "SequenceInput", "StateFeedback",
     "step", "simulate", "closed_loop", "reachable_bound",
-    "parse_system_file", "vecnorm", "d_candidates", "sphere_points",
+    "parse_system_file", "vecnorm", "row_norms", "d_candidates",
+    "sphere_points", "sampled_sup", "first_max",
     "EquilibriumWarning", "SystemFileError",
 ]
+
+SLAB_ROWS = 4096  # points per evaluation slab in sampled_sup
 
 
 class SystemFileError(ValueError):
@@ -44,6 +48,19 @@ def vecnorm(v) -> float:
     return float(np.linalg.norm(v))
 
 
+def row_norms(rows) -> np.ndarray:
+    """:func:`vecnorm` of every row of a 2-D array, bit for bit.
+
+    ``np.linalg.norm`` of a vector is ``sqrt(x.dot(x))``; ``np.vecdot`` runs
+    the same dot kernel on each contiguous row (``np.linalg.norm(axis=1)``
+    sums differently and does not match).
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.shape[1] == 1:
+        return np.abs(rows[:, 0])
+    return np.sqrt(np.vecdot(rows, rows))
+
+
 def _as_vector_map(exprs, dims: Dims, what: str):
     """Compile a list of expression strings/ASTs into fn(t, x, d, u) -> ndarray."""
     parsed = []
@@ -60,6 +77,22 @@ def _as_vector_map(exprs, dims: Dims, what: str):
         return np.array([fn(t, x, d, u, empty) for fn in fns], dtype=float)
 
     return evaluate, tuple(parsed)
+
+
+def _rows_map(exprs):
+    """Array evaluator of an expression list: fn(t, X, D, U) -> (N, len) rows
+    for row-aligned (N, dim) arrays, bit-identical to the compiled map.
+    Each expression compiles its array form on first use."""
+    empty = {}
+
+    def evaluate(t, X, D, U):
+        out = np.empty((X.shape[0], len(exprs)))
+        cols = (X.T, D.T, U.T)
+        for j, e in enumerate(exprs):
+            out[:, j] = e.batched()(t, *cols, empty)  # a float fills the column
+        return out
+
+    return evaluate
 
 
 @dataclass
@@ -94,6 +127,9 @@ class SystemDef:
 
         dims = Dims(n=self.n, m=self.m, k=self.k)
         self.f_exprs = self.H_exprs = self.h_exprs = None
+        # array evaluators exist for expression maps only; native callables
+        # are evaluated row by row (see f_rows / H_rows)
+        self._f_rows = self._H_rows = None
         if callable(self.f):
             native = self.f  # native signature f(t, d, x, u); internal is (t, x, d, u)
             self._f = lambda t, x, d, u: np.asarray(
@@ -103,6 +139,7 @@ class SystemDef:
                 raise SystemFileError(
                     f"f has {len(self.f)} components, state dimension is {self.n}")
             self._f, self.f_exprs = _as_vector_map(self.f, dims, "f")
+            self._f_rows = _rows_map(self.f_exprs)
 
         out_dims = Dims(n=self.n)  # output maps depend on (t, x) only
         if callable(self.H):
@@ -113,6 +150,7 @@ class SystemDef:
         else:
             Hfn, self.H_exprs = _as_vector_map(self.H, out_dims, "H")
             self._H = lambda t, x, _fn=Hfn: _fn(t, x, _EMPTY, _EMPTY)
+            self._H_rows = _rows_map(self.H_exprs)
             self.p_Y = len(self.H_exprs)
 
         if self.h is None:
@@ -144,6 +182,34 @@ class SystemDef:
 
     def H_eval(self, t, x) -> np.ndarray:
         return self._H(float(t), np.asarray(x, dtype=float))
+
+    def f_rows(self, t, X, D, U=None) -> np.ndarray:
+        """f(t, d, x, u) for the row-aligned (N, dim) arrays X, D, U at one t.
+
+        Returns (N, n) rows, each bit-identical to :meth:`f_eval` of its row
+        (one array evaluation for expression systems, row by row otherwise).
+        """
+        X = np.asarray(X, dtype=float)
+        D = np.asarray(D, dtype=float).reshape(X.shape[0], self.m)
+        U = (np.zeros((X.shape[0], 0)) if U is None
+             else np.asarray(U, dtype=float).reshape(X.shape[0], self.k))
+        if self._f_rows is not None:
+            return self._f_rows(float(t), X, D, U)
+        out, f_, tf = np.empty((X.shape[0], self.n)), self._f, float(t)
+        for i, (x, d, u) in enumerate(zip(X, D, U)):
+            out[i] = f_(tf, x, d, u)
+        return out
+
+    def H_rows(self, t, X) -> np.ndarray:
+        """H(t, x) for every row of X: (N, p_Y), bit-identical to H_eval."""
+        X = np.asarray(X, dtype=float)
+        if self._H_rows is not None:
+            empty = np.zeros((X.shape[0], 0))
+            return self._H_rows(float(t), X, empty, empty)
+        out, H_, tf = np.empty((X.shape[0], self.p_Y)), self._H, float(t)
+        for i, x in enumerate(X):
+            out[i] = H_(tf, x)
+        return out
 
     def h_eval(self, t, x) -> np.ndarray:
         return self._h(float(t), np.asarray(x, dtype=float))
@@ -241,6 +307,63 @@ def sphere_points(dim: int, radius: float, directions: int = 64,
         dirs.append(g / norms)
     dirs = np.vstack(dirs)
     return np.vstack([dirs * (radius * s) for s in scales])
+
+
+def first_max(values) -> tuple:
+    """(value, index) of the first maximum of a 1-D array; NaN wins."""
+    i = int(np.argmax(values))  # argmax returns the first NaN, else the first max
+    return float(values[i]), i
+
+
+def _beats(value, best) -> bool:
+    """Whether ``value`` replaces ``best`` in a first-maximum scan (NaN wins)."""
+    return value > best or (value != value and best == best)
+
+
+def sampled_sup(sys: "SystemDef", t, sets, score, keep: int = 0):
+    """First maximum of ``score`` over f(t, d, x, u) on a product of sample sets.
+
+    ``sets`` lists (name, rows) pairs, name in "d", "x", "u", outermost loop
+    first; a left-out "u" is the empty input.  ``score(F, idx)`` maps a
+    slab's (N, n) successor states and its index arrays ``idx[name]`` to N
+    values.  The first ``keep`` sets are kept: the maximum is taken over the
+    remaining sets separately for each index tuple of the kept ones.
+
+    Returns (sup, arg): the maximum and the flat index, in nested-loop order
+    over the reduced sets, of its first occurrence; arrays shaped by the kept
+    sets, or a float and an int when keep=0.  NaN wins the max, so a NaN
+    score is reported, never passed over.  Points are evaluated through
+    :meth:`SystemDef.f_rows` in slabs of at most SLAB_ROWS rows; only the
+    scores of the whole product (8 bytes a point) are held at once.
+    """
+    names = [name for name, _ in sets]
+    dims = {"d": sys.m, "x": sys.n, "u": sys.k}
+    rows = []
+    for name, r in sets:
+        r = np.asarray(r, dtype=float)
+        if r.shape[0] == 0:
+            raise ValueError(f"empty sample set: no {name} values")
+        rows.append(r.reshape(r.shape[0], dims[name]))
+    shape = tuple(r.shape[0] for r in rows)
+    groups, size = math.prod(shape[:keep]), math.prod(shape[keep:])
+
+    scores = np.empty(groups * size)
+    for start in range(0, scores.shape[0], SLAB_ROWS):
+        stop = min(scores.shape[0], start + SLAB_ROWS)
+        idx = dict(zip(names, np.unravel_index(np.arange(start, stop), shape)))
+        got = {name: r[idx[name]] for name, r in zip(names, rows)}
+        F = sys.f_rows(t, got["x"], got["d"], got.get("u"))
+        scores[start:stop] = score(F, idx)  # a float fills the slab
+    scores = scores.reshape(groups, size)
+    arg = np.argmax(scores, axis=1)  # the first NaN, else the first max
+    sup = scores[np.arange(groups), arg]
+    if keep == 0:
+        return float(sup[0]), int(arg[0])
+    return sup.reshape(shape[:keep]), arg.reshape(shape[:keep])
+
+
+def _norm_score(F, idx):
+    return row_norms(F)
 
 
 @dataclass
@@ -413,6 +536,7 @@ class StateFeedback(InputPolicy):
 
     def __init__(self, fb, n=None, k=None, name="k"):
         self.name = name
+        self.exprs = None
         if callable(fb):
             self._fn = lambda t, x: np.asarray(fb(t, x), dtype=float).reshape(-1)
         else:
@@ -544,18 +668,30 @@ def closed_loop(sys: SystemDef, fb) -> SystemDef:
     """Absorb a state feedback u = k(t, x) into the dynamics (k becomes 0).
 
     On an unforced system any feedback is vacuous and the system is returned
-    unchanged.  The zero equilibrium is preserved iff f(t,d,0,k(t,0)) = 0;
-    this is spot-checked and a warning is emitted otherwise.
+    unchanged.  When the plant and the feedback are both expressions, u := k(t,
+    x) is substituted into the plant's ASTs, so the closed loop is again an
+    expression system (same values bit for bit, and batchable); a native
+    feedback or plant is wrapped in a closure.  The zero equilibrium is
+    preserved iff f(t,d,0,k(t,0)) = 0; this is spot-checked and a warning is
+    emitted otherwise.
     """
     if sys.k == 0:
         return sys
     pol = fb if isinstance(fb, InputPolicy) else StateFeedback(fb, n=sys.n)
+    k_exprs = getattr(pol, "exprs", None)
+    if sys.f_exprs is not None and k_exprs is not None and len(k_exprs) == sys.k:
+        # bind by index, not spelling: the parser keeps "u01" as it is written
+        used = frozenset().union(*(e.variables() for e in sys.f_exprs))
+        bindings = {v: k_exprs[int(v[1:]) - 1] for v in used if v[0] == "u"}
+        f_cl = [substitute(e, bindings) for e in sys.f_exprs]
+    else:
+        def f_cl(t, d, x, u):
+            return sys.f_eval(t, d, x, pol(sys, t, x))
 
-    def f_cl(t, d, x, u):
-        return sys.f_eval(t, d, x, pol(sys, t, x))
-
+    H = list(sys.H_exprs) if sys.H_exprs is not None else sys._H
+    h = sys.h if sys.h is None or callable(sys.h) else list(sys.h_exprs)
     out = SystemDef(n=sys.n, m=sys.m, k=0, d_box=sys.d_box, f=f_cl,
-                    H=sys._H, h=sys._h, name=f"{sys.name}|{pol.descriptor()}",
+                    H=H, h=h, name=f"{sys.name}|{pol.descriptor()}",
                     p_Y=sys.p_Y, p_y=sys.p_y)
     bad = out.check_equilibrium(ts=range(0, 21, 5))
     if bad:
@@ -603,17 +739,16 @@ def reachable_bound(sys: SystemDef, r: float, T: int,
     for kstep in range(1, T + 1):
         xs = sphere_points(sys.n, rho[kstep - 1], cfg.x_directions,
                            scales=cfg.x_scales, rng=rng)
+        sets = (("d", dcands), ("x", xs), ("u", ucands))
         best, wit = 0.0, None
         for t in ts:
-            for dc in dcands:
-                for xc in xs:
-                    for uc in ucands:
-                        val = vecnorm(sys.f_eval(t, dc, xc, uc))
-                        if val > best:
-                            best = val
-                            wit = {"t": int(t), "d": dc.tolist(),
-                                   "x": xc.tolist(), "u": uc.tolist(),
-                                   "norm": val}
+            val, i = sampled_sup(sys, t, sets, _norm_score)
+            if _beats(val, best):
+                di, xi, ui = np.unravel_index(i, (len(dcands), len(xs), len(ucands)))
+                best = val
+                wit = {"t": int(t), "d": dcands[di].tolist(),
+                       "x": xs[xi].tolist(), "u": ucands[ui].tolist(),
+                       "norm": val}
         rho[kstep] = best
         witnesses.append(wit)
     return ReachableBound(r=r, T=T, rho=rho, witnesses=witnesses)
