@@ -30,7 +30,7 @@ from .stability import FalsifyBudget, adversarial_batch, check_ios_estimate
 from .synth import (DelayChainController, ObservabilityChain,
                     ReconstructionMap, check_reconstruction,
                     run_output_feedback, synthesize_delay_controller)
-from .system import StateFeedback, SystemDef, closed_loop, vecnorm
+from .system import StateFeedback, SystemDef, closed_loop, vecnorm, _beats
 
 __all__ = ["ExampleBundle", "EXAMPLES", "load_example",
            "example_2_3", "example_3_4", "example_4_7"]
@@ -192,7 +192,7 @@ def recursion_step_check(bundle, batch, tol=1e-9):
             rhs = (2.0 / _E) * v0 + math.pow(2.0, 1.0 - t / 2.0) * root \
                 + vecnorm(traj.u[i])
             margin = v1 - rhs
-            if margin > worst:
+            if _beats(margin, worst):  # a NaN margin wins and fails
                 worst, wit = margin, {"t": int(t), "lhs": v1, "rhs": rhs,
                                       "meta": traj.meta}
     passed = wit is None or worst <= tol * (1.0 + abs(wit["rhs"]))

@@ -20,7 +20,8 @@ import numpy as np
 from .comparison import KFn, KLEnvelope, TimeGain
 from .system import (ConstantDisturbance, ConstantInput, GreedyDisturbance,
                      RandomDisturbance, SequenceInput, SystemDef,
-                     Trajectory, ZeroInput, simulate, vecnorm, _box_corners)
+                     Trajectory, ZeroInput, row_norms, simulate,
+                     simulate_batch, vecnorm, _beats, _box_corners)
 
 __all__ = [
     "FalsifyBudget", "StabilityReport", "EnvelopeReport",
@@ -30,13 +31,7 @@ __all__ = [
 ]
 
 _RADIUS_LADDER = (1.0, 0.75, 0.5, 0.25)
-
-
-def _row_norms(arr):
-    """Per-row Euclidean norms; exact abs fast path for one column."""
-    if arr.shape[1] == 1:
-        return np.abs(arr[:, 0])
-    return np.linalg.norm(arr, axis=1)
+ROLLOUT_BLOCK = 256  # trajectories a search rolls in lock-step at once
 
 
 @dataclass
@@ -118,17 +113,10 @@ def _u_policy(mode, sys, idx, seed_seq, u_cap):
     return SequenceInput(seq)
 
 
-def search_trajectories(sys: SystemDef, t0s: Sequence[int], radius: float,
-                        budget: FalsifyBudget, u_modes=("zero",)):
-    """Deterministic trajectory stream for adversarial searches.
-
-    The first trajectories take signed axis initial states at full radius (the
-    common worst cases); later ones draw random directions with radii on a
-    fixed ladder of fractions of ``radius``.  Yields one Trajectory per index.
-    """
+def _trajectory_specs(sys, t0s, radius, budget, u_modes, indices):
+    """(t0, x0, d policy, u policy, meta) of each search index, fresh policies."""
     axis = _axis_states(sys.n, radius)
-    t0s = list(t0s)
-    for i in range(budget.max_trajectories):
+    for i in indices:
         seq = np.random.SeedSequence(budget.seed, spawn_key=(i,))
         rng = np.random.default_rng(seq.generate_state(2))
         if radius == 0.0:
@@ -143,9 +131,38 @@ def search_trajectories(sys: SystemDef, t0s: Sequence[int], radius: float,
         strategy = budget.mix[i % len(budget.mix)]
         dpol = _d_policy(strategy, sys, i, seq)
         upol = _u_policy(u_modes[i % len(u_modes)], sys, i, seq, budget.u_cap)
-        t0 = t0s[i % len(t0s)]
-        yield simulate(sys, t0, x0, dpol, upol, budget.horizon,
-                       meta={"index": i, "strategy": strategy})
+        yield (t0s[i % len(t0s)], x0, dpol, upol,
+               {"index": i, "strategy": strategy})
+
+
+def search_trajectories(sys: SystemDef, t0s: Sequence[int], radius: float,
+                        budget: FalsifyBudget, u_modes=("zero",)):
+    """Deterministic trajectory stream for adversarial searches.
+
+    The first trajectories take signed axis initial states at full radius (the
+    common worst cases); later ones draw random directions with radii on a
+    fixed ladder of fractions of ``radius``.  Yields one Trajectory per index.
+
+    Trajectories are rolled in lock-step blocks of at most ROLLOUT_BLOCK
+    (:func:`simulate_batch`), each equal bit for bit to its own
+    :func:`simulate`.  When a block raises, it is rolled again one trajectory
+    at a time from fresh policies, so the error surfaces after the same
+    yields as a trajectory-by-trajectory search gives.
+    """
+    t0s = list(t0s)
+    total = budget.max_trajectories
+    for start in range(0, total, ROLLOUT_BLOCK):
+        block = range(start, min(total, start + ROLLOUT_BLOCK))
+        specs = list(_trajectory_specs(sys, t0s, radius, budget, u_modes, block))
+        t0_rows, x0_rows, dpols, upols, metas = zip(*specs)
+        try:
+            trajs = simulate_batch(sys, t0_rows, x0_rows, dpols, upols,
+                                   budget.horizon, metas)
+        except Exception:  # whatever a row raised, simulate raises it again, in order
+            trajs = (simulate(sys, t0, x0, dpol, upol, budget.horizon, meta=meta)
+                     for t0, x0, dpol, upol, meta in _trajectory_specs(
+                         sys, t0s, radius, budget, u_modes, block))
+        yield from trajs
 
 
 def adversarial_batch(sys, t0s, radius, budget, u_modes=("zero",)):
@@ -153,11 +170,12 @@ def adversarial_batch(sys, t0s, radius, budget, u_modes=("zero",)):
 
 
 def _worst_output(sys, t0s, radius, budget):
-    """(sup ||Y||, achieving trajectory) over the search stream."""
+    """(sup ||Y||, achieving trajectory) over the search stream; a NaN output
+    wins, so it fails the trial instead of being passed over."""
     best, best_traj = -math.inf, None
     for traj in search_trajectories(sys, t0s, radius, budget):
-        peak = float(_row_norms(traj.Y).max())
-        if peak > best:
+        peak = float(row_norms(traj.Y).max())  # max propagates NaN
+        if _beats(peak, best):
             best, best_traj = peak, traj
     return best, best_traj
 
@@ -189,21 +207,20 @@ def test_output_stability(sys: SystemDef, eps: float, T: int,
 
     lo = None
     hi = None
-    last_fail_traj = None
+    last_fail_traj = last_fail_peak = None
     delta = delta_cap
     for _ in range(19):
         ok, peak, traj = trial(delta)
         if ok:
             lo = delta
             break
-        hi, last_fail_traj = delta, traj
+        hi, last_fail_traj, last_fail_peak = delta, traj, peak
         delta /= 10.0
     if lo is None:
         return StabilityReport(
             "output-stability", {"eps": eps, "T": T}, delta=None,
             counterexample=last_fail_traj,
-            worst={"delta": delta * 10.0,
-                   "peak": max(vecnorm(r) for r in last_fail_traj.Y)},
+            worst={"delta": delta * 10.0, "peak": last_fail_peak},
             budget_used=trials * budget.max_trajectories, seed=budget.seed,
             notes=notes + ["no tested delta passes"])
     if hi is None:
@@ -241,8 +258,8 @@ def test_output_attractivity(sys: SystemDef, eps: float, T: int, R: float,
     budget = budget or FalsifyBudget(max_trajectories=64, horizon=120)
     tau_hat, worst_traj, worst = -1, None, None
     for traj in search_trajectories(sys, range(T + 1), R, budget):
-        norms = _row_norms(traj.Y)
-        exceed = np.nonzero(norms > eps)[0]
+        norms = row_norms(traj.Y)
+        exceed = np.nonzero(~(norms <= eps))[0]  # a NaN output exceeds
         last = int(exceed[-1]) if exceed.size else -1
         if last == len(traj) - 1:
             return StabilityReport(
@@ -286,17 +303,19 @@ class EnvelopeReport:
 
 
 def _row_check(form, bounds_per_traj, batch, tol):
+    """Worst ||Y(t)|| - bound(t) over the batch.  A NaN margin or ratio wins
+    (the witness is its first row), so a NaN output never passes."""
     worst_ratio, worst_margin, witness, rows = 0.0, -math.inf, None, 0
     for traj, bounds in zip(batch, bounds_per_traj):
-        norms = _row_norms(traj.Y)
+        norms = row_norms(traj.Y)
         for i, (norm, bound) in enumerate(zip(norms, bounds)):
             rows += 1
             bound = float(bound)
             margin = norm - bound
             ratio = 0.0 if norm == 0.0 else (norm / bound if bound > 0.0 else math.inf)
-            if ratio > worst_ratio:
+            if _beats(ratio, worst_ratio):
                 worst_ratio = ratio
-            if margin > worst_margin:
+            if _beats(margin, worst_margin):
                 worst_margin = margin
                 witness = {"t": int(traj.t[i]), "t0": int(traj.t0),
                            "x0": traj.x0.tolist(), "norm": norm,
@@ -385,7 +404,7 @@ class FalsifyReport:
 
     @property
     def violated(self):
-        return self.ratio > 1.0
+        return not self.ratio <= 1.0  # a NaN ratio is a violation
 
     def to_json(self):
         return {"ratio": self.ratio, "violated": self.violated,
@@ -417,7 +436,7 @@ def falsify(sys: SystemDef, sigma: KLEnvelope, beta: TimeGain = None,
             rep = check_ios_estimate([traj], sigma, beta, rho, gamma, tol=0.0)
         else:
             rep = check_kl_estimate([traj], sigma, beta, tol=0.0)
-        if rep.worst_ratio > best:
+        if _beats(rep.worst_ratio, best):
             best = rep.worst_ratio
             wit = rep.witness
     return FalsifyReport(best, wit, count, "ios" if ios else "kl", budget.seed,
