@@ -26,10 +26,9 @@ from .stability import (FalsifyBudget, StabilityReport, adversarial_batch,
                         build_small_input_system, check_ios_estimate,
                         check_kl_estimate, falsify, test_output_attractivity,
                         test_output_stability)
-from .synth import (DelayChainController, ObservabilityChain,
-                    ReconstructionMap, build_extended_system,
-                    check_reconstruction, iterate_maps, run_output_feedback,
-                    synthesize_delay_controller)
+from .synth import (DelayChainController, ReconstructionMap,
+                    build_extended_system, check_reconstruction, iterate_maps,
+                    run_output_feedback, synthesize_delay_controller)
 from .registry import EXAMPLES, ExampleBundle, load_example
 
 __version__ = "0.1.0"

@@ -20,7 +20,8 @@ import numpy as np
 
 from .comparison import KFn, TimeGain, validate_class
 from .expr import Dims, parse_expression
-from .system import (SampleConfig, SystemDef, _beats, d_candidates, first_max,
+from .system import (FAIL, PASS, PASS_TOL, SampleConfig, SystemDef,
+                     WorstMargin, _beats, d_candidates, require_samples,
                      row_norms, sampled_sup, sphere_points, vecnorm)
 
 __all__ = [
@@ -30,9 +31,6 @@ __all__ = [
     "build_transformed_system", "compose_V_from_U",
     "check_rofs_inf_sup", "ROFSReport", "projection_fiber",
 ]
-
-PASS, PASS_TOL, FAIL = "pass", "pass (tolerance)", "fail"
-
 
 @dataclass
 class LyapunovCandidate:
@@ -167,14 +165,6 @@ class CertificateReport:
                 "details": self.details, "notes": self.notes}
 
 
-def _verdict(margin, rhs, tol):
-    if margin <= 0.0:
-        return PASS
-    if margin <= tol * (1.0 + abs(rhs)):
-        return PASS_TOL
-    return FAIL
-
-
 def _worst_verdict(*verdicts):
     order = {PASS: 0, PASS_TOL: 1, FAIL: 2}
     return max(verdicts, key=order.__getitem__)
@@ -189,10 +179,9 @@ def _d_values(sys, d_values, cfg: SampleConfig, seed):
                         rng=seed)
 
 
-def _require_samples(**sets):
-    for name, values in sets.items():
-        if len(values) == 0:
-            raise ValueError(f"empty sample set: no {name}")
+def _require_grid(grid):
+    require_samples(len(grid.ts), "times")
+    require_samples(len(grid.xs), "states")
 
 
 def _require_zero_at_origin(sys, cand):
@@ -210,10 +199,15 @@ def check_sandwich(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
     """
     cand.require("a1", "a2", "beta")
     _require_zero_at_origin(sys, cand)
-    _require_samples(times=grid.ts, states=grid.xs)
+    _require_grid(grid)
     xs = grid.xs
     nx = row_norms(xs)
-    lo_worst = hi_worst = None
+    lo, hi = WorstMargin("states"), WorstMargin("states")
+
+    def witness(t, lhs, rhs):
+        return lambda i: {"t": int(t), "x": xs[i].tolist(), "d": None,
+                          "u": None, "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+
     for t in grid.ts:
         bt = cand.beta(t)
         V = cand.V_rows(t, xs)
@@ -221,52 +215,42 @@ def check_sandwich(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
         lo_arg = nY + cand.mu(t) * nx if cand.mu is not None else nY
         lo_lhs = np.array([cand.a1(s) for s in lo_arg])
         hi_rhs = np.array([cand.a2(s) for s in bt * nx])
-        lo, i = first_max(lo_lhs - V)
-        if lo_worst is None or _beats(lo, lo_worst):
-            lo_worst, lo_wit = lo, {"t": int(t), "x": xs[i].tolist(), "d": None,
-                                    "u": None, "lhs": float(lo_lhs[i]),
-                                    "rhs": float(V[i])}
-        hi, i = first_max(V - hi_rhs)
-        if hi_worst is None or _beats(hi, hi_worst):
-            hi_worst, hi_wit = hi, {"t": int(t), "x": xs[i].tolist(), "d": None,
-                                    "u": None, "lhs": float(V[i]),
-                                    "rhs": float(hi_rhs[i])}
-    lo_v = _verdict(lo_worst, lo_wit["rhs"], tol)
-    hi_v = _verdict(hi_worst, hi_wit["rhs"], tol)
-    verdict = _worst_verdict(lo_v, hi_v)
-    worst, wit = ((hi_worst, dict(hi_wit, side="upper"))
-                  if _beats(hi_worst, lo_worst) else (lo_worst, dict(lo_wit, side="lower")))
+        lo.add(lo_lhs - V, V, witness(t, lo_lhs, V))
+        hi.add(V - hi_rhs, hi_rhs, witness(t, V, hi_rhs))
+    lo_v, hi_v = lo.verdict(tol), hi.verdict(tol)
+    side, worst = ("upper", hi) if _beats(hi.margin, lo.margin) else ("lower", lo)
     return CertificateReport(
-        "sandwich", verdict, worst, wit, len(grid), tol,
-        details={"lower": {"verdict": lo_v, "worst_margin": lo_worst, "witness": lo_wit},
-                 "upper": {"verdict": hi_v, "worst_margin": hi_worst, "witness": hi_wit}})
+        "sandwich", _worst_verdict(lo_v, hi_v), worst.margin,
+        dict(worst.witness, side=side), len(grid), tol,
+        details={name: {"verdict": v, "worst_margin": m.margin, "witness": m.witness}
+                 for name, v, m in (("lower", lo_v, lo), ("upper", hi_v, hi))})
 
 
 def _sup_decrease(sys, cand, grid, rhs_fn, dvals, check_name, tol,
                   u_values=None):
     """Shared kernel: sup_d V(t+1, f(t,d,x,u)) <= rhs(t, x, V, u) pointwise."""
     us = np.zeros((1, 0)) if u_values is None else u_values
-    _require_samples(times=grid.ts, states=grid.xs)  # sampled_sup checks d, u
+    _require_grid(grid)  # sampled_sup checks d, u
     xs = grid.xs
     sets = (("x", xs), ("u", us), ("d", dvals))
-    worst, wit = None, None
+    worst = WorstMargin("states")
     for t in grid.ts:
         V0 = cand.V_rows(t, xs)
         sup_v, arg_d = sampled_sup(sys, t, sets,
                                    lambda F, idx: cand.V_rows(t + 1, F), keep=2)
         rhs = np.array([[rhs_fn(t, x, v0, u) for u in us]
                         for x, v0 in zip(xs, V0)], dtype=float)
-        margin, i = first_max((sup_v - rhs).reshape(-1))
-        if worst is None or _beats(margin, worst):
+
+        def witness(i):
             xi, ui = divmod(i, len(us))
-            worst = margin
-            wit = {"t": int(t), "x": xs[xi].tolist(),
-                   "d": dvals[arg_d[xi, ui]].tolist(),
-                   "u": us[ui].tolist() if u_values is not None else None,
-                   "lhs": float(sup_v[xi, ui]), "rhs": float(rhs[xi, ui])}
-    count = len(grid.ts) * len(xs) * len(us)
-    return CertificateReport(check_name, _verdict(worst, wit["rhs"], tol),
-                             worst, wit, count, tol)
+            return {"t": int(t), "x": xs[xi].tolist(),
+                    "d": dvals[arg_d[xi, ui]].tolist(),
+                    "u": us[ui].tolist() if u_values is not None else None,
+                    "lhs": float(sup_v[xi, ui]), "rhs": float(rhs[xi, ui])}
+
+        worst.add(sup_v - rhs, rhs, witness)
+    return CertificateReport(check_name, worst.verdict(tol), worst.margin,
+                             worst.witness, worst.samples, tol)
 
 
 def check_contraction(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
@@ -548,10 +532,10 @@ def check_rofs_inf_sup(sys: SystemDef, cand: LyapunovCandidate,
                                      cands[j].tolist(),
                                      {"x": fiber[xi].tolist(), "d": dvals[di].tolist()},
                                      cands.shape[0], note))
-    informative = [e.inf_sup for e in entries if e.inf_sup != -math.inf]
-    worst = first_max(np.array(informative))[0] if informative else -math.inf
-    verdict = _verdict(worst, 0.0, tol) if informative else PASS
-    return ROFSReport(mode, entries, worst, verdict, tol,
+    worst = WorstMargin("informative fiber entries")
+    worst.add([e.inf_sup for e in entries if e.inf_sup != -math.inf], 0.0,
+              lambda i: None)
+    return ROFSReport(mode, entries, worst.margin, worst.verdict(tol), tol,
                       notes=["fiber-restricted estimate: finite u grid "
                              "over-estimates the inf, finite fiber "
                              "under-estimates the sup"])

@@ -331,9 +331,7 @@ def cmd_synthesize(args) -> int:
         if not args.psi:
             raise UsageError("--psi required for file-based systems")
         psi = ReconstructionMap(args.psi, p=args.p)
-        retraction = None
-        ctrl = synthesize_delay_controller(psi, p_y=sys_.p_y, k=sys_.k,
-                                           retraction=retraction)
+        ctrl = synthesize_delay_controller(psi, p_y=sys_.p_y, k=sys_.k)
         reference = None
     out = Path(args.out_dir)
     path = write_report(out, "controller.json", ctrl.to_json())
@@ -341,8 +339,7 @@ def cmd_synthesize(args) -> int:
     if not args.simulate:
         return 0
     x0 = args.x0 if args.x0 is not None else np.ones(sys_.n)
-    w0 = args.w0
-    traj, rep = run_output_feedback(sys_, ctrl, args.t0, x0, w0=w0,
+    traj, rep = run_output_feedback(sys_, ctrl, args.t0, x0, w0=args.w0,
                                     dpol=_d_policy(args, sys_),
                                     horizon=args.horizon,
                                     reference_k=reference, tol=args.tol)
@@ -398,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("examples", parents=[common],
                        help="list registry examples or run their self-tests")
-    p.add_argument("--list", action="store_true")
     p.add_argument("--self-test", action="store_true")
     p.set_defaults(handler=cmd_examples)
 

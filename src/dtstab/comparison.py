@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import Dims, compile_expression
-from .system import (SampleConfig, _beats, _norm_score, d_candidates,
-                     sampled_sup, sphere_points, vecnorm)
+from .system import (FAIL, SampleConfig, WorstMargin, _beats, _norm_score,
+                     d_candidates, sampled_sup, sphere_points, vecnorm)
 
 __all__ = [
     "KFn", "TimeGain", "KLEnvelope", "identity", "linear", "power_fn",
@@ -458,19 +458,16 @@ def check_domination(sampler: Callable[[float, float], float], zeta: KFn,
     """
     if ss is None:
         ss = np.logspace(-6, 6, 25)
-    worst, witness, count = -math.inf, None, 0
+    ss = [float(s) for s in ss]
+    worst = WorstMargin("(T, s) samples")
     for T in Ts:
         bT = beta(T)
-        for s in ss:
-            lhs = float(sampler(T, float(s)))
-            rhs = zeta(bT * float(s))
-            margin = lhs - rhs
-            count += 1
-            if _beats(margin, worst):
-                worst = margin
-                witness = {"T": int(T), "s": float(s), "lhs": lhs, "rhs": rhs}
-    passed = worst <= tol * (1.0 + abs(witness["rhs"])) if witness else True
-    return DominationReport(passed, worst, witness, count, tol)
+        lhs = np.array([sampler(T, s) for s in ss], dtype=float)
+        rhs = np.array([zeta(bT * s) for s in ss], dtype=float)
+        worst.add(lhs - rhs, rhs, lambda i: {
+            "T": int(T), "s": ss[i], "lhs": float(lhs[i]), "rhs": float(rhs[i])})
+    passed = worst.verdict(tol) != FAIL
+    return DominationReport(passed, worst.margin, worst.witness, worst.samples, tol)
 
 
 def sup_f_sampler(sys, cfg: SampleConfig = None, seed: int = 0):

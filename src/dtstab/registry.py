@@ -27,10 +27,11 @@ from .certify import (LyapunovCandidate, StateGrid, check_contraction,
 from .comparison import (KFn, KLEnvelope, TimeGain, constant, geometric,
                          identity, linear, timegain_from_expr, validate_class)
 from .stability import FalsifyBudget, adversarial_batch, check_ios_estimate
-from .synth import (DelayChainController, ObservabilityChain,
-                    ReconstructionMap, check_reconstruction,
-                    run_output_feedback, synthesize_delay_controller)
-from .system import StateFeedback, SystemDef, closed_loop, vecnorm, _beats
+from .synth import (DelayChainController, ReconstructionMap,
+                    check_reconstruction, run_output_feedback,
+                    synthesize_delay_controller)
+from .system import (FAIL, StateFeedback, SystemDef, WorstMargin, closed_loop,
+                     vecnorm)
 
 __all__ = ["ExampleBundle", "EXAMPLES", "load_example",
            "example_2_3", "example_3_4", "example_4_7"]
@@ -60,7 +61,6 @@ class ExampleBundle:
     feedback: StateFeedback = None
     closed: SystemDef = None
     psi: ReconstructionMap = None
-    p: int = None
     controller: DelayChainController = None
     r: float = None
     extras: dict = field(default_factory=dict)
@@ -128,7 +128,7 @@ def example_4_7(r: float) -> ExampleBundle:
         description="three-state plant, measured output x1, d in [-r, r]; "
                     "dead-beat reconstructible feedback -x2^2 (p=1)",
         sys=sys, cand=cand, feedback=feedback,
-        closed=closed_loop(sys, feedback), psi=psi, p=1,
+        closed=closed_loop(sys, feedback), psi=psi,
         controller=synthesize_delay_controller(psi, p_y=1, k=1), r=r)
 
 
@@ -182,22 +182,20 @@ def recursion_step_check(bundle, batch, tol=1e-9):
     V(t+1) <= (2/e) V(t) + 2^(1 - t/2) ||x0||^(1/2) + |u(t)|.
     """
     cand = bundle.cand
-    worst, wit = -math.inf, None
+    worst = WorstMargin("trajectory steps")
     for traj in batch:
         root = math.sqrt(vecnorm(traj.x0))
-        for i in range(len(traj) - 1):
-            t = float(traj.t[i])
-            v0 = cand.V_eval(t, traj.x[i])
-            v1 = cand.V_eval(t + 1.0, traj.x[i + 1])
-            rhs = (2.0 / _E) * v0 + math.pow(2.0, 1.0 - t / 2.0) * root \
-                + vecnorm(traj.u[i])
-            margin = v1 - rhs
-            if _beats(margin, worst):  # a NaN margin wins and fails
-                worst, wit = margin, {"t": int(t), "lhs": v1, "rhs": rhs,
-                                      "meta": traj.meta}
-    passed = wit is None or worst <= tol * (1.0 + abs(wit["rhs"]))
+        ts = [float(t) for t in traj.t[:-1]]
+        lhs = np.array([cand.V_eval(t + 1.0, x) for t, x in zip(ts, traj.x[1:])])
+        rhs = np.array([(2.0 / _E) * cand.V_eval(t, x)
+                        + math.pow(2.0, 1.0 - t / 2.0) * root + vecnorm(u)
+                        for t, x, u in zip(ts, traj.x, traj.u)])
+        worst.add(lhs - rhs, rhs, lambda i: {
+            "t": int(ts[i]), "lhs": float(lhs[i]), "rhs": float(rhs[i]),
+            "meta": traj.meta})
+    passed = worst.verdict(tol) != FAIL
     return _PlainReport("per-step-recursion", passed,
-                        {"worst_margin": worst, "witness": wit})
+                        {"worst_margin": worst.margin, "witness": worst.witness})
 
 
 def _self_test_3_4(bundle, tol, seed):
@@ -222,8 +220,7 @@ def _self_test_4_7(bundle, tol, seed):
         ("contraction",
          check_contraction(bundle.closed, bundle.cand, grid, tol=max(tol, 1e-12))),
         ("reconstruction",
-         check_reconstruction(ObservabilityChain(bundle.sys, bundle.p),
-                              bundle.feedback, bundle.psi,
+         check_reconstruction(bundle.sys, bundle.feedback, bundle.psi,
                               n_samples=500, seed=seed, tol=0.0)),
     ]
     rng = np.random.default_rng(seed)

@@ -18,10 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from .comparison import KFn, KLEnvelope, TimeGain
-from .system import (ConstantDisturbance, ConstantInput, GreedyDisturbance,
-                     RandomDisturbance, SequenceInput, SystemDef,
-                     Trajectory, ZeroInput, row_norms, simulate,
-                     simulate_batch, vecnorm, _beats, _box_corners)
+from .system import (FAIL, ConstantDisturbance, ConstantInput,
+                     GreedyDisturbance, RandomDisturbance, SequenceInput,
+                     SystemDef, Trajectory, WorstMargin, ZeroInput, first_max,
+                     require_samples, row_norms, simulate, simulate_batch,
+                     vecnorm, _beats, _box_corners)
 
 __all__ = [
     "FalsifyBudget", "StabilityReport", "EnvelopeReport",
@@ -195,6 +196,7 @@ def test_output_stability(sys: SystemDef, eps: float, T: int,
     if sys.k != 0:
         raise ValueError("output stability is a property of unforced systems")
     budget = budget or FalsifyBudget(max_trajectories=48)
+    require_samples(budget.max_trajectories, "trajectories in the budget")
     t0s = range(T + 1)
     trials = 0
     notes = [f"boundedness witnessed up to horizon {budget.horizon} only"]
@@ -256,6 +258,7 @@ def test_output_attractivity(sys: SystemDef, eps: float, T: int, R: float,
     if sys.k != 0:
         raise ValueError("output attractivity is a property of unforced systems")
     budget = budget or FalsifyBudget(max_trajectories=64, horizon=120)
+    require_samples(budget.max_trajectories, "trajectories in the budget")
     tau_hat, worst_traj, worst = -1, None, None
     for traj in search_trajectories(sys, range(T + 1), R, budget):
         norms = row_norms(traj.Y)
@@ -303,27 +306,24 @@ class EnvelopeReport:
 
 
 def _row_check(form, bounds_per_traj, batch, tol):
-    """Worst ||Y(t)|| - bound(t) over the batch.  A NaN margin or ratio wins
-    (the witness is its first row), so a NaN output never passes."""
-    worst_ratio, worst_margin, witness, rows = 0.0, -math.inf, None, 0
+    """Worst ||Y(t)|| - bound(t) over the batch, one array pass a trajectory;
+    a NaN margin or ratio wins (witness at its first row) and fails."""
+    worst, worst_ratio = WorstMargin("trajectory rows"), 0.0
     for traj, bounds in zip(batch, bounds_per_traj):
         norms = row_norms(traj.Y)
-        for i, (norm, bound) in enumerate(zip(norms, bounds)):
-            rows += 1
-            bound = float(bound)
-            margin = norm - bound
-            ratio = 0.0 if norm == 0.0 else (norm / bound if bound > 0.0 else math.inf)
-            if _beats(ratio, worst_ratio):
-                worst_ratio = ratio
-            if _beats(margin, worst_margin):
-                worst_margin = margin
-                witness = {"t": int(traj.t[i]), "t0": int(traj.t0),
-                           "x0": traj.x0.tolist(), "norm": norm,
-                           "bound": bound, "meta": traj.meta}
-    passed = bool(worst_margin <= tol * (1.0 + abs(witness["bound"]))) \
-        if witness else True
-    return EnvelopeReport(form, passed, worst_ratio, worst_margin, witness,
-                          rows, tol)
+        bounds = np.asarray(bounds, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(norms == 0.0, 0.0,
+                              np.where(bounds > 0.0, norms / bounds, math.inf))
+        ratio, _ = first_max(ratios)
+        if _beats(ratio, worst_ratio):
+            worst_ratio = ratio
+        worst.add(norms - bounds, bounds, lambda i: {
+            "t": int(traj.t[i]), "t0": int(traj.t0), "x0": traj.x0.tolist(),
+            "norm": float(norms[i]), "bound": float(bounds[i]), "meta": traj.meta})
+    passed = worst.verdict(tol) != FAIL
+    return EnvelopeReport(form, passed, worst_ratio, worst.margin, worst.witness,
+                          worst.samples, tol)
 
 
 def check_kl_estimate(batch: Sequence[Trajectory], sigma: KLEnvelope,

@@ -10,36 +10,23 @@ feedback after p steps regardless of the register initialization.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .certify import (FAIL, PASS, CertificateReport, _verdict,
-                      _worst_verdict)
+from .certify import CertificateReport
 from .expr import Dims, compile_expression
-from .system import (ConstantDisturbance, DisturbancePolicy, StateFeedback,
-                     SystemDef, Trajectory)
+from .system import (FAIL, PASS, DisturbancePolicy, InputPolicy, SystemDef,
+                     WorstMargin, as_feedback, require_samples, simulate)
 
 __all__ = [
-    "ObservabilityChain", "ChainResult", "iterate_maps",
+    "ChainResult", "iterate_maps",
     "ReconstructionMap", "check_reconstruction",
     "DelayChainController", "synthesize_delay_controller",
     "run_output_feedback", "CoincidenceReport", "build_extended_system",
 ]
-
-
-@dataclass
-class ObservabilityChain:
-    """Iterated dynamics F_i and delayed outputs y_i over windows of length p."""
-
-    sys: SystemDef
-    p: int
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("chain length p must be >= 1")
 
 
 @dataclass
@@ -53,12 +40,11 @@ class ChainResult:
         return self.F[-1]
 
 
-def iterate_maps(chain: ObservabilityChain, t: int, x, d_seq, u_seq) -> ChainResult:
-    """Evaluate the chain: F_0 = x, F_i = f(t+i-1, d_{i-1}, F_{i-1}, u_{i-1}).
-
-    Exactly p forward step calls; y_i = h(t+i, F_i).
-    """
-    sys, p = chain.sys, chain.p
+def iterate_maps(sys: SystemDef, p: int, t: int, x, d_seq, u_seq) -> ChainResult:
+    """F_0 = x, F_i = f(t+i-1, d_{i-1}, F_{i-1}, u_{i-1}) and y_i = h(t+i, F_i)
+    over a window of length p: exactly p forward step calls."""
+    if p < 1:
+        raise ValueError("chain length p must be >= 1")
     d_seq = np.asarray(d_seq, dtype=float).reshape(p, sys.m)
     u_seq = np.asarray(u_seq, dtype=float).reshape(p, sys.k)
     if np.any(d_seq < sys.d_box[:, 0]) or np.any(d_seq > sys.d_box[:, 1]):
@@ -81,11 +67,10 @@ class ReconstructionMap:
     ``u0..u<p-1>``.
     """
 
-    def __init__(self, psi, p: int, out_dim: int = 1, name: str = None):
+    def __init__(self, psi, p: int, name: str = None):
         if p < 1:
             raise ValueError("p must be >= 1")
         self.p = p
-        self.out_dim = out_dim
         self.text = None
         if callable(psi):
             self._psi = psi
@@ -113,29 +98,17 @@ class ReconstructionMap:
                           dtype=float).reshape(-1)
 
 
-def _as_state_fn(k_fn, n):
-    if isinstance(k_fn, StateFeedback):
-        return lambda t, x: k_fn(None, t, x)
-    if callable(k_fn):
-        return lambda t, x: np.asarray(k_fn(t, x), dtype=float).reshape(-1)
-    fb = StateFeedback(list(k_fn), n=n)
-    return lambda t, x: fb(None, t, x)
-
-
-def check_reconstruction(chain: ObservabilityChain, k_fn,
-                         psi: ReconstructionMap, n_samples: int = 1000,
-                         ts=range(0, 11), x_radius: float = 5.0,
-                         u_radius: float = 5.0, seed: int = 0,
-                         tol: float = 0.0) -> CertificateReport:
-    """Sampled check of k(t+p, F_p(...)) == Psi(t+p, y_p, y-window, u-window).
-
-    A pass is "no violation found at n_samples samples", not a proof.
-    """
-    sys, p = chain.sys, chain.p
-    target = _as_state_fn(k_fn, sys.n)
+def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
+                         n_samples: int = 1000, ts=range(0, 11),
+                         x_radius: float = 5.0, u_radius: float = 5.0,
+                         seed: int = 0, tol: float = 0.0) -> CertificateReport:
+    """Sampled check of k(t+p, F_p(...)) == Psi(t+p, y_p, y-window, u-window),
+    p = psi.p, at the zero window of every t and then random windows up to
+    n_samples in all.  A pass is "no violation found at these samples"."""
+    p = psi.p
+    target = as_feedback(k_fn, sys.n)
     rng = np.random.default_rng(seed)
     ts = list(ts)
-    worst, wit = -math.inf, None
     # deterministic zero-window spots first: they pin the normalization
     # k(t+p, 0) = Psi(t+p, 0, 0, 0)
     spots = [(int(t), np.zeros(sys.n), np.tile(sys.d_mid(), (p, 1)),
@@ -146,19 +119,25 @@ def check_reconstruction(chain: ObservabilityChain, k_fn,
         d_seq = rng.uniform(sys.d_box[:, 0], sys.d_box[:, 1], size=(p, sys.m))
         u_seq = rng.uniform(-u_radius, u_radius, size=(p, sys.k))
         spots.append((t, x, d_seq, u_seq))
+    lhs, rhs = [], []
     for t, x, d_seq, u_seq in spots:
-        res = iterate_maps(chain, t, x, d_seq, u_seq)
-        lhs = target(t + p, res.F_p)
-        rhs = psi(t + p, res.y_p, res.y_hist, [u_seq[i] for i in range(p)])
-        err = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-        if err > worst:
-            worst = err
-            wit = {"t": t, "x": x.tolist(), "d_seq": d_seq.tolist(),
-                   "u_seq": u_seq.tolist(), "lhs": lhs.tolist(),
-                   "rhs": rhs.tolist()}
-    scale = max(abs(v) for v in wit["rhs"]) if wit["rhs"] else 0.0
-    return CertificateReport("reconstruction", _verdict(worst, scale, tol),
-                             worst, wit, n_samples, tol)
+        res = iterate_maps(sys, p, t, x, d_seq, u_seq)
+        lhs.append(target(sys, t + p, res.F_p))
+        rhs.append(psi(t + p, res.y_p, res.y_hist, list(u_seq)))
+    worst = WorstMargin("reconstruction samples")
+    worst.add([_max_abs(a - b) for a, b in zip(lhs, rhs)],
+              [_max_abs(b) for b in rhs],
+              lambda i: {"t": spots[i][0], "x": spots[i][1].tolist(),
+                         "d_seq": spots[i][2].tolist(),
+                         "u_seq": spots[i][3].tolist(),
+                         "lhs": lhs[i].tolist(), "rhs": rhs[i].tolist()})
+    return CertificateReport("reconstruction", worst.verdict(tol), worst.margin,
+                             worst.witness, worst.samples, tol)
+
+
+def _max_abs(v) -> float:
+    """Largest |entry| (NaN wins); 0 for an empty input vector."""
+    return float(np.max(np.abs(v))) if v.size else 0.0
 
 
 @dataclass
@@ -230,13 +209,11 @@ class DelayChainController:
                 "w0": self.w0.tolist()}
 
 
-def synthesize_delay_controller(psi: ReconstructionMap, p: int = None,
-                                retraction=None, p_y: int = 1,
-                                k: int = 1, w0=None) -> DelayChainController:
-    p = p if p is not None else psi.p
-    if p != psi.p:
-        raise ValueError(f"chain length {p} != reconstruction window {psi.p}")
-    ctrl = DelayChainController(p=p, p_y=p_y, k=k, psi=psi,
+def synthesize_delay_controller(psi: ReconstructionMap, retraction=None,
+                                p_y: int = 1, k: int = 1,
+                                w0=None) -> DelayChainController:
+    """The delay-chain controller over Psi's window length p = psi.p."""
+    ctrl = DelayChainController(p=psi.p, p_y=p_y, k=k, psi=psi,
                                 retraction=retraction)
     if w0 is not None:
         ctrl.w0 = ctrl.initial_state(w0)
@@ -269,81 +246,73 @@ class CoincidenceReport:
                 "notes": self.notes}
 
 
+class _DelayChainInput(InputPolicy):
+    """One run of a delay-chain controller as an input policy; records each
+    register state it reads in ``rows``."""
+
+    def __init__(self, ctrl: DelayChainController, w0):
+        self.ctrl, self.w, self.rows = ctrl, w0, []
+
+    def __call__(self, sys, t, x):
+        self.rows.append(self.w)
+        return self.ctrl.output(t, sys.h_eval(t, x), self.w)
+
+    def advance(self, t, y, u):
+        self.w = self.ctrl.advance(self.w, y, u)
+
+    def descriptor(self):
+        return self.ctrl.descriptor()
+
+
 def run_output_feedback(sys: SystemDef, ctrl: DelayChainController, t0: int,
                         x0, w0=None, dpol: DisturbancePolicy = None,
                         horizon: int = 40, reference_k=None,
                         tol: float = 1e-12):
     """Closed loop of the plant with the delay-chain controller.
 
-    Returns the trajectory (with register columns) and a report verifying the
-    register history w_i(t) = y(t-i), w_{p+i}(t) = u(t-i) exactly for
-    t >= t0 + p, and |u(t) - k(t, x(t))| <= tol*(1 + |k|) there when a
-    reference state feedback is supplied.  Rows before t0 + p are the
-    register-filling transient; any w0 is allowed.
+    Returns the :func:`simulate` trajectory (with register columns) and a
+    report verifying the register history w_i(t) = y(t-i), w_{p+i}(t) =
+    u(t-i) exactly for t >= t0 + p, and |u(t) - k(t, x(t))| <= tol*(1 + |k|)
+    there when a reference state feedback is supplied.  Rows before t0 + p
+    are the register-filling transient; any w0 is allowed, but a horizon
+    below p leaves no row to check and raises ValueError.
     """
-    dpol = dpol if dpol is not None else ConstantDisturbance(sys.d_mid())
-    N = horizon + 1
-    x = np.asarray(x0, dtype=float).reshape(sys.n)
-    w = ctrl.initial_state(w0)
-    T = np.arange(t0, t0 + N)
-    X = np.empty((N, sys.n))
-    D = np.empty((N, sys.m))
-    U = np.empty((N, sys.k))
-    Yv = np.empty((N, sys.p_Y))
-    yv = np.empty((N, sys.p_y))
-    W = np.empty((N, ctrl.state_dim))
-    for i, t in enumerate(T):
-        X[i], W[i] = x, w
-        Yv[i] = sys.H_eval(t, x)
-        yv[i] = sys.h_eval(t, x)
-        u = ctrl.output(t, yv[i], w)
-        U[i] = u
-        D[i] = dpol(sys, t, x, u)
-        if i + 1 < N:
-            x = sys.f_eval(t, D[i], x, u)
-            w = ctrl.advance(w, yv[i], u)
-    traj = Trajectory(t0=t0, t=T, x=X, d=D, u=U, Y=Yv, y=yv, w=W,
-                      meta={"d_policy": dpol.descriptor(),
-                            "controller": ctrl.descriptor()})
+    p = ctrl.p
+    require_samples(horizon + 1 - p, "rows after the register-filling transient")
+    pol = _DelayChainInput(ctrl, ctrl.initial_state(w0))
+    traj = simulate(sys, t0, x0, dpol, pol, horizon)
+    traj.w = np.array(pol.rows)
+    T, U, yv = traj.t, traj.u, traj.y
 
-    p, py, k = ctrl.p, ctrl.p_y, ctrl.k
-    history_exact, hist_wit = True, None
-    for i in range(p, N):
-        for j in range(1, p + 1):
-            yslot = W[i, (j - 1) * py:j * py]
-            uslot = W[i, p * py + (j - 1) * k:p * py + j * k]
-            if not (np.array_equal(yslot, yv[i - j])
-                    and np.array_equal(uslot, U[i - j])):
-                history_exact = False
-                hist_wit = {"t": int(T[i]), "slot": j,
-                            "w_y": yslot.tolist(), "y": yv[i - j].tolist(),
-                            "w_u": uslot.tolist(), "u": U[i - j].tolist()}
-                break
-        if not history_exact:
+    hist_wit = None  # the first (row, slot) that differs from the history
+    for i, j in itertools.product(range(p, len(traj)), range(1, p + 1)):
+        ys, us = ctrl._blocks(traj.w[i])
+        yslot, uslot = ys[j - 1], us[j - 1]
+        if not (np.array_equal(yslot, yv[i - j])
+                and np.array_equal(uslot, U[i - j])):
+            hist_wit = {"t": int(T[i]), "slot": j,
+                        "w_y": yslot.tolist(), "y": yv[i - j].tolist(),
+                        "w_u": uslot.tolist(), "u": U[i - j].tolist()}
             break
+    history_exact = hist_wit is None
 
-    max_err, co_wit = 0.0, None
+    verdict = PASS
+    err = WorstMargin("rows after the register-filling transient", floor=0.0)
     if reference_k is not None:
-        ref = _as_state_fn(reference_k, sys.n)
-        for i in range(p, N):
-            want = ref(T[i], X[i])
-            err = float(np.max(np.abs(U[i] - want))) if want.size else 0.0
-            bound = tol * (1.0 + float(np.max(np.abs(want))) if want.size else 1.0)
-            if err > max_err:
-                max_err = err
-                co_wit = {"t": int(T[i]), "u": U[i].tolist(),
-                          "k_ref": want.tolist(), "err": err, "bound": bound}
-    scale = (max(abs(v) for v in co_wit["k_ref"]) if co_wit else 0.0)
-    verdict = PASS if history_exact else FAIL
-    if reference_k is not None:
-        verdict = _worst_verdict(verdict, _verdict(max_err, scale, tol))
+        ref = as_feedback(reference_k, sys.n)
+        want = [ref(sys, t, x) for t, x in zip(T[p:], traj.x[p:])]
+        errs = [_max_abs(u - k_ref) for u, k_ref in zip(U[p:], want)]
+        err.add(errs, [_max_abs(k_ref) for k_ref in want],
+                lambda i: {"t": int(T[p + i]), "u": U[p + i].tolist(),
+                           "k_ref": want[i].tolist(), "err": errs[i]})
+        verdict = err.verdict(tol)
     report = CoincidenceReport(
         p=p, from_t=t0 + p, history_exact=history_exact,
-        history_witness=hist_wit, coincidence_max_err=max_err,
-        coincidence_witness=co_wit, tol=tol, verdict=verdict,
+        history_witness=hist_wit, coincidence_max_err=err.margin,
+        coincidence_witness=err.witness, tol=tol,
+        verdict=verdict if history_exact else FAIL,
         notes=[f"rows [{t0}, {t0 + p}) are the register-filling transient"])
     return traj, report
-
 
 
 def build_extended_system(sys: SystemDef, w_dim: int) -> SystemDef:

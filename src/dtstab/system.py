@@ -25,7 +25,8 @@ __all__ = [
     "SequenceInput", "StateFeedback",
     "step", "simulate", "simulate_batch", "closed_loop", "reachable_bound",
     "parse_system_file", "vecnorm", "row_norms", "d_candidates",
-    "sphere_points", "sampled_sup", "first_max",
+    "sphere_points", "sampled_sup", "first_max", "require_samples",
+    "WorstMargin", "as_feedback",
     "EquilibriumWarning", "SystemFileError",
 ]
 
@@ -347,6 +348,56 @@ def _beats(value, best) -> bool:
     return value > best or (value != value and best == best)
 
 
+PASS, PASS_TOL, FAIL = "pass", "pass (tolerance)", "fail"
+
+
+def require_samples(count, what: str):
+    """Refuse a check over no samples: none would read as "no violation"."""
+    if count < 1:
+        raise ValueError(f"empty sample set: no {what}")
+
+
+class WorstMargin:
+    """Worst margin of a check, fed one array of margins at a time: the first
+    maximum (a NaN wins), its rhs and witness, and the sample count.  With a
+    ``floor``, only a margin above it takes the witness.  A verdict over no
+    samples raises ValueError.
+    """
+
+    def __init__(self, what: str, floor: float = None):
+        self.what = what
+        self.margin = floor  # None: the first margin fed is the first maximum
+        self.rhs = None
+        self.witness = None
+        self.samples = 0
+
+    def add(self, margins, rhs, witness):
+        """Scan one t-slice, trajectory or sample set; ``rhs`` is an array
+        like ``margins`` or one value; ``witness(i)`` builds the witness of
+        flat index i when it becomes the worst."""
+        margins = np.asarray(margins, dtype=float).reshape(-1)
+        if margins.shape[0] == 0:
+            return
+        self.samples += margins.shape[0]
+        value, i = first_max(margins)
+        if self.margin is None or _beats(value, self.margin):
+            rhs = np.asarray(rhs, dtype=float)
+            self.margin = value
+            self.rhs = float(rhs.reshape(-1)[i] if rhs.ndim else rhs)
+            self.witness = witness(i)
+
+    def verdict(self, tol) -> str:
+        """The one rule for ``LHS <= RHS``, margin ``LHS - RHS``: pass when
+        margin <= 0, pass (tolerance) when margin <= tol * (1 + |rhs|), fail
+        otherwise, NaN included."""
+        require_samples(self.samples, self.what)
+        if self.margin <= 0.0:
+            return PASS
+        if self.margin <= tol * (1.0 + abs(self.rhs)):
+            return PASS_TOL
+        return FAIL
+
+
 def sampled_sup(sys: "SystemDef", t, sets, score, keep: int = 0):
     """First maximum of ``score`` over f(t, d, x, u) on a product of sample sets.
 
@@ -368,8 +419,7 @@ def sampled_sup(sys: "SystemDef", t, sets, score, keep: int = 0):
     rows = []
     for name, r in sets:
         r = np.asarray(r, dtype=float)
-        if r.shape[0] == 0:
-            raise ValueError(f"empty sample set: no {name} values")
+        require_samples(r.shape[0], f"{name} values")
         rows.append(r.reshape(r.shape[0], dims[name]))
     shape = tuple(r.shape[0] for r in rows)
     groups, size = math.prod(shape[:keep]), math.prod(shape[keep:])
@@ -579,6 +629,11 @@ class StateFeedback(InputPolicy):
 
     def descriptor(self):
         return f"state-feedback({self.name})"
+
+
+def as_feedback(fb, n: int) -> InputPolicy:
+    """An input policy as it is, anything else as a :class:`StateFeedback`."""
+    return fb if isinstance(fb, InputPolicy) else StateFeedback(fb, n=n)
 
 
 # --- trajectories ---
@@ -904,7 +959,7 @@ def closed_loop(sys: SystemDef, fb) -> SystemDef:
     """
     if sys.k == 0:
         return sys
-    pol = fb if isinstance(fb, InputPolicy) else StateFeedback(fb, n=sys.n)
+    pol = as_feedback(fb, sys.n)
     k_exprs = getattr(pol, "exprs", None)
     if sys.f_exprs is not None and k_exprs is not None and len(k_exprs) == sys.k:
         # bind by index, not spelling: the parser keeps "u01" as it is written

@@ -21,8 +21,7 @@ from dtstab.registry import (LAM_SQRT_PLANT, Q_SQRT_PLANT_C, example_2_3,
 from dtstab.stability import (FalsifyBudget, adversarial_batch,
                               check_ios_estimate, check_kl_estimate)
 from dtstab.stability import test_output_attractivity as search_attractivity
-from dtstab.synth import (ObservabilityChain, check_reconstruction,
-                          run_output_feedback)
+from dtstab.synth import check_reconstruction, run_output_feedback
 from dtstab.system import (ConstantDisturbance, RandomDisturbance,
                            SampleConfig, simulate, vecnorm)
 
@@ -144,8 +143,7 @@ def test_criterion_6_three_state_certificate():
 
 def test_criterion_7_reconstruction_and_coincidence():
     b = example_4_7(0.5)
-    chain = ObservabilityChain(b.sys, 1)
-    rec = check_reconstruction(chain, b.feedback, b.psi, n_samples=10_000,
+    rec = check_reconstruction(b.sys, b.feedback, b.psi, n_samples=10_000,
                                tol=0.0, seed=11)
     ok = rec.passed and rec.worst_margin == 0.0
     rng = np.random.default_rng(99)

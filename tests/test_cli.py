@@ -50,6 +50,9 @@ class TestExamplesCommand:
         for name in ("example_2_3", "example_3_4", "example_4_7"):
             assert name in out
 
+    def test_list_flag_is_gone(self):
+        assert run("examples", "--list") == 2  # listing is the default
+
     def test_self_test_all_bundles(self, capsys):
         assert run("examples", "--self-test") == 0
         out = capsys.readouterr().out
@@ -177,6 +180,27 @@ class TestIdempotence:
         f1 = (d1 / "verify-kl-estimate.json").read_bytes()
         f2 = (d2 / "verify-kl-estimate.json").read_bytes()
         assert f1 == f2
+
+    @pytest.mark.parametrize("argv, code", [
+        (["certify", "--example", "example_4_7", "--r", "0.5",
+          "--check", "contraction", "--t-max", "2", "--d-random", "8"], 0),
+        (["certify", "--example", "example_4_7", "--r", "0.5",
+          "--check", "rofs-static"], 1),
+        (["verify", "--example", "example_3_4", "--property", "ios-estimate",
+          "--budget", "20", "--horizon", "20"], 0),
+        (["falsify", "--example", "example_2_3", "--budget", "40",
+          "--horizon", "20"], 0),
+        (["synthesize", "--example", "example_4_7", "--r", "0.5",
+          "--simulate", "--horizon", "20"], 0),
+    ], ids=["certify-contraction", "certify-rofs-static", "verify-ios-estimate",
+            "falsify", "synthesize-simulate"])
+    def test_every_report_file_byte_identical(self, tmp_path, argv, code):
+        files = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert run(*argv, "--seed", "3", "--out-dir", str(out)) == code
+            files.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert files[0] and files[0] == files[1]
 
 
 class TestVerifyStabilityCommand:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from dtstab.registry import example_2_3, example_4_7
-from dtstab.synth import (DelayChainController, ObservabilityChain,
-                          ReconstructionMap, build_extended_system,
-                          check_reconstruction, iterate_maps,
-                          run_output_feedback, synthesize_delay_controller)
+from dtstab.synth import (DelayChainController, ReconstructionMap,
+                          build_extended_system, check_reconstruction,
+                          iterate_maps, run_output_feedback,
+                          synthesize_delay_controller)
 from dtstab.system import (ConstantDisturbance, ConstantInput,
-                           RandomDisturbance, StateFeedback, SystemDef,
-                           closed_loop, simulate)
+                           GreedyDisturbance, RandomDisturbance, StateFeedback,
+                           SystemDef, closed_loop, simulate)
 
 B47 = example_4_7(0.5)
 
@@ -22,8 +22,7 @@ def integrator_chain_sys():
 
 class TestIterateMaps:
     def test_window_one_formula(self):
-        chain = ObservabilityChain(B47.sys, 1)
-        res = iterate_maps(chain, 3, [1.0, 2.0, 3.0], [[0.25]], [[-4.0]])
+        res = iterate_maps(B47.sys, 1, 3, [1.0, 2.0, 3.0], [[0.25]], [[-4.0]])
         want = np.array([2.0, 0.0, 0.25 * 3.0 + math.exp(3.0) * 2.0])
         assert np.array_equal(res.F_p, want)
         assert np.array_equal(res.y_hist[0], [1.0])   # y_0 = h(t, x) = x1
@@ -31,12 +30,11 @@ class TestIterateMaps:
 
     def test_matches_repeated_steps_exactly(self):
         sys = example_2_3().sys
-        chain = ObservabilityChain(sys, 2)
         rng = np.random.default_rng(1)
         for _ in range(50):
             x0 = rng.uniform(-5, 5, size=2)
             d = rng.uniform(-2, 2, size=(2, 1))
-            res = iterate_maps(chain, 4, x0, d, np.zeros((2, 0)))
+            res = iterate_maps(sys, 2, 4, x0, d, np.zeros((2, 0)))
             x = x0
             for i in range(2):
                 x = sys.f_eval(4 + i, d[i], x)
@@ -44,39 +42,34 @@ class TestIterateMaps:
 
     def test_matches_simulation_rows(self):
         sys = example_2_3().sys
-        chain = ObservabilityChain(sys, 2)
         traj = simulate(sys, 4, [0.3, -1.2], RandomDisturbance(seed=2),
                         horizon=2)
-        res = iterate_maps(chain, 4, traj.x[0], traj.d[:2], np.zeros((2, 0)))
+        res = iterate_maps(sys, 2, 4, traj.x[0], traj.d[:2], np.zeros((2, 0)))
         assert np.array_equal(res.F[0], traj.x[1])
         assert np.array_equal(res.F_p, traj.x[2])
 
     def test_disturbance_window_validated(self):
-        chain = ObservabilityChain(B47.sys, 1)
         with pytest.raises(ValueError, match="box"):
-            iterate_maps(chain, 0, [0.0, 0.0, 0.0], [[0.9]], [[0.0]])
+            iterate_maps(B47.sys, 1, 0, [0.0, 0.0, 0.0], [[0.9]], [[0.0]])
 
 
 class TestCheckReconstruction:
     def test_square_feedback_exact(self):
-        chain = ObservabilityChain(B47.sys, 1)
-        rep = check_reconstruction(chain, B47.feedback, B47.psi,
+        rep = check_reconstruction(B47.sys, B47.feedback, B47.psi,
                                    n_samples=2000, tol=0.0, seed=5)
         assert rep.verdict == "pass"
         assert rep.worst_margin == 0.0
 
     def test_output_function_always_reconstructible(self):
         # k(t, x) = theta(t, h(t, x)) reconstructs via the current output
-        chain = ObservabilityChain(B47.sys, 1)
         k_fn = lambda t, x: np.array([t * x[0] + x[0] ** 3])
         psi = ReconstructionMap("t*y1 + y1^3", p=1)
-        rep = check_reconstruction(chain, k_fn, psi, n_samples=500, tol=0.0)
+        rep = check_reconstruction(B47.sys, k_fn, psi, n_samples=500, tol=0.0)
         assert rep.verdict == "pass" and rep.worst_margin == 0.0
 
     def test_sign_flip_fails(self):
-        chain = ObservabilityChain(B47.sys, 1)
         flipped = ReconstructionMap("(y1^2+u0)^2", p=1)
-        rep = check_reconstruction(chain, B47.feedback, flipped,
+        rep = check_reconstruction(B47.sys, B47.feedback, flipped,
                                    n_samples=50, tol=0.0)
         assert not rep.passed and rep.worst_margin > 0.0
 
@@ -163,8 +156,7 @@ class TestRunOutputFeedback:
         sys = integrator_chain_sys()
         k_fn = StateFeedback(["-x1^2"], n=1)
         psi = ReconstructionMap("-(y0 + u0 + u1)^2", p=2)
-        chain = ObservabilityChain(sys, 2)
-        assert check_reconstruction(chain, k_fn, psi, n_samples=200,
+        assert check_reconstruction(sys, k_fn, psi, n_samples=200,
                                     tol=0.0).passed
         good = synthesize_delay_controller(psi, p_y=1, k=1)
         bad = synthesize_delay_controller(psi, p_y=1, k=1,
@@ -232,3 +224,158 @@ class TestSeparationComposition:
         assert rep.passed
         assert np.array_equal(lifted.x[:, :3], direct.x)
         assert np.array_equal(lifted.x[:, 3:], direct.w)
+
+
+# --- run_output_feedback against the delay-chain loop it replaced ---
+
+def reference_delay_chain_loop(sys, ctrl, t0, x0, w0, dpol, horizon):
+    """The closed loop rolled by hand, as run_output_feedback did before it
+    became ``simulate`` with the controller as an input policy."""
+    N = horizon + 1
+    x = np.asarray(x0, dtype=float).reshape(sys.n)
+    w = ctrl.initial_state(w0)
+    T = np.arange(t0, t0 + N)
+    X = np.empty((N, sys.n))
+    D = np.empty((N, sys.m))
+    U = np.empty((N, sys.k))
+    Yv = np.empty((N, sys.p_Y))
+    yv = np.empty((N, sys.p_y))
+    W = np.empty((N, ctrl.state_dim))
+    for i, t in enumerate(T):
+        X[i], W[i] = x, w
+        Yv[i] = sys.H_eval(t, x)
+        yv[i] = sys.h_eval(t, x)
+        u = ctrl.output(t, yv[i], w)
+        U[i] = u
+        D[i] = dpol(sys, t, x, u)
+        if i + 1 < N:
+            x = sys.f_eval(t, D[i], x, u)
+            w = ctrl.advance(w, yv[i], u)
+    return {"t": T, "x": X, "d": D, "u": U, "Y": Yv, "y": yv, "w": W}
+
+
+def assert_bitwise(traj, want):
+    for name, arr in want.items():
+        got = getattr(traj, name)
+        assert got.shape == arr.shape and got.dtype == arr.dtype, name
+        if arr.dtype.kind == "f":
+            assert np.array_equal(got.view(np.int64), arr.view(np.int64)), name
+        else:
+            assert np.array_equal(got, arr), name
+
+
+DISTURBANCES = {
+    "constant": lambda sys, seed: ConstantDisturbance(sys.d_box[:, 1]),
+    "random": lambda sys, seed: RandomDisturbance(seed=seed, mode="mixed"),
+    "greedy": lambda sys, seed: GreedyDisturbance(seed=seed),
+}
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("kind", sorted(DISTURBANCES))
+def test_run_equals_reference_loop_example_4_7(r, kind):
+    b = example_4_7(r)
+    rng = np.random.default_rng(int(10 * r) + len(kind))
+    for trial in range(3):
+        x0 = rng.uniform(-3.0, 3.0, size=3)
+        w0 = rng.uniform(-3.0, 3.0, size=2)
+        t0 = int(rng.integers(0, 5))
+        seed = int(rng.integers(2 ** 31))
+        traj, rep = run_output_feedback(b.sys, b.controller, t0, x0, w0=w0,
+                                        dpol=DISTURBANCES[kind](b.sys, seed),
+                                        horizon=25, reference_k=b.feedback)
+        want = reference_delay_chain_loop(b.sys, b.controller, t0, x0, w0,
+                                          DISTURBANCES[kind](b.sys, seed), 25)
+        assert_bitwise(traj, want)
+        assert rep.passed, rep.to_json()
+
+
+@pytest.mark.parametrize("retraction", [None, lambda y: 2.0 * y])
+def test_run_equals_reference_loop_integrator_chain(retraction):
+    sys = integrator_chain_sys()
+    psi = ReconstructionMap("-(y0 + u0 + u1)^2", p=2)
+    ctrl = synthesize_delay_controller(psi, p_y=1, k=1, retraction=retraction)
+    for w0 in (None, [0.5, -1.0, 0.25, 2.0]):
+        traj, _ = run_output_feedback(sys, ctrl, 3, [1.5], w0=w0, horizon=9,
+                                      reference_k=StateFeedback(["-x1^2"], n=1))
+        want = reference_delay_chain_loop(sys, ctrl, 3, [1.5], w0,
+                                          ConstantDisturbance(sys.d_mid()), 9)
+        assert_bitwise(traj, want)
+
+
+# --- defects the margin rule mends ---
+
+def nan_above_zero_psi():
+    """-(y1^2 + u0)^2 while the current output is <= 0, NaN above it."""
+    def psi(t, y_p, y_hist, u_hist):
+        if y_p[0] > 0.0:
+            return np.array([math.nan])
+        return np.array([-(y_p[0] ** 2 + u_hist[0][0]) ** 2])
+    return ReconstructionMap(psi, p=1)
+
+
+class TestReconstructionRule:
+    def test_nan_reconstruction_fails_at_first_nan(self):
+        seen, psi = [], nan_above_zero_psi()
+
+        def recording_psi(t, y_p, y_hist, u_hist):
+            seen.append(y_p[0])
+            return psi(t, y_p, y_hist, u_hist)
+
+        recording = ReconstructionMap(recording_psi, p=1)
+        rep = check_reconstruction(B47.sys, B47.feedback, recording,
+                                   n_samples=40, seed=3)
+        assert rep.verdict == "fail" and math.isnan(rep.worst_margin)
+        w = rep.witness
+        res = iterate_maps(B47.sys, 1, w["t"], w["x"], w["d_seq"], w["u_seq"])
+        assert res.y_p[0] == next(y for y in seen if y > 0.0)
+        assert math.isnan(w["rhs"][0])
+
+    def test_samples_count_what_was_evaluated(self):
+        rep = check_reconstruction(B47.sys, B47.feedback, B47.psi, n_samples=0)
+        assert rep.samples == 11 and rep.passed   # one zero window per t
+        rep = check_reconstruction(B47.sys, B47.feedback, B47.psi,
+                                   n_samples=30, ts=range(3))
+        assert rep.samples == 30
+
+    def test_no_samples_raise(self):
+        with pytest.raises(ValueError, match="empty sample set"):
+            check_reconstruction(B47.sys, B47.feedback, B47.psi, n_samples=0,
+                                 ts=())
+
+
+class TestCoincidenceRule:
+    def test_nan_controls_report_nan_and_a_witness(self):
+        ctrl = synthesize_delay_controller(
+            ReconstructionMap(lambda t, y_p, ys, us: np.array([math.nan]), p=1))
+        _, rep = run_output_feedback(B47.sys, ctrl, 0, [1.0, 2.0, 3.0],
+                                     horizon=5, reference_k=B47.feedback)
+        assert math.isnan(rep.coincidence_max_err)
+        assert rep.coincidence_witness["t"] == 1       # the first row after p
+        assert not rep.passed
+
+    def test_horizon_below_p_raises(self):
+        # horizon 0 leaves only the transient row; it used to pass with
+        # u = -36 against k = -4
+        for horizon in (0, -1):
+            with pytest.raises(ValueError, match="empty sample set"):
+                run_output_feedback(B47.sys, B47.controller, 0, [1.0, 2.0, 3.0],
+                                    w0=[0.0, 5.0], horizon=horizon,
+                                    reference_k=B47.feedback)
+        sys = integrator_chain_sys()
+        ctrl = synthesize_delay_controller(
+            ReconstructionMap("-(y0 + u0 + u1)^2", p=2))
+        with pytest.raises(ValueError, match="empty sample set"):
+            run_output_feedback(sys, ctrl, 0, [1.5], horizon=1)
+        _, rep = run_output_feedback(sys, ctrl, 0, [1.5], horizon=2)
+        assert rep.from_t == 2 and rep.history_exact
+
+    def test_mismatch_witness_names_the_row(self):
+        flipped = synthesize_delay_controller(ReconstructionMap("(y1^2+u0)^2", p=1))
+        traj, rep = run_output_feedback(B47.sys, flipped, 0, [1.0, 2.0, 3.0],
+                                        horizon=4, reference_k=B47.feedback)
+        w = rep.coincidence_witness
+        assert set(w) == {"t", "u", "k_ref", "err"}
+        i = int(np.argmax(np.abs(traj.u[1:, 0] + traj.x[1:, 1] ** 2))) + 1
+        assert w["t"] == traj.t[i] and w["err"] == rep.coincidence_max_err > 0.0
+        assert not rep.passed
