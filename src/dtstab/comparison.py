@@ -1,5 +1,12 @@
 """Comparison functions: classes K / K-infinity, positive time gains, KL envelopes.
 
+Gains built by the constructors below (and from expression text) also carry
+their formula as an expression AST, ``expr``: in ``t`` for a time gain, in
+the auxiliary ``s`` for a K function.  Composite systems substitute it
+instead of calling ``fn`` (see ``stability.build_small_input_system``); it
+equals ``fn`` bit for bit wherever ``fn`` returns.  A gain built from a bare
+callable has ``expr=None``.
+
 Class membership is validated numerically on grids (tolerance 0 at grid
 points, strict inequalities checked as ``>`` with ties reported), not
 symbolically.  KL envelopes are restricted to the parametric family
@@ -16,9 +23,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import Dims, compile_expression
-from .system import (FAIL, SampleConfig, WorstMargin, _beats, _norm_score,
-                     d_candidates, sampled_sup, sphere_points, vecnorm)
+from .expr import Bin, Dims, Expr, Neg, Num, Var, parse_expression, substitute
+from .system import (FAIL, SampleConfig, WorstMargin, _EMPTY, _beats,
+                     _norm_score, d_candidates, sampled_sup, sphere_points,
+                     vecnorm)
 
 __all__ = [
     "KFn", "TimeGain", "KLEnvelope", "identity", "linear", "power_fn",
@@ -29,10 +37,18 @@ __all__ = [
 ]
 
 
-def _scalar_expr(text: str, var: str) -> Callable[[float], float]:
-    fn = compile_expression(text, Dims(aux=frozenset({var})))
-    empty = np.zeros(0)
-    return lambda v: fn(0.0, empty, empty, empty, {var: float(v)})
+def _num(c) -> Expr:
+    """The literal ``c`` as the parser builds it (a negative value is a
+    negated literal), or None when no literal spells it (inf, NaN)."""
+    c = float(c)
+    if not math.isfinite(c):
+        return None
+    return Neg(Num(-c)) if math.copysign(1.0, c) < 0.0 else Num(c)
+
+
+def _bin(op, a, b) -> Expr:
+    """``a op b`` as an AST; None when an operand is None."""
+    return None if a is None or b is None else Bin(op, a, b)
 
 
 @dataclass
@@ -43,6 +59,7 @@ class KFn:
     name: str = "kfn"
     tag: str = "K"  # "K" or "Kinf"
     inv: Callable[[float], float] = None
+    expr: Expr = None  # the formula in the auxiliary s, when known
 
     def __post_init__(self):
         if self.tag not in ("K", "Kinf"):
@@ -73,25 +90,35 @@ class KFn:
         return hi
 
 
+_S = Var("s")
+
+
 def identity() -> KFn:
-    return KFn(lambda s: s, "s", "Kinf", inv=lambda v: v)
+    return KFn(lambda s: s, "s", "Kinf", inv=lambda v: v, expr=_S)
 
 
 def linear(a: float, name: str = None) -> KFn:
     if a <= 0:
         raise ValueError("linear gain must be positive")
-    return KFn(lambda s: a * s, name or f"{a!r}*s", "Kinf", inv=lambda v: v / a)
+    return KFn(lambda s: a * s, name or f"{a!r}*s", "Kinf", inv=lambda v: v / a,
+               expr=_bin("*", _num(a), _S))
 
 
 def power_fn(p: float, a: float = 1.0) -> KFn:
     if p <= 0 or a <= 0:
         raise ValueError("power and gain must be positive")
     return KFn(lambda s: a * math.pow(s, p), f"{a!r}*s^{p!r}", "Kinf",
-               inv=lambda v: math.pow(v / a, 1.0 / p))
+               inv=lambda v: math.pow(v / a, 1.0 / p),
+               expr=_bin("*", _num(a), _bin("^", _S, _num(p))))
 
 
 def kfn_from_expr(text: str, tag: str = "K") -> KFn:
-    return KFn(_scalar_expr(text, "s"), text, tag)
+    """A K function from text in ``s``; ``t`` in the text reads 0."""
+    node = substitute(parse_expression(text, Dims(aux=frozenset({"s"}))),
+                      {"t": Num(0.0)})
+    fn = node.compiled()
+    return KFn(lambda s: fn(0.0, _EMPTY, _EMPTY, _EMPTY, {"s": float(s)}),
+               text, tag, expr=node)
 
 
 @dataclass
@@ -107,6 +134,7 @@ class TimeGain:
     name: str = "gain"
     decays: bool = False
     geometric: tuple = None
+    expr: Expr = None  # the formula in t, when known
 
     def __call__(self, t: float) -> float:
         return float(self.fn(float(t)))
@@ -123,20 +151,22 @@ class TimeGain:
 
 
 def constant(c: float, name: str = None) -> TimeGain:
-    return TimeGain(lambda t: c, name or repr(float(c)), geometric=(c, 1.0))
+    return TimeGain(lambda t: c, name or repr(float(c)), geometric=(c, 1.0),
+                    expr=_num(c))
 
 
 def geometric(C: float, ratio: float, name: str = None) -> TimeGain:
     return TimeGain(lambda t: C * math.pow(ratio, t),
                     name or f"{C!r}*{ratio!r}^t",
-                    decays=0.0 <= ratio < 1.0, geometric=(C, ratio))
+                    decays=0.0 <= ratio < 1.0, geometric=(C, ratio),
+                    expr=_bin("*", _num(C), _bin("^", _num(ratio), Var("t"))))
 
 
 def timegain_from_expr(text: str, decays: bool = False) -> TimeGain:
-    fn = compile_expression(text, Dims())
-    empty = np.zeros(0)
-    return TimeGain(lambda t: fn(float(t), empty, empty, empty, {}),
-                    text, decays=decays)
+    node = parse_expression(text, Dims())
+    fn = node.compiled()
+    return TimeGain(lambda t: fn(float(t), _EMPTY, _EMPTY, _EMPTY, {}),
+                    text, decays=decays, expr=node)
 
 
 @dataclass

@@ -14,7 +14,8 @@ Variables are ``t``, ``x1..xn``, ``d1..dm``, ``u1..uk`` (1-based indices,
 validated against the declared dimensions) plus any auxiliary names declared
 in :class:`Dims` (e.g. ``y0``, ``y1``, ``u0`` for reconstruction maps).
 ``e`` and ``pi`` are named constants, folded to literals at parse time.
-Functions: exp, log, abs, sqrt, sign, min, max, pow.
+Functions: exp, log, abs, sqrt, sign, min, max, pow, and the variadic
+``norm(a1, ..., an)`` (n >= 1), the Euclidean norm of its arguments.
 
 Conventions: ``0^0`` evaluates to 1; ``a^b`` with a < 0 and non-integer b,
 ``log``/``sqrt`` of a negative number and division by zero are domain errors
@@ -27,9 +28,11 @@ kernels (:meth:`Expr.compiled`, one point) and against an array namespace
 operations IEEE 754 rounds exactly (``+ - * /``, ``sqrt``, ``abs``, negation)
 in numpy, keeps Python's comparison semantics for ``min``/``max``/``sign``
 and maps the scalar kernels of ``^``, ``exp`` and ``log`` element by element,
-so every value equals the scalar result bit for bit.  The one exception is
-the sign of a NaN, which IEEE 754 leaves unspecified: NaNs appear at the
-same points, but their sign bit may differ.
+so every value equals the scalar result bit for bit; ``norm`` is
+:func:`vecnorm` of its arguments at one point and :func:`row_norms` of the
+stacked columns over a slab.  The one exception is the sign of a NaN, which
+IEEE 754 leaves unspecified: NaNs appear at the same points, but their sign
+bit may differ.
 """
 
 from __future__ import annotations
@@ -162,7 +165,33 @@ def _sign(a):
     return 0.0
 
 
-_FUNCTIONS: dict[str, tuple[int, Callable]] = {
+def vecnorm(v) -> float:
+    """Euclidean norm with an exact fast path for scalars."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.shape[0] == 1:
+        return abs(float(v[0]))
+    return float(np.linalg.norm(v))
+
+
+def row_norms(rows) -> np.ndarray:
+    """:func:`vecnorm` of every row of a 2-D array, bit for bit.
+
+    ``np.linalg.norm`` of a vector is ``sqrt(x.dot(x))``; ``np.vecdot`` runs
+    the same dot kernel on each contiguous row (``np.linalg.norm(axis=1)``
+    sums differently and does not match).
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.shape[1] == 1:
+        return np.abs(rows[:, 0])
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def _norm(*args):
+    return vecnorm(args)
+
+
+# name -> (arity, scalar kernel); arity None takes one or more arguments
+_FUNCTIONS: dict[str, tuple[int | None, Callable]] = {
     "exp": (1, _exp),
     "log": (1, _log),
     "abs": (1, abs),
@@ -171,6 +200,7 @@ _FUNCTIONS: dict[str, tuple[int, Callable]] = {
     "min": (2, min),
     "max": (2, max),
     "pow": (2, _pow),
+    "norm": (None, _norm),
 }
 
 _CONSTANTS = {"e": math.e, "pi": math.pi}
@@ -412,6 +442,12 @@ def _array_sign(a):
     return np.where(a > 0.0, 1.0, np.where(a < 0.0, -1.0, 0.0))
 
 
+def _array_norm(*args):
+    if not _has_array(*args):
+        return _norm(*args)
+    return row_norms(np.stack(np.broadcast_arrays(*args), axis=1))
+
+
 _ARRAY_NAMESPACE = {
     **_CODEGEN_NAMESPACE,
     "_pow": _elementwise(_pow),
@@ -423,6 +459,7 @@ _ARRAY_NAMESPACE = {
     "_fn_min": _array_min,
     "_fn_max": _array_max,
     "_fn_pow": _elementwise(_pow),
+    "_fn_norm": _array_norm,
 }
 
 
@@ -559,7 +596,7 @@ class _Parser:
             self.advance()
             args.append(self.expr())
         self.expect(")")
-        if len(args) != arity:
+        if arity is not None and len(args) != arity:
             raise ExprSyntaxError(
                 f"function '{name}' takes {arity} argument(s), got {len(args)}", pos)
         return Call(name, tuple(args))

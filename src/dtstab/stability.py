@@ -18,11 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from .comparison import KFn, KLEnvelope, TimeGain
+from .expr import Bin, Call, Var, substitute
 from .system import (FAIL, ConstantDisturbance, ConstantInput,
                      GreedyDisturbance, RandomDisturbance, SequenceInput,
-                     SystemDef, Trajectory, WorstMargin, ZeroInput, first_max,
-                     require_samples, row_norms, simulate, simulate_batch,
-                     vecnorm, _beats, _box_corners)
+                     SystemDef, Trajectory, WorstMargin, ZeroInput,
+                     bind_inputs, first_max, output_maps, require_samples,
+                     row_norms, simulate, simulate_batch, vecnorm, _beats,
+                     _box_corners)
 
 __all__ = [
     "FalsifyBudget", "StabilityReport", "EnvelopeReport",
@@ -377,11 +379,27 @@ def check_ios_estimate(batch: Sequence[Trajectory], sigma: KLEnvelope,
 
 def build_small_input_system(sys: SystemDef, p: TimeGain, theta: KFn) -> SystemDef:
     """Close the input channel with the bounded state-scaled disturbance
-    u = p(t) theta(||x||) d', d' ranging over the unit box appended to D."""
+    u = p(t) theta(||x||) d', d' ranging over the unit box appended to D.
+
+    When the plant's f, ``p`` and ``theta`` are expressions, u_i := (P *
+    Theta[s := norm(x1, ..., xn)]) * d_{m+i} is substituted into the plant's
+    ASTs, so the system stays an expression system: the same operations in
+    the same order as the closure, so the same values bit for bit, and
+    batchable.  Otherwise f is a closure over ``p``, ``theta`` and the plant,
+    and H and h are the plant's native maps.
+    """
     if sys.k < 1:
         raise ValueError("system has no input channel")
     m, k = sys.m, sys.k
     box = np.vstack([sys.d_box, np.tile([-1.0, 1.0], (k, 1))])
+    name = f"{sys.name}|small-input"
+    if sys.f_exprs is not None and p.expr is not None and theta.expr is not None:
+        size = Call("norm", tuple(Var(f"x{i + 1}") for i in range(sys.n)))
+        amp = Bin("*", p.expr, substitute(theta.expr, {"s": size}))
+        f_small = bind_inputs(sys.f_exprs, [Bin("*", amp, Var(f"d{m + i + 1}"))
+                                            for i in range(k)])
+        return SystemDef(n=sys.n, m=m + k, k=0, d_box=box, f=f_small,
+                         **output_maps(sys), name=name)
 
     def f_small(t, dd, x, u):
         d, dprime = dd[:m], dd[m:]
@@ -389,8 +407,7 @@ def build_small_input_system(sys: SystemDef, p: TimeGain, theta: KFn) -> SystemD
         return sys.f_eval(t, d, x, amp * dprime)
 
     return SystemDef(n=sys.n, m=m + k, k=0, d_box=box, f=f_small,
-                     H=sys._H, h=sys._h, p_Y=sys.p_Y, p_y=sys.p_y,
-                     name=f"{sys.name}|small-input")
+                     H=sys._H, h=sys._h, p_Y=sys.p_Y, p_y=sys.p_y, name=name)
 
 
 @dataclass

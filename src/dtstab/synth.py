@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .certify import CertificateReport
-from .expr import Dims, compile_expression
+from .expr import Dims, Var, compile_expression
 from .system import (FAIL, PASS, DisturbancePolicy, InputPolicy, SystemDef,
                      WorstMargin, as_feedback, require_samples, simulate)
 
@@ -319,21 +319,32 @@ def build_extended_system(sys: SystemDef, w_dim: int) -> SystemDef:
     """Append an integrator block: state (x, w), input (u, v), w(t+1) = v.
 
     The measured output stacks (h(t, x), w); the stabilized output stays
-    H(t, x).  The x-component of solutions does not depend on v.
+    H(t, x).  The x-component of solutions does not depend on v.  Each map
+    that is an expression list in ``sys`` stays one (f gains the components
+    ``u_{k+i}``, h the components ``x_{n+i}``); the others are closures.
     """
     if w_dim < 1:
         raise ValueError("w_dim must be >= 1")
     n, k = sys.n, sys.k
+    ws = range(1, w_dim + 1)
+    if sys.f_exprs is not None:
+        f_ext = list(sys.f_exprs) + [Var(f"u{k + i}") for i in ws]
+    else:
+        def f_ext(t, d, s, uv):
+            x, u, v = s[:n], uv[:k], uv[k:]
+            return np.concatenate([sys.f_eval(t, d, x, u), v])
 
-    def f_ext(t, d, s, uv):
-        x, u, v = s[:n], uv[:k], uv[k:]
-        return np.concatenate([sys.f_eval(t, d, x, u), v])
+    if sys.H_exprs is not None:
+        H_ext = list(sys.H_exprs)
+    else:
+        def H_ext(t, s):
+            return sys.H_eval(t, s[:n])
 
-    def H_ext(t, s):
-        return sys.H_eval(t, s[:n])
-
-    def h_ext(t, s):
-        return np.concatenate([sys.h_eval(t, s[:n]), s[n:]])
+    if sys.h_exprs is not None:
+        h_ext = list(sys.h_exprs) + [Var(f"x{n + i}") for i in ws]
+    else:
+        def h_ext(t, s):
+            return np.concatenate([sys.h_eval(t, s[:n]), s[n:]])
 
     return SystemDef(n=n + w_dim, m=sys.m, k=k + w_dim, d_box=sys.d_box,
                      f=f_ext, H=H_ext, h=h_ext,

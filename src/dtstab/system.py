@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
 
-from .expr import Dims, Expr, parse_expression, substitute
+from .expr import (Dims, Expr, parse_expression, row_norms, substitute,
+                   vecnorm)
 
 __all__ = [
     "SystemDef", "Trajectory", "SampleConfig", "ReachableBound",
@@ -26,7 +27,7 @@ __all__ = [
     "step", "simulate", "simulate_batch", "closed_loop", "reachable_bound",
     "parse_system_file", "vecnorm", "row_norms", "d_candidates",
     "sphere_points", "sampled_sup", "first_max", "require_samples",
-    "WorstMargin", "as_feedback",
+    "WorstMargin", "as_feedback", "bind_inputs", "output_maps",
     "EquilibriumWarning", "SystemFileError",
 ]
 
@@ -39,27 +40,6 @@ class SystemFileError(ValueError):
 
 class EquilibriumWarning(UserWarning):
     """Zero-equilibrium spot check failed; carries a witness in the message."""
-
-
-def vecnorm(v) -> float:
-    """Euclidean norm with an exact fast path for scalars."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] == 1:
-        return abs(float(v[0]))
-    return float(np.linalg.norm(v))
-
-
-def row_norms(rows) -> np.ndarray:
-    """:func:`vecnorm` of every row of a 2-D array, bit for bit.
-
-    ``np.linalg.norm`` of a vector is ``sqrt(x.dot(x))``; ``np.vecdot`` runs
-    the same dot kernel on each contiguous row (``np.linalg.norm(axis=1)``
-    sums differently and does not match).
-    """
-    rows = np.ascontiguousarray(rows, dtype=float)
-    if rows.shape[1] == 1:
-        return np.abs(rows[:, 0])
-    return np.sqrt(np.vecdot(rows, rows))
 
 
 def _as_vector_map(exprs, dims: Dims, what: str):
@@ -388,12 +368,13 @@ class WorstMargin:
 
     def verdict(self, tol) -> str:
         """The one rule for ``LHS <= RHS``, margin ``LHS - RHS``: pass when
-        margin <= 0, pass (tolerance) when margin <= tol * (1 + |rhs|), fail
-        otherwise, NaN included."""
+        margin <= 0, pass (tolerance) when margin is finite and <= tol * (1 +
+        |rhs|), fail otherwise, NaN and +inf included (+inf against an rhs
+        of -inf would read as within an infinite tolerance)."""
         require_samples(self.samples, self.what)
         if self.margin <= 0.0:
             return PASS
-        if self.margin <= tol * (1.0 + abs(self.rhs)):
+        if self.margin < math.inf and self.margin <= tol * (1.0 + abs(self.rhs)):
             return PASS_TOL
         return FAIL
 
@@ -946,6 +927,23 @@ _ARRAY_INPUTS = (ZeroInput, ConstantInput, SequenceInput)
 _STATELESS = _ARRAY_INPUTS + (ConstantDisturbance,)  # safe to share between rows
 
 
+def bind_inputs(f_exprs, u_exprs) -> list:
+    """``f_exprs`` with each input ``u_i`` replaced by the AST ``u_exprs[i-1]``,
+    bound by index, not spelling (the parser keeps "u01" as it is written)."""
+    used = frozenset().union(*(e.variables() for e in f_exprs))
+    bindings = {v: u_exprs[int(v[1:]) - 1] for v in used if v[0] == "u"}
+    return [substitute(e, bindings) for e in f_exprs]
+
+
+def output_maps(sys: SystemDef) -> dict:
+    """The ``H``, ``h``, ``p_Y`` and ``p_y`` arguments that give a derived
+    system the outputs of ``sys``: expression lists where ``sys`` has them,
+    its native maps otherwise, and ``h=None`` when ``sys`` reuses H."""
+    H = list(sys.H_exprs) if sys.H_exprs is not None else sys._H
+    h = sys.h if sys.h is None or callable(sys.h) else list(sys.h_exprs)
+    return {"H": H, "h": h, "p_Y": sys.p_Y, "p_y": sys.p_y}
+
+
 def closed_loop(sys: SystemDef, fb) -> SystemDef:
     """Absorb a state feedback u = k(t, x) into the dynamics (k becomes 0).
 
@@ -962,19 +960,13 @@ def closed_loop(sys: SystemDef, fb) -> SystemDef:
     pol = as_feedback(fb, sys.n)
     k_exprs = getattr(pol, "exprs", None)
     if sys.f_exprs is not None and k_exprs is not None and len(k_exprs) == sys.k:
-        # bind by index, not spelling: the parser keeps "u01" as it is written
-        used = frozenset().union(*(e.variables() for e in sys.f_exprs))
-        bindings = {v: k_exprs[int(v[1:]) - 1] for v in used if v[0] == "u"}
-        f_cl = [substitute(e, bindings) for e in sys.f_exprs]
+        f_cl = bind_inputs(sys.f_exprs, k_exprs)
     else:
         def f_cl(t, d, x, u):
             return sys.f_eval(t, d, x, pol(sys, t, x))
 
-    H = list(sys.H_exprs) if sys.H_exprs is not None else sys._H
-    h = sys.h if sys.h is None or callable(sys.h) else list(sys.h_exprs)
     out = SystemDef(n=sys.n, m=sys.m, k=0, d_box=sys.d_box, f=f_cl,
-                    H=H, h=h, name=f"{sys.name}|{pol.descriptor()}",
-                    p_Y=sys.p_Y, p_y=sys.p_y)
+                    **output_maps(sys), name=f"{sys.name}|{pol.descriptor()}")
     bad = out.check_equilibrium(ts=range(0, 21, 5))
     if bad:
         warnings.warn(f"feedback moves the zero equilibrium: {bad[0]}",

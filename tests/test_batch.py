@@ -19,7 +19,7 @@ from dtstab.certify import (LyapunovCandidate, StateGrid, check_contraction,
                             check_ios_decrease, check_relaxed_decrease,
                             check_rofs_inf_sup, check_sandwich,
                             projection_fiber)
-from dtstab.comparison import (check_domination, constant, geometric,
+from dtstab.comparison import (KFn, check_domination, constant, geometric,
                                identity, sup_f_sampler)
 from dtstab.expr import (Bin, Call, Dims, Env, ExprDomainError, Neg, Num, Var,
                          eval_expression, parse_expression, substitute)
@@ -58,6 +58,8 @@ def _extend(children):
         st.tuples(unary, children).map(lambda fa: Call(fa[0], (fa[1],))),
         st.tuples(binary, children, children).map(
             lambda fab: Call(fab[0], (fab[1], fab[2]))),
+        st.lists(children, min_size=1, max_size=4).map(
+            lambda args: Call("norm", tuple(args))),
     )
 
 
@@ -317,9 +319,13 @@ def test_reachable_bound_matches_legacy():
 def test_sup_f_sampler_matches_legacy_including_native_fallback():
     cfg = SampleConfig(d_grid=5, d_random=4, x_directions=4,
                        x_scales=(1.0, 0.5), u_directions=3)
+    # a gain without an expression keeps the closure: the per-row fallback
+    native = build_small_input_system(B34.sys, geometric(1.0, 0.5),
+                                      KFn(lambda s: s, "s", "Kinf"))
+    assert native.f_exprs is None
     small = build_small_input_system(B34.sys, geometric(1.0, 0.5), identity())
-    assert small.f_exprs is None  # native: the per-row fallback
-    for sys in (B34.sys, small):
+    assert small.f_exprs is not None
+    for sys in (B34.sys, native, small):
         got, want = sup_f_sampler(sys, cfg, seed=4), legacy_sampler(sys, cfg, 4)
         for T in (0, 2):
             for s in (1e-3, 0.7, 40.0):

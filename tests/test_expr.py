@@ -171,6 +171,8 @@ def _extend(children):
         st.tuples(unary_fns, children).map(lambda fc: Call(fc[0], (fc[1],))),
         st.tuples(binary_fns, children, children).map(
             lambda fab: Call(fab[0], (fab[1], fab[2]))),
+        st.lists(children, min_size=1, max_size=4).map(
+            lambda args: Call("norm", tuple(args))),
     )
 
 

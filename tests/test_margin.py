@@ -12,7 +12,7 @@ import pytest
 
 import dtstab.stability as stability
 from dtstab.certify import check_rofs_inf_sup
-from dtstab.comparison import (KLEnvelope, check_domination, constant,
+from dtstab.comparison import (KFn, KLEnvelope, check_domination, constant,
                                identity, linear)
 from dtstab.registry import (example_2_3, example_3_4, example_4_7,
                              recursion_step_check)
@@ -42,6 +42,25 @@ def test_rule_boundaries():
     assert margin_verdict(1e-9 * 6.5, 5.0, 1e-9) == FAIL
     assert margin_verdict(math.nan, 0.0, 1.0) == FAIL
     assert margin_verdict(math.inf, 5.0, 1e-9) == FAIL
+
+
+def test_infinite_margin_fails():
+    # LHS - RHS = +inf against RHS = -inf: the tolerance tol * (1 + |RHS|)
+    # is infinite too, and must not let the margin pass
+    assert margin_verdict(math.inf, -math.inf, 1e-9) == FAIL
+    assert margin_verdict(math.inf, -math.inf, 0.0) == FAIL
+    acc = WorstMargin("points")
+    acc.add([-1.0, math.inf, 2.0], [0.0, -math.inf, 0.0], lambda i: ("a", i))
+    assert (acc.margin, acc.rhs, acc.witness) == (math.inf, -math.inf, ("a", 1))
+    assert acc.verdict(1e-9) == FAIL
+
+
+def test_check_domination_fails_an_infinite_margin():
+    rep = check_domination(lambda T, s: 1.0, KFn(lambda s: -math.inf),
+                           constant(1.0), Ts=(0,), ss=[1.0])
+    assert not rep.passed
+    assert rep.worst_margin == math.inf
+    assert rep.witness == {"T": 0, "s": 1.0, "lhs": 1.0, "rhs": -math.inf}
 
 
 def test_first_maximum_across_calls_and_samples():

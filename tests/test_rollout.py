@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dtstab.stability as stability
-from dtstab.comparison import KLEnvelope, constant, identity
+from dtstab.comparison import KFn, KLEnvelope, constant, identity
 from dtstab.expr import ExprDomainError
 from dtstab.registry import (example_2_3, example_3_4, example_4_7,
                              recursion_step_check)
@@ -29,6 +29,11 @@ from dtstab.system import (ConstantDisturbance, ConstantInput,
                            vecnorm)
 
 B23, B34, B47 = example_2_3(), example_3_4(), example_4_7(0.5)
+# the small-input system with m = 2: an expression system, and native f, H
+# and h when the gain has no expression (evaluated row by row)
+SMALL = build_small_input_system(B34.sys, constant(0.5), identity())
+NATIVE_SMALL = build_small_input_system(B34.sys, constant(0.5),
+                                        KFn(lambda s: s, "s", "Kinf"))
 FIELDS = ("t", "x", "d", "u", "Y", "y")
 
 
@@ -76,9 +81,9 @@ def check_search(sys, t0s, radius, budget, u_modes=("zero",)):
 
 # --- row evaluators take one time or a column of per-row times ---
 
-@pytest.mark.parametrize("sys", [
-    B23.sys, B47.sys, build_small_input_system(B34.sys, constant(0.5), identity())],
-    ids=["expression", "expression_h", "native"])
+@pytest.mark.parametrize("sys", [B23.sys, B47.sys, NATIVE_SMALL, SMALL],
+                         ids=["expression", "expression_h", "native",
+                              "small_input"])
 def test_row_evaluators_take_per_row_times(sys):
     rng = np.random.default_rng(1)
     N = 9
@@ -129,10 +134,13 @@ def test_greedy_scores_the_successor_time(batched_only):
 
 def test_native_small_input_system_rows(batched_only):
     # m = 2 and a native f, H and h: evaluated row by row through f_rows
-    sys = build_small_input_system(B34.sys, constant(0.5), identity())
-    assert sys.m == 2 and sys.f_exprs is None
+    assert NATIVE_SMALL.m == 2 and NATIVE_SMALL.f_exprs is None
+    assert NATIVE_SMALL.H_exprs is None and callable(NATIVE_SMALL.h)
+    # the same system as an expression: one array call a step
+    assert SMALL.m == 2 and SMALL.f_exprs is not None
     budget = FalsifyBudget(max_trajectories=20, horizon=20, seed=9)
-    check_search(sys, (0, 1), 2.0, budget)
+    for sys in (NATIVE_SMALL, SMALL):
+        check_search(sys, (0, 1), 2.0, budget)
 
 
 def test_native_closed_loop_rows(batched_only):
@@ -185,16 +193,16 @@ def test_random_disturbance_modes(mode, bundle):
 
 @pytest.mark.parametrize("mode", ["interior", "corner", "mixed"])
 def test_random_disturbance_two_dimensional_box(mode):
-    sys = build_small_input_system(B34.sys, constant(0.5), identity())
     x0s = [[1.0, -0.5], [0.25, 2.0], [-1.0, 0.0]]
-    got = simulate_batch(sys, [0, 2, 4], x0s,
-                         [RandomDisturbance(seed=s, mode=mode) for s in (7, 8, 9)],
-                         [ZeroInput()] * 3, horizon=15)
-    for j, traj in enumerate(got):
-        want = simulate(sys, [0, 2, 4][j], x0s[j],
-                        RandomDisturbance(seed=(7, 8, 9)[j], mode=mode),
-                        ZeroInput(), 15)
-        assert_same(traj, want)
+    for sys in (NATIVE_SMALL, SMALL):
+        got = simulate_batch(sys, [0, 2, 4], x0s,
+                             [RandomDisturbance(seed=s, mode=mode) for s in (7, 8, 9)],
+                             [ZeroInput()] * 3, horizon=15)
+        for j, traj in enumerate(got):
+            want = simulate(sys, [0, 2, 4][j], x0s[j],
+                            RandomDisturbance(seed=(7, 8, 9)[j], mode=mode),
+                            ZeroInput(), 15)
+            assert_same(traj, want)
 
 
 def test_sequence_input_offsets_and_exhaustion():
@@ -296,7 +304,7 @@ def test_random_draw_form_equals_generator_uniform():
                 assert np.array_equal(want.view(np.int64), got.view(np.int64))
             assert a.bit_generator.state == b.bit_generator.state
     # and the class draws exactly that, on m = 1 and m = 2 boxes
-    for sys in (B23.sys, build_small_input_system(B34.sys, constant(0.5), identity())):
+    for sys in (B23.sys, NATIVE_SMALL, SMALL):
         pol, twin = RandomDisturbance(seed=4), np.random.default_rng(4)
         for _ in range(200):
             assert np.array_equal(pol(sys, 0, None, None),

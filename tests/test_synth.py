@@ -197,6 +197,57 @@ class TestExtendedSystem:
         assert np.array_equal(lifted.x[:, :3], orig.x)
 
 
+def reference_extended_system(sys, w_dim):
+    """The extended system as closures over the plant's maps."""
+    n, k = sys.n, sys.k
+
+    def f_ext(t, d, s, uv):
+        x, u, v = s[:n], uv[:k], uv[k:]
+        return np.concatenate([sys.f_eval(t, d, x, u), v])
+
+    def H_ext(t, s):
+        return sys.H_eval(t, s[:n])
+
+    def h_ext(t, s):
+        return np.concatenate([sys.h_eval(t, s[:n]), s[n:]])
+
+    return SystemDef(n=n + w_dim, m=sys.m, k=k + w_dim, d_box=sys.d_box,
+                     f=f_ext, H=H_ext, h=h_ext, p_Y=sys.p_Y, p_y=sys.p_y + w_dim)
+
+
+def float_bits(a):
+    """Bit patterns of a float array, every NaN mapped to one pattern."""
+    a = np.array(a, dtype=float)
+    a[np.isnan(a)] = math.nan
+    return a.view(np.int64)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # huge states overflow
+@pytest.mark.parametrize("plant, w_dim", [
+    (B47.sys, 1), (B47.sys, B47.controller.state_dim), (integrator_chain_sys(), 4)],
+    ids=["example_4_7_w1", "example_4_7_p1", "integrator_chain_p2"])
+def test_extended_system_equals_reference_closures(plant, w_dim):
+    ext, ref = build_extended_system(plant, w_dim), reference_extended_system(plant, w_dim)
+    assert ext.f_exprs is not None and ext.H_exprs is not None
+    assert ext.h_exprs is not None and ext.name.endswith(f"|extended(w={w_dim})")
+    assert (ext.n, ext.m, ext.k, ext.p_Y, ext.p_y) == (ref.n, ref.m, ref.k, ref.p_Y, ref.p_y)
+    rng = np.random.default_rng(w_dim)
+    N = 120
+    t = rng.integers(0, 30, size=N)
+    X = rng.standard_normal((N, ext.n)) * 10.0 ** rng.uniform(-3, 3, (N, 1))
+    X[0], X[1, 0], X[2, -1], X[3] = 0.0, math.nan, math.inf, 1e200
+    D = rng.uniform(ext.d_box[:, 0], ext.d_box[:, 1], size=(N, ext.m))
+    U = rng.uniform(-5.0, 5.0, size=(N, ext.k))
+    F, Y, y = ext.f_rows(t, X, D, U), ext.H_rows(t, X), ext.h_rows(t, X)
+    for i in range(N):
+        want = ref.f_eval(t[i], D[i], X[i], U[i])
+        assert np.array_equal(float_bits(F[i]), float_bits(want)), i
+        assert np.array_equal(float_bits(ext.f_eval(t[i], D[i], X[i], U[i])),
+                              float_bits(want)), i
+        assert np.array_equal(float_bits(Y[i]), float_bits(ref.H_eval(t[i], X[i]))), i
+        assert np.array_equal(float_bits(y[i]), float_bits(ref.h_eval(t[i], X[i]))), i
+
+
 class TestSeparationComposition:
     def test_delay_controller_as_static_feedback_on_extended_plant(self):
         # append the register block as integrator states, then drive (u, v)
