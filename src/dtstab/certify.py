@@ -19,10 +19,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .comparison import KFn, TimeGain, validate_class
-from .expr import Dims, parse_expression
-from .system import (FAIL, PASS, PASS_TOL, SampleConfig, SystemDef,
-                     WorstMargin, _beats, d_candidates, require_samples,
-                     row_norms, sampled_sup, sphere_points, vecnorm)
+from .system import (FAIL, PASS, PASS_TOL, CertificateReport, SampleConfig,
+                     SystemDef, VectorMap, WorstMargin, _beats, d_candidates,
+                     require_samples, row_norms, sampled_sup, sphere_points,
+                     vecnorm)
 
 __all__ = [
     "LyapunovCandidate", "CertificateReport", "StateGrid",
@@ -56,19 +56,13 @@ class LyapunovCandidate:
     name: str = "V"
 
     def __post_init__(self):
-        self._V_rows = None  # array evaluator, expression candidates only
-        if callable(self.V):
-            self._V = self.V
-        else:
+        spec = self.V
+        if not callable(spec):
             if self.n is None:
                 raise ValueError("state dimension n required for an expression V")
-            node = parse_expression(self.V, Dims(n=self.n))
-            fn = node.compiled()
-            empty = np.zeros(0)
-            self._V = lambda t, x: fn(float(t), np.asarray(x, dtype=float),
-                                      empty, empty, {})
-            self._V_rows = lambda t, X: node.batched()(float(t), X.T, empty,
-                                                       empty, {})
+            spec = [spec]
+        self._map = VectorMap.of_state(spec, "V", 1, n=self.n)
+        self._V = self._map.scalar  # the scalar path (V_eval): no vector built
         if self.lam is not None and not 0.0 < self.lam < 1.0:
             raise ValueError(f"lam must lie in (0,1), got {self.lam!r}")
 
@@ -77,11 +71,7 @@ class LyapunovCandidate:
 
     def V_rows(self, t, X) -> np.ndarray:
         """V(t, x) for every row x of X, bit-identical to :meth:`V_eval`."""
-        X = np.asarray(X, dtype=float)
-        if self._V_rows is None:
-            return np.array([self.V_eval(t, x) for x in X], dtype=float)
-        return np.broadcast_to(np.asarray(self._V_rows(t, X), dtype=float),
-                               (X.shape[0],))
+        return self._map.rows(t, X)[:, 0]
 
     @property
     def rate_c(self) -> float:
@@ -141,28 +131,6 @@ class StateGrid:
             radii = np.logspace(-3, 3, 13)
         pts = [sphere_points(n, float(r), directions, rng=seed) for r in radii]
         return cls(ts=ts, xs=np.vstack([np.zeros((1, n))] + pts))
-
-
-@dataclass
-class CertificateReport:
-    check: str
-    verdict: str
-    worst_margin: float
-    witness: dict
-    samples: int
-    tol: float
-    details: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return self.verdict != FAIL
-
-    def to_json(self):
-        return {"check": self.check, "verdict": self.verdict,
-                "worst_margin": self.worst_margin, "witness": self.witness,
-                "samples": self.samples, "tol": self.tol,
-                "details": self.details, "notes": self.notes}
 
 
 def _worst_verdict(*verdicts):

@@ -24,15 +24,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import Bin, Dims, Expr, Neg, Num, Var, parse_expression, substitute
-from .system import (FAIL, SampleConfig, WorstMargin, _EMPTY, _beats,
-                     _norm_score, d_candidates, sampled_sup, sphere_points,
-                     vecnorm)
+from .system import (CertificateReport, SampleConfig, WorstMargin, _EMPTY,
+                     _beats, _norm_score, d_candidates, sampled_sup,
+                     sphere_points, vecnorm)
 
 __all__ = [
     "KFn", "TimeGain", "KLEnvelope", "identity", "linear", "power_fn",
     "kfn_from_expr", "constant", "geometric", "timegain_from_expr",
     "ClassGrid", "ClassReport", "validate_class",
-    "KLFit", "fit_kl_envelope", "DominationReport", "check_domination",
+    "KLFit", "fit_kl_envelope", "check_domination",
     "sup_f_sampler",
 ]
 
@@ -465,23 +465,9 @@ def fit_kl_envelope(batch: Sequence, target: str = "Y",
 
 # --- domination checks (growth hypotheses) ---
 
-@dataclass
-class DominationReport:
-    passed: bool
-    worst_margin: float
-    witness: dict
-    samples: int
-    tol: float
-
-    def to_json(self):
-        return {"passed": self.passed, "worst_margin": self.worst_margin,
-                "witness": self.witness, "samples": self.samples,
-                "tol": self.tol}
-
-
 def check_domination(sampler: Callable[[float, float], float], zeta: KFn,
                      beta: TimeGain, Ts: Sequence[int] = (0, 1, 2, 5, 10, 20),
-                     ss: np.ndarray = None, tol: float = 1e-9) -> DominationReport:
+                     ss: np.ndarray = None, tol: float = 1e-9) -> CertificateReport:
     """Check a(T, s) <= zeta(beta(T) * s) on a (T, s) grid, witness on failure.
 
     The witness is the first worst margin; a NaN margin wins and fails.
@@ -496,8 +482,8 @@ def check_domination(sampler: Callable[[float, float], float], zeta: KFn,
         rhs = np.array([zeta(bT * s) for s in ss], dtype=float)
         worst.add(lhs - rhs, rhs, lambda i: {
             "T": int(T), "s": ss[i], "lhs": float(lhs[i]), "rhs": float(rhs[i])})
-    passed = worst.verdict(tol) != FAIL
-    return DominationReport(passed, worst.margin, worst.witness, worst.samples, tol)
+    return CertificateReport("domination", worst.verdict(tol), worst.margin,
+                             worst.witness, worst.samples, tol)
 
 
 def sup_f_sampler(sys, cfg: SampleConfig = None, seed: int = 0):

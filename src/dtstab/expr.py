@@ -166,11 +166,16 @@ def _sign(a):
 
 
 def vecnorm(v) -> float:
-    """Euclidean norm with an exact fast path for scalars."""
-    v = np.asarray(v, dtype=float).reshape(-1)
+    """Euclidean norm with an exact fast path for scalars.
+
+    ``np.linalg.norm`` of a vector is ``sqrt(x.dot(x))`` on the flattened
+    array; this runs the same dot kernel without its call overhead.  The
+    flattened array is contiguous: a strided dot sums in another order.
+    """
+    v = np.asarray(v, dtype=float).ravel()
     if v.shape[0] == 1:
         return abs(float(v[0]))
-    return float(np.linalg.norm(v))
+    return math.sqrt(v.dot(v))
 
 
 def row_norms(rows) -> np.ndarray:

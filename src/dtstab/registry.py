@@ -30,8 +30,8 @@ from .stability import FalsifyBudget, adversarial_batch, check_ios_estimate
 from .synth import (DelayChainController, ReconstructionMap,
                     check_reconstruction, run_output_feedback,
                     synthesize_delay_controller)
-from .system import (FAIL, StateFeedback, SystemDef, WorstMargin, closed_loop,
-                     vecnorm)
+from .system import (CertificateReport, StateFeedback, SystemDef, WorstMargin,
+                     closed_loop, vecnorm)
 
 __all__ = ["ExampleBundle", "EXAMPLES", "load_example",
            "example_2_3", "example_3_4", "example_4_7"]
@@ -169,13 +169,6 @@ def _self_test_2_3(bundle, tol, seed):
     ]
 
 
-@dataclass
-class _PlainReport:
-    check: str
-    passed: bool
-    detail: dict
-
-
 def recursion_step_check(bundle, batch, tol=1e-9):
     """Row-wise one-step bound for example_3_4 trajectories:
 
@@ -193,9 +186,8 @@ def recursion_step_check(bundle, batch, tol=1e-9):
         worst.add(lhs - rhs, rhs, lambda i: {
             "t": int(ts[i]), "lhs": float(lhs[i]), "rhs": float(rhs[i]),
             "meta": traj.meta})
-    passed = worst.verdict(tol) != FAIL
-    return _PlainReport("per-step-recursion", passed,
-                        {"worst_margin": worst.margin, "witness": worst.witness})
+    return CertificateReport("per-step-recursion", worst.verdict(tol),
+                             worst.margin, worst.witness, worst.samples, tol)
 
 
 def _self_test_3_4(bundle, tol, seed):
@@ -224,19 +216,15 @@ def _self_test_4_7(bundle, tol, seed):
                               n_samples=500, seed=seed, tol=0.0)),
     ]
     rng = np.random.default_rng(seed)
-    coincide = True
-    detail = None
-    for _ in range(5):
+    for _ in range(5):  # the first failing run, else the last
         x0 = rng.uniform(-3.0, 3.0, size=3)
         w0 = rng.uniform(-3.0, 3.0, size=2)
         _, rep = run_output_feedback(bundle.sys, bundle.controller, 0, x0,
                                      w0=w0, horizon=20,
                                      reference_k=bundle.feedback, tol=1e-12)
         if not rep.passed:
-            coincide, detail = False, rep.to_json()
             break
-    out.append(("coincidence", _PlainReport("coincidence", coincide,
-                                            {"witness": detail})))
+    out.append(("coincidence", rep))
     return out
 
 

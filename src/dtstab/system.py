@@ -27,8 +27,8 @@ __all__ = [
     "step", "simulate", "simulate_batch", "closed_loop", "reachable_bound",
     "parse_system_file", "vecnorm", "row_norms", "d_candidates",
     "sphere_points", "sampled_sup", "first_max", "require_samples",
-    "WorstMargin", "as_feedback", "bind_inputs", "output_maps",
-    "EquilibriumWarning", "SystemFileError",
+    "WorstMargin", "CertificateReport", "as_feedback", "bind_inputs",
+    "output_maps", "VectorMap", "EquilibriumWarning", "SystemFileError",
 ]
 
 SLAB_ROWS = 4096  # points per evaluation slab in sampled_sup
@@ -42,38 +42,88 @@ class EquilibriumWarning(UserWarning):
     """Zero-equilibrium spot check failed; carries a witness in the message."""
 
 
-def _as_vector_map(exprs, dims: Dims, what: str):
-    """Compile a list of expression strings/ASTs into fn(t, x, d, u) -> ndarray."""
-    parsed = []
-    for i, e in enumerate(exprs):
-        if isinstance(e, str):
-            e = parse_expression(e, dims)
-        elif not isinstance(e, Expr):
-            raise SystemFileError(f"{what}[{i}] is neither a string nor an Expr")
-        parsed.append(e)
-    fns = [e.compiled() for e in parsed]
-    empty = {}
-
-    def evaluate(t, x, d, u):
-        return np.array([fn(t, x, d, u, empty) for fn in fns], dtype=float)
-
-    return evaluate, tuple(parsed)
+_EMPTY = np.zeros(0)
+_NO_AUX = {}  # compiled expressions only read their aux mapping
 
 
-def _rows_map(exprs):
-    """Array evaluator of an expression list: fn(t, X, D, U) -> (N, len) rows
-    for row-aligned (N, dim) arrays, bit-identical to the compiled map.
-    Each expression compiles its array form on first use."""
-    empty = {}
+class VectorMap:
+    """A map (t, x, d, u) -> R^dim: a system's f, H or h, a feedback k, or
+    a Lyapunov candidate V (dim 1).
 
-    def evaluate(t, X, D, U):
-        out = np.empty((X.shape[0], len(exprs)))
-        cols = (X.T, D.T, U.T)
-        for j, e in enumerate(exprs):
-            out[:, j] = e.batched()(t, *cols, empty)  # a float fills the column
+    ``spec`` is a list of expression strings or ASTs (strings are parsed
+    against dimensions ``n``, ``m``, ``k``), or a native callable ``fn(t, x,
+    d, u)`` returning ``dim`` values.  This is the one place that decides
+    from ``spec`` how the map is evaluated: :meth:`eval` at one point,
+    :meth:`rows` over N row-aligned points (one array evaluation per
+    component for expressions, ``eval`` row by row for a native map), equal
+    bit for bit.  ``dim``, when given, must match the expression count; a
+    native map without one has no :meth:`rows`.
+    """
+
+    def __init__(self, spec, what: str, dim: int = None, n: int = None,
+                 m: int = 0, k: int = 0):
+        self.exprs = self._fns = None
+        if callable(spec):
+            self._native, self.dim = spec, dim
+            return
+        exprs = []
+        for i, e in enumerate(spec):
+            if isinstance(e, str):
+                e = parse_expression(e, Dims(n=n, m=m, k=k))
+            elif not isinstance(e, Expr):
+                raise SystemFileError(f"{what}[{i}] is neither a string nor an Expr")
+            exprs.append(e)
+        if dim is not None and len(exprs) != dim:
+            raise SystemFileError(
+                f"{what} has {len(exprs)} components, expected {dim}")
+        self.exprs, self.dim = tuple(exprs), len(exprs)
+        self._fns = [e.compiled() for e in exprs]
+
+    @classmethod
+    def of_state(cls, spec, what: str, dim: int = None, n: int = None):
+        """A map of (t, x) only, as H, h, k and V are: a native ``spec`` is
+        ``fn(t, x)``."""
+        if callable(spec):
+            fn = spec
+            spec = lambda t, x, d, u: fn(t, x)
+        return cls(spec, what, dim, n=n)
+
+    def eval(self, t, x, d=_EMPTY, u=_EMPTY) -> np.ndarray:
+        """The map at one point: a float ``t`` and float vectors."""
+        fns = self._fns
+        if fns is None:
+            return np.asarray(self._native(t, x, d, u), dtype=float).reshape(-1)
+        return np.array([fn(t, x, d, u, _NO_AUX) for fn in fns], dtype=float)
+
+    def scalar(self, t, x, d=_EMPTY, u=_EMPTY):
+        """The first component at one point without building the vector:
+        the compiled expression's float, or what a native map returns."""
+        fns = self._fns
+        if fns is None:
+            return self._native(t, x, d, u)
+        return fns[0](t, x, d, u, _NO_AUX)
+
+    def rows(self, t, X, D=None, U=None) -> np.ndarray:
+        """(N, dim) values at the rows of the (N, ·) arrays X, D and U (None:
+        the empty vector).  ``t`` is one time for every row or a column of N
+        per-row times.  Row i equals :meth:`eval` of row i bit for bit (NaN
+        sign bits aside, see :mod:`dtstab.expr`)."""
+        X = np.asarray(X, dtype=float)
+        N = X.shape[0]
+        t = np.asarray(t, dtype=float)
+        t = float(t) if t.ndim == 0 else t.reshape(N)
+        out = np.empty((N, self.dim))
+        if self._fns is not None:
+            cols = (X.T, _EMPTY if D is None else D.T, _EMPTY if U is None else U.T)
+            for j, e in enumerate(self.exprs):
+                out[:, j] = e.batched()(t, *cols, _NO_AUX)  # a float fills the column
+            return out
+        ts = [t] * N if isinstance(t, float) else t.tolist()  # as eval gets it
+        D = [_EMPTY] * N if D is None else D
+        U = [_EMPTY] * N if U is None else U
+        for i, row in enumerate(zip(ts, X, D, U)):
+            out[i] = self.eval(*row)
         return out
-
-    return evaluate
 
 
 @dataclass
@@ -106,48 +156,23 @@ class SystemDef:
         box.flags.writeable = False
         self.d_box = box
 
-        dims = Dims(n=self.n, m=self.m, k=self.k)
-        self.f_exprs = self.H_exprs = self.h_exprs = None
-        # array evaluators exist for expression maps only; native callables
-        # are evaluated row by row (see f_rows / H_rows / h_rows)
-        self._f_rows = self._H_rows = self._h_rows = None
-        if callable(self.f):
-            native = self.f  # native signature f(t, d, x, u); internal is (t, x, d, u)
-            self._f = lambda t, x, d, u: np.asarray(
-                native(t, d, x, u), dtype=float).reshape(-1)
-        else:
-            if len(self.f) != self.n:
-                raise SystemFileError(
-                    f"f has {len(self.f)} components, state dimension is {self.n}")
-            self._f, self.f_exprs = _as_vector_map(self.f, dims, "f")
-            self._f_rows = _rows_map(self.f_exprs)
-
-        out_dims = Dims(n=self.n)  # output maps depend on (t, x) only
-        if callable(self.H):
-            if self.p_Y is None:
-                raise SystemFileError("p_Y required for a native output map H")
-            hmap = self.H
-            self._H = lambda t, x: np.asarray(hmap(t, x), dtype=float).reshape(-1)
-        else:
-            Hfn, self.H_exprs = _as_vector_map(self.H, out_dims, "H")
-            self._H = lambda t, x, _fn=Hfn: _fn(t, x, _EMPTY, _EMPTY)
-            self._H_rows = _rows_map(self.H_exprs)
-            self.p_Y = len(self.H_exprs)
-
-        if self.h is None:
-            self._h, self._h_rows = self._H, self._H_rows
-            self.h_exprs = self.H_exprs
-            self.p_y = self.p_Y
-        elif callable(self.h):
-            if self.p_y is None:
-                raise SystemFileError("p_y required for a native output map h")
-            hm = self.h
-            self._h = lambda t, x: np.asarray(hm(t, x), dtype=float).reshape(-1)
-        else:
-            hfn, self.h_exprs = _as_vector_map(self.h, out_dims, "h")
-            self._h = lambda t, x, _fn=hfn: _fn(t, x, _EMPTY, _EMPTY)
-            self._h_rows = _rows_map(self.h_exprs)
-            self.p_y = len(self.h_exprs)
+        f = self.f
+        if callable(f):  # native signature f(t, d, x, u); maps take (t, x, d, u)
+            native = f
+            f = lambda t, x, d, u: native(t, d, x, u)
+        self._fmap = VectorMap(f, "f", self.n, n=self.n, m=self.m, k=self.k)
+        if callable(self.H) and self.p_Y is None:
+            raise SystemFileError("p_Y required for a native output map H")
+        if callable(self.h) and self.p_y is None:
+            raise SystemFileError("p_y required for a native output map h")
+        self._Hmap = VectorMap.of_state(self.H, "H", self.p_Y, n=self.n)
+        self._hmap = (self._Hmap if self.h is None  # h=None reuses H
+                      else VectorMap.of_state(self.h, "h", self.p_y, n=self.n))
+        self.f_exprs, self.H_exprs, self.h_exprs = (
+            self._fmap.exprs, self._Hmap.exprs, self._hmap.exprs)
+        self.p_Y, self.p_y = self._Hmap.dim, self._hmap.dim
+        # the scalar paths (f_eval, simulate, greedy adversaries) call these
+        self._f, self._H, self._h = self._fmap.eval, self._Hmap.eval, self._hmap.eval
         if self.h_eval(0, np.zeros(self.n)).shape[0] != self.p_y:
             raise SystemFileError("h output dimension disagrees with p_y")
         if self.H_eval(0, np.zeros(self.n)).shape[0] != self.p_Y:
@@ -170,30 +195,23 @@ class SystemDef:
 
         ``t`` is one time for every row or a column of N per-row times.
         Returns (N, n) rows, each bit-identical to :meth:`f_eval` of its row
-        (one array evaluation for expression systems, row by row otherwise).
+        (see :meth:`VectorMap.rows`).
         """
         X = np.asarray(X, dtype=float)
         N = X.shape[0]
         D = np.asarray(D, dtype=float).reshape(N, self.m)
-        U = (np.zeros((N, 0)) if U is None
-             else np.asarray(U, dtype=float).reshape(N, self.k))
-        t = _row_times(t, N)
-        if self._f_rows is not None:
-            return self._f_rows(t, X, D, U)
-        out, f_ = np.empty((N, self.n)), self._f
-        for i, (tf, x, d, u) in enumerate(zip(_per_row(t, N), X, D, U)):
-            out[i] = f_(tf, x, d, u)
-        return out
+        U = None if U is None else np.asarray(U, dtype=float).reshape(N, self.k)
+        return self._fmap.rows(t, X, D, U)
 
     def H_rows(self, t, X) -> np.ndarray:
         """H(t, x) for every row of X (``t`` one time or a column): (N, p_Y),
         bit-identical to H_eval."""
-        return _output_rows(self._H_rows, self._H, self.p_Y, t, X)
+        return self._Hmap.rows(t, X)
 
     def h_rows(self, t, X) -> np.ndarray:
         """h(t, x) for every row of X (``t`` one time or a column): (N, p_y),
         bit-identical to h_eval."""
-        return _output_rows(self._h_rows, self._h, self.p_y, t, X)
+        return self._hmap.rows(t, X)
 
     def h_eval(self, t, x) -> np.ndarray:
         return self._h(float(t), np.asarray(x, dtype=float))
@@ -222,33 +240,6 @@ class SystemDef:
                     witnesses.append({"map": mapname, "t": int(t),
                                       "value": val.tolist()})
         return witnesses
-
-
-_EMPTY = np.zeros(0)
-
-
-def _row_times(t, N):
-    """``t`` as the row evaluators take it: a float, or a float column of N."""
-    t = np.asarray(t, dtype=float)
-    return float(t) if t.ndim == 0 else t.reshape(N)
-
-
-def _per_row(t, N) -> list:
-    """The time of each of N rows as a Python float, as the scalar maps get it."""
-    return [t] * N if isinstance(t, float) else t.tolist()
-
-
-def _output_rows(rows_fn, fn, p, t, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    N = X.shape[0]
-    t = _row_times(t, N)
-    if rows_fn is not None:
-        empty = np.zeros((N, 0))
-        return rows_fn(t, X, empty, empty)
-    out = np.empty((N, p))
-    for i, (tf, x) in enumerate(zip(_per_row(t, N), X)):
-        out[i] = fn(tf, x)
-    return out
 
 
 def _box_corners(box: np.ndarray, cap: int = 256) -> np.ndarray:
@@ -377,6 +368,31 @@ class WorstMargin:
         if self.margin < math.inf and self.margin <= tol * (1.0 + abs(self.rhs)):
             return PASS_TOL
         return FAIL
+
+
+@dataclass
+class CertificateReport:
+    """Verdict of one ``LHS <= RHS`` check, as a :class:`WorstMargin` scan
+    found it: the worst margin, its witness and the sample count."""
+
+    check: str
+    verdict: str
+    worst_margin: float
+    witness: dict
+    samples: int
+    tol: float
+    details: dict = field(default_factory=dict)
+    notes: list = field(default_factory=list)
+
+    @property
+    def passed(self):
+        return self.verdict != FAIL
+
+    def to_json(self):
+        return {"check": self.check, "verdict": self.verdict,
+                "worst_margin": self.worst_margin, "witness": self.witness,
+                "samples": self.samples, "tol": self.tol,
+                "details": self.details, "notes": self.notes}
 
 
 def sampled_sup(sys: "SystemDef", t, sets, score, keep: int = 0):
@@ -598,15 +614,11 @@ class StateFeedback(InputPolicy):
 
     def __init__(self, fb, n=None, k=None, name="k"):
         self.name = name
-        self.exprs = None
-        if callable(fb):
-            self._fn = lambda t, x: np.asarray(fb(t, x), dtype=float).reshape(-1)
-        else:
-            fn, self.exprs = _as_vector_map(list(fb), Dims(n=n), name)
-            self._fn = lambda t, x: fn(t, x, _EMPTY, _EMPTY)
+        self._map = VectorMap.of_state(fb, name, k, n=n)
+        self.exprs = self._map.exprs
 
     def __call__(self, sys, t, x):
-        return self._fn(float(t), np.asarray(x, dtype=float))
+        return self._map.eval(float(t), np.asarray(x, dtype=float))
 
     def descriptor(self):
         return f"state-feedback({self.name})"
@@ -1051,10 +1063,6 @@ def parse_system_file(doc) -> SystemDef:
     d_box = doc["d_box"]
     if len(d_box) != m:
         raise SystemFileError(f"d_box has {len(d_box)} rows, expected m={m}")
-    for name, want in (("f", n),):
-        if len(doc[name]) != want:
-            raise SystemFileError(
-                f"{name} has {len(doc[name])} components, expected {want}")
     sys_ = SystemDef(n=n, m=m, k=k, d_box=d_box, f=list(doc["f"]),
                      H=list(doc["H"]),
                      h=list(doc["h"]) if doc.get("h") is not None else None,

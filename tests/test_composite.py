@@ -238,8 +238,14 @@ def test_norm_equals_vecnorm_through_all_evaluators():
         rows[0] = 0.0
         rows[1] = -0.0
         rows[2, 0], rows[3, -1], rows[4, 0] = math.nan, math.inf, -math.inf
+        rows[5], rows[6, -1] = 5e-324, -5e-324  # subnormal
         with np.errstate(all="ignore"):
             want = np.array([vecnorm(r) for r in rows])
+            # numpy's norm is the reference; one component is exactly abs
+            ref = np.array([abs(r[0]) if n == 1 else np.linalg.norm(r) for r in rows])
+            strided = np.array([vecnorm(r[::2]) for r in np.repeat(rows, 2, axis=1)])
+            assert np.array_equal(bits(want), bits(ref)), n
+            assert np.array_equal(bits(strided), bits(ref)), n
             batched = node.batched()(0.0, rows.T, None, None, {})
             compiled = node.compiled()
             for i, x in enumerate(rows):

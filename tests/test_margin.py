@@ -257,7 +257,7 @@ def test_recursion_check_equals_the_step_loop():
         rep = recursion_step_check(B34, batch, tol)
         passed, worst, wit = legacy_recursion(B34, batch, tol)
         assert rep.passed == passed
-        assert rep.detail == {"worst_margin": worst, "witness": wit}
+        assert (rep.worst_margin, rep.witness) == (worst, wit)
 
 
 def test_zero_output_under_a_zero_bound_has_ratio_zero():

@@ -369,8 +369,8 @@ def test_nan_state_fails_recursion_step_check():
                         Y=traj.Y, y=traj.y, meta=traj.meta)
     assert recursion_step_check(B34, [traj]).passed
     rep = recursion_step_check(B34, [broken])
-    assert not rep.passed and math.isnan(rep.detail["worst_margin"])
-    assert rep.detail["witness"]["t"] == 2  # V(t+1) is NaN first at t = 2
+    assert not rep.passed and math.isnan(rep.worst_margin)
+    assert rep.witness["t"] == 2  # V(t+1) is NaN first at t = 2
 
 
 def test_nan_output_fails_attractivity_and_stability():

@@ -245,6 +245,10 @@ class TestSystemFile:
             parse_system_file({"n": 2, "m": 1, "k": 0, "d_box": [[-1, 1]],
                                "f": ["x1"], "H": ["x1"]})
 
+    def test_declared_output_dimension_must_match_expressions(self):
+        with pytest.raises(SystemFileError, match="H has 1 components, expected 2"):
+            SystemDef(n=1, m=1, k=0, d_box=[[-1, 1]], f=["x1"], H=["x1"], p_Y=2)
+
     def test_missing_keys(self):
         with pytest.raises(SystemFileError, match="missing keys"):
             parse_system_file({"n": 1})
