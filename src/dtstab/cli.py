@@ -31,7 +31,7 @@ from .stability import (FalsifyBudget, adversarial_batch, check_ios_estimate,
 from .synth import ReconstructionMap, run_output_feedback, synthesize_delay_controller
 from .system import (ConstantDisturbance, ConstantInput, GreedyDisturbance,
                      RandomDisturbance, SampleConfig, SystemFileError,
-                     ZeroInput, parse_system_file, simulate, vecnorm)
+                     ZeroInput, parse_system_file, row_norms, simulate)
 
 __all__ = ["main"]
 
@@ -201,7 +201,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "trajectory.csv"
     traj.write_csv(csv_path)
-    peak = max(vecnorm(row) for row in traj.Y)
+    peak = float(row_norms(traj.Y).max())  # max propagates NaN
     print(f"simulated {len(traj)} rows of '{sys_.name}' "
           f"(peak output norm {peak:.6g}) -> {csv_path}")
     return 0
@@ -262,7 +262,7 @@ def cmd_certify(args) -> int:
     path = write_report(Path(args.out_dir), f"certify-{args.check}.json",
                         payload)
     print(f"{rep.verdict}: {args.check} on '{sys_.name}' "
-          f"(worst margin {getattr(rep, 'worst_margin', getattr(rep, 'worst', None)):.3e}) -> {path}")
+          f"(worst margin {payload['worst_margin']:.3e}) -> {path}")
     return 0 if rep.passed else 1
 
 

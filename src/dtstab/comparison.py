@@ -25,8 +25,8 @@ import numpy as np
 
 from .expr import Bin, Dims, Expr, Neg, Num, Var, parse_expression, substitute
 from .system import (CertificateReport, SampleConfig, WorstMargin, _EMPTY,
-                     _beats, _norm_score, d_candidates, sampled_sup,
-                     sphere_points, vecnorm)
+                     _beats, _norm_score, d_candidates, row_norms,
+                     sampled_sup, sphere_points, vecnorm)
 
 __all__ = [
     "KFn", "TimeGain", "KLEnvelope", "identity", "linear", "power_fn",
@@ -393,7 +393,7 @@ class KLFit:
 
 def _target_norms(traj, target):
     arr = {"Y": traj.Y, "y": traj.y, "x": traj.x}[target]
-    return np.array([vecnorm(row) for row in arr])
+    return row_norms(arr)
 
 
 def fit_kl_envelope(batch: Sequence, target: str = "Y",

@@ -22,8 +22,8 @@ from .expr import Bin, Call, Var, substitute
 from .system import (FAIL, ConstantDisturbance, ConstantInput,
                      GreedyDisturbance, RandomDisturbance, SequenceInput,
                      SystemDef, Trajectory, WorstMargin, ZeroInput,
-                     bind_inputs, first_max, output_maps, require_samples,
-                     row_norms, simulate, simulate_batch, vecnorm, _beats,
+                     bind_inputs, d_candidates, first_max, output_maps,
+                     require_samples, row_norms, simulate, vecnorm, _beats,
                      _box_corners)
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
 
 _RADIUS_LADDER = (1.0, 0.75, 0.5, 0.25)
 ROLLOUT_BLOCK = 256  # trajectories a search rolls in lock-step at once
+_GREEDY_GRID = 5  # per-dimension candidate grid of the search's greedy adversary
 
 
 @dataclass
@@ -99,7 +100,7 @@ def _d_policy(strategy, sys, idx, seed_seq):
         return ConstantDisturbance(corners[idx % corners.shape[0]])
     child = int(seed_seq.generate_state(1)[0])
     if strategy == "greedy":
-        return GreedyDisturbance(grid=5, seed=child)
+        return GreedyDisturbance(grid=_GREEDY_GRID, seed=child)
     return RandomDisturbance(seed=child, mode="mixed")
 
 
@@ -138,6 +139,79 @@ def _trajectory_specs(sys, t0s, radius, budget, u_modes, indices):
                {"index": i, "strategy": strategy})
 
 
+def _roll(sys, specs, horizon):
+    """Roll a block of ``_trajectory_specs`` in lock-step; trajectory j equals
+    ``simulate(sys, t0, x0, dpol, upol, horizon, meta=meta)`` of spec j bit
+    for bit.
+
+    Only the policy kinds the search builds are rolled.  Zero, constant and
+    sequence inputs and corner and random disturbances do not read the
+    state, so their (B, N, .) tables are filled before the first step, each
+    random row drawing from its own generator N times, as ``simulate`` calls
+    it.  Each step then makes one ``H_rows``, one ``h_rows`` and one
+    ``f_rows`` call over the block, and scores the candidate successors of
+    every greedy row in one more ``f_rows`` and ``H_rows`` call.  Any other
+    policy kind raises TypeError.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    t0s, X0, dpols, upols, metas = zip(*specs)
+    B, N = len(specs), horizon + 1
+    Ti = np.array([np.arange(t0, t0 + N) for t0 in t0s])
+    Tf = Ti.astype(float)
+    X = np.empty((B, N, sys.n))
+    D = np.empty((B, N, sys.m))
+    U = np.zeros((B, N, sys.k))
+    Yv = np.empty((B, N, sys.p_Y))
+    yv = np.empty((B, N, sys.p_y))
+    box = sys.d_box
+    lo, span, axes = box[:, 0], box[:, 1] - box[:, 0], np.arange(sys.m)
+    greedy = []
+    for j, (dpol, upol) in enumerate(zip(dpols, upols)):
+        if type(upol) is ConstantInput:
+            U[j] = upol.value
+        elif type(upol) is SequenceInput:
+            i = Ti[j] - upol.t0
+            inside = (i >= 0) & (i < upol.values.shape[0])
+            U[j, inside] = upol.values[i[inside]]  # zeros outside the table
+        elif type(upol) is not ZeroInput:
+            raise TypeError(f"no input table for {upol.descriptor()}")
+        if type(dpol) is ConstantDisturbance:
+            D[j] = dpol.value
+        elif type(dpol) is RandomDisturbance:
+            D[j] = [dpol._draw(box, lo, span, axes) for _ in range(N)]
+        elif type(dpol) is GreedyDisturbance:
+            greedy.append(j)
+        else:
+            raise TypeError(f"no disturbance table for {dpol.descriptor()}")
+    if greedy:
+        cands = d_candidates(box, grid=_GREEDY_GRID, random=0)
+        C = cands.shape[0]
+        D_cands = np.tile(cands, (len(greedy), 1))
+    x = np.array(X0, dtype=float).reshape(B, sys.n)
+    for s in range(N):
+        tf = Tf[:, s]
+        X[:, s] = x
+        Yv[:, s] = sys.H_rows(tf, x)
+        yv[:, s] = Yv[:, s] if sys.h is None else sys.h_rows(tf, x)
+        if greedy:
+            # GreedyDisturbance.__call__'s pick: the first strict maximum of
+            # ||H(t+1, f)||, never a NaN, cands[0] when every score is NaN
+            t = np.repeat(tf[greedy], C)
+            F = sys.f_rows(t, np.repeat(x[greedy], C, axis=0), D_cands,
+                           np.repeat(U[greedy, s], C, axis=0))
+            score = row_norms(sys.H_rows(t + 1.0, F)).reshape(-1, C)
+            score[np.isnan(score)] = -np.inf
+            D[greedy, s] = cands[np.argmax(score, axis=1)]
+        if s + 1 < N:
+            x = sys.f_rows(tf, x, D[:, s], U[:, s])
+    return [Trajectory(t0=t0s[j], t=Ti[j], x=X[j], d=D[j], u=U[j], Y=Yv[j],
+                       y=yv[j], meta={"d_policy": dpols[j].descriptor(),
+                                      "u_policy": upols[j].descriptor(),
+                                      **metas[j]})
+            for j in range(B)]
+
+
 def search_trajectories(sys: SystemDef, t0s: Sequence[int], radius: float,
                         budget: FalsifyBudget, u_modes=("zero",)):
     """Deterministic trajectory stream for adversarial searches.
@@ -146,21 +220,19 @@ def search_trajectories(sys: SystemDef, t0s: Sequence[int], radius: float,
     common worst cases); later ones draw random directions with radii on a
     fixed ladder of fractions of ``radius``.  Yields one Trajectory per index.
 
-    Trajectories are rolled in lock-step blocks of at most ROLLOUT_BLOCK
-    (:func:`simulate_batch`), each equal bit for bit to its own
-    :func:`simulate`.  When a block raises, it is rolled again one trajectory
-    at a time from fresh policies, so the error surfaces after the same
-    yields as a trajectory-by-trajectory search gives.
+    Trajectories are rolled in lock-step blocks of at most ROLLOUT_BLOCK,
+    each equal bit for bit to its own :func:`simulate`.  When a block
+    raises, it is rolled again one trajectory at a time from fresh policies,
+    so the error surfaces after the same yields as a trajectory-by-trajectory
+    search gives.
     """
     t0s = list(t0s)
     total = budget.max_trajectories
     for start in range(0, total, ROLLOUT_BLOCK):
         block = range(start, min(total, start + ROLLOUT_BLOCK))
         specs = list(_trajectory_specs(sys, t0s, radius, budget, u_modes, block))
-        t0_rows, x0_rows, dpols, upols, metas = zip(*specs)
         try:
-            trajs = simulate_batch(sys, t0_rows, x0_rows, dpols, upols,
-                                   budget.horizon, metas)
+            trajs = _roll(sys, specs, budget.horizon)
         except Exception:  # whatever a row raised, simulate raises it again, in order
             trajs = (simulate(sys, t0, x0, dpol, upol, budget.horizon, meta=meta)
                      for t0, x0, dpol, upol, meta in _trajectory_specs(

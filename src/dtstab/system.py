@@ -24,7 +24,7 @@ __all__ = [
     "DisturbancePolicy", "ConstantDisturbance", "RandomDisturbance",
     "GreedyDisturbance", "InputPolicy", "ZeroInput", "ConstantInput",
     "SequenceInput", "StateFeedback",
-    "step", "simulate", "simulate_batch", "closed_loop", "reachable_bound",
+    "step", "simulate", "closed_loop", "reachable_bound",
     "parse_system_file", "vecnorm", "row_norms", "d_candidates",
     "sphere_points", "sampled_sup", "first_max", "require_samples",
     "WorstMargin", "CertificateReport", "as_feedback", "bind_inputs",
@@ -741,202 +741,6 @@ def simulate(sys: SystemDef, t0: int, x0, dpol: DisturbancePolicy = None,
     if meta:
         info.update(meta)
     return Trajectory(t0=t0, t=T, x=X, d=D, u=U, Y=Yv, y=yv, meta=info)
-
-
-def simulate_batch(sys: SystemDef, t0s, X0, dpols, upols, horizon: int = 60,
-                   metas=None) -> list:
-    """Roll B trajectories in lock-step; row j is ``simulate(sys, t0s[j],
-    X0[j], dpols[j], upols[j], horizon, metas[j])`` bit for bit.
-
-    Each step evaluates H, h and f once over all B rows (:meth:`SystemDef.
-    H_rows`, ``h_rows``, ``f_rows``).  Zero, constant and sequence inputs,
-    constant disturbances and greedy adversaries with the default objective
-    and no random candidates have array forms; a random disturbance steps its
-    own generator in the scalar call order; every other policy is called row
-    by row, with ``advance``, as :func:`simulate` calls it.  Each row owns its
-    policies: a stateful policy object shared by two rows would be stepped
-    in another order than by separate ``simulate`` calls, so it is refused.
-    Policies must return vectors of the system's input and disturbance
-    dimensions.  An error raised by any row propagates and ends the batch.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    B, N = len(t0s), horizon + 1
-    x = np.asarray(X0, dtype=float).reshape(B, -1)
-    if x.shape[1] != sys.n:
-        raise ValueError(f"x0 has dimension {x.shape[1]}, expected {sys.n}")
-    if len(dpols) != B or len(upols) != B:
-        raise ValueError("need one disturbance and one input policy per row")
-    for pols in (dpols, upols):
-        seen = set()
-        for p in pols:
-            if id(p) in seen and type(p) not in _STATELESS:
-                raise ValueError(f"policy {p.descriptor()} is shared by two rows")
-            seen.add(id(p))
-    if B == 0:
-        return []
-    Ti = np.array([np.arange(t0, t0 + N) for t0 in t0s])
-    Tf = Ti.astype(float)
-    X = np.empty((B, N, sys.n))
-    D = np.empty((B, N, sys.m))
-    U = np.empty((B, N, sys.k))
-    Yv = np.empty((B, N, sys.p_Y))
-    yv = np.empty((B, N, sys.p_y))
-    u_steps = _input_steps(sys, upols, Ti[:, 0])
-    d_steps = _disturbance_steps(sys, dpols)
-    advancing = [(j, p) for j, p in enumerate(upols) if type(p) not in _ARRAY_INPUTS]
-    for s in range(N):
-        ts, tf = Ti[:, s], Tf[:, s]
-        X[:, s] = x
-        Yv[:, s] = sys.H_rows(tf, x)
-        yv[:, s] = Yv[:, s] if sys.h is None else sys.h_rows(tf, x)
-        u = np.zeros((B, sys.k))
-        for rows, fill in u_steps:
-            u[rows] = fill(s, ts, tf, x, u)
-        d = np.empty((B, sys.m))
-        for rows, fill in d_steps:
-            d[rows] = fill(s, ts, tf, x, u)
-        U[:, s], D[:, s] = u, d
-        if s + 1 < N:
-            x = sys.f_rows(tf, x, d, u)
-            for j, p in advancing:
-                p.advance(ts[j], yv[j, s], U[j, s])
-    out = []
-    for j in range(B):
-        info = {"d_policy": dpols[j].descriptor(),
-                "u_policy": upols[j].descriptor()}
-        if metas is not None and metas[j]:
-            info.update(metas[j])
-        out.append(Trajectory(t0=t0s[j], t=Ti[j], x=X[j], d=D[j], u=U[j],
-                              Y=Yv[j], y=yv[j], meta=info))
-    return out
-
-
-def _input_steps(sys, upols, T0) -> list:
-    """(rows, fill) groups of a batch's input policies; ``fill(s, ts, tf, X,
-    U)`` gives the rows' inputs at step s (ZeroInput rows keep U's zeros)."""
-    groups = {}
-    for j, p in enumerate(upols):
-        kind = type(p)
-        if kind is ConstantInput and p.value.shape != (sys.k,):
-            kind = None
-        elif kind is SequenceInput and p.values.shape[1:] != (sys.k,):
-            kind = None
-        elif kind not in _ARRAY_INPUTS:
-            kind = None
-        groups.setdefault(kind, []).append(j)
-    steps = []
-    for kind, rows in groups.items():
-        pols = [upols[j] for j in rows]
-        if kind is ConstantInput:
-            values = np.array([p.value for p in pols])
-            steps.append((rows, lambda s, ts, tf, X, U, _v=values: _v))
-        elif kind is SequenceInput:
-            steps.append((rows, _sequence_fill(sys, pols, T0[rows])))
-        elif kind is None:
-            steps.append((rows, _row_fill(sys, rows, pols, sys.k, "input")))
-    return steps
-
-
-def _sequence_fill(sys, pols, T0):
-    """SequenceInput rows: value (t - t0) of each row's table, 0 outside it."""
-    longest = max(p.values.shape[0] for p in pols)
-    table = np.zeros((len(pols), longest + 1, sys.k))  # last slot: zeros
-    for g, p in enumerate(pols):
-        table[g, :p.values.shape[0]] = p.values
-    sizes = np.array([p.values.shape[0] for p in pols])
-    offset = T0 - np.array([p.t0 for p in pols])
-    groups = np.arange(len(pols))
-
-    def fill(s, ts, tf, X, U):
-        i = offset + s
-        return table[groups, np.where((i >= 0) & (i < sizes), i, longest)]
-
-    return fill
-
-
-def _disturbance_steps(sys, dpols) -> list:
-    """(rows, fill) groups of a batch's disturbance policies."""
-    groups = {}
-    for j, p in enumerate(dpols):
-        kind = type(p)
-        if kind is ConstantDisturbance and p.value.shape != (sys.m,):
-            kind = None
-        elif kind is GreedyDisturbance:
-            # default objective, no random candidates, candidates not cached yet
-            kind = (("greedy", p.grid) if not p.objective and not p.random > 0
-                    and p._cands is None else None)
-        elif kind not in (ConstantDisturbance, RandomDisturbance):
-            kind = None
-        groups.setdefault(kind, []).append(j)
-    steps = []
-    for kind, rows in groups.items():
-        pols = [dpols[j] for j in rows]
-        if kind is ConstantDisturbance:
-            values = np.array([p.value for p in pols])
-            steps.append((rows, lambda s, ts, tf, X, U, _v=values: _v))
-        elif kind is RandomDisturbance:
-            steps.append((rows, _random_fill(sys, pols)))
-        elif kind is None:
-            steps.append((rows, _row_fill(sys, rows, pols, sys.m, "disturbance")))
-        else:
-            steps.append((rows, _greedy_fill(sys, rows, pols, kind[1])))
-    return steps
-
-
-def _random_fill(sys, pols):
-    """RandomDisturbance rows: each row's generator, stepped as its __call__."""
-    box = sys.d_box
-    lo, span, axes = box[:, 0], box[:, 1] - box[:, 0], np.arange(sys.m)
-
-    def fill(s, ts, tf, X, U):
-        return [p._draw(box, lo, span, axes) for p in pols]
-
-    return fill
-
-
-def _greedy_fill(sys, rows, pols, grid):
-    """Default-objective greedy rows: all G x C candidate successors in one
-    f_rows and one H_rows call.  The pick is the scalar loop's: the first
-    strict maximum of ||H(t+1, f)||, never a NaN, and the first candidate
-    when every score is NaN."""
-    cands = d_candidates(sys.d_box, grid=grid, random=0)
-    for p in pols:
-        p._cands = cands  # the cache the scalar call fills on its first step
-    C = cands.shape[0]
-    D = np.tile(cands, (len(rows), 1))
-
-    def fill(s, ts, tf, X, U):
-        t = np.repeat(tf[rows], C)
-        F = sys.f_rows(t, np.repeat(X[rows], C, axis=0), D,
-                       np.repeat(U[rows], C, axis=0))
-        score = row_norms(sys.H_rows(t + 1.0, F)).reshape(len(rows), C)
-        score[np.isnan(score)] = -np.inf
-        return cands[np.argmax(score, axis=1)]
-
-    return fill
-
-
-def _row_fill(sys, rows, pols, dim, what):
-    """Policies without an array form, called row by row as simulate calls
-    them: inputs as ``p(sys, t, x)``, disturbances as ``p(sys, t, x, u)``."""
-
-    def fill(s, ts, tf, X, U):
-        out = np.empty((len(rows), dim))
-        for g, (j, p) in enumerate(zip(rows, pols)):
-            args = (sys, ts[j], X[j]) if what == "input" else (sys, ts[j], X[j], U[j])
-            v = np.asarray(p(*args), dtype=float).reshape(-1)
-            if v.shape[0] != dim:
-                raise ValueError(f"{what} policy {p.descriptor()} returned "
-                                 f"{v.shape[0]} values, expected {dim}")
-            out[g] = v
-        return out
-
-    return fill
-
-
-_ARRAY_INPUTS = (ZeroInput, ConstantInput, SequenceInput)
-_STATELESS = _ARRAY_INPUTS + (ConstantDisturbance,)  # safe to share between rows
 
 
 def bind_inputs(f_exprs, u_exprs) -> list:

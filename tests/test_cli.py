@@ -122,6 +122,19 @@ class TestSimulateCommand:
                    "--out-dir", str(tmp_path))
         assert code == 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning",
+                                "ignore::dtstab.system.EquilibriumWarning")
+    def test_nan_rows_make_a_nan_peak(self, tmp_path, capsys):
+        # x1 = 0 gives Y = 0; every later x1 makes inf - inf, so Y is NaN
+        sysfile = tmp_path / "sys.json"
+        sysfile.write_text(json.dumps({
+            "n": 1, "m": 1, "k": 0, "d_box": [[0.0, 0.0]], "f": ["x1 + 1"],
+            "H": ["x1*1e300*1e300 - x1*1e300*1e300"], "name": "overflow"}))
+        code = run("simulate", "--system", str(sysfile), "--horizon", "3",
+                   "--out-dir", str(tmp_path))
+        assert code == 0
+        assert "(peak output norm nan)" in capsys.readouterr().out
+
 
 class TestVerifyCommand:
     def test_output_attractivity_tau(self, tmp_path):

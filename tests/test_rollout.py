@@ -1,10 +1,9 @@
 """Lock-step batched rollouts against the scalar reference ``simulate``.
 
-``search_trajectories`` rolls its trajectories in blocks through
-``simulate_batch``; every trajectory must equal, field for field and bit for
-bit, the one ``simulate`` rolls from the same (t0, x0, policies) of the
-documented seed stream.  NaNs may differ only in their sign bit, which IEEE
-754 leaves unspecified.
+``search_trajectories`` rolls its trajectories in lock-step blocks; every
+trajectory must equal, field for field and bit for bit, the one ``simulate``
+rolls from the same (t0, x0, policies) of the documented seed stream.  NaNs
+may differ only in their sign bit, which IEEE 754 leaves unspecified.
 """
 
 import math
@@ -22,11 +21,9 @@ from dtstab.stability import (FalsifyBudget, adversarial_batch,
                               check_kl_estimate, falsify, search_trajectories)
 from dtstab.stability import test_output_attractivity as search_attractivity
 from dtstab.stability import test_output_stability as search_stability
-from dtstab.system import (ConstantDisturbance, ConstantInput,
-                           GreedyDisturbance, InputPolicy, RandomDisturbance,
-                           SequenceInput, StateFeedback, SystemDef, Trajectory,
-                           ZeroInput, closed_loop, simulate, simulate_batch,
-                           vecnorm)
+from dtstab.system import (ConstantDisturbance, RandomDisturbance,
+                           StateFeedback, SystemDef, Trajectory, ZeroInput,
+                           closed_loop, simulate, vecnorm)
 
 B23, B34, B47 = example_2_3(), example_3_4(), example_4_7(0.5)
 # the small-input system with m = 2: an expression system, and native f, H
@@ -174,90 +171,70 @@ def test_larger_budget_extends_smaller_one(batched_only, monkeypatch):
         assert_same(a, b)
 
 
-# --- policies: array forms, generator order and the row fallback ---
+# --- policies: tables, generator order and the greedy pick ---
+
+@pytest.fixture
+def random_mode(monkeypatch):
+    """``use(mode)``: the search's random disturbances draw in ``mode`` (it
+    builds "mixed" ones), from the same child seeds."""
+    d_policy = stability._d_policy
+
+    def use(mode):
+        def patched(strategy, sys, idx, seed_seq):
+            pol = d_policy(strategy, sys, idx, seed_seq)
+            if strategy == "random":
+                pol = RandomDisturbance(seed=pol.seed, mode=mode)
+            return pol
+        monkeypatch.setattr(stability, "_d_policy", patched)
+
+    return use
+
 
 @pytest.mark.parametrize("mode", ["interior", "corner", "mixed"])
 @pytest.mark.parametrize("bundle", [B23, B34], ids=["m1", "m1_input"])
-def test_random_disturbance_modes(mode, bundle):
-    sys = bundle.sys
-    t0s, x0s = [0, 3, 1, 4], np.linspace(-2.0, 2.0, 4 * sys.n).reshape(4, sys.n)
-    u = [ZeroInput(), ConstantInput(np.full(sys.k, 0.5)), ZeroInput(),
-         SequenceInput(np.ones((5, sys.k)), t0=2)]
-    got = simulate_batch(sys, t0s, x0s,
-                         [RandomDisturbance(seed=s, mode=mode) for s in range(4)],
-                         u, horizon=25)
-    for j, traj in enumerate(got):
-        assert_same(traj, simulate(sys, t0s[j], x0s[j],
-                                   RandomDisturbance(seed=j, mode=mode), u[j], 25))
+def test_random_disturbance_modes(batched_only, random_mode, mode, bundle):
+    random_mode(mode)
+    budget = FalsifyBudget(max_trajectories=8, horizon=25, mix=("random",), seed=6)
+    check_search(bundle.sys, (0, 3, 1, 4), 2.0, budget,
+                 u_modes=("zero", "constant", "random"))
 
 
 @pytest.mark.parametrize("mode", ["interior", "corner", "mixed"])
-def test_random_disturbance_two_dimensional_box(mode):
-    x0s = [[1.0, -0.5], [0.25, 2.0], [-1.0, 0.0]]
+def test_random_disturbance_two_dimensional_box(batched_only, random_mode, mode):
+    random_mode(mode)
+    budget = FalsifyBudget(max_trajectories=6, horizon=15, mix=("random",), seed=7)
     for sys in (NATIVE_SMALL, SMALL):
-        got = simulate_batch(sys, [0, 2, 4], x0s,
-                             [RandomDisturbance(seed=s, mode=mode) for s in (7, 8, 9)],
-                             [ZeroInput()] * 3, horizon=15)
-        for j, traj in enumerate(got):
-            want = simulate(sys, [0, 2, 4][j], x0s[j],
-                            RandomDisturbance(seed=(7, 8, 9)[j], mode=mode),
-                            ZeroInput(), 15)
-            assert_same(traj, want)
+        check_search(sys, (0, 2, 4), 2.0, budget)
 
 
-def test_sequence_input_offsets_and_exhaustion():
-    # t - t0 runs below zero, through the table and past its end
-    seqs = [SequenceInput([[1.0], [2.0], [3.0]], t0=4),
-            SequenceInput([[-1.0]], t0=0), SequenceInput(np.arange(9.0), t0=-2)]
-    got = simulate_batch(B34.sys, [1, 0, 3], [[1.0, 0.0]] * 3,
-                         [ConstantDisturbance([0.5])] * 3, seqs, horizon=12)
-    for j, traj in enumerate(got):
-        assert_same(traj, simulate(B34.sys, [1, 0, 3][j], [1.0, 0.0],
-                                   ConstantDisturbance([0.5]), seqs[j], 12))
+def test_sequence_input_offsets_and_exhaustion(batched_only):
+    # t runs below the 256-row random input table, through it and past its end
+    budget = FalsifyBudget(max_trajectories=9, horizon=40, mix=("corner",), seed=8)
+    got = check_search(B34.sys, (-3, 0, 230), 1.0, budget, u_modes=("random",))
+    for traj in got:
+        inside = (traj.t >= 0) & (traj.t < 256)
+        assert np.all(traj.u[~inside] == 0.0) and np.all(traj.u[inside] != 0.0)
+    t = np.concatenate([traj.t for traj in got])
+    assert t.min() < 0 and t.max() >= 256
 
 
-class Recorder(InputPolicy):
-    """A stateful input outside the array forms: u = last measured output."""
+class ShiftedDisturbance(ConstantDisturbance):
+    """A subclass may override ``__call__``, so it has no table."""
 
-    def __init__(self):
-        self.seen = []
-
-    def __call__(self, sys, t, x):
-        return np.array([self.seen[-1][1] if self.seen else 0.25])
-
-    def advance(self, t, y, u):
-        self.seen.append((int(t), float(y[0]), float(u[0])))
+    def __call__(self, sys, t, x, u):
+        return self.value + 0.0 * t
 
 
-def test_row_fallback_policies_and_advance():
-    dpols = lambda: [  # noqa: E731
-        GreedyDisturbance(objective=lambda tn, xn: abs(xn[1] - xn[0]), grid=4),
-        GreedyDisturbance(grid=5, random=3, seed=12),
-        GreedyDisturbance(grid=3),
-        RandomDisturbance(seed=1)]
-    upols = lambda: [Recorder(), StateFeedback(["-x2/4"], n=2),  # noqa: E731
-                     Recorder(), ConstantInput([1.0])]
-    t0s, x0s = [0, 1, 2, 3], [[1.0, 0.5], [-0.5, 2.0], [0.3, 0.3], [2.0, -1.0]]
-    batch_u = upols()
-    got = simulate_batch(B34.sys, t0s, x0s, dpols(), batch_u, horizon=20,
-                         metas=[{"row": j} for j in range(4)])
-    for j, (d, u) in enumerate(zip(dpols(), upols())):
-        want = simulate(B34.sys, t0s[j], x0s[j], d, u, 20, meta={"row": j})
-        assert_same(got[j], want)
-        if isinstance(u, Recorder):
-            assert batch_u[j].seen == u.seen and len(u.seen) == 20
-
-
-def test_shared_stateful_policy_refused():
-    shared = RandomDisturbance(seed=3)
-    with pytest.raises(ValueError, match="shared"):
-        simulate_batch(B23.sys, [0, 0], [[1.0, 0.0], [0.0, 1.0]],
-                       [shared, shared], [ZeroInput(), ZeroInput()], horizon=3)
-    # stateless policies may be shared
-    corner, zero = ConstantDisturbance([2.0]), ZeroInput()
-    got = simulate_batch(B23.sys, [0, 0], [[1.0, 0.0], [0.0, 1.0]],
-                         [corner, corner], [zero, zero], horizon=3)
-    assert_same(got[1], simulate(B23.sys, 0, [0.0, 1.0], corner, zero, 3))
+def test_roller_refuses_policy_kinds_without_a_table():
+    budget = FalsifyBudget(max_trajectories=1, horizon=3)
+    [(t0, x0, dpol, upol, meta)] = stability._trajectory_specs(
+        B34.sys, [0], 1.0, budget, ("zero",), range(1))
+    feedback = StateFeedback(["-x2/4"], n=2)
+    with pytest.raises(TypeError, match="no input table for state-feedback"):
+        stability._roll(B34.sys, [(t0, x0, dpol, feedback, meta)], 3)
+    shifted = ShiftedDisturbance([0.5])
+    with pytest.raises(TypeError, match="no disturbance table"):
+        stability._roll(B34.sys, [(t0, x0, shifted, upol, meta)], 3)
 
 
 def nan_output_system(d_box, H):
@@ -269,26 +246,21 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore:invalid value encountered:RuntimeWarning")
 
 
-def test_greedy_never_picks_nan_scores():
+def test_greedy_never_picks_nan_scores(batched_only):
     # successors with x1 > 0 score NaN (inf - inf); the rest score |x1|
     sys = nan_output_system(
         [[-2.0, 2.0]],
         ["max(x1, 0)*1e300*1e300 - max(x1, 0)*1e300*1e300 + abs(x1)"])
-    x0s = [[1.0], [-1.0], [0.0]]
-    got = simulate_batch(sys, [0, 0, 0], x0s, [GreedyDisturbance() for _ in x0s],
-                         [ZeroInput()] * 3, horizon=6)
-    for j, traj in enumerate(got):
-        assert_same(traj, simulate(sys, 0, x0s[j], GreedyDisturbance(), ZeroInput(), 6))
+    budget = FalsifyBudget(max_trajectories=6, horizon=6, mix=("greedy",))
+    got = check_search(sys, (0,), 1.0, budget)
+    assert got[0].x[0, 0] == 1.0
     assert got[0].d[0, 0] == -2.0  # the only candidates with finite scores
 
 
-def test_greedy_all_nan_scores_picks_first_candidate():
+def test_greedy_all_nan_scores_picks_first_candidate(batched_only):
     sys = nan_output_system([[1.0, 2.0]], ["x1*1e300*1e300 - x1*1e300*1e300"])
-    got = simulate_batch(sys, [0, 1], [[1.0], [-3.0]],
-                         [GreedyDisturbance(), GreedyDisturbance()],
-                         [ZeroInput(), ZeroInput()], horizon=4)
-    for traj, x0, t0 in zip(got, ([1.0], [-3.0]), (0, 1)):
-        assert_same(traj, simulate(sys, t0, x0, GreedyDisturbance(), ZeroInput(), 4))
+    budget = FalsifyBudget(max_trajectories=4, horizon=4, mix=("greedy",))
+    for traj in check_search(sys, (0, 1), 3.0, budget):
         assert np.all(traj.d == 1.0)
 
 
