@@ -8,6 +8,8 @@ is reported as "pass (tolerance)".  Suprema over the disturbance set are
 sampled (corners + grid + random), so failed checks are conclusive while
 passes are evidence at the sampled points only.  A NaN margin fails (the
 witness is its first occurrence), and an empty sample set is a ValueError.
+The attainment-time formula :func:`tau_bound` reports an unbounded result
+when no tau~ up to TAU_SCAN_CAP qualifies or a tail supremum of q is NaN.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .comparison import KFn, TimeGain, validate_class
 from .system import (FAIL, PASS, PASS_TOL, CertificateReport, SampleConfig,
                      SystemDef, VectorMap, WorstMargin, _beats, d_candidates,
-                     require_samples, row_norms, sampled_sup, sphere_points,
+                     _FieldsJSON, require_samples, row_norms, sampled_sup,
                      vecnorm)
 
 __all__ = [
@@ -31,6 +33,10 @@ __all__ = [
     "build_transformed_system", "compose_V_from_U",
     "check_rofs_inf_sup", "ROFSReport", "projection_fiber",
 ]
+
+TAU_SCAN_CAP = 10 ** 6  # last tau~ candidate tau_bound tries
+Q_FLOOR = 1e-300  # tau_bound's floor on tails of q that reach exact zero
+
 
 @dataclass
 class LyapunovCandidate:
@@ -72,13 +78,6 @@ class LyapunovCandidate:
     def V_rows(self, t, X) -> np.ndarray:
         """V(t, x) for every row x of X, bit-identical to :meth:`V_eval`."""
         return self._map.rows(t, X)[:, 0]
-
-    @property
-    def rate_c(self) -> float:
-        """Decay rate -log(lam) of the contraction factor."""
-        if self.lam is None:
-            raise ValueError("no contraction factor lam")
-        return -math.log(self.lam)
 
     def require(self, *names):
         missing = [nm for nm in names if getattr(self, nm) is None]
@@ -123,14 +122,6 @@ class StateGrid:
                            indexing="ij")
         xs = np.stack([g.reshape(-1) for g in mesh], axis=1)
         return cls(ts=ts, xs=xs)
-
-    @classmethod
-    def radial(cls, ts, n, radii=None, directions=32, seed=0):
-        """Signed axes plus random directions scaled to log-spaced radii."""
-        if radii is None:
-            radii = np.logspace(-3, 3, 13)
-        pts = [sphere_points(n, float(r), directions, rng=seed) for r in radii]
-        return cls(ts=ts, xs=np.vstack([np.zeros((1, n))] + pts))
 
 
 def _worst_verdict(*verdicts):
@@ -276,7 +267,7 @@ def check_ios_decrease(sys: SystemDef, cand: LyapunovCandidate,
 # --- attainment-time formula ---
 
 @dataclass
-class TauBoundResult:
+class TauBoundResult(_FieldsJSON):
     tau: int
     tau_tilde: int
     numerator: float
@@ -287,15 +278,9 @@ class TauBoundResult:
     unbounded: bool = False
     notes: list = field(default_factory=list)
 
-    def to_json(self):
-        return {"tau": self.tau, "tau_tilde": self.tau_tilde,
-                "numerator": self.numerator, "denominator": self.denominator,
-                "eps": self.eps, "T": self.T, "R": self.R,
-                "unbounded": self.unbounded, "notes": self.notes}
 
-
-def tau_bound(cand: LyapunovCandidate, eps: float, T: int, R: float,
-              scan_cap: int = 10 ** 6, q_floor: float = 1e-300) -> TauBoundResult:
+def tau_bound(cand: LyapunovCandidate, eps: float, T: int,
+              R: float) -> TauBoundResult:
     """Output-attainment time from the relaxed-decrease bundle.
 
     tau = T + tau~ + floor(num / den) + 1 with tau~ the least integer such
@@ -303,28 +288,35 @@ def tau_bound(cand: LyapunovCandidate, eps: float, T: int, R: float,
     num = a2(R max_{t0<=T} beta(t0)) + a3^{-1}(q_max) + q_max and
     den = sup_{t >= T+tau~} q.  "Integer part" is implemented as floor; tails
     of q are exact for geometric q and grid estimates otherwise; q is floored
-    at q_floor to keep the formula defined when q reaches exact zero.
+    at Q_FLOOR to keep the formula defined when q reaches exact zero.  The
+    scan tries tau~ up to TAU_SCAN_CAP and stops at the first NaN tail of q;
+    either way the result is unbounded.
     """
     cand.require("a1", "a2", "a3", "beta", "q")
     notes = ["integer part implemented as floor",
-             f"q floored at {q_floor:g} where it vanishes"]
+             f"q floored at {Q_FLOOR:g} where it vanishes"]
     if not cand.q.decays:
         notes.append("q is not flagged decaying; tau~ scan may not terminate")
     target = cand.a1(eps)
     tau_tilde = None
-    for cand_tau in range(scan_cap + 1):
-        S = max(cand.q.sup_tail(cand_tau), q_floor)
+    for cand_tau in range(TAU_SCAN_CAP + 1):
+        S = cand.q.sup_tail(cand_tau)
+        if math.isnan(S):
+            notes.append(f"sup of q over t >= {cand_tau} is NaN")
+            break
+        S = max(S, Q_FLOOR)
         if cand.a3.inverse(2.0 * S) + S <= target:
             tau_tilde = cand_tau
             break
+    else:
+        notes.append(f"no tau~ within scan cap {TAU_SCAN_CAP}")
     if tau_tilde is None:
-        notes.append(f"no tau~ within scan cap {scan_cap}")
         return TauBoundResult(None, None, math.nan, math.nan, eps, T, R,
                               unbounded=True, notes=notes)
-    q_max = max(cand.q.sup_tail(0), q_floor)
+    q_max = max(cand.q.sup_tail(0), Q_FLOOR)
     beta_max = max(cand.beta(t0) for t0 in range(T + 1))
     num = cand.a2(R * beta_max) + cand.a3.inverse(q_max) + q_max
-    den = max(cand.q.sup_tail(T + tau_tilde), q_floor)
+    den = max(cand.q.sup_tail(T + tau_tilde), Q_FLOOR)
     if not math.isfinite(num / den):
         notes.append("num/den not finite")
         return TauBoundResult(None, tau_tilde, num, den, eps, T, R,

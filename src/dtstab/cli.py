@@ -30,8 +30,8 @@ from .stability import (FalsifyBudget, adversarial_batch, check_ios_estimate,
                         test_output_stability)
 from .synth import ReconstructionMap, run_output_feedback, synthesize_delay_controller
 from .system import (ConstantDisturbance, ConstantInput, GreedyDisturbance,
-                     RandomDisturbance, SampleConfig, SystemFileError,
-                     ZeroInput, parse_system_file, row_norms, simulate)
+                     RandomDisturbance, SampleConfig, ZeroInput,
+                     parse_system_file, row_norms, simulate)
 
 __all__ = ["main"]
 
@@ -87,6 +87,14 @@ def _load_system(args):
             raise UsageError(f"system file not found: {path}")
         return parse_system_file(path.read_text()), None
     raise UsageError("one of --example or --system is required")
+
+
+def _unforced(sys_, bundle):
+    """The plant with no free input: the bundle's closed loop when ``sys_``
+    has inputs and the bundle closes them, else ``sys_`` itself."""
+    if sys_.k > 0 and bundle is not None and bundle.closed is not None:
+        return bundle.closed
+    return sys_
 
 
 def _d_policy(args, sys):
@@ -227,10 +235,9 @@ def cmd_certify(args) -> int:
         raise UsageError("--candidate required for file-based systems")
     grid = _default_grid(sys_, args.t_max)
     plant = sys_
-    if args.check in ("contraction", "relaxed-decrease") and sys_.k > 0:
-        if bundle is not None and bundle.closed is not None:
-            plant = bundle.closed
-        else:
+    if args.check in ("contraction", "relaxed-decrease"):
+        plant = _unforced(sys_, bundle)
+        if plant.k > 0:
             raise UsageError(f"{args.check} needs an unforced system")
     cfg = SampleConfig(d_grid=9, d_random=args.d_random)
     if args.check == "sandwich":
@@ -272,22 +279,19 @@ def cmd_verify(args) -> int:
                            seed=args.seed)
     out = Path(args.out_dir)
     if args.prop == "output-stability":
-        plant = bundle.closed if (sys_.k and bundle and bundle.closed) else sys_
-        rep = test_output_stability(plant, args.eps, args.T, budget=budget)
+        rep = test_output_stability(_unforced(sys_, bundle), args.eps, args.T,
+                                    budget=budget)
     elif args.prop == "output-attractivity":
-        plant = bundle.closed if (sys_.k and bundle and bundle.closed) else sys_
-        rep = test_output_attractivity(plant, args.eps, args.T, args.R,
-                                       budget=budget)
+        rep = test_output_attractivity(_unforced(sys_, bundle), args.eps,
+                                       args.T, args.R, budget=budget)
     elif args.prop in ("kl-estimate", "ios-estimate"):
         sigma = _sigma_from(args, bundle)
         with_inputs = args.prop == "ios-estimate"
         if with_inputs and sys_.k == 0:
             raise UsageError("ios-estimate needs a system with inputs")
-        plant = sys_
-        if not with_inputs and sys_.k > 0:
-            plant = bundle.closed if bundle and bundle.closed else None
-            if plant is None:
-                raise UsageError("kl-estimate needs an unforced system")
+        plant = sys_ if with_inputs else _unforced(sys_, bundle)
+        if plant.k > 0 and not with_inputs:
+            raise UsageError("kl-estimate needs an unforced system")
         u_modes = ("zero", "constant", "random") if with_inputs else ("zero",)
         batch = adversarial_batch(plant, range(args.T + 1), args.R, budget,
                                   u_modes=u_modes)
@@ -359,13 +363,11 @@ def cmd_falsify(args) -> int:
         sigma = KLEnvelope(sigma.C * args.shrink_C, sigma.c, beta=sigma.beta)
     budget = FalsifyBudget(max_trajectories=args.budget, horizon=args.horizon,
                            seed=args.seed)
-    plant = sys_
     rho = gamma = None
-    if sys_.k > 0:
-        if bundle is not None and bundle.rho is not None:
-            rho, gamma = bundle.rho, bundle.gamma
-        else:
-            plant = bundle.closed if bundle and bundle.closed else sys_
+    if sys_.k > 0 and bundle is not None and bundle.rho is not None:
+        plant, rho, gamma = sys_, bundle.rho, bundle.gamma
+    else:
+        plant = _unforced(sys_, bundle)
     rep = falsify(plant, sigma, sigma.beta, rho, gamma, budget=budget,
                   radius=args.R)
     payload = rep.to_json()
@@ -471,10 +473,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.handler(args)
-    except (UsageError, SystemFileError, ExprError, KeyError) as ex:
-        print(f"error: {ex}", file=_sys.stderr)
-        return 2
-    except ValueError as ex:
+    except (UsageError, ExprError, KeyError, ValueError) as ex:
         print(f"error: {ex}", file=_sys.stderr)
         return 2
 

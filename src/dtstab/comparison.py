@@ -12,7 +12,9 @@ points, strict inequalities checked as ``>`` with ties reported), not
 symbolically.  KL envelopes are restricted to the parametric family
 ``C * s * exp(-c*t)``; at integer times they are evaluated by the exact
 geometric recursion ``sigma(s, t+1) = exp(-c) * sigma(s, t)`` so that this
-identity holds bitwise.
+identity holds bitwise.  NaN is never passed over: a NaN value wins a
+sampled tail supremum of a time gain, and a NaN output norm fails an
+envelope fit.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 
 from .expr import Bin, Dims, Expr, Neg, Num, Var, parse_expression, substitute
 from .system import (CertificateReport, SampleConfig, WorstMargin, _EMPTY,
-                     _beats, _norm_score, d_candidates, row_norms,
-                     sampled_sup, sphere_points, vecnorm)
+                     _sup_norm_f, d_candidates, row_norms, sphere_points,
+                     vecnorm)
 
 __all__ = [
     "KFn", "TimeGain", "KLEnvelope", "identity", "linear", "power_fn",
@@ -35,6 +37,9 @@ __all__ = [
     "KLFit", "fit_kl_envelope", "check_domination",
     "sup_f_sampler",
 ]
+
+INVERSE_CAP = 1e300  # KFn.inverse gives up once its bracket passes this
+TAIL_HORIZON = 4096  # times a non-geometric TimeGain.sup_tail samples past tau
 
 
 def _num(c) -> Expr:
@@ -68,7 +73,7 @@ class KFn:
     def __call__(self, s: float) -> float:
         return float(self.fn(float(s)))
 
-    def inverse(self, v: float, hi_cap: float = 1e300) -> float:
+    def inverse(self, v: float) -> float:
         """fn^{-1}(v); explicit inverse if given, else bisection (fn increasing)."""
         if self.inv is not None:
             return float(self.inv(float(v)))
@@ -78,7 +83,7 @@ class KFn:
         hi = 1.0
         while self(hi) < v:
             hi *= 2.0
-            if hi > hi_cap:
+            if hi > INVERSE_CAP:
                 raise ValueError(f"{self.name}: value {v} outside attainable range")
         lo = 0.0
         for _ in range(200):
@@ -139,15 +144,16 @@ class TimeGain:
     def __call__(self, t: float) -> float:
         return float(self.fn(float(t)))
 
-    def sup_tail(self, tau: int, horizon: int = 4096) -> float:
-        """sup over t >= tau of the gain (exact for monotone geometric forms)."""
+    def sup_tail(self, tau: int) -> float:
+        """sup over t >= tau of the gain (exact for monotone geometric forms,
+        else the max over t = tau..tau + TAIL_HORIZON; a NaN value wins)."""
         if self.geometric is not None:
             C, ratio = self.geometric
             if 0.0 <= ratio <= 1.0:
                 return self(tau)
             return math.inf
-        ts = np.arange(tau, tau + horizon + 1)
-        return float(max(self(t) for t in ts))
+        ts = np.arange(tau, tau + TAIL_HORIZON + 1)
+        return float(np.max([self(t) for t in ts]))  # max propagates NaN
 
 
 def constant(c: float, name: str = None) -> TimeGain:
@@ -391,18 +397,13 @@ class KLFit:
                 "n_points": self.n_points, "notes": self.notes}
 
 
-def _target_norms(traj, target):
-    arr = {"Y": traj.Y, "y": traj.y, "x": traj.x}[target]
-    return row_norms(arr)
-
-
-def fit_kl_envelope(batch: Sequence, target: str = "Y",
-                    beta: TimeGain = None) -> KLFit:
-    """Fit C, c of a decaying envelope to trajectory output norms.
+def fit_kl_envelope(batch: Sequence, beta: TimeGain = None) -> KLFit:
+    """Fit C, c of a decaying envelope to the stabilized-output norms ||Y||.
 
     Least squares on log(norm / scale) against t - t0 over rows with positive
     norm, with scale = beta(t0) * ||x0||; C is then inflated so the envelope
     dominates every observed point (point-by-point assertable, slack >= 0).
+    A NaN norm fails the fit: no envelope dominates it.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -410,17 +411,22 @@ def fit_kl_envelope(batch: Sequence, target: str = "Y",
     notes = []
     rows = []  # (traj_index, dt, norm, scale)
     for idx, traj in enumerate(batch):
-        norms = _target_norms(traj, target)
+        norms = row_norms(traj.Y)
         scale = beta(traj.t0) * vecnorm(traj.x0)
         for i in range(len(traj)):
             rows.append((idx, int(traj.t[i] - traj.t0), norms[i], scale))
+    nan_row = next(((idx, dt) for idx, dt, norm, _ in rows if norm != norm), None)
+    failed = nan_row is not None
+    if failed:
+        notes.append(f"NaN output norm at trajectory {nan_row[0]}, "
+                     f"t - t0 = {nan_row[1]}")
 
     fit_pts = [(dt, math.log(norm / scale))
                for _, dt, norm, scale in rows if norm > 0.0 and scale > 0.0]
     if not fit_pts:
         notes.append("all-zero batch: degenerate zero envelope")
         env = KLEnvelope(0.0, 1.0, beta=beta)
-        return KLFit(env, 0.0, 1.0, 0.0, None, True, False, 0, notes)
+        return KLFit(env, 0.0, 1.0, 0.0, None, True, failed, 0, notes)
 
     dts = np.array([p[0] for p in fit_pts], dtype=float)
     logs = np.array([p[1] for p in fit_pts])
@@ -430,8 +436,8 @@ def fit_kl_envelope(batch: Sequence, target: str = "Y",
     else:
         slope, intercept = np.polyfit(dts, logs, 1)
     c = -float(slope)
-    failed = not c > 0.0
-    if failed:
+    if not c > 0.0:
+        failed = True
         notes.append(f"non-decaying data: fitted c = {c!r} <= 0")
 
     # inflate C so the envelope's own evaluation dominates each observed row
@@ -498,21 +504,13 @@ def sup_f_sampler(sys, cfg: SampleConfig = None, seed: int = 0):
     dcands = d_candidates(sys.d_box, grid=cfg.d_grid, random=cfg.d_random, rng=rng)
 
     def sampler(T, s):
-        ts = np.arange(0, int(T) + 1)
-        if ts.shape[0] > cfg.t_cap:
-            ts = np.unique(np.linspace(0, int(T), cfg.t_cap).astype(int))
         xs = sphere_points(sys.n, s, cfg.x_directions, cfg.x_scales, rng=0)
         if sys.k > 0:
             us = np.vstack([np.zeros((1, sys.k)),
                             sphere_points(sys.k, s, cfg.u_directions, rng=1)])
         else:
             us = np.zeros((1, 0))
-        best = 0.0
-        for t in ts:
-            val, _ = sampled_sup(sys, t, (("d", dcands), ("x", xs), ("u", us)),
-                                 _norm_score)
-            if _beats(val, best):
-                best = val
-        return best
+        return _sup_norm_f(sys, int(T), cfg.t_cap,
+                           (("d", dcands), ("x", xs), ("u", us)))[0]
 
     return sampler

@@ -46,8 +46,7 @@ import numpy as np
 
 __all__ = [
     "Dims", "Env", "Expr", "Num", "Var", "Neg", "Bin", "Call",
-    "parse_expression", "eval_expression", "compile_expression",
-    "substitute",
+    "parse_expression", "eval_expression", "substitute",
     "ExprError", "ExprSyntaxError", "ExprNameError", "ExprDomainError",
 ]
 
@@ -687,7 +686,3 @@ def substitute(expr: Expr, bindings: Mapping[str, Expr]) -> Expr:
         return expr
     return expr._rebuild(tuple(substitute(c, bindings) for c in kids))
 
-
-def compile_expression(text: str, dims: Dims = Dims()) -> Callable:
-    """Parse and compile in one step; returns ``fn(t, x, d, u, aux)``."""
-    return parse_expression(text, dims).compiled()

@@ -24,7 +24,7 @@ from .system import (FAIL, ConstantDisturbance, ConstantInput,
                      SystemDef, Trajectory, WorstMargin, ZeroInput,
                      bind_inputs, d_candidates, first_max, output_maps,
                      require_samples, row_norms, simulate, vecnorm, _beats,
-                     _box_corners)
+                     _box_corners, _FieldsJSON)
 
 __all__ = [
     "FalsifyBudget", "StabilityReport", "EnvelopeReport",
@@ -36,6 +36,7 @@ __all__ = [
 _RADIUS_LADDER = (1.0, 0.75, 0.5, 0.25)
 ROLLOUT_BLOCK = 256  # trajectories a search rolls in lock-step at once
 _GREEDY_GRID = 5  # per-dimension candidate grid of the search's greedy adversary
+BISECT_ITERS = 20  # bisection steps of test_output_stability after bracketing
 
 
 @dataclass
@@ -256,13 +257,14 @@ def _worst_output(sys, t0s, radius, budget):
 
 
 def test_output_stability(sys: SystemDef, eps: float, T: int,
-                          budget: FalsifyBudget = None, delta_cap: float = 1e6,
-                          bisect_iters: int = 20) -> StabilityReport:
+                          budget: FalsifyBudget = None,
+                          delta_cap: float = 1e6) -> StabilityReport:
     """Search for the largest delta with ||x0|| <= delta keeping ||Y|| <= eps.
 
-    Geometric first pass from delta_cap downward, then bisection on the
-    bracketing interval; the per-delta trial is an adversarial search over
-    initial times t0 <= T, sphere-sampled x0 and the disturbance mix.
+    Geometric first pass from delta_cap downward, then BISECT_ITERS
+    bisection steps on the bracketing interval; the per-delta trial is an
+    adversarial search over initial times t0 <= T, sphere-sampled x0 and the
+    disturbance mix.
     Boundedness over all t >= t0 is only witnessed up to the search horizon.
     """
     if eps <= 0 or T < 0:
@@ -305,7 +307,7 @@ def test_output_stability(sys: SystemDef, eps: float, T: int,
                                budget_used=trials * budget.max_trajectories,
                                seed=budget.seed,
                                notes=notes + ["delta_cap passes outright"])
-    for _ in range(bisect_iters):
+    for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         ok, _, _ = trial(mid)
         if ok:
@@ -362,7 +364,7 @@ def test_output_attractivity(sys: SystemDef, eps: float, T: int, R: float,
 # --- envelope domination checks ---
 
 @dataclass
-class EnvelopeReport:
+class EnvelopeReport(_FieldsJSON):
     form: str
     passed: bool
     worst_ratio: float
@@ -371,12 +373,6 @@ class EnvelopeReport:
     rows: int
     tol: float
     notes: list = field(default_factory=list)
-
-    def to_json(self):
-        return {"form": self.form, "passed": self.passed,
-                "worst_ratio": self.worst_ratio,
-                "worst_margin": self.worst_margin, "witness": self.witness,
-                "rows": self.rows, "tol": self.tol, "notes": self.notes}
 
 
 def _row_check(form, bounds_per_traj, batch, tol):
@@ -483,7 +479,7 @@ def build_small_input_system(sys: SystemDef, p: TimeGain, theta: KFn) -> SystemD
 
 
 @dataclass
-class FalsifyReport:
+class FalsifyReport(_FieldsJSON):
     ratio: float
     witness: dict
     n_trajectories: int
@@ -496,16 +492,14 @@ class FalsifyReport:
         return not self.ratio <= 1.0  # a NaN ratio is a violation
 
     def to_json(self):
-        return {"ratio": self.ratio, "violated": self.violated,
-                "witness": self.witness, "n_trajectories": self.n_trajectories,
-                "form": self.form, "seed": self.seed, "notes": self.notes}
+        return {**super().to_json(), "violated": self.violated}
 
 
 def falsify(sys: SystemDef, sigma: KLEnvelope, beta: TimeGain = None,
             rho: KFn = None, gamma: TimeGain = None,
-            budget: FalsifyBudget = None, radius: float = 1.0,
-            t0s=(0,)) -> FalsifyReport:
-    """Adversarial search maximizing ||Y(t)|| / bound(t) over trajectories.
+            budget: FalsifyBudget = None, radius: float = 1.0) -> FalsifyReport:
+    """Adversarial search maximizing ||Y(t)|| / bound(t) over trajectories
+    that start at t0 = 0.
 
     With (rho, gamma) the input-to-output bound is attacked (inputs searched
     over zero / constant / random policies up to the budget's u_cap);
@@ -519,7 +513,7 @@ def falsify(sys: SystemDef, sigma: KLEnvelope, beta: TimeGain = None,
     ios = rho is not None and sys.k > 0
     u_modes = ("zero", "constant", "random") if ios else ("zero",)
     best, wit, count = 0.0, None, 0
-    for traj in search_trajectories(sys, t0s, radius, budget, u_modes):
+    for traj in search_trajectories(sys, (0,), radius, budget, u_modes):
         count += 1
         if ios:
             rep = check_ios_estimate([traj], sigma, beta, rho, gamma, tol=0.0)

@@ -5,7 +5,8 @@ measured outputs and applied inputs when a reconstruction map Psi matches
 k(t+p, F_p(t, x, d-window, u-window)) for every disturbance realization.  The
 delay-chain controller stores the last p outputs and inputs in shift
 registers and applies Psi; its control action coincides with the state
-feedback after p steps regardless of the register initialization.
+feedback after p steps regardless of the register initialization.  The
+window length p is always Psi's.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .certify import CertificateReport
-from .expr import Dims, Var, compile_expression
+from .expr import Dims, Var, parse_expression
 from .system import (FAIL, PASS, DisturbancePolicy, InputPolicy, SystemDef,
                      WorstMargin, as_feedback, require_samples, simulate)
 
@@ -27,6 +28,8 @@ __all__ = [
     "DelayChainController", "synthesize_delay_controller",
     "run_output_feedback", "CoincidenceReport", "build_extended_system",
 ]
+
+SAMPLE_RADIUS = 5.0  # check_reconstruction draws states and inputs in [-5, 5]
 
 
 @dataclass
@@ -78,7 +81,7 @@ class ReconstructionMap:
         else:
             aux = frozenset({f"y{i}" for i in range(p + 1)}
                             | {f"u{i}" for i in range(p)})
-            fn = compile_expression(psi, Dims(aux=aux))
+            fn = parse_expression(psi, Dims(aux=aux)).compiled()
             empty = np.zeros(0)
 
             def from_expr(t, y_p, y_hist, u_hist):
@@ -100,11 +103,11 @@ class ReconstructionMap:
 
 def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
                          n_samples: int = 1000, ts=range(0, 11),
-                         x_radius: float = 5.0, u_radius: float = 5.0,
                          seed: int = 0, tol: float = 0.0) -> CertificateReport:
     """Sampled check of k(t+p, F_p(...)) == Psi(t+p, y_p, y-window, u-window),
     p = psi.p, at the zero window of every t and then random windows up to
-    n_samples in all.  A pass is "no violation found at these samples"."""
+    n_samples in all, states and inputs uniform in [-SAMPLE_RADIUS,
+    SAMPLE_RADIUS].  A pass is "no violation found at these samples"."""
     p = psi.p
     target = as_feedback(k_fn, sys.n)
     rng = np.random.default_rng(seed)
@@ -115,9 +118,9 @@ def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
               np.zeros((p, sys.k))) for t in ts]
     for _ in range(max(n_samples - len(spots), 0)):
         t = int(ts[rng.integers(0, len(ts))])
-        x = rng.uniform(-x_radius, x_radius, size=sys.n)
+        x = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, size=sys.n)
         d_seq = rng.uniform(sys.d_box[:, 0], sys.d_box[:, 1], size=(p, sys.m))
-        u_seq = rng.uniform(-u_radius, u_radius, size=(p, sys.k))
+        u_seq = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, size=(p, sys.k))
         spots.append((t, x, d_seq, u_seq))
     lhs, rhs = [], []
     for t, x, d_seq, u_seq in spots:
@@ -145,10 +148,10 @@ class DelayChainController:
     """Shift-register dynamic feedback: state w holds the last p outputs and
     inputs; the applied input is Psi over the current output and the
     retracted, time-reversed window.  Slots a particular Psi never reads are
-    still carried (fidelity to the register form over minimality).
+    still carried (fidelity to the register form over minimality).  The
+    window length p is Psi's.
     """
 
-    p: int
     p_y: int
     k: int
     psi: ReconstructionMap
@@ -159,6 +162,10 @@ class DelayChainController:
         if self.w0 is None:
             self.w0 = np.zeros(self.state_dim)
         self.w0 = np.asarray(self.w0, dtype=float).reshape(self.state_dim)
+
+    @property
+    def p(self):
+        return self.psi.p
 
     @property
     def state_dim(self):
@@ -213,8 +220,7 @@ def synthesize_delay_controller(psi: ReconstructionMap, retraction=None,
                                 p_y: int = 1, k: int = 1,
                                 w0=None) -> DelayChainController:
     """The delay-chain controller over Psi's window length p = psi.p."""
-    ctrl = DelayChainController(p=psi.p, p_y=p_y, k=k, psi=psi,
-                                retraction=retraction)
+    ctrl = DelayChainController(p_y=p_y, k=k, psi=psi, retraction=retraction)
     if w0 is not None:
         ctrl.w0 = ctrl.initial_state(w0)
     return ctrl

@@ -5,6 +5,8 @@ u(t))`` with ``d(t)`` ranging over a compact box D, stabilized output
 ``Y(t) = H(t, x(t))`` and measured output ``y(t) = h(t, x(t))``.  Unforced
 systems have input dimension k = 0.  All operations here are pure; systems,
 policies with fixed seeds and trajectories are deterministic and replayable.
+Policies hold their state from construction on; a fresh run takes a fresh
+policy.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 import numpy as np
 
@@ -370,8 +372,16 @@ class WorstMargin:
         return FAIL
 
 
+class _FieldsJSON:
+    """A dataclass whose fields are its JSON keys: :meth:`to_json` maps each
+    field name to its value."""
+
+    def to_json(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass
-class CertificateReport:
+class CertificateReport(_FieldsJSON):
     """Verdict of one ``LHS <= RHS`` check, as a :class:`WorstMargin` scan
     found it: the worst margin, its witness and the sample count."""
 
@@ -387,12 +397,6 @@ class CertificateReport:
     @property
     def passed(self):
         return self.verdict != FAIL
-
-    def to_json(self):
-        return {"check": self.check, "verdict": self.verdict,
-                "worst_margin": self.worst_margin, "witness": self.witness,
-                "samples": self.samples, "tol": self.tol,
-                "details": self.details, "notes": self.notes}
 
 
 def sampled_sup(sys: "SystemDef", t, sets, score, keep: int = 0):
@@ -440,6 +444,24 @@ def _norm_score(F, idx):
     return row_norms(F)
 
 
+def _sup_norm_f(sys: "SystemDef", t_max: int, t_cap: int, sets):
+    """First maximum of ||f(t, d, x, u)|| over t = 0..t_max and the sample
+    product ``sets`` (as in :func:`sampled_sup`), scanning t in order from
+    a best of 0; a NaN wins.  More than ``t_cap`` times are thinned to at
+    most ``t_cap`` evenly spread integers.  Returns (sup, t, flat index of
+    the product), t and index None when no sample exceeds 0.
+    """
+    ts = np.arange(0, t_max + 1)
+    if ts.shape[0] > t_cap:
+        ts = np.unique(np.linspace(0, t_max, t_cap).astype(int))
+    best, arg_t, arg_i = 0.0, None, None
+    for t in ts:
+        val, i = sampled_sup(sys, t, sets, _norm_score)
+        if _beats(val, best):
+            best, arg_t, arg_i = val, int(t), i
+    return best, arg_t, arg_i
+
+
 @dataclass
 class SampleConfig:
     """Sampling effort for the sup-estimating operations."""
@@ -456,9 +478,6 @@ class SampleConfig:
 # --- policies ---
 
 class DisturbancePolicy:
-    def reset(self, seed=None):
-        pass
-
     def __call__(self, sys: SystemDef, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -485,12 +504,7 @@ class RandomDisturbance(DisturbancePolicy):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.seed = seed
-        self.reset(seed)
-
-    def reset(self, seed=None):
-        if seed is not None:
-            self.seed = seed
-        self.rng = np.random.default_rng(self.seed)
+        self.rng = np.random.default_rng(seed)
 
     def __call__(self, sys, t, x, u):
         box = sys.d_box
@@ -523,13 +537,7 @@ class GreedyDisturbance(DisturbancePolicy):
         self.grid = grid
         self.random = random
         self.seed = seed
-        self.reset(seed)
-        self._cands = None
-
-    def reset(self, seed=None):
-        if seed is not None:
-            self.seed = seed
-        self.rng = np.random.default_rng(self.seed)
+        self.rng = np.random.default_rng(seed)
         self._cands = None
 
     def __call__(self, sys, t, x, u):
@@ -558,9 +566,6 @@ class GreedyDisturbance(DisturbancePolicy):
 
 
 class InputPolicy:
-    def reset(self, seed=None):
-        pass
-
     def __call__(self, sys: SystemDef, t: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -812,9 +817,6 @@ def reachable_bound(sys: SystemDef, r: float, T: int,
         raise ValueError("require r >= 0 and T >= 0")
     cfg = sample_cfg or SampleConfig(d_random=32, x_directions=64, u_directions=8)
     rng = np.random.default_rng(cfg.seed)
-    ts = np.arange(0, 2 * T + 1)
-    if ts.shape[0] > cfg.t_cap:
-        ts = np.unique(np.linspace(0, 2 * T, cfg.t_cap).astype(int))
     dcands = d_candidates(sys.d_box, grid=cfg.d_grid, random=cfg.d_random, rng=rng)
     if sys.k > 0:
         ucands = np.vstack([np.zeros((1, sys.k)),
@@ -829,16 +831,13 @@ def reachable_bound(sys: SystemDef, r: float, T: int,
     for kstep in range(1, T + 1):
         xs = sphere_points(sys.n, rho[kstep - 1], cfg.x_directions,
                            scales=cfg.x_scales, rng=rng)
-        sets = (("d", dcands), ("x", xs), ("u", ucands))
-        best, wit = 0.0, None
-        for t in ts:
-            val, i = sampled_sup(sys, t, sets, _norm_score)
-            if _beats(val, best):
-                di, xi, ui = np.unravel_index(i, (len(dcands), len(xs), len(ucands)))
-                best = val
-                wit = {"t": int(t), "d": dcands[di].tolist(),
-                       "x": xs[xi].tolist(), "u": ucands[ui].tolist(),
-                       "norm": val}
+        best, t, i = _sup_norm_f(sys, 2 * T, cfg.t_cap,
+                                 (("d", dcands), ("x", xs), ("u", ucands)))
+        wit = None
+        if t is not None:
+            di, xi, ui = np.unravel_index(i, (len(dcands), len(xs), len(ucands)))
+            wit = {"t": t, "d": dcands[di].tolist(), "x": xs[xi].tolist(),
+                   "u": ucands[ui].tolist(), "norm": best}
         rho[kstep] = best
         witnesses.append(wit)
     return ReachableBound(r=r, T=T, rho=rho, witnesses=witnesses)

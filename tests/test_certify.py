@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from dtstab.certify import (LyapunovCandidate, StateGrid,
                             check_ios_decrease, check_relaxed_decrease,
                             check_rofs_inf_sup, check_sandwich,
                             compose_V_from_U, projection_fiber, tau_bound)
-from dtstab.comparison import constant, geometric, identity, linear
+from dtstab.comparison import (constant, geometric, identity, linear,
+                               timegain_from_expr)
 from dtstab.registry import (LAM_SQRT_PLANT, Q_SQRT_PLANT_C,
                              Q_SQRT_PLANT_RATIO, example_2_3, example_4_7)
 from dtstab.system import (RandomDisturbance, SystemDef, simulate, vecnorm)
@@ -250,6 +252,14 @@ class TestTauBound:
         assert res.tau_tilde == 0
         assert res.denominator == 1e-300
         assert res.tau > 10 ** 300
+
+    def test_nan_tail_of_q_is_unbounded(self):
+        # exp(t)*exp(-2*t)*exp(t) is inf*0*inf = NaN from t = 710 on
+        q = timegain_from_expr("exp(t)*exp(-2*t)*exp(t)*0.5^t", decays=True)
+        assert math.isnan(q.sup_tail(0))
+        res = tau_bound(dataclasses.replace(B23.cand, q=q), 0.1, 0, 1.0)
+        assert res.unbounded and res.tau is None and res.tau_tilde is None
+        assert res.notes[-1] == "sup of q over t >= 0 is NaN"
 
 
 class TestTransformedSystem:

@@ -133,6 +133,15 @@ class TestFitKLEnvelope:
         fit = fit_kl_envelope([make_traj(0, [1.0], Y)])
         assert fit.failed and fit.c <= 0.0
 
+    def test_nan_row_fails_the_fit(self):
+        fit = fit_kl_envelope([make_traj(0, [1.0], [1.0, 0.5, 0.25, math.nan])])
+        assert fit.failed and not fit.ok
+        assert fit.notes == ["NaN output norm at trajectory 0, t - t0 = 3"]
+        batch = [make_traj(0, [1.0], [1.0, 0.5]),
+                 make_traj(2, [1.0], [1.0, math.nan, 0.5, math.nan])]
+        assert fit_kl_envelope(batch).notes == [
+            "NaN output norm at trajectory 1, t - t0 = 1"]
+
     def test_domination_point_by_point_on_simulated_batch(self):
         bundle = example_2_3()
         budget = FalsifyBudget(max_trajectories=200, horizon=40, seed=7)

@@ -86,7 +86,7 @@ class TestControllerStructure:
 
     def test_window_two_shift_and_reversal(self):
         psi = ReconstructionMap(lambda t, yp, ys, us: np.zeros(1), p=2)
-        ctrl = DelayChainController(p=2, p_y=1, k=1, psi=psi)
+        ctrl = DelayChainController(p_y=1, k=1, psi=psi)
         assert ctrl.state_dim == 4
         w = np.array([10.0, 20.0, 30.0, 40.0])  # (w1, w2 | w3, w4)
         w2 = ctrl.advance(w, [1.0], [2.0])
@@ -95,9 +95,14 @@ class TestControllerStructure:
         assert [v[0] for v in y_hist] == [20.0, 10.0]  # oldest first
         assert [v[0] for v in u_hist] == [40.0, 30.0]
 
+    def test_window_length_is_the_reconstruction_maps(self):
+        psi = ReconstructionMap("-(y1^2+u0)^2", p=1)
+        ctrl = DelayChainController(p_y=1, k=1, psi=psi)
+        assert ctrl.p == psi.p == 1 and ctrl.state_dim == 2
+
     def test_custom_retraction_applied_to_output_slots(self):
         psi = ReconstructionMap(lambda t, yp, ys, us: np.zeros(1), p=1)
-        ctrl = DelayChainController(p=1, p_y=1, k=1, psi=psi,
+        ctrl = DelayChainController(p_y=1, k=1, psi=psi,
                                     retraction=lambda y: 2.0 * y)
         y_hist, u_hist = ctrl.window(np.array([3.0, 7.0]))
         assert y_hist[0][0] == 6.0
