@@ -78,6 +78,8 @@ class KFn:
         if self.inv is not None:
             return float(self.inv(float(v)))
         v = float(v)
+        if math.isnan(v):
+            return math.nan
         if v <= 0.0:
             return 0.0
         hi = 1.0
@@ -93,6 +95,23 @@ class KFn:
             else:
                 hi = mid
         return hi
+
+    def values(self, s: np.ndarray) -> np.ndarray:
+        """The map at every element of the float array ``s`` (see
+        :func:`_gain_values`)."""
+        return _gain_values(self, s, 0.0, {"s": s})
+
+
+def _gain_values(gain, arr, t, aux) -> np.ndarray:
+    """``gain`` called at every element of ``arr``: one array call through
+    ``gain.expr`` (with time ``t`` and auxiliaries ``aux``) when there is
+    one, else one call per element.  Equal bit for bit wherever the call
+    returns."""
+    if gain.expr is None:
+        return np.array([gain(v) for v in arr.tolist()], dtype=float)
+    out = np.empty(arr.shape)
+    out[...] = gain.expr.batched()(t, _EMPTY, _EMPTY, _EMPTY, aux)  # or a float
+    return out
 
 
 _S = Var("s")
@@ -154,6 +173,11 @@ class TimeGain:
             return math.inf
         ts = np.arange(tau, tau + TAIL_HORIZON + 1)
         return float(np.max([self(t) for t in ts]))  # max propagates NaN
+
+    def values(self, t: np.ndarray) -> np.ndarray:
+        """The gain at every element of the float array ``t`` (see
+        :func:`_gain_values`)."""
+        return _gain_values(self, t, t, {})
 
 
 def constant(c: float, name: str = None) -> TimeGain:

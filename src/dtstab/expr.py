@@ -27,8 +27,10 @@ kernels (:meth:`Expr.compiled`, one point) and against an array namespace
 (:meth:`Expr.batched`, a slab of points).  The array namespace runs the
 operations IEEE 754 rounds exactly (``+ - * /``, ``sqrt``, ``abs``, negation)
 in numpy, keeps Python's comparison semantics for ``min``/``max``/``sign``
-and maps the scalar kernels of ``^``, ``exp`` and ``log`` element by element,
-so every value equals the scalar result bit for bit; ``norm`` is
+and maps ``^``, ``exp`` and ``log`` element by element: ``math.pow``,
+``math.exp`` and ``math.log`` first, the guarded scalar kernels again over
+the whole slab when some point raises.  So every value equals the scalar
+result bit for bit; ``norm`` is
 :func:`vecnorm` of its arguments at one point and :func:`row_norms` of the
 stacked columns over a slab.  The one exception is the sign of a NaN, which
 IEEE 754 leaves unspecified: NaNs appear at the same points, but their sign
@@ -401,15 +403,25 @@ def _has_array(*args):
     return any(isinstance(a, np.ndarray) for a in args)
 
 
-def _elementwise(kernel):
-    """Apply a scalar kernel point by point; all-scalar calls stay scalar."""
+def _elementwise(kernel, fast):
+    """Apply a scalar kernel point by point; all-scalar calls stay scalar.
+
+    ``fast`` is the ``math`` function the kernel guards, which equals it
+    wherever it returns: it is mapped first, in C.  When some point raises
+    (a domain error or an overflow), the kernel maps every point again in
+    row order, so the values and the first error are the kernel's.
+    """
 
     def apply(*args):
         if not _has_array(*args):
             return kernel(*args)
         cols = np.broadcast_arrays(*args)
         lists = [c.ravel().tolist() for c in cols]
-        values = np.fromiter(map(kernel, *lists), float, count=cols[0].size)
+        size = cols[0].size
+        try:
+            values = np.fromiter(map(fast, *lists), float, count=size)
+        except (ValueError, OverflowError):
+            values = np.fromiter(map(kernel, *lists), float, count=size)
         return values.reshape(cols[0].shape)
 
     return apply
@@ -454,15 +466,15 @@ def _array_norm(*args):
 
 _ARRAY_NAMESPACE = {
     **_CODEGEN_NAMESPACE,
-    "_pow": _elementwise(_pow),
+    "_pow": _elementwise(_pow, math.pow),
     "_div": _array_div,
-    "_fn_exp": _elementwise(_exp),
-    "_fn_log": _elementwise(_log),
+    "_fn_exp": _elementwise(_exp, math.exp),
+    "_fn_log": _elementwise(_log, math.log),
     "_fn_sqrt": _array_sqrt,
     "_fn_sign": _array_sign,
     "_fn_min": _array_min,
     "_fn_max": _array_max,
-    "_fn_pow": _elementwise(_pow),
+    "_fn_pow": _elementwise(_pow, math.pow),
     "_fn_norm": _array_norm,
 }
 

@@ -140,6 +140,75 @@ def _trajectory_specs(sys, t0s, radius, budget, u_modes, indices):
                {"index": i, "strategy": strategy})
 
 
+def _random_table(dpol, box, lo, span, axes, N):
+    """The ``(N, m)`` table of N successive ``dpol._draw(box, lo, span,
+    axes)`` rows, bit for bit, leaving the generator in the same state.
+
+    A PCG64 generator's table is decoded from one ``random_raw`` call, since
+    every draw a row makes reads the same stream of 64-bit raws (O'Neill,
+    "PCG", HMC-CS-2014-0905):
+
+    - ``random()`` is ``(raw >> 11) * 2**-53``, so the mixed mode's coin
+      ``random() < 0.5`` picks a corner iff the raw's top bit is 0;
+    - ``integers(0, 2)`` is ``u32 >> 31`` (numpy's Lemire draw on a range
+      of two), where a 32-bit word is the generator's buffered one when its
+      state has ``has_uint32``, else the low half of a fresh raw, whose
+      high half is then buffered.
+
+    The raws not used are given back with ``advance`` and the buffer is
+    written back to the state.  Any other bit generator draws row by row.
+    """
+    bits = dpol.rng.bit_generator
+    if type(bits) is not np.random.PCG64:
+        return [dpol._draw(box, lo, span, axes) for _ in range(N)]
+    m, mode = axes.shape[0], dpol.mode
+    state = bits.state
+    K = N * (1 + m)  # no row reads more than a coin and m raws
+    raw = bits.random_raw(K)
+    # 32-bit words: [the buffered word, low(raw 0), high(raw 0), low(raw 1), ...]
+    words = np.empty(2 * K + 1, dtype=np.uint64)
+    words[0] = state["uinteger"]
+    words[1::2] = raw & 0xFFFFFFFF
+    words[2::2] = raw >> 32
+    coins = (raw >> 63).tolist() if mode == "mixed" else None
+    pos, buffered, word = 0, state["has_uint32"], 0  # word: the state's uinteger
+    interior, interior_at, corner, corner_at, corner_buffered = [], [], [], [], []
+    for i in range(N):
+        if mode == "mixed":
+            inside = coins[pos]
+            pos += 1
+        else:
+            inside = mode == "interior"
+        if inside:
+            interior.append(i)
+            interior_at.append(pos)
+            pos += m
+            continue
+        corner.append(i)
+        corner_at.append((word, 2 * pos + 1))
+        corner_buffered.append(buffered)
+        fresh = m - buffered  # words this row takes from fresh raws
+        if fresh:
+            pos += (fresh + 1) // 2
+            word = 2 * pos  # the high half of the last raw taken
+        buffered = fresh & 1
+    table = np.empty((N, m))
+    if interior:
+        at = np.array(interior_at)[:, None] + axes
+        table[interior] = lo + span * ((raw[at] >> 11).astype(float) * 2.0 ** -53)
+    if corner:
+        at = np.array(corner_at)
+        buf = np.array(corner_buffered)[:, None]
+        idx = np.where((axes == 0) & (buf == 1), at[:, :1], at[:, 1:] + axes - buf)
+        table[corner] = box[axes, (words[idx] >> 31).astype(np.intp)]
+    unused = K - pos
+    bits.advance(2 ** 128 - unused)  # back to the first raw not used
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = buffered, int(words[word])
+    bits.state = state
+    return table
+
+
 def _roll(sys, specs, horizon):
     """Roll a block of ``_trajectory_specs`` in lock-step; trajectory j equals
     ``simulate(sys, t0, x0, dpol, upol, horizon, meta=meta)`` of spec j bit
@@ -147,12 +216,12 @@ def _roll(sys, specs, horizon):
 
     Only the policy kinds the search builds are rolled.  Zero, constant and
     sequence inputs and corner and random disturbances do not read the
-    state, so their (B, N, .) tables are filled before the first step, each
-    random row drawing from its own generator N times, as ``simulate`` calls
-    it.  Each step then makes one ``H_rows``, one ``h_rows`` and one
-    ``f_rows`` call over the block, and scores the candidate successors of
-    every greedy row in one more ``f_rows`` and ``H_rows`` call.  Any other
-    policy kind raises TypeError.
+    state, so their (B, N, .) tables are filled before the first step, a
+    random row's equal to the N draws ``simulate`` makes from its generator
+    (:func:`_random_table`).  Each step then makes one ``H_rows``, one
+    ``h_rows`` and one ``f_rows`` call over the block, and scores the
+    candidate successors of every greedy row in one more ``f_rows`` and
+    ``H_rows`` call.  Any other policy kind raises TypeError.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -180,7 +249,7 @@ def _roll(sys, specs, horizon):
         if type(dpol) is ConstantDisturbance:
             D[j] = dpol.value
         elif type(dpol) is RandomDisturbance:
-            D[j] = [dpol._draw(box, lo, span, axes) for _ in range(N)]
+            D[j] = _random_table(dpol, box, lo, span, axes, N)
         elif type(dpol) is GreedyDisturbance:
             greedy.append(j)
         else:
@@ -425,24 +494,36 @@ def check_ios_estimate(batch: Sequence[Trajectory], sigma: KLEnvelope,
         raise ValueError("max form needs rho and gamma")
     if form == "sup" and (zeta is None or delta is None):
         raise ValueError("sup form needs zeta and delta")
-    bounds_per_traj = []
-    for traj in batch:
-        n_rows = len(traj)
-        decay = sigma.decay_series(beta(traj.t0) * vecnorm(traj.x0), n_rows)
-        bounds = np.empty(n_rows)
-        run = -math.inf
-        for i in range(n_rows):
-            tau = float(traj.t[i])
-            nu = vecnorm(traj.u[i]) if traj.u.shape[1] else 0.0
-            if form == "max":
-                fresh = sigma(beta(tau) * rho(gamma(tau) * nu), 0)
-                run = fresh if i == 0 else max(run * sigma.g, fresh)
-            else:
-                fresh = zeta(delta(tau) * nu)
-                run = fresh if i == 0 else max(run, fresh)
-            bounds[i] = max(decay[i], run)
-        bounds_per_traj.append(bounds)
-    return _row_check(form, bounds_per_traj, batch, tol)
+    bounds = [_ios_bounds(traj, sigma, beta, rho, gamma, form, zeta, delta)
+              for traj in batch]
+    return _row_check(form, bounds, batch, tol)
+
+
+def _ios_bounds(traj, sigma, beta, rho, gamma, form, zeta, delta):
+    """The input-to-output bound at every row of ``traj``.
+
+    The fresh input terms of all rows are one array call per gain
+    (``values``); only the running-term recurrence is a loop, over plain
+    floats.  A NaN fresh term wins the running term and a NaN running term
+    the row's bound, so a NaN input fails the check.
+    """
+    tau = traj.t.astype(float)
+    nu = row_norms(traj.u)
+    if form == "max":
+        lead = beta.values(tau) * rho.values(gamma.values(tau) * nu)
+        fresh = ((float(sigma.C) * lead).tolist() if sigma.fn is None  # sigma(s, 0)
+                 else [sigma(s, 0) for s in lead.tolist()])
+        g = sigma.g
+    else:
+        fresh = zeta.values(delta.values(tau) * nu).tolist()
+        g = 1.0
+    runs = fresh[:1]
+    for f in fresh[1:]:
+        run = runs[-1] * g
+        runs.append(f if f > run or f != f else run)  # max(run, f); NaN f wins
+    run = np.array(runs, dtype=float)
+    decay = sigma.decay_series(beta(traj.t0) * vecnorm(traj.x0), len(traj))
+    return np.where((run > decay) | np.isnan(run), run, decay)
 
 
 def build_small_input_system(sys: SystemDef, p: TimeGain, theta: KFn) -> SystemDef:

@@ -134,6 +134,51 @@ def test_domain_error_raised_iff_some_point_raises():
         fn(0.0, np.array([[1.0, 2.0], [3.0, 0.0]]), None, None, {})
 
 
+def guarded_rows(node, X):
+    """The compiled (guarded-kernel) value at each row, in row order; the
+    first row that raises raises."""
+    fn = node.compiled()
+    return np.array([fn(0.0, row, None, None, {}) for row in X])
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("x1^1000", [[2.0], [1e10], [-1e10], [0.5], [-3.0]]),
+    ("x1^x2", [[1.5, 2.0], [1e10, 1001.0], [-1e10, 1001.0], [7.0, 0.5]]),
+    ("exp(x1)", [[1.0], [800.0], [-1e4], [709.0], [710.0]]),
+    ("pow(x1, x2) + exp(x2)", [[0.0, 0.0], [3.0, 800.0], [1e300, 2.0]]),
+])
+def test_math_map_overflow_mid_array_equals_guarded_loop(text, rows):
+    node = parse_expression(text, Dims(n=2))
+    X = np.array(rows)
+    X = np.hstack([X, np.ones((X.shape[0], 2 - X.shape[1]))])
+    want = guarded_rows(node, X)
+    got = node.batched()(0.0, X.T, None, None, {})
+    assert np.isinf(want).any()
+    assert all(same_bits(float(g), float(w)) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("text, rows, message", [
+    ("x1^0.5", [[4.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.0, 0.0]],
+     "negative base with non-integer exponent"),
+    ("log(x1)", [[1.0, 0.0], [2.5, 0.0], [0.0, 0.0], [-1.0, 0.0]],
+     "log of a non-positive number"),
+    ("x1^x2", [[2.0, -1.0], [0.0, -1.0], [-8.0, 0.5]],
+     "zero raised to a negative power"),
+    ("x1^x2", [[2.0, -1.0], [-8.0, 0.5], [0.0, -1.0]],
+     "negative base with non-integer exponent"),
+    ("exp(x1) + log(x2)", [[800.0, 1.0], [1.0, -0.0], [1.0, 1.0]],
+     "log of a non-positive number"),
+])
+def test_math_map_domain_error_is_the_first_failing_rows(text, rows, message):
+    node = parse_expression(text, Dims(n=2))
+    X = np.array(rows)
+    with pytest.raises(ExprDomainError) as scalar:
+        guarded_rows(node, X)
+    with pytest.raises(ExprDomainError) as batched:
+        node.batched()(0.0, X.T, None, None, {})
+    assert str(batched.value) == str(scalar.value) == message
+
+
 def test_row_norms_match_vecnorm():
     rng = np.random.default_rng(5)
     for n in range(1, 9):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 
+from dtstab.certify import LyapunovCandidate, tau_bound
+
 from dtstab.comparison import (ClassGrid, KFn, KLEnvelope, check_domination,
                                constant, fit_kl_envelope, geometric, identity,
                                kfn_from_expr, linear, power_fn, sup_f_sampler,
@@ -91,6 +93,26 @@ class TestKFn:
         f = power_fn(0.5, 2.0)
         assert f(4.0) == 4.0
         assert abs(f.inverse(4.0) - 4.0) < 1e-12
+
+
+    def test_inverse_of_nan_is_nan(self):
+        # bisection used to shrink toward 0 and return 6.2e-61
+        for f in (kfn_from_expr("s^2"), kfn_from_expr("s + sqrt(s)"),
+                  linear(0.25), power_fn(0.5, 2.0), identity()):
+            assert math.isnan(f.inverse(math.nan))
+        assert kfn_from_expr("s^2").inverse(4.0) == 2.0
+
+    def test_nan_on_the_tau_bound_right_hand_side_is_unbounded(self):
+        # q is finite on every tail tau_bound's scan reads and NaN (0*inf)
+        # from t = 4210 on, inside the tail behind its denominator
+        q = timegain_from_expr("0.5^t + 0*exp(t - 3500)", decays=True)
+        assert not math.isnan(q.sup_tail(0)) and math.isnan(q.sup_tail(200))
+        cand = LyapunovCandidate(V="x1^2 + x2^2", n=2, a1=identity(),
+                                 a2=identity(), beta=constant(1.0),
+                                 a3=kfn_from_expr("s^2"), q=q)
+        res = tau_bound(cand, 1.0, 200, 1.0)
+        assert res.unbounded and res.tau is None
+        assert "num/den not finite" in res.notes
 
 
 class TestKLEnvelope:

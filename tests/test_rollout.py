@@ -284,6 +284,92 @@ def test_random_draw_form_equals_generator_uniform():
         assert pol.rng.bit_generator.state == twin.bit_generator.state
 
 
+# --- random tables decoded from one raw draw ---
+
+TABLE_BOXES = {1: [[-2.0, 2.0]], 2: [[-2.0, 2.0], [-1.0, 1.5]],
+               3: [[0.1, 0.3], [-1e-3, 7.5], [-1.0, 1.0]]}
+
+
+def draws_and_table(make, box, N, buffered):
+    """(N successive ``_draw`` rows, ``_random_table`` of a twin policy) and
+    the two policies; with ``buffered`` both first leave a 32-bit half in
+    their generator's buffer."""
+    box = np.asarray(box)
+    lo, span, axes = box[:, 0], box[:, 1] - box[:, 0], np.arange(box.shape[0])
+    rowwise, decoded = make(), make()
+    if buffered:
+        rowwise.rng.integers(0, 2)
+        decoded.rng.integers(0, 2)
+    want = np.array([rowwise._draw(box, lo, span, axes) for _ in range(N)])
+    got = np.asarray(stability._random_table(decoded, box, lo, span, axes, N))
+    return want, got, rowwise, decoded
+
+
+def same_state(a, b):
+    """Generator states equal field for field (Philox's holds arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def assert_same_generators(a, b):
+    assert same_state(a.bit_generator.state, b.bit_generator.state)
+    assert a.random() == b.random()
+    assert np.array_equal(a.integers(0, 2, size=3), b.integers(0, 2, size=3))
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("mode", ["interior", "corner", "mixed"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_random_table_equals_successive_draws(mode, m):
+    for seed in range(20):
+        for N in (1, 7, 201):
+            for buffered in (False, True):
+                want, got, a, b = draws_and_table(
+                    lambda: RandomDisturbance(seed=seed, mode=mode),
+                    TABLE_BOXES[m], N, buffered)
+                assert got.shape == want.shape == (N, m)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                assert_same_generators(a.rng, b.rng)
+
+
+@pytest.mark.parametrize("mode", ["interior", "corner", "mixed"])
+def test_random_table_of_other_bit_generators_draws_row_by_row(mode, monkeypatch):
+    calls = []
+    draw = RandomDisturbance._draw
+
+    def counted(self, *args):
+        calls.append(self)
+        return draw(self, *args)
+
+    monkeypatch.setattr(RandomDisturbance, "_draw", counted)
+    want, got, a, b = draws_and_table(
+        lambda: RandomDisturbance(seed=np.random.Generator(np.random.Philox(9)),
+                                  mode=mode),
+        TABLE_BOXES[2], 57, True)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert calls.count(b) == 57  # the table went through _draw
+    assert_same_generators(a.rng, b.rng)
+
+
+def test_search_decodes_random_tables_without_per_row_draws(batched_only):
+    def refuse(self, *args):
+        raise AssertionError("per-row draw on a PCG64 generator")
+
+    budget = FalsifyBudget(max_trajectories=12, horizon=30, seed=11)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RandomDisturbance, "_draw", refuse)
+        got = list(search_trajectories(B34.sys, (0, 2), 1.5, budget,
+                                       ("zero", "constant", "random")))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "simulate", simulate)
+        want = reference(B34.sys, (0, 2), 1.5, budget,
+                         ("zero", "constant", "random"))
+    assert sum(g.meta["strategy"] == "random" for g in got) == 6
+    for a, b in zip(got, want, strict=True):
+        assert_same(a, b)
+
+
 # --- errors surface after the same yields ---
 
 def test_domain_error_after_not_attained_still_reports():

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dtstab.comparison import (KLEnvelope, constant, identity, kfn_from_expr,
-                               linear, check_domination, sup_f_sampler)
+import dtstab.stability as stability
+from dtstab.comparison import (KFn, KLEnvelope, TimeGain, check_domination,
+                               constant, geometric, identity, kfn_from_expr,
+                               linear, power_fn, sup_f_sampler,
+                               timegain_from_expr)
 from dtstab.registry import example_2_3, example_3_4, example_4_7
 from dtstab.stability import (FalsifyBudget, adversarial_batch,
                               build_small_input_system, check_ios_estimate,
@@ -12,7 +15,8 @@ from dtstab.stability import (FalsifyBudget, adversarial_batch,
 from dtstab.stability import test_output_attractivity as search_attractivity
 from dtstab.stability import test_output_stability as search_stability
 from dtstab.system import (ConstantDisturbance, ConstantInput,
-                           SampleConfig, SystemDef, simulate, vecnorm)
+                           SampleConfig, SystemDef, Trajectory, simulate,
+                           vecnorm)
 
 B23 = example_2_3()
 B34 = example_3_4()
@@ -156,6 +160,20 @@ class TestIOSEstimate:
                                  delta=constant(1.0))
         assert not rep.passed
 
+    def test_nan_input_fails(self):
+        # a NaN fresh term wins the running term and the row's bound, which
+        # Python max (keeping its finite first argument) passed over
+        Y = np.array([[1.0], [0.5], [0.25], [0.1]])
+        traj = Trajectory(t0=0, t=np.arange(4),
+                          x=np.array([[1.0], [0.0], [0.0], [0.0]]),
+                          d=np.zeros((4, 0)),
+                          u=np.array([[0.0], [math.nan], [0.0], [0.0]]), Y=Y, y=Y)
+        rep = check_ios_estimate([traj], KLEnvelope(2, 0.5), rho=identity(),
+                                 gamma=constant(1.0))
+        assert not rep.passed
+        assert math.isnan(rep.worst_margin)
+        assert rep.witness["t"] == 1
+
     def test_sup_form_with_adequate_gain_passes(self):
         c = B34.sigma.c
         gain = 2.0 * math.exp(2 * c) / (math.exp(c) - 1.0)
@@ -165,6 +183,93 @@ class TestIOSEstimate:
                                  form="sup", zeta=linear(gain),
                                  delta=constant(1.0))
         assert rep.passed
+
+
+def loop_ios_bounds(traj, sigma, beta, rho=None, gamma=None, form="max",
+                    zeta=None, delta=None):
+    """``check_ios_estimate``'s bounds as its per-row loop computed them
+    before the rows became arrays (finite inputs; Python ``max`` passes over
+    a NaN fresh term, which the array form no longer does)."""
+    n_rows = len(traj)
+    decay = sigma.decay_series(beta(traj.t0) * vecnorm(traj.x0), n_rows)
+    bounds = np.empty(n_rows)
+    run = -math.inf
+    for i in range(n_rows):
+        tau = float(traj.t[i])
+        nu = vecnorm(traj.u[i]) if traj.u.shape[1] else 0.0
+        if form == "max":
+            fresh = sigma(beta(tau) * rho(gamma(tau) * nu), 0)
+            run = fresh if i == 0 else max(run * sigma.g, fresh)
+        else:
+            fresh = zeta(delta(tau) * nu)
+            run = fresh if i == 0 else max(run, fresh)
+        bounds[i] = max(decay[i], run)
+    return bounds
+
+
+TWO_INPUTS = SystemDef(n=2, m=1, k=2, d_box=[[-0.5, 0.5]],
+                       f=["0.6*x1 + 0.2*d1*x2 + u1", "0.5*x2 - 0.1*x1 + u2*u1/4"],
+                       H=["x1", "x2"])
+# each gain with its formula and as a bare callable (evaluated per element)
+EXPR_GAINS = dict(beta=timegain_from_expr("1 + 2^(-t)"),
+                  gamma=geometric(1.5, 0.9), rho=kfn_from_expr("s + s^1.5"),
+                  delta=timegain_from_expr("1 + 1/(t + 2)"),
+                  zeta=power_fn(1.2, 4.0))
+NATIVE_GAINS = dict(beta=TimeGain(lambda t: 1 + 2.0 ** -t),
+                    gamma=TimeGain(lambda t: 1.5 * 0.9 ** t),
+                    rho=KFn(lambda s: s + s ** 1.5),
+                    delta=TimeGain(lambda t: 1 + 1 / (t + 2)),
+                    zeta=KFn(lambda s: 4.0 * s ** 1.2))
+ENVELOPES = {"closed": KLEnvelope(3.0, 0.4),
+             "fn": KLEnvelope(3.0, 0.4,
+                              fn=lambda s, t: 2.0 * s * (1.0 + s) / (1.0 + t))}
+
+
+class TestIOSBoundsMatchLoop:
+    """The array bounds equal the per-row loop's bit for bit, and so do the
+    reports built from them."""
+
+    @pytest.mark.parametrize("form", ["max", "sup"])
+    @pytest.mark.parametrize("gains", [EXPR_GAINS, NATIVE_GAINS],
+                             ids=["expr", "native"])
+    @pytest.mark.parametrize("envelope", sorted(ENVELOPES))
+    @pytest.mark.parametrize("sys", [B23.sys, B34.sys, TWO_INPUTS],
+                             ids=["k0", "k1", "k2"])
+    def test_bounds_and_report(self, form, gains, envelope, sys):
+        sigma = ENVELOPES[envelope]
+        budget = FalsifyBudget(max_trajectories=12, horizon=25, seed=3, u_cap=2.0)
+        batch = adversarial_batch(sys, (0, 4, 9), 1.0, budget,
+                                  u_modes=("zero", "constant", "random"))
+        assert {traj.t0 for traj in batch} == {0, 4, 9}
+        if form == "max":
+            kw = dict(rho=gains["rho"], gamma=gains["gamma"])
+        else:
+            kw = dict(zeta=gains["zeta"], delta=gains["delta"])
+        want = [loop_ios_bounds(traj, sigma, gains["beta"], form=form, **kw)
+                for traj in batch]
+        for traj, ref in zip(batch, want):
+            got = stability._ios_bounds(traj, sigma, gains["beta"], kw.get("rho"),
+                                        kw.get("gamma"), form, kw.get("zeta"),
+                                        kw.get("delta"))
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        for tol in (1e-9, 0.0):
+            rep = check_ios_estimate(batch, sigma, gains["beta"], form=form,
+                                     tol=tol, **kw)
+            ref = stability._row_check(form, want, batch, tol)
+            assert rep == ref
+
+    def test_undersized_gain_fails_at_the_same_row(self):
+        batch = adversarial_batch(B34.sys, (0, 2), 1.0,
+                                  FalsifyBudget(max_trajectories=16, horizon=30),
+                                  u_modes=("constant", "random"))
+        small = KLEnvelope(0.05, 0.4)
+        rep = check_ios_estimate(batch, small, constant(1.0), linear(0.01),
+                                 constant(1.0))
+        want = [loop_ios_bounds(traj, small, constant(1.0), linear(0.01),
+                                constant(1.0)) for traj in batch]
+        assert not rep.passed
+        assert rep == stability._row_check("max", want, batch, 1e-9)
 
 
 class TestSmallInputSystem:
