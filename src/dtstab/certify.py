@@ -172,8 +172,8 @@ def check_sandwich(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
         V = cand.V_rows(t, xs)
         nY = row_norms(sys.H_rows(t, xs))
         lo_arg = nY + cand.mu(t) * nx if cand.mu is not None else nY
-        lo_lhs = np.array([cand.a1(s) for s in lo_arg])
-        hi_rhs = np.array([cand.a2(s) for s in bt * nx])
+        lo_lhs = cand.a1.values(lo_arg)
+        hi_rhs = cand.a2.values(bt * nx)
         lo.add(lo_lhs - V, V, witness(t, lo_lhs, V))
         hi.add(V - hi_rhs, hi_rhs, witness(t, V, hi_rhs))
     lo_v, hi_v = lo.verdict(tol), hi.verdict(tol)
@@ -187,7 +187,12 @@ def check_sandwich(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
 
 def _sup_decrease(sys, cand, grid, rhs_fn, dvals, check_name, tol,
                   u_values=None):
-    """Shared kernel: sup_d V(t+1, f(t,d,x,u)) <= rhs(t, x, V, u) pointwise."""
+    """Shared kernel: sup_d V(t+1, f(t,d,x,u)) <= rhs(t, V, us) pointwise.
+
+    ``rhs_fn(t, V0, us)`` gets the V values of the grid's states and the
+    input rows, and returns the right-hand sides as an array broadcastable
+    to (states, inputs).
+    """
     us = np.zeros((1, 0)) if u_values is None else u_values
     _require_grid(grid)  # sampled_sup checks d, u
     xs = grid.xs
@@ -197,8 +202,7 @@ def _sup_decrease(sys, cand, grid, rhs_fn, dvals, check_name, tol,
         V0 = cand.V_rows(t, xs)
         sup_v, arg_d = sampled_sup(sys, t, sets,
                                    lambda F, idx: cand.V_rows(t + 1, F), keep=2)
-        rhs = np.array([[rhs_fn(t, x, v0, u) for u in us]
-                        for x, v0 in zip(xs, V0)], dtype=float)
+        rhs = np.broadcast_to(rhs_fn(t, V0, us), sup_v.shape)
 
         def witness(i):
             xi, ui = divmod(i, len(us))
@@ -223,7 +227,7 @@ def check_contraction(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
     dvals = _d_values(sys, d_values, sample_cfg, seed)
     lam = cand.lam
     return _sup_decrease(sys, cand, grid,
-                         lambda t, x, V0, u: lam * V0, dvals,
+                         lambda t, V0, us: (lam * V0)[:, None], dvals,
                          "contraction", tol)
 
 
@@ -242,8 +246,8 @@ def check_relaxed_decrease(sys: SystemDef, cand: LyapunovCandidate,
     dvals = _d_values(sys, d_values, sample_cfg, seed)
     a3, q = cand.a3, cand.q
     return _sup_decrease(sys, cand, grid,
-                         lambda t, x, V0, u: V0 - a3(V0) + q(t), dvals,
-                         "relaxed-decrease", tol)
+                         lambda t, V0, us: (V0 - a3.values(V0) + q(t))[:, None],
+                         dvals, "relaxed-decrease", tol)
 
 
 def check_ios_decrease(sys: SystemDef, cand: LyapunovCandidate,
@@ -260,8 +264,9 @@ def check_ios_decrease(sys: SystemDef, cand: LyapunovCandidate,
     lam, a3, phi = cand.lam, cand.a3, cand.phi
     return _sup_decrease(
         sys, cand, grid,
-        lambda t, x, V0, u: lam * V0 + a3(phi(t) * vecnorm(u)), dvals,
-        "ios-decrease", tol, u_values=u_values)
+        lambda t, V0, us: (lam * V0[:, None]
+                           + a3.values(phi(t) * row_norms(us))[None, :]),
+        dvals, "ios-decrease", tol, u_values=u_values)
 
 
 # --- attainment-time formula ---

@@ -166,16 +166,29 @@ def _sign(a):
     return 0.0
 
 
+# Squares of entries below _DOT_SAFE_ABS are below 1e300, and fewer than
+# _DOT_SAFE_LEN of them sum below the float range, so their dot cannot
+# overflow; any other vector pays for np.errstate.
+_DOT_SAFE_ABS = 1e150
+_DOT_SAFE_LEN = 10 ** 8
+
+
 def vecnorm(v) -> float:
     """Euclidean norm with an exact fast path for scalars.
 
     ``np.linalg.norm`` of a vector is ``sqrt(x.dot(x))`` on the flattened
     array; this runs the same dot kernel without its call overhead.  The
-    flattened array is contiguous: a strided dot sums in another order.
+    flattened array is contiguous: a strided dot sums in another order.  A
+    dot past the float range is inf, without a warning.
     """
     v = np.asarray(v, dtype=float).ravel()
     if v.shape[0] == 1:
         return abs(float(v[0]))
+    vals = v.tolist()
+    if vals and not (len(vals) < _DOT_SAFE_LEN
+                     and -_DOT_SAFE_ABS < min(vals) <= max(vals) < _DOT_SAFE_ABS):
+        with np.errstate(over="ignore"):  # the dot may overflow to inf
+            return math.sqrt(v.dot(v))
     return math.sqrt(v.dot(v))
 
 
@@ -184,12 +197,14 @@ def row_norms(rows) -> np.ndarray:
 
     ``np.linalg.norm`` of a vector is ``sqrt(x.dot(x))``; ``np.vecdot`` runs
     the same dot kernel on each contiguous row (``np.linalg.norm(axis=1)``
-    sums differently and does not match).
+    sums differently and does not match).  A dot past the float range is
+    inf, without a warning.
     """
     rows = np.ascontiguousarray(rows, dtype=float)
     if rows.shape[1] == 1:
         return np.abs(rows[:, 0])
-    return np.sqrt(np.vecdot(rows, rows))
+    with np.errstate(over="ignore"):  # a row's dot may overflow to inf
+        return np.sqrt(np.vecdot(rows, rows))
 
 
 def _norm(*args):

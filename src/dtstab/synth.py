@@ -19,8 +19,9 @@ import numpy as np
 
 from .certify import CertificateReport
 from .expr import Dims, Var, parse_expression
-from .system import (FAIL, PASS, DisturbancePolicy, InputPolicy, SystemDef,
-                     WorstMargin, as_feedback, require_samples, simulate)
+from .system import (FAIL, PASS, _EMPTY, DisturbancePolicy, InputPolicy,
+                     StateFeedback, SystemDef, WorstMargin, as_feedback,
+                     require_samples, simulate)
 
 __all__ = [
     "ChainResult", "iterate_maps",
@@ -74,15 +75,15 @@ class ReconstructionMap:
         if p < 1:
             raise ValueError("p must be >= 1")
         self.p = p
-        self.text = None
+        self.text = self.expr = None
         if callable(psi):
             self._psi = psi
             self.name = name or getattr(psi, "__name__", "psi")
         else:
             aux = frozenset({f"y{i}" for i in range(p + 1)}
                             | {f"u{i}" for i in range(p)})
-            fn = parse_expression(psi, Dims(aux=aux)).compiled()
-            empty = np.zeros(0)
+            self.expr = parse_expression(psi, Dims(aux=aux))
+            fn = self.expr.compiled()
 
             def from_expr(t, y_p, y_hist, u_hist):
                 env = {f"y{i}": float(np.asarray(y_hist[i]).reshape(-1)[0])
@@ -90,7 +91,7 @@ class ReconstructionMap:
                 env[f"y{p}"] = float(np.asarray(y_p).reshape(-1)[0])
                 env.update({f"u{i}": float(np.asarray(u_hist[i]).reshape(-1)[0])
                             for i in range(p)})
-                return np.array([fn(float(t), empty, empty, empty, env)])
+                return np.array([fn(float(t), _EMPTY, _EMPTY, _EMPTY, env)])
 
             self._psi = from_expr
             self.text = psi
@@ -100,6 +101,23 @@ class ReconstructionMap:
         return np.asarray(self._psi(float(t), y_p, y_hist, u_hist),
                           dtype=float).reshape(-1)
 
+    def rows(self, t, Y, U) -> np.ndarray:
+        """Psi over N windows: ``t`` the N times, ``Y`` the (N, p+1, p_y)
+        outputs y_0 .. y_p and ``U`` the (N, p, k) inputs, oldest first.
+        Row i equals the call on window i bit for bit (NaN signs aside): an
+        expression is one array call, a native map is called window by
+        window in order."""
+        t = np.asarray(t, dtype=float)
+        p = self.p
+        if self.expr is None:
+            return np.array([self(ti, Yi[p], list(Yi[:p]), list(Ui))
+                             for ti, Yi, Ui in zip(t.tolist(), Y, U)])
+        aux = {f"y{i}": Y[:, i, 0] for i in range(p + 1)}
+        aux.update({f"u{i}": U[:, i, 0] for i in range(p)})
+        out = np.empty((t.shape[0], 1))
+        out[:, 0] = self.expr.batched()(t, _EMPTY, _EMPTY, _EMPTY, aux)  # or a float
+        return out
+
 
 def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
                          n_samples: int = 1000, ts=range(0, 11),
@@ -107,7 +125,13 @@ def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
     """Sampled check of k(t+p, F_p(...)) == Psi(t+p, y_p, y-window, u-window),
     p = psi.p, at the zero window of every t and then random windows up to
     n_samples in all, states and inputs uniform in [-SAMPLE_RADIUS,
-    SAMPLE_RADIUS].  A pass is "no violation found at these samples"."""
+    SAMPLE_RADIUS].  A pass is "no violation found at these samples".
+
+    The p-step chains of all samples run as arrays (:meth:`SystemDef.f_rows`
+    and ``h_rows`` at per-sample times), as do an expression feedback k and
+    an expression Psi; a native policy or Psi is called sample by sample, in
+    sample order.  Each value equals :func:`iterate_maps` and the pointwise
+    calls bit for bit (NaN signs aside)."""
     p = psi.p
     target = as_feedback(k_fn, sys.n)
     rng = np.random.default_rng(seed)
@@ -122,14 +146,24 @@ def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
         d_seq = rng.uniform(sys.d_box[:, 0], sys.d_box[:, 1], size=(p, sys.m))
         u_seq = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, size=(p, sys.k))
         spots.append((t, x, d_seq, u_seq))
-    lhs, rhs = [], []
-    for t, x, d_seq, u_seq in spots:
-        res = iterate_maps(sys, p, t, x, d_seq, u_seq)
-        lhs.append(target(sys, t + p, res.F_p))
-        rhs.append(psi(t + p, res.y_p, res.y_hist, list(u_seq)))
+    require_samples(len(spots), "reconstruction samples")
+    T = np.array([spot[0] for spot in spots])
+    D = np.array([spot[2] for spot in spots])  # (N, p, m)
+    U = np.array([spot[3] for spot in spots])  # (N, p, k)
+    Y = np.empty((len(spots), p + 1, sys.p_y))  # y_0 .. y_p
+    F = np.array([spot[1] for spot in spots])
+    for i in range(p):
+        Y[:, i] = sys.h_rows(T + i, F)
+        F = sys.f_rows(T + i, F, D[:, i], U[:, i])
+    Y[:, p] = sys.h_rows(T + p, F)
+    if isinstance(target, StateFeedback) and target.exprs is not None:
+        lhs = target._map.rows(T + p, F)
+    else:
+        lhs = np.array([target(sys, t, x) for t, x in zip((T + p).tolist(), F)],
+                       dtype=float).reshape(len(spots), -1)
+    rhs = psi.rows(T + p, Y, U)
     worst = WorstMargin("reconstruction samples")
-    worst.add([_max_abs(a - b) for a, b in zip(lhs, rhs)],
-              [_max_abs(b) for b in rhs],
+    worst.add(_max_abs_rows(lhs - rhs), _max_abs_rows(rhs),
               lambda i: {"t": spots[i][0], "x": spots[i][1].tolist(),
                          "d_seq": spots[i][2].tolist(),
                          "u_seq": spots[i][3].tolist(),
@@ -141,6 +175,11 @@ def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
 def _max_abs(v) -> float:
     """Largest |entry| (NaN wins); 0 for an empty input vector."""
     return float(np.max(np.abs(v))) if v.size else 0.0
+
+
+def _max_abs_rows(A) -> np.ndarray:
+    """:func:`_max_abs` of every row of a 2-D array."""
+    return np.max(np.abs(A), axis=1) if A.shape[1] else np.zeros(A.shape[0])
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -12,13 +13,16 @@ from dtstab.certify import (LyapunovCandidate, StateGrid,
                             check_ios_decrease, check_relaxed_decrease,
                             check_rofs_inf_sup, check_sandwich,
                             compose_V_from_U, projection_fiber, tau_bound)
-from dtstab.comparison import (constant, geometric, identity, linear,
-                               timegain_from_expr)
+from dtstab.comparison import (KFn, TimeGain, constant, geometric, identity,
+                               linear, power_fn, timegain_from_expr)
 from dtstab.registry import (LAM_SQRT_PLANT, Q_SQRT_PLANT_C,
-                             Q_SQRT_PLANT_RATIO, example_2_3, example_4_7)
-from dtstab.system import (RandomDisturbance, SystemDef, simulate, vecnorm)
+                             Q_SQRT_PLANT_RATIO, example_2_3, example_3_4,
+                             example_4_7)
+from dtstab.system import (CertificateReport, RandomDisturbance, SystemDef,
+                           WorstMargin, _beats, row_norms, sampled_sup,
+                           simulate, vecnorm)
 
-B23 = example_2_3()
+B23, B34 = example_2_3(), example_3_4()
 D23 = np.array([[-2.0], [-1.0], [0.0], [1.0], [2.0]])
 
 
@@ -467,3 +471,174 @@ class TestToleranceAndWeightedModes:
         rep = check_sandwich(B23.sys, cand, grid23())
         assert not rep.passed
         assert rep.details["lower"]["verdict"] == "fail"
+
+
+# --- array right-hand sides against the per-point loops they replaced ---
+
+def pointwise_sup_decrease(sys, cand, grid, rhs_fn, dvals, check_name,
+                           tol=1e-9, u_values=None):
+    """The decrease kernel as it was: one ``rhs_fn(t, x, V0, u)`` call per
+    point.  Kept as the reference only."""
+    us = np.zeros((1, 0)) if u_values is None else u_values
+    xs = grid.xs
+    sets = (("x", xs), ("u", us), ("d", dvals))
+    worst = WorstMargin("states")
+    for t in grid.ts:
+        V0 = cand.V_rows(t, xs)
+        sup_v, arg_d = sampled_sup(sys, t, sets,
+                                   lambda F, idx: cand.V_rows(t + 1, F), keep=2)
+        rhs = np.array([[rhs_fn(t, x, v0, u) for u in us]
+                        for x, v0 in zip(xs, V0)], dtype=float)
+
+        def witness(i):
+            xi, ui = divmod(i, len(us))
+            return {"t": int(t), "x": xs[xi].tolist(),
+                    "d": dvals[arg_d[xi, ui]].tolist(),
+                    "u": us[ui].tolist() if u_values is not None else None,
+                    "lhs": float(sup_v[xi, ui]), "rhs": float(rhs[xi, ui])}
+
+        worst.add(sup_v - rhs, rhs, witness)
+    return CertificateReport(check_name, worst.verdict(tol), worst.margin,
+                             worst.witness, worst.samples, tol)
+
+
+def pointwise_sandwich(sys, cand, grid, tol=1e-9):
+    """check_sandwich as it was: one a1 and one a2 call per state.  Kept as
+    the reference only."""
+    xs = grid.xs
+    nx = row_norms(xs)
+    lo, hi = WorstMargin("states"), WorstMargin("states")
+
+    def witness(t, lhs, rhs):
+        return lambda i: {"t": int(t), "x": xs[i].tolist(), "d": None,
+                          "u": None, "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+
+    for t in grid.ts:
+        bt = cand.beta(t)
+        V = cand.V_rows(t, xs)
+        nY = row_norms(sys.H_rows(t, xs))
+        lo_arg = nY + cand.mu(t) * nx if cand.mu is not None else nY
+        lo_lhs = np.array([cand.a1(s) for s in lo_arg])
+        hi_rhs = np.array([cand.a2(s) for s in bt * nx])
+        lo.add(lo_lhs - V, V, witness(t, lo_lhs, V))
+        hi.add(V - hi_rhs, hi_rhs, witness(t, V, hi_rhs))
+    lo_v, hi_v = lo.verdict(tol), hi.verdict(tol)
+    order = {"pass": 0, "pass (tolerance)": 1, "fail": 2}
+    side, worst = ("upper", hi) if _beats(hi.margin, lo.margin) else ("lower", lo)
+    return CertificateReport(
+        "sandwich", max(lo_v, hi_v, key=order.__getitem__), worst.margin,
+        dict(worst.witness, side=side), len(grid), tol,
+        details={name: {"verdict": v, "worst_margin": m.margin, "witness": m.witness}
+                 for name, v, m in (("lower", lo_v, lo), ("upper", hi_v, hi))})
+
+
+def dumps(rep):
+    """Exact text of a report: float reprs keep every bit but NaN signs."""
+    return json.dumps(rep.to_json(), sort_keys=True)
+
+
+# V is NaN where |x1| > 100 (inf * 0), as an expression and natively
+NAN_FAR_V = {
+    "expr": "exp(-t)*abs(x1) + abs(x2) + max(abs(x1) - 100, 0)*1e300*1e300*0",
+    "native": lambda t, x: (math.nan if abs(x[0]) > 100.0
+                            else math.exp(-t) * abs(x[0]) + abs(x[1])),
+}
+# the same gains with an expression and as bare lambdas (per-element calls)
+GAINS = {
+    "expr": dict(a1=identity(), a2=linear(1.5), beta=constant(2.0),
+                 mu=geometric(0.5, 0.5), a3=linear(0.1),
+                 q=geometric(0.5, 0.5), phi=constant(2.0), p2=power_fn(2.0)),
+    "lambda": dict(a1=KFn(lambda s: s), a2=KFn(lambda s: 1.5 * s),
+                   beta=TimeGain(lambda t: 2.0),
+                   mu=TimeGain(lambda t: 0.5 * math.pow(0.5, t)),
+                   a3=KFn(lambda s: 0.1 * s),
+                   q=TimeGain(lambda t: 0.5 * math.pow(0.5, t)),
+                   phi=TimeGain(lambda t: 2.0),
+                   p2=KFn(lambda s: 1.0 * math.pow(s, 2.0))),
+}
+FINITE_GRID = StateGrid.from_axes(range(0, 4), [0.0, 1e-3, -2.0, 30.0],
+                                  [0.0, 1.0, -100.0])
+NAN_GRID = StateGrid.from_axes(range(0, 4), [0.0, 1e-3, -2.0, 300.0],
+                               [0.0, 1.0, -100.0])
+US = np.array([[-1.0], [0.0], [0.25], [3.0]])
+
+
+def _pass_fail_cases(reps):
+    """Both a clean verdict and a NaN margin occur among the reports."""
+    margins = [r.worst_margin for r in reps]
+    return any(math.isnan(m) for m in margins) and any(m == m for m in margins)
+
+
+@pytest.mark.parametrize("v_kind", sorted(NAN_FAR_V))
+@pytest.mark.parametrize("gain_kind", sorted(GAINS))
+def test_decrease_reports_equal_pointwise_loops(v_kind, gain_kind):
+    g = GAINS[gain_kind]
+    cand = LyapunovCandidate(V=NAN_FAR_V[v_kind], n=2, lam=0.9, a3=g["a3"],
+                             q=g["q"], phi=g["phi"])
+    ios = LyapunovCandidate(V=NAN_FAR_V[v_kind], n=2, lam=0.9, a3=g["p2"],
+                            phi=g["phi"])
+    lam, a3, q, phi = cand.lam, cand.a3, cand.q, cand.phi
+    reps = []
+    for grid in (FINITE_GRID, NAN_GRID):
+        pairs = [
+            (check_contraction(B23.sys, cand, grid, d_values=D23),
+             pointwise_sup_decrease(B23.sys, cand, grid,
+                                    lambda t, x, V0, u: lam * V0, D23,
+                                    "contraction")),
+            (check_relaxed_decrease(B23.sys, cand, grid, d_values=D23),
+             pointwise_sup_decrease(B23.sys, cand, grid,
+                                    lambda t, x, V0, u: V0 - a3(V0) + q(t),
+                                    D23, "relaxed-decrease")),
+        ]
+        for us in (US, np.vstack([US, [[math.nan]]])):
+            pairs.append((
+                check_ios_decrease(B34.sys, ios, grid, us, d_values=D23),
+                pointwise_sup_decrease(
+                    B34.sys, ios, grid,
+                    lambda t, x, V0, u: lam * V0 + ios.a3(phi(t) * vecnorm(u)),
+                    D23, "ios-decrease", u_values=us)))
+        for got, want in pairs:
+            assert dumps(got) == dumps(want), (grid is NAN_GRID, got.check)
+            reps.append(got)
+    assert _pass_fail_cases(reps)
+
+
+@pytest.mark.parametrize("v_kind", sorted(NAN_FAR_V))
+@pytest.mark.parametrize("gain_kind", sorted(GAINS))
+def test_sandwich_reports_equal_pointwise_loop(v_kind, gain_kind):
+    g = GAINS[gain_kind]
+    reps = []
+    for mu in (None, g["mu"]):
+        cand = LyapunovCandidate(V=NAN_FAR_V[v_kind], n=2, a1=g["a1"],
+                                 a2=g["a2"], beta=g["beta"], mu=mu)
+        for grid in (FINITE_GRID, NAN_GRID):
+            got = check_sandwich(B23.sys, cand, grid)
+            assert dumps(got) == dumps(pointwise_sandwich(B23.sys, cand, grid))
+            reps.append(got)
+    assert _pass_fail_cases(reps)
+
+
+def test_gain_overflow_is_inf_not_an_error():
+    # power_fn's callable raises OverflowError past the float range; its
+    # expression gives inf, which the array bounds now use
+    grid = StateGrid(ts=[0, 1], xs=[[0.0], [0.5], [-1.0], [1e200]])
+    cand = LyapunovCandidate(V=lambda t, x: vecnorm(x), n=1, a1=power_fn(2.0),
+                             a2=identity(), beta=constant(1.0))
+    with pytest.raises(OverflowError):
+        pointwise_sandwich(halving_sys(), cand, grid)
+    rep = check_sandwich(halving_sys(), cand, grid)
+    assert rep.verdict == "fail" and rep.worst_margin == math.inf
+    assert rep.witness == {"t": 0, "x": [1e200], "d": None, "u": None,
+                           "lhs": math.inf, "rhs": 1e200, "side": "lower"}
+    # on the right-hand side of a decrease, inf is a bound no point exceeds
+    sys = SystemDef(n=1, m=0, k=1, d_box=np.zeros((0, 2)),
+                    f=["0.5*x1 + u1"], H=["x1"])
+    ios = LyapunovCandidate(V=lambda t, x: vecnorm(x), n=1, lam=0.5,
+                            a3=power_fn(2.0), phi=constant(1.0))
+    us = np.array([[0.0], [1e200]])
+    with pytest.raises(OverflowError):
+        pointwise_sup_decrease(
+            sys, ios, grid, lambda t, x, V0, u: 0.5 * V0 + ios.a3(vecnorm(u)),
+            np.zeros((1, 0)), "ios-decrease", u_values=us)
+    rep = check_ios_decrease(sys, ios, grid, us)
+    assert rep.passed and rep.samples == 16

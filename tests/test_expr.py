@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dtstab.expr import (
     Bin, Call, Dims, Env, ExprDomainError, ExprNameError, ExprSyntaxError,
-    Neg, Num, Var, eval_expression, parse_expression,
+    Neg, Num, Var, eval_expression, parse_expression, row_norms, vecnorm,
 )
 
 D21 = Dims(n=2, m=1, k=1, aux=frozenset({"y0", "y1", "u0"}))
@@ -210,6 +211,33 @@ def test_compiled_matches_walker_bitwise(expr, t, x1, x2, d1, u1):
         return
     got = expr.compiled()(env.t, env.x, env.d, env.u, dict(env.aux))
     assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def test_norm_past_float_range_is_inf_without_warning():
+    # the dot under norm overflows; np.errstate keeps the RuntimeWarning
+    # (an error under this suite's filterwarnings) from escaping
+    x1 = 4.761481736093476e-245  # 1/x1 = 2.1e244, its square is past 1e308
+    expr = parse_expression("norm(0, 1/x1)", D21)
+    env = Env(t=0.0, x=[x1, 0.0], d=[0.0], u=[0.0],
+              aux={"y0": x1, "y1": 0.0, "u0": 0.0})
+    X = np.array([[x1, 0.0], [0.5, 0.0]])
+    inf_bits = struct.pack("<d", math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert struct.pack("<d", eval_expression(expr, env)) == inf_bits
+        got = expr.compiled()(env.t, env.x, env.d, env.u, dict(env.aux))
+        assert struct.pack("<d", got) == inf_bits
+        col = expr.batched()(0.0, X.T, np.zeros((1, 2)), np.zeros((1, 2)),
+                             dict(env.aux))
+        assert col.tolist() == [math.inf, 2.0]
+        assert struct.pack("<d", vecnorm([0.0, 2.1e244])) == inf_bits
+        assert row_norms(np.array([[0.0, 2.1e244], [3.0, 4.0]])).tolist() == [
+            math.inf, 5.0]
+        # entries past the no-overflow bound take the errstate path: same dot
+        big = np.array([3e151, 4e151])
+        assert vecnorm(big) == math.sqrt(big.dot(big))
+        assert math.isnan(vecnorm([math.nan, 1e200]))  # a leading NaN, no warning
+        assert vecnorm([]) == 0.0
 
 
 def test_round_trip_on_registry_style_strings():

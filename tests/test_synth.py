@@ -1,16 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from dtstab.registry import example_2_3, example_4_7
-from dtstab.synth import (DelayChainController, ReconstructionMap,
-                          build_extended_system, check_reconstruction,
-                          iterate_maps, run_output_feedback,
-                          synthesize_delay_controller)
-from dtstab.system import (ConstantDisturbance, ConstantInput,
-                           GreedyDisturbance, RandomDisturbance, StateFeedback,
-                           SystemDef, closed_loop, simulate)
+from dtstab.synth import (SAMPLE_RADIUS, DelayChainController,
+                          ReconstructionMap, build_extended_system,
+                          check_reconstruction, iterate_maps,
+                          run_output_feedback, synthesize_delay_controller)
+from dtstab.system import (CertificateReport, ConstantDisturbance,
+                           ConstantInput, GreedyDisturbance, InputPolicy,
+                           RandomDisturbance, StateFeedback, SystemDef,
+                           WorstMargin, as_feedback, closed_loop, simulate)
 
 B47 = example_4_7(0.5)
 
@@ -435,3 +437,138 @@ class TestCoincidenceRule:
         i = int(np.argmax(np.abs(traj.u[1:, 0] + traj.x[1:, 1] ** 2))) + 1
         assert w["t"] == traj.t[i] and w["err"] == rep.coincidence_max_err > 0.0
         assert not rep.passed
+
+
+# --- check_reconstruction against the sample loop it replaced ---
+
+def reference_check_reconstruction(sys, k_fn, psi, n_samples=1000,
+                                   ts=range(0, 11), seed=0, tol=0.0):
+    """check_reconstruction as it was: one iterate_maps, one target and one
+    Psi call per sample.  Kept as the reference only."""
+    p = psi.p
+    target = as_feedback(k_fn, sys.n)
+    rng = np.random.default_rng(seed)
+    ts = list(ts)
+    spots = [(int(t), np.zeros(sys.n), np.tile(sys.d_mid(), (p, 1)),
+              np.zeros((p, sys.k))) for t in ts]
+    for _ in range(max(n_samples - len(spots), 0)):
+        t = int(ts[rng.integers(0, len(ts))])
+        x = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, size=sys.n)
+        d_seq = rng.uniform(sys.d_box[:, 0], sys.d_box[:, 1], size=(p, sys.m))
+        u_seq = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, size=(p, sys.k))
+        spots.append((t, x, d_seq, u_seq))
+    lhs, rhs = [], []
+    for t, x, d_seq, u_seq in spots:
+        res = iterate_maps(sys, p, t, x, d_seq, u_seq)
+        lhs.append(target(sys, t + p, res.F_p))
+        rhs.append(psi(t + p, res.y_p, res.y_hist, list(u_seq)))
+
+    def max_abs(v):
+        return float(np.max(np.abs(v))) if v.size else 0.0
+
+    worst = WorstMargin("reconstruction samples")
+    worst.add([max_abs(a - b) for a, b in zip(lhs, rhs)],
+              [max_abs(b) for b in rhs],
+              lambda i: {"t": spots[i][0], "x": spots[i][1].tolist(),
+                         "d_seq": spots[i][2].tolist(),
+                         "u_seq": spots[i][3].tolist(),
+                         "lhs": lhs[i].tolist(), "rhs": rhs[i].tolist()})
+    return CertificateReport("reconstruction", worst.verdict(tol), worst.margin,
+                             worst.witness, worst.samples, tol)
+
+
+def native_psi(psi):
+    """The same Psi as a native callable: called window by window."""
+    return ReconstructionMap(lambda t, y_p, ys, us: psi(t, y_p, ys, us), p=psi.p)
+
+
+class _NativeTarget(InputPolicy):
+    def __init__(self, fb):
+        self.fb = fb
+
+    def __call__(self, sys, t, x):
+        return self.fb(sys, t, x)
+
+
+def native_system(sys):
+    """``sys`` with closure maps, so f_rows and h_rows go row by row."""
+    return SystemDef(n=sys.n, m=sys.m, k=sys.k, d_box=sys.d_box,
+                     f=lambda t, d, x, u: sys.f_eval(t, d, x, u),
+                     H=lambda t, x: sys.H_eval(t, x),
+                     h=lambda t, x: sys.h_eval(t, x), p_Y=sys.p_Y, p_y=sys.p_y)
+
+
+def assert_same_report(sys, k_fn, psi, **kw):
+    got = check_reconstruction(sys, k_fn, psi, **kw)
+    want = reference_check_reconstruction(sys, k_fn, psi, **kw)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    return got
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
+def test_reconstruction_equals_reference_example_4_7(r):
+    b = example_4_7(r)
+    targets = (b.feedback, _NativeTarget(b.feedback),
+               lambda t, x: np.array([-x[1] * x[1]]))
+    for sys in (b.sys, native_system(b.sys)):
+        for psi in (b.psi, native_psi(b.psi), ReconstructionMap("(y1^2+u0)^2", p=1)):
+            for k_fn in targets:
+                rep = assert_same_report(sys, k_fn, psi, n_samples=120,
+                                         seed=int(10 * r))
+                assert rep.samples == 120
+    for seed in (0, 1):
+        assert_same_report(b.sys, b.feedback, b.psi, n_samples=1500, seed=seed)
+
+
+def test_reconstruction_equals_reference_integrator_chain():
+    sys = integrator_chain_sys()
+    psi = ReconstructionMap("-(y0 + u0 + u1)^2", p=2)
+    for k_fn in (StateFeedback(["-x1^2"], n=1), lambda t, x: np.array([-x[0] ** 2])):
+        for ps in (psi, native_psi(psi), ReconstructionMap("-(y1 + u1)^2", p=2)):
+            for s in (sys, native_system(sys)):
+                assert_same_report(s, k_fn, ps, n_samples=200, ts=range(3, 9),
+                                   seed=4)
+
+
+def test_reconstruction_nan_psi_equals_reference():
+    nan_expr = ReconstructionMap("-(y1^2+u0)^2 + max(y1, 0)*1e300*1e300*0", p=1)
+    for psi in (nan_above_zero_psi(), nan_expr):
+        rep = assert_same_report(B47.sys, B47.feedback, psi, n_samples=40, seed=3)
+        assert rep.verdict == "fail" and math.isnan(rep.worst_margin)
+
+
+def test_reconstruction_few_samples_equal_reference():
+    for psi in (B47.psi, native_psi(B47.psi)):
+        for n_samples, ts in ((0, range(0, 11)), (1, range(0, 11)), (0, [2]),
+                              (1, [5]), (2, [5])):
+            rep = assert_same_report(B47.sys, B47.feedback, psi,
+                                     n_samples=n_samples, ts=ts, seed=2)
+            assert rep.samples == max(n_samples, len(ts))
+
+
+def test_native_psi_and_target_see_the_reference_calls_in_order():
+    def recording(log, psi):
+        def call(t, y_p, ys, us):
+            log.append(("psi", t, y_p.tolist(), [y.tolist() for y in ys],
+                        [u.tolist() for u in us]))
+            return psi(t, y_p, ys, us)
+        return ReconstructionMap(call, p=psi.p)
+
+    def target(log, fb):
+        def call(t, x):
+            log.append(("k", t, x.tolist()))
+            return fb(None, t, x)
+        return call
+
+    chain = integrator_chain_sys()
+    for sys, fb, psi in ((B47.sys, B47.feedback, B47.psi),
+                         (chain, StateFeedback(["-x1^2"], n=1),
+                          ReconstructionMap("-(y0 + u0 + u1)^2", p=2))):
+        got, want = [], []
+        check_reconstruction(sys, target(got, fb), recording(got, psi),
+                             n_samples=60, seed=8)
+        reference_check_reconstruction(sys, target(want, fb),
+                                       recording(want, psi), n_samples=60, seed=8)
+        assert [c for c in got if c[0] == "psi"] == [c for c in want if c[0] == "psi"]
+        assert [c for c in got if c[0] == "k"] == [c for c in want if c[0] == "k"]
+        assert len(got) == 120
