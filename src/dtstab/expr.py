@@ -166,13 +166,6 @@ def _sign(a):
     return 0.0
 
 
-# Squares of entries below _DOT_SAFE_ABS are below 1e300, and fewer than
-# _DOT_SAFE_LEN of them sum below the float range, so their dot cannot
-# overflow; any other vector pays for np.errstate.
-_DOT_SAFE_ABS = 1e150
-_DOT_SAFE_LEN = 10 ** 8
-
-
 def vecnorm(v) -> float:
     """Euclidean norm with an exact fast path for scalars.
 
@@ -184,12 +177,8 @@ def vecnorm(v) -> float:
     v = np.asarray(v, dtype=float).ravel()
     if v.shape[0] == 1:
         return abs(float(v[0]))
-    vals = v.tolist()
-    if vals and not (len(vals) < _DOT_SAFE_LEN
-                     and -_DOT_SAFE_ABS < min(vals) <= max(vals) < _DOT_SAFE_ABS):
-        with np.errstate(over="ignore"):  # the dot may overflow to inf
-            return math.sqrt(v.dot(v))
-    return math.sqrt(v.dot(v))
+    with np.errstate(over="ignore"):  # the dot may overflow to inf
+        return math.sqrt(v.dot(v))
 
 
 def row_norms(rows) -> np.ndarray:
@@ -323,8 +312,10 @@ class Var(Expr):
         if name == "t":
             return "t"
         if name[0] in "xdu" and name[1:].isdigit() and int(name[1:]) >= 1:
-            # aux declarations shadow indexed names (as in the evaluator)
-            return f"(aux[{name!r}] if {name!r} in aux else {name[0]}[{int(name[1:]) - 1}])"
+            # aux declarations shadow indexed names (as in the evaluator);
+            # _float makes a component a Python float (see _CODEGEN_NAMESPACE)
+            return (f"(aux[{name!r}] if {name!r} in aux"
+                    f" else _float({name[0]}[{int(name[1:]) - 1}]))")
         return f"aux[{name!r}]"
 
 
@@ -404,8 +395,11 @@ class Call(Expr):
         return f"_fn_{self.fn}({args})"
 
 
+# A vector component is read as a Python float: numpy scalar arithmetic gives
+# the same IEEE values but warns on overflow and on inf * 0.
 _CODEGEN_NAMESPACE = {
     "__builtins__": {},
+    "_float": float,
     "_pow": _pow,
     "_div": _div,
     **{f"_fn_{name}": fn for name, (_, fn) in _FUNCTIONS.items()},
@@ -479,8 +473,13 @@ def _array_norm(*args):
     return row_norms(np.stack(np.broadcast_arrays(*args), axis=1))
 
 
+def _column(col):
+    return col  # x[i] is the column of x_{i+1} over the slab
+
+
 _ARRAY_NAMESPACE = {
     **_CODEGEN_NAMESPACE,
+    "_float": _column,
     "_pow": _elementwise(_pow, math.pow),
     "_div": _array_div,
     "_fn_exp": _elementwise(_exp, math.exp),
@@ -672,7 +671,7 @@ def eval_expression(expr: Expr, env: Env) -> float:
         if idx >= vec.shape[0]:
             raise ExprError(
                 f"variable '{name}' outside environment dimensions ({vec.shape[0]})")
-        return vec[idx]
+        return float(vec[idx])  # as compiled code reads it
     if isinstance(expr, Neg):
         return -eval_expression(expr.operand, env)
     if isinstance(expr, Bin):

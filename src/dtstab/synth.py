@@ -19,9 +19,8 @@ import numpy as np
 
 from .certify import CertificateReport
 from .expr import Dims, Var, parse_expression
-from .system import (FAIL, PASS, _EMPTY, DisturbancePolicy, InputPolicy,
-                     StateFeedback, SystemDef, WorstMargin, as_feedback,
-                     require_samples, simulate)
+from .system import (FAIL, PASS, DisturbancePolicy, InputPolicy, SystemDef,
+                     WorstMargin, as_feedback, require_samples, simulate)
 
 __all__ = [
     "ChainResult", "iterate_maps",
@@ -84,6 +83,7 @@ class ReconstructionMap:
                             | {f"u{i}" for i in range(p)})
             self.expr = parse_expression(psi, Dims(aux=aux))
             fn = self.expr.compiled()
+            empty = np.zeros(0)
 
             def from_expr(t, y_p, y_hist, u_hist):
                 env = {f"y{i}": float(np.asarray(y_hist[i]).reshape(-1)[0])
@@ -91,7 +91,7 @@ class ReconstructionMap:
                 env[f"y{p}"] = float(np.asarray(y_p).reshape(-1)[0])
                 env.update({f"u{i}": float(np.asarray(u_hist[i]).reshape(-1)[0])
                             for i in range(p)})
-                return np.array([fn(float(t), _EMPTY, _EMPTY, _EMPTY, env)])
+                return np.array([fn(float(t), empty, empty, empty, env)])
 
             self._psi = from_expr
             self.text = psi
@@ -114,8 +114,9 @@ class ReconstructionMap:
                              for ti, Yi, Ui in zip(t.tolist(), Y, U)])
         aux = {f"y{i}": Y[:, i, 0] for i in range(p + 1)}
         aux.update({f"u{i}": U[:, i, 0] for i in range(p)})
+        empty = np.zeros(0)
         out = np.empty((t.shape[0], 1))
-        out[:, 0] = self.expr.batched()(t, _EMPTY, _EMPTY, _EMPTY, aux)  # or a float
+        out[:, 0] = self.expr.batched()(t, empty, empty, empty, aux)  # or a float
         return out
 
 
@@ -128,10 +129,13 @@ def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
     SAMPLE_RADIUS].  A pass is "no violation found at these samples".
 
     The p-step chains of all samples run as arrays (:meth:`SystemDef.f_rows`
-    and ``h_rows`` at per-sample times), as do an expression feedback k and
-    an expression Psi; a native policy or Psi is called sample by sample, in
-    sample order.  Each value equals :func:`iterate_maps` and the pointwise
-    calls bit for bit (NaN signs aside)."""
+    and ``h_rows`` at per-sample times), then the feedback k through its
+    :meth:`InputPolicy.rows` and then Psi through :meth:`ReconstructionMap.rows`
+    (expressions as arrays; a native policy or Psi sample by sample, in sample
+    order).  Each value equals :func:`iterate_maps` and the pointwise calls
+    bit for bit (NaN signs aside).  Calls run step by step across the
+    samples, so of two samples that raise, the one whose failing step comes
+    first raises."""
     p = psi.p
     target = as_feedback(k_fn, sys.n)
     rng = np.random.default_rng(seed)
@@ -156,11 +160,7 @@ def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
         Y[:, i] = sys.h_rows(T + i, F)
         F = sys.f_rows(T + i, F, D[:, i], U[:, i])
     Y[:, p] = sys.h_rows(T + p, F)
-    if isinstance(target, StateFeedback) and target.exprs is not None:
-        lhs = target._map.rows(T + p, F)
-    else:
-        lhs = np.array([target(sys, t, x) for t, x in zip((T + p).tolist(), F)],
-                       dtype=float).reshape(len(spots), -1)
+    lhs = target.rows(sys, T + p, F)
     rhs = psi.rows(T + p, Y, U)
     worst = WorstMargin("reconstruction samples")
     worst.add(_max_abs_rows(lhs - rhs), _max_abs_rows(rhs),

@@ -569,6 +569,12 @@ class InputPolicy:
     def __call__(self, sys: SystemDef, t: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def rows(self, sys: SystemDef, t, X) -> np.ndarray:
+        """(N, ·) inputs at the N states X with per-row times ``t``: the
+        policy called row by row, in row order."""
+        return np.array([self(sys, ti, x) for ti, x in zip(np.asarray(t).tolist(), X)],
+                        dtype=float).reshape(len(X), -1)
+
     def advance(self, t, y, u):
         """Post-step hook for stateful (dynamic feedback) policies."""
 
@@ -624,6 +630,13 @@ class StateFeedback(InputPolicy):
 
     def __call__(self, sys, t, x):
         return self._map.eval(float(t), np.asarray(x, dtype=float))
+
+    def rows(self, sys, t, X):
+        """Through the map's :meth:`VectorMap.rows`, equal to the calls bit
+        for bit; a native map of unknown width is called row by row."""
+        if self._map.dim is None:
+            return super().rows(sys, t, X)
+        return self._map.rows(t, X)
 
     def descriptor(self):
         return f"state-feedback({self.name})"

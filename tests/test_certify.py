@@ -15,6 +15,7 @@ from dtstab.certify import (LyapunovCandidate, StateGrid,
                             compose_V_from_U, projection_fiber, tau_bound)
 from dtstab.comparison import (KFn, TimeGain, constant, geometric, identity,
                                linear, power_fn, timegain_from_expr)
+from dtstab.expr import Dims, ExprDomainError, parse_expression
 from dtstab.registry import (LAM_SQRT_PLANT, Q_SQRT_PLANT_C,
                              Q_SQRT_PLANT_RATIO, example_2_3, example_3_4,
                              example_4_7)
@@ -642,3 +643,29 @@ def test_gain_overflow_is_inf_not_an_error():
             np.zeros((1, 0)), "ios-decrease", u_values=us)
     rep = check_ios_decrease(sys, ios, grid, us)
     assert rep.passed and rep.samples == 16
+
+
+def test_gain_domain_error_is_an_expr_domain_error():
+    # a gain's callable raises ValueError ("math domain error") on a negative
+    # argument; the array bounds evaluate its expression, which raises
+    # ExprDomainError, an ExprError and not a ValueError
+    grid = StateGrid(ts=[0, 1], xs=[[0.0], [0.5], [-1.0]])
+    cand = LyapunovCandidate(V=lambda t, x: vecnorm(x), n=1, a1=power_fn(0.5),
+                             a2=identity(), beta=constant(1.0),
+                             mu=constant(-2.0))  # ||H|| + mu ||x|| = -|x1|
+    with pytest.raises(ValueError, match="math domain error"):
+        pointwise_sandwich(halving_sys(), cand, grid)
+    with pytest.raises(ExprDomainError) as err:
+        check_sandwich(halving_sys(), cand, grid)
+    assert not isinstance(err.value, ValueError)
+    # a3(s) = 0.5 (s^0.5)^2 <= s, at V = x1 = -1
+    a3 = KFn(lambda s: 0.5 * math.pow(s, 0.5) ** 2,
+             expr=parse_expression("0.5 * (s^0.5)^2", Dims(aux=frozenset({"s"}))))
+    cand = LyapunovCandidate(V="x1", n=1, a3=a3, q=geometric(0.5, 0.5))
+    with pytest.raises(ValueError, match="math domain error"):
+        pointwise_sup_decrease(halving_sys(), cand, grid,
+                               lambda t, x, V0, u: V0 - a3(V0) + cand.q(t),
+                               np.zeros((1, 0)), "relaxed-decrease")
+    with pytest.raises(ExprDomainError) as err:
+        check_relaxed_decrease(halving_sys(), cand, grid)
+    assert not isinstance(err.value, ValueError)

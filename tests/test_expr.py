@@ -233,11 +233,28 @@ def test_norm_past_float_range_is_inf_without_warning():
         assert struct.pack("<d", vecnorm([0.0, 2.1e244])) == inf_bits
         assert row_norms(np.array([[0.0, 2.1e244], [3.0, 4.0]])).tolist() == [
             math.inf, 5.0]
-        # entries past the no-overflow bound take the errstate path: same dot
+        # under np.errstate a finite dot keeps its bits
         big = np.array([3e151, 4e151])
         assert vecnorm(big) == math.sqrt(big.dot(big))
         assert math.isnan(vecnorm([math.nan, 1e200]))  # a leading NaN, no warning
         assert vecnorm([]) == 0.0
+
+
+def test_inf_times_zero_component_is_nan_without_warning():
+    # x1 * pow(14, 269) at x1 = 0: the pow overflows to inf and 0 * inf is
+    # NaN; a numpy scalar component would warn (an error under this suite's
+    # filterwarnings), a Python float does not
+    expr = parse_expression("x1 * pow(14, 269)", D21)
+    env = Env(t=0.0, x=[0.0, 0.0], d=[0.0], u=[0.0],
+              aux={"y0": 0.0, "y1": 0.0, "u0": 0.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = eval_expression(expr, env)
+        got = expr.compiled()(env.t, env.x, env.d, env.u, dict(env.aux))
+        assert math.isnan(want) and struct.pack("<d", got) == struct.pack("<d", want)
+        col = expr.batched()(0.0, np.array([[0.0, 2.0], [0.0, 0.0]]),
+                             np.zeros((1, 2)), np.zeros((1, 2)), {})
+        assert math.isnan(col[0]) and col[1] == math.inf
 
 
 def test_round_trip_on_registry_style_strings():
