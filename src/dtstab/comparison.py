@@ -230,18 +230,25 @@ class KLEnvelope:
             return v
         return self.C * float(s) * math.exp(-self.c * float(t))
 
-    def decay_series(self, s: float, length: int) -> np.ndarray:
-        """[sigma(s,0), sigma(s,1), ...] by the exact recursion, length terms."""
-        out = np.empty(length)
+    def decay_series(self, s, length: int) -> np.ndarray:
+        """[sigma(s,0), sigma(s,1), ...] by the exact recursion, length terms.
+
+        Without ``fn``, a 1-D array ``s`` gives one row of terms per entry,
+        the recursion stepping all rows at once, each equal to its float's
+        series.
+        """
+        rows = np.ndim(s) == 1
+        out = np.empty((len(s), length) if rows else length)
         if length == 0:
             return out
         if self.fn is not None:
             return np.array([self(s, t) for t in range(length)])
-        v = self.C * float(s)
-        out[0] = v
-        for i in range(1, length):
-            v = v * self.g
-            out[i] = v
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
+            v = self.C * (np.asarray(s, dtype=float) if rows else float(s))
+            out[..., 0] = v
+            for i in range(1, length):
+                v = v * self.g
+                out[..., i] = v
         return out
 
 

@@ -39,6 +39,7 @@ bit may differ.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -418,20 +419,29 @@ def _elementwise(kernel, fast):
     ``fast`` is the ``math`` function the kernel guards, which equals it
     wherever it returns: it is mapped first, in C.  When some point raises
     (a domain error or an overflow), the kernel maps every point again in
-    row order, so the values and the first error are the kernel's.
+    row order, so the values and the first error are the kernel's.  Arrays
+    of one shape pair up as they are, a scalar operand is repeated as it
+    is; only arrays of different shapes are broadcast.
     """
 
     def apply(*args):
-        if not _has_array(*args):
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        if not arrays:
             return kernel(*args)
-        cols = np.broadcast_arrays(*args)
-        lists = [c.ravel().tolist() for c in cols]
-        size = cols[0].size
+        shape = arrays[0].shape
+        if all(a.shape == shape for a in arrays):
+            lists = [a.ravel().tolist() if isinstance(a, np.ndarray)
+                     else itertools.repeat(a) for a in args]
+        else:
+            cols = np.broadcast_arrays(*args)
+            shape = cols[0].shape
+            lists = [c.ravel().tolist() for c in cols]
+        size = math.prod(shape)
         try:
             values = np.fromiter(map(fast, *lists), float, count=size)
         except (ValueError, OverflowError):
             values = np.fromiter(map(kernel, *lists), float, count=size)
-        return values.reshape(cols[0].shape)
+        return values.reshape(shape)
 
     return apply
 

@@ -11,6 +11,7 @@ it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -221,7 +222,9 @@ def _roll(sys, specs, horizon):
     (:func:`_random_table`).  Each step then makes one ``H_rows``, one
     ``h_rows`` and one ``f_rows`` call over the block, and scores the
     candidate successors of every greedy row in one more ``f_rows`` and
-    ``H_rows`` call.  Any other policy kind raises TypeError.
+    ``H_rows`` call, at a column of per-row times, or at one float time
+    when the whole block starts at the same t0.  Any other policy kind
+    raises TypeError.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -258,16 +261,18 @@ def _roll(sys, specs, horizon):
         cands = d_candidates(box, grid=_GREEDY_GRID, random=0)
         C = cands.shape[0]
         D_cands = np.tile(cands, (len(greedy), 1))
+    # a term of t alone is then evaluated once a step, as a scalar
+    times = Tf[0].tolist() if len(set(t0s)) == 1 else Tf.T
     x = np.array(X0, dtype=float).reshape(B, sys.n)
     for s in range(N):
-        tf = Tf[:, s]
+        tf = times[s]
         X[:, s] = x
         Yv[:, s] = sys.H_rows(tf, x)
         yv[:, s] = Yv[:, s] if sys.h is None else sys.h_rows(tf, x)
         if greedy:
             # GreedyDisturbance.__call__'s pick: the first strict maximum of
             # ||H(t+1, f)||, never a NaN, cands[0] when every score is NaN
-            t = np.repeat(tf[greedy], C)
+            t = tf if isinstance(tf, float) else np.repeat(tf[greedy], C)
             F = sys.f_rows(t, np.repeat(x[greedy], C, axis=0), D_cands,
                            np.repeat(U[greedy, s], C, axis=0))
             score = row_norms(sys.H_rows(t + 1.0, F)).reshape(-1, C)
@@ -444,33 +449,117 @@ class EnvelopeReport(_FieldsJSON):
     notes: list = field(default_factory=list)
 
 
-def _row_check(form, bounds_per_traj, batch, tol):
-    """Worst ||Y(t)|| - bound(t) over the batch, one array pass a trajectory;
-    a NaN margin or ratio wins (witness at its first row) and fails."""
-    worst, worst_ratio = WorstMargin("trajectory rows"), 0.0
-    for traj, bounds in zip(batch, bounds_per_traj):
-        norms = row_norms(traj.Y)
-        bounds = np.asarray(bounds, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(norms == 0.0, 0.0,
-                              np.where(bounds > 0.0, norms / bounds, math.inf))
-        ratio, _ = first_max(ratios)
-        if _beats(ratio, worst_ratio):
-            worst_ratio = ratio
-        worst.add(norms - bounds, bounds, lambda i: {
-            "t": int(traj.t[i]), "t0": int(traj.t0), "x0": traj.x0.tolist(),
-            "norm": float(norms[i]), "bound": float(bounds[i]), "meta": traj.meta})
+def _row_ratios(batch, bounds):
+    """(||Y(t)||, ||Y(t)|| / bound(t)) at every row of the batch, in
+    trajectory order, against the flat ``bounds``: 0 where the norm is 0,
+    inf where the bound is not positive, NaN where the norm is."""
+    norms = row_norms(np.concatenate([traj.Y for traj in batch]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(norms == 0.0, 0.0,
+                          np.where(bounds > 0.0, norms / bounds, math.inf))
+    return norms, ratios
+
+
+def _row_witness(traj, row, norm, bound):
+    return {"t": int(traj.t[row]), "t0": int(traj.t0), "x0": traj.x0.tolist(),
+            "norm": float(norm), "bound": float(bound), "meta": traj.meta}
+
+
+def _row_check(form, bounds, batch, tol):
+    """Worst ||Y(t)|| - bound(t) over all rows of the batch in one array
+    pass (``bounds`` flat, in trajectory order); a NaN margin or ratio wins
+    (witness at its first row) and fails."""
+    norms, ratios = _row_ratios(batch, bounds)
+    starts = np.cumsum([0] + [len(traj) for traj in batch])
+
+    def witness(i):
+        j = int(np.searchsorted(starts, i, side="right")) - 1
+        return _row_witness(batch[j], i - starts[j], norms[i], bounds[i])
+
+    worst = WorstMargin("trajectory rows")
+    worst.add(norms - bounds, bounds, witness)
     passed = worst.verdict(tol) != FAIL
-    return EnvelopeReport(form, passed, worst_ratio, worst.margin, worst.witness,
-                          worst.samples, tol)
+    ratio, _ = first_max(ratios)
+    return EnvelopeReport(form, passed, ratio if _beats(ratio, 0.0) else 0.0,
+                          worst.margin, worst.witness, worst.samples, tol)
+
+
+def _batch_bounds(bounds_of, batch, *gains):
+    """``bounds_of(batch, *gains)``, the flat bounds of all rows.  When that
+    raises, each trajectory is bounded alone, in order, so the error is the
+    first failing trajectory's, as checking one trajectory at a time gives."""
+    try:
+        return bounds_of(batch, *gains)
+    except Exception:
+        if len(batch) < 2:
+            raise
+        return np.concatenate([bounds_of([traj], *gains) for traj in batch])
+
+
+def _ragged(lengths):
+    """Mask of the first ``lengths[j]`` entries of row j of a (B, max) table:
+    the table's masked entries are the rows of a batch, concatenated."""
+    return np.arange(max(lengths)) < np.array(lengths)[:, None]
+
+
+def _decay_bounds(batch, sigma, beta):
+    """sigma(beta(t0)||x0||, t - t0) at every row of the batch, concatenated:
+    the exact recursion steps all trajectories at once (one trajectory at a
+    time when the envelope has ``fn``)."""
+    scale = [beta(traj.t0) * vecnorm(traj.x0) for traj in batch]
+    lengths = [len(traj) for traj in batch]
+    if sigma.fn is not None:
+        return np.concatenate([sigma.decay_series(s, n)
+                               for s, n in zip(scale, lengths)])
+    return sigma.decay_series(np.array(scale), max(lengths))[_ragged(lengths)]
+
+
+def _ios_bounds(batch, sigma, beta, rho, gamma, form, zeta, delta):
+    """The input-to-output bound at every row of the batch, concatenated.
+
+    The fresh input terms of all rows are one array call per gain
+    (``values``); the running-term recurrence is one loop over the step
+    index on arrays as wide as the batch.  A NaN fresh term wins the running
+    term and a NaN running term the row's bound, so a NaN input fails the
+    check.
+    """
+    tau = np.concatenate([traj.t for traj in batch]).astype(float)
+    nu = row_norms(np.concatenate([traj.u for traj in batch]))
+    if form == "max":
+        lead = beta.values(tau) * rho.values(gamma.values(tau) * nu)
+        fresh = (float(sigma.C) * lead if sigma.fn is None  # sigma(s, 0)
+                 else np.array([sigma(s, 0) for s in lead.tolist()]))
+        g = sigma.g
+    else:
+        fresh = zeta.values(delta.values(tau) * nu)
+        g = 1.0
+    rows = _ragged([len(traj) for traj in batch])
+    run = np.zeros(rows.shape)
+    run[rows] = fresh
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
+        for i in range(1, run.shape[1]):
+            held, f = run[:, i - 1] * g, run[:, i]
+            run[:, i] = np.where((f > held) | (f != f), f, held)  # NaN f wins
+    run = run[rows]
+    decay = _decay_bounds(batch, sigma, beta)
+    return np.where((run > decay) | np.isnan(run), run, decay)
+
+
+def _require_gains(form, rho, gamma, zeta, delta):
+    if form not in ("max", "sup"):
+        raise ValueError(f"unknown form {form!r}")
+    if form == "max" and (rho is None or gamma is None):
+        raise ValueError("max form needs rho and gamma")
+    if form == "sup" and (zeta is None or delta is None):
+        raise ValueError("sup form needs zeta and delta")
 
 
 def check_kl_estimate(batch: Sequence[Trajectory], sigma: KLEnvelope,
                       beta: TimeGain = None, tol: float = 1e-9) -> EnvelopeReport:
     """Pointwise ||Y(t)|| <= sigma(beta(t0)||x0||, t - t0) over the batch."""
-    beta = beta or sigma.beta
-    bounds = [sigma.decay_series(beta(traj.t0) * vecnorm(traj.x0), len(traj))
-              for traj in batch]
+    batch = list(batch)
+    require_samples(len(batch), "trajectory rows")
+    bounds = _batch_bounds(_decay_bounds, batch, sigma, beta or sigma.beta)
     return _row_check("kl", bounds, batch, tol)
 
 
@@ -488,42 +577,12 @@ def check_ios_estimate(batch: Sequence[Trajectory], sigma: KLEnvelope,
     form="sup": the input term is sup zeta(delta(tau)||u(tau)||) instead.
     """
     beta = beta or sigma.beta
-    if form not in ("max", "sup"):
-        raise ValueError(f"unknown form {form!r}")
-    if form == "max" and (rho is None or gamma is None):
-        raise ValueError("max form needs rho and gamma")
-    if form == "sup" and (zeta is None or delta is None):
-        raise ValueError("sup form needs zeta and delta")
-    bounds = [_ios_bounds(traj, sigma, beta, rho, gamma, form, zeta, delta)
-              for traj in batch]
+    _require_gains(form, rho, gamma, zeta, delta)
+    batch = list(batch)
+    require_samples(len(batch), "trajectory rows")
+    bounds = _batch_bounds(_ios_bounds, batch, sigma, beta, rho, gamma, form,
+                           zeta, delta)
     return _row_check(form, bounds, batch, tol)
-
-
-def _ios_bounds(traj, sigma, beta, rho, gamma, form, zeta, delta):
-    """The input-to-output bound at every row of ``traj``.
-
-    The fresh input terms of all rows are one array call per gain
-    (``values``); only the running-term recurrence is a loop, over plain
-    floats.  A NaN fresh term wins the running term and a NaN running term
-    the row's bound, so a NaN input fails the check.
-    """
-    tau = traj.t.astype(float)
-    nu = row_norms(traj.u)
-    if form == "max":
-        lead = beta.values(tau) * rho.values(gamma.values(tau) * nu)
-        fresh = ((float(sigma.C) * lead).tolist() if sigma.fn is None  # sigma(s, 0)
-                 else [sigma(s, 0) for s in lead.tolist()])
-        g = sigma.g
-    else:
-        fresh = zeta.values(delta.values(tau) * nu).tolist()
-        g = 1.0
-    runs = fresh[:1]
-    for f in fresh[1:]:
-        run = runs[-1] * g
-        runs.append(f if f > run or f != f else run)  # max(run, f); NaN f wins
-    run = np.array(runs, dtype=float)
-    decay = sigma.decay_series(beta(traj.t0) * vecnorm(traj.x0), len(traj))
-    return np.where((run > decay) | np.isnan(run), run, decay)
 
 
 def build_small_input_system(sys: SystemDef, p: TimeGain, theta: KFn) -> SystemDef:
@@ -593,15 +652,39 @@ def falsify(sys: SystemDef, sigma: KLEnvelope, beta: TimeGain = None,
     beta = beta or sigma.beta
     ios = rho is not None and sys.k > 0
     u_modes = ("zero", "constant", "random") if ios else ("zero",)
+    if ios:
+        bounds_of, gains = _ios_bounds, (sigma, beta, rho, gamma, "max", None, None)
+    else:
+        bounds_of, gains = _decay_bounds, (sigma, beta)
     best, wit, count = 0.0, None, 0
-    for traj in search_trajectories(sys, (0,), radius, budget, u_modes):
-        count += 1
-        if ios:
-            rep = check_ios_estimate([traj], sigma, beta, rho, gamma, tol=0.0)
-        else:
-            rep = check_kl_estimate([traj], sigma, beta, tol=0.0)
-        if _beats(rep.worst_ratio, best):
-            best = rep.worst_ratio
-            wit = rep.witness
+    trajs = iter(search_trajectories(sys, (0,), radius, budget, u_modes))
+    while True:
+        chunk, fault = [], None
+        try:
+            for traj in itertools.islice(trajs, ROLLOUT_BLOCK):
+                chunk.append(traj)
+        except Exception as exc:  # the rows rolled before it are checked first
+            fault = exc
+        count += len(chunk)
+        if chunk:
+            if ios:
+                _require_gains("max", rho, gamma, None, None)
+            bounds = _batch_bounds(bounds_of, chunk, *gains)
+            norms, ratios = _row_ratios(chunk, bounds)
+            ratios = ratios.reshape(len(chunk), -1)  # one horizon: equal rows
+            peaks = ratios[np.arange(len(chunk)), np.argmax(ratios, axis=1)]
+            win = None
+            for j, peak in enumerate(peaks.tolist()):
+                if _beats(peak, best):
+                    best, win = peak, j
+            if win is not None:  # the worst-margin row of the winner
+                rows = slice(win * ratios.shape[1], (win + 1) * ratios.shape[1])
+                _, row = first_max(norms[rows] - bounds[rows])
+                wit = _row_witness(chunk[win], row, norms[rows][row],
+                                   bounds[rows][row])
+        if fault is not None:
+            raise fault
+        if len(chunk) < ROLLOUT_BLOCK:
+            break
     return FalsifyReport(best, wit, count, "ios" if ios else "kl", budget.seed,
                          notes=["ratio <= 1: no violation found within budget"])

@@ -144,12 +144,7 @@ def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
     # k(t+p, 0) = Psi(t+p, 0, 0, 0)
     spots = [(int(t), np.zeros(sys.n), np.tile(sys.d_mid(), (p, 1)),
               np.zeros((p, sys.k))) for t in ts]
-    for _ in range(max(n_samples - len(spots), 0)):
-        t = int(ts[rng.integers(0, len(ts))])
-        x = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, size=sys.n)
-        d_seq = rng.uniform(sys.d_box[:, 0], sys.d_box[:, 1], size=(p, sys.m))
-        u_seq = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, size=(p, sys.k))
-        spots.append((t, x, d_seq, u_seq))
+    spots += _random_spots(sys, p, ts, n_samples - len(spots), rng)
     require_samples(len(spots), "reconstruction samples")
     T = np.array([spot[0] for spot in spots])
     D = np.array([spot[2] for spot in spots])  # (N, p, m)
@@ -170,6 +165,26 @@ def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
                          "lhs": lhs[i].tolist(), "rhs": rhs[i].tolist()})
     return CertificateReport("reconstruction", worst.verdict(tol), worst.margin,
                              worst.witness, worst.samples, tol)
+
+
+def _random_spots(sys, p, ts, count, rng):
+    """``count`` random (t, x, d window, u window) samples.  Each draws its
+    t by ``rng.integers`` and its x, d and u from one ``rng.random`` call,
+    scaled as ``lo + (hi - lo) * r``: the doubles, and the generator state
+    after them, that ``rng.uniform`` gives for x, d and u in turn."""
+    n, m, k = sys.n, sys.m, sys.k
+    lo = np.concatenate([np.full(n, -SAMPLE_RADIUS), np.tile(sys.d_box[:, 0], p),
+                         np.full(p * k, -SAMPLE_RADIUS)])
+    hi = np.concatenate([np.full(n, SAMPLE_RADIUS), np.tile(sys.d_box[:, 1], p),
+                         np.full(p * k, SAMPLE_RADIUS)])
+    span = hi - lo
+    spots = []
+    for _ in range(max(count, 0)):
+        t = int(ts[rng.integers(0, len(ts))])
+        r = lo + span * rng.random(lo.shape[0])
+        spots.append((t, r[:n], r[n:n + p * m].reshape(p, m),
+                      r[n + p * m:].reshape(p, k)))
+    return spots
 
 
 def _max_abs(v) -> float:

@@ -21,7 +21,8 @@ from dtstab.certify import (LyapunovCandidate, StateGrid, check_contraction,
                             projection_fiber)
 from dtstab.comparison import (KFn, check_domination, constant, geometric,
                                identity, sup_f_sampler)
-from dtstab.expr import (Bin, Call, Dims, Env, ExprDomainError, Neg, Num, Var,
+from dtstab.expr import (_ARRAY_NAMESPACE, Bin, Call, Dims, Env,
+                         ExprDomainError, Neg, Num, Var, _exp, _log, _pow,
                          eval_expression, parse_expression, substitute)
 from dtstab.registry import example_2_3, example_3_4, example_4_7
 from dtstab.stability import build_small_input_system
@@ -177,6 +178,103 @@ def test_math_map_domain_error_is_the_first_failing_rows(text, rows, message):
     with pytest.raises(ExprDomainError) as batched:
         node.batched()(0.0, X.T, None, None, {})
     assert str(batched.value) == str(scalar.value) == message
+
+
+# --- the element-wise kernels against the scalar kernel, point by point ---
+
+BASES = np.array([0.0, 0.5, 2.0, 3.0, 1e300, 1e-300, math.inf, math.nan, 7.25])
+EXPONENTS = np.array([0.0, 2.0, -1.0, 0.5, 3.0, 1e3, -1e3, math.nan, 1.5])
+POW_OPERANDS = {
+    "float_base": (2.0, EXPONENTS),
+    "float_exponent": (BASES, 2.5),
+    "0d_base": (np.array(0.5), EXPONENTS),
+    "0d_exponent": (BASES, np.array(-2.0)),
+    "0d_and_float": (np.array(3.0), 1e3),
+    "0d_pair": (np.array(1e300), np.array(3.0)),
+    "equal_shapes": (BASES, EXPONENTS),
+    "equal_2d_shapes": (BASES.reshape(3, 3), EXPONENTS.reshape(3, 3)),
+    "equal_strided_shapes": (BASES[1::2], EXPONENTS[::2][:4]),
+    "different_shapes": (BASES[1:4, None], EXPONENTS[None, :]),
+    "0d_and_array": (np.array(-8.0), EXPONENTS[[0, 1, 4]]),
+    "floats_only": (2.0, -3.0),
+}
+UNARY_OPERANDS = {
+    "array": (np.array([0.5, 1.0, 709.0, 710.0, -1e4, math.inf, math.nan]),),
+    "0d": (np.array(2.5),),
+    "2d": (np.array([[1.0, 800.0], [1e-300, 3.0]]),),
+    "strided": (np.array([1.0, -5.0, 2.0, -7.0, 1e300])[::2],),
+    "float": (3.0,),
+}
+KERNELS = {"^": ("_pow", _pow), "pow": ("_fn_pow", _pow),
+           "exp": ("_fn_exp", _exp), "log": ("_fn_log", _log)}
+
+
+def kernel_points(kernel, args):
+    """The scalar kernel at every point of the broadcast operands, in row
+    order; the first point that raises raises."""
+    cols = np.broadcast_arrays(*args)
+    values = [kernel(*point) for point in zip(*(c.ravel().tolist() for c in cols))]
+    return np.array(values, dtype=float).reshape(cols[0].shape)
+
+
+def assert_maps_like_the_kernel(name, args):
+    ns_name, kernel = KERNELS[name]
+    fn = _ARRAY_NAMESPACE[ns_name]
+    try:
+        want = kernel_points(kernel, args)
+    except ExprDomainError as scalar:
+        with pytest.raises(ExprDomainError) as batched:
+            fn(*args)
+        assert str(batched.value) == str(scalar)
+        return
+    got = fn(*args)
+    if not any(isinstance(a, np.ndarray) for a in args):
+        assert type(got) is float
+    assert np.shape(got) == want.shape
+    assert all(same_bits(g, w) for g, w in zip(np.ravel(got).tolist(),
+                                               want.ravel().tolist()))
+
+
+@pytest.mark.parametrize("operands", sorted(POW_OPERANDS))
+@pytest.mark.parametrize("name", ["^", "pow"])
+def test_power_maps_like_the_scalar_kernel(name, operands):
+    assert_maps_like_the_kernel(name, POW_OPERANDS[operands])
+
+
+@pytest.mark.parametrize("operands", sorted(UNARY_OPERANDS))
+@pytest.mark.parametrize("name", ["exp", "log"])
+def test_exp_and_log_map_like_the_scalar_kernel(name, operands):
+    assert_maps_like_the_kernel(name, UNARY_OPERANDS[operands])
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("^", (np.array([4.0, -8.0, 0.0]), -0.5),
+     "negative base with non-integer exponent"),
+    ("^", (np.array([4.0, 0.0, -8.0]), -0.5), "zero raised to a negative power"),
+    ("pow", (-8.0, np.array([2.0, 3.0, 0.5, -1.5])),
+     "negative base with non-integer exponent"),
+    ("pow", (np.array(0.0), np.array([1.0, -1.0, 0.5])),
+     "zero raised to a negative power"),
+    ("^", (np.array([[2.0, 1e300], [0.0, 3.0]]), np.array([[1e3, 2.0], [-1.0, 0.5]])),
+     "zero raised to a negative power"),
+    ("log", (np.array([1.0, 800.0, -0.0, -1.0]),), "log of a non-positive number"),
+])
+def test_mid_array_domain_error_is_the_first_failing_points(name, args, message):
+    with pytest.raises(ExprDomainError) as scalar:
+        kernel_points(KERNELS[name][1], args)
+    assert str(scalar.value) == message
+    assert_maps_like_the_kernel(name, args)
+
+
+def test_mid_array_overflow_takes_the_guarded_kernel():
+    # math.pow and math.exp raise OverflowError mid-array; the guarded
+    # kernel's infinities replace it at the same points
+    for name, args in (("^", (np.array([2.0, 1e300, -1e300, 0.5]), 3.0)),
+                       ("pow", (-10.0, np.array([2.0, 401.0, 400.0]))),
+                       ("exp", (np.array([1.0, 710.0, -3.0]),))):
+        want = kernel_points(KERNELS[name][1], args)
+        assert np.isinf(want).any()
+        assert_maps_like_the_kernel(name, args)
 
 
 def test_row_norms_match_vecnorm():

@@ -180,8 +180,9 @@ def test_envelope_checks_equal_the_row_loop(monkeypatch, C, form, nan_row):
     seen = []
     original = stability._row_check
 
-    def spy(form, bounds, batch, tol):
-        seen.append((bounds, batch, tol))
+    def spy(form, bounds, batch, tol):  # flat bounds, split per trajectory
+        starts = np.cumsum([len(traj) for traj in batch])[:-1]
+        seen.append((np.split(bounds, starts), batch, tol))
         return original(form, bounds, batch, tol)
 
     monkeypatch.setattr(stability, "_row_check", spy)

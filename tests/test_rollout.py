@@ -171,6 +171,48 @@ def test_larger_budget_extends_smaller_one(batched_only, monkeypatch):
         assert_same(a, b)
 
 
+# --- a block with one start time steps with one float time ---
+
+def spy_times(monkeypatch, sys):
+    """Record the type of every time the block's row evaluators get."""
+    seen = set()
+    for name in ("f_rows", "H_rows", "h_rows"):
+        def spy(t, *args, _original=getattr(sys, name)):
+            seen.add(type(t))
+            return _original(t, *args)
+        monkeypatch.setattr(sys, name, spy)
+    return seen
+
+
+TIME_TERMS = SystemDef(n=2, m=2, k=0, d_box=[[-1.0, 1.5], [0.0, 2.0]],
+                       f=["d1*x1 - 0.5*d2*x2*2^(-t)", "2^(-t)*d2*abs(x1)^0.5"],
+                       H=["x1*exp(-t/4)", "(t - 3.5)*x2"], h=["x2 - log(t + 2)*x1"])
+
+
+@pytest.mark.parametrize("t0", [0, 3])
+@pytest.mark.parametrize("sys, u_modes", [
+    (B23.sys, ("zero",)), (TIME_TERMS, ("zero",)),
+    (B34.sys, ("zero", "constant", "random")), (NATIVE_SMALL, ("zero",))],
+    ids=["example_2_3", "time_terms", "example_3_4", "native"])
+def test_single_start_time_blocks_equal_simulate(batched_only, monkeypatch,
+                                                 sys, u_modes, t0):
+    seen = spy_times(monkeypatch, sys)
+    budget = FalsifyBudget(max_trajectories=20, horizon=25, seed=6)
+    check_search(sys, (t0,), 1.5, budget, u_modes)
+    assert seen == {float}  # greedy rows included: the mix has them
+    seen.clear()
+    check_search(sys, (t0, t0 + 2), 1.5, budget, u_modes)
+    assert float not in seen
+
+
+@pytest.mark.parametrize("t0", [0, 3])
+def test_single_start_time_greedy_only(batched_only, t0):
+    # the greedy score at t + 1 must stay a float step for step
+    budget = FalsifyBudget(max_trajectories=9, horizon=15, mix=("greedy",), seed=8)
+    check_search(TIME_TERMS, (t0,), 1.0, budget)
+    check_search(B34.sys, (t0,), 2.0, budget, u_modes=("constant", "random"))
+
+
 # --- policies: tables, generator order and the greedy pick ---
 
 @pytest.fixture

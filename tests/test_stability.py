@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import numpy as np
@@ -9,14 +11,14 @@ from dtstab.comparison import (KFn, KLEnvelope, TimeGain, check_domination,
                                linear, power_fn, sup_f_sampler,
                                timegain_from_expr)
 from dtstab.registry import example_2_3, example_3_4, example_4_7
-from dtstab.stability import (FalsifyBudget, adversarial_batch,
-                              build_small_input_system, check_ios_estimate,
-                              check_kl_estimate, falsify)
+from dtstab.stability import (EnvelopeReport, FalsifyBudget, FalsifyReport,
+                              adversarial_batch, build_small_input_system,
+                              check_ios_estimate, check_kl_estimate, falsify)
 from dtstab.stability import test_output_attractivity as search_attractivity
 from dtstab.stability import test_output_stability as search_stability
-from dtstab.system import (ConstantDisturbance, ConstantInput,
-                           SampleConfig, SystemDef, Trajectory, simulate,
-                           vecnorm)
+from dtstab.system import (FAIL, ConstantDisturbance, ConstantInput,
+                           SampleConfig, SystemDef, Trajectory, WorstMargin,
+                           _beats, first_max, row_norms, simulate, vecnorm)
 
 B23 = example_2_3()
 B34 = example_3_4()
@@ -207,6 +209,92 @@ def loop_ios_bounds(traj, sigma, beta, rho=None, gamma=None, form="max",
     return bounds
 
 
+def traj_ios_bounds(traj, sigma, beta, rho, gamma, form, zeta, delta):
+    """``_ios_bounds`` of one trajectory as it was computed before batches:
+    fresh terms as arrays, the running-term recurrence over plain floats
+    (a NaN fresh term wins)."""
+    tau = traj.t.astype(float)
+    nu = row_norms(traj.u)
+    if form == "max":
+        lead = beta.values(tau) * rho.values(gamma.values(tau) * nu)
+        fresh = ((float(sigma.C) * lead).tolist() if sigma.fn is None
+                 else [sigma(s, 0) for s in lead.tolist()])
+        g = sigma.g
+    else:
+        fresh = zeta.values(delta.values(tau) * nu).tolist()
+        g = 1.0
+    runs = fresh[:1]
+    for f in fresh[1:]:
+        run = runs[-1] * g
+        runs.append(f if f > run or f != f else run)
+    run = np.array(runs, dtype=float)
+    decay = sigma.decay_series(beta(traj.t0) * vecnorm(traj.x0), len(traj))
+    return np.where((run > decay) | np.isnan(run), run, decay)
+
+
+def traj_kl_bounds(traj, sigma, beta):
+    return sigma.decay_series(beta(traj.t0) * vecnorm(traj.x0), len(traj))
+
+
+def loop_row_check(form, bounds_per_traj, batch, tol):
+    """``_row_check`` as it scanned before batches: one ratio scan and one
+    ``WorstMargin.add`` a trajectory."""
+    worst, worst_ratio = WorstMargin("trajectory rows"), 0.0
+    for traj, bounds in zip(batch, bounds_per_traj):
+        norms = row_norms(traj.Y)
+        bounds = np.asarray(bounds, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(norms == 0.0, 0.0,
+                              np.where(bounds > 0.0, norms / bounds, math.inf))
+        ratio, _ = first_max(ratios)
+        if _beats(ratio, worst_ratio):
+            worst_ratio = ratio
+        worst.add(norms - bounds, bounds, lambda i: {
+            "t": int(traj.t[i]), "t0": int(traj.t0), "x0": traj.x0.tolist(),
+            "norm": float(norms[i]), "bound": float(bounds[i]), "meta": traj.meta})
+    passed = worst.verdict(tol) != FAIL
+    return EnvelopeReport(form, passed, worst_ratio, worst.margin, worst.witness,
+                          worst.samples, tol)
+
+
+def loop_falsify(sys, sigma, beta=None, rho=None, gamma=None, budget=None,
+                 radius=1.0):
+    """``falsify`` as it searched before batches: each trajectory checked
+    on its own as it is yielded."""
+    budget = budget or FalsifyBudget()
+    beta = beta or sigma.beta
+    ios = rho is not None and sys.k > 0
+    u_modes = ("zero", "constant", "random") if ios else ("zero",)
+    best, wit, count = 0.0, None, 0
+    for traj in stability.search_trajectories(sys, (0,), radius, budget, u_modes):
+        count += 1
+        if ios:
+            if gamma is None:
+                raise ValueError("max form needs rho and gamma")
+            bounds = traj_ios_bounds(traj, sigma, beta, rho, gamma, "max",
+                                     None, None)
+        else:
+            bounds = traj_kl_bounds(traj, sigma, beta)
+        rep = loop_row_check("ios" if ios else "kl", [bounds], [traj], 0.0)
+        if _beats(rep.worst_ratio, best):
+            best = rep.worst_ratio
+            wit = rep.witness
+    return FalsifyReport(best, wit, count, "ios" if ios else "kl", budget.seed,
+                         notes=["ratio <= 1: no violation found within budget"])
+
+
+def assert_same_bits(got, want):
+    """Equal arrays bit for bit, NaNs at the same places (any sign)."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def dumps(rep):
+    return json.dumps(rep.to_json(), sort_keys=True)
+
+
 TWO_INPUTS = SystemDef(n=2, m=1, k=2, d_box=[[-0.5, 0.5]],
                        f=["0.6*x1 + 0.2*d1*x2 + u1", "0.5*x2 - 0.1*x1 + u2*u1/4"],
                        H=["x1", "x2"])
@@ -247,16 +335,15 @@ class TestIOSBoundsMatchLoop:
             kw = dict(zeta=gains["zeta"], delta=gains["delta"])
         want = [loop_ios_bounds(traj, sigma, gains["beta"], form=form, **kw)
                 for traj in batch]
+        args = (sigma, gains["beta"], kw.get("rho"), kw.get("gamma"), form,
+                kw.get("zeta"), kw.get("delta"))
         for traj, ref in zip(batch, want):
-            got = stability._ios_bounds(traj, sigma, gains["beta"], kw.get("rho"),
-                                        kw.get("gamma"), form, kw.get("zeta"),
-                                        kw.get("delta"))
-            assert got.dtype == ref.dtype and got.shape == ref.shape
-            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+            assert_same_bits(stability._ios_bounds([traj], *args), ref)
+        assert_same_bits(stability._ios_bounds(batch, *args), np.concatenate(want))
         for tol in (1e-9, 0.0):
             rep = check_ios_estimate(batch, sigma, gains["beta"], form=form,
                                      tol=tol, **kw)
-            ref = stability._row_check(form, want, batch, tol)
+            ref = loop_row_check(form, want, batch, tol)
             assert rep == ref
 
     def test_undersized_gain_fails_at_the_same_row(self):
@@ -269,7 +356,7 @@ class TestIOSBoundsMatchLoop:
         want = [loop_ios_bounds(traj, small, constant(1.0), linear(0.01),
                                 constant(1.0)) for traj in batch]
         assert not rep.passed
-        assert rep == stability._row_check("max", want, batch, 1e-9)
+        assert rep == loop_row_check("max", want, batch, 1e-9)
 
 
 class TestSmallInputSystem:
@@ -338,3 +425,188 @@ class TestFalsify:
         js = rep.to_json()
         for key in ("ratio", "violated", "witness", "n_trajectories"):
             assert key in js
+
+
+# --- the batch envelope checks and falsify against the loops they replaced ---
+
+def cut(traj, rows, Y=None, u=None):
+    """The first ``rows`` rows of a trajectory, outputs or inputs replaced."""
+    Y = traj.Y[:rows] if Y is None else Y
+    return Trajectory(t0=traj.t0, t=traj.t[:rows], x=traj.x[:rows],
+                      d=traj.d[:rows], u=traj.u[:rows] if u is None else u,
+                      Y=Y, y=Y, meta=traj.meta)
+
+
+def ragged_batch(sys):
+    """Searched trajectories cut to different lengths, one with NaN outputs
+    and (with inputs) one with a NaN input."""
+    budget = FalsifyBudget(max_trajectories=10, horizon=20, seed=4, u_cap=2.0)
+    batch = adversarial_batch(sys, (0, 3), 1.0, budget,
+                              u_modes=("zero", "constant", "random"))
+    batch = [cut(traj, n) for traj, n in zip(batch, itertools.cycle((21, 1, 9, 14)))]
+    Y = batch[2].Y.copy()
+    Y[[3, 5]] = math.nan
+    batch[2] = cut(batch[2], 9, Y=Y)
+    if sys.k:
+        u = batch[4].u.copy()
+        u[2] = math.nan
+        batch[4] = cut(batch[4], 21, u=u)
+    return batch
+
+
+def loop_bounds(form, batch, sigma, gains):
+    if form == "kl":
+        return [traj_kl_bounds(traj, sigma, gains["beta"]) for traj in batch]
+    return [traj_ios_bounds(traj, sigma, *ios_args(form, gains)) for traj in batch]
+
+
+def ios_args(form, gains):
+    if form == "max":
+        return gains["beta"], gains["rho"], gains["gamma"], "max", None, None
+    return gains["beta"], None, None, "sup", gains["zeta"], gains["delta"]
+
+
+def batch_check(form, batch, sigma, gains, tol):
+    if form == "kl":
+        return check_kl_estimate(batch, sigma, gains["beta"], tol=tol)
+    beta, rho, gamma, form, zeta, delta = ios_args(form, gains)
+    return check_ios_estimate(batch, sigma, beta, rho, gamma, form, zeta,
+                              delta, tol=tol)
+
+
+class TestBatchEnvelopeChecks:
+    """Bounds over the concatenated rows of a batch and one margin scan
+    equal the per-trajectory bounds and the per-trajectory scan."""
+
+    @pytest.mark.parametrize("form", ["kl", "max", "sup"])
+    @pytest.mark.parametrize("gains", [EXPR_GAINS, NATIVE_GAINS],
+                             ids=["expr", "native"])
+    @pytest.mark.parametrize("envelope", sorted(ENVELOPES))
+    @pytest.mark.parametrize("sys", [B23.sys, B34.sys, TWO_INPUTS],
+                             ids=["k0", "k1", "k2"])
+    def test_ragged_batch_with_nans(self, form, gains, envelope, sys):
+        sigma = ENVELOPES[envelope]
+        batch = ragged_batch(sys)
+        want = loop_bounds(form, batch, sigma, gains)
+        if form == "kl":
+            got = stability._decay_bounds(batch, sigma, gains["beta"])
+        else:
+            got = stability._ios_bounds(batch, sigma, *ios_args(form, gains))
+        assert_same_bits(got, np.concatenate(want))
+        for tol in (1e-9, 0.0):
+            rep = batch_check(form, batch, sigma, gains, tol)
+            ref = loop_row_check("kl" if form == "kl" else form, want, batch, tol)
+            assert dumps(rep) == dumps(ref)
+            assert not rep.passed  # the NaN outputs fail
+
+    def test_empty_batches_raise(self):
+        with pytest.raises(ValueError, match="empty sample set"):
+            check_kl_estimate([], B34.sigma)
+        with pytest.raises(ValueError, match="empty sample set"):
+            check_ios_estimate([], B34.sigma, rho=identity(), gamma=constant(1.0))
+
+    def test_first_failing_trajectory_names_the_error(self):
+        # over the whole batch beta (evaluated first) fails at the third
+        # trajectory; trajectory by trajectory gamma fails first, at the second
+        def beta(t):
+            if t >= 20:
+                raise ValueError("beta at t >= 20")
+            return 1.0
+
+        def gamma(t):
+            if 10 <= t <= 15:
+                raise ValueError("gamma at 10 <= t <= 15")
+            return 1.0
+
+        gains = dict(beta=TimeGain(beta), gamma=TimeGain(gamma), rho=identity())
+        batch = [simulate(B34.sys, t0, [1.0, -1.0], ConstantDisturbance([0.5]),
+                          ConstantInput([1.0]), horizon=5) for t0 in (0, 10, 20)]
+        with pytest.raises(ValueError) as loop:
+            loop_bounds("max", batch, B34.sigma, gains)
+        with pytest.raises(ValueError) as batched:
+            batch_check("max", batch, B34.sigma, gains, 1e-9)
+        assert str(batched.value) == str(loop.value) == "gamma at 10 <= t <= 15"
+
+
+FALSIFY_CASES = {
+    "kl": (B23.sys, KLEnvelope(B34.sigma.C, B34.sigma.c), {}),
+    "kl_violated": (B23.sys, KLEnvelope(B34.sigma.C * 0.01, B34.sigma.c), {}),
+    "kl_fn": (B23.sys, ENVELOPES["fn"], {}),
+    "ios": (B34.sys, B34.sigma, dict(rho=B34.rho, gamma=B34.gamma)),
+    "ios_violated": (B34.sys, KLEnvelope(0.05, 0.4), dict(rho=linear(0.01),
+                                                         gamma=constant(1.0))),
+    "ios_native": (TWO_INPUTS, ENVELOPES["closed"],
+                   dict(beta=NATIVE_GAINS["beta"], rho=NATIVE_GAINS["rho"],
+                        gamma=NATIVE_GAINS["gamma"])),
+    "ios_fn": (TWO_INPUTS, ENVELOPES["fn"], dict(rho=EXPR_GAINS["rho"],
+                                                gamma=EXPR_GAINS["gamma"])),
+}
+
+
+class TestFalsifyMatchesLoop:
+    @pytest.mark.parametrize("case", sorted(FALSIFY_CASES))
+    @pytest.mark.parametrize("n", [37, 300])
+    def test_report_equals_the_trajectory_loop(self, case, n):
+        sys, sigma, gains = FALSIFY_CASES[case]
+        budget = FalsifyBudget(max_trajectories=n, horizon=12, seed=n, u_cap=2.0)
+        rep = falsify(sys, sigma, budget=budget, radius=2.0, **gains)
+        assert dumps(rep) == dumps(loop_falsify(sys, sigma, budget=budget,
+                                                radius=2.0, **gains))
+        assert rep.n_trajectories == n and rep.witness is not None
+
+    def test_nan_outputs(self):
+        sys = SystemDef(n=1, m=0, k=0, d_box=np.zeros((0, 2)),
+                        f=["x1*1e300*1e300 - x1*1e300*1e300"], H=["x1"])
+        budget = FalsifyBudget(max_trajectories=6, horizon=5)
+        rep = falsify(sys, KLEnvelope(2.0, 0.1), budget=budget)
+        assert dumps(rep) == dumps(loop_falsify(sys, KLEnvelope(2.0, 0.1),
+                                                budget=budget))
+        assert math.isnan(rep.ratio) and rep.witness["t"] == 1
+
+    def test_chunks_that_divide_the_budget(self, monkeypatch):
+        monkeypatch.setattr(stability, "ROLLOUT_BLOCK", 7)
+        sys, sigma, gains = FALSIFY_CASES["ios"]
+        for n in (7, 21, 23):
+            budget = FalsifyBudget(max_trajectories=n, horizon=8, seed=2)
+            assert dumps(falsify(sys, sigma, budget=budget, **gains)) == dumps(
+                loop_falsify(sys, sigma, budget=budget, **gains))
+
+    def test_search_returning_a_list(self, monkeypatch):
+        sys, sigma, gains = FALSIFY_CASES["ios"]
+        budget = FalsifyBudget(max_trajectories=300, horizon=8, seed=5)
+        want = dumps(falsify(sys, sigma, budget=budget, **gains))
+        search = stability.search_trajectories
+        monkeypatch.setattr(stability, "search_trajectories",
+                            lambda *a, **k: list(search(*a, **k)))
+        assert dumps(falsify(sys, sigma, budget=budget, **gains)) == want
+
+    def test_missing_gamma_raises_like_the_check(self):
+        with pytest.raises(ValueError, match="max form needs rho and gamma"):
+            falsify(B34.sys, B34.sigma, rho=B34.rho,
+                    budget=FalsifyBudget(max_trajectories=3, horizon=4))
+
+    @pytest.mark.parametrize("fails", [
+        lambda s: s > 0.9,  # the first trajectory's check, before the roll error
+        lambda s: 0.0 < s < 0.3,  # later checks only: the roll error first
+    ], ids=["check_first", "roll_first"])
+    def test_check_and_roll_errors_surface_in_trajectory_order(self, fails):
+        # a negative input below -1 makes f raise: the constant input of
+        # trajectory 1 is -u_cap, so its roll fails at the first step
+        sys = SystemDef(n=1, m=1, k=1, d_box=[[-0.1, 0.1]],
+                        f=["0.5*x1 + 0.1*d1 + 0*sqrt(u1 + 1)"], H=["x1"])
+
+        def fn(s, t):
+            if fails(s):
+                raise ValueError(f"sigma at s = {s}")
+            return 3.0 * s / (1.0 + t)
+
+        sigma = KLEnvelope(3.0, 0.4, fn=fn)
+        budget = FalsifyBudget(max_trajectories=12, horizon=6, seed=1)
+        errors = []
+        for run in (falsify, loop_falsify):
+            with pytest.raises(Exception) as caught:
+                run(sys, sigma, rho=identity(), gamma=constant(1.0),
+                    budget=budget, radius=1.0)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
+        assert (errors[0][0] is ValueError) == (fails(1.0))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import dtstab.synth as synth
 from dtstab.registry import example_2_3, example_4_7
 from dtstab.synth import (SAMPLE_RADIUS, DelayChainController,
                           ReconstructionMap, build_extended_system,
@@ -575,3 +576,35 @@ def test_native_psi_and_target_see_the_reference_calls_in_order():
         # the reference alternates k and Psi per sample; the check runs every
         # target first, then every Psi
         assert [c[0] for c in got] == ["k"] * 60 + ["psi"] * 60
+
+
+def uniform_spots(sys, p, ts, count, rng):
+    """The sample draws as they were: three ``rng.uniform`` calls a sample."""
+    spots = []
+    for _ in range(count):
+        t = int(ts[rng.integers(0, len(ts))])
+        x = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, size=sys.n)
+        d_seq = rng.uniform(sys.d_box[:, 0], sys.d_box[:, 1], size=(p, sys.m))
+        u_seq = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, size=(p, sys.k))
+        spots.append((t, x, d_seq, u_seq))
+    return spots
+
+
+@pytest.mark.parametrize("sys, p", [
+    (example_4_7(0.5).sys, 1), (example_4_7(0.5).sys, 3),
+    (integrator_chain_sys(), 2),
+    (SystemDef(n=2, m=3, k=0, d_box=[[-2.5, 0.1], [3.0, 3.0], [1e-3, 7.0]],
+               f=["x1 + d1", "x2*d2 - d3"], H=["x1"]), 2),
+])
+def test_one_draw_a_sample_equals_three_uniform_draws(sys, p):
+    ts = list(range(3, 9))
+    for seed in range(40):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = synth._random_spots(sys, p, ts, 25, rng)
+        want = uniform_spots(sys, p, ts, 25, ref)
+        for a, b in zip(got, want):
+            assert a[0] == b[0]
+            for u, v in zip(a[1:], b[1:]):
+                assert u.shape == v.shape
+                assert np.array_equal(u.view(np.int64), v.view(np.int64))
+        assert rng.bit_generator.state == ref.bit_generator.state
