@@ -38,6 +38,7 @@ _RADIUS_LADDER = (1.0, 0.75, 0.5, 0.25)
 ROLLOUT_BLOCK = 256  # trajectories a search rolls in lock-step at once
 _GREEDY_GRID = 5  # per-dimension candidate grid of the search's greedy adversary
 BISECT_ITERS = 20  # bisection steps of test_output_stability after bracketing
+_DECODE_RAWS = 1 << 13  # raws a chunk of the random-table decode holds at once
 
 
 @dataclass
@@ -98,7 +99,7 @@ def _axis_states(n, radius):
 
 def _d_policy(strategy, sys, idx, seed_seq):
     if strategy == "corner":
-        corners = _box_corners(sys.d_box)
+        corners = sys.d_corners
         return ConstantDisturbance(corners[idx % corners.shape[0]])
     child = int(seed_seq.generate_state(1)[0])
     if strategy == "greedy":
@@ -124,14 +125,14 @@ def _trajectory_specs(sys, t0s, radius, budget, u_modes, indices):
     axis = _axis_states(sys.n, radius)
     for i in indices:
         seq = np.random.SeedSequence(budget.seed, spawn_key=(i,))
-        rng = np.random.default_rng(seq.generate_state(2))
         if radius == 0.0:
             x0 = np.zeros(sys.n)
         elif i < len(axis):
             x0 = axis[i]
         else:
+            rng = np.random.default_rng(seq.generate_state(2))
             direction = rng.standard_normal(sys.n)
-            nrm = np.linalg.norm(direction)
+            nrm = math.sqrt(direction.dot(direction))  # as np.linalg.norm takes it
             direction = direction / nrm if nrm > 0 else np.eye(sys.n)[0]
             x0 = direction * (radius * _RADIUS_LADDER[i % len(_RADIUS_LADDER)])
         strategy = budget.mix[i % len(budget.mix)]
@@ -141,12 +142,35 @@ def _trajectory_specs(sys, t0s, radius, budget, u_modes, indices):
                {"index": i, "strategy": strategy})
 
 
-def _random_table(dpol, box, lo, span, axes, N):
-    """The ``(N, m)`` table of N successive ``dpol._draw(box, lo, span,
-    axes)`` rows, bit for bit, leaving the generator in the same state.
+def _random_tables(dpols, box, lo, span, axes, out):
+    """Fill ``out[r]`` with N = ``out.shape[1]`` successive
+    ``dpols[r]._draw(box, lo, span, axes)`` rows, bit for bit, leaving every
+    generator in the state those draws leave.
 
-    A PCG64 generator's table is decoded from one ``random_raw`` call, since
-    every draw a row makes reads the same stream of 64-bit raws (O'Neill,
+    Tables of PCG64 generators are decoded together, in chunks of at most
+    ``_DECODE_RAWS`` raws (:func:`_decode_pcg64`); any other bit generator
+    draws row by row.
+    """
+    N, m = out.shape[1], axes.shape[0]
+    K = N * (1 + m)  # no row reads more than a coin and m raws
+    pcg = []
+    for r, dpol in enumerate(dpols):
+        if type(dpol.rng.bit_generator) is np.random.PCG64:
+            pcg.append(r)
+        else:
+            out[r] = [dpol._draw(box, lo, span, axes) for _ in range(N)]
+    per = max(1, _DECODE_RAWS // K)
+    for start in range(0, len(pcg), per):
+        rows = pcg[start:start + per]
+        out[rows] = _decode_pcg64([dpols[r] for r in rows], box, lo, span, axes,
+                                  N, K)
+
+
+def _decode_pcg64(dpols, box, lo, span, axes, N, K):
+    """The (R, N, m) tables of R ``RandomDisturbance``s on PCG64 generators,
+    from one ``random_raw(K)`` call each.
+
+    Every draw a row makes reads the same stream of 64-bit raws (O'Neill,
     "PCG", HMC-CS-2014-0905):
 
     - ``random()`` is ``(raw >> 11) * 2**-53``, so the mixed mode's coin
@@ -156,57 +180,76 @@ def _random_table(dpol, box, lo, span, axes, N):
       state has ``has_uint32``, else the low half of a fresh raw, whose
       high half is then buffered.
 
+    A row starting at raw ``p`` with ``b`` words buffered ends at a state
+    (p', b') that only the coin at ``p`` decides.  The row-start states of
+    all N rows are found by pointer doubling over the 2(K + 1) states (p,
+    b): the jump table is squared ceil(log2(N + 1)) times, and the states
+    at offsets [0, 2^k) extend to [0, 2^(k+1)) through the 2^k-row jump.
     The raws not used are given back with ``advance`` and the buffer is
-    written back to the state.  Any other bit generator draws row by row.
+    written back to the state.
     """
-    bits = dpol.rng.bit_generator
-    if type(bits) is not np.random.PCG64:
-        return [dpol._draw(box, lo, span, axes) for _ in range(N)]
-    m, mode = axes.shape[0], dpol.mode
-    state = bits.state
-    K = N * (1 + m)  # no row reads more than a coin and m raws
-    raw = bits.random_raw(K)
-    # 32-bit words: [the buffered word, low(raw 0), high(raw 0), low(raw 1), ...]
-    words = np.empty(2 * K + 1, dtype=np.uint64)
-    words[0] = state["uinteger"]
-    words[1::2] = raw & 0xFFFFFFFF
-    words[2::2] = raw >> 32
-    coins = (raw >> 63).tolist() if mode == "mixed" else None
-    pos, buffered, word = 0, state["has_uint32"], 0  # word: the state's uinteger
-    interior, interior_at, corner, corner_at, corner_buffered = [], [], [], [], []
-    for i in range(N):
-        if mode == "mixed":
-            inside = coins[pos]
-            pos += 1
-        else:
-            inside = mode == "interior"
-        if inside:
-            interior.append(i)
-            interior_at.append(pos)
-            pos += m
-            continue
-        corner.append(i)
-        corner_at.append((word, 2 * pos + 1))
-        corner_buffered.append(buffered)
-        fresh = m - buffered  # words this row takes from fresh raws
-        if fresh:
-            pos += (fresh + 1) // 2
-            word = 2 * pos  # the high half of the last raw taken
-        buffered = fresh & 1
-    table = np.empty((N, m))
-    if interior:
-        at = np.array(interior_at)[:, None] + axes
-        table[interior] = lo + span * ((raw[at] >> 11).astype(float) * 2.0 ** -53)
-    if corner:
-        at = np.array(corner_at)
-        buf = np.array(corner_buffered)[:, None]
-        idx = np.where((axes == 0) & (buf == 1), at[:, :1], at[:, 1:] + axes - buf)
-        table[corner] = box[axes, (words[idx] >> 31).astype(np.intp)]
-    unused = K - pos
-    bits.advance(2 ** 128 - unused)  # back to the first raw not used
-    state = bits.state
-    state["has_uint32"], state["uinteger"] = buffered, int(words[word])
-    bits.state = state
+    m, R = axes.shape[0], len(dpols)
+    bits = [dpol.rng.bit_generator for dpol in dpols]
+    states = [b.state for b in bits]
+    raw = np.stack([b.random_raw(K) for b in bits])
+    buffered0 = np.array([s["has_uint32"] for s in states], dtype=np.intp)
+    word0 = np.array([s["uinteger"] for s in states], dtype=np.uint64)
+    mixed = np.array([dpol.mode == "mixed" for dpol in dpols])[:, None]
+    interior = np.array([dpol.mode == "interior" for dpol in dpols])[:, None]
+    inside = np.where(mixed, (raw >> 63).astype(bool), interior)  # (R, K)
+    coin = mixed.astype(np.intp)  # the raws a row's coin takes
+    # moves[4c + 2 inside + b]: 2 dp + b' of a row from raw p with b
+    # buffered words (state 2p + b) and c coin raws: m raws inside the box,
+    # or m - b words at a corner, ceil((m - b)/2) fresh raws with one word
+    # buffered when m - b is odd
+    moves = np.array([2 * (c + m) + b if inside else
+                      2 * (c + (m - b + 1) // 2) + ((m - b) & 1)
+                      for c in (0, 1) for inside in (0, 1) for b in (0, 1)])
+    S = 2 * K + 2  # states 2p + b of raws p = 0..K; raw K is the end
+    base = np.arange(0, R * S, S)[:, None]  # trajectory r's states: r*S + 2p + b
+    jump = np.empty((R, S), dtype=np.intp)
+    code = 4 * coin + 2 * inside
+    for b in (0, 1):
+        jump[:, b:2 * K:2] = moves.take(code + b) + np.arange(0, 2 * K, 2)
+    np.minimum(jump, 2 * K + 1, out=jump)  # past the end: the end, never on a path
+    jump[:, 2 * K:] = (2 * K, 2 * K + 1)
+    jump = (jump + base).ravel()
+    path = base + buffered0[:, None]  # the state before row 0: raw 0, b buffered
+    while path.shape[1] <= N:
+        path = np.hstack([path, jump[path]])
+        if path.shape[1] <= N:
+            jump = jump[jump]
+    path = path[:, :N + 1] - base
+    pos, buffered = path >> 1, path & 1
+    start, buf = pos[:, :N], buffered[:, :N, None]
+    corner = ~np.take_along_axis(inside, start, axis=1)
+    at = (start + coin)[:, :, None]  # the first raw after the coin
+    # a corner row that splits a fresh raw leaves the high half of its last
+    # raw as the state's uinteger: word 2p at end raw p (word 0 is the
+    # state's own, word 2q + 1 the low half of raw q)
+    split = np.where(corner & (buf[:, :, 0] < m), 2 * pos[:, 1:], 0)
+    held = np.maximum.accumulate(split, axis=1)  # ends grow, so the latest
+    before = np.hstack([np.zeros((R, 1), dtype=np.intp), held[:, :-1]])
+    word = np.where((axes == 0) & (buf == 1), before[:, :, None],
+                    2 * at + 1 + axes - buf)
+    half = np.maximum(word - 1, 0)  # word 2q + 1 + h is half h of raw q
+    source = np.take_along_axis(raw, (half >> 1).reshape(R, -1), axis=1)
+    top = np.where(word == 0, word0[:, None, None] >> np.uint64(31),
+                   source.reshape(word.shape) >> (31 + 32 * (half & 1)).astype(np.uint64))
+    top &= np.uint64(1)
+    fresh = np.take_along_axis(raw, (at + axes).reshape(R, -1), axis=1)
+    table = np.where(corner[:, :, None], box[axes, top.astype(np.intp)],
+                     lo + span * ((fresh.reshape(at.shape[:2] + (m,)) >> 11)
+                                  .astype(float) * 2.0 ** -53))
+    latest = held[:, -1]
+    uinteger = np.where(latest == 0, word0,
+                        raw[np.arange(R), np.maximum(latest // 2 - 1, 0)] >> np.uint64(32))
+    for b, end, has, value in zip(bits, pos[:, N].tolist(), buffered[:, N].tolist(),
+                                  uinteger.tolist()):
+        b.advance(2 ** 128 - (K - end))  # back to the first raw not used
+        state = b.state
+        state["has_uint32"], state["uinteger"] = has, value
+        b.state = state
     return table
 
 
@@ -215,76 +258,108 @@ def _roll(sys, specs, horizon):
     ``simulate(sys, t0, x0, dpol, upol, horizon, meta=meta)`` of spec j bit
     for bit.
 
-    Only the policy kinds the search builds are rolled.  Zero, constant and
-    sequence inputs and corner and random disturbances do not read the
-    state, so their (B, N, .) tables are filled before the first step, a
-    random row's equal to the N draws ``simulate`` makes from its generator
-    (:func:`_random_table`).  Each step then makes one ``H_rows``, one
-    ``h_rows`` and one ``f_rows`` call over the block, and scores the
-    candidate successors of every greedy row in one more ``f_rows`` and
-    ``H_rows`` call, at a column of per-row times, or at one float time
-    when the whole block starts at the same t0.  Any other policy kind
-    raises TypeError.
+    Only the policy kinds the search builds are rolled; any other raises
+    TypeError.  Zero, constant and sequence inputs and corner and random
+    disturbances do not read the state, so their (B, N, .) tables are
+    filled before the first step.  The random rows' tables, equal to the N
+    draws ``simulate`` makes from each generator, are decoded together
+    (:func:`_random_tables`).
+
+    Each greedy trajectory steps as C rows, one per candidate d.  A step
+    makes one ``f_rows`` call over the other rows and all candidate rows
+    and one ``H_rows`` call at t + 1 over the results, plus one ``h_rows``
+    call when the system has its own h.  Each greedy row then takes
+    ``GreedyDisturbance.__call__``'s pick, the first strict maximum of
+    ||H(t + 1, f)||, never a NaN, ``cands[0]`` when every score is NaN; the
+    picked candidate's successor and output are the row's next state and
+    output.  The last step evaluates the candidate rows only.  Times are a
+    column of per-row times, or one float when the whole block starts at
+    the same t0.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     t0s, X0, dpols, upols, metas = zip(*specs)
-    B, N = len(specs), horizon + 1
-    Ti = np.array([np.arange(t0, t0 + N) for t0 in t0s])
-    Tf = Ti.astype(float)
-    X = np.empty((B, N, sys.n))
+    B, N, n = len(specs), horizon + 1, sys.n
+    kinds = {RandomDisturbance: [], ConstantDisturbance: [], GreedyDisturbance: []}
+    for j, (dpol, upol) in enumerate(zip(dpols, upols)):
+        if type(upol) not in (ZeroInput, ConstantInput, SequenceInput):
+            raise TypeError(f"no input table for {upol.descriptor()}")
+        if type(dpol) not in kinds:
+            raise TypeError(f"no disturbance table for {dpol.descriptor()}")
+        kinds[type(dpol)].append(j)
+    # row i of the block's arrays is spec order[i]: random, constant, greedy
+    order = [j for rows in kinds.values() for j in rows]
+    n_random, G = len(kinds[RandomDisturbance]), len(kinds[GreedyDisturbance])
+    rest = B - G
+    Ti = np.array([t0s[j] for j in order])[:, None] + np.arange(N)
+    X = np.empty((B, N, n))
     D = np.empty((B, N, sys.m))
     U = np.zeros((B, N, sys.k))
     Yv = np.empty((B, N, sys.p_Y))
-    yv = np.empty((B, N, sys.p_y))
     box = sys.d_box
     lo, span, axes = box[:, 0], box[:, 1] - box[:, 0], np.arange(sys.m)
-    greedy = []
-    for j, (dpol, upol) in enumerate(zip(dpols, upols)):
+    for i, j in enumerate(order):
+        upol = upols[j]
         if type(upol) is ConstantInput:
-            U[j] = upol.value
+            U[i] = upol.value
         elif type(upol) is SequenceInput:
-            i = Ti[j] - upol.t0
-            inside = (i >= 0) & (i < upol.values.shape[0])
-            U[j, inside] = upol.values[i[inside]]  # zeros outside the table
-        elif type(upol) is not ZeroInput:
-            raise TypeError(f"no input table for {upol.descriptor()}")
-        if type(dpol) is ConstantDisturbance:
-            D[j] = dpol.value
-        elif type(dpol) is RandomDisturbance:
-            D[j] = _random_table(dpol, box, lo, span, axes, N)
-        elif type(dpol) is GreedyDisturbance:
-            greedy.append(j)
-        else:
-            raise TypeError(f"no disturbance table for {dpol.descriptor()}")
-    if greedy:
-        cands = d_candidates(box, grid=_GREEDY_GRID, random=0)
-        C = cands.shape[0]
-        D_cands = np.tile(cands, (len(greedy), 1))
-    # a term of t alone is then evaluated once a step, as a scalar
-    times = Tf[0].tolist() if len(set(t0s)) == 1 else Tf.T
-    x = np.array(X0, dtype=float).reshape(B, sys.n)
+            k = Ti[i] - upol.t0
+            inside = (k >= 0) & (k < upol.values.shape[0])
+            U[i, inside] = upol.values[k[inside]]  # zeros outside the table
+        if type(dpols[j]) is ConstantDisturbance:
+            D[i] = dpols[j].value
+    _random_tables([dpols[j] for j in order[:n_random]], box, lo, span, axes,
+                   D[:n_random])
+    # one start time: a term of t alone is evaluated once a step, as a scalar
+    t0 = float(t0s[0]) if len(set(t0s)) == 1 else Ti[:, 0].astype(float)
+    X[:, 0] = np.array([X0[j] for j in order], dtype=float).reshape(B, n)
+    Yv[:, 0] = sys.H_rows(t0, X[:, 0])
+    yv = None if sys.h is None else np.empty((B, N, sys.p_y))
+    cands = (d_candidates(box, grid=_GREEDY_GRID, random=0) if G
+             else np.empty((0, sys.m)))
+    C = len(cands)
+    # the rows a step evaluates, by the block row whose x and u they read:
+    # the other rows, then C per greedy row, the candidates in order
+    src = np.concatenate([np.arange(rest), np.repeat(np.arange(rest, B), C)])
+    Xs, Ds, Us = (np.empty((src.size, dim)) for dim in (n, sys.m, sys.k))
+    Ds[rest:] = np.tile(cands, (G, 1))
+    ts = t0 if isinstance(t0, float) else t0[src]
+    succ = np.arange(B)  # the evaluated row that is each block row's successor
+    first = rest + np.arange(G) * C  # each greedy row's first candidate row
     for s in range(N):
-        tf = times[s]
-        X[:, s] = x
-        Yv[:, s] = sys.H_rows(tf, x)
-        yv[:, s] = Yv[:, s] if sys.h is None else sys.h_rows(tf, x)
-        if greedy:
-            # GreedyDisturbance.__call__'s pick: the first strict maximum of
-            # ||H(t+1, f)||, never a NaN, cands[0] when every score is NaN
-            t = tf if isinstance(tf, float) else np.repeat(tf[greedy], C)
-            F = sys.f_rows(t, np.repeat(x[greedy], C, axis=0), D_cands,
-                           np.repeat(U[greedy, s], C, axis=0))
-            score = row_norms(sys.H_rows(t + 1.0, F)).reshape(-1, C)
-            score[np.isnan(score)] = -np.inf
-            D[greedy, s] = cands[np.argmax(score, axis=1)]
-        if s + 1 < N:
-            x = sys.f_rows(tf, x, D[:, s], U[:, s])
-    return [Trajectory(t0=t0s[j], t=Ti[j], x=X[j], d=D[j], u=U[j], Y=Yv[j],
-                       y=yv[j], meta={"d_policy": dpols[j].descriptor(),
-                                      "u_policy": upols[j].descriptor(),
-                                      **metas[j]})
-            for j in range(B)]
+        x = X[:, s]
+        if yv is not None:
+            yv[:, s] = sys.h_rows(t0 + s, x)
+        last = s + 1 == N
+        if last and not G:
+            break
+        # every index is in range: mode "clip" only skips take's buffering
+        x.take(src, axis=0, out=Xs, mode="clip")
+        U[:, s].take(src, axis=0, out=Us, mode="clip")
+        Ds[:rest] = D[:rest, s]
+        rows = slice(rest if last else 0, None)  # the last step: candidates only
+        t = ts + s if isinstance(ts, float) else ts[rows] + s
+        F = sys.f_rows(t, Xs[rows], Ds[rows], Us[rows])
+        Yn = sys.H_rows(t + 1.0, F)
+        if G:
+            score = row_norms(Yn[len(Yn) - G * C:]).reshape(G, C)
+            # a norm is never negative, so a NaN scored -1 is never picked
+            # over a number, and an all-NaN row picks cands[0]
+            best = np.fmax(score, -1.0, out=score).argmax(axis=1)
+            cands.take(best, axis=0, out=D[rest:, s], mode="clip")
+            np.add(first, best, out=succ[rest:])
+        if not last:
+            F.take(succ, axis=0, out=X[:, s + 1], mode="clip")
+            Yn.take(succ, axis=0, out=Yv[:, s + 1], mode="clip")
+    if yv is None:
+        yv = Yv.copy()  # y reuses H, in an array of its own
+    trajs = [None] * B
+    for i, j in enumerate(order):
+        trajs[j] = Trajectory(t0=t0s[j], t=Ti[i], x=X[i], d=D[i], u=U[i],
+                              Y=Yv[i], y=yv[i],
+                              meta={"d_policy": dpols[j].descriptor(),
+                                    "u_policy": upols[j].descriptor(), **metas[j]})
+    return trajs
 
 
 def search_trajectories(sys: SystemDef, t0s: Sequence[int], radius: float,
@@ -554,11 +629,18 @@ def _require_gains(form, rho, gamma, zeta, delta):
         raise ValueError("sup form needs zeta and delta")
 
 
+def _with_rows(batch):
+    """The trajectories of ``batch`` that have rows: one with none adds no
+    rows (it has no x0 to bound by), and a batch without rows is refused."""
+    batch = [traj for traj in batch if len(traj)]
+    require_samples(len(batch), "trajectory rows")
+    return batch
+
+
 def check_kl_estimate(batch: Sequence[Trajectory], sigma: KLEnvelope,
                       beta: TimeGain = None, tol: float = 1e-9) -> EnvelopeReport:
     """Pointwise ||Y(t)|| <= sigma(beta(t0)||x0||, t - t0) over the batch."""
-    batch = list(batch)
-    require_samples(len(batch), "trajectory rows")
+    batch = _with_rows(batch)
     bounds = _batch_bounds(_decay_bounds, batch, sigma, beta or sigma.beta)
     return _row_check("kl", bounds, batch, tol)
 
@@ -578,8 +660,7 @@ def check_ios_estimate(batch: Sequence[Trajectory], sigma: KLEnvelope,
     """
     beta = beta or sigma.beta
     _require_gains(form, rho, gamma, zeta, delta)
-    batch = list(batch)
-    require_samples(len(batch), "trajectory rows")
+    batch = _with_rows(batch)
     bounds = _batch_bounds(_ios_bounds, batch, sigma, beta, rho, gamma, form,
                            zeta, delta)
     return _row_check(form, bounds, batch, tol)

@@ -11,6 +11,7 @@ policy.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -221,6 +222,14 @@ class SystemDef:
     def d_mid(self) -> np.ndarray:
         return (self.d_box[:, 0] + self.d_box[:, 1]) / 2.0
 
+    @functools.cached_property
+    def d_corners(self) -> np.ndarray:
+        """The corners of D (at most 256, see ``_box_corners``), computed
+        once per system; read-only."""
+        corners = _box_corners(self.d_box)
+        corners.flags.writeable = False
+        return corners
+
     def check_equilibrium(self, ts=range(21)) -> list:
         """Spot-check f(t,d,0,0)=0, H(t,0)=0, h(t,0)=0 at box corners.
 
@@ -229,9 +238,8 @@ class SystemDef:
         witnesses = []
         zero_x = np.zeros(self.n)
         zero_u = np.zeros(self.k)
-        corners = _box_corners(self.d_box)
         for t in ts:
-            for dcorner in corners:
+            for dcorner in self.d_corners:
                 val = self.f_eval(t, dcorner, zero_x, zero_u)
                 if np.any(val != 0.0):
                     witnesses.append({"map": "f", "t": int(t),
@@ -537,8 +545,15 @@ class GreedyDisturbance(DisturbancePolicy):
         self.grid = grid
         self.random = random
         self.seed = seed
-        self.rng = np.random.default_rng(seed)
+        self._rng = None
         self._cands = None
+
+    @property
+    def rng(self):
+        """The generator of the random candidates, made on first use."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.seed)
+        return self._rng
 
     def __call__(self, sys, t, x, u):
         if self._cands is None:

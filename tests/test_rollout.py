@@ -6,6 +6,7 @@ rolls from the same (t0, x0, policies) of the documented seed stream.  NaNs
 may differ only in their sign bit, which IEEE 754 leaves unspecified.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from dtstab.stability import test_output_attractivity as search_attractivity
 from dtstab.stability import test_output_stability as search_stability
 from dtstab.system import (ConstantDisturbance, RandomDisturbance,
                            StateFeedback, SystemDef, Trajectory, ZeroInput,
-                           closed_loop, simulate, vecnorm)
+                           closed_loop, d_candidates, simulate, vecnorm)
 
 B23, B34, B47 = example_2_3(), example_3_4(), example_4_7(0.5)
 # the small-input system with m = 2: an expression system, and native f, H
@@ -55,6 +56,36 @@ def reference(sys, t0s, radius, budget, u_modes=("zero",)):
                                         range(budget.max_trajectories))
     return [simulate(sys, t0, x0, dpol, upol, budget.horizon, meta=meta)
             for t0, x0, dpol, upol, meta in specs]
+
+
+def test_trajectory_specs_follow_the_documented_stream():
+    # trajectory i seeds from SeedSequence(seed, spawn_key=(i,)): signed
+    # axes first, then a normal direction over np.linalg.norm on the radius
+    # ladder; corners in product order; greedy and random policies seeded
+    # with the sequence's first word
+    mix = ("corner", "greedy", "random")
+    budget = FalsifyBudget(max_trajectories=40, horizon=3, mix=mix, seed=21)
+    for n in (1, 2, 3):
+        sys = SystemDef(n=n, m=2, k=0, d_box=[[-1.0, 2.0], [0.5, 1.5]],
+                        f=[f"0.5*x{i + 1}" for i in range(n)], H=["x1"])
+        corners = np.array(list(itertools.product(*sys.d_box)))
+        specs = stability._trajectory_specs(sys, [0, 3], 2.0, budget, ("zero",),
+                                            range(40))
+        for i, (t0, x0, dpol, upol, meta) in enumerate(specs):
+            seq = np.random.SeedSequence(21, spawn_key=(i,))
+            if i < 2 * n:
+                want = 2.0 * np.eye(n)[i // 2] * (1.0 if i % 2 == 0 else -1.0)
+            else:
+                g = np.random.default_rng(seq.generate_state(2)).standard_normal(n)
+                want = g / np.linalg.norm(g) * (2.0 * (1.0, 0.75, 0.5, 0.25)[i % 4])
+            assert np.array_equal(x0.view(np.int64), want.view(np.int64))
+            assert t0 == (0, 3)[i % 2] and meta == {"index": i, "strategy": mix[i % 3]}
+            child = int(seq.generate_state(1)[0])
+            if mix[i % 3] == "corner":
+                assert np.array_equal(dpol.value, corners[i % 4])
+            else:
+                assert dpol.seed == child
+                assert dpol.rng.random() == np.random.default_rng(child).random()
 
 
 @pytest.fixture
@@ -306,6 +337,85 @@ def test_greedy_all_nan_scores_picks_first_candidate(batched_only):
         assert np.all(traj.d == 1.0)
 
 
+def test_greedy_step_with_every_score_nan(batched_only):
+    # H(t, x) is NaN at t = 3 only, so at the step into t = 3 every
+    # candidate of every greedy row scores NaN and cands[0] is picked
+    sys = nan_output_system(
+        [[-2.0, 2.0]], ["x1 + 1 + 0*(1e300*(1 + max(0, 1 - abs(t - 3))*1e300))"])
+    budget = FalsifyBudget(max_trajectories=16, horizon=8, seed=12)
+    got = check_search(sys, (0, 1, 2), 1.0, budget)
+    greedy = [traj for traj in got if traj.meta["strategy"] == "greedy"]
+    assert {int(traj.t0) for traj in greedy} == {0, 1, 2}
+    for traj in greedy:
+        into_3 = traj.t == 2
+        assert np.all(traj.d[into_3] == -2.0) and np.any(traj.d[~into_3] != -2.0)
+        assert np.all(np.isnan(traj.Y[traj.t == 3]))
+
+
+def test_greedy_all_rows_on_a_two_dimensional_box(batched_only):
+    # 4 corners inside the 5 x 5 grid: C = 25 candidate rows per greedy row
+    sys = SystemDef(n=2, m=2, k=0, d_box=[[-1.0, 1.5], [0.0, 2.0]],
+                    f=["0.5*d1*x1 - 0.3*d2*x2", "0.4*x1*d2 + 0.2*d1*x2"],
+                    H=["x1 - 2*x2", "x2*(t - 2.5)"])
+    assert d_candidates(sys.d_box, grid=stability._GREEDY_GRID).shape == (25, 2)
+    budget = FalsifyBudget(max_trajectories=14, horizon=18, mix=("greedy",),
+                           seed=13)
+    check_search(sys, (0, 2, 5), 2.0, budget)
+
+
+def test_greedy_rows_on_a_system_with_its_own_h(batched_only):
+    assert TIME_TERMS.h is not None
+    budget = FalsifyBudget(max_trajectories=17, horizon=14, seed=14)
+    for t0s in ((0, 1, 3), (2,)):
+        got = check_search(TIME_TERMS, t0s, 1.5, budget)
+        assert any(not np.array_equal(traj.y, traj.Y[:, :1]) for traj in got)
+
+
+def test_candidate_raising_at_the_last_step_falls_back_in_order(batched_only,
+                                                               monkeypatch):
+    # sqrt of a negative only for d1 = -2 at t = 12, the last row: the
+    # search evaluates f there for the greedy candidates alone, as simulate does
+    sys = SystemDef(n=1, m=1, k=0, d_box=[[-2.0, 2.0]],
+                    f=["0.5*d1*x1 + 0*sqrt(100*(12 - t) + d1 + 1.5)"], H=["x1"])
+    mix = ("corner", "random", "greedy", "corner")
+    budget = FalsifyBudget(max_trajectories=8, horizon=12, mix=mix, seed=3)
+    for traj in check_search(sys, (0,), 1.0, FalsifyBudget(
+            max_trajectories=8, horizon=12, mix=("corner", "random"), seed=3)):
+        assert traj.t[-1] == 12
+    monkeypatch.setattr(stability, "simulate", simulate)  # greedy rows raise
+    stream, got = search_trajectories(sys, (0,), 1.0, budget), []
+    with pytest.raises(ExprDomainError):
+        for traj in stream:
+            got.append(traj)
+    specs = stability._trajectory_specs(sys, [0], 1.0, budget, ("zero",), range(2))
+    assert len(got) == 2  # index 2 is greedy: its last pick raises
+    for traj, (t0, x0, dpol, upol, meta) in zip(got, specs):
+        assert_same(traj, simulate(sys, t0, x0, dpol, upol, 12, meta=meta))
+
+
+@pytest.mark.parametrize("mix", [("corner", "greedy", "random"), ("random", "corner")])
+@pytest.mark.parametrize("sys", [TIME_TERMS, B34.sys], ids=["own_h", "h_is_H"])
+def test_one_row_call_per_map_and_step(batched_only, monkeypatch, sys, mix):
+    calls = {"f_rows": [], "H_rows": [], "h_rows": []}
+    for name in calls:
+        def counted(t, X, *args, _name=name, _original=getattr(sys, name)):
+            calls[_name].append(len(X))
+            return _original(t, X, *args)
+        monkeypatch.setattr(sys, name, counted)
+    horizon, B = 9, 12
+    budget = FalsifyBudget(max_trajectories=B, horizon=horizon, mix=mix, seed=15)
+    check_search(sys, (0, 4), 1.0, budget, ("zero", "random"))
+    N, G = horizon + 1, sum(mix[i % len(mix)] == "greedy" for i in range(B))
+    C = len(d_candidates(sys.d_box, grid=stability._GREEDY_GRID))
+    # f: one call a step over the other rows and C rows per greedy row, and
+    # one over the candidates alone for the last row's picks; H: the first
+    # row's outputs, then one call a step at t + 1 over f's rows
+    step = [B - G + G * C] * (N - 1)
+    assert calls["f_rows"] == (step + [G * C] if G else step)
+    assert calls["H_rows"] == [B] + calls["f_rows"]
+    assert calls["h_rows"] == ([B] * N if sys.h is not None else [])
+
+
 def test_random_draw_form_equals_generator_uniform():
     for box in ([[-2.0, 2.0]], [[-2.0, 2.0], [-1.0, 1.0]], [[0.1, 0.3], [-1e-3, 7.5]]):
         box = np.asarray(box)
@@ -333,9 +443,9 @@ TABLE_BOXES = {1: [[-2.0, 2.0]], 2: [[-2.0, 2.0], [-1.0, 1.5]],
 
 
 def draws_and_table(make, box, N, buffered):
-    """(N successive ``_draw`` rows, ``_random_table`` of a twin policy) and
-    the two policies; with ``buffered`` both first leave a 32-bit half in
-    their generator's buffer."""
+    """(N successive ``_draw`` rows, the ``_random_tables`` table of a twin
+    policy) and the two policies; with ``buffered`` both first leave a
+    32-bit half in their generator's buffer."""
     box = np.asarray(box)
     lo, span, axes = box[:, 0], box[:, 1] - box[:, 0], np.arange(box.shape[0])
     rowwise, decoded = make(), make()
@@ -343,7 +453,9 @@ def draws_and_table(make, box, N, buffered):
         rowwise.rng.integers(0, 2)
         decoded.rng.integers(0, 2)
     want = np.array([rowwise._draw(box, lo, span, axes) for _ in range(N)])
-    got = np.asarray(stability._random_table(decoded, box, lo, span, axes, N))
+    got = np.empty((1, N, box.shape[0]))
+    stability._random_tables([decoded], box, lo, span, axes, got)
+    got = got[0]
     return want, got, rowwise, decoded
 
 
@@ -392,6 +504,39 @@ def test_random_table_of_other_bit_generators_draws_row_by_row(mode, monkeypatch
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert calls.count(b) == 57  # the table went through _draw
     assert_same_generators(a.rng, b.rng)
+
+
+def block_policies():
+    """Random policies of every mode, half with a buffered 32-bit half and
+    one on a Philox generator, twice over."""
+    def make():
+        pols = []
+        for seed in range(12):
+            gen = np.random.Generator(np.random.Philox(seed)) if seed == 7 else seed
+            pol = RandomDisturbance(seed=gen, mode=("interior", "corner", "mixed")[seed % 3])
+            if seed % 4 < 2:
+                pol.rng.integers(0, 2)
+            pols.append(pol)
+        return pols
+    return make(), make()
+
+
+@pytest.mark.parametrize("decode_raws", [1, 60, 1 << 13])
+@pytest.mark.parametrize("N", [1, 7, 201])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_block_decode_equals_successive_draws(monkeypatch, m, N, decode_raws):
+    # decode_raws 1: a chunk a policy; 60: chunks of several policies (N = 1, 7)
+    monkeypatch.setattr(stability, "_DECODE_RAWS", decode_raws)
+    box = np.asarray(TABLE_BOXES[m])
+    lo, span, axes = box[:, 0], box[:, 1] - box[:, 0], np.arange(m)
+    rowwise, decoded = block_policies()
+    want = np.array([[pol._draw(box, lo, span, axes) for _ in range(N)]
+                     for pol in rowwise])
+    got = np.empty((len(decoded), N, m))
+    stability._random_tables(decoded, box, lo, span, axes, got)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for a, b in zip(rowwise, decoded):
+        assert_same_generators(a.rng, b.rng)
 
 
 def test_search_decodes_random_tables_without_per_row_draws(batched_only):

@@ -505,6 +505,30 @@ class TestBatchEnvelopeChecks:
         with pytest.raises(ValueError, match="empty sample set"):
             check_ios_estimate([], B34.sigma, rho=identity(), gamma=constant(1.0))
 
+    @pytest.mark.parametrize("form", ["kl", "max", "sup"])
+    @pytest.mark.parametrize("envelope", sorted(ENVELOPES))
+    def test_zero_row_trajectories_add_no_rows(self, form, envelope):
+        sigma, gains = ENVELOPES[envelope], EXPR_GAINS
+        batch = ragged_batch(B34.sys)
+        empty = [cut(traj, 0) for traj in batch[:2]]
+        for holes in ([0, 3], [len(batch)], [0, 0, 5]):
+            with_empty = list(batch)
+            for k, at in enumerate(holes):
+                with_empty.insert(at, empty[k % 2])
+            rep = batch_check(form, with_empty, sigma, gains, 1e-9)
+            assert dumps(rep) == dumps(batch_check(form, batch, sigma, gains, 1e-9))
+            assert rep.rows == sum(len(traj) for traj in batch)
+        for rows in ([0, 0], [0, 6], [6, 0]):
+            cuts = [cut(traj, n) for traj, n in zip(batch, rows)]
+            kept = [traj for traj in cuts if len(traj)]
+            if not kept:
+                with pytest.raises(ValueError,
+                                   match="empty sample set: no trajectory rows"):
+                    batch_check(form, cuts, sigma, gains, 1e-9)
+                continue
+            assert (dumps(batch_check(form, cuts, sigma, gains, 1e-9))
+                    == dumps(batch_check(form, kept, sigma, gains, 1e-9)))
+
     def test_first_failing_trajectory_names_the_error(self):
         # over the whole batch beta (evaluated first) fails at the third
         # trajectory; trajectory by trajectory gamma fails first, at the second
