@@ -38,7 +38,7 @@ _RADIUS_LADDER = (1.0, 0.75, 0.5, 0.25)
 ROLLOUT_BLOCK = 256  # trajectories a search rolls in lock-step at once
 _GREEDY_GRID = 5  # per-dimension candidate grid of the search's greedy adversary
 BISECT_ITERS = 20  # bisection steps of test_output_stability after bracketing
-_DECODE_RAWS = 1 << 13  # raws a chunk of the random-table decode holds at once
+_DECODE_RAWS = 2048  # raws a chunk of the random-table decode holds at once
 
 
 @dataclass
