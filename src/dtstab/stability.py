@@ -25,7 +25,7 @@ from .system import (FAIL, ConstantDisturbance, ConstantInput,
                      SystemDef, Trajectory, WorstMargin, ZeroInput,
                      bind_inputs, d_candidates, first_max, output_maps,
                      require_samples, row_norms, simulate, vecnorm, _beats,
-                     _box_corners, _FieldsJSON)
+                     _FieldsJSON)
 
 __all__ = [
     "FalsifyBudget", "StabilityReport", "EnvelopeReport",
@@ -234,18 +234,17 @@ def _decode_pcg64(dpols, box, lo, span, axes, N, K):
                     2 * at + 1 + axes - buf)
     half = np.maximum(word - 1, 0)  # word 2q + 1 + h is half h of raw q
     source = np.take_along_axis(raw, (half >> 1).reshape(R, -1), axis=1)
+    shift = (31 + 32 * (half & 1)).astype(np.uint64)  # to the half's top bit
     top = np.where(word == 0, word0[:, None, None] >> np.uint64(31),
-                   source.reshape(word.shape) >> (31 + 32 * (half & 1)).astype(np.uint64))
-    top &= np.uint64(1)
+                   source.reshape(word.shape) >> shift) & np.uint64(1)
     fresh = np.take_along_axis(raw, (at + axes).reshape(R, -1), axis=1)
-    table = np.where(corner[:, :, None], box[axes, top.astype(np.intp)],
-                     lo + span * ((fresh.reshape(at.shape[:2] + (m,)) >> 11)
-                                  .astype(float) * 2.0 ** -53))
+    drawn = lo + span * ((fresh.reshape(word.shape) >> 11).astype(float) * 2.0 ** -53)
+    table = np.where(corner[:, :, None], box[axes, top.astype(np.intp)], drawn)
     latest = held[:, -1]
-    uinteger = np.where(latest == 0, word0,
-                        raw[np.arange(R), np.maximum(latest // 2 - 1, 0)] >> np.uint64(32))
-    for b, end, has, value in zip(bits, pos[:, N].tolist(), buffered[:, N].tolist(),
-                                  uinteger.tolist()):
+    split_raw = raw[np.arange(R), np.maximum(latest // 2 - 1, 0)]
+    uinteger = np.where(latest == 0, word0, split_raw >> np.uint64(32))
+    ends = zip(bits, pos[:, N].tolist(), buffered[:, N].tolist(), uinteger.tolist())
+    for b, end, has, value in ends:
         b.advance(2 ** 128 - (K - end))  # back to the first raw not used
         state = b.state
         state["has_uint32"], state["uinteger"] = has, value

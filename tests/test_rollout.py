@@ -438,7 +438,8 @@ def test_random_draw_form_equals_generator_uniform():
 
 # --- random tables decoded from one raw draw ---
 
-TABLE_BOXES = {1: [[-2.0, 2.0]], 2: [[-2.0, 2.0], [-1.0, 1.5]],
+TABLE_BOXES = {0: np.zeros((0, 2)), 1: [[-2.0, 2.0]],
+               2: [[-2.0, 2.0], [-1.0, 1.5]],
                3: [[0.1, 0.3], [-1e-3, 7.5], [-1.0, 1.0]]}
 
 
@@ -513,7 +514,8 @@ def block_policies():
         pols = []
         for seed in range(12):
             gen = np.random.Generator(np.random.Philox(seed)) if seed == 7 else seed
-            pol = RandomDisturbance(seed=gen, mode=("interior", "corner", "mixed")[seed % 3])
+            mode = ("interior", "corner", "mixed")[seed % 3]
+            pol = RandomDisturbance(seed=gen, mode=mode)
             if seed % 4 < 2:
                 pol.rng.integers(0, 2)
             pols.append(pol)
@@ -523,7 +525,7 @@ def block_policies():
 
 @pytest.mark.parametrize("decode_raws", [1, 60, 1 << 13])
 @pytest.mark.parametrize("N", [1, 7, 201])
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_block_decode_equals_successive_draws(monkeypatch, m, N, decode_raws):
     # decode_raws 1: a chunk a policy; 60: chunks of several policies (N = 1, 7)
     monkeypatch.setattr(stability, "_DECODE_RAWS", decode_raws)
