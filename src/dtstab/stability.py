@@ -38,7 +38,6 @@ _RADIUS_LADDER = (1.0, 0.75, 0.5, 0.25)
 ROLLOUT_BLOCK = 256  # trajectories a search rolls in lock-step at once
 _GREEDY_GRID = 5  # per-dimension candidate grid of the search's greedy adversary
 BISECT_ITERS = 20  # bisection steps of test_output_stability after bracketing
-_DECODE_RAWS = 2048  # raws a chunk of the random-table decode holds at once
 
 
 @dataclass
@@ -54,6 +53,16 @@ class FalsifyBudget:
     def __post_init__(self):
         if self.max_trajectories < 0:
             raise ValueError("budget must be non-negative")
+        _require_modes("mix", self.mix, ("corner", "greedy", "random"))
+
+
+def _require_modes(what, modes, known):
+    """Refuse an empty ``modes`` or an entry outside ``known``."""
+    if not modes:
+        raise ValueError(f"{what} must not be empty")
+    for mode in modes:
+        if mode not in known:
+            raise ValueError(f"unknown {what} entry {mode!r}")
 
 
 @dataclass
@@ -142,116 +151,6 @@ def _trajectory_specs(sys, t0s, radius, budget, u_modes, indices):
                {"index": i, "strategy": strategy})
 
 
-def _random_tables(dpols, box, lo, span, axes, out):
-    """Fill ``out[r]`` with N = ``out.shape[1]`` successive
-    ``dpols[r]._draw(box, lo, span, axes)`` rows, bit for bit, leaving every
-    generator in the state those draws leave.
-
-    Tables of PCG64 generators are decoded together, in chunks of at most
-    ``_DECODE_RAWS`` raws (:func:`_decode_pcg64`); any other bit generator
-    draws row by row.
-    """
-    N, m = out.shape[1], axes.shape[0]
-    K = N * (1 + m)  # no row reads more than a coin and m raws
-    pcg = []
-    for r, dpol in enumerate(dpols):
-        if type(dpol.rng.bit_generator) is np.random.PCG64:
-            pcg.append(r)
-        else:
-            out[r] = [dpol._draw(box, lo, span, axes) for _ in range(N)]
-    per = max(1, _DECODE_RAWS // K)
-    for start in range(0, len(pcg), per):
-        rows = pcg[start:start + per]
-        out[rows] = _decode_pcg64([dpols[r] for r in rows], box, lo, span, axes,
-                                  N, K)
-
-
-def _decode_pcg64(dpols, box, lo, span, axes, N, K):
-    """The (R, N, m) tables of R ``RandomDisturbance``s on PCG64 generators,
-    from one ``random_raw(K)`` call each.
-
-    Every draw a row makes reads the same stream of 64-bit raws (O'Neill,
-    "PCG", HMC-CS-2014-0905):
-
-    - ``random()`` is ``(raw >> 11) * 2**-53``, so the mixed mode's coin
-      ``random() < 0.5`` picks a corner iff the raw's top bit is 0;
-    - ``integers(0, 2)`` is ``u32 >> 31`` (numpy's Lemire draw on a range
-      of two), where a 32-bit word is the generator's buffered one when its
-      state has ``has_uint32``, else the low half of a fresh raw, whose
-      high half is then buffered.
-
-    A row starting at raw ``p`` with ``b`` words buffered ends at a state
-    (p', b') that only the coin at ``p`` decides.  The row-start states of
-    all N rows are found by pointer doubling over the 2(K + 1) states (p,
-    b): the jump table is squared ceil(log2(N + 1)) times, and the states
-    at offsets [0, 2^k) extend to [0, 2^(k+1)) through the 2^k-row jump.
-    The raws not used are given back with ``advance`` and the buffer is
-    written back to the state.
-    """
-    m, R = axes.shape[0], len(dpols)
-    bits = [dpol.rng.bit_generator for dpol in dpols]
-    states = [b.state for b in bits]
-    raw = np.stack([b.random_raw(K) for b in bits])
-    buffered0 = np.array([s["has_uint32"] for s in states], dtype=np.intp)
-    word0 = np.array([s["uinteger"] for s in states], dtype=np.uint64)
-    mixed = np.array([dpol.mode == "mixed" for dpol in dpols])[:, None]
-    interior = np.array([dpol.mode == "interior" for dpol in dpols])[:, None]
-    inside = np.where(mixed, (raw >> 63).astype(bool), interior)  # (R, K)
-    coin = mixed.astype(np.intp)  # the raws a row's coin takes
-    # moves[4c + 2 inside + b]: 2 dp + b' of a row from raw p with b
-    # buffered words (state 2p + b) and c coin raws: m raws inside the box,
-    # or m - b words at a corner, ceil((m - b)/2) fresh raws with one word
-    # buffered when m - b is odd
-    moves = np.array([2 * (c + m) + b if inside else
-                      2 * (c + (m - b + 1) // 2) + ((m - b) & 1)
-                      for c in (0, 1) for inside in (0, 1) for b in (0, 1)])
-    S = 2 * K + 2  # states 2p + b of raws p = 0..K; raw K is the end
-    base = np.arange(0, R * S, S)[:, None]  # trajectory r's states: r*S + 2p + b
-    jump = np.empty((R, S), dtype=np.intp)
-    code = 4 * coin + 2 * inside
-    for b in (0, 1):
-        jump[:, b:2 * K:2] = moves.take(code + b) + np.arange(0, 2 * K, 2)
-    np.minimum(jump, 2 * K + 1, out=jump)  # past the end: the end, never on a path
-    jump[:, 2 * K:] = (2 * K, 2 * K + 1)
-    jump = (jump + base).ravel()
-    path = base + buffered0[:, None]  # the state before row 0: raw 0, b buffered
-    while path.shape[1] <= N:
-        path = np.hstack([path, jump[path]])
-        if path.shape[1] <= N:
-            jump = jump[jump]
-    path = path[:, :N + 1] - base
-    pos, buffered = path >> 1, path & 1
-    start, buf = pos[:, :N], buffered[:, :N, None]
-    corner = ~np.take_along_axis(inside, start, axis=1)
-    at = (start + coin)[:, :, None]  # the first raw after the coin
-    # a corner row that splits a fresh raw leaves the high half of its last
-    # raw as the state's uinteger: word 2p at end raw p (word 0 is the
-    # state's own, word 2q + 1 the low half of raw q)
-    split = np.where(corner & (buf[:, :, 0] < m), 2 * pos[:, 1:], 0)
-    held = np.maximum.accumulate(split, axis=1)  # ends grow, so the latest
-    before = np.hstack([np.zeros((R, 1), dtype=np.intp), held[:, :-1]])
-    word = np.where((axes == 0) & (buf == 1), before[:, :, None],
-                    2 * at + 1 + axes - buf)
-    half = np.maximum(word - 1, 0)  # word 2q + 1 + h is half h of raw q
-    source = np.take_along_axis(raw, (half >> 1).reshape(R, -1), axis=1)
-    shift = (31 + 32 * (half & 1)).astype(np.uint64)  # to the half's top bit
-    top = np.where(word == 0, word0[:, None, None] >> np.uint64(31),
-                   source.reshape(word.shape) >> shift) & np.uint64(1)
-    fresh = np.take_along_axis(raw, (at + axes).reshape(R, -1), axis=1)
-    drawn = lo + span * ((fresh.reshape(word.shape) >> 11).astype(float) * 2.0 ** -53)
-    table = np.where(corner[:, :, None], box[axes, top.astype(np.intp)], drawn)
-    latest = held[:, -1]
-    split_raw = raw[np.arange(R), np.maximum(latest // 2 - 1, 0)]
-    uinteger = np.where(latest == 0, word0, split_raw >> np.uint64(32))
-    ends = zip(bits, pos[:, N].tolist(), buffered[:, N].tolist(), uinteger.tolist())
-    for b, end, has, value in ends:
-        b.advance(2 ** 128 - (K - end))  # back to the first raw not used
-        state = b.state
-        state["has_uint32"], state["uinteger"] = has, value
-        b.state = state
-    return table
-
-
 def _roll(sys, specs, horizon):
     """Roll a block of ``_trajectory_specs`` in lock-step; trajectory j equals
     ``simulate(sys, t0, x0, dpol, upol, horizon, meta=meta)`` of spec j bit
@@ -260,9 +159,9 @@ def _roll(sys, specs, horizon):
     Only the policy kinds the search builds are rolled; any other raises
     TypeError.  Zero, constant and sequence inputs and corner and random
     disturbances do not read the state, so their (B, N, .) tables are
-    filled before the first step.  The random rows' tables, equal to the N
-    draws ``simulate`` makes from each generator, are decoded together
-    (:func:`_random_tables`).
+    filled before the first step; a random row's table is one
+    ``RandomDisturbance.table`` call, equal to the N picks ``simulate``
+    makes from its generator.
 
     Each greedy trajectory steps as C rows, one per candidate d.  A step
     makes one ``f_rows`` call over the other rows and all candidate rows
@@ -279,16 +178,16 @@ def _roll(sys, specs, horizon):
         raise ValueError("horizon must be non-negative")
     t0s, X0, dpols, upols, metas = zip(*specs)
     B, N, n = len(specs), horizon + 1, sys.n
-    kinds = {RandomDisturbance: [], ConstantDisturbance: [], GreedyDisturbance: []}
-    for j, (dpol, upol) in enumerate(zip(dpols, upols)):
+    for dpol, upol in zip(dpols, upols):
         if type(upol) not in (ZeroInput, ConstantInput, SequenceInput):
             raise TypeError(f"no input table for {upol.descriptor()}")
-        if type(dpol) not in kinds:
+        if type(dpol) not in (ConstantDisturbance, RandomDisturbance,
+                              GreedyDisturbance):
             raise TypeError(f"no disturbance table for {dpol.descriptor()}")
-        kinds[type(dpol)].append(j)
-    # row i of the block's arrays is spec order[i]: random, constant, greedy
-    order = [j for rows in kinds.values() for j in rows]
-    n_random, G = len(kinds[RandomDisturbance]), len(kinds[GreedyDisturbance])
+    greedy = [type(dpol) is GreedyDisturbance for dpol in dpols]
+    # row i of the block's arrays is spec order[i]: the greedy rows last
+    order = sorted(range(B), key=greedy.__getitem__)
+    G = sum(greedy)
     rest = B - G
     Ti = np.array([t0s[j] for j in order])[:, None] + np.arange(N)
     X = np.empty((B, N, n))
@@ -296,19 +195,18 @@ def _roll(sys, specs, horizon):
     U = np.zeros((B, N, sys.k))
     Yv = np.empty((B, N, sys.p_Y))
     box = sys.d_box
-    lo, span, axes = box[:, 0], box[:, 1] - box[:, 0], np.arange(sys.m)
     for i, j in enumerate(order):
-        upol = upols[j]
+        upol, dpol = upols[j], dpols[j]
         if type(upol) is ConstantInput:
             U[i] = upol.value
         elif type(upol) is SequenceInput:
             k = Ti[i] - upol.t0
             inside = (k >= 0) & (k < upol.values.shape[0])
             U[i, inside] = upol.values[k[inside]]  # zeros outside the table
-        if type(dpols[j]) is ConstantDisturbance:
-            D[i] = dpols[j].value
-    _random_tables([dpols[j] for j in order[:n_random]], box, lo, span, axes,
-                   D[:n_random])
+        if type(dpol) is ConstantDisturbance:
+            D[i] = dpol.value
+        elif type(dpol) is RandomDisturbance:
+            D[i] = dpol.table(box, N)
     # one start time: a term of t alone is evaluated once a step, as a scalar
     t0 = float(t0s[0]) if len(set(t0s)) == 1 else Ti[:, 0].astype(float)
     X[:, 0] = np.array([X0[j] for j in order], dtype=float).reshape(B, n)
@@ -376,6 +274,9 @@ def search_trajectories(sys: SystemDef, t0s: Sequence[int], radius: float,
     search gives.
     """
     t0s = list(t0s)
+    if not t0s:
+        raise ValueError("t0s must not be empty")
+    _require_modes("u_modes", u_modes, ("zero", "constant", "random"))
     total = budget.max_trajectories
     for start in range(0, total, ROLLOUT_BLOCK):
         block = range(start, min(total, start + ROLLOUT_BLOCK))

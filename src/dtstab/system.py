@@ -505,7 +505,16 @@ class ConstantDisturbance(DisturbancePolicy):
 
 
 class RandomDisturbance(DisturbancePolicy):
-    """Seeded per-step sampler: box corners, interior points, or a mix."""
+    """Seeded per-step sampler: box corners, interior points, or a mix.
+
+    Every pick reads the same number of doubles from the generator's
+    ``random``: in mode "mixed" first a coin (below 0.5: a corner), then
+    one double r per component in every mode.  At a corner a component is
+    ``hi`` when r >= 0.5, else ``lo``; inside the box it is ``lo + (hi - lo)
+    * r``, which is ``Generator.uniform(lo, hi)`` bit for bit.  So N picks
+    are one ``random((N, coin + m))`` call, equal row for row to N picks of
+    one, on every bit generator.
+    """
 
     def __init__(self, seed=0, mode="interior"):
         if mode not in ("interior", "corner", "mixed"):
@@ -515,17 +524,20 @@ class RandomDisturbance(DisturbancePolicy):
         self.rng = np.random.default_rng(seed)
 
     def __call__(self, sys, t, x, u):
-        box = sys.d_box
-        return self._draw(box, box[:, 0], box[:, 1] - box[:, 0], np.arange(sys.m))
+        return self.table(sys.d_box, 1)[0]
 
-    def _draw(self, box, lo, span, axes):
-        """One step's pick.  ``lo + span * random(m)`` is what
-        ``Generator.uniform(lo, hi)`` computes, bit for bit and with the
-        same generator state afterwards, at a fraction of its call cost."""
-        rng = self.rng
-        if self.mode == "corner" or (self.mode == "mixed" and rng.random() < 0.5):
-            return box[axes, rng.integers(0, 2, size=axes.shape[0])]
-        return lo + span * rng.random(axes.shape[0])
+    def table(self, box, N):
+        """The next N picks in the (m, 2) ``box``, an (N, m) array."""
+        box = np.asarray(box, dtype=float)
+        lo, hi = box[:, 0], box[:, 1]
+        coin = int(self.mode == "mixed")
+        r = self.rng.random((N, coin + box.shape[0]))
+        if self.mode == "interior":
+            return lo + (hi - lo) * r
+        corner = np.where(r[:, coin:] >= 0.5, hi, lo)
+        if self.mode == "corner":
+            return corner
+        return np.where(r[:, :1] < 0.5, corner, lo + (hi - lo) * r[:, 1:])
 
     def descriptor(self):
         return f"random(mode={self.mode}, seed={self.seed})"

@@ -22,9 +22,10 @@ from dtstab.stability import (FalsifyBudget, adversarial_batch,
                               check_kl_estimate, falsify, search_trajectories)
 from dtstab.stability import test_output_attractivity as search_attractivity
 from dtstab.stability import test_output_stability as search_stability
-from dtstab.system import (ConstantDisturbance, RandomDisturbance,
-                           StateFeedback, SystemDef, Trajectory, ZeroInput,
-                           closed_loop, d_candidates, simulate, vecnorm)
+from dtstab.system import (ConstantDisturbance, GreedyDisturbance,
+                           RandomDisturbance, StateFeedback, SystemDef,
+                           Trajectory, ZeroInput, closed_loop, d_candidates,
+                           simulate, vecnorm)
 
 B23, B34, B47 = example_2_3(), example_3_4(), example_4_7(0.5)
 # the small-input system with m = 2: an expression system, and native f, H
@@ -309,6 +310,14 @@ def test_roller_refuses_policy_kinds_without_a_table():
     with pytest.raises(TypeError, match="no disturbance table"):
         stability._roll(B34.sys, [(t0, x0, shifted, upol, meta)], 3)
 
+    class Biased(RandomDisturbance):
+        def __call__(self, sys, t, x, u):
+            return 0.5 * super().__call__(sys, t, x, u)
+
+    with pytest.raises(TypeError, match="no disturbance table"):
+        stability._roll(B34.sys, [(t0, x0, dpol, upol, meta),
+                                  (t0, x0, Biased(seed=1), upol, meta)], 3)
+
 
 def nan_output_system(d_box, H):
     return SystemDef(n=1, m=1, k=0, d_box=d_box, f=["d1*x1"], H=H)
@@ -436,28 +445,24 @@ def test_random_draw_form_equals_generator_uniform():
         assert pol.rng.bit_generator.state == twin.bit_generator.state
 
 
-# --- random tables decoded from one raw draw ---
+# --- random tables: one ``random`` call a table ---
 
 TABLE_BOXES = {0: np.zeros((0, 2)), 1: [[-2.0, 2.0]],
                2: [[-2.0, 2.0], [-1.0, 1.5]],
                3: [[0.1, 0.3], [-1e-3, 7.5], [-1.0, 1.0]]}
+BIT_GENERATORS = (np.random.PCG64, np.random.Philox, np.random.MT19937,
+                  np.random.SFC64)
 
 
-def draws_and_table(make, box, N, buffered):
-    """(N successive ``_draw`` rows, the ``_random_tables`` table of a twin
-    policy) and the two policies; with ``buffered`` both first leave a
-    32-bit half in their generator's buffer."""
-    box = np.asarray(box)
-    lo, span, axes = box[:, 0], box[:, 1] - box[:, 0], np.arange(box.shape[0])
-    rowwise, decoded = make(), make()
+def twin_policies(bits, seed, mode, buffered):
+    """Two equal random policies on ``bits(seed)`` generators; with
+    ``buffered`` both first leave a 32-bit half in their generator's buffer."""
+    pols = [RandomDisturbance(seed=np.random.Generator(bits(seed)), mode=mode)
+            for _ in range(2)]
     if buffered:
-        rowwise.rng.integers(0, 2)
-        decoded.rng.integers(0, 2)
-    want = np.array([rowwise._draw(box, lo, span, axes) for _ in range(N)])
-    got = np.empty((1, N, box.shape[0]))
-    stability._random_tables([decoded], box, lo, span, axes, got)
-    got = got[0]
-    return want, got, rowwise, decoded
+        for pol in pols:
+            pol.rng.integers(0, 2)
+    return pols
 
 
 def same_state(a, b):
@@ -474,80 +479,95 @@ def assert_same_generators(a, b):
     assert a.random() == b.random()
 
 
+def box_system(m):
+    box = np.asarray(TABLE_BOXES[m]).reshape(m, 2)
+    return SystemDef(n=1, m=m, k=0, d_box=box,
+                     f=["0.5*x1" + "".join(f" + d{i + 1}" for i in range(m))],
+                     H=["x1"])
+
+
 @pytest.mark.parametrize("mode", ["interior", "corner", "mixed"])
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_random_table_equals_successive_draws(mode, m):
-    for seed in range(20):
-        for N in (1, 7, 201):
-            for buffered in (False, True):
-                want, got, a, b = draws_and_table(
-                    lambda: RandomDisturbance(seed=seed, mode=mode),
-                    TABLE_BOXES[m], N, buffered)
-                assert got.shape == want.shape == (N, m)
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
-                assert_same_generators(a.rng, b.rng)
+    # N picks in one call equal N one-row calls bit for bit, on every bit
+    # generator, and leave the generator in the state those calls leave
+    sys = box_system(m)
+    for bits in BIT_GENERATORS:
+        for seed in range(5):
+            for N in (1, 7, 201):
+                for buffered in (False, True):
+                    rowwise, tabled = twin_policies(bits, seed, mode, buffered)
+                    want = np.array([rowwise(sys, t, None, None)
+                                     for t in range(N)]).reshape(N, m)
+                    got = tabled.table(sys.d_box, N)
+                    assert got.shape == (N, m)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                    assert_same_generators(rowwise.rng, tabled.rng)
 
 
-@pytest.mark.parametrize("mode", ["interior", "corner", "mixed"])
-def test_random_table_of_other_bit_generators_draws_row_by_row(mode, monkeypatch):
-    calls = []
-    draw = RandomDisturbance._draw
+def test_random_table_draw_contract():
+    # a mixed pick reads a coin (below 0.5: a corner), then one double per
+    # component: a corner takes hi at r >= 0.5, else lo; inside the box each
+    # component lies in [lo, hi]
+    box = np.asarray(TABLE_BOXES[3])
+    lo, hi = box[:, 0], box[:, 1]
+    N = 20000
+    table = RandomDisturbance(seed=2005, mode="mixed").table(box, N)
+    stream = np.random.default_rng(2005).random((N, 4))
+    corner, r = stream[:, 0] < 0.5, stream[:, 1:]
+    want = np.where(corner[:, None], np.where(r >= 0.5, hi, lo), lo + (hi - lo) * r)
+    assert np.array_equal(table.view(np.int64), want.view(np.int64))
+    at_hi, at_lo = table[corner] == hi, table[corner] == lo
+    assert np.all(at_hi | at_lo)
+    inside = table[~corner]
+    assert np.all((inside >= lo) & (inside <= hi))
+    assert not np.any(np.all((inside == lo) | (inside == hi), axis=1))
+    assert abs(corner.mean() - 0.5) <= 0.01
+    for share in (at_hi.mean(axis=0), at_lo.mean(axis=0)):
+        assert np.all(np.abs(share - 0.5) <= 0.01)
 
-    def counted(self, *args):
-        calls.append(self)
-        return draw(self, *args)
 
-    monkeypatch.setattr(RandomDisturbance, "_draw", counted)
-    want, got, a, b = draws_and_table(
-        lambda: RandomDisturbance(seed=np.random.Generator(np.random.Philox(9)),
-                                  mode=mode),
-        TABLE_BOXES[2], 57, True)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert calls.count(b) == 57  # the table went through _draw
-    assert_same_generators(a.rng, b.rng)
+@pytest.mark.parametrize("ahead", [1, 60, 1 << 13])
+@pytest.mark.parametrize("N", [1, 7, 201])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_block_decode_equals_successive_draws(m, N, ahead):
+    # one _roll over random policies of every mode on every bit generator,
+    # their streams first moved ``ahead`` doubles on (half of them with a
+    # buffered 32-bit half too), between a constant and a greedy row: each
+    # random row is its simulate trajectory, and the generators end equal
+    sys = box_system(m)
 
-
-def block_policies():
-    """Random policies of every mode, half with a buffered 32-bit half and
-    one on a Philox generator, twice over."""
     def make():
         pols = []
         for seed in range(12):
-            gen = np.random.Generator(np.random.Philox(seed)) if seed == 7 else seed
-            mode = ("interior", "corner", "mixed")[seed % 3]
-            pol = RandomDisturbance(seed=gen, mode=mode)
-            if seed % 4 < 2:
-                pol.rng.integers(0, 2)
+            pol, _ = twin_policies(BIT_GENERATORS[seed % 4], seed,
+                                   ("interior", "corner", "mixed")[seed % 3],
+                                   seed % 8 < 4)
+            pol.rng.random(ahead)
             pols.append(pol)
         return pols
-    return make(), make()
 
-
-@pytest.mark.parametrize("decode_raws", [1, 60, 1 << 13])
-@pytest.mark.parametrize("N", [1, 7, 201])
-@pytest.mark.parametrize("m", [0, 1, 2, 3])
-def test_block_decode_equals_successive_draws(monkeypatch, m, N, decode_raws):
-    # decode_raws 1: a chunk a policy; 60: chunks of several policies (N = 1, 7)
-    monkeypatch.setattr(stability, "_DECODE_RAWS", decode_raws)
-    box = np.asarray(TABLE_BOXES[m])
-    lo, span, axes = box[:, 0], box[:, 1] - box[:, 0], np.arange(m)
-    rowwise, decoded = block_policies()
-    want = np.array([[pol._draw(box, lo, span, axes) for _ in range(N)]
-                     for pol in rowwise])
-    got = np.empty((len(decoded), N, m))
-    stability._random_tables(decoded, box, lo, span, axes, got)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    for a, b in zip(rowwise, decoded):
-        assert_same_generators(a.rng, b.rng)
+    rowwise, rolled = make(), make()
+    others = [ConstantDisturbance(sys.d_box[:, 1]), GreedyDisturbance(seed=1)]
+    specs = [(j % 3, [0.5], dpol, ZeroInput(), {"index": j})
+             for j, dpol in enumerate(others[:1] + rolled + others[1:])]
+    trajs = stability._roll(sys, specs, N - 1)[1:-1]
+    for traj, pol, twin in zip(trajs, rolled, rowwise, strict=True):
+        want = simulate(sys, traj.t0, [0.5], twin, ZeroInput(), N - 1)
+        for name in FIELDS:
+            got = getattr(traj, name)
+            assert np.array_equal(got.view(np.int64),
+                                  getattr(want, name).view(np.int64)), name
+        assert_same_generators(pol.rng, twin.rng)
 
 
 def test_search_decodes_random_tables_without_per_row_draws(batched_only):
     def refuse(self, *args):
-        raise AssertionError("per-row draw on a PCG64 generator")
+        raise AssertionError("per-row random draw in a search")
 
     budget = FalsifyBudget(max_trajectories=12, horizon=30, seed=11)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(RandomDisturbance, "_draw", refuse)
+        mp.setattr(RandomDisturbance, "__call__", refuse)
         got = list(search_trajectories(B34.sys, (0, 2), 1.5, budget,
                                        ("zero", "constant", "random")))
     with pytest.MonkeyPatch.context() as mp:

@@ -427,6 +427,34 @@ class TestFalsify:
             assert key in js
 
 
+class TestSearchInputsRejected:
+    def test_unknown_mix_entry(self):
+        # "corners" once ran random adversaries under the meta "corners"
+        for mix in (("corners",), ("corner", "Greedy"), ("random", None)):
+            with pytest.raises(ValueError, match="unknown mix entry"):
+                FalsifyBudget(mix=mix)
+
+    def test_empty_mix(self):
+        with pytest.raises(ValueError, match="mix must not be empty"):
+            FalsifyBudget(mix=())
+
+    def test_empty_t0s(self):
+        for total in (0, 4):
+            with pytest.raises(ValueError, match="t0s must not be empty"):
+                adversarial_batch(B23.sys, (), 1.0,
+                                  FalsifyBudget(max_trajectories=total))
+
+    def test_unknown_u_mode(self):
+        # an unknown mode once played random inputs on a forced system
+        budget = FalsifyBudget(max_trajectories=4, horizon=3)
+        for u_modes in (("zero", "ramp"), ("Random",)):
+            for sys in (B34.sys, B23.sys):
+                with pytest.raises(ValueError, match="unknown u_modes entry"):
+                    adversarial_batch(sys, (0,), 1.0, budget, u_modes=u_modes)
+        with pytest.raises(ValueError, match="u_modes must not be empty"):
+            adversarial_batch(B34.sys, (0,), 1.0, budget, u_modes=())
+
+
 # --- the batch envelope checks and falsify against the loops they replaced ---
 
 def cut(traj, rows, Y=None, u=None):
