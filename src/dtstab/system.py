@@ -532,12 +532,13 @@ class RandomDisturbance(DisturbancePolicy):
         lo, hi = box[:, 0], box[:, 1]
         coin = int(self.mode == "mixed")
         r = self.rng.random((N, coin + box.shape[0]))
+        draws = r[:, coin:]
         if self.mode == "interior":
-            return lo + (hi - lo) * r
-        corner = np.where(r[:, coin:] >= 0.5, hi, lo)
+            return lo + (hi - lo) * draws
+        corner = np.where(draws >= 0.5, hi, lo)
         if self.mode == "corner":
             return corner
-        return np.where(r[:, :1] < 0.5, corner, lo + (hi - lo) * r[:, 1:])
+        return np.where(r[:, :1] < 0.5, corner, lo + (hi - lo) * draws)
 
     def descriptor(self):
         return f"random(mode={self.mode}, seed={self.seed})"

@@ -536,18 +536,14 @@ def test_block_decode_equals_successive_draws(m, N, ahead):
     # buffered 32-bit half too), between a constant and a greedy row: each
     # random row is its simulate trajectory, and the generators end equal
     sys = box_system(m)
-
-    def make():
-        pols = []
-        for seed in range(12):
-            pol, _ = twin_policies(BIT_GENERATORS[seed % 4], seed,
-                                   ("interior", "corner", "mixed")[seed % 3],
-                                   seed % 8 < 4)
+    rowwise, rolled = [], []
+    for seed in range(12):
+        pair = twin_policies(BIT_GENERATORS[seed % 4], seed,
+                             ("interior", "corner", "mixed")[seed % 3],
+                             seed % 8 < 4)
+        for pol, pols in zip(pair, (rowwise, rolled)):
             pol.rng.random(ahead)
             pols.append(pol)
-        return pols
-
-    rowwise, rolled = make(), make()
     others = [ConstantDisturbance(sys.d_box[:, 1]), GreedyDisturbance(seed=1)]
     specs = [(j % 3, [0.5], dpol, ZeroInput(), {"index": j})
              for j, dpol in enumerate(others[:1] + rolled + others[1:])]
