@@ -248,8 +248,10 @@ class Expr:
 
         ``x``, ``d`` and ``u`` are indexed by component, so ``x[i]`` is the
         column of ``x_{i+1}`` over the slab (pass the ``(N, n)`` row array
-        transposed); ``t`` is a float or a column.  Returns a column, or a
-        float when the value does not depend on the slab.  Bit-identical to
+        transposed); ``t`` is a float or a column.  Columns of shapes that
+        broadcast together, such as (R, 1) and (1, K), give the broadcast
+        shape, and each operation runs at its operands' own shape.  Returns
+        a column, or a float when the value does not depend on the slab.  Bit-identical to
         :meth:`compiled` at every point (NaN signs aside, see the module
         docstring); raises :class:`ExprDomainError` iff some point would.
         """
@@ -480,7 +482,9 @@ def _array_sign(a):
 def _array_norm(*args):
     if not _has_array(*args):
         return _norm(*args)
-    return row_norms(np.stack(np.broadcast_arrays(*args), axis=1))
+    cols = np.broadcast_arrays(*args)  # one point a row of the stack, any shape
+    stacked = np.stack(cols, axis=-1).reshape(-1, len(args))
+    return row_norms(stacked).reshape(cols[0].shape)
 
 
 def _column(col):

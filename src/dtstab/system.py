@@ -57,9 +57,9 @@ class VectorMap:
     against dimensions ``n``, ``m``, ``k``), or a native callable ``fn(t, x,
     d, u)`` returning ``dim`` values.  This is the one place that decides
     from ``spec`` how the map is evaluated: :meth:`eval` at one point,
-    :meth:`rows` over N row-aligned points (one array evaluation per
-    component for expressions, ``eval`` row by row for a native map), equal
-    bit for bit.  ``dim``, when given, must match the expression count; a
+    :meth:`rows` over N row-aligned points and :meth:`grid` over a product
+    of outer and inner rows (one array evaluation per component for
+    expressions, ``eval`` row by row for a native map), equal bit for bit.  ``dim``, when given, must match the expression count; a
     native map without one has no :meth:`rows`.
     """
 
@@ -126,6 +126,28 @@ class VectorMap:
         U = [_EMPTY] * N if U is None else U
         for i, row in enumerate(zip(ts, X, D, U)):
             out[i] = self.eval(*row)
+        return out
+
+    def grid(self, t, X, D=None, U=None) -> np.ndarray:
+        """(R, K, dim) values at one time ``t`` on a product of row sets:
+        each of X, D and U (None: the empty vector) is an (R, 1, ·) array of
+        outer rows or a (1, K, ·) array of inner rows, and entry (r, k) equals
+        :meth:`eval` at the (r, k) rows bit for bit.  An expression component
+        is one array evaluation over (R, 1) and (1, K) columns, so a term
+        that reads only the outer sets runs R times, not R·K; a native map
+        gets the expanded rows through :meth:`rows`."""
+        shape = np.broadcast_shapes(*(A.shape[:2] for A in (X, D, U) if A is not None))
+        if self._fns is None:
+            N = shape[0] * shape[1]
+            flat = [None if A is None else
+                    np.broadcast_to(A, shape + A.shape[2:]).reshape(N, A.shape[2])
+                    for A in (X, D, U)]
+            return self.rows(t, *flat).reshape(shape + (self.dim,))
+        out = np.empty(shape + (self.dim,))
+        t = float(t)
+        cols = [_EMPTY if A is None else A.transpose(2, 0, 1) for A in (X, D, U)]
+        for j, e in enumerate(self.exprs):
+            out[:, :, j] = e.batched()(t, *cols, _NO_AUX)  # broadcasts, or a float fills
         return out
 
 
@@ -419,9 +441,16 @@ def sampled_sup(sys: "SystemDef", t, sets, score, keep: int = 0):
     Returns (sup, arg): the maximum and the flat index, in nested-loop order
     over the reduced sets, of its first occurrence; arrays shaped by the kept
     sets, or a float and an int when keep=0.  NaN wins the max, so a NaN
-    score is reported, never passed over.  Points are evaluated through
-    :meth:`SystemDef.f_rows` in slabs of at most SLAB_ROWS rows; only the
-    scores of the whole product (8 bytes a point) are held at once.
+    score is reported, never passed over.
+
+    Points are evaluated in slabs of at most SLAB_ROWS points through
+    :meth:`VectorMap.grid`: a slab is R rows of the outer sets (all sets but
+    the last, in loop order) times K rows of the innermost set, all of it,
+    or a chunk of it with R = 1 when it alone is longer than a slab.  So an
+    expression term of f that reads only the outer sets runs once per outer
+    row, not once per innermost row.  Slabs are contiguous runs of the
+    nested-loop order, in which ``score`` sees them; only the scores of the
+    whole product (8 bytes a point) are held at once.
     """
     names = [name for name, _ in sets]
     dims = {"d": sys.m, "x": sys.n, "u": sys.k}
@@ -432,14 +461,23 @@ def sampled_sup(sys: "SystemDef", t, sets, score, keep: int = 0):
         rows.append(r.reshape(r.shape[0], dims[name]))
     shape = tuple(r.shape[0] for r in rows)
     groups, size = math.prod(shape[:keep]), math.prod(shape[keep:])
+    outer, inner = math.prod(shape[:-1]), shape[-1]
+    per_slab = max(1, SLAB_ROWS // inner)  # outer rows in a slab
+    chunk = min(inner, SLAB_ROWS)  # innermost rows in a slab
 
     scores = np.empty(groups * size)
-    for start in range(0, scores.shape[0], SLAB_ROWS):
-        stop = min(scores.shape[0], start + SLAB_ROWS)
-        idx = dict(zip(names, np.unravel_index(np.arange(start, stop), shape)))
-        got = {name: r[idx[name]] for name, r in zip(names, rows)}
-        F = sys.f_rows(t, got["x"], got["d"], got.get("u"))
-        scores[start:stop] = score(F, idx)  # a float fills the slab
+    for r0 in range(0, outer, per_slab):
+        r1 = min(outer, r0 + per_slab)
+        for k0 in range(0, inner, chunk):
+            k1 = min(inner, k0 + chunk)
+            lo, hi = r0 * inner + k0, (r1 - 1) * inner + k1
+            idx = dict(zip(names, np.unravel_index(np.arange(lo, hi), shape)))
+            # each outer row of the slab spans k1 - k0 consecutive points
+            got = {name: r[idx[name][::k1 - k0], None]
+                   for name, r in zip(names[:-1], rows)}
+            got[names[-1]] = rows[-1][None, k0:k1]
+            F = sys._fmap.grid(t, got["x"], got["d"], got.get("u"))
+            scores[lo:hi] = score(F.reshape(hi - lo, sys.n), idx)  # a float fills
     scores = scores.reshape(groups, size)
     arg = np.argmax(scores, axis=1)  # the first NaN, else the first max
     sup = scores[np.arange(groups), arg]

@@ -3,7 +3,9 @@
 The array namespace of the expression codegen, the row norms and the
 sampled-sup kernel must reproduce the scalar evaluator bit for bit.  The
 ``legacy_*`` functions below are the scalar nested loops the checks used
-before the kernel; they are kept here as references only.
+before the kernel, and ``rows_sampled_sup`` is the kernel's flat-slab loop
+from before it evaluated outer rows x the innermost set; they are kept here
+as references only.
 """
 
 import json
@@ -559,23 +561,173 @@ def test_first_maximum_wins_ties():
 
 # --- the kernel: slabs, NaN rule, empty sets ---
 
+def rows_sampled_sup(sys, t, sets, score, keep=0):
+    """The flat-slab loop ``sampled_sup`` ran before it evaluated slabs as
+    outer rows x the innermost set: every point of the product is one row of
+    :meth:`SystemDef.f_rows`, SLAB_ROWS rows a slab.  Kept as the reference."""
+    names = [name for name, _ in sets]
+    dims = {"d": sys.m, "x": sys.n, "u": sys.k}
+    rows = [np.asarray(r, dtype=float).reshape(len(r), dims[name]) for name, r in sets]
+    shape = tuple(r.shape[0] for r in rows)
+    groups, size = math.prod(shape[:keep]), math.prod(shape[keep:])
+    scores = np.empty(groups * size)
+    for start in range(0, scores.shape[0], system_mod.SLAB_ROWS):
+        stop = min(scores.shape[0], start + system_mod.SLAB_ROWS)
+        idx = dict(zip(names, np.unravel_index(np.arange(start, stop), shape)))
+        got = {name: r[idx[name]] for name, r in zip(names, rows)}
+        F = sys.f_rows(t, got["x"], got["d"], got.get("u"))
+        scores[start:stop] = score(F, idx)
+    scores = scores.reshape(groups, size)
+    arg = np.argmax(scores, axis=1)
+    sup = scores[np.arange(groups), arg]
+    if keep == 0:
+        return float(sup[0]), int(arg[0])
+    return sup.reshape(shape[:keep]), arg.reshape(shape[:keep])
+
+
+def same_sup(got, want):
+    return dumps([np.asarray(v).tolist() for v in got]) == \
+        dumps([np.asarray(v).tolist() for v in want])
+
+
+_SLAB_SYS = SystemDef(n=2, m=1, k=1, d_box=[[-1.0, 1.0]],
+                      f=["d1*x1 + u1", "log(abs(x2) + 1)*d1"], H=["x1"])
+_rng = np.random.default_rng(3)
+_SLAB_SETS = {"x": _rng.normal(size=(13, 2)), "d": _rng.uniform(-1, 1, (5, 1)),
+                 "u": _rng.normal(size=(3, 1))}
+_SLAB_SETS["x"][4, 0] = math.nan  # NaN wins, at its first occurrence
+
+
 def test_slabs_do_not_change_the_result(monkeypatch):
-    sys = SystemDef(n=2, m=1, k=1, d_box=[[-1.0, 1.0]],
-                    f=["d1*x1 + u1", "log(abs(x2) + 1)*d1"], H=["x1"])
-    rng = np.random.default_rng(3)
-    xs, ds, us = rng.normal(size=(13, 2)), rng.uniform(-1, 1, (5, 1)), rng.normal(size=(3, 1))
-    xs[4, 0] = math.nan  # NaN wins, at its first occurrence
-    sets = (("x", xs), ("u", us), ("d", ds))
-    score = lambda F, idx: F[:, 0] + F[:, 1]  # noqa: E731
-    full = [sampled_sup(sys, 2, sets, score, keep=k) for k in range(3)]
-    for slab in (1, 4, 7, 64):
+    for order in ("xud", "uxd", "dxu"):  # caller orders of certify, rofs, reach
+        sets = tuple((name, _SLAB_SETS[name]) for name in order)
+        seen = []
+
+        def score(F, idx, order=order, sets=sets):
+            seen.append(np.ravel_multi_index([idx[name] for name in order],
+                                             [len(r) for _, r in sets]))
+            return F[:, 0] + F[:, 1]
+
+        monkeypatch.setattr(system_mod, "SLAB_ROWS", 4096)
+        full = [sampled_sup(_SLAB_SYS, 2, sets, score, keep=k) for k in range(3)]
+        inner = len(sets[-1][1])
+        for slab in (1, 2, inner - 1, inner, inner + 1, 7, 64):  # below K, at K, above
+            monkeypatch.setattr(system_mod, "SLAB_ROWS", slab)
+            for k in range(3):
+                want = rows_sampled_sup(_SLAB_SYS, 2, sets, score, keep=k)
+                seen.clear()
+                got = sampled_sup(_SLAB_SYS, 2, sets, score, keep=k)
+                assert same_sup(got, full[k]) and same_sup(got, want), (order, slab, k)
+                # slabs of at most SLAB_ROWS points, contiguous, in nested-loop order
+                assert max(len(s) for s in seen) <= slab
+                assert np.concatenate(seen).tolist() == list(range(13 * 5 * 3))
+        sup, arg = full[0]
+        assert math.isnan(sup)
+        assert arg == {"xud": 4 * 15, "uxd": 4 * 5, "dxu": 4 * 3}[order]
+
+
+def _parity_cases():
+    rng = np.random.default_rng(11)
+    empty = SystemDef(n=2, m=0, k=0, d_box=np.zeros((0, 2)),
+                      f=["0.5*x1 - x2^2", "x1*t"], H=["x1"])
+    native = SystemDef(n=2, m=1, k=1, d_box=[[-1.0, 1.0]],
+                       f=lambda t, d, x, u: [d[0] * x[0] + u[0], x[1] ** 2 - t * d[0]],
+                       H=["x1"])
+    small = build_small_input_system(B34.sys, geometric(1.0, 0.5), identity())
+    assert small.f_exprs is not None
+    assert any("norm(" in str(e) for e in small.f_exprs)
+    nan_sys = SystemDef(n=2, m=1, k=1, d_box=[[-1.0, 1.0]],
+                        f=["x1^2*d1 + u1", "exp(x2) + d1*x2 - abs(x2)^0.5"], H=["x1"])
+    nan_x = rng.normal(size=(9, 2))
+    nan_x[[2, 6, 3], [1, 0, 1]] = [math.nan, math.inf, 800.0]  # exp(800) overflows
+    small_d = d_candidates(small.d_box, grid=3, random=4, rng=2)
+    return {
+        "empty rows": (empty, (("x", rng.normal(size=(7, 2))),
+                               ("u", np.zeros((1, 0))), ("d", np.zeros((1, 0))))),
+        "native": (native, (("u", rng.normal(size=(3, 1))), ("x", rng.normal(size=(6, 2))),
+                            ("d", rng.uniform(-1, 1, (4, 1))))),
+        "small-input norm": (small, (("d", small_d),
+                                     ("x", sphere_points(small.n, 0.7, 6, rng=1)),
+                                     ("u", np.zeros((1, 0))))),
+        "small-input norm, d innermost": (small, (("x", sphere_points(small.n, 0.7, 6, rng=1)),
+                                                  ("u", np.zeros((1, 0))), ("d", small_d))),
+        "NaN and overflow points": (nan_sys, (
+            ("x", nan_x), ("u", rng.normal(size=(2, 1))),
+            ("d", np.array([[-1.0], [0.0], [0.5], [1.0]])))),
+    }
+
+
+_PARITY = _parity_cases()
+
+
+@pytest.mark.parametrize("case", list(_PARITY))
+@pytest.mark.parametrize("slab", [4096, 5, 3])
+def test_sampled_sup_matches_the_flat_slab_reference(monkeypatch, case, slab):
+    sys, sets = _PARITY[case]
+    monkeypatch.setattr(system_mod, "SLAB_ROWS", slab)
+    scores = {"norm": lambda F, idx: row_norms(F),
+              "first": lambda F, idx: F[:, 0] * (1.0 + idx[sets[0][0]]),
+              "second": lambda F, idx: F[:, 1]}
+    for keep in range(3):
+        for name, score in scores.items():
+            got = sampled_sup(sys, 3, sets, score, keep=keep)
+            want = rows_sampled_sup(sys, 3, sets, score, keep=keep)
+            assert same_sup(got, want), (keep, name)
+    if case == "NaN and overflow points":
+        assert math.isnan(sampled_sup(sys, 3, sets, scores["norm"])[0])
+        sups, _ = sampled_sup(sys, 3, sets, scores["second"], keep=1)
+        assert sups[3] == math.inf  # a state-only exp past the float range
+
+
+def test_norm_of_outer_and_inner_columns_matches_row_norms():
+    rng = np.random.default_rng(8)
+    norm = parse_expression("norm(x1, d1)", Dims(n=1, m=1)).batched()
+    xs = rng.standard_normal(6) * 10.0 ** rng.uniform(-200, 200, 6)
+    ds = rng.standard_normal(5) * 10.0 ** rng.uniform(-200, 200, 5)
+    xs[0], ds[1] = -0.0, math.inf
+    got = norm(0.0, xs.reshape(1, 6, 1), ds.reshape(1, 1, 5), np.zeros(0), {})
+    assert got.shape == (6, 5)
+    pairs = np.stack(np.broadcast_arrays(xs[:, None], ds[None, :]), axis=-1)
+    assert got.tobytes() == row_norms(pairs.reshape(30, 2)).tobytes()
+
+
+def test_state_only_power_runs_once_per_outer_row(monkeypatch):
+    """A term of f that reads only the outer sets is mapped over the R outer
+    rows of a slab, not its R*K points."""
+    sys = SystemDef(n=2, m=1, k=0, d_box=[[-1.0, 1.0]],
+                    f=["x1^2*d1", "x2 + d1"], H=["x1"])
+    xs, ds = _SLAB_SETS["x"], _SLAB_SETS["d"]
+    mapped = []
+    power = _ARRAY_NAMESPACE["_pow"]
+
+    def counting_pow(a, b):
+        mapped.append(max(np.size(a), np.size(b)))
+        return power(a, b)
+
+    monkeypatch.setitem(_ARRAY_NAMESPACE, "_pow", counting_pow)
+    sets = (("x", xs), ("d", ds))
+    score = lambda F, idx: F[:, 0]  # noqa: E731
+    for slab, per_slab in ((4096, [13]), (10, [2] * 6 + [1]), (3, [1] * 26)):
         monkeypatch.setattr(system_mod, "SLAB_ROWS", slab)
-        for k in range(3):
-            got = sampled_sup(sys, 2, sets, score, keep=k)
-            assert dumps([np.asarray(v).tolist() for v in got]) == \
-                dumps([np.asarray(v).tolist() for v in full[k]])
-    sup, arg = full[0]
-    assert math.isnan(sup) and arg == 4 * 15
+        mapped.clear()
+        got = sampled_sup(sys, 1, sets, score, keep=1)
+        assert mapped == per_slab, slab
+        assert same_sup(got, rows_sampled_sup(sys, 1, sets, score, keep=1))
+
+
+@pytest.mark.parametrize("f, sets", [
+    (["log(x1)*d1"], (("x", [[1.0], [2.0], [-3.0], [4.0]]), ("d", [[0.5], [1.0]]))),
+    (["log(d1)*x1"], (("x", [[1.0], [2.0]]), ("d", [[0.5], [1.0], [0.0], [2.0]]))),
+    (["sqrt(x1) + log(d1)"], (("x", [[1.0], [-2.0]]), ("d", [[0.5], [-1.0]]))),
+])
+def test_domain_errors_match_the_flat_slab_reference(f, sets):
+    sys = SystemDef(n=1, m=1, k=0, d_box=[[-3.0, 3.0]], f=f, H=["x1"])
+    score = lambda F, idx: F[:, 0]  # noqa: E731
+    with pytest.raises(ExprDomainError) as want:
+        rows_sampled_sup(sys, 0, sets, score)
+    with pytest.raises(ExprDomainError) as got:
+        sampled_sup(sys, 0, sets, score)
+    assert str(got.value) == str(want.value)
 
 
 def test_nan_candidate_fails_contraction():
