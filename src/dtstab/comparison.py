@@ -528,20 +528,31 @@ def sup_f_sampler(sys, cfg: SampleConfig = None, seed: int = 0):
 
     A finite under-approximation of the true sup, suitable as the lhs of
     :func:`check_domination`.  A NaN norm makes the sample NaN.
+
+    The sample set of a time slice (t, s) is fixed for the sampler: the d
+    candidates are drawn once, and the x and u points on the sphere of
+    radius s come from the constant seeds 0 and 1.  So the sampler keeps
+    each s's sample product and each slice's sup, keyed by (t, s), and
+    evaluates a slice once however many (T, s) calls scan it; each call
+    replays the first-maximum scan over t from the kept slices.
     """
     cfg = cfg or SampleConfig(d_grid=9, d_random=16, x_directions=8,
                               x_scales=(1.0, 0.5), u_directions=4)
     rng = np.random.default_rng(seed)
     dcands = d_candidates(sys.d_box, grid=cfg.d_grid, random=cfg.d_random, rng=rng)
+    kept = {}  # s -> (sample product, {t: (sup, flat index)}), this sampler's
 
     def sampler(T, s):
-        xs = sphere_points(sys.n, s, cfg.x_directions, cfg.x_scales, rng=0)
-        if sys.k > 0:
-            us = np.vstack([np.zeros((1, sys.k)),
-                            sphere_points(sys.k, s, cfg.u_directions, rng=1)])
-        else:
-            us = np.zeros((1, 0))
-        return _sup_norm_f(sys, int(T), cfg.t_cap,
-                           (("d", dcands), ("x", xs), ("u", us)))[0]
+        s = float(s)
+        if s not in kept:
+            xs = sphere_points(sys.n, s, cfg.x_directions, cfg.x_scales, rng=0)
+            if sys.k > 0:
+                us = np.vstack([np.zeros((1, sys.k)),
+                                sphere_points(sys.k, s, cfg.u_directions, rng=1)])
+            else:
+                us = np.zeros((1, 0))
+            kept[s] = ((("d", dcands), ("x", xs), ("u", us)), {})
+        sets, slices = kept[s]
+        return _sup_norm_f(sys, int(T), cfg.t_cap, sets, memo=slices)[0]
 
     return sampler

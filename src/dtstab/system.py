@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 import numpy as np
 
-from .expr import (Dims, Expr, parse_expression, row_norms, substitute,
-                   vecnorm)
+from .expr import (Dims, Expr, ExprDomainError, parse_expression, row_norms,
+                   substitute, vecnorm)
 
 __all__ = [
     "SystemDef", "Trajectory", "SampleConfig", "ReachableBound",
@@ -444,13 +444,18 @@ def sampled_sup(sys: "SystemDef", t, sets, score, keep: int = 0):
     score is reported, never passed over.
 
     Points are evaluated in slabs of at most SLAB_ROWS points through
-    :meth:`VectorMap.grid`: a slab is R rows of the outer sets (all sets but
-    the last, in loop order) times K rows of the innermost set, all of it,
+    :meth:`VectorMap.grid`.  The innermost set is the last one with more
+    than one row; the one-row sets after it are (1, 1) columns, which change
+    no flat index.  A slab is R rows of the outer sets (the sets before the
+    innermost, in loop order) times K rows of the innermost set, all of it,
     or a chunk of it with R = 1 when it alone is longer than a slab.  So an
     expression term of f that reads only the outer sets runs once per outer
     row, not once per innermost row.  Slabs are contiguous runs of the
     nested-loop order, in which ``score`` sees them; only the scores of the
-    whole product (8 bytes a point) are held at once.
+    whole product (8 bytes a point) are held at once.  When a slab raises :class:`ExprDomainError`, its points are
+    evaluated one by one through :meth:`SystemDef.f_eval`, in nested-loop
+    order, and the first failing point's error is raised, whatever the slab
+    bounds.
     """
     names = [name for name, _ in sets]
     dims = {"d": sys.m, "x": sys.n, "u": sys.k}
@@ -461,7 +466,8 @@ def sampled_sup(sys: "SystemDef", t, sets, score, keep: int = 0):
         rows.append(r.reshape(r.shape[0], dims[name]))
     shape = tuple(r.shape[0] for r in rows)
     groups, size = math.prod(shape[:keep]), math.prod(shape[keep:])
-    outer, inner = math.prod(shape[:-1]), shape[-1]
+    j = max((i for i, count in enumerate(shape) if count > 1), default=0)  # innermost
+    outer, inner = math.prod(shape[:j]), shape[j]
     per_slab = max(1, SLAB_ROWS // inner)  # outer rows in a slab
     chunk = min(inner, SLAB_ROWS)  # innermost rows in a slab
 
@@ -474,9 +480,16 @@ def sampled_sup(sys: "SystemDef", t, sets, score, keep: int = 0):
             idx = dict(zip(names, np.unravel_index(np.arange(lo, hi), shape)))
             # each outer row of the slab spans k1 - k0 consecutive points
             got = {name: r[idx[name][::k1 - k0], None]
-                   for name, r in zip(names[:-1], rows)}
-            got[names[-1]] = rows[-1][None, k0:k1]
-            F = sys._fmap.grid(t, got["x"], got["d"], got.get("u"))
+                   for name, r in zip(names[:j], rows)}
+            got[names[j]] = rows[j][None, k0:k1]
+            got.update((name, r[None]) for name, r in zip(names[j + 1:], rows[j + 1:]))
+            try:
+                F = sys._fmap.grid(t, got["x"], got["d"], got.get("u"))
+            except ExprDomainError:
+                for p in range(hi - lo):  # raises the first failing point's error
+                    point = {name: r[idx[name][p]] for name, r in zip(names, rows)}
+                    sys.f_eval(t, point["d"], point["x"], point.get("u"))
+                raise
             scores[lo:hi] = score(F.reshape(hi - lo, sys.n), idx)  # a float fills
     scores = scores.reshape(groups, size)
     arg = np.argmax(scores, axis=1)  # the first NaN, else the first max
@@ -490,19 +503,27 @@ def _norm_score(F, idx):
     return row_norms(F)
 
 
-def _sup_norm_f(sys: "SystemDef", t_max: int, t_cap: int, sets):
+def _sup_norm_f(sys: "SystemDef", t_max: int, t_cap: int, sets, memo=None):
     """First maximum of ||f(t, d, x, u)|| over t = 0..t_max and the sample
     product ``sets`` (as in :func:`sampled_sup`), scanning t in order from
     a best of 0; a NaN wins.  More than ``t_cap`` times are thinned to at
     most ``t_cap`` evenly spread integers.  Returns (sup, t, flat index of
     the product), t and index None when no sample exceeds 0.
+
+    ``memo``, a dict t -> (sup, flat index) of this product's time slices,
+    saves re-evaluating a slice: a slice found there is read, not evaluated,
+    and a slice evaluated is stored (one that raises is not).  The scan over
+    t is the same either way.
     """
     ts = np.arange(0, t_max + 1)
     if ts.shape[0] > t_cap:
         ts = np.unique(np.linspace(0, t_max, t_cap).astype(int))
+    memo = {} if memo is None else memo
     best, arg_t, arg_i = 0.0, None, None
     for t in ts:
-        val, i = sampled_sup(sys, t, sets, _norm_score)
+        if t not in memo:
+            memo[t] = sampled_sup(sys, t, sets, _norm_score)
+        val, i = memo[t]
         if _beats(val, best):
             best, arg_t, arg_i = val, int(t), i
     return best, arg_t, arg_i

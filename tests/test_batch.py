@@ -3,11 +3,13 @@
 The array namespace of the expression codegen, the row norms and the
 sampled-sup kernel must reproduce the scalar evaluator bit for bit.  The
 ``legacy_*`` functions below are the scalar nested loops the checks used
-before the kernel, and ``rows_sampled_sup`` is the kernel's flat-slab loop
-from before it evaluated outer rows x the innermost set; they are kept here
-as references only.
+before the kernel, ``rows_sampled_sup`` is the kernel's flat-slab loop
+from before it evaluated outer rows x the innermost set, and ``point_loop_f``
+is the point-by-point loop whose first domain error the kernel raises; they
+are kept here as references only.
 """
 
+import itertools
 import json
 import math
 import struct
@@ -626,6 +628,30 @@ def test_slabs_do_not_change_the_result(monkeypatch):
         assert arg == {"xud": 4 * 15, "uxd": 4 * 5, "dxu": 4 * 3}[order]
 
 
+# A state-only power before and after one-row sets: (system, sets, SLAB_ROWS,
+# the sizes the array ``_pow`` is mapped over, slab by slab).  The innermost
+# set is the last with more than one row, so a trailing one-row set (the
+# empty input of an unforced system) leaves the set before it innermost.
+_POW_SYS = SystemDef(n=2, m=1, k=1, d_box=[[-1.0, 1.0]],
+                     f=["abs(x1)^0.5*d1 + u1", "norm(x1, x2) - d1*u1"], H=["x1"])
+_POW_SYS0 = SystemDef(n=2, m=1, k=0, d_box=[[-1.0, 1.0]],
+                      f=["abs(x1)^0.5*d1", "norm(x1, x2) - d1"], H=["x1"])
+_XS, _DS, _ONE_U, _NO_U = (_SLAB_SETS["x"], _SLAB_SETS["d"], np.array([[0.5]]),
+                           np.zeros((1, 0)))
+_ONE_ROW_CASES = {
+    "trailing empty u, d innermost": (
+        _POW_SYS0, (("x", _XS), ("d", _DS), ("u", _NO_U)), 4096, [13]),
+    "trailing empty u, x innermost": (  # the order of sup_f_sampler
+        _POW_SYS0, (("d", _DS), ("x", _XS), ("u", _NO_U)), 4096, [13]),
+    "one-row set between larger sets": (
+        _POW_SYS, (("d", _DS), ("u", _ONE_U), ("x", _XS)), 4096, [13]),
+    "every set one row": (
+        _POW_SYS, (("x", _XS[:1]), ("d", _DS[:1]), ("u", _ONE_U)), 4096, [1]),
+    "innermost set longer than a slab": (
+        _POW_SYS, (("d", _DS[:2]), ("x", _XS), ("u", _ONE_U)), 5, [5, 5, 3] * 2),
+}
+
+
 def _parity_cases():
     rng = np.random.default_rng(11)
     empty = SystemDef(n=2, m=0, k=0, d_box=np.zeros((0, 2)),
@@ -654,6 +680,7 @@ def _parity_cases():
         "NaN and overflow points": (nan_sys, (
             ("x", nan_x), ("u", rng.normal(size=(2, 1))),
             ("d", np.array([[-1.0], [0.0], [0.5], [1.0]])))),
+        **{case: (sys, sets) for case, (sys, sets, _, _) in _ONE_ROW_CASES.items()},
     }
 
 
@@ -715,19 +742,58 @@ def test_state_only_power_runs_once_per_outer_row(monkeypatch):
         assert same_sup(got, rows_sampled_sup(sys, 1, sets, score, keep=1))
 
 
+@pytest.mark.parametrize("case", list(_ONE_ROW_CASES))
+def test_state_only_power_runs_once_per_row_past_one_row_sets(monkeypatch, case):
+    """One-row sets after the last larger set never take the innermost slot,
+    so ``abs(x1)^0.5`` is mapped over the x rows of a slab, not its points."""
+    sys, sets, slab, per_slab = _ONE_ROW_CASES[case]
+    mapped = []
+    power = _ARRAY_NAMESPACE["_pow"]
+
+    def counting_pow(a, b):
+        mapped.append(max(np.size(a), np.size(b)))
+        return power(a, b)
+
+    monkeypatch.setitem(_ARRAY_NAMESPACE, "_pow", counting_pow)
+    monkeypatch.setattr(system_mod, "SLAB_ROWS", slab)
+    score = lambda F, idx: row_norms(F)  # noqa: E731
+    got = sampled_sup(sys, 1, sets, score)
+    assert mapped == per_slab
+    assert same_sup(got, rows_sampled_sup(sys, 1, sets, score))
+
+
+def point_loop_f(sys, t, sets):
+    """f at every point of the product ``sets`` through :meth:`SystemDef.f_eval`,
+    in nested-loop order: the reference for which domain error is raised."""
+    names = [name for name, _ in sets]
+    for point in itertools.product(*(np.asarray(r, dtype=float) for _, r in sets)):
+        got = dict(zip(names, point))
+        sys.f_eval(t, got["d"], got["x"], got.get("u"))
+
+
 @pytest.mark.parametrize("f, sets", [
     (["log(x1)*d1"], (("x", [[1.0], [2.0], [-3.0], [4.0]]), ("d", [[0.5], [1.0]]))),
     (["log(d1)*x1"], (("x", [[1.0], [2.0]]), ("d", [[0.5], [1.0], [0.0], [2.0]]))),
     (["sqrt(x1) + log(d1)"], (("x", [[1.0], [-2.0]]), ("d", [[0.5], [-1.0]]))),
+    (["sqrt(x1) + log(d1)"], (("d", [[0.5], [-1.0]]), ("x", [[1.0], [-2.0]]),
+                              ("u", np.zeros((1, 0))))),
 ])
-def test_domain_errors_match_the_flat_slab_reference(f, sets):
+def test_domain_errors_match_the_point_loop(monkeypatch, f, sets):
+    """The error raised is the first failing point's in nested-loop order,
+    whatever the slab bounds: with ``sqrt(x1) + log(d1)`` one slab holds a
+    negative x1 and a negative d1, and the array ``sqrt`` fails first, yet
+    the first failing point, (x, d) = (1, -1), fails on ``log``."""
     sys = SystemDef(n=1, m=1, k=0, d_box=[[-3.0, 3.0]], f=f, H=["x1"])
     score = lambda F, idx: F[:, 0]  # noqa: E731
     with pytest.raises(ExprDomainError) as want:
-        rows_sampled_sup(sys, 0, sets, score)
-    with pytest.raises(ExprDomainError) as got:
-        sampled_sup(sys, 0, sets, score)
-    assert str(got.value) == str(want.value)
+        point_loop_f(sys, 0, sets)
+    if f == ["sqrt(x1) + log(d1)"] and sets[0][0] == "x":
+        assert str(want.value) == "log of a non-positive number"
+    for slab in (1, 2, 3, 4096):
+        monkeypatch.setattr(system_mod, "SLAB_ROWS", slab)
+        with pytest.raises(ExprDomainError) as got:
+            sampled_sup(sys, 0, sets, score)
+        assert str(got.value) == str(want.value), slab
 
 
 def test_nan_candidate_fails_contraction():

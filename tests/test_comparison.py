@@ -1,6 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
+
+import dtstab.system as system_mod
 
 from dtstab.certify import LyapunovCandidate, tau_bound
 
@@ -8,9 +12,10 @@ from dtstab.comparison import (ClassGrid, KFn, KLEnvelope, check_domination,
                                constant, fit_kl_envelope, geometric, identity,
                                kfn_from_expr, linear, power_fn, sup_f_sampler,
                                timegain_from_expr, validate_class)
+from dtstab.expr import ExprDomainError
 from dtstab.registry import C_IOS, K_IOS, example_2_3
 from dtstab.stability import FalsifyBudget, adversarial_batch
-from dtstab.system import Trajectory
+from dtstab.system import SampleConfig, SystemDef, Trajectory
 
 
 def make_traj(t0, x0, Y_vals, u_vals=None):
@@ -203,6 +208,70 @@ class TestCheckDomination:
         zeta = kfn_from_expr("2*s + 2*sqrt(s)")
         rep = check_domination(sup_f_sampler(sys), zeta, constant(1.0))
         assert rep.passed, rep.to_json()
+
+
+_SLICE_CFG = SampleConfig(d_grid=3, d_random=2, x_directions=3, x_scales=(1.0, 0.5),
+                          u_directions=2)
+# ||f|| is NaN from t = 18 on, where 2^(60 t) overflows to inf and inf - inf
+_NAN_LATE = SystemDef(n=2, m=1, k=1, d_box=[[-1.0, 1.0]],
+                      f=["x1*d1 + u1 + x2*(2^(60*t) - 2^(60*t))", "t*x2 - d1*u1"],
+                      H=["x1"])
+# ||f|| peaks at t = 2, which the thinned grid of a long horizon skips
+_PEAK_AT_2 = SystemDef(n=1, m=1, k=0, d_box=[[-1.0, 1.0]],
+                       f=["x1*d1/(1 + (t - 2)^2)"], H=["x1"])
+
+
+def _counting_sampled_sup(monkeypatch):
+    """Record the time of every sampled_sup call the sup-||f|| scan makes."""
+    calls, real = [], system_mod.sampled_sup
+
+    def counting(sys, t, *args, **kwargs):
+        calls.append(int(t))
+        return real(sys, t, *args, **kwargs)
+
+    monkeypatch.setattr(system_mod, "sampled_sup", counting)
+    return calls
+
+
+class TestSupFSamplerSlices:
+    """One sampler evaluates each (t, s) slice once and replays its scan
+    over t from the kept slices, with the values of a fresh sampler."""
+
+    @pytest.mark.parametrize("sys, cfg, Ts", [
+        (_NAN_LATE, _SLICE_CFG, (0, 1, 2, 5, 10, 20)),
+        (_PEAK_AT_2, replace(_SLICE_CFG, t_cap=4), (0, 3, 6, 7, 20)),
+        (_PEAK_AT_2, replace(_SLICE_CFG, t_cap=4), (20, 7, 6, 3, 0)),
+    ], ids=["NaN slices, default Ts", "t_cap 4, rising Ts", "t_cap 4, falling Ts"])
+    def test_one_sampler_equals_a_fresh_sampler_per_call(self, sys, cfg, Ts):
+        ss = (0.5, 2.0, 0.5, 1e-3)
+        shared = sup_f_sampler(sys, cfg, seed=3)
+        got = np.array([shared(T, s) for T in Ts for s in ss])
+        want = np.array([sup_f_sampler(sys, cfg, seed=3)(T, s) for T in Ts for s in ss])
+        assert got.tobytes() == want.tobytes()
+        if sys is _NAN_LATE:
+            assert np.isnan(got[-len(ss):]).all() and not np.isnan(got[:-len(ss)]).any()
+        else:  # the thinned grid of T = 20 (0, 6, 13, 20) misses the peak
+            assert (got[Ts.index(6) * len(ss)], got[Ts.index(20) * len(ss)]) == (0.5, 0.1)
+
+    def test_each_slice_is_evaluated_once_per_s(self, monkeypatch):
+        calls = _counting_sampled_sup(monkeypatch)
+        ss = (0.5, 2.0, 7.0)
+        check_domination(sup_f_sampler(_NAN_LATE, _SLICE_CFG), identity(),
+                         constant(1.0), ss=ss)  # Ts = (0, 1, 2, 5, 10, 20)
+        assert len(calls) == 21 * len(ss)  # 1 + 2 + 3 + 6 + 11 + 21 = 44 without
+        assert sorted(calls) == sorted(list(range(21)) * len(ss))
+
+    def test_a_raising_slice_is_not_kept(self, monkeypatch):
+        sys = SystemDef(n=1, m=1, k=0, d_box=[[-1.0, 1.0]],
+                        f=["x1*d1*log(5 - t)"], H=["x1"])  # t = 5 raises
+        calls = _counting_sampled_sup(monkeypatch)
+        sampler = sup_f_sampler(sys, _SLICE_CFG)
+        before = sampler(4, 0.5)
+        for _ in range(2):
+            with pytest.raises(ExprDomainError, match="log"):
+                sampler(5, 0.5)
+        assert sampler(4, 0.5) == before
+        assert calls == [0, 1, 2, 3, 4, 5, 5]
 
 
 class TestGeneralFormEnvelope:
