@@ -36,6 +36,7 @@ __all__ = [
 
 TAU_SCAN_CAP = 10 ** 6  # last tau~ candidate tau_bound tries
 Q_FLOOR = 1e-300  # tau_bound's floor on tails of q that reach exact zero
+ROFS_FILTER_TOL = 1e-8  # output norm counted as zero by the "strong" ROFS filter
 
 
 @dataclass
@@ -442,14 +443,15 @@ def check_rofs_inf_sup(sys: SystemDef, cand: LyapunovCandidate,
                        fiber_sampler, u_candidates, ts, ys,
                        mode: str = "plain", d_values=None,
                        sample_cfg: SampleConfig = None, tol: float = 1e-9,
-                       filter_tol: float = 1e-8, seed: int = 0) -> ROFSReport:
+                       seed: int = 0) -> ROFSReport:
     """Estimate inf_u sup over the measured-output fiber of V(t+1,f) - lam V.
 
     modes: "plain" ranges u over all candidates; "strong" first filters the
-    candidates to those keeping the stabilized output at zero on the sampled
-    zero-output part of the fiber; "zero" pins u = 0 and y = 0.  A finite
-    u grid can only over-estimate the inf and a finite fiber sample can only
-    under-estimate the sup, so results are labeled fiber-restricted estimates.
+    candidates to those keeping the stabilized output at zero (norm at most
+    ``ROFS_FILTER_TOL``) on the sampled zero-output part of the fiber;
+    "zero" pins u = 0 and y = 0.  A finite u grid can only over-estimate the
+    inf and a finite fiber sample can only under-estimate the sup, so
+    results are labeled fiber-restricted estimates.
     """
     if mode not in ("plain", "strong", "zero"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -469,7 +471,7 @@ def check_rofs_inf_sup(sys: SystemDef, cand: LyapunovCandidate,
             fiber = np.asarray(fiber_sampler(t, y), dtype=float).reshape(-1, sys.n)
             cands, note = u_candidates, ""
             if mode == "strong":
-                zero_fiber = fiber[row_norms(sys.H_rows(t, fiber)) <= filter_tol]
+                zero_fiber = fiber[row_norms(sys.H_rows(t, fiber)) <= ROFS_FILTER_TOL]
                 if zero_fiber.shape[0] == 0:
                     entries.append(ROFSEntry(int(t), y.tolist(), -math.inf, None,
                                              {}, 0, "zero-output fiber empty; skipped"))
@@ -477,7 +479,7 @@ def check_rofs_inf_sup(sys: SystemDef, cand: LyapunovCandidate,
                 out_sup, _ = sampled_sup(
                     sys, t, (("u", u_candidates), ("x", zero_fiber), ("d", dvals)),
                     lambda F, idx: row_norms(sys.H_rows(t + 1, F)), keep=1)
-                cands = u_candidates[out_sup <= filter_tol]
+                cands = u_candidates[out_sup <= ROFS_FILTER_TOL]
                 if cands.shape[0] == 0:
                     entries.append(ROFSEntry(
                         int(t), y.tolist(), math.inf, None, {}, 0,

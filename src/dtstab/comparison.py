@@ -205,14 +205,13 @@ class KLEnvelope:
 
     Integer times are evaluated by the exact per-step recursion (decay factor
     ``exp(-c)``), so ``sigma(s, t+1) == exp(-c) * sigma(s, t)`` bitwise and
-    ``sigma(0, t) == 0``.  A general two-argument form may be supplied via
-    ``fn``, losing that exactness.
+    ``sigma(0, t) == 0``.  Every envelope is of this parametric form: the
+    batched IOS bound steps its running sup by that decay factor.
     """
 
     C: float
     c: float
     beta: TimeGain = field(default_factory=lambda: constant(1.0))
-    fn: Callable[[float, float], float] = None
     name: str = ""
 
     def __post_init__(self):
@@ -221,8 +220,6 @@ class KLEnvelope:
             self.name = f"{self.C!r}*s*exp(-{self.c!r}*t)"
 
     def __call__(self, s: float, t: float) -> float:
-        if self.fn is not None:
-            return float(self.fn(float(s), float(t)))
         if t >= 0 and float(t).is_integer():
             v = self.C * float(s)
             for _ in range(int(t)):
@@ -233,16 +230,13 @@ class KLEnvelope:
     def decay_series(self, s, length: int) -> np.ndarray:
         """[sigma(s,0), sigma(s,1), ...] by the exact recursion, length terms.
 
-        Without ``fn``, a 1-D array ``s`` gives one row of terms per entry,
-        the recursion stepping all rows at once, each equal to its float's
-        series.
+        A 1-D array ``s`` gives one row of terms per entry, the recursion
+        stepping all rows at once, each equal to its float's series.
         """
         rows = np.ndim(s) == 1
         out = np.empty((len(s), length) if rows else length)
         if length == 0:
             return out
-        if self.fn is not None:
-            return np.array([self(s, t) for t in range(length)])
         with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
             v = self.C * (np.asarray(s, dtype=float) if rows else float(s))
             out[..., 0] = v
@@ -396,7 +390,7 @@ def validate_class(obj, grid: ClassGrid = None) -> ClassReport:
         else:
             checks.append(ClassCheck("non_increasing_in_t", True))
         decay_gain = TimeGain(lambda t: obj(1.0, t), "sigma(1,.)", decays=True,
-                              geometric=(obj.C, obj.g) if obj.fn is None else None)
+                              geometric=(obj.C, obj.g))
         chk = _check_decay(decay_gain, grid)
         checks.append(ClassCheck("decays_to_zero_in_t", chk.passed, chk.witness))
         return ClassReport(obj.name, "KL", checks)
@@ -532,27 +526,29 @@ def sup_f_sampler(sys, cfg: SampleConfig = None, seed: int = 0):
     The sample set of a time slice (t, s) is fixed for the sampler: the d
     candidates are drawn once, and the x and u points on the sphere of
     radius s come from the constant seeds 0 and 1.  So the sampler keeps
-    each s's sample product and each slice's sup, keyed by (t, s), and
-    evaluates a slice once however many (T, s) calls scan it; each call
-    replays the first-maximum scan over t from the kept slices.
+    each s's sample product and each slice's sup, keyed by (t, s) with all
+    NaN radii under one key, and evaluates a slice once however many (T, s)
+    calls scan it; each call replays the first-maximum scan over t from the
+    kept slices.
     """
     cfg = cfg or SampleConfig(d_grid=9, d_random=16, x_directions=8,
                               x_scales=(1.0, 0.5), u_directions=4)
     rng = np.random.default_rng(seed)
     dcands = d_candidates(sys.d_box, grid=cfg.d_grid, random=cfg.d_random, rng=rng)
-    kept = {}  # s -> (sample product, {t: (sup, flat index)}), this sampler's
+    kept = {}  # key -> (sample product, {t: (sup, flat index)}), this sampler's
 
     def sampler(T, s):
         s = float(s)
-        if s not in kept:
+        key = s if s == s else None  # NaN equals nothing: one key for all NaNs
+        if key not in kept:
             xs = sphere_points(sys.n, s, cfg.x_directions, cfg.x_scales, rng=0)
             if sys.k > 0:
                 us = np.vstack([np.zeros((1, sys.k)),
                                 sphere_points(sys.k, s, cfg.u_directions, rng=1)])
             else:
                 us = np.zeros((1, 0))
-            kept[s] = ((("d", dcands), ("x", xs), ("u", us)), {})
-        sets, slices = kept[s]
+            kept[key] = ((("d", dcands), ("x", xs), ("u", us)), {})
+        sets, slices = kept[key]
         return _sup_norm_f(sys, int(T), cfg.t_cap, sets, memo=slices)[0]
 
     return sampler

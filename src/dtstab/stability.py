@@ -156,23 +156,24 @@ def _roll(sys, specs, horizon):
     ``simulate(sys, t0, x0, dpol, upol, horizon, meta=meta)`` of spec j bit
     for bit.
 
-    Only the policy kinds the search builds are rolled; any other raises
+    Only the policy kinds the search builds are rolled; any other, or a
+    greedy adversary on a grid other than ``_GREEDY_GRID``, raises
     TypeError.  Zero, constant and sequence inputs and corner and random
     disturbances do not read the state, so their (B, N, .) tables are
     filled before the first step; a random row's table is one
     ``RandomDisturbance.table`` call, equal to the N picks ``simulate``
     makes from its generator.
 
-    Each greedy trajectory steps as C rows, one per candidate d.  A step
-    makes one ``f_rows`` call over the other rows and all candidate rows
-    and one ``H_rows`` call at t + 1 over the results, plus one ``h_rows``
-    call when the system has its own h.  Each greedy row then takes
-    ``GreedyDisturbance.__call__``'s pick, the first strict maximum of
-    ||H(t + 1, f)||, never a NaN, ``cands[0]`` when every score is NaN; the
-    picked candidate's successor and output are the row's next state and
-    output.  The last step evaluates the candidate rows only.  Times are a
-    column of per-row times, or one float when the whole block starts at
-    the same t0.
+    Each greedy trajectory steps as C rows, one per candidate d of the
+    output-seeking adversary.  A step makes one ``f_rows`` call over the
+    other rows and all candidate rows and one ``H_rows`` call at t + 1 over
+    the results, plus one ``h_rows`` call when the system has its own h.
+    Each greedy row then takes ``GreedyDisturbance.__call__``'s pick, the
+    first strict maximum of ||H(t + 1, f)||, never a NaN, ``cands[0]`` when
+    every score is NaN; the picked candidate's successor and output are the
+    row's next state and output.  The last step evaluates the candidate
+    rows only.  Times are a column of per-row times, or one float when the
+    whole block starts at the same t0.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -181,8 +182,10 @@ def _roll(sys, specs, horizon):
     for dpol, upol in zip(dpols, upols):
         if type(upol) not in (ZeroInput, ConstantInput, SequenceInput):
             raise TypeError(f"no input table for {upol.descriptor()}")
-        if type(dpol) not in (ConstantDisturbance, RandomDisturbance,
-                              GreedyDisturbance):
+        greedy_elsewhere = (type(dpol) is GreedyDisturbance
+                            and dpol.grid != _GREEDY_GRID)
+        if greedy_elsewhere or type(dpol) not in (
+                ConstantDisturbance, RandomDisturbance, GreedyDisturbance):
             raise TypeError(f"no disturbance table for {dpol.descriptor()}")
     greedy = [type(dpol) is GreedyDisturbance for dpol in dpols]
     # row i of the block's arrays is spec order[i]: the greedy rows last
@@ -479,13 +482,9 @@ def _ragged(lengths):
 
 def _decay_bounds(batch, sigma, beta):
     """sigma(beta(t0)||x0||, t - t0) at every row of the batch, concatenated:
-    the exact recursion steps all trajectories at once (one trajectory at a
-    time when the envelope has ``fn``)."""
+    the envelope's exact recursion steps all trajectories at once."""
     scale = [beta(traj.t0) * vecnorm(traj.x0) for traj in batch]
     lengths = [len(traj) for traj in batch]
-    if sigma.fn is not None:
-        return np.concatenate([sigma.decay_series(s, n)
-                               for s, n in zip(scale, lengths)])
     return sigma.decay_series(np.array(scale), max(lengths))[_ragged(lengths)]
 
 
@@ -502,8 +501,7 @@ def _ios_bounds(batch, sigma, beta, rho, gamma, form, zeta, delta):
     nu = row_norms(np.concatenate([traj.u for traj in batch]))
     if form == "max":
         lead = beta.values(tau) * rho.values(gamma.values(tau) * nu)
-        fresh = (float(sigma.C) * lead if sigma.fn is None  # sigma(s, 0)
-                 else np.array([sigma(s, 0) for s in lead.tolist()]))
+        fresh = float(sigma.C) * lead  # sigma(lead, 0)
         g = sigma.g
     else:
         fresh = zeta.values(delta.values(tau) * nu)

@@ -604,52 +604,36 @@ class RandomDisturbance(DisturbancePolicy):
 
 
 class GreedyDisturbance(DisturbancePolicy):
-    """Per-step adversary: picks the candidate d maximizing a successor score.
+    """Per-step output-seeking adversary: picks the candidate d maximizing
+    the stabilized-output norm ||H(t + 1, f(t, x, d, u))|| at the successor.
 
-    The default objective is the stabilized-output norm at the successor state;
-    pass ``objective(t_next, x_next) -> float`` (e.g. a Lyapunov candidate) for
-    other searches.  Candidates are box corners plus a small per-dimension grid,
-    so this is an explicit lower bound on the true adversary.
+    Candidates are box corners plus a ``grid``-point per-dimension grid, so
+    this is an explicit lower bound on the true adversary.  The pick is the
+    first strict maximum, never a NaN score, and the first candidate when
+    every score is NaN.  ``seed`` draws nothing; it names the trajectory's
+    adversary in its descriptor.
     """
 
-    def __init__(self, objective=None, grid: int = 5, random: int = 0, seed=0):
-        self.objective = objective
+    def __init__(self, grid: int = 5, seed=0):
         self.grid = grid
-        self.random = random
         self.seed = seed
-        self._rng = None
         self._cands = None
-
-    @property
-    def rng(self):
-        """The generator of the random candidates, made on first use."""
-        if self._rng is None:
-            self._rng = np.random.default_rng(self.seed)
-        return self._rng
 
     def __call__(self, sys, t, x, u):
         if self._cands is None:
             self._cands = d_candidates(sys.d_box, grid=self.grid, random=0)
-        cands = self._cands
-        if self.random > 0:
-            extra = self.rng.uniform(sys.d_box[:, 0], sys.d_box[:, 1],
-                                     size=(self.random, sys.m))
-            cands = np.vstack([cands, extra])
         t = float(t)
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        best, best_score = cands[0], -np.inf
-        for dcand in cands:
-            nxt = sys._f(t, x, dcand, u)
-            score = (self.objective(t + 1, nxt) if self.objective
-                     else vecnorm(sys._H(t + 1.0, nxt)))
+        best, best_score = self._cands[0], -np.inf
+        for dcand in self._cands:
+            score = vecnorm(sys._H(t + 1.0, sys._f(t, x, dcand, u)))
             if score > best_score:
                 best, best_score = dcand, score
         return best
 
     def descriptor(self):
-        kind = "custom" if self.objective else "output-seeking"
-        return f"greedy({kind}, grid={self.grid}, seed={self.seed})"
+        return f"greedy(output-seeking, grid={self.grid}, seed={self.seed})"
 
 
 class InputPolicy:

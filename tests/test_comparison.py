@@ -138,6 +138,11 @@ class TestKLEnvelope:
         series = env.decay_series(1.7, 40)
         assert all(series[t] == env(1.7, t) for t in range(40))
 
+    def test_non_decaying_envelope_fails_validation(self):
+        flat = KLEnvelope(1.0, 0.0)  # sigma(s, t) = s at every t
+        assert [c.axiom for c in validate_class(flat).failures()] == [
+            "decays_to_zero_in_t"]
+
 
 class TestFitKLEnvelope:
     def test_recovers_synthetic_exponential(self):
@@ -261,6 +266,16 @@ class TestSupFSamplerSlices:
         assert len(calls) == 21 * len(ss)  # 1 + 2 + 3 + 6 + 11 + 21 = 44 without
         assert sorted(calls) == sorted(list(range(21)) * len(ss))
 
+    @pytest.mark.parametrize("radius", ["nan", "0.5"])
+    def test_a_repeated_radius_evaluates_no_new_slice(self, monkeypatch, radius):
+        # every call passes a new float object, and a NaN equals none of them
+        calls = _counting_sampled_sup(monkeypatch)
+        sampler = sup_f_sampler(example_2_3().sys)
+        sups = [sampler(2, float(radius)) for _ in range(3)]
+        assert calls == [0, 1, 2]
+        assert len({np.float64(v).tobytes() for v in sups}) == 1
+        assert math.isnan(sups[0]) == (radius == "nan")
+
     def test_a_raising_slice_is_not_kept(self, monkeypatch):
         sys = SystemDef(n=1, m=1, k=0, d_box=[[-1.0, 1.0]],
                         f=["x1*d1*log(5 - t)"], H=["x1"])  # t = 5 raises
@@ -274,13 +289,3 @@ class TestSupFSamplerSlices:
         assert calls == [0, 1, 2, 3, 4, 5, 5]
 
 
-class TestGeneralFormEnvelope:
-    def test_two_argument_expression_form(self):
-        # general fn loses the exact-recursion guarantee but validates
-        env = KLEnvelope(1.0, 0.5,
-                         fn=lambda s, t: 3.0 * s / (1.0 + s) * math.exp(-0.5 * t))
-        rep = validate_class(env)
-        assert rep.passed
-        assert env(2.0, 0.0) == 2.0
-        flat = KLEnvelope(1.0, 0.5, fn=lambda s, t: s)  # no decay in t
-        assert not validate_class(flat).passed

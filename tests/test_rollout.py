@@ -86,6 +86,7 @@ def test_trajectory_specs_follow_the_documented_stream():
                 assert np.array_equal(dpol.value, corners[i % 4])
             else:
                 assert dpol.seed == child
+            if mix[i % 3] == "random":
                 assert dpol.rng.random() == np.random.default_rng(child).random()
 
 
@@ -317,6 +318,12 @@ def test_roller_refuses_policy_kinds_without_a_table():
     with pytest.raises(TypeError, match="no disturbance table"):
         stability._roll(B34.sys, [(t0, x0, dpol, upol, meta),
                                   (t0, x0, Biased(seed=1), upol, meta)], 3)
+    # the roller steps the greedy candidates of the search's grid alone
+    for grid in (3, 9):
+        with pytest.raises(TypeError, match=r"no disturbance table for greedy\("
+                                            rf"output-seeking, grid={grid}, seed=0\)"):
+            stability._roll(B34.sys, [(t0, x0, GreedyDisturbance(grid=grid),
+                                       upol, meta)], 3)
 
 
 def nan_output_system(d_box, H):

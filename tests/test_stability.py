@@ -217,8 +217,7 @@ def traj_ios_bounds(traj, sigma, beta, rho, gamma, form, zeta, delta):
     nu = row_norms(traj.u)
     if form == "max":
         lead = beta.values(tau) * rho.values(gamma.values(tau) * nu)
-        fresh = ((float(sigma.C) * lead).tolist() if sigma.fn is None
-                 else [sigma(s, 0) for s in lead.tolist()])
+        fresh = (float(sigma.C) * lead).tolist()  # sigma(lead, 0)
         g = sigma.g
     else:
         fresh = zeta.values(delta.values(tau) * nu).tolist()
@@ -308,9 +307,8 @@ NATIVE_GAINS = dict(beta=TimeGain(lambda t: 1 + 2.0 ** -t),
                     rho=KFn(lambda s: s + s ** 1.5),
                     delta=TimeGain(lambda t: 1 + 1 / (t + 2)),
                     zeta=KFn(lambda s: 4.0 * s ** 1.2))
-ENVELOPES = {"closed": KLEnvelope(3.0, 0.4),
-             "fn": KLEnvelope(3.0, 0.4,
-                              fn=lambda s, t: 2.0 * s * (1.0 + s) / (1.0 + t))}
+# decays of exp(-0.4) and exp(-1.2) a step
+ENVELOPES = {"closed": KLEnvelope(3.0, 0.4), "fast": KLEnvelope(1.5, 1.2)}
 
 
 class TestIOSBoundsMatchLoop:
@@ -345,6 +343,27 @@ class TestIOSBoundsMatchLoop:
                                      tol=tol, **kw)
             ref = loop_row_check(form, want, batch, tol)
             assert rep == ref
+
+    def test_max_form_is_the_sup_of_its_definition(self):
+        # the row bound at t is max(sigma(beta(t0)|x0|, t - t0), max over
+        # tau <= t of sigma(beta(tau) rho(gamma(tau)|u(tau)|), t - tau)),
+        # every term one envelope call
+        budget = FalsifyBudget(max_trajectories=8, horizon=10, seed=7, u_cap=2.0)
+        batch = adversarial_batch(B34.sys, (0, 3), 1.0, budget, u_modes=("random",))
+        sigma, beta = B34.sigma, B34.sigma.beta
+        want = []
+        for traj in batch:
+            taus = [int(t) for t in traj.t]
+            lead = [beta(tau) * B34.rho(B34.gamma(tau) * vecnorm(u))
+                    for tau, u in zip(taus, traj.u)]
+            start = beta(traj.t0) * vecnorm(traj.x0)
+            want += [max(sigma(start, t - traj.t0),
+                         max(sigma(lead[i], t - taus[i]) for i in range(row + 1)))
+                     for row, t in enumerate(taus)]
+        got = stability._ios_bounds(batch, sigma, beta, B34.rho, B34.gamma,
+                                    "max", None, None)
+        assert len(want) == 88 and np.abs(np.array(want)).max() > 0.0
+        assert_same_bits(got, np.array(want))
 
     def test_undersized_gain_fails_at_the_same_row(self):
         batch = adversarial_batch(B34.sys, (0, 2), 1.0,
@@ -583,15 +602,15 @@ class TestBatchEnvelopeChecks:
 FALSIFY_CASES = {
     "kl": (B23.sys, KLEnvelope(B34.sigma.C, B34.sigma.c), {}),
     "kl_violated": (B23.sys, KLEnvelope(B34.sigma.C * 0.01, B34.sigma.c), {}),
-    "kl_fn": (B23.sys, ENVELOPES["fn"], {}),
+    "kl_fast": (B23.sys, ENVELOPES["fast"], {}),
     "ios": (B34.sys, B34.sigma, dict(rho=B34.rho, gamma=B34.gamma)),
     "ios_violated": (B34.sys, KLEnvelope(0.05, 0.4), dict(rho=linear(0.01),
                                                          gamma=constant(1.0))),
     "ios_native": (TWO_INPUTS, ENVELOPES["closed"],
                    dict(beta=NATIVE_GAINS["beta"], rho=NATIVE_GAINS["rho"],
                         gamma=NATIVE_GAINS["gamma"])),
-    "ios_fn": (TWO_INPUTS, ENVELOPES["fn"], dict(rho=EXPR_GAINS["rho"],
-                                                gamma=EXPR_GAINS["gamma"])),
+    "ios_fast": (TWO_INPUTS, ENVELOPES["fast"], dict(rho=EXPR_GAINS["rho"],
+                                                    gamma=EXPR_GAINS["gamma"])),
 }
 
 
@@ -638,27 +657,27 @@ class TestFalsifyMatchesLoop:
                     budget=FalsifyBudget(max_trajectories=3, horizon=4))
 
     @pytest.mark.parametrize("fails", [
-        lambda s: s > 0.9,  # the first trajectory's check, before the roll error
+        lambda s: s == 0.0,  # the first trajectory's check, before the roll error
         lambda s: 0.0 < s < 0.3,  # later checks only: the roll error first
     ], ids=["check_first", "roll_first"])
     def test_check_and_roll_errors_surface_in_trajectory_order(self, fails):
         # a negative input below -1 makes f raise: the constant input of
-        # trajectory 1 is -u_cap, so its roll fails at the first step
+        # trajectory 1 is -u_cap, so its roll fails at the first step;
+        # trajectory 0 has the zero input, so its check calls rho at 0 only
         sys = SystemDef(n=1, m=1, k=1, d_box=[[-0.1, 0.1]],
                         f=["0.5*x1 + 0.1*d1 + 0*sqrt(u1 + 1)"], H=["x1"])
 
-        def fn(s, t):
+        def rho(s):
             if fails(s):
-                raise ValueError(f"sigma at s = {s}")
-            return 3.0 * s / (1.0 + t)
+                raise ValueError(f"rho at s = {s}")
+            return s
 
-        sigma = KLEnvelope(3.0, 0.4, fn=fn)
         budget = FalsifyBudget(max_trajectories=12, horizon=6, seed=1)
         errors = []
         for run in (falsify, loop_falsify):
             with pytest.raises(Exception) as caught:
-                run(sys, sigma, rho=identity(), gamma=constant(1.0),
+                run(sys, KLEnvelope(3.0, 0.4), rho=KFn(rho), gamma=constant(1.0),
                     budget=budget, radius=1.0)
             errors.append((type(caught.value), str(caught.value)))
         assert errors[0] == errors[1]
-        assert (errors[0][0] is ValueError) == (fails(1.0))
+        assert (errors[0][0] is ValueError) == fails(0.0)
