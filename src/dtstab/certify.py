@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .comparison import KFn, TimeGain, validate_class
-from .system import (FAIL, PASS, PASS_TOL, CertificateReport, SampleConfig,
-                     SystemDef, VectorMap, WorstMargin, _beats, d_candidates,
-                     _FieldsJSON, require_samples, row_norms, sampled_sup,
-                     vecnorm)
+from .expr import (Bin, Call, Dims, Expr, Neg, Num, Var, parse_expression,
+                   substitute)
+from .system import (FAIL, PASS, PASS_TOL, CertificateReport, SystemDef,
+                     VectorMap, WorstMargin, _beats, d_candidates,
+                     _FieldsJSON, expression_part, require_samples,
+                     row_norms, sampled_sup)
 
 __all__ = [
     "LyapunovCandidate", "CertificateReport", "StateGrid",
@@ -130,13 +132,13 @@ def _worst_verdict(*verdicts):
     return max(verdicts, key=order.__getitem__)
 
 
-def _d_values(sys, d_values, cfg: SampleConfig, seed):
-    if d_values is not None:
-        arr = np.asarray(d_values, dtype=float)
-        return arr.reshape(-1, sys.m) if sys.m else arr.reshape(-1, 0)
-    cfg = cfg or SampleConfig()
-    return d_candidates(sys.d_box, grid=cfg.d_grid, random=cfg.d_random,
-                        rng=seed)
+def _d_values(sys, d_values):
+    """``d_values`` as rows, by default the corners of D, a 9-point grid and
+    256 random points (seed 0)."""
+    if d_values is None:
+        return d_candidates(sys.d_box, grid=9, random=256, rng=0)
+    arr = np.asarray(d_values, dtype=float)
+    return arr.reshape(-1, sys.m) if sys.m else arr.reshape(-1, 0)
 
 
 def _require_grid(grid):
@@ -218,14 +220,13 @@ def _sup_decrease(sys, cand, grid, rhs_fn, dvals, check_name, tol,
 
 
 def check_contraction(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
-                      d_values=None, sample_cfg: SampleConfig = None,
-                      tol: float = 1e-9, seed: int = 0) -> CertificateReport:
+                      d_values=None, tol: float = 1e-9) -> CertificateReport:
     """sup_d V(t+1, f(t,d,x)) <= lam * V(t,x) on an unforced system."""
     if sys.k != 0:
         raise ValueError("contraction check needs an unforced system (k=0)")
     cand.require("lam")
     _require_zero_at_origin(sys, cand)
-    dvals = _d_values(sys, d_values, sample_cfg, seed)
+    dvals = _d_values(sys, d_values)
     lam = cand.lam
     return _sup_decrease(sys, cand, grid,
                          lambda t, V0, us: (lam * V0)[:, None], dvals,
@@ -234,8 +235,7 @@ def check_contraction(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
 
 def check_relaxed_decrease(sys: SystemDef, cand: LyapunovCandidate,
                            grid: StateGrid, d_values=None,
-                           sample_cfg: SampleConfig = None, tol: float = 1e-9,
-                           seed: int = 0) -> CertificateReport:
+                           tol: float = 1e-9) -> CertificateReport:
     """sup_d V(t+1, f(t,d,x)) <= V(t,x) - a3(V(t,x)) + q(t), unforced system."""
     if sys.k != 0:
         raise ValueError("relaxed decrease check needs an unforced system (k=0)")
@@ -244,7 +244,7 @@ def check_relaxed_decrease(sys: SystemDef, cand: LyapunovCandidate,
     bad = cand.validate_a3_bound()
     if bad:
         raise ValueError(f"a3(s) <= s violated, witness {bad[0]}")
-    dvals = _d_values(sys, d_values, sample_cfg, seed)
+    dvals = _d_values(sys, d_values)
     a3, q = cand.a3, cand.q
     return _sup_decrease(sys, cand, grid,
                          lambda t, V0, us: (V0 - a3.values(V0) + q(t))[:, None],
@@ -253,14 +253,13 @@ def check_relaxed_decrease(sys: SystemDef, cand: LyapunovCandidate,
 
 def check_ios_decrease(sys: SystemDef, cand: LyapunovCandidate,
                        grid: StateGrid, u_values, d_values=None,
-                       sample_cfg: SampleConfig = None, tol: float = 1e-9,
-                       seed: int = 0) -> CertificateReport:
+                       tol: float = 1e-9) -> CertificateReport:
     """sup_d V(t+1, f(t,d,x,u)) <= lam V(t,x) + a3(phi(t)||u||), inputs sampled."""
     if sys.k < 1:
         raise ValueError("input-driven decrease needs an input channel (k >= 1)")
     cand.require("lam", "a3", "phi")
     _require_zero_at_origin(sys, cand)
-    dvals = _d_values(sys, d_values, sample_cfg, seed)
+    dvals = _d_values(sys, d_values)
     u_values = np.asarray(u_values, dtype=float).reshape(-1, sys.k)
     lam, a3, phi = cand.lam, cand.a3, cand.phi
     return _sup_decrease(
@@ -333,54 +332,67 @@ def tau_bound(cand: LyapunovCandidate, eps: float, T: int,
 
 # --- the graph transform and composed candidates ---
 
+def _scaled(scale, n) -> list:
+    """The ASTs scale * x_i for i = 1..n."""
+    return [Bin("*", scale, Var(f"x{i + 1}")) for i in range(n)]
+
+
 def build_transformed_system(sys: SystemDef, mu: TimeGain) -> SystemDef:
     """State (z, w) system whose z-axis carries exp(-t)/mu(t)-scaled states.
 
-    z(t+1) = (exp(-t-1)/mu(t+1)) f(t, d, exp(t) mu(t) z) and the w-update is
-    implemented exactly in its three-term form (not the equivalent closed
-    form), so closed-form drift checks are genuine numeric checks.  The
-    output is the combined norm sqrt(||z||^2 + ||w||^2).
+    With X = exp(t) mu(t) z, z(t+1) = (exp(-t-1)/mu(t+1)) f(t, d, X) and the
+    w-update is exactly its three-term form exp(-1) w - exp(-1) H(t, X) +
+    H(t+1, f(t, d, X)) (not the equivalent closed form), so closed-form drift
+    checks are genuine numeric checks.  Both are substituted into the ASTs of
+    f, H and mu; a part without an expression is refused with ValueError.
+    The output is norm(x1, ..., x_{n+p_Y}), the norm of (z, w).
     """
     if sys.k != 0:
         raise ValueError("transform is defined for unforced systems (k=0)")
     rep = validate_class(mu)
     if not rep.passed:
         raise ValueError(f"mu must be a positive time gain: {rep.failures()[0]}")
-    n, pY = sys.n, sys.p_Y
-    einv = math.exp(-1.0)
+    f = expression_part(sys.f_exprs, "the plant's f")
+    H = expression_part(sys.H_exprs, "the plant's H")
+    mu_t = expression_part(mu.expr, f"mu ({mu.name})")
+    n, t = sys.n, Var("t")
+    t1 = Bin("+", t, Num(1.0))
+    xs = [f"x{i + 1}" for i in range(n + len(H))]
+    X = dict(zip(xs, _scaled(Bin("*", Call("exp", (t,)), mu_t), n)))
+    fX = [substitute(e, X) for e in f]
+    down = Bin("/", Call("exp", (Bin("-", Neg(t), Num(1.0)),)),
+               substitute(mu_t, {"t": t1}))
+    einv = Num(math.exp(-1.0))
+    H_next = {"t": t1, **dict(zip(xs, fX))}
+    w_next = [Bin("+", Bin("-", Bin("*", einv, Var(w)),
+                           Bin("*", einv, substitute(e, X))),
+                  substitute(e, H_next)) for w, e in zip(xs[n:], H)]
+    return SystemDef(n=len(xs), m=sys.m, k=0, d_box=sys.d_box,
+                     f=[Bin("*", down, e) for e in fX] + w_next,
+                     H=[Call("norm", tuple(map(Var, xs)))],
+                     name=f"{sys.name}|transformed")
 
-    def f_tr(t, d, s, u):
-        z, w = s[:n], s[n:]
-        scale = math.exp(t) * mu(t)
-        X = scale * z
-        fx = sys.f_eval(t, d, X, None)
-        z_next = (math.exp(-t - 1.0) / mu(t + 1.0)) * fx
-        w_next = einv * w - einv * sys.H_eval(t, X) + sys.H_eval(t + 1, fx)
-        return np.concatenate([z_next, w_next])
 
-    def H_tr(t, s):
-        return np.array([vecnorm(s)])
+def compose_V_from_U(U, mu: TimeGain, sys: SystemDef) -> LyapunovCandidate:
+    """V(t, x) := U(t, (exp(-t)/mu(t)) x, H(t, x)), H the output of ``sys``.
 
-    return SystemDef(n=n + pY, m=sys.m, k=0, d_box=sys.d_box, f=f_tr,
-                     H=H_tr, h=H_tr, name=f"{sys.name}|transformed",
-                     p_Y=1, p_y=1)
-
-
-def compose_V_from_U(U: Callable, mu: TimeGain, H) -> LyapunovCandidate:
-    """V(t, x) := U(t, (exp(-t)/mu(t)) x, H(t, x)).
-
-    ``H`` may be a callable (t, x) -> vector or a SystemDef (its stabilized
-    output is used).  Contraction of U along the transformed system implies
-    contraction of the composed V at the matching graph points; verify with
+    ``U`` is an expression (text or AST) over ``t``, ``z1..zn`` and
+    ``w1..w<p_Y>``, into which z and w are substituted; a callable U, a
+    native H or a mu without an expression is refused with ValueError.
+    Contraction of U along the transformed system implies contraction of
+    the composed V at the matching graph points; verify with
     :func:`check_contraction`.
     """
-    H_map = H.H_eval if isinstance(H, SystemDef) else H
-
-    def V(t, x):
-        z = (math.exp(-t) / mu(t)) * np.asarray(x, dtype=float)
-        return float(U(t, z, np.asarray(H_map(t, x), dtype=float)))
-
-    return LyapunovCandidate(V=V, name="U-composed")
+    zs = [f"z{i + 1}" for i in range(sys.n)]
+    ws = [f"w{j + 1}" for j in range(sys.p_Y)]
+    if isinstance(U, str):
+        U = parse_expression(U, Dims(aux=frozenset(zs + ws)))
+    U = expression_part(U if isinstance(U, Expr) else None, "U")
+    down = Bin("/", Call("exp", (Neg(Var("t")),)),
+               expression_part(mu.expr, f"mu ({mu.name})"))
+    H = expression_part(sys.H_exprs, "the plant's H")
+    V = substitute(U, dict(zip(zs + ws, _scaled(down, sys.n) + list(H))))
+    return LyapunovCandidate(V=V, n=sys.n, name="U-composed")
 
 
 # --- static output-feedback inf-sup condition ---
@@ -442,8 +454,7 @@ def projection_fiber(observed: Sequence[int], free_grids: dict, n: int):
 def check_rofs_inf_sup(sys: SystemDef, cand: LyapunovCandidate,
                        fiber_sampler, u_candidates, ts, ys,
                        mode: str = "plain", d_values=None,
-                       sample_cfg: SampleConfig = None, tol: float = 1e-9,
-                       seed: int = 0) -> ROFSReport:
+                       tol: float = 1e-9) -> ROFSReport:
     """Estimate inf_u sup over the measured-output fiber of V(t+1,f) - lam V.
 
     modes: "plain" ranges u over all candidates; "strong" first filters the
@@ -458,7 +469,7 @@ def check_rofs_inf_sup(sys: SystemDef, cand: LyapunovCandidate,
     cand.require("lam")
     _require_zero_at_origin(sys, cand)
     lam = cand.lam
-    dvals = _d_values(sys, d_values, sample_cfg, seed)
+    dvals = _d_values(sys, d_values)
     if mode == "zero":
         ys = [np.zeros(sys.p_y)]
         u_candidates = np.zeros((1, sys.k))

@@ -30,7 +30,7 @@ from .stability import (FalsifyBudget, adversarial_batch, check_ios_estimate,
                         test_output_stability)
 from .synth import ReconstructionMap, run_output_feedback, synthesize_delay_controller
 from .system import (ConstantDisturbance, ConstantInput, GreedyDisturbance,
-                     RandomDisturbance, SampleConfig, ZeroInput,
+                     RandomDisturbance, ZeroInput, d_candidates,
                      parse_system_file, row_norms, simulate)
 
 __all__ = ["main"]
@@ -239,28 +239,28 @@ def cmd_certify(args) -> int:
         plant = _unforced(sys_, bundle)
         if plant.k > 0:
             raise UsageError(f"{args.check} needs an unforced system")
-    cfg = SampleConfig(d_grid=9, d_random=args.d_random)
+    d_grid, d_random = (5, 8) if args.check == "rofs-static" else (9, args.d_random)
+    dvals = d_candidates(plant.d_box, grid=d_grid, random=d_random, rng=args.seed)
     if args.check == "sandwich":
         rep = check_sandwich(plant, cand, grid, tol=args.tol)
     elif args.check == "contraction":
-        rep = check_contraction(plant, cand, grid, sample_cfg=cfg,
-                                tol=args.tol, seed=args.seed)
+        rep = check_contraction(plant, cand, grid, d_values=dvals,
+                                tol=args.tol)
     elif args.check == "relaxed-decrease":
-        rep = check_relaxed_decrease(plant, cand, grid, sample_cfg=cfg,
-                                     tol=args.tol, seed=args.seed)
+        rep = check_relaxed_decrease(plant, cand, grid, d_values=dvals,
+                                     tol=args.tol)
     elif args.check == "ios-decrease":
         us = np.linspace(-args.u_cap, args.u_cap, 9).reshape(-1, 1)
         us = np.repeat(us, sys_.k, axis=1)
-        rep = check_ios_decrease(plant, cand, grid, us, sample_cfg=cfg,
-                                 tol=args.tol, seed=args.seed)
+        rep = check_ios_decrease(plant, cand, grid, us, d_values=dvals,
+                                 tol=args.tol)
     elif args.check == "rofs-static":
         free = {i: [-1.0, 0.0, 1.0] for i in range(1, sys_.n)}
         fiber = projection_fiber([0], free, sys_.n)
         us = np.linspace(-10.0, 10.0, 21).reshape(-1, 1)
         ys = [[v] for v in (-1.0, 0.0, 1.0)]
         rep = check_rofs_inf_sup(sys_, cand, fiber, us, ts=range(3), ys=ys,
-                                 sample_cfg=SampleConfig(d_grid=5, d_random=8),
-                                 tol=args.tol, seed=args.seed)
+                                 d_values=dvals, tol=args.tol)
     else:
         raise UsageError(f"unknown check {args.check!r}")
     payload = rep.to_json()

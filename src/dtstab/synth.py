@@ -20,7 +20,8 @@ import numpy as np
 from .certify import CertificateReport
 from .expr import Dims, Var, parse_expression
 from .system import (FAIL, PASS, DisturbancePolicy, InputPolicy, SystemDef,
-                     WorstMargin, as_feedback, require_samples, simulate)
+                     WorstMargin, as_feedback, expression_part,
+                     require_samples, simulate)
 
 __all__ = [
     "ChainResult", "iterate_maps",
@@ -379,34 +380,18 @@ def build_extended_system(sys: SystemDef, w_dim: int) -> SystemDef:
     """Append an integrator block: state (x, w), input (u, v), w(t+1) = v.
 
     The measured output stacks (h(t, x), w); the stabilized output stays
-    H(t, x).  The x-component of solutions does not depend on v.  Each map
-    that is an expression list in ``sys`` stays one (f gains the components
-    ``u_{k+i}``, h the components ``x_{n+i}``); the others are closures.
+    H(t, x).  The x-component of solutions does not depend on v.  The maps
+    stay expression lists: f gains the components ``u_{k+i}`` and h the
+    components ``x_{n+i}``.  A native f, H or h is refused with ValueError.
     """
     if w_dim < 1:
         raise ValueError("w_dim must be >= 1")
     n, k = sys.n, sys.k
     ws = range(1, w_dim + 1)
-    if sys.f_exprs is not None:
-        f_ext = list(sys.f_exprs) + [Var(f"u{k + i}") for i in ws]
-    else:
-        def f_ext(t, d, s, uv):
-            x, u, v = s[:n], uv[:k], uv[k:]
-            return np.concatenate([sys.f_eval(t, d, x, u), v])
-
-    if sys.H_exprs is not None:
-        H_ext = list(sys.H_exprs)
-    else:
-        def H_ext(t, s):
-            return sys.H_eval(t, s[:n])
-
-    if sys.h_exprs is not None:
-        h_ext = list(sys.h_exprs) + [Var(f"x{n + i}") for i in ws]
-    else:
-        def h_ext(t, s):
-            return np.concatenate([sys.h_eval(t, s[:n]), s[n:]])
-
+    f = expression_part(sys.f_exprs, "the plant's f")
+    H = expression_part(sys.H_exprs, "the plant's H")
+    h = expression_part(sys.h_exprs, "the plant's h")
     return SystemDef(n=n + w_dim, m=sys.m, k=k + w_dim, d_box=sys.d_box,
-                     f=f_ext, H=H_ext, h=h_ext,
-                     name=f"{sys.name}|extended(w={w_dim})",
-                     p_Y=sys.p_Y, p_y=sys.p_y + w_dim)
+                     f=[*f, *(Var(f"u{k + i}") for i in ws)], H=list(H),
+                     h=[*h, *(Var(f"x{n + i}") for i in ws)],
+                     name=f"{sys.name}|extended(w={w_dim})")

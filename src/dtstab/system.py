@@ -849,29 +849,39 @@ def output_maps(sys: SystemDef) -> dict:
     return {"H": H, "h": h, "p_Y": sys.p_Y, "p_y": sys.p_y}
 
 
+def expression_part(part, what: str):
+    """``part`` of a composite, which is built by substitution into it: an
+    AST or a tuple of ASTs.  ``None`` (a native map or a gain without an
+    expression) is refused with ValueError."""
+    if part is None:
+        raise ValueError(f"{what} is not an expression; composites are "
+                         f"built by substitution into expressions only")
+    return part
+
+
 def closed_loop(sys: SystemDef, fb) -> SystemDef:
     """Absorb a state feedback u = k(t, x) into the dynamics (k becomes 0).
 
     On an unforced system any feedback is vacuous and the system is returned
-    unchanged.  When the plant and the feedback are both expressions, u := k(t,
-    x) is substituted into the plant's ASTs, so the closed loop is again an
-    expression system (same values bit for bit, and batchable); a native
-    feedback or plant is wrapped in a closure.  The zero equilibrium is
+    unchanged.  Otherwise u := k(t, x) is substituted into the plant's ASTs,
+    so the closed loop is again an expression system (same values bit for
+    bit, and batchable); the outputs are the plant's (see
+    :func:`output_maps`).  A native plant f or feedback, or a feedback whose
+    width is not k, is refused with ValueError.  The zero equilibrium is
     preserved iff f(t,d,0,k(t,0)) = 0; this is spot-checked and a warning is
     emitted otherwise.
     """
     if sys.k == 0:
         return sys
     pol = as_feedback(fb, sys.n)
-    k_exprs = getattr(pol, "exprs", None)
-    if sys.f_exprs is not None and k_exprs is not None and len(k_exprs) == sys.k:
-        f_cl = bind_inputs(sys.f_exprs, k_exprs)
-    else:
-        def f_cl(t, d, x, u):
-            return sys.f_eval(t, d, x, pol(sys, t, x))
-
-    out = SystemDef(n=sys.n, m=sys.m, k=0, d_box=sys.d_box, f=f_cl,
-                    **output_maps(sys), name=f"{sys.name}|{pol.descriptor()}")
+    f_exprs = expression_part(sys.f_exprs, "the plant's f")
+    k_exprs = expression_part(getattr(pol, "exprs", None), "the feedback")
+    if len(k_exprs) != sys.k:
+        raise ValueError(f"feedback has {len(k_exprs)} components, "
+                         f"the plant has k={sys.k} inputs")
+    out = SystemDef(n=sys.n, m=sys.m, k=0, d_box=sys.d_box,
+                    f=bind_inputs(f_exprs, k_exprs), **output_maps(sys),
+                    name=f"{sys.name}|{pol.descriptor()}")
     bad = out.check_equilibrium(ts=range(0, 21, 5))
     if bad:
         warnings.warn(f"feedback moves the zero equilibrium: {bad[0]}",

@@ -23,7 +23,7 @@ from dtstab.stability import (FalsifyBudget, adversarial_batch,
 from dtstab.stability import test_output_attractivity as search_attractivity
 from dtstab.synth import check_reconstruction, run_output_feedback
 from dtstab.system import (ConstantDisturbance, RandomDisturbance,
-                           SampleConfig, simulate, vecnorm)
+                           d_candidates, simulate, vecnorm)
 
 from test_certify import tau_oracle
 from test_comparison import fixture_results
@@ -127,10 +127,10 @@ def test_criterion_6_three_state_certificate():
                                [0.0, 1.0, -1.0, 100.0, -100.0])
     ok = True
     worst = -math.inf
-    cfg = SampleConfig(d_grid=9, d_random=32)
     for r in (0.0, 0.5, 0.9):
         b = example_4_7(r)
-        con = check_contraction(b.closed, b.cand, grid, sample_cfg=cfg,
+        dvals = d_candidates(b.closed.d_box, grid=9, random=32, rng=0)
+        con = check_contraction(b.closed, b.cand, grid, d_values=dvals,
                                 tol=1e-12)
         sand = check_sandwich(b.sys, b.cand, grid, tol=1e-9)
         ok = ok and con.passed and sand.passed and sand.worst_margin <= 0.0

@@ -30,9 +30,10 @@ from dtstab.expr import (_ARRAY_NAMESPACE, Bin, Call, Dims, Env,
                          eval_expression, parse_expression, substitute)
 from dtstab.registry import example_2_3, example_3_4, example_4_7
 from dtstab.stability import build_small_input_system
-from dtstab.system import (SampleConfig, StateFeedback, SystemDef,
-                           closed_loop, d_candidates, reachable_bound,
-                           row_norms, sampled_sup, sphere_points, vecnorm)
+from dtstab.system import (SampleConfig, SystemDef, closed_loop,
+                           d_candidates, reachable_bound, row_norms,
+                           sampled_sup, sphere_points, vecnorm)
+from test_composite import reference_small_input
 
 B23, B34, B47 = example_2_3(), example_3_4(), example_4_7(0.5)
 
@@ -319,8 +320,6 @@ def test_closed_loop_stays_an_expression_and_matches_the_closure():
         assert cl.f_eval(t, d, x).tobytes() == closure.f_eval(t, d, x).tobytes()
         assert cl.H_eval(t, x).tobytes() == B47.sys.H_eval(t, x).tobytes()
         assert cl.h_eval(t, x).tobytes() == B47.sys.h_eval(t, x).tobytes()
-    native = closed_loop(B47.sys, StateFeedback(lambda t, x: [-x[1] ** 2], n=3))
-    assert native.f_exprs is None
 
 
 def test_closed_loop_binds_inputs_by_index():
@@ -466,9 +465,9 @@ def test_reachable_bound_matches_legacy():
 def test_sup_f_sampler_matches_legacy_including_native_fallback():
     cfg = SampleConfig(d_grid=5, d_random=4, x_directions=4,
                        x_scales=(1.0, 0.5), u_directions=3)
-    # a gain without an expression keeps the closure: the per-row fallback
-    native = build_small_input_system(B34.sys, geometric(1.0, 0.5),
-                                      KFn(lambda s: s, "s", "Kinf"))
+    # the closure of a gain without an expression: the per-row fallback
+    native = reference_small_input(B34.sys, geometric(1.0, 0.5),
+                                   KFn(lambda s: s, "s", "Kinf"))
     assert native.f_exprs is None
     small = build_small_input_system(B34.sys, geometric(1.0, 0.5), identity())
     assert small.f_exprs is not None

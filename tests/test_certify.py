@@ -22,6 +22,7 @@ from dtstab.registry import (LAM_SQRT_PLANT, Q_SQRT_PLANT_C,
 from dtstab.system import (CertificateReport, RandomDisturbance, SystemDef,
                            WorstMargin, _beats, row_norms, sampled_sup,
                            simulate, vecnorm)
+from test_composite import bits
 
 B23, B34 = example_2_3(), example_3_4()
 D23 = np.array([[-2.0], [-1.0], [0.0], [1.0], [2.0]])
@@ -311,12 +312,14 @@ class TestTransformedSystem:
 
 
 class TestComposeV:
+    U_text = "norm(z1, z2, w1)"
+
     @staticmethod
     def U_cnorm(t, z, w):
         return math.sqrt(float(np.dot(z, z)) + float(np.dot(w, w)))
 
     def test_direct_substitution(self):
-        cand = compose_V_from_U(self.U_cnorm, constant(1.0), B23.sys)
+        cand = compose_V_from_U(self.U_text, constant(1.0), B23.sys)
         assert cand.V_eval(0, [1.0, 0.0]) == 1.0
         assert cand.V_eval(5, [0.0, 0.0]) == 0.0
 
@@ -324,7 +327,7 @@ class TestComposeV:
         # the transformed step maps graph points to graph points, so the
         # composed V at the successor equals U at the transformed successor
         tr = build_transformed_system(B23.sys, constant(1.0))
-        cand = compose_V_from_U(self.U_cnorm, constant(1.0), B23.sys)
+        cand = compose_V_from_U(self.U_text, constant(1.0), B23.sys)
         rng = np.random.default_rng(4)
         for _ in range(200):
             t = float(rng.integers(0, 15))
@@ -353,7 +356,7 @@ class TestComposeV:
                     lam_fit = max(lam_fit,
                                   self.U_cnorm(t + 1, s2[:2], s2[2:]) / U0)
         assert lam_fit < 1.0
-        cand = compose_V_from_U(self.U_cnorm, constant(1.0), B23.sys)
+        cand = compose_V_from_U(self.U_text, constant(1.0), B23.sys)
         cand.lam = lam_fit * (1.0 + 1e-9)
         rep = check_contraction(B23.sys, cand, grid, d_values=dvals)
         assert rep.passed, rep.to_json()
@@ -669,3 +672,128 @@ def test_gain_domain_error_is_an_expr_domain_error():
     with pytest.raises(ExprDomainError) as err:
         check_relaxed_decrease(halving_sys(), cand, grid)
     assert not isinstance(err.value, ValueError)
+
+
+# --- the graph transform and the composed V against their closures ---
+
+def reference_transformed_system(sys, mu):
+    """The transformed system as a closure over f, H and mu, as the builder
+    returned it before it substituted into their ASTs.  Kept as the
+    reference only."""
+    n = sys.n
+    einv = math.exp(-1.0)
+
+    def f_tr(t, d, s, u):
+        z, w = s[:n], s[n:]
+        scale = math.exp(t) * mu(t)
+        X = scale * z
+        fx = sys.f_eval(t, d, X, None)
+        z_next = (math.exp(-t - 1.0) / mu(t + 1.0)) * fx
+        w_next = einv * w - einv * sys.H_eval(t, X) + sys.H_eval(t + 1, fx)
+        return np.concatenate([z_next, w_next])
+
+    def H_tr(t, s):
+        return np.array([vecnorm(s)])
+
+    return SystemDef(n=n + sys.p_Y, m=sys.m, k=0, d_box=sys.d_box, f=f_tr,
+                     H=H_tr, h=H_tr, p_Y=1, p_y=1)
+
+
+def reference_composed_V(U_text, mu, sys):
+    """V(t, x) = U(t, (exp(-t)/mu(t)) x, H(t, x)) as a closure that calls U
+    (compiled, with z and w as auxiliaries) as the builder did.  Kept as the
+    reference only."""
+    names = ([f"z{i + 1}" for i in range(sys.n)]
+             + [f"w{j + 1}" for j in range(sys.p_Y)])
+    U = parse_expression(U_text, Dims(aux=frozenset(names))).compiled()
+
+    def V(t, x):
+        z = (math.exp(-t) / mu(t)) * np.asarray(x, dtype=float)
+        zw = np.concatenate([z, sys.H_eval(t, x)])
+        return float(U(t, None, None, None, dict(zip(names, zw.tolist()))))
+
+    return LyapunovCandidate(V=V, n=sys.n)
+
+
+TRANSFORMS = {
+    "example_2_3-constant": (B23.sys, constant(1.0)),
+    "example_2_3-geometric": (B23.sys, geometric(2.0, 0.9)),
+    "example_2_3-quadratic": (B23.sys, timegain_from_expr("1 + t^2")),
+    "example_4_7-closed": (example_4_7(0.5).closed, constant(1.0)),
+}
+
+
+def transform_points(n, m, d_box, N, seed):
+    """Times (some past exp's range), states over 12 decades with zeros,
+    NaN and inf among them, and disturbances in the box."""
+    rng = np.random.default_rng(seed)
+    t = np.where(rng.random(N) < 0.9, rng.integers(0, 40, N),
+                 rng.integers(700, 720, N)).astype(float)
+    X = rng.standard_normal((N, n)) * 10.0 ** rng.uniform(-6, 6, (N, 1))
+    X[0], X[1, 0], X[2, -1], X[3, 0], X[4] = 0.0, math.nan, math.inf, -0.0, 1e200
+    D = rng.uniform(d_box[:, 0], d_box[:, 1], size=(N, m))
+    return t, X, D
+
+
+@pytest.mark.parametrize("case", sorted(TRANSFORMS))
+def test_transformed_system_equals_reference_closure(case):
+    sys, mu = TRANSFORMS[case]
+    tr, ref = build_transformed_system(sys, mu), reference_transformed_system(sys, mu)
+    assert tr.f_exprs is not None and (tr.n, tr.p_Y, tr.p_y) == (ref.n, 1, 1)
+    assert np.array_equal(tr.d_box, ref.d_box)
+    t, X, D = transform_points(tr.n, tr.m, tr.d_box, 600, len(case))
+    kept = []
+    with np.errstate(all="ignore"):
+        for i in range(len(t)):
+            try:
+                want = ref.f_eval(t[i], D[i], X[i])
+            except OverflowError:  # the closure's math.exp(t); the ASTs give inf
+                assert t[i] > 709.0
+                continue
+            kept.append(i)
+            assert np.array_equal(bits(tr.f_eval(t[i], D[i], X[i])),
+                                  bits(want)), i
+            assert np.array_equal(bits(tr.H_eval(t[i], X[i])),
+                                  bits(ref.H_eval(t[i], X[i]))), i
+        assert len(kept) > 500
+        t, X, D = t[kept], X[kept], D[kept]
+        want = np.array([ref.f_eval(*row) for row in zip(t, D, X)])
+        assert np.array_equal(bits(tr.f_rows(t, X, D)), bits(want))
+        assert np.array_equal(bits(tr.H_rows(t, X)),
+                              bits(ref.H_rows(t, X)))
+
+
+@pytest.mark.parametrize("case", sorted(TRANSFORMS))
+def test_composed_V_equals_reference_closure(case):
+    sys, mu = TRANSFORMS[case]
+    zs = [f"z{i + 1}" for i in range(sys.n)]
+    ws = [f"w{j + 1}" for j in range(sys.p_Y)]
+    t, X, _ = transform_points(sys.n, sys.m, sys.d_box, 400, len(case))
+    for U in (f"norm({', '.join(zs + ws)})",
+              f"{zs[0]}^2 + 0.5*{zs[-1]}*{ws[0]} - exp(-t)*abs({ws[-1]})/3"):
+        cand, ref = compose_V_from_U(U, mu, sys), reference_composed_V(U, mu, sys)
+        assert cand.n == sys.n
+        with np.errstate(all="ignore"):
+            want = np.array([ref.V_eval(*row) for row in zip(t, X)])
+            got = np.array([cand.V_eval(*row) for row in zip(t, X)])
+            assert np.array_equal(bits(got), bits(want)), U
+            assert np.array_equal(bits(cand.V_rows(t, X)), bits(want)), U
+    # an AST is taken as it is
+    node = parse_expression(U, Dims(aux=frozenset(zs + ws)))
+    assert compose_V_from_U(node, mu, sys).V_eval(3, X[5]) == cand.V_eval(3, X[5])
+
+
+def test_contraction_on_transformed_system_equals_pointwise_loop():
+    # the check on the expression system equals the per-point loop on the
+    # closure, which sampled_sup evaluates row by row
+    mu = geometric(2.0, 0.9)
+    tr, ref = build_transformed_system(B23.sys, mu), reference_transformed_system(B23.sys, mu)
+    grid = StateGrid.from_axes(range(0, 6), [0.0, 1e-3, -2.0, 300.0],
+                               [0.0, 1.0, -7.5], [0.0, -0.5, 4.0])
+    cand = LyapunovCandidate(V="norm(x1, x2, x3)", n=3, lam=0.9)
+    got = check_contraction(tr, cand, grid, d_values=D23)
+    want = pointwise_sup_decrease(ref, cand, grid,
+                                  lambda t, x, V0, u: cand.lam * V0, D23,
+                                  "contraction")
+    assert dumps(got) == dumps(want)
+    assert got.samples == len(grid)

@@ -143,6 +143,22 @@ class TestKLEnvelope:
         assert [c.axiom for c in validate_class(flat).failures()] == [
             "decays_to_zero_in_t"]
 
+    @pytest.mark.parametrize("C, c, failed", [
+        (1.0, 10.0, None),  # a grid scan saw a tie at t = 100 (underflow)
+        (1e-300, 0.5, None),
+        (0.0, 1.0, "class_K_in_s"),
+        (math.nan, 1.0, "class_K_in_s"),
+        (1.0, math.inf, "class_K_in_s"),
+        (1.0, -0.1, "non_increasing_in_t"),
+    ])
+    def test_validation_is_analytic_in_the_parameters(self, C, c, failed):
+        checks = {chk.axiom: chk for chk in validate_class(KLEnvelope(C, c)).checks}
+        if failed is None:
+            assert all(chk.passed for chk in checks.values())
+            return
+        assert not checks[failed].passed
+        assert checks[failed].witness == {"C": C, "c": c}  # NaN is C itself
+
 
 class TestFitKLEnvelope:
     def test_recovers_synthetic_exponential(self):

@@ -1,12 +1,11 @@
 """Composite systems that stay expressions, against the closures they replace.
 
 ``build_small_input_system`` substitutes u_i := (P * Theta[s := norm(x)]) *
-d_{m+i} into the plant's ASTs when the plant, the time gain and the K
-function are expressions.  ``reference_small_input`` below is the closure the
-builder returned before (and still returns for a gain without an
-expression); every value of the expression system must equal it bit for
-bit.  NaNs may differ only in their sign bit, which IEEE 754 leaves
-unspecified.
+d_{m+i} into the plant's ASTs; a plant, time gain or K function that is not
+an expression is refused, as by every composite builder.
+``reference_small_input`` below is the closure the builder returned before;
+every value of the expression system must equal it bit for bit.  NaNs may
+differ only in their sign bit, which IEEE 754 leaves unspecified.
 """
 
 import math
@@ -23,9 +22,11 @@ from dtstab.comparison import (KFn, TimeGain, constant, geometric, identity,
 from dtstab.expr import (Bin, Call, Dims, Env, ExprDomainError, Var,
                          eval_expression, parse_expression, substitute)
 from dtstab.registry import EXAMPLES, example_3_4, example_4_7
+from dtstab.certify import build_transformed_system, compose_V_from_U
 from dtstab.stability import build_small_input_system
 from dtstab.synth import build_extended_system
-from dtstab.system import SystemDef, bind_inputs, closed_loop, vecnorm
+from dtstab.system import (StateFeedback, SystemDef, ZeroInput, bind_inputs,
+                           closed_loop, vecnorm)
 
 B34, B47 = example_3_4(), example_4_7(0.5)
 
@@ -144,16 +145,58 @@ def test_expression_small_input_equals_closure(plant, p, theta):
     assert np.array_equal(small.d_box, reference_small_input(sys, p, theta).d_box)
 
 
-def test_gains_without_expressions_keep_the_closure():
-    bare_p = TimeGain(lambda t: 0.5)
-    bare_theta = KFn(lambda s: s, "s", "Kinf")
-    for p, theta in ((bare_p, identity()), (constant(0.5), bare_theta),
-                     (constant(math.inf), identity()), (constant(0.5), linear(math.inf))):
-        assert build_small_input_system(B34.sys, p, theta).f_exprs is None
-    native_plant = SystemDef(n=1, m=1, k=1, d_box=[[-1.0, 1.0]],
-                             f=lambda t, d, x, u: x + d * u, H=["x1"])
-    assert build_small_input_system(native_plant, constant(0.5),
-                                    identity()).f_exprs is None
+def plant(k, f=("d1*x1",), H=("x1",), h=None):
+    """A one-state plant with k inputs (which f ignores); pass a callable for
+    a native map."""
+    return SystemDef(n=1, m=1, k=k, d_box=[[-1.0, 1.0]], f=f, H=H, h=h,
+                     p_Y=1, p_y=1)
+
+
+NATIVE_F = lambda t, d, x, u: d * x
+NATIVE_OUT = lambda t, x: x
+BARE_GAIN = TimeGain(lambda t: 0.5)
+REFUSED = {
+    "small-input/p": lambda: build_small_input_system(B34.sys, BARE_GAIN, identity()),
+    "small-input/theta": lambda: build_small_input_system(
+        B34.sys, constant(0.5), KFn(lambda s: s, "s", "Kinf")),
+    "small-input/p-inf": lambda: build_small_input_system(
+        B34.sys, constant(math.inf), identity()),
+    "small-input/theta-inf": lambda: build_small_input_system(
+        B34.sys, constant(0.5), linear(math.inf)),
+    "small-input/f": lambda: build_small_input_system(
+        plant(1, f=NATIVE_F), constant(0.5), identity()),
+    "closed-loop/f": lambda: closed_loop(plant(1, f=NATIVE_F), ["-x1"]),
+    "closed-loop/k": lambda: closed_loop(
+        B47.sys, StateFeedback(lambda t, x: [-x[1] ** 2], n=3)),
+    "closed-loop/policy": lambda: closed_loop(B47.sys, ZeroInput()),
+    "extended/f": lambda: build_extended_system(plant(1, f=NATIVE_F), 1),
+    "extended/H": lambda: build_extended_system(plant(1, H=NATIVE_OUT), 1),
+    "extended/h": lambda: build_extended_system(plant(1, h=NATIVE_OUT), 1),
+    "transformed/f": lambda: build_transformed_system(plant(0, f=NATIVE_F),
+                                                      constant(1.0)),
+    "transformed/H": lambda: build_transformed_system(plant(0, H=NATIVE_OUT),
+                                                      constant(1.0)),
+    "transformed/mu": lambda: build_transformed_system(plant(0), BARE_GAIN),
+    "transformed/mu-inf": lambda: build_transformed_system(plant(0),
+                                                           constant(math.inf)),
+    "composed/U": lambda: compose_V_from_U(lambda t, z, w: abs(z[0]),
+                                           constant(1.0), plant(0)),
+    "composed/H": lambda: compose_V_from_U("norm(z1, w1)", constant(1.0),
+                                           plant(0, H=NATIVE_OUT)),
+    "composed/mu": lambda: compose_V_from_U("norm(z1, w1)", BARE_GAIN, plant(0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_parts_without_expressions_are_refused(case):
+    with pytest.raises(ValueError, match="is not an expression"):
+        REFUSED[case]()
+
+
+def test_closed_loop_refuses_a_feedback_of_another_width():
+    for fb in (["-x2^2", "5"], []):
+        with pytest.raises(ValueError, match=f"feedback has {len(fb)} components"):
+            closed_loop(B47.sys, fb)
 
 
 def test_mutated_association_is_caught():
@@ -268,7 +311,8 @@ def test_norm_parses_one_or_more_arguments():
 # --- round trip: every expression system the package builds ---
 
 def built_systems():
-    """Registry systems, closed loops, small-input and extended systems."""
+    """Registry systems, closed loops, small-input, extended and transformed
+    systems."""
     out = {}
     for name, make in sorted(EXAMPLES.items()):
         for r in ((0.0, 0.5, 0.9) if name == "example_4_7" else (None,)):
@@ -290,6 +334,9 @@ def built_systems():
     for w_dim in (1, 2):
         out[f"extended[example_4_7,{w_dim}]"] = build_extended_system(B47.sys, w_dim)
         out[f"extended[example_3_4,{w_dim}]"] = build_extended_system(B34.sys, w_dim)
+    for mu in ("constant", "from_expr", "geometric"):
+        out[f"transformed[example_4_7.closed,{mu}]"] = build_transformed_system(
+            B47.closed, TIME_GAINS[mu])
     return out
 
 

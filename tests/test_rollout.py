@@ -24,15 +24,16 @@ from dtstab.stability import test_output_attractivity as search_attractivity
 from dtstab.stability import test_output_stability as search_stability
 from dtstab.system import (ConstantDisturbance, GreedyDisturbance,
                            RandomDisturbance, StateFeedback, SystemDef,
-                           Trajectory, ZeroInput, closed_loop, d_candidates,
-                           simulate, vecnorm)
+                           Trajectory, ZeroInput, d_candidates, simulate,
+                           vecnorm)
+from test_composite import reference_small_input
 
 B23, B34, B47 = example_2_3(), example_3_4(), example_4_7(0.5)
-# the small-input system with m = 2: an expression system, and native f, H
-# and h when the gain has no expression (evaluated row by row)
+# the small-input system with m = 2: an expression system, and its closure
+# with native f, H and h (evaluated row by row)
 SMALL = build_small_input_system(B34.sys, constant(0.5), identity())
-NATIVE_SMALL = build_small_input_system(B34.sys, constant(0.5),
-                                        KFn(lambda s: s, "s", "Kinf"))
+NATIVE_SMALL = reference_small_input(B34.sys, constant(0.5),
+                                     KFn(lambda s: s, "s", "Kinf"))
 FIELDS = ("t", "x", "d", "u", "Y", "y")
 
 
@@ -174,7 +175,9 @@ def test_native_small_input_system_rows(batched_only):
 
 
 def test_native_closed_loop_rows(batched_only):
-    cl = closed_loop(B47.sys, StateFeedback(lambda t, x: [-x[1] ** 2]))
+    cl = SystemDef(n=3, m=1, k=0, d_box=B47.sys.d_box,
+                   f=lambda t, d, x, u: B47.sys.f_eval(t, d, x, [-x[1] ** 2]),
+                   H=B47.sys.H, h=B47.sys.h)
     budget = FalsifyBudget(max_trajectories=12, horizon=15, seed=2)
     check_search(cl, (0, 3), 1.0, budget)
 

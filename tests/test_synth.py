@@ -13,7 +13,7 @@ from dtstab.synth import (SAMPLE_RADIUS, DelayChainController,
 from dtstab.system import (CertificateReport, ConstantDisturbance,
                            ConstantInput, GreedyDisturbance, InputPolicy,
                            RandomDisturbance, StateFeedback, SystemDef,
-                           WorstMargin, as_feedback, closed_loop, simulate)
+                           WorstMargin, as_feedback, simulate)
 
 B47 = example_4_7(0.5)
 
@@ -273,9 +273,9 @@ class TestSeparationComposition:
 
         x0 = np.array([1.0, 2.0, 3.0])
         w0 = np.array([0.5, -0.25])
-        lifted = simulate(closed_loop(ext, StateFeedback(static_fb, n=5)),
-                          0, np.concatenate([x0, w0]),
-                          RandomDisturbance(seed=13), horizon=25)
+        lifted = simulate(ext, 0, np.concatenate([x0, w0]),
+                          RandomDisturbance(seed=13),
+                          StateFeedback(static_fb, n=5), horizon=25)
         direct, rep = run_output_feedback(B47.sys, ctrl, 0, x0, w0=w0,
                                           dpol=RandomDisturbance(seed=13),
                                           horizon=25,
@@ -283,6 +283,7 @@ class TestSeparationComposition:
         assert rep.passed
         assert np.array_equal(lifted.x[:, :3], direct.x)
         assert np.array_equal(lifted.x[:, 3:], direct.w)
+        assert np.array_equal(lifted.d, direct.d)
 
 
 # --- run_output_feedback against the delay-chain loop it replaced ---
