@@ -25,7 +25,7 @@ from .expr import (Bin, Call, Dims, Expr, Neg, Num, Var, parse_expression,
                    substitute)
 from .system import (FAIL, PASS, PASS_TOL, CertificateReport, SystemDef,
                      VectorMap, WorstMargin, _beats, d_candidates,
-                     _FieldsJSON, expression_part, require_samples,
+                     _FieldsJSON, require_samples,
                      row_norms, sampled_sup)
 
 __all__ = [
@@ -45,8 +45,8 @@ ROFS_FILTER_TOL = 1e-8  # output norm counted as zero by the "strong" ROFS filte
 class LyapunovCandidate:
     """A scalar function V(t, x) with its certificate bundle.
 
-    ``V`` may be a callable ``V(t, x)`` or an expression string over
-    ``(t, x1..xn)`` (requires ``n``).  Which bundle pieces are needed depends
+    ``V`` is an expression (text or AST) over ``(t, x1..xn)``; ``n`` is
+    required.  Which bundle pieces are needed depends
     on the check: sandwich needs (a1, a2, beta[, mu]); contraction needs a
     factor ``lam`` in (0, 1); the relaxed decrease needs (a3, q) with
     ``a3(s) <= s``; the input-driven decrease needs (lam, a3, phi).
@@ -65,12 +65,9 @@ class LyapunovCandidate:
     name: str = "V"
 
     def __post_init__(self):
-        spec = self.V
-        if not callable(spec):
-            if self.n is None:
-                raise ValueError("state dimension n required for an expression V")
-            spec = [spec]
-        self._map = VectorMap.of_state(spec, "V", 1, n=self.n)
+        if self.n is None:
+            raise ValueError("state dimension n required for an expression V")
+        self._map = VectorMap([self.V], "V", 1, n=self.n)
         self._V = self._map.scalar  # the scalar path (V_eval): no vector built
         if self.lam is not None and not 0.0 < self.lam < 1.0:
             raise ValueError(f"lam must lie in (0,1), got {self.lam!r}")
@@ -344,7 +341,7 @@ def build_transformed_system(sys: SystemDef, mu: TimeGain) -> SystemDef:
     w-update is exactly its three-term form exp(-1) w - exp(-1) H(t, X) +
     H(t+1, f(t, d, X)) (not the equivalent closed form), so closed-form drift
     checks are genuine numeric checks.  Both are substituted into the ASTs of
-    f, H and mu; a part without an expression is refused with ValueError.
+    f, H and mu.
     The output is norm(x1, ..., x_{n+p_Y}), the norm of (z, w).
     """
     if sys.k != 0:
@@ -352,9 +349,7 @@ def build_transformed_system(sys: SystemDef, mu: TimeGain) -> SystemDef:
     rep = validate_class(mu)
     if not rep.passed:
         raise ValueError(f"mu must be a positive time gain: {rep.failures()[0]}")
-    f = expression_part(sys.f_exprs, "the plant's f")
-    H = expression_part(sys.H_exprs, "the plant's H")
-    mu_t = expression_part(mu.expr, f"mu ({mu.name})")
+    f, H, mu_t = sys.f_exprs, sys.H_exprs, mu.expr
     n, t = sys.n, Var("t")
     t1 = Bin("+", t, Num(1.0))
     xs = [f"x{i + 1}" for i in range(n + len(H))]
@@ -377,8 +372,8 @@ def compose_V_from_U(U, mu: TimeGain, sys: SystemDef) -> LyapunovCandidate:
     """V(t, x) := U(t, (exp(-t)/mu(t)) x, H(t, x)), H the output of ``sys``.
 
     ``U`` is an expression (text or AST) over ``t``, ``z1..zn`` and
-    ``w1..w<p_Y>``, into which z and w are substituted; a callable U, a
-    native H or a mu without an expression is refused with ValueError.
+    ``w1..w<p_Y>``, into which z and w are substituted; a U that is neither
+    is refused with ValueError.
     Contraction of U along the transformed system implies contraction of
     the composed V at the matching graph points; verify with
     :func:`check_contraction`.
@@ -387,11 +382,12 @@ def compose_V_from_U(U, mu: TimeGain, sys: SystemDef) -> LyapunovCandidate:
     ws = [f"w{j + 1}" for j in range(sys.p_Y)]
     if isinstance(U, str):
         U = parse_expression(U, Dims(aux=frozenset(zs + ws)))
-    U = expression_part(U if isinstance(U, Expr) else None, "U")
-    down = Bin("/", Call("exp", (Neg(Var("t")),)),
-               expression_part(mu.expr, f"mu ({mu.name})"))
-    H = expression_part(sys.H_exprs, "the plant's H")
-    V = substitute(U, dict(zip(zs + ws, _scaled(down, sys.n) + list(H))))
+    if not isinstance(U, Expr):
+        raise ValueError(f"U ({type(U).__name__}) is not an expression; the "
+                         f"composed V substitutes into one")
+    down = Bin("/", Call("exp", (Neg(Var("t")),)), mu.expr)
+    zw = _scaled(down, sys.n) + list(sys.H_exprs)
+    V = substitute(U, dict(zip(zs + ws, zw)))
     return LyapunovCandidate(V=V, n=sys.n, name="U-composed")
 
 

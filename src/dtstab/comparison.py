@@ -1,11 +1,13 @@
 """Comparison functions: classes K / K-infinity, positive time gains, KL envelopes.
 
-Gains built by the constructors below (and from expression text) also carry
-their formula as an expression AST, ``expr``: in ``t`` for a time gain, in
-the auxiliary ``s`` for a K function.  Composite systems substitute it
-instead of calling ``fn`` (see ``stability.build_small_input_system``); it
-equals ``fn`` bit for bit wherever ``fn`` returns.  A gain built from a bare
-callable has ``expr=None``, and composites refuse it.
+A K function or a time gain is one expression AST, ``expr``: in the
+auxiliary ``s`` for a K function, in ``t`` for a time gain.  A scalar call
+runs the compiled expression and :meth:`KFn.values` / :meth:`TimeGain.values`
+its array form, so the two agree bit for bit at every point (NaN signs
+aside), errors included, and composites substitute the same AST (see
+``stability.build_small_input_system``).  The constructors below build the
+AST of their formula and refuse a parameter that no literal spells (inf,
+NaN).
 
 Class membership of K functions and time gains is validated numerically on
 grids (tolerance 0 at grid points, strict inequalities checked as ``>`` with
@@ -28,8 +30,8 @@ import numpy as np
 
 from .expr import Bin, Dims, Expr, Neg, Num, Var, parse_expression, substitute
 from .system import (CertificateReport, SampleConfig, WorstMargin, _EMPTY,
-                     _sup_norm_f, d_candidates, row_norms, sphere_points,
-                     vecnorm)
+                     _NO_AUX, _sup_norm_f, d_candidates, row_norms,
+                     sphere_points, vecnorm)
 
 __all__ = [
     "KFn", "TimeGain", "KLEnvelope", "identity", "linear", "power_fn",
@@ -45,37 +47,41 @@ TAIL_HORIZON = 4096  # times a non-geometric TimeGain.sup_tail samples past tau
 
 def _num(c) -> Expr:
     """The literal ``c`` as the parser builds it (a negative value is a
-    negated literal), or None when no literal spells it (inf, NaN)."""
+    negated literal); ValueError when no literal spells it (inf, NaN)."""
     c = float(c)
     if not math.isfinite(c):
-        return None
+        raise ValueError(f"gain parameter {c!r} is not finite")
     return Neg(Num(-c)) if math.copysign(1.0, c) < 0.0 else Num(c)
 
 
-def _bin(op, a, b) -> Expr:
-    """``a op b`` as an AST; None when an operand is None."""
-    return None if a is None or b is None else Bin(op, a, b)
+def _require_expr(gain):
+    if not isinstance(gain.expr, Expr):
+        raise ValueError(f"{type(gain).__name__} {gain.name!r}: "
+                         f"{type(gain.expr).__name__} is not an expression")
 
 
 @dataclass
 class KFn:
-    """A claimed class-K (or K-infinity) scalar map s -> fn(s)."""
+    """A claimed class-K (or K-infinity) scalar map s -> expr(s), ``expr``
+    an AST in the auxiliary ``s`` (``t`` reads 0)."""
 
-    fn: Callable[[float], float]
+    expr: Expr
     name: str = "kfn"
     tag: str = "K"  # "K" or "Kinf"
     inv: Callable[[float], float] = None
-    expr: Expr = None  # the formula in the auxiliary s, when known
 
     def __post_init__(self):
         if self.tag not in ("K", "Kinf"):
             raise ValueError("tag must be 'K' or 'Kinf'")
+        _require_expr(self)
 
     def __call__(self, s: float) -> float:
-        return float(self.fn(float(s)))
+        return float(self.expr.compiled()(0.0, _EMPTY, _EMPTY, _EMPTY,
+                                          {"s": float(s)}))
 
     def inverse(self, v: float) -> float:
-        """fn^{-1}(v); explicit inverse if given, else bisection (fn increasing)."""
+        """The map's inverse at v: ``inv`` if given, else bisection (the map
+        increasing)."""
         if self.inv is not None:
             return float(self.inv(float(v)))
         v = float(v)
@@ -100,18 +106,15 @@ class KFn:
     def values(self, s: np.ndarray) -> np.ndarray:
         """The map at every element of the float array ``s`` (see
         :func:`_gain_values`)."""
-        return _gain_values(self, s, 0.0, {"s": s})
+        return _gain_values(self.expr, s, 0.0, {"s": s})
 
 
-def _gain_values(gain, arr, t, aux) -> np.ndarray:
-    """``gain`` called at every element of ``arr``: one array call through
-    ``gain.expr`` (with time ``t`` and auxiliaries ``aux``) when there is
-    one, else one call per element.  Equal bit for bit wherever the call
-    returns."""
-    if gain.expr is None:
-        return np.array([gain(v) for v in arr.tolist()], dtype=float)
+def _gain_values(expr, arr, t, aux) -> np.ndarray:
+    """``expr`` at every element of ``arr``: one array call with time ``t``
+    and auxiliaries ``aux``, equal bit for bit to the scalar calls (NaN signs
+    aside); raises :class:`ExprDomainError` iff one of them does."""
     out = np.empty(arr.shape)
-    out[...] = gain.expr.batched()(t, _EMPTY, _EMPTY, _EMPTY, aux)  # or a float
+    out[...] = expr.batched()(t, _EMPTY, _EMPTY, _EMPTY, aux)  # or a float
     return out
 
 
@@ -119,50 +122,51 @@ _S = Var("s")
 
 
 def identity() -> KFn:
-    return KFn(lambda s: s, "s", "Kinf", inv=lambda v: v, expr=_S)
+    return KFn(_S, "s", "Kinf", inv=lambda v: v)
 
 
 def linear(a: float, name: str = None) -> KFn:
     if a <= 0:
         raise ValueError("linear gain must be positive")
-    return KFn(lambda s: a * s, name or f"{a!r}*s", "Kinf", inv=lambda v: v / a,
-               expr=_bin("*", _num(a), _S))
+    return KFn(Bin("*", _num(a), _S), name or f"{a!r}*s", "Kinf",
+               inv=lambda v: v / a)
 
 
 def power_fn(p: float, a: float = 1.0) -> KFn:
     if p <= 0 or a <= 0:
         raise ValueError("power and gain must be positive")
-    return KFn(lambda s: a * math.pow(s, p), f"{a!r}*s^{p!r}", "Kinf",
-               inv=lambda v: math.pow(v / a, 1.0 / p),
-               expr=_bin("*", _num(a), _bin("^", _S, _num(p))))
+    return KFn(Bin("*", _num(a), Bin("^", _S, _num(p))), f"{a!r}*s^{p!r}",
+               "Kinf", inv=lambda v: math.pow(v / a, 1.0 / p))
 
 
 def kfn_from_expr(text: str, tag: str = "K") -> KFn:
     """A K function from text in ``s``; ``t`` in the text reads 0."""
     node = substitute(parse_expression(text, Dims(aux=frozenset({"s"}))),
                       {"t": Num(0.0)})
-    fn = node.compiled()
-    return KFn(lambda s: fn(0.0, _EMPTY, _EMPTY, _EMPTY, {"s": float(s)}),
-               text, tag, expr=node)
+    return KFn(node, text, tag)
 
 
 @dataclass
 class TimeGain:
-    """t -> g(t): a positive gain (class K+) or a decaying offset q.
+    """t -> expr(t): a positive gain (class K+) or a decaying offset q,
+    ``expr`` an AST in ``t``.
 
     ``geometric=(C, ratio)`` marks the exact form C*ratio**t, for which tail
     suprema are analytic; otherwise tails are estimated on a long grid and
     flagged approximate.
     """
 
-    fn: Callable[[float], float]
+    expr: Expr
     name: str = "gain"
     decays: bool = False
     geometric: tuple = None
-    expr: Expr = None  # the formula in t, when known
+
+    def __post_init__(self):
+        _require_expr(self)
 
     def __call__(self, t: float) -> float:
-        return float(self.fn(float(t)))
+        return float(self.expr.compiled()(float(t), _EMPTY, _EMPTY, _EMPTY,
+                                          _NO_AUX))
 
     def sup_tail(self, tau: int) -> float:
         """sup over t >= tau of the gain (exact for monotone geometric forms,
@@ -172,32 +176,27 @@ class TimeGain:
             if 0.0 <= ratio <= 1.0:
                 return self(tau)
             return math.inf
-        ts = np.arange(tau, tau + TAIL_HORIZON + 1)
-        return float(np.max([self(t) for t in ts]))  # max propagates NaN
+        ts = np.arange(tau, tau + TAIL_HORIZON + 1, dtype=float)
+        return float(np.max(self.values(ts)))  # max propagates NaN
 
     def values(self, t: np.ndarray) -> np.ndarray:
         """The gain at every element of the float array ``t`` (see
         :func:`_gain_values`)."""
-        return _gain_values(self, t, t, {})
+        return _gain_values(self.expr, t, t, _NO_AUX)
 
 
 def constant(c: float, name: str = None) -> TimeGain:
-    return TimeGain(lambda t: c, name or repr(float(c)), geometric=(c, 1.0),
-                    expr=_num(c))
+    return TimeGain(_num(c), name or repr(float(c)), geometric=(c, 1.0))
 
 
 def geometric(C: float, ratio: float, name: str = None) -> TimeGain:
-    return TimeGain(lambda t: C * math.pow(ratio, t),
+    return TimeGain(Bin("*", _num(C), Bin("^", _num(ratio), Var("t"))),
                     name or f"{C!r}*{ratio!r}^t",
-                    decays=0.0 <= ratio < 1.0, geometric=(C, ratio),
-                    expr=_bin("*", _num(C), _bin("^", _num(ratio), Var("t"))))
+                    decays=0.0 <= ratio < 1.0, geometric=(C, ratio))
 
 
 def timegain_from_expr(text: str, decays: bool = False) -> TimeGain:
-    node = parse_expression(text, Dims())
-    fn = node.compiled()
-    return TimeGain(lambda t: fn(float(t), _EMPTY, _EMPTY, _EMPTY, {}),
-                    text, decays=decays, expr=node)
+    return TimeGain(parse_expression(text, Dims()), text, decays=decays)
 
 
 @dataclass
@@ -322,15 +321,18 @@ def _check_unbounded(fn, grid: ClassGrid) -> ClassCheck:
     return ClassCheck("unbounded", True)
 
 
+def _geometric_decay(C, ratio) -> ClassCheck:
+    """C * ratio^t decays to zero, decided analytically in (C, ratio)."""
+    ok = C >= 0.0 and 0.0 <= ratio < 1.0
+    return ClassCheck("decays_to_zero", ok,
+                      None if ok else {"C": C, "ratio": ratio,
+                                       "note": "analytic (geometric form)"})
+
+
 def _check_decay(gain: TimeGain, grid: ClassGrid) -> ClassCheck:
     if gain.geometric is not None:
-        C, ratio = gain.geometric
-        ok = C >= 0.0 and 0.0 <= ratio < 1.0
-        return ClassCheck("decays_to_zero", ok,
-                          None if ok else {"C": C, "ratio": ratio,
-                                           "note": "analytic (geometric form)"})
-    ts = np.arange(0, grid.decay_horizon + 1)
-    vals = np.array([gain(t) for t in ts])
+        return _geometric_decay(*gain.geometric)
+    vals = gain.values(np.arange(0, grid.decay_horizon + 1, dtype=float))
     suffix = np.maximum.accumulate(vals[::-1])[::-1]
     for eps in grid.decay_eps:
         if not np.any(suffix <= eps):
@@ -378,9 +380,7 @@ def validate_class(obj, grid: ClassGrid = None) -> ClassReport:
                           ("non_increasing_in_t", obj.c >= 0.0)):
             checks.append(ClassCheck(axiom, ok,
                                      None if ok else {"C": obj.C, "c": obj.c}))
-        decay_gain = TimeGain(lambda t: obj(1.0, t), "sigma(1,.)", decays=True,
-                              geometric=(obj.C, obj.g))
-        chk = _check_decay(decay_gain, grid)
+        chk = _geometric_decay(obj.C, obj.g)  # sigma(1, t) = C * exp(-c)^t
         checks.append(ClassCheck("decays_to_zero_in_t", chk.passed, chk.witness))
         return ClassReport(obj.name, "KL", checks)
     raise TypeError(f"cannot validate {type(obj).__name__}")

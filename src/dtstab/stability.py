@@ -23,7 +23,7 @@ from .expr import Bin, Call, Var, substitute
 from .system import (FAIL, ConstantDisturbance, ConstantInput,
                      GreedyDisturbance, RandomDisturbance, SequenceInput,
                      SystemDef, Trajectory, WorstMargin, ZeroInput,
-                     bind_inputs, d_candidates, expression_part, first_max,
+                     bind_inputs, d_candidates, first_max,
                      output_maps, require_samples, row_norms, simulate,
                      vecnorm, _beats, _FieldsJSON)
 
@@ -570,19 +570,14 @@ def build_small_input_system(sys: SystemDef, p: TimeGain, theta: KFn) -> SystemD
 
     u_i := (P * Theta[s := norm(x1, ..., xn)]) * d_{m+i} is substituted into
     the plant's ASTs, so the system is an expression system, and batchable;
-    the outputs are the plant's (see :func:`output_maps`).  A native plant
-    f, or a ``p`` or ``theta`` without an expression, is refused with
-    ValueError.
+    the outputs are the plant's (see :func:`output_maps`).
     """
     if sys.k < 1:
         raise ValueError("system has no input channel")
     m, k = sys.m, sys.k
-    f_exprs = expression_part(sys.f_exprs, "the plant's f")
     size = Call("norm", tuple(Var(f"x{i + 1}") for i in range(sys.n)))
-    amp = Bin("*", expression_part(p.expr, f"p ({p.name})"),
-              substitute(expression_part(theta.expr, f"theta ({theta.name})"),
-                         {"s": size}))
-    f_small = bind_inputs(f_exprs, [Bin("*", amp, Var(f"d{m + i + 1}"))
+    amp = Bin("*", p.expr, substitute(theta.expr, {"s": size}))
+    f_small = bind_inputs(sys.f_exprs, [Bin("*", amp, Var(f"d{m + i + 1}"))
                                     for i in range(k)])
     box = np.vstack([sys.d_box, np.tile([-1.0, 1.0], (k, 1))])
     return SystemDef(n=sys.n, m=m + k, k=0, d_box=box, f=f_small,

@@ -19,9 +19,9 @@ import numpy as np
 
 from .certify import CertificateReport
 from .expr import Dims, Var, parse_expression
-from .system import (FAIL, PASS, DisturbancePolicy, InputPolicy, SystemDef,
-                     WorstMargin, as_feedback, expression_part,
-                     require_samples, simulate)
+from .system import (FAIL, PASS, _EMPTY, DisturbancePolicy, InputPolicy,
+                     SystemDef, WorstMargin, as_feedback, require_samples,
+                     simulate)
 
 __all__ = [
     "ChainResult", "iterate_maps",
@@ -63,61 +63,46 @@ def iterate_maps(sys: SystemDef, p: int, t: int, x, d_seq, u_seq) -> ChainResult
 
 
 class ReconstructionMap:
-    """Psi(t, y_p, y-window, u-window) -> input-space vector.
-
-    Either a native callable ``psi(t, y_p, y_hist, u_hist)`` (vectors /
-    sequences of vectors) or, for scalar measured output and scalar input, an
-    expression over ``t``, ``y0..y<p>`` (``y<p>`` is the current output) and
-    ``u0..u<p-1>``.
+    """Psi(t, y_p, y-window, u-window) -> a one-component input, for scalar
+    measured output and scalar input: expression text over ``t``,
+    ``y0..y<p>`` (``y<p>`` is the current output) and ``u0..u<p-1>``.
+    Anything but text is refused with ValueError.
     """
 
     def __init__(self, psi, p: int, name: str = None):
         if p < 1:
             raise ValueError("p must be >= 1")
+        if not isinstance(psi, str):
+            raise ValueError(f"Psi ({type(psi).__name__}) is not an "
+                             f"expression string")
         self.p = p
-        self.text = self.expr = None
-        if callable(psi):
-            self._psi = psi
-            self.name = name or getattr(psi, "__name__", "psi")
-        else:
-            aux = frozenset({f"y{i}" for i in range(p + 1)}
-                            | {f"u{i}" for i in range(p)})
-            self.expr = parse_expression(psi, Dims(aux=aux))
-            fn = self.expr.compiled()
-            empty = np.zeros(0)
-
-            def from_expr(t, y_p, y_hist, u_hist):
-                env = {f"y{i}": float(np.asarray(y_hist[i]).reshape(-1)[0])
-                       for i in range(p)}
-                env[f"y{p}"] = float(np.asarray(y_p).reshape(-1)[0])
-                env.update({f"u{i}": float(np.asarray(u_hist[i]).reshape(-1)[0])
-                            for i in range(p)})
-                return np.array([fn(float(t), empty, empty, empty, env)])
-
-            self._psi = from_expr
-            self.text = psi
-            self.name = name or psi
+        aux = frozenset({f"y{i}" for i in range(p + 1)}
+                        | {f"u{i}" for i in range(p)})
+        self.expr = parse_expression(psi, Dims(aux=aux))
+        self.text = psi
+        self.name = name or psi
 
     def __call__(self, t, y_p, y_hist, u_hist) -> np.ndarray:
-        return np.asarray(self._psi(float(t), y_p, y_hist, u_hist),
-                          dtype=float).reshape(-1)
+        p = self.p
+        env = {f"y{i}": float(np.asarray(y_hist[i]).reshape(-1)[0])
+               for i in range(p)}
+        env[f"y{p}"] = float(np.asarray(y_p).reshape(-1)[0])
+        env.update({f"u{i}": float(np.asarray(u_hist[i]).reshape(-1)[0])
+                    for i in range(p)})
+        return np.array([self.expr.compiled()(float(t), _EMPTY, _EMPTY,
+                                              _EMPTY, env)])
 
     def rows(self, t, Y, U) -> np.ndarray:
         """Psi over N windows: ``t`` the N times, ``Y`` the (N, p+1, p_y)
-        outputs y_0 .. y_p and ``U`` the (N, p, k) inputs, oldest first.
-        Row i equals the call on window i bit for bit (NaN signs aside): an
-        expression is one array call, a native map is called window by
-        window in order."""
+        outputs y_0 .. y_p and ``U`` the (N, p, k) inputs, oldest first, in
+        one array call.  Row i equals the call on window i bit for bit (NaN
+        signs aside)."""
         t = np.asarray(t, dtype=float)
         p = self.p
-        if self.expr is None:
-            return np.array([self(ti, Yi[p], list(Yi[:p]), list(Ui))
-                             for ti, Yi, Ui in zip(t.tolist(), Y, U)])
         aux = {f"y{i}": Y[:, i, 0] for i in range(p + 1)}
         aux.update({f"u{i}": U[:, i, 0] for i in range(p)})
-        empty = np.zeros(0)
         out = np.empty((t.shape[0], 1))
-        out[:, 0] = self.expr.batched()(t, empty, empty, empty, aux)  # or a float
+        out[:, 0] = self.expr.batched()(t, _EMPTY, _EMPTY, _EMPTY, aux)  # or a float
         return out
 
 
@@ -131,12 +116,12 @@ def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
 
     The p-step chains of all samples run as arrays (:meth:`SystemDef.f_rows`
     and ``h_rows`` at per-sample times), then the feedback k through its
-    :meth:`InputPolicy.rows` and then Psi through :meth:`ReconstructionMap.rows`
-    (expressions as arrays; a native policy or Psi sample by sample, in sample
-    order).  Each value equals :func:`iterate_maps` and the pointwise calls
-    bit for bit (NaN signs aside).  Calls run step by step across the
-    samples, so of two samples that raise, the one whose failing step comes
-    first raises."""
+    :meth:`InputPolicy.rows` (a :class:`StateFeedback` as arrays, another
+    policy sample by sample, in sample order) and then Psi through
+    :meth:`ReconstructionMap.rows`.  Each value equals :func:`iterate_maps`
+    and the pointwise calls bit for bit (NaN signs aside).  Calls run step
+    by step across the samples, so of two samples that raise, the one whose
+    failing step comes first raises."""
     p = psi.p
     target = as_feedback(k_fn, sys.n)
     rng = np.random.default_rng(seed)
@@ -265,7 +250,7 @@ class DelayChainController:
 
     def to_json(self):
         return {"p": self.p,
-                "psi": self.psi.text if self.psi.text else self.psi.name,
+                "psi": self.psi.text,
                 "retraction": "identity" if self.retraction is None else
                 getattr(self.retraction, "__name__", "custom"),
                 "w0": self.w0.tolist()}
@@ -382,16 +367,14 @@ def build_extended_system(sys: SystemDef, w_dim: int) -> SystemDef:
     The measured output stacks (h(t, x), w); the stabilized output stays
     H(t, x).  The x-component of solutions does not depend on v.  The maps
     stay expression lists: f gains the components ``u_{k+i}`` and h the
-    components ``x_{n+i}``.  A native f, H or h is refused with ValueError.
+    components ``x_{n+i}``.
     """
     if w_dim < 1:
         raise ValueError("w_dim must be >= 1")
     n, k = sys.n, sys.k
     ws = range(1, w_dim + 1)
-    f = expression_part(sys.f_exprs, "the plant's f")
-    H = expression_part(sys.H_exprs, "the plant's H")
-    h = expression_part(sys.h_exprs, "the plant's h")
     return SystemDef(n=n + w_dim, m=sys.m, k=k + w_dim, d_box=sys.d_box,
-                     f=[*f, *(Var(f"u{k + i}") for i in ws)], H=list(H),
-                     h=[*h, *(Var(f"x{n + i}") for i in ws)],
+                     f=[*sys.f_exprs, *(Var(f"u{k + i}") for i in ws)],
+                     H=list(sys.H_exprs),
+                     h=[*sys.h_exprs, *(Var(f"x{n + i}") for i in ws)],
                      name=f"{sys.name}|extended(w={w_dim})")

@@ -53,28 +53,27 @@ class VectorMap:
     """A map (t, x, d, u) -> R^dim: a system's f, H or h, a feedback k, or
     a Lyapunov candidate V (dim 1).
 
-    ``spec`` is a list of expression strings or ASTs (strings are parsed
-    against dimensions ``n``, ``m``, ``k``), or a native callable ``fn(t, x,
-    d, u)`` returning ``dim`` values.  This is the one place that decides
-    from ``spec`` how the map is evaluated: :meth:`eval` at one point,
-    :meth:`rows` over N row-aligned points and :meth:`grid` over a product
-    of outer and inner rows (one array evaluation per component for
-    expressions, ``eval`` row by row for a native map), equal bit for bit.  ``dim``, when given, must match the expression count; a
-    native map without one has no :meth:`rows`.
+    ``spec`` is a list of expression strings or ASTs, one per component
+    (strings are parsed against dimensions ``n``, ``m``, ``k``); a callable
+    is refused with :class:`SystemFileError`.  The map is evaluated by
+    :meth:`eval` at one point, :meth:`rows` over N row-aligned points and
+    :meth:`grid` over a product of outer and inner rows (one array
+    evaluation per component), equal bit for bit.  ``dim``, when given, must
+    match the expression count.
     """
 
     def __init__(self, spec, what: str, dim: int = None, n: int = None,
                  m: int = 0, k: int = 0):
-        self.exprs = self._fns = None
         if callable(spec):
-            self._native, self.dim = spec, dim
-            return
+            raise SystemFileError(f"{what} ({type(spec).__name__}) is not an "
+                                  f"expression list")
         exprs = []
         for i, e in enumerate(spec):
             if isinstance(e, str):
                 e = parse_expression(e, Dims(n=n, m=m, k=k))
             elif not isinstance(e, Expr):
-                raise SystemFileError(f"{what}[{i}] is neither a string nor an Expr")
+                raise SystemFileError(f"{what}[{i}] ({type(e).__name__}) is not "
+                                      f"an expression")
             exprs.append(e)
         if dim is not None and len(exprs) != dim:
             raise SystemFileError(
@@ -82,29 +81,14 @@ class VectorMap:
         self.exprs, self.dim = tuple(exprs), len(exprs)
         self._fns = [e.compiled() for e in exprs]
 
-    @classmethod
-    def of_state(cls, spec, what: str, dim: int = None, n: int = None):
-        """A map of (t, x) only, as H, h, k and V are: a native ``spec`` is
-        ``fn(t, x)``."""
-        if callable(spec):
-            fn = spec
-            spec = lambda t, x, d, u: fn(t, x)
-        return cls(spec, what, dim, n=n)
-
     def eval(self, t, x, d=_EMPTY, u=_EMPTY) -> np.ndarray:
         """The map at one point: a float ``t`` and float vectors."""
-        fns = self._fns
-        if fns is None:
-            return np.asarray(self._native(t, x, d, u), dtype=float).reshape(-1)
-        return np.array([fn(t, x, d, u, _NO_AUX) for fn in fns], dtype=float)
+        return np.array([fn(t, x, d, u, _NO_AUX) for fn in self._fns], dtype=float)
 
     def scalar(self, t, x, d=_EMPTY, u=_EMPTY):
-        """The first component at one point without building the vector:
-        the compiled expression's float, or what a native map returns."""
-        fns = self._fns
-        if fns is None:
-            return self._native(t, x, d, u)
-        return fns[0](t, x, d, u, _NO_AUX)
+        """The first component's float at one point, without building the
+        vector."""
+        return self._fns[0](t, x, d, u, _NO_AUX)
 
     def rows(self, t, X, D=None, U=None) -> np.ndarray:
         """(N, dim) values at the rows of the (N, ·) arrays X, D and U (None:
@@ -116,33 +100,19 @@ class VectorMap:
         t = np.asarray(t, dtype=float)
         t = float(t) if t.ndim == 0 else t.reshape(N)
         out = np.empty((N, self.dim))
-        if self._fns is not None:
-            cols = (X.T, _EMPTY if D is None else D.T, _EMPTY if U is None else U.T)
-            for j, e in enumerate(self.exprs):
-                out[:, j] = e.batched()(t, *cols, _NO_AUX)  # a float fills the column
-            return out
-        ts = [t] * N if isinstance(t, float) else t.tolist()  # as eval gets it
-        D = [_EMPTY] * N if D is None else D
-        U = [_EMPTY] * N if U is None else U
-        for i, row in enumerate(zip(ts, X, D, U)):
-            out[i] = self.eval(*row)
+        cols = (X.T, _EMPTY if D is None else D.T, _EMPTY if U is None else U.T)
+        for j, e in enumerate(self.exprs):
+            out[:, j] = e.batched()(t, *cols, _NO_AUX)  # a float fills the column
         return out
 
     def grid(self, t, X, D=None, U=None) -> np.ndarray:
         """(R, K, dim) values at one time ``t`` on a product of row sets:
         each of X, D and U (None: the empty vector) is an (R, 1, ·) array of
         outer rows or a (1, K, ·) array of inner rows, and entry (r, k) equals
-        :meth:`eval` at the (r, k) rows bit for bit.  An expression component
-        is one array evaluation over (R, 1) and (1, K) columns, so a term
-        that reads only the outer sets runs R times, not R·K; a native map
-        gets the expanded rows through :meth:`rows`."""
+        :meth:`eval` at the (r, k) rows bit for bit.  A component is one
+        array evaluation over (R, 1) and (1, K) columns, so a term that reads
+        only the outer sets runs R times, not R·K."""
         shape = np.broadcast_shapes(*(A.shape[:2] for A in (X, D, U) if A is not None))
-        if self._fns is None:
-            N = shape[0] * shape[1]
-            flat = [None if A is None else
-                    np.broadcast_to(A, shape + A.shape[2:]).reshape(N, A.shape[2])
-                    for A in (X, D, U)]
-            return self.rows(t, *flat).reshape(shape + (self.dim,))
         out = np.empty(shape + (self.dim,))
         t = float(t)
         cols = [_EMPTY if A is None else A.transpose(2, 0, 1) for A in (X, D, U)]
@@ -155,10 +125,10 @@ class VectorMap:
 class SystemDef:
     """System (f, H, h, D).  Treated as immutable after construction.
 
-    ``f``, ``H`` and ``h`` may be lists of expression strings (parsed against
-    the declared dimensions) or native callables ``f(t, d, x, u)`` /
-    ``H(t, x)`` / ``h(t, x)`` returning vectors; native output maps require
-    ``p_Y`` / ``p_y``.  ``h=None`` reuses H as the measured output.
+    ``f``, ``H`` and ``h`` are lists of expression strings (parsed against
+    the declared dimensions) or ASTs; ``h=None`` reuses H as the measured
+    output.  The output widths ``p_Y`` and ``p_y`` are the component counts
+    of H and h.
     """
 
     n: int
@@ -169,8 +139,6 @@ class SystemDef:
     H: object
     h: object = None
     name: str = ""
-    p_Y: int = None
-    p_y: int = None
 
     def __post_init__(self):
         box = np.asarray(self.d_box, dtype=float).reshape(self.m, 2)
@@ -181,27 +149,15 @@ class SystemDef:
         box.flags.writeable = False
         self.d_box = box
 
-        f = self.f
-        if callable(f):  # native signature f(t, d, x, u); maps take (t, x, d, u)
-            native = f
-            f = lambda t, x, d, u: native(t, d, x, u)
-        self._fmap = VectorMap(f, "f", self.n, n=self.n, m=self.m, k=self.k)
-        if callable(self.H) and self.p_Y is None:
-            raise SystemFileError("p_Y required for a native output map H")
-        if callable(self.h) and self.p_y is None:
-            raise SystemFileError("p_y required for a native output map h")
-        self._Hmap = VectorMap.of_state(self.H, "H", self.p_Y, n=self.n)
+        self._fmap = VectorMap(self.f, "f", self.n, n=self.n, m=self.m, k=self.k)
+        self._Hmap = VectorMap(self.H, "H", n=self.n)
         self._hmap = (self._Hmap if self.h is None  # h=None reuses H
-                      else VectorMap.of_state(self.h, "h", self.p_y, n=self.n))
+                      else VectorMap(self.h, "h", n=self.n))
         self.f_exprs, self.H_exprs, self.h_exprs = (
             self._fmap.exprs, self._Hmap.exprs, self._hmap.exprs)
         self.p_Y, self.p_y = self._Hmap.dim, self._hmap.dim
         # the scalar paths (f_eval, simulate, greedy adversaries) call these
         self._f, self._H, self._h = self._fmap.eval, self._Hmap.eval, self._hmap.eval
-        if self.h_eval(0, np.zeros(self.n)).shape[0] != self.p_y:
-            raise SystemFileError("h output dimension disagrees with p_y")
-        if self.H_eval(0, np.zeros(self.n)).shape[0] != self.p_Y:
-            raise SystemFileError("H output dimension disagrees with p_Y")
 
     # -- evaluation --
 
@@ -692,11 +648,11 @@ class SequenceInput(InputPolicy):
 
 
 class StateFeedback(InputPolicy):
-    """u = k(t, x) from a native callable or expression list over (t, x1..xn)."""
+    """u = k(t, x) from an expression list over (t, x1..xn)."""
 
     def __init__(self, fb, n=None, k=None, name="k"):
         self.name = name
-        self._map = VectorMap.of_state(fb, name, k, n=n)
+        self._map = VectorMap(fb, name, k, n=n)
         self.exprs = self._map.exprs
 
     def __call__(self, sys, t, x):
@@ -704,9 +660,7 @@ class StateFeedback(InputPolicy):
 
     def rows(self, sys, t, X):
         """Through the map's :meth:`VectorMap.rows`, equal to the calls bit
-        for bit; a native map of unknown width is called row by row."""
-        if self._map.dim is None:
-            return super().rows(sys, t, X)
+        for bit."""
         return self._map.rows(t, X)
 
     def descriptor(self):
@@ -841,22 +795,10 @@ def bind_inputs(f_exprs, u_exprs) -> list:
 
 
 def output_maps(sys: SystemDef) -> dict:
-    """The ``H``, ``h``, ``p_Y`` and ``p_y`` arguments that give a derived
-    system the outputs of ``sys``: expression lists where ``sys`` has them,
-    its native maps otherwise, and ``h=None`` when ``sys`` reuses H."""
-    H = list(sys.H_exprs) if sys.H_exprs is not None else sys._H
-    h = sys.h if sys.h is None or callable(sys.h) else list(sys.h_exprs)
-    return {"H": H, "h": h, "p_Y": sys.p_Y, "p_y": sys.p_y}
-
-
-def expression_part(part, what: str):
-    """``part`` of a composite, which is built by substitution into it: an
-    AST or a tuple of ASTs.  ``None`` (a native map or a gain without an
-    expression) is refused with ValueError."""
-    if part is None:
-        raise ValueError(f"{what} is not an expression; composites are "
-                         f"built by substitution into expressions only")
-    return part
+    """The ``H`` and ``h`` arguments that give a derived system the outputs
+    of ``sys``: its expression lists, and ``h=None`` when ``sys`` reuses H."""
+    return {"H": list(sys.H_exprs),
+            "h": None if sys.h is None else list(sys.h_exprs)}
 
 
 def closed_loop(sys: SystemDef, fb) -> SystemDef:
@@ -866,21 +808,23 @@ def closed_loop(sys: SystemDef, fb) -> SystemDef:
     unchanged.  Otherwise u := k(t, x) is substituted into the plant's ASTs,
     so the closed loop is again an expression system (same values bit for
     bit, and batchable); the outputs are the plant's (see
-    :func:`output_maps`).  A native plant f or feedback, or a feedback whose
-    width is not k, is refused with ValueError.  The zero equilibrium is
-    preserved iff f(t,d,0,k(t,0)) = 0; this is spot-checked and a warning is
-    emitted otherwise.
+    :func:`output_maps`).  A policy that is not a :class:`StateFeedback`,
+    or a feedback whose width is not k, is refused with ValueError.  The
+    zero equilibrium is preserved iff f(t,d,0,k(t,0)) = 0; this is
+    spot-checked and a warning is emitted otherwise.
     """
     if sys.k == 0:
         return sys
     pol = as_feedback(fb, sys.n)
-    f_exprs = expression_part(sys.f_exprs, "the plant's f")
-    k_exprs = expression_part(getattr(pol, "exprs", None), "the feedback")
+    if not isinstance(pol, StateFeedback):
+        raise ValueError(f"the feedback {pol.descriptor()} is not an "
+                         f"expression; a closed loop substitutes one")
+    k_exprs = pol.exprs
     if len(k_exprs) != sys.k:
         raise ValueError(f"feedback has {len(k_exprs)} components, "
                          f"the plant has k={sys.k} inputs")
     out = SystemDef(n=sys.n, m=sys.m, k=0, d_box=sys.d_box,
-                    f=bind_inputs(f_exprs, k_exprs), **output_maps(sys),
+                    f=bind_inputs(sys.f_exprs, k_exprs), **output_maps(sys),
                     name=f"{sys.name}|{pol.descriptor()}")
     bad = out.check_equilibrium(ts=range(0, 21, 5))
     if bad:

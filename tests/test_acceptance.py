@@ -271,7 +271,7 @@ def test_criterion_9_property_suites():
     from dtstab.system import SystemDef
     integ = SystemDef(n=1, m=0, k=1, d_box=np.zeros((0, 2)), f=["x1 + u1"],
                       H=["x1"], name="integrator")
-    full_cand = LyapunovCandidate(V=lambda t, x: vecnorm(x), n=1, lam=0.5)
+    full_cand = LyapunovCandidate(V="abs(x1)", n=1, lam=0.5)
     full = check_rofs_inf_sup(integ, full_cand, lambda t, y: [[y[0]]],
                               np.linspace(-2, 2, 9).reshape(-1, 1),
                               ts=[0, 1], ys=[[-2.0], [0.0], [1.0], [2.0]])

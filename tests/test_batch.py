@@ -23,7 +23,7 @@ from dtstab.certify import (LyapunovCandidate, StateGrid, check_contraction,
                             check_ios_decrease, check_relaxed_decrease,
                             check_rofs_inf_sup, check_sandwich,
                             projection_fiber)
-from dtstab.comparison import (KFn, check_domination, constant, geometric,
+from dtstab.comparison import (check_domination, constant, geometric,
                                identity, sup_f_sampler)
 from dtstab.expr import (_ARRAY_NAMESPACE, Bin, Call, Dims, Env,
                          ExprDomainError, Neg, Num, Var, _exp, _log, _pow,
@@ -33,7 +33,7 @@ from dtstab.stability import build_small_input_system
 from dtstab.system import (SampleConfig, SystemDef, closed_loop,
                            d_candidates, reachable_bound, row_norms,
                            sampled_sup, sphere_points, vecnorm)
-from test_composite import reference_small_input
+from test_composite import ClosureSystem, reference_small_input
 
 B23, B34, B47 = example_2_3(), example_3_4(), example_4_7(0.5)
 
@@ -310,10 +310,10 @@ def test_substitute_and_variables():
 def test_closed_loop_stays_an_expression_and_matches_the_closure():
     fb = B47.feedback
     cl = closed_loop(B47.sys, fb)
-    assert cl.f_exprs is not None and cl.k == 0
-    closure = SystemDef(n=3, m=1, k=0, d_box=B47.sys.d_box,
-                        f=lambda t, d, x, u: B47.sys.f_eval(t, d, x, fb(None, t, x)),
-                        H=B47.sys.H, h=B47.sys.h)
+    assert cl.k == 0
+    closure = ClosureSystem(3, 1, 0, B47.sys.d_box,
+                            lambda t, d, x, u: B47.sys.f_eval(t, d, x, fb(None, t, x)),
+                            B47.sys.H_eval, B47.sys.h_eval)
     rng = np.random.default_rng(1)
     for _ in range(300):
         t, x, d = int(rng.integers(0, 30)), rng.uniform(-50, 50, 3), rng.uniform(-0.5, 0.5, 1)
@@ -327,7 +327,7 @@ def test_closed_loop_binds_inputs_by_index():
     plant = SystemDef(n=1, m=0, k=1, d_box=np.zeros((0, 2)), f=["x1 + u01"],
                       H=["x1"])
     cl = closed_loop(plant, ["-0.5*x1"])
-    assert cl.f_exprs is not None and cl.f_exprs[0].variables() == {"x1"}
+    assert cl.f_exprs[0].variables() == {"x1"}
     for x in (0.0, 1.0, -3.25):
         want = plant.f_eval(0, [], [x], [-0.5 * x])
         assert cl.f_eval(0, [], [x]).tobytes() == want.tobytes()
@@ -462,17 +462,14 @@ def test_reachable_bound_matches_legacy():
         assert dumps(rb.witnesses) == dumps(wits)
 
 
-def test_sup_f_sampler_matches_legacy_including_native_fallback():
+def test_sup_f_sampler_matches_legacy_and_the_closure():
     cfg = SampleConfig(d_grid=5, d_random=4, x_directions=4,
                        x_scales=(1.0, 0.5), u_directions=3)
-    # the closure of a gain without an expression: the per-row fallback
-    native = reference_small_input(B34.sys, geometric(1.0, 0.5),
-                                   KFn(lambda s: s, "s", "Kinf"))
-    assert native.f_exprs is None
     small = build_small_input_system(B34.sys, geometric(1.0, 0.5), identity())
-    assert small.f_exprs is not None
-    for sys in (B34.sys, native, small):
-        got, want = sup_f_sampler(sys, cfg, seed=4), legacy_sampler(sys, cfg, 4)
+    # the legacy loop over the small-input closure, point by point
+    closure = reference_small_input(B34.sys, geometric(1.0, 0.5), identity())
+    for sys, ref in ((B34.sys, B34.sys), (small, small), (small, closure)):
+        got, want = sup_f_sampler(sys, cfg, seed=4), legacy_sampler(ref, cfg, 4)
         for T in (0, 2):
             for s in (1e-3, 0.7, 40.0):
                 assert dumps(got(T, s)) == dumps(want(T, s))
@@ -484,15 +481,15 @@ def _report_matches(rep, worst, wit, count):
 
 def test_contraction_matches_legacy_on_closed_loop_and_native_systems():
     dvals = d_candidates(B47.sys.d_box, grid=5, random=3, rng=2)
-    closure = SystemDef(n=3, m=1, k=0, d_box=B47.sys.d_box,
-                        f=lambda t, d, x, u: B47.sys.f_eval(t, d, x, B47.feedback(None, t, x)),
-                        H=B47.sys.H)
-    native_V = LyapunovCandidate(V=lambda t, x: B47.cand.V_eval(t, x), lam=B47.cand.lam)
+    # the legacy loop runs over the closure of the plant and its feedback
+    closure = ClosureSystem(
+        3, 1, 0, B47.sys.d_box,
+        lambda t, d, x, u: B47.sys.f_eval(t, d, x, B47.feedback(None, t, x)),
+        B47.sys.H_eval)
     lam = B47.cand.lam
     want = legacy_decrease(closure, B47.cand, GRID3, lambda t, x, V0, u: lam * V0, dvals)
-    for sys, cand in ((B47.closed, B47.cand), (closure, B47.cand), (B47.closed, native_V)):
-        rep = check_contraction(sys, cand, GRID3, d_values=dvals, tol=1e-12)
-        _report_matches(rep, *want)
+    rep = check_contraction(B47.closed, B47.cand, GRID3, d_values=dvals, tol=1e-12)
+    _report_matches(rep, *want)
 
 
 def test_relaxed_and_ios_decrease_match_legacy():
@@ -655,11 +652,11 @@ def _parity_cases():
     rng = np.random.default_rng(11)
     empty = SystemDef(n=2, m=0, k=0, d_box=np.zeros((0, 2)),
                       f=["0.5*x1 - x2^2", "x1*t"], H=["x1"])
+    # "native": f as a Python closure writes it (x2*x2, not x2^2), and the
+    # inputs outermost, a set order no check uses
     native = SystemDef(n=2, m=1, k=1, d_box=[[-1.0, 1.0]],
-                       f=lambda t, d, x, u: [d[0] * x[0] + u[0], x[1] ** 2 - t * d[0]],
-                       H=["x1"])
+                       f=["d1*x1 + u1", "x2*x2 - t*d1"], H=["x1"])
     small = build_small_input_system(B34.sys, geometric(1.0, 0.5), identity())
-    assert small.f_exprs is not None
     assert any("norm(" in str(e) for e in small.f_exprs)
     nan_sys = SystemDef(n=2, m=1, k=1, d_box=[[-1.0, 1.0]],
                         f=["x1^2*d1 + u1", "exp(x2) + d1*x2 - abs(x2)^0.5"], H=["x1"])
@@ -797,8 +794,8 @@ def test_domain_errors_match_the_point_loop(monkeypatch, f, sets):
 
 def test_nan_candidate_fails_contraction():
     sys = SystemDef(n=1, m=0, k=0, d_box=np.zeros((0, 2)), f=["0.5*x1"], H=["x1"])
-    cand = LyapunovCandidate(V=lambda t, x: 0.0 if not np.any(x) else math.nan,
-                             lam=0.5)
+    # 0 at x = 0, NaN elsewhere (inf * 0)
+    cand = LyapunovCandidate(V="abs(x1)*1e300*1e300*0", n=1, lam=0.5)
     grid = StateGrid(ts=[0, 1], xs=[[0.0], [1.0], [2.0]])
     rep = check_contraction(sys, cand, grid)
     assert rep.verdict == "fail" and not rep.passed

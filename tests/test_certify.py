@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -13,16 +14,15 @@ from dtstab.certify import (LyapunovCandidate, StateGrid,
                             check_ios_decrease, check_relaxed_decrease,
                             check_rofs_inf_sup, check_sandwich,
                             compose_V_from_U, projection_fiber, tau_bound)
-from dtstab.comparison import (KFn, TimeGain, constant, geometric, identity,
+from dtstab.comparison import (constant, geometric, identity, kfn_from_expr,
                                linear, power_fn, timegain_from_expr)
 from dtstab.expr import Dims, ExprDomainError, parse_expression
 from dtstab.registry import (LAM_SQRT_PLANT, Q_SQRT_PLANT_C,
                              Q_SQRT_PLANT_RATIO, example_2_3, example_3_4,
                              example_4_7)
 from dtstab.system import (CertificateReport, RandomDisturbance, SystemDef,
-                           WorstMargin, _beats, row_norms, sampled_sup,
-                           simulate, vecnorm)
-from test_composite import bits
+                           WorstMargin, _beats, row_norms, simulate, vecnorm)
+from test_composite import ClosureSystem, bits
 
 B23, B34 = example_2_3(), example_3_4()
 D23 = np.array([[-2.0], [-1.0], [0.0], [1.0], [2.0]])
@@ -41,7 +41,8 @@ def halving_sys():
 
 
 def absV(n):
-    return LyapunovCandidate(V=lambda t, x: vecnorm(x), n=n, a1=identity(),
+    V = f"norm({', '.join(f'x{i + 1}' for i in range(n))})"  # vecnorm(x)
+    return LyapunovCandidate(V=V, n=n, a1=identity(),
                              a2=identity(), beta=constant(1.0), name="|x|")
 
 
@@ -52,7 +53,7 @@ class TestSandwich:
         assert rep.worst_margin == 0.0  # equality at x1 = 0 (lower side)
 
     def test_too_small_upper_gain_fails(self):
-        cand = LyapunovCandidate(V=lambda t, x: vecnorm(x), n=2, a1=identity(),
+        cand = LyapunovCandidate(V="norm(x1, x2)", n=2, a1=identity(),
                                  a2=identity(), beta=constant(0.5))
         rep = check_sandwich(B23.sys, cand, grid23())
         assert not rep.passed
@@ -140,8 +141,8 @@ class TestRelaxedDecrease:
         lam = 0.5
         sysm = halving_sys()
         grid = StateGrid(ts=[0, 2, 9], xs=[[0.0], [1.0], [-4.0], [100.0]])
-        c1 = LyapunovCandidate(V=lambda t, x: vecnorm(x), n=1, lam=lam)
-        c2 = LyapunovCandidate(V=lambda t, x: vecnorm(x), n=1,
+        c1 = LyapunovCandidate(V="abs(x1)", n=1, lam=lam)
+        c2 = LyapunovCandidate(V="abs(x1)", n=1,
                                a3=linear(1 - lam), q=constant(0.0))
         r1 = check_contraction(sysm, c1, grid)
         r2 = check_relaxed_decrease(sysm, c2, grid)
@@ -150,7 +151,7 @@ class TestRelaxedDecrease:
         assert r1.witness["x"] == r2.witness["x"]
 
     def test_a3_dominating_identity_rejected(self):
-        cand = LyapunovCandidate(V=lambda t, x: vecnorm(x), n=1,
+        cand = LyapunovCandidate(V="abs(x1)", n=1,
                                  a3=linear(2.0), q=constant(0.0))
         with pytest.raises(ValueError, match="a3"):
             check_relaxed_decrease(halving_sys(), cand,
@@ -163,7 +164,7 @@ class TestIOSDecrease:
                          f=["0.5*x1 + u1"], H=["x1"], name="driven-halving")
 
     def cand(self, lam):
-        return LyapunovCandidate(V=lambda t, x: vecnorm(x), n=1, lam=lam,
+        return LyapunovCandidate(V="abs(x1)", n=1, lam=lam,
                                  a3=identity(), phi=constant(1.0))
 
     def test_triangle_inequality_passes(self):
@@ -369,7 +370,7 @@ class TestROFS:
 
     def test_full_observation_negative_infsup(self):
         sys = self.full_obs_sys()
-        cand = LyapunovCandidate(V=lambda t, x: vecnorm(x), n=1, lam=0.5)
+        cand = LyapunovCandidate(V="abs(x1)", n=1, lam=0.5)
         fiber = lambda t, y: np.array([[y[0]]])
         us = np.linspace(-2, 2, 9).reshape(-1, 1)
         rep = check_rofs_inf_sup(sys, cand, fiber, us, ts=[0, 1, 3],
@@ -411,7 +412,7 @@ class TestROFS:
 
     def test_strong_mode_filters_candidates(self):
         sys = self.full_obs_sys()
-        cand = LyapunovCandidate(V=lambda t, x: vecnorm(x), n=1, lam=0.5)
+        cand = LyapunovCandidate(V="abs(x1)", n=1, lam=0.5)
         fiber = lambda t, y: np.array([[y[0]]])
         us = np.linspace(-2, 2, 5).reshape(-1, 1)
         rep = check_rofs_inf_sup(sys, cand, fiber, us, ts=[0],
@@ -423,7 +424,7 @@ class TestROFS:
     def test_strong_mode_no_admissible_input(self):
         sys = SystemDef(n=1, m=0, k=1, d_box=np.zeros((0, 2)),
                         f=["x1 + u1^2 + 1"], H=["x1"], name="offset")
-        cand = LyapunovCandidate(V=lambda t, x: vecnorm(x), n=1, lam=0.5)
+        cand = LyapunovCandidate(V="abs(x1)", n=1, lam=0.5)
         fiber = lambda t, y: np.array([[0.0]])
         rep = check_rofs_inf_sup(sys, cand, fiber,
                                  np.array([[0.0], [1.0]]), ts=[0],
@@ -433,7 +434,7 @@ class TestROFS:
 
     def test_zero_mode(self):
         sys = self.full_obs_sys()
-        cand = LyapunovCandidate(V=lambda t, x: vecnorm(x), n=1, lam=0.5)
+        cand = LyapunovCandidate(V="abs(x1)", n=1, lam=0.5)
         fiber = lambda t, y: np.array([[y[0]]])
         rep = check_rofs_inf_sup(sys, cand, fiber, None, ts=[0, 2],
                                  ys=None, mode="zero")
@@ -481,16 +482,24 @@ class TestToleranceAndWeightedModes:
 
 def pointwise_sup_decrease(sys, cand, grid, rhs_fn, dvals, check_name,
                            tol=1e-9, u_values=None):
-    """The decrease kernel as it was: one ``rhs_fn(t, x, V0, u)`` call per
-    point.  Kept as the reference only."""
+    """The decrease check as nested point loops: the first maximum over d
+    of V(t+1, f(t, d, x, u)) through ``f_eval`` and ``V_eval`` (a NaN
+    wins), and one ``rhs_fn(t, x, V0, u)`` call per (x, u).  Kept as the
+    reference only."""
     us = np.zeros((1, 0)) if u_values is None else u_values
     xs = grid.xs
-    sets = (("x", xs), ("u", us), ("d", dvals))
     worst = WorstMargin("states")
     for t in grid.ts:
-        V0 = cand.V_rows(t, xs)
-        sup_v, arg_d = sampled_sup(sys, t, sets,
-                                   lambda F, idx: cand.V_rows(t + 1, F), keep=2)
+        V0 = [cand.V_eval(t, x) for x in xs]
+        sup_v = np.empty((len(xs), len(us)))
+        arg_d = np.empty((len(xs), len(us)), dtype=int)
+        for (xi, x), (ui, u) in itertools.product(enumerate(xs), enumerate(us)):
+            vals = [cand.V_eval(t + 1, sys.f_eval(t, d, x, u)) for d in dvals]
+            best = 0
+            for j, v in enumerate(vals):
+                if _beats(v, vals[best]):
+                    best = j
+            sup_v[xi, ui], arg_d[xi, ui] = vals[best], best
         rhs = np.array([[rhs_fn(t, x, v0, u) for u in us]
                         for x, v0 in zip(xs, V0)], dtype=float)
 
@@ -541,24 +550,24 @@ def dumps(rep):
     return json.dumps(rep.to_json(), sort_keys=True)
 
 
-# V is NaN where |x1| > 100 (inf * 0), as an expression and natively
+# V is NaN where |x1| > 100: "expr" adds inf * 0, "native" multiplies by
+# 1 + 0 * inf^max(|x1| - 100, 0), through the power kernel
 NAN_FAR_V = {
     "expr": "exp(-t)*abs(x1) + abs(x2) + max(abs(x1) - 100, 0)*1e300*1e300*0",
-    "native": lambda t, x: (math.nan if abs(x[0]) > 100.0
-                            else math.exp(-t) * abs(x[0]) + abs(x[1])),
+    "native": "(exp(-t)*abs(x1) + abs(x2))*(1 + 0*(1e300*1e300)^max(abs(x1) - 100, 0))",
 }
-# the same gains with an expression and as bare lambdas (per-element calls)
+# the same gains from the factories ("expr") and written as text ("lambda")
 GAINS = {
     "expr": dict(a1=identity(), a2=linear(1.5), beta=constant(2.0),
                  mu=geometric(0.5, 0.5), a3=linear(0.1),
                  q=geometric(0.5, 0.5), phi=constant(2.0), p2=power_fn(2.0)),
-    "lambda": dict(a1=KFn(lambda s: s), a2=KFn(lambda s: 1.5 * s),
-                   beta=TimeGain(lambda t: 2.0),
-                   mu=TimeGain(lambda t: 0.5 * math.pow(0.5, t)),
-                   a3=KFn(lambda s: 0.1 * s),
-                   q=TimeGain(lambda t: 0.5 * math.pow(0.5, t)),
-                   phi=TimeGain(lambda t: 2.0),
-                   p2=KFn(lambda s: 1.0 * math.pow(s, 2.0))),
+    "lambda": dict(a1=kfn_from_expr("s"), a2=kfn_from_expr("1.5*s"),
+                   beta=timegain_from_expr("2"),
+                   mu=timegain_from_expr("0.5*0.5^t"),
+                   a3=kfn_from_expr("0.1*s"),
+                   q=timegain_from_expr("0.5*0.5^t", decays=True),
+                   phi=timegain_from_expr("2"),
+                   p2=kfn_from_expr("s^2")),
 }
 FINITE_GRID = StateGrid.from_axes(range(0, 4), [0.0, 1e-3, -2.0, 30.0],
                                   [0.0, 1.0, -100.0])
@@ -623,55 +632,50 @@ def test_sandwich_reports_equal_pointwise_loop(v_kind, gain_kind):
 
 
 def test_gain_overflow_is_inf_not_an_error():
-    # power_fn's callable raises OverflowError past the float range; its
-    # expression gives inf, which the array bounds now use
+    # past the float range a gain is inf, in a scalar call as in an array
     grid = StateGrid(ts=[0, 1], xs=[[0.0], [0.5], [-1.0], [1e200]])
-    cand = LyapunovCandidate(V=lambda t, x: vecnorm(x), n=1, a1=power_fn(2.0),
+    cand = LyapunovCandidate(V="abs(x1)", n=1, a1=power_fn(2.0),
                              a2=identity(), beta=constant(1.0))
-    with pytest.raises(OverflowError):
-        pointwise_sandwich(halving_sys(), cand, grid)
     rep = check_sandwich(halving_sys(), cand, grid)
+    assert dumps(rep) == dumps(pointwise_sandwich(halving_sys(), cand, grid))
     assert rep.verdict == "fail" and rep.worst_margin == math.inf
     assert rep.witness == {"t": 0, "x": [1e200], "d": None, "u": None,
                            "lhs": math.inf, "rhs": 1e200, "side": "lower"}
     # on the right-hand side of a decrease, inf is a bound no point exceeds
     sys = SystemDef(n=1, m=0, k=1, d_box=np.zeros((0, 2)),
                     f=["0.5*x1 + u1"], H=["x1"])
-    ios = LyapunovCandidate(V=lambda t, x: vecnorm(x), n=1, lam=0.5,
+    ios = LyapunovCandidate(V="abs(x1)", n=1, lam=0.5,
                             a3=power_fn(2.0), phi=constant(1.0))
     us = np.array([[0.0], [1e200]])
-    with pytest.raises(OverflowError):
-        pointwise_sup_decrease(
-            sys, ios, grid, lambda t, x, V0, u: 0.5 * V0 + ios.a3(vecnorm(u)),
-            np.zeros((1, 0)), "ios-decrease", u_values=us)
     rep = check_ios_decrease(sys, ios, grid, us)
+    assert dumps(rep) == dumps(pointwise_sup_decrease(
+        sys, ios, grid, lambda t, x, V0, u: 0.5 * V0 + ios.a3(vecnorm(u)),
+        np.zeros((1, 0)), "ios-decrease", u_values=us))
     assert rep.passed and rep.samples == 16
 
 
 def test_gain_domain_error_is_an_expr_domain_error():
-    # a gain's callable raises ValueError ("math domain error") on a negative
-    # argument; the array bounds evaluate its expression, which raises
-    # ExprDomainError, an ExprError and not a ValueError
+    # a gain at a point outside its domain raises ExprDomainError, an
+    # ExprError and not a ValueError, in a scalar call as in an array
     grid = StateGrid(ts=[0, 1], xs=[[0.0], [0.5], [-1.0]])
-    cand = LyapunovCandidate(V=lambda t, x: vecnorm(x), n=1, a1=power_fn(0.5),
+    cand = LyapunovCandidate(V="abs(x1)", n=1, a1=power_fn(0.5),
                              a2=identity(), beta=constant(1.0),
                              mu=constant(-2.0))  # ||H|| + mu ||x|| = -|x1|
-    with pytest.raises(ValueError, match="math domain error"):
-        pointwise_sandwich(halving_sys(), cand, grid)
-    with pytest.raises(ExprDomainError) as err:
-        check_sandwich(halving_sys(), cand, grid)
-    assert not isinstance(err.value, ValueError)
+    for run in (pointwise_sandwich, check_sandwich):
+        with pytest.raises(ExprDomainError, match="negative base") as err:
+            run(halving_sys(), cand, grid)
+        assert not isinstance(err.value, ValueError)
     # a3(s) = 0.5 (s^0.5)^2 <= s, at V = x1 = -1
-    a3 = KFn(lambda s: 0.5 * math.pow(s, 0.5) ** 2,
-             expr=parse_expression("0.5 * (s^0.5)^2", Dims(aux=frozenset({"s"}))))
+    a3 = kfn_from_expr("0.5 * (s^0.5)^2")
     cand = LyapunovCandidate(V="x1", n=1, a3=a3, q=geometric(0.5, 0.5))
-    with pytest.raises(ValueError, match="math domain error"):
+    with pytest.raises(ExprDomainError, match="negative base") as want:
         pointwise_sup_decrease(halving_sys(), cand, grid,
                                lambda t, x, V0, u: V0 - a3(V0) + cand.q(t),
                                np.zeros((1, 0)), "relaxed-decrease")
     with pytest.raises(ExprDomainError) as err:
         check_relaxed_decrease(halving_sys(), cand, grid)
     assert not isinstance(err.value, ValueError)
+    assert str(err.value) == str(want.value)
 
 
 # --- the graph transform and the composed V against their closures ---
@@ -695,24 +699,24 @@ def reference_transformed_system(sys, mu):
     def H_tr(t, s):
         return np.array([vecnorm(s)])
 
-    return SystemDef(n=n + sys.p_Y, m=sys.m, k=0, d_box=sys.d_box, f=f_tr,
-                     H=H_tr, h=H_tr, p_Y=1, p_y=1)
+    return ClosureSystem(n + sys.p_Y, sys.m, 0, sys.d_box, f_tr, H_tr)
 
 
 def reference_composed_V(U_text, mu, sys):
     """V(t, x) = U(t, (exp(-t)/mu(t)) x, H(t, x)) as a closure that calls U
-    (compiled, with z and w as auxiliaries) as the builder did.  Kept as the
-    reference only."""
+    (compiled, with z and w as auxiliaries) as the builder did, with the
+    float arguments of ``V_eval``.  Kept as the reference only."""
     names = ([f"z{i + 1}" for i in range(sys.n)]
              + [f"w{j + 1}" for j in range(sys.p_Y)])
     U = parse_expression(U_text, Dims(aux=frozenset(names))).compiled()
 
     def V(t, x):
-        z = (math.exp(-t) / mu(t)) * np.asarray(x, dtype=float)
+        t, x = float(t), np.asarray(x, dtype=float)
+        z = (math.exp(-t) / mu(t)) * x
         zw = np.concatenate([z, sys.H_eval(t, x)])
         return float(U(t, None, None, None, dict(zip(names, zw.tolist()))))
 
-    return LyapunovCandidate(V=V, n=sys.n)
+    return V
 
 
 TRANSFORMS = {
@@ -739,7 +743,7 @@ def transform_points(n, m, d_box, N, seed):
 def test_transformed_system_equals_reference_closure(case):
     sys, mu = TRANSFORMS[case]
     tr, ref = build_transformed_system(sys, mu), reference_transformed_system(sys, mu)
-    assert tr.f_exprs is not None and (tr.n, tr.p_Y, tr.p_y) == (ref.n, 1, 1)
+    assert (tr.n, tr.p_Y, tr.p_y) == (ref.n, 1, 1)
     assert np.array_equal(tr.d_box, ref.d_box)
     t, X, D = transform_points(tr.n, tr.m, tr.d_box, 600, len(case))
     kept = []
@@ -760,7 +764,7 @@ def test_transformed_system_equals_reference_closure(case):
         want = np.array([ref.f_eval(*row) for row in zip(t, D, X)])
         assert np.array_equal(bits(tr.f_rows(t, X, D)), bits(want))
         assert np.array_equal(bits(tr.H_rows(t, X)),
-                              bits(ref.H_rows(t, X)))
+                              bits([ref.H_eval(*row) for row in zip(t, X)]))
 
 
 @pytest.mark.parametrize("case", sorted(TRANSFORMS))
@@ -774,7 +778,7 @@ def test_composed_V_equals_reference_closure(case):
         cand, ref = compose_V_from_U(U, mu, sys), reference_composed_V(U, mu, sys)
         assert cand.n == sys.n
         with np.errstate(all="ignore"):
-            want = np.array([ref.V_eval(*row) for row in zip(t, X)])
+            want = np.array([ref(*row) for row in zip(t, X)])
             got = np.array([cand.V_eval(*row) for row in zip(t, X)])
             assert np.array_equal(bits(got), bits(want)), U
             assert np.array_equal(bits(cand.V_rows(t, X)), bits(want)), U
@@ -785,7 +789,7 @@ def test_composed_V_equals_reference_closure(case):
 
 def test_contraction_on_transformed_system_equals_pointwise_loop():
     # the check on the expression system equals the per-point loop on the
-    # closure, which sampled_sup evaluates row by row
+    # closure
     mu = geometric(2.0, 0.9)
     tr, ref = build_transformed_system(B23.sys, mu), reference_transformed_system(B23.sys, mu)
     grid = StateGrid.from_axes(range(0, 6), [0.0, 1e-3, -2.0, 300.0],

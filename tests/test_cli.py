@@ -4,6 +4,7 @@ import math
 import pytest
 
 from dtstab.cli import main, num_expr
+from dtstab.system import parse_system_file
 
 
 def run(*argv):
@@ -96,6 +97,56 @@ class TestCertifyCommand:
                    "--candidate", str(candfile), "--check", "contraction",
                    "--t-max", "5", "--out-dir", str(tmp_path))
         assert code == 0
+
+    @staticmethod
+    def certify_files(tmp_path, system, candidate, check, t_max, tag):
+        """``certify --system --candidate`` on JSON files; (exit code, report)."""
+        sysfile, candfile = tmp_path / f"sys-{tag}.json", tmp_path / f"cand-{tag}.json"
+        sysfile.write_text(json.dumps(system))
+        candfile.write_text(json.dumps(candidate))
+        out = tmp_path / tag
+        code = run("certify", "--system", str(sysfile), "--candidate",
+                   str(candfile), "--check", check, "--t-max", str(t_max),
+                   "--out-dir", str(out))
+        return code, json.loads((out / f"certify-{check}.json").read_text())
+
+    def test_geometric_q_past_the_float_range_is_inf(self, tmp_path):
+        # q = 10^t overflows past t = 308: the geometric gain is inf there,
+        # as the same formula written as text is, and the report is written
+        system = {"n": 1, "m": 1, "k": 0, "d_box": [[-0.5, 0.5]],
+                  "f": ["d1*x1"], "H": ["x1"], "name": "s"}
+        reports = []
+        for tag, q in (("geometric", {"C": 1, "ratio": 10}), ("text", "10^t")):
+            code, report = self.certify_files(
+                tmp_path, system, {"V": "abs(x1)", "a3": "0.5*s", "q": q},
+                "relaxed-decrease", 320, tag)
+            assert code == 0 and report["verdict"] == "pass"
+            reports.append([report[key] for key in
+                            ("verdict", "worst_margin", "witness", "samples")])
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("lam, code", [(0.5, 0), (0.4, 1)])
+    def test_ios_decrease_from_files(self, tmp_path, lam, code):
+        system = {"n": 1, "m": 1, "k": 1, "d_box": [[-1, 1]],
+                  "f": ["0.5*d1*x1 + u1"], "H": ["x1"], "name": "ios"}
+        cand = {"V": "abs(x1)", "lambda": lam, "a3": "s", "phi": 1}
+        got, report = self.certify_files(tmp_path, system, cand,
+                                         "ios-decrease", 2, "ios")
+        assert got == code
+        assert report["samples"] == 3 * 7 * 9  # t x states x inputs
+        w = report["witness"]
+        if code:
+            assert report["verdict"] == "fail"
+            assert (w["x"], w["u"], w["d"]) == ([10.0], [-5.0], [-1.0])
+            assert report["worst_margin"] == w["lhs"] - w["rhs"] > 0.0
+        else:
+            assert report["verdict"] == "pass" and report["worst_margin"] <= 0.0
+        # the witness replays: lhs = V(t + 1, f(t, d, x, u)), rhs = lam V(t, x)
+        # + a3(phi(t) |u|)
+        sys_ = parse_system_file(system)
+        x1 = sys_.f_eval(w["t"], w["d"], w["x"], w["u"])
+        assert w["lhs"] == abs(x1[0])
+        assert w["rhs"] == lam * abs(w["x"][0]) + abs(w["u"][0])
 
     def test_candidate_required_for_file_systems(self, tmp_path):
         sysfile = tmp_path / "sys.json"

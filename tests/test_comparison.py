@@ -3,19 +3,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dtstab.comparison as comparison_mod
 import dtstab.system as system_mod
 
 from dtstab.certify import LyapunovCandidate, tau_bound
 
-from dtstab.comparison import (ClassGrid, KFn, KLEnvelope, check_domination,
+from dtstab.comparison import (ClassGrid, KFn, KLEnvelope, TimeGain,
+                               check_domination,
                                constant, fit_kl_envelope, geometric, identity,
                                kfn_from_expr, linear, power_fn, sup_f_sampler,
                                timegain_from_expr, validate_class)
-from dtstab.expr import ExprDomainError
+from dtstab.expr import ExprDomainError, Num, Var
 from dtstab.registry import C_IOS, K_IOS, example_2_3
 from dtstab.stability import FalsifyBudget, adversarial_batch
 from dtstab.system import SampleConfig, SystemDef, Trajectory
+from test_batch import _extend, _value
 
 
 def make_traj(t0, x0, Y_vals, u_vals=None):
@@ -64,8 +68,9 @@ class TestValidateClass:
         assert rep.failures()[0].witness == {"value": 1.0}
 
     def test_failure_witness_survives_grid_refinement(self):
-        # a non-monotone map fails; the same witness pair fails on finer grids
-        wobble = KFn(lambda s: s - 0.4 * math.sin(4 * s), "wobble", "K")
+        # a non-monotone map (it falls on [2, 3]) fails; the same witness
+        # pair fails on finer grids
+        wobble = kfn_from_expr("s - 2*min(max(s - 2, 0), 1)")
         coarse = validate_class(wobble, ClassGrid(s_lo=0.1, s_hi=10, s_points=30))
         fine = validate_class(wobble, ClassGrid(s_lo=0.1, s_hi=10, s_points=300))
         assert not coarse.passed and not fine.passed
@@ -305,3 +310,124 @@ class TestSupFSamplerSlices:
         assert calls == [0, 1, 2, 3, 4, 5, 5]
 
 
+
+
+# --- one expression: a scalar call and an array call agree ---
+
+# every factory with points inside its domain, a point where it is past
+# the float range (None: none is) and a point outside its domain (None: it
+# has none)
+FACTORY_GAINS = {
+    "identity": (identity(), [0.0, 1.0, 2.5], math.inf, None),
+    "linear": (linear(10.0), [0.0, 1.0, 2.5], 1e308, None),
+    "power_fn": (power_fn(2.0, 3.0), [0.0, 1.0, 2.5], 1e200, None),
+    "power_fn_root": (power_fn(0.5), [0.0, 1.0, 2.5], None, -1.0),
+    "kfn_from_expr": (kfn_from_expr("exp(s) + log(s)"), [1.0, 2.5], 1000.0, 0.0),
+    "constant": (constant(-2.5), [0.0, 1.0, 2.5], None, None),
+    "geometric": (geometric(3.0, -10.0), [0.0, 1.0, 3.0], 401.0, 0.5),
+    "timegain_from_expr": (timegain_from_expr("10^t - sqrt(t - 1)"),
+                           [1.0, 2.5], 400.0, 0.0),
+}
+
+
+def bits_of(values):
+    """Bit patterns of floats, every NaN mapped to one pattern."""
+    a = np.array(values, dtype=float)
+    a[np.isnan(a)] = math.nan
+    return a.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(FACTORY_GAINS))
+def test_factory_call_equals_values_past_the_range_and_outside_the_domain(name):
+    gain, points, big, bad = FACTORY_GAINS[name]
+    if big is not None:
+        assert math.isinf(gain(big))
+        points = points + [big]
+    got = gain.values(np.array(points))
+    assert bits_of(got) == bits_of([gain(p) for p in points])
+    if bad is not None:
+        with pytest.raises(ExprDomainError) as scalar:
+            gain(bad)
+        with pytest.raises(ExprDomainError) as array:
+            gain.values(np.array(points + [bad]))
+        assert type(scalar.value) is type(array.value)
+        assert not isinstance(scalar.value, ValueError)
+
+
+def loop_sup_tail(gain, tau):
+    """sup over t = tau..tau + TAIL_HORIZON by one scalar call a time."""
+    ts = np.arange(tau, tau + comparison_mod.TAIL_HORIZON + 1)
+    return float(np.max([gain(t) for t in ts]))
+
+
+def loop_check_decay(gain, grid):
+    """The grid decay rule by one scalar call a time."""
+    vals = np.array([gain(t) for t in np.arange(0, grid.decay_horizon + 1)])
+    suffix = np.maximum.accumulate(vals[::-1])[::-1]
+    for eps in grid.decay_eps:
+        if not np.any(suffix <= eps):
+            return {"eps": eps, "tail_min": float(suffix.min()),
+                    "horizon": grid.decay_horizon, "note": "grid estimate"}
+    return None
+
+
+TAIL_GAINS = {
+    "slow": "2/(1 + t)",
+    "fast": "0.5^t",
+    "nan_late": "0.5^t + 0*(1e300*1e300)^max(t - 10, 0)",  # NaN past t = 10
+    "nan_first": "0*(1e300*1e300) + 1/(1 + t)",  # NaN everywhere
+    "domain_late": "sqrt(100 - t)",  # raises past t = 100
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_GAINS))
+def test_tails_and_decay_grid_equal_the_scalar_loops(name):
+    gain = timegain_from_expr(TAIL_GAINS[name], decays=True)
+    grid = ClassGrid()
+    for tau in (0, 5, 200):
+        try:
+            want = loop_sup_tail(gain, tau)
+        except ExprDomainError as err:
+            with pytest.raises(ExprDomainError, match=str(err)):
+                gain.sup_tail(tau)
+            continue
+        assert bits_of([gain.sup_tail(tau)]) == bits_of([want])
+    try:
+        want = loop_check_decay(gain, grid)
+    except ExprDomainError as err:
+        with pytest.raises(ExprDomainError, match=str(err)):
+            validate_class(gain, grid)
+        return
+    check = comparison_mod._check_decay(gain, grid)
+    assert check.passed == (want is None)
+    assert repr(check.witness) == repr(want)  # NaN reads "nan" on both sides
+
+
+def _gain_leaf(var):
+    return st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e300, 1e-300]).map(Num),
+        st.just(Var(var)))
+
+
+_gain_cases = st.sampled_from(["s", "t"]).flatmap(
+    lambda var: st.tuples(st.just(var),
+                          st.recursive(_gain_leaf(var), _extend, max_leaves=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gain_cases, st.lists(_value, min_size=1, max_size=8))
+def test_gain_values_equal_per_element_calls(case, points):
+    var, node = case
+    gain = KFn(node, "generated") if var == "s" else TimeGain(node, "generated")
+    want = []
+    for p in points:
+        try:
+            with np.errstate(all="ignore"):  # norm's dot may overflow
+                want.append(gain(p))
+        except ExprDomainError:
+            want.append(ExprDomainError)
+    if ExprDomainError in want:
+        with pytest.raises(ExprDomainError):
+            gain.values(np.array(points))
+        return
+    assert bits_of(gain.values(np.array(points))) == bits_of(want)

@@ -1,11 +1,12 @@
 """Composite systems that stay expressions, against the closures they replace.
 
 ``build_small_input_system`` substitutes u_i := (P * Theta[s := norm(x)]) *
-d_{m+i} into the plant's ASTs; a plant, time gain or K function that is not
-an expression is refused, as by every composite builder.
-``reference_small_input`` below is the closure the builder returned before;
-every value of the expression system must equal it bit for bit.  NaNs may
-differ only in their sign bit, which IEEE 754 leaves unspecified.
+d_{m+i} into the plant's ASTs.  ``reference_small_input`` below is the
+closure the builder returned before, evaluated point by point through
+:class:`ClosureSystem`; every value of the expression system must equal it
+bit for bit.  NaNs may differ only in their sign bit, which IEEE 754 leaves
+unspecified.  Every map and gain is an expression: a callable given where one
+is expected is refused by the constructor.
 """
 
 import math
@@ -22,11 +23,13 @@ from dtstab.comparison import (KFn, TimeGain, constant, geometric, identity,
 from dtstab.expr import (Bin, Call, Dims, Env, ExprDomainError, Var,
                          eval_expression, parse_expression, substitute)
 from dtstab.registry import EXAMPLES, example_3_4, example_4_7
-from dtstab.certify import build_transformed_system, compose_V_from_U
+from dtstab.certify import (LyapunovCandidate, build_transformed_system,
+                            compose_V_from_U)
 from dtstab.stability import build_small_input_system
-from dtstab.synth import build_extended_system
-from dtstab.system import (StateFeedback, SystemDef, ZeroInput, bind_inputs,
-                           closed_loop, vecnorm)
+from dtstab.synth import ReconstructionMap, build_extended_system
+from dtstab.system import (StateFeedback, SystemDef, SystemFileError,
+                           VectorMap, ZeroInput, bind_inputs, closed_loop,
+                           vecnorm)
 
 B34, B47 = example_3_4(), example_4_7(0.5)
 
@@ -54,6 +57,34 @@ K_FNS = {
 }
 
 
+def _vector(v):
+    return np.asarray(v, dtype=float).reshape(-1)
+
+
+class ClosureSystem:
+    """A system given by closures ``f(t, d, x, u)``, ``H(t, x)`` and ``h(t,
+    x)`` (``h=None``: H), for the tests' own point loops: it has the
+    dimensions, the box and the point evaluators ``f_eval``, ``H_eval`` and
+    ``h_eval`` of a :class:`SystemDef`, and nothing the package's array
+    kernels need.  A reference only."""
+
+    def __init__(self, n, m, k, d_box, f, H, h=None):
+        self.n, self.m, self.k = n, m, k
+        self.d_box = np.asarray(d_box, dtype=float).reshape(m, 2)
+        self._f, self._H, self._h = f, H, H if h is None else h
+
+    def f_eval(self, t, d, x, u=None):
+        u = np.zeros(0) if u is None else u
+        return _vector(self._f(float(t), *(np.asarray(a, dtype=float)
+                                           for a in (d, x, u))))
+
+    def H_eval(self, t, x):
+        return _vector(self._H(float(t), np.asarray(x, dtype=float)))
+
+    def h_eval(self, t, x):
+        return _vector(self._h(float(t), np.asarray(x, dtype=float)))
+
+
 def reference_small_input(sys, p, theta):
     """The small-input system as a closure over p, theta and the plant."""
     m, k = sys.m, sys.k
@@ -64,8 +95,7 @@ def reference_small_input(sys, p, theta):
         amp = p(t) * theta(vecnorm(x))
         return sys.f_eval(t, d, x, amp * dprime)
 
-    return SystemDef(n=sys.n, m=m + k, k=0, d_box=box, f=f_small,
-                     H=sys._H, h=sys._h, p_Y=sys.p_Y, p_y=sys.p_y)
+    return ClosureSystem(sys.n, m + k, 0, box, f_small, sys.H_eval, sys.h_eval)
 
 
 def bits(a):
@@ -109,17 +139,12 @@ def sample_points(small, seed):
 
 
 def assert_matches_reference(small, ref, pts):
-    """f_eval and f_rows (one time and per-row times) equal the reference
-    wherever it returns; it raises only on float overflow in math.pow."""
+    """f_eval and f_rows (one time and per-row times) equal the reference."""
     kept = []
     for t, x, d in pts:
-        try:
-            want = ref.f_eval(t, d, x)
-        except OverflowError:
-            continue
+        want = ref.f_eval(t, d, x)
         kept.append((t, x, d, want))
         assert np.array_equal(bits(small.f_eval(t, d, x)), bits(want)), (t, x, d)
-    assert kept
     T = np.array([t for t, _, _, _ in kept])
     X = np.array([x for _, x, _, _ in kept])
     D = np.array([d for _, _, d, _ in kept])
@@ -137,7 +162,7 @@ def assert_matches_reference(small, ref, pts):
 def test_expression_small_input_equals_closure(plant, p, theta):
     sys, p, theta = PLANTS[plant], TIME_GAINS[p], K_FNS[theta]
     small = build_small_input_system(sys, p, theta)
-    assert small.f_exprs is not None and small.k == 0
+    assert small.k == 0
     assert small.m == sys.m + sys.k
     with np.errstate(all="ignore"):
         assert_matches_reference(small, reference_small_input(sys, p, theta),
@@ -146,51 +171,52 @@ def test_expression_small_input_equals_closure(plant, p, theta):
 
 
 def plant(k, f=("d1*x1",), H=("x1",), h=None):
-    """A one-state plant with k inputs (which f ignores); pass a callable for
-    a native map."""
-    return SystemDef(n=1, m=1, k=k, d_box=[[-1.0, 1.0]], f=f, H=H, h=h,
-                     p_Y=1, p_y=1)
+    """A one-state plant with k inputs (which f ignores)."""
+    return SystemDef(n=1, m=1, k=k, d_box=[[-1.0, 1.0]], f=f, H=H, h=h)
 
 
-NATIVE_F = lambda t, d, x, u: d * x
-NATIVE_OUT = lambda t, x: x
-BARE_GAIN = TimeGain(lambda t: 0.5)
+CLOSURE_F = lambda t, d, x, u: d * x  # noqa: E731
+CLOSURE_OUT = lambda t, x: x  # noqa: E731
+# each constructor or factory that takes a map or a gain refuses a callable
+# in its place, and a gain factory a parameter no literal spells; the keys
+# name the composite each part would go into
 REFUSED = {
-    "small-input/p": lambda: build_small_input_system(B34.sys, BARE_GAIN, identity()),
-    "small-input/theta": lambda: build_small_input_system(
-        B34.sys, constant(0.5), KFn(lambda s: s, "s", "Kinf")),
-    "small-input/p-inf": lambda: build_small_input_system(
-        B34.sys, constant(math.inf), identity()),
-    "small-input/theta-inf": lambda: build_small_input_system(
-        B34.sys, constant(0.5), linear(math.inf)),
-    "small-input/f": lambda: build_small_input_system(
-        plant(1, f=NATIVE_F), constant(0.5), identity()),
-    "closed-loop/f": lambda: closed_loop(plant(1, f=NATIVE_F), ["-x1"]),
-    "closed-loop/k": lambda: closed_loop(
-        B47.sys, StateFeedback(lambda t, x: [-x[1] ** 2], n=3)),
+    "small-input/p": lambda: TimeGain(lambda t: 0.5),
+    "small-input/theta": lambda: KFn(lambda s: s, "s", "Kinf"),
+    "small-input/p-inf": lambda: constant(math.inf),
+    "small-input/theta-inf": lambda: linear(math.inf),
+    "small-input/f": lambda: plant(1, f=CLOSURE_F),
+    "closed-loop/f": lambda: plant(1, f=[CLOSURE_F]),
+    "closed-loop/k": lambda: StateFeedback(lambda t, x: [-x[1] ** 2], n=3),
     "closed-loop/policy": lambda: closed_loop(B47.sys, ZeroInput()),
-    "extended/f": lambda: build_extended_system(plant(1, f=NATIVE_F), 1),
-    "extended/H": lambda: build_extended_system(plant(1, H=NATIVE_OUT), 1),
-    "extended/h": lambda: build_extended_system(plant(1, h=NATIVE_OUT), 1),
-    "transformed/f": lambda: build_transformed_system(plant(0, f=NATIVE_F),
-                                                      constant(1.0)),
-    "transformed/H": lambda: build_transformed_system(plant(0, H=NATIVE_OUT),
-                                                      constant(1.0)),
-    "transformed/mu": lambda: build_transformed_system(plant(0), BARE_GAIN),
-    "transformed/mu-inf": lambda: build_transformed_system(plant(0),
-                                                           constant(math.inf)),
+    "extended/f": lambda: VectorMap(CLOSURE_F, "f", 1, n=1, m=1),
+    "extended/H": lambda: plant(1, H=CLOSURE_OUT),
+    "extended/h": lambda: plant(1, h=CLOSURE_OUT),
+    "transformed/f": lambda: SystemDef(n=1, m=0, k=0, d_box=np.zeros((0, 2)),
+                                       f=CLOSURE_F, H=["x1"]),
+    "transformed/H": lambda: plant(0, H=[CLOSURE_OUT]),
+    "transformed/mu": lambda: TimeGain(None, "mu"),
+    "transformed/mu-inf": lambda: geometric(1.0, math.inf),
     "composed/U": lambda: compose_V_from_U(lambda t, z, w: abs(z[0]),
                                            constant(1.0), plant(0)),
-    "composed/H": lambda: compose_V_from_U("norm(z1, w1)", constant(1.0),
-                                           plant(0, H=NATIVE_OUT)),
-    "composed/mu": lambda: compose_V_from_U("norm(z1, w1)", BARE_GAIN, plant(0)),
+    "composed/H": lambda: plant(0, H=(CLOSURE_OUT,)),
+    "composed/mu": lambda: TimeGain("2^(-t)", "mu"),
+    "candidate/V": lambda: LyapunovCandidate(V=CLOSURE_OUT, n=1),
+    "psi": lambda: ReconstructionMap(lambda t, y_p, ys, us: [0.0], p=1),
+    "psi/ast": lambda: ReconstructionMap(Var("y1"), p=1),
+    "constant-nan": lambda: constant(math.nan),
+    "power-inf": lambda: power_fn(math.inf),
+    "power-gain-nan": lambda: power_fn(2.0, math.nan),
+    "geometric-C-inf": lambda: geometric(-math.inf, 0.5),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED))
 def test_parts_without_expressions_are_refused(case):
-    with pytest.raises(ValueError, match="is not an expression"):
+    with pytest.raises(ValueError, match="is not an expression|is not finite") as err:
         REFUSED[case]()
+    map_part = case.split("/")[-1] in ("f", "H", "h", "k", "V")
+    assert isinstance(err.value, SystemFileError) == map_part, case
 
 
 def test_closed_loop_refuses_a_feedback_of_another_width():
@@ -228,35 +254,57 @@ def test_axis_norm_in_the_array_kernel_is_caught(monkeypatch):
                                  sample_points(small, seed=2))
 
 
-# --- each gain's expression agrees with its callable ---
+# --- each gain's scalar call, array call and tree walk agree ---
+
+# the closed forms that the factories build as ASTs; a text gain has none
+TIME_GAIN_FORMULAS = {
+    "constant": lambda t: 0.3,
+    "constant_neg": lambda t: -1.7,
+    "geometric": lambda t: 3.0 * math.pow(0.7, t),
+    "geometric_up": lambda t: 0.9 * math.pow(1.5, t),
+}
+K_FN_FORMULAS = {
+    "identity": lambda s: s,
+    "linear": lambda s: 0.3 * s,
+    "power_root": lambda s: 2.0 * math.pow(s, 0.5),
+    "power_square": lambda s: 1.1 * math.pow(s, 2.0),
+}
+
+
+def assert_gain_agrees(gain, points, values, walk, formula):
+    """At every point the scalar call equals ``values``, the tree walker
+    and, where ``math.pow`` does not overflow, the closed form (inf past
+    the float range)."""
+    for p, v in zip(points, values.tolist()):
+        want = gain(p)
+        assert same_bits(v, want), p
+        assert same_bits(walk(p), want), p
+        if formula is not None:
+            try:
+                closed = formula(p)
+            except OverflowError:
+                closed = math.inf
+            assert same_bits(closed, want), p
+
 
 @pytest.mark.parametrize("name", sorted(TIME_GAINS))
 def test_time_gain_expression_equals_fn(name):
     gain = TIME_GAINS[name]
-    fn = gain.expr.compiled()
-    for t in list(range(0, 80)) + [0.5, 1e3, 1e6]:
-        try:
-            want = gain(t)
-        except (OverflowError, ValueError):
-            continue
-        assert same_bits(float(fn(float(t), None, None, None, {})), want), t
-        assert same_bits(eval_expression(gain.expr, Env(t=t)), want), t
-        assert gain.expr.variables() <= {"t"}
+    ts = list(range(0, 80)) + [0.5, 1e3, 1e6]
+    assert_gain_agrees(gain, ts, gain.values(np.array(ts, dtype=float)),
+                       lambda t: eval_expression(gain.expr, Env(t=t)),
+                       TIME_GAIN_FORMULAS.get(name))
+    assert gain.expr.variables() <= {"t"}
 
 
 @pytest.mark.parametrize("name", sorted(K_FNS))
 def test_k_function_expression_equals_fn(name):
     kfn = K_FNS[name]
-    fn = kfn.expr.compiled()
     ss = [0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.3, 1.0, 2.5, 1e8, 1e154, 1e300,
           math.inf, math.nan]
-    for s in ss:
-        try:
-            want = kfn(s)
-        except (OverflowError, ValueError):
-            continue
-        assert same_bits(float(fn(0.0, None, None, None, {"s": s})), want), s
-        assert same_bits(eval_expression(kfn.expr, Env(aux={"s": s})), want), s
+    assert_gain_agrees(kfn, ss, kfn.values(np.array(ss)),
+                       lambda s: eval_expression(kfn.expr, Env(aux={"s": s})),
+                       K_FN_FORMULAS.get(name))
     assert kfn.expr.variables() <= {"s"}
 
 
@@ -264,9 +312,12 @@ def test_constructor_expressions_are_parser_literals():
     # a negative constant is a negated literal, as the parser builds it
     for gain in (constant(-1.7), geometric(-2.0, -0.5), constant(-0.0)):
         assert parse_expression(gain.expr.to_string()) == gain.expr
-    assert same_bits(constant(-0.0).expr.compiled()(0.0, None, None, None, {}), -0.0)
-    assert constant(math.nan).expr is None and geometric(1.0, math.inf).expr is None
-    assert power_fn(math.inf).expr is None
+    assert same_bits(constant(-0.0)(5.0), -0.0)
+    # no literal spells inf or NaN
+    for make in (lambda: constant(math.nan), lambda: geometric(1.0, math.inf),
+                 lambda: power_fn(math.inf), lambda: linear(math.inf)):
+        with pytest.raises(ValueError, match="is not finite"):
+            make()
 
 
 # --- norm equals vecnorm through every evaluator ---
@@ -346,9 +397,8 @@ SYSTEMS = built_systems()
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_round_trip_and_evaluators_agree(name):
     sys = SYSTEMS[name]
-    assert sys.f_exprs is not None, name
     maps = [(e, Dims(n=sys.n, m=sys.m, k=sys.k)) for e in sys.f_exprs]
-    maps += [(e, Dims(n=sys.n)) for e in (sys.H_exprs or ()) + (sys.h_exprs or ())]
+    maps += [(e, Dims(n=sys.n)) for e in sys.H_exprs + sys.h_exprs]
     rng = np.random.default_rng(sum(map(ord, name)))
     N = 64
     t = rng.integers(0, 30, size=N).astype(float)

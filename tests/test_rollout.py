@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dtstab.stability as stability
-from dtstab.comparison import KFn, KLEnvelope, constant, identity
+from dtstab.comparison import KLEnvelope, constant, identity
 from dtstab.expr import ExprDomainError
 from dtstab.registry import (example_2_3, example_3_4, example_4_7,
                              recursion_step_check)
@@ -26,14 +26,10 @@ from dtstab.system import (ConstantDisturbance, GreedyDisturbance,
                            RandomDisturbance, StateFeedback, SystemDef,
                            Trajectory, ZeroInput, d_candidates, simulate,
                            vecnorm)
-from test_composite import reference_small_input
 
 B23, B34, B47 = example_2_3(), example_3_4(), example_4_7(0.5)
-# the small-input system with m = 2: an expression system, and its closure
-# with native f, H and h (evaluated row by row)
+# the small-input system, with m = 2
 SMALL = build_small_input_system(B34.sys, constant(0.5), identity())
-NATIVE_SMALL = reference_small_input(B34.sys, constant(0.5),
-                                     KFn(lambda s: s, "s", "Kinf"))
 FIELDS = ("t", "x", "d", "u", "Y", "y")
 
 
@@ -112,9 +108,8 @@ def check_search(sys, t0s, radius, budget, u_modes=("zero",)):
 
 # --- row evaluators take one time or a column of per-row times ---
 
-@pytest.mark.parametrize("sys", [B23.sys, B47.sys, NATIVE_SMALL, SMALL],
-                         ids=["expression", "expression_h", "native",
-                              "small_input"])
+@pytest.mark.parametrize("sys", [B23.sys, B47.sys, SMALL],
+                         ids=["expression", "expression_h", "small_input"])
 def test_row_evaluators_take_per_row_times(sys):
     rng = np.random.default_rng(1)
     N = 9
@@ -163,23 +158,16 @@ def test_greedy_scores_the_successor_time(batched_only):
     check_search(sys, (0, 1, 2, 3, 4, 5), 1.0, budget)
 
 
-def test_native_small_input_system_rows(batched_only):
-    # m = 2 and a native f, H and h: evaluated row by row through f_rows
-    assert NATIVE_SMALL.m == 2 and NATIVE_SMALL.f_exprs is None
-    assert NATIVE_SMALL.H_exprs is None and callable(NATIVE_SMALL.h)
-    # the same system as an expression: one array call a step
-    assert SMALL.m == 2 and SMALL.f_exprs is not None
+def test_small_input_system_rows(batched_only):
+    # m = 2, and f reads the substituted norm of the state
+    assert SMALL.m == 2 and SMALL.k == 0
     budget = FalsifyBudget(max_trajectories=20, horizon=20, seed=9)
-    for sys in (NATIVE_SMALL, SMALL):
-        check_search(sys, (0, 1), 2.0, budget)
+    check_search(SMALL, (0, 1), 2.0, budget)
 
 
-def test_native_closed_loop_rows(batched_only):
-    cl = SystemDef(n=3, m=1, k=0, d_box=B47.sys.d_box,
-                   f=lambda t, d, x, u: B47.sys.f_eval(t, d, x, [-x[1] ** 2]),
-                   H=B47.sys.H, h=B47.sys.h)
+def test_closed_loop_rows(batched_only):
     budget = FalsifyBudget(max_trajectories=12, horizon=15, seed=2)
-    check_search(cl, (0, 3), 1.0, budget)
+    check_search(B47.closed, (0, 3), 1.0, budget)
 
 
 def test_single_trajectory_budget_and_radius_zero(batched_only):
@@ -228,8 +216,8 @@ TIME_TERMS = SystemDef(n=2, m=2, k=0, d_box=[[-1.0, 1.5], [0.0, 2.0]],
 @pytest.mark.parametrize("t0", [0, 3])
 @pytest.mark.parametrize("sys, u_modes", [
     (B23.sys, ("zero",)), (TIME_TERMS, ("zero",)),
-    (B34.sys, ("zero", "constant", "random")), (NATIVE_SMALL, ("zero",))],
-    ids=["example_2_3", "time_terms", "example_3_4", "native"])
+    (B34.sys, ("zero", "constant", "random")), (SMALL, ("zero",))],
+    ids=["example_2_3", "time_terms", "example_3_4", "small_input"])
 def test_single_start_time_blocks_equal_simulate(batched_only, monkeypatch,
                                                  sys, u_modes, t0):
     seen = spy_times(monkeypatch, sys)
@@ -281,8 +269,7 @@ def test_random_disturbance_modes(batched_only, random_mode, mode, bundle):
 def test_random_disturbance_two_dimensional_box(batched_only, random_mode, mode):
     random_mode(mode)
     budget = FalsifyBudget(max_trajectories=6, horizon=15, mix=("random",), seed=7)
-    for sys in (NATIVE_SMALL, SMALL):
-        check_search(sys, (0, 2, 4), 2.0, budget)
+    check_search(SMALL, (0, 2, 4), 2.0, budget)
 
 
 def test_sequence_input_offsets_and_exhaustion(batched_only):
@@ -447,7 +434,7 @@ def test_random_draw_form_equals_generator_uniform():
                 assert np.array_equal(want.view(np.int64), got.view(np.int64))
             assert a.bit_generator.state == b.bit_generator.state
     # and the class draws exactly that, on m = 1 and m = 2 boxes
-    for sys in (B23.sys, NATIVE_SMALL, SMALL):
+    for sys in (B23.sys, SMALL):
         pol, twin = RandomDisturbance(seed=4), np.random.default_rng(4)
         for _ in range(200):
             assert np.array_equal(pol(sys, 0, None, None),

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import dtstab.stability as stability
-from dtstab.comparison import (KFn, KLEnvelope, TimeGain, check_domination,
+from dtstab.comparison import (KLEnvelope, check_domination,
                                constant, geometric, identity, kfn_from_expr,
                                linear, power_fn, sup_f_sampler,
                                timegain_from_expr)
+from dtstab.expr import ExprDomainError
 from dtstab.registry import example_2_3, example_3_4, example_4_7
 from dtstab.stability import (EnvelopeReport, FalsifyBudget, FalsifyReport,
                               adversarial_batch, build_small_input_system,
@@ -297,16 +298,17 @@ def dumps(rep):
 TWO_INPUTS = SystemDef(n=2, m=1, k=2, d_box=[[-0.5, 0.5]],
                        f=["0.6*x1 + 0.2*d1*x2 + u1", "0.5*x2 - 0.1*x1 + u2*u1/4"],
                        H=["x1", "x2"])
-# each gain with its formula and as a bare callable (evaluated per element)
+# gains from the factories and from text, and ("native") the same formulas
+# all written as text, none a factory's
 EXPR_GAINS = dict(beta=timegain_from_expr("1 + 2^(-t)"),
                   gamma=geometric(1.5, 0.9), rho=kfn_from_expr("s + s^1.5"),
                   delta=timegain_from_expr("1 + 1/(t + 2)"),
                   zeta=power_fn(1.2, 4.0))
-NATIVE_GAINS = dict(beta=TimeGain(lambda t: 1 + 2.0 ** -t),
-                    gamma=TimeGain(lambda t: 1.5 * 0.9 ** t),
-                    rho=KFn(lambda s: s + s ** 1.5),
-                    delta=TimeGain(lambda t: 1 + 1 / (t + 2)),
-                    zeta=KFn(lambda s: 4.0 * s ** 1.2))
+TEXT_GAINS = dict(beta=timegain_from_expr("1 + 2^(-t)"),
+                  gamma=timegain_from_expr("1.5*0.9^t"),
+                  rho=kfn_from_expr("s + s^1.5"),
+                  delta=timegain_from_expr("1 + 1/(t + 2)"),
+                  zeta=kfn_from_expr("4*s^1.2"))
 # decays of exp(-0.4) and exp(-1.2) a step
 ENVELOPES = {"closed": KLEnvelope(3.0, 0.4), "fast": KLEnvelope(1.5, 1.2)}
 
@@ -316,7 +318,7 @@ class TestIOSBoundsMatchLoop:
     reports built from them."""
 
     @pytest.mark.parametrize("form", ["max", "sup"])
-    @pytest.mark.parametrize("gains", [EXPR_GAINS, NATIVE_GAINS],
+    @pytest.mark.parametrize("gains", [EXPR_GAINS, TEXT_GAINS],
                              ids=["expr", "native"])
     @pytest.mark.parametrize("envelope", sorted(ENVELOPES))
     @pytest.mark.parametrize("sys", [B23.sys, B34.sys, TWO_INPUTS],
@@ -526,7 +528,7 @@ class TestBatchEnvelopeChecks:
     equal the per-trajectory bounds and the per-trajectory scan."""
 
     @pytest.mark.parametrize("form", ["kl", "max", "sup"])
-    @pytest.mark.parametrize("gains", [EXPR_GAINS, NATIVE_GAINS],
+    @pytest.mark.parametrize("gains", [EXPR_GAINS, TEXT_GAINS],
                              ids=["expr", "native"])
     @pytest.mark.parametrize("envelope", sorted(ENVELOPES))
     @pytest.mark.parametrize("sys", [B23.sys, B34.sys, TWO_INPUTS],
@@ -578,25 +580,18 @@ class TestBatchEnvelopeChecks:
 
     def test_first_failing_trajectory_names_the_error(self):
         # over the whole batch beta (evaluated first) fails at the third
-        # trajectory; trajectory by trajectory gamma fails first, at the second
-        def beta(t):
-            if t >= 20:
-                raise ValueError("beta at t >= 20")
-            return 1.0
-
-        def gamma(t):
-            if 10 <= t <= 15:
-                raise ValueError("gamma at 10 <= t <= 15")
-            return 1.0
-
-        gains = dict(beta=TimeGain(beta), gamma=TimeGain(gamma), rho=identity())
+        # trajectory, on log; trajectory by trajectory gamma fails first, at
+        # the second, on sqrt
+        gains = dict(beta=timegain_from_expr("1 + 0*log(19.5 - t)"),
+                     gamma=timegain_from_expr("1 + 0*sqrt((t - 9.5)*(t - 15.5))"),
+                     rho=identity())
         batch = [simulate(B34.sys, t0, [1.0, -1.0], ConstantDisturbance([0.5]),
                           ConstantInput([1.0]), horizon=5) for t0 in (0, 10, 20)]
-        with pytest.raises(ValueError) as loop:
+        with pytest.raises(ExprDomainError) as loop:
             loop_bounds("max", batch, B34.sigma, gains)
-        with pytest.raises(ValueError) as batched:
+        with pytest.raises(ExprDomainError) as batched:
             batch_check("max", batch, B34.sigma, gains, 1e-9)
-        assert str(batched.value) == str(loop.value) == "gamma at 10 <= t <= 15"
+        assert str(batched.value) == str(loop.value) == "sqrt of a negative number"
 
 
 FALSIFY_CASES = {
@@ -607,8 +602,8 @@ FALSIFY_CASES = {
     "ios_violated": (B34.sys, KLEnvelope(0.05, 0.4), dict(rho=linear(0.01),
                                                          gamma=constant(1.0))),
     "ios_native": (TWO_INPUTS, ENVELOPES["closed"],
-                   dict(beta=NATIVE_GAINS["beta"], rho=NATIVE_GAINS["rho"],
-                        gamma=NATIVE_GAINS["gamma"])),
+                   dict(beta=TEXT_GAINS["beta"], rho=TEXT_GAINS["rho"],
+                        gamma=TEXT_GAINS["gamma"])),
     "ios_fast": (TWO_INPUTS, ENVELOPES["fast"], dict(rho=EXPR_GAINS["rho"],
                                                     gamma=EXPR_GAINS["gamma"])),
 }
@@ -656,28 +651,25 @@ class TestFalsifyMatchesLoop:
             falsify(B34.sys, B34.sigma, rho=B34.rho,
                     budget=FalsifyBudget(max_trajectories=3, horizon=4))
 
-    @pytest.mark.parametrize("fails", [
-        lambda s: s == 0.0,  # the first trajectory's check, before the roll error
-        lambda s: 0.0 < s < 0.3,  # later checks only: the roll error first
+    @pytest.mark.parametrize("rho, check_first", [
+        # fails at s = 0: the first trajectory's check, before the roll error
+        ("s + 0/s", True),
+        # fails for 0 < s < 0.3, in later checks only: the roll error first
+        ("s + 0*sqrt(s*(s - 0.3))", False),
     ], ids=["check_first", "roll_first"])
-    def test_check_and_roll_errors_surface_in_trajectory_order(self, fails):
-        # a negative input below -1 makes f raise: the constant input of
+    def test_check_and_roll_errors_surface_in_trajectory_order(self, rho,
+                                                              check_first):
+        # an input of -1 or below makes f raise: the constant input of
         # trajectory 1 is -u_cap, so its roll fails at the first step;
         # trajectory 0 has the zero input, so its check calls rho at 0 only
         sys = SystemDef(n=1, m=1, k=1, d_box=[[-0.1, 0.1]],
-                        f=["0.5*x1 + 0.1*d1 + 0*sqrt(u1 + 1)"], H=["x1"])
-
-        def rho(s):
-            if fails(s):
-                raise ValueError(f"rho at s = {s}")
-            return s
-
+                        f=["0.5*x1 + 0.1*d1 + 0*log(u1 + 1)"], H=["x1"])
         budget = FalsifyBudget(max_trajectories=12, horizon=6, seed=1)
         errors = []
         for run in (falsify, loop_falsify):
-            with pytest.raises(Exception) as caught:
-                run(sys, KLEnvelope(3.0, 0.4), rho=KFn(rho), gamma=constant(1.0),
-                    budget=budget, radius=1.0)
-            errors.append((type(caught.value), str(caught.value)))
+            with pytest.raises(ExprDomainError) as caught:
+                run(sys, KLEnvelope(3.0, 0.4), rho=kfn_from_expr(rho),
+                    gamma=constant(1.0), budget=budget, radius=1.0)
+            errors.append(str(caught.value))
         assert errors[0] == errors[1]
-        assert (errors[0][0] is ValueError) == fails(0.0)
+        assert (errors[0] != "log of a non-positive number") == check_first

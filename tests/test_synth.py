@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dtstab.synth as synth
+from dtstab.expr import Var, substitute
 from dtstab.registry import example_2_3, example_4_7
 from dtstab.synth import (SAMPLE_RADIUS, DelayChainController,
                           ReconstructionMap, build_extended_system,
@@ -13,7 +14,8 @@ from dtstab.synth import (SAMPLE_RADIUS, DelayChainController,
 from dtstab.system import (CertificateReport, ConstantDisturbance,
                            ConstantInput, GreedyDisturbance, InputPolicy,
                            RandomDisturbance, StateFeedback, SystemDef,
-                           WorstMargin, as_feedback, simulate)
+                           WorstMargin, simulate)
+from test_composite import ClosureSystem
 
 B47 = example_4_7(0.5)
 
@@ -65,7 +67,7 @@ class TestCheckReconstruction:
 
     def test_output_function_always_reconstructible(self):
         # k(t, x) = theta(t, h(t, x)) reconstructs via the current output
-        k_fn = lambda t, x: np.array([t * x[0] + x[0] ** 3])
+        k_fn = StateFeedback(["t*x1 + x1^3"], n=3)
         psi = ReconstructionMap("t*y1 + y1^3", p=1)
         rep = check_reconstruction(B47.sys, k_fn, psi, n_samples=500, tol=0.0)
         assert rep.verdict == "pass" and rep.worst_margin == 0.0
@@ -88,7 +90,7 @@ class TestControllerStructure:
         assert np.array_equal(u, [-(2.0 ** 2 + -1.0) ** 2])
 
     def test_window_two_shift_and_reversal(self):
-        psi = ReconstructionMap(lambda t, yp, ys, us: np.zeros(1), p=2)
+        psi = ReconstructionMap("0", p=2)
         ctrl = DelayChainController(p_y=1, k=1, psi=psi)
         assert ctrl.state_dim == 4
         w = np.array([10.0, 20.0, 30.0, 40.0])  # (w1, w2 | w3, w4)
@@ -104,7 +106,7 @@ class TestControllerStructure:
         assert ctrl.p == psi.p == 1 and ctrl.state_dim == 2
 
     def test_custom_retraction_applied_to_output_slots(self):
-        psi = ReconstructionMap(lambda t, yp, ys, us: np.zeros(1), p=1)
+        psi = ReconstructionMap("0", p=1)
         ctrl = DelayChainController(p_y=1, k=1, psi=psi,
                                     retraction=lambda y: 2.0 * y)
         y_hist, u_hist = ctrl.window(np.array([3.0, 7.0]))
@@ -189,7 +191,7 @@ class TestExtendedSystem:
 
     def test_constant_register_under_identity_input(self):
         ext = build_extended_system(B47.sys, 1)
-        hold = StateFeedback(lambda t, s: np.array([0.0, s[3]]), n=4)
+        hold = StateFeedback(["0", "x4"], n=4)
         traj = simulate(ext, 0, [0.5, -0.5, 1.0, 9.0],
                         ConstantDisturbance([0.2]), hold, horizon=8)
         assert np.all(traj.x[:, 3] == 9.0)
@@ -219,8 +221,7 @@ def reference_extended_system(sys, w_dim):
     def h_ext(t, s):
         return np.concatenate([sys.h_eval(t, s[:n]), s[n:]])
 
-    return SystemDef(n=n + w_dim, m=sys.m, k=k + w_dim, d_box=sys.d_box,
-                     f=f_ext, H=H_ext, h=h_ext, p_Y=sys.p_Y, p_y=sys.p_y + w_dim)
+    return ClosureSystem(n + w_dim, sys.m, k + w_dim, sys.d_box, f_ext, H_ext, h_ext)
 
 
 def float_bits(a):
@@ -236,9 +237,9 @@ def float_bits(a):
     ids=["example_4_7_w1", "example_4_7_p1", "integrator_chain_p2"])
 def test_extended_system_equals_reference_closures(plant, w_dim):
     ext, ref = build_extended_system(plant, w_dim), reference_extended_system(plant, w_dim)
-    assert ext.f_exprs is not None and ext.H_exprs is not None
-    assert ext.h_exprs is not None and ext.name.endswith(f"|extended(w={w_dim})")
-    assert (ext.n, ext.m, ext.k, ext.p_Y, ext.p_y) == (ref.n, ref.m, ref.k, ref.p_Y, ref.p_y)
+    assert ext.name.endswith(f"|extended(w={w_dim})")
+    assert (ext.n, ext.m, ext.k) == (ref.n, ref.m, ref.k)
+    assert (ext.p_Y, ext.p_y) == (plant.p_Y, plant.p_y + w_dim)
     rng = np.random.default_rng(w_dim)
     N = 120
     t = rng.integers(0, 30, size=N)
@@ -260,22 +261,18 @@ class TestSeparationComposition:
     def test_delay_controller_as_static_feedback_on_extended_plant(self):
         # append the register block as integrator states, then drive (u, v)
         # by a static function of the extended measured output (y, w); the
-        # interconnection reproduces the dynamic-feedback run row for row
+        # interconnection reproduces the dynamic-feedback run row for row.
+        # With p = 1 the output slot is w1 = x4 and the input slot w2 = x5:
+        # u = Psi(y1 := x1, u0 := x5), and the registers take v = (y, u)
         ctrl = B47.controller
         ext = build_extended_system(B47.sys, ctrl.state_dim)
-
-        def static_fb(t, s):
-            y = s[0:1]            # measured output of the plant is x1
-            w = s[3:5]
-            u = ctrl.output(t, y, w)
-            v = ctrl.advance(w, y, u)
-            return np.concatenate([u, v])
+        u = substitute(ctrl.psi.expr, {"y1": Var("x1"), "u0": Var("x5")})
+        static_fb = StateFeedback([u, Var("x1"), u], n=5)
 
         x0 = np.array([1.0, 2.0, 3.0])
         w0 = np.array([0.5, -0.25])
         lifted = simulate(ext, 0, np.concatenate([x0, w0]),
-                          RandomDisturbance(seed=13),
-                          StateFeedback(static_fb, n=5), horizon=25)
+                          RandomDisturbance(seed=13), static_fb, horizon=25)
         direct, rep = run_output_feedback(B47.sys, ctrl, 0, x0, w0=w0,
                                           dpol=RandomDisturbance(seed=13),
                                           horizon=25,
@@ -365,25 +362,22 @@ def test_run_equals_reference_loop_integrator_chain(retraction):
 
 # --- defects the margin rule mends ---
 
-def nan_above_zero_psi():
-    """-(y1^2 + u0)^2 while the current output is <= 0, NaN above it."""
-    def psi(t, y_p, y_hist, u_hist):
-        if y_p[0] > 0.0:
-            return np.array([math.nan])
-        return np.array([-(y_p[0] ** 2 + u_hist[0][0]) ** 2])
-    return ReconstructionMap(psi, p=1)
+# -(y1^2 + u0)^2 where the current output is <= 0, NaN (inf * 0) above it
+NAN_ABOVE_ZERO_PSI = "-(y1^2+u0)^2 + max(y1, 0)*1e300*1e300*0"
 
 
 class TestReconstructionRule:
     def test_nan_reconstruction_fails_at_first_nan(self):
-        seen, psi = [], nan_above_zero_psi()
+        psi = ReconstructionMap(NAN_ABOVE_ZERO_PSI, p=1)
+        seen = []  # the current outputs of the samples, in sample order
 
         def recording_psi(t, y_p, y_hist, u_hist):
             seen.append(y_p[0])
             return psi(t, y_p, y_hist, u_hist)
 
-        recording = ReconstructionMap(recording_psi, p=1)
-        rep = check_reconstruction(B47.sys, B47.feedback, recording,
+        reference_check_reconstruction(B47.sys, policy_closure(B47.feedback),
+                                       recording_psi, 1, n_samples=40, seed=3)
+        rep = check_reconstruction(B47.sys, B47.feedback, psi,
                                    n_samples=40, seed=3)
         assert rep.verdict == "fail" and math.isnan(rep.worst_margin)
         w = rep.witness
@@ -407,7 +401,7 @@ class TestReconstructionRule:
 class TestCoincidenceRule:
     def test_nan_controls_report_nan_and_a_witness(self):
         ctrl = synthesize_delay_controller(
-            ReconstructionMap(lambda t, y_p, ys, us: np.array([math.nan]), p=1))
+            ReconstructionMap("1e300*1e300*0", p=1))  # NaN
         _, rep = run_output_feedback(B47.sys, ctrl, 0, [1.0, 2.0, 3.0],
                                      horizon=5, reference_k=B47.feedback)
         assert math.isnan(rep.coincidence_max_err)
@@ -443,15 +437,15 @@ class TestCoincidenceRule:
 
 # --- check_reconstruction against the sample loop it replaced ---
 
-def reference_check_reconstruction(sys, k_fn, psi, n_samples=1000,
+def reference_check_reconstruction(sys, target, psi, p, n_samples=1000,
                                    ts=range(0, 11), seed=0, tol=0.0):
-    """check_reconstruction as it was: one iterate_maps, one target and one
-    Psi call per sample.  Kept as the reference only."""
-    p = psi.p
-    target = as_feedback(k_fn, sys.n)
+    """check_reconstruction as it was: one iterate_maps, one ``target(t,
+    x)`` and one ``psi(t, y_p, y_hist, u_hist)`` call per sample, all three
+    closures.  Kept as the reference only."""
     rng = np.random.default_rng(seed)
     ts = list(ts)
-    spots = [(int(t), np.zeros(sys.n), np.tile(sys.d_mid(), (p, 1)),
+    d_mid = (sys.d_box[:, 0] + sys.d_box[:, 1]) / 2.0
+    spots = [(int(t), np.zeros(sys.n), np.tile(d_mid, (p, 1)),
               np.zeros((p, sys.k))) for t in ts]
     for _ in range(max(n_samples - len(spots), 0)):
         t = int(ts[rng.integers(0, len(ts))])
@@ -462,7 +456,7 @@ def reference_check_reconstruction(sys, k_fn, psi, n_samples=1000,
     lhs, rhs = [], []
     for t, x, d_seq, u_seq in spots:
         res = iterate_maps(sys, p, t, x, d_seq, u_seq)
-        lhs.append(target(sys, t + p, res.F_p))
+        lhs.append(np.asarray(target(t + p, res.F_p), dtype=float))
         rhs.append(psi(t + p, res.y_p, res.y_hist, list(u_seq)))
 
     def max_abs(v):
@@ -479,12 +473,10 @@ def reference_check_reconstruction(sys, k_fn, psi, n_samples=1000,
                              worst.witness, worst.samples, tol)
 
 
-def native_psi(psi):
-    """The same Psi as a native callable: called window by window."""
-    return ReconstructionMap(lambda t, y_p, ys, us: psi(t, y_p, ys, us), p=psi.p)
+class _PolicyTarget(InputPolicy):
+    """A target policy that is not a StateFeedback: the check calls it
+    sample by sample."""
 
-
-class _NativeTarget(InputPolicy):
     def __init__(self, fb):
         self.fb = fb
 
@@ -492,17 +484,21 @@ class _NativeTarget(InputPolicy):
         return self.fb(sys, t, x)
 
 
-def native_system(sys):
-    """``sys`` with closure maps, so f_rows and h_rows go row by row."""
-    return SystemDef(n=sys.n, m=sys.m, k=sys.k, d_box=sys.d_box,
-                     f=lambda t, d, x, u: sys.f_eval(t, d, x, u),
-                     H=lambda t, x: sys.H_eval(t, x),
-                     h=lambda t, x: sys.h_eval(t, x), p_Y=sys.p_Y, p_y=sys.p_y)
+def policy_closure(pol):
+    """A policy's call as a closure of (t, x), for the reference loop."""
+    return lambda t, x: pol(None, t, x)
 
 
-def assert_same_report(sys, k_fn, psi, **kw):
+def assert_same_report(sys, k_fn, psi, k_ref=None, **kw):
+    """The check equals the reference loop over closures: the system's
+    point evaluators, ``k_ref`` (by default ``k_fn``'s call) and Psi's
+    scalar call."""
     got = check_reconstruction(sys, k_fn, psi, **kw)
-    want = reference_check_reconstruction(sys, k_fn, psi, **kw)
+    ref_sys = ClosureSystem(sys.n, sys.m, sys.k, sys.d_box, sys.f_eval,
+                            sys.H_eval, sys.h_eval)
+    want = reference_check_reconstruction(
+        ref_sys, k_ref or policy_closure(k_fn),
+        lambda t, y_p, ys, us: psi(t, y_p, ys, us), psi.p, **kw)
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
     return got
 
@@ -510,73 +506,63 @@ def assert_same_report(sys, k_fn, psi, **kw):
 @pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
 def test_reconstruction_equals_reference_example_4_7(r):
     b = example_4_7(r)
-    targets = (b.feedback, _NativeTarget(b.feedback),
-               lambda t, x: np.array([-x[1] * x[1]]),
-               StateFeedback(lambda t, x: np.array([-x[1] * x[1]]), n=3, k=1))
-    for sys in (b.sys, native_system(b.sys)):
-        for psi in (b.psi, native_psi(b.psi), ReconstructionMap("(y1^2+u0)^2", p=1)):
-            for k_fn in targets:
-                rep = assert_same_report(sys, k_fn, psi, n_samples=120,
-                                         seed=int(10 * r))
-                assert rep.samples == 120
+    targets = ((b.feedback, None), (_PolicyTarget(b.feedback), None),
+               (StateFeedback(["-x2*x2"], n=3, k=1),
+                lambda t, x: np.array([-x[1] * x[1]])))
+    for psi in (b.psi, ReconstructionMap("(y1^2+u0)^2", p=1)):
+        for k_fn, k_ref in targets:
+            rep = assert_same_report(b.sys, k_fn, psi, k_ref, n_samples=120,
+                                     seed=int(10 * r))
+            assert rep.samples == 120
     for seed in (0, 1):
         assert_same_report(b.sys, b.feedback, b.psi, n_samples=1500, seed=seed)
 
 
 def test_reconstruction_equals_reference_integrator_chain():
     sys = integrator_chain_sys()
-    psi = ReconstructionMap("-(y0 + u0 + u1)^2", p=2)
-    for k_fn in (StateFeedback(["-x1^2"], n=1), lambda t, x: np.array([-x[0] ** 2])):
-        for ps in (psi, native_psi(psi), ReconstructionMap("-(y1 + u1)^2", p=2)):
-            for s in (sys, native_system(sys)):
-                assert_same_report(s, k_fn, ps, n_samples=200, ts=range(3, 9),
-                                   seed=4)
+    square = StateFeedback(["-x1^2"], n=1)
+    for k_fn, k_ref in ((square, None),
+                        (square, lambda t, x: np.array([-x[0] ** 2]))):
+        for psi in (ReconstructionMap("-(y0 + u0 + u1)^2", p=2),
+                    ReconstructionMap("-(y1 + u1)^2", p=2)):
+            assert_same_report(sys, k_fn, psi, k_ref, n_samples=200,
+                               ts=range(3, 9), seed=4)
 
 
 def test_reconstruction_nan_psi_equals_reference():
-    nan_expr = ReconstructionMap("-(y1^2+u0)^2 + max(y1, 0)*1e300*1e300*0", p=1)
-    for psi in (nan_above_zero_psi(), nan_expr):
-        rep = assert_same_report(B47.sys, B47.feedback, psi, n_samples=40, seed=3)
-        assert rep.verdict == "fail" and math.isnan(rep.worst_margin)
+    psi = ReconstructionMap(NAN_ABOVE_ZERO_PSI, p=1)
+    rep = assert_same_report(B47.sys, B47.feedback, psi, n_samples=40, seed=3)
+    assert rep.verdict == "fail" and math.isnan(rep.worst_margin)
 
 
 def test_reconstruction_few_samples_equal_reference():
-    for psi in (B47.psi, native_psi(B47.psi)):
-        for n_samples, ts in ((0, range(0, 11)), (1, range(0, 11)), (0, [2]),
-                              (1, [5]), (2, [5])):
-            rep = assert_same_report(B47.sys, B47.feedback, psi,
-                                     n_samples=n_samples, ts=ts, seed=2)
-            assert rep.samples == max(n_samples, len(ts))
+    for n_samples, ts in ((0, range(0, 11)), (1, range(0, 11)), (0, [2]),
+                          (1, [5]), (2, [5])):
+        rep = assert_same_report(B47.sys, B47.feedback, B47.psi,
+                                 n_samples=n_samples, ts=ts, seed=2)
+        assert rep.samples == max(n_samples, len(ts))
 
 
-def test_native_psi_and_target_see_the_reference_calls_in_order():
-    def recording(log, psi):
-        def call(t, y_p, ys, us):
-            log.append(("psi", t, y_p.tolist(), [y.tolist() for y in ys],
-                        [u.tolist() for u in us]))
-            return psi(t, y_p, ys, us)
-        return ReconstructionMap(call, p=psi.p)
+def test_policy_target_sees_the_reference_calls_in_order():
+    # a target that is not a StateFeedback is called sample by sample, in
+    # the reference's order
+    class Recording(InputPolicy):
+        def __init__(self, log, fb):
+            self.log, self.fb = log, fb
 
-    def target(log, fb):
-        def call(t, x):
-            log.append(("k", t, x.tolist()))
-            return fb(None, t, x)
-        return call
+        def __call__(self, sys, t, x):
+            self.log.append((t, x.tolist()))
+            return self.fb(sys, t, x)
 
     chain = integrator_chain_sys()
     for sys, fb, psi in ((B47.sys, B47.feedback, B47.psi),
                          (chain, StateFeedback(["-x1^2"], n=1),
                           ReconstructionMap("-(y0 + u0 + u1)^2", p=2))):
         got, want = [], []
-        check_reconstruction(sys, target(got, fb), recording(got, psi),
-                             n_samples=60, seed=8)
-        reference_check_reconstruction(sys, target(want, fb),
-                                       recording(want, psi), n_samples=60, seed=8)
-        assert [c for c in got if c[0] == "psi"] == [c for c in want if c[0] == "psi"]
-        assert [c for c in got if c[0] == "k"] == [c for c in want if c[0] == "k"]
-        # the reference alternates k and Psi per sample; the check runs every
-        # target first, then every Psi
-        assert [c[0] for c in got] == ["k"] * 60 + ["psi"] * 60
+        check_reconstruction(sys, Recording(got, fb), psi, n_samples=60, seed=8)
+        reference_check_reconstruction(sys, policy_closure(Recording(want, fb)),
+                                       psi, psi.p, n_samples=60, seed=8)
+        assert len(got) == 60 and got == want
 
 
 def uniform_spots(sys, p, ts, count, rng):

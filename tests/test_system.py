@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dtstab.expr import ExprDomainError
 from dtstab.registry import example_2_3, example_3_4, example_4_7
 from dtstab.system import (ConstantDisturbance, ConstantInput,
                            EquilibriumWarning, GreedyDisturbance,
@@ -246,8 +247,20 @@ class TestSystemFile:
                                "f": ["x1"], "H": ["x1"]})
 
     def test_declared_output_dimension_must_match_expressions(self):
-        with pytest.raises(SystemFileError, match="H has 1 components, expected 2"):
+        # the output widths are the expression counts, not declared
+        sys = SystemDef(n=2, m=1, k=0, d_box=[[-1, 1]], f=["x1", "x2"],
+                        H=["x1", "x2", "x1*x2"], h=["x2"])
+        assert (sys.p_Y, sys.p_y) == (3, 1)
+        with pytest.raises(TypeError, match="p_Y"):
             SystemDef(n=1, m=1, k=0, d_box=[[-1, 1]], f=["x1"], H=["x1"], p_Y=2)
+
+    def test_maps_are_not_evaluated_at_construction(self):
+        # H is undefined at x = 0; only a point evaluation raises
+        sys = SystemDef(n=1, m=1, k=0, d_box=[[-1, 1]], f=["d1*x1"],
+                        H=["log(x1)"])
+        assert sys.H_eval(0, [1.0]).tolist() == [0.0]
+        with pytest.raises(ExprDomainError):
+            sys.H_eval(0, [0.0])
 
     def test_missing_keys(self):
         with pytest.raises(SystemFileError, match="missing keys"):
