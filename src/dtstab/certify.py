@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .comparison import KFn, TimeGain, validate_class
+from .comparison import KFn, TimeGain, decay_checks, validate_class
 from .expr import (Bin, Call, Dims, Expr, Neg, Num, Var, parse_expression,
                    substitute)
 from .system import (FAIL, PASS, PASS_TOL, CertificateReport, SystemDef,
@@ -233,7 +233,10 @@ def check_contraction(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
 def check_relaxed_decrease(sys: SystemDef, cand: LyapunovCandidate,
                            grid: StateGrid, d_values=None,
                            tol: float = 1e-9) -> CertificateReport:
-    """sup_d V(t+1, f(t,d,x)) <= V(t,x) - a3(V(t,x)) + q(t), unforced system."""
+    """sup_d V(t+1, f(t,d,x)) <= V(t,x) - a3(V(t,x)) + q(t), unforced system.
+
+    A candidate whose a3 exceeds s, or whose q is negative or does not decay
+    to zero (:func:`decay_checks`), is refused with ValueError."""
     if sys.k != 0:
         raise ValueError("relaxed decrease check needs an unforced system (k=0)")
     cand.require("a3", "q")
@@ -241,6 +244,9 @@ def check_relaxed_decrease(sys: SystemDef, cand: LyapunovCandidate,
     bad = cand.validate_a3_bound()
     if bad:
         raise ValueError(f"a3(s) <= s violated, witness {bad[0]}")
+    for chk in decay_checks(cand.q):
+        if not chk.passed:
+            raise ValueError(f"q {chk.axiom} violated, witness {chk.witness}")
     dvals = _d_values(sys, d_values)
     a3, q = cand.a3, cand.q
     return _sup_decrease(sys, cand, grid,

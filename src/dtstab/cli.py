@@ -335,7 +335,7 @@ def cmd_synthesize(args) -> int:
         if not args.psi:
             raise UsageError("--psi required for file-based systems")
         psi = ReconstructionMap(args.psi, p=args.p)
-        ctrl = synthesize_delay_controller(psi, p_y=sys_.p_y, k=sys_.k)
+        ctrl = synthesize_delay_controller(psi, p_y=sys_.p_y)
         reference = None
     out = Path(args.out_dir)
     path = write_report(out, "controller.json", ctrl.to_json())
@@ -351,8 +351,8 @@ def cmd_synthesize(args) -> int:
     payload = rep.to_json()
     payload["system"] = sys_.name
     rpath = write_report(out, "coincidence.json", payload)
-    print(f"{rep.verdict}: coincidence from t={rep.from_t} "
-          f"(max err {rep.coincidence_max_err:.3e}) -> {rpath}")
+    print(f"{rep.verdict}: coincidence from t={rep.coincident_from} "
+          f"(max err {rep.max_err:.3e}) -> {rpath}")
     return 0 if rep.passed else 1
 
 

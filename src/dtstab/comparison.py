@@ -36,7 +36,7 @@ from .system import (CertificateReport, SampleConfig, WorstMargin, _EMPTY,
 __all__ = [
     "KFn", "TimeGain", "KLEnvelope", "identity", "linear", "power_fn",
     "kfn_from_expr", "constant", "geometric", "timegain_from_expr",
-    "ClassGrid", "ClassReport", "validate_class",
+    "ClassGrid", "ClassReport", "validate_class", "decay_checks",
     "KLFit", "fit_kl_envelope", "check_domination",
     "sup_f_sampler",
 ]
@@ -322,8 +322,9 @@ def _check_unbounded(fn, grid: ClassGrid) -> ClassCheck:
 
 
 def _geometric_decay(C, ratio) -> ClassCheck:
-    """C * ratio^t decays to zero, decided analytically in (C, ratio)."""
-    ok = C >= 0.0 and 0.0 <= ratio < 1.0
+    """C * ratio^t decays to zero, decided analytically in (C, ratio); C = 0
+    is the zero gain, which decays whatever the ratio."""
+    ok = C == 0.0 or (C > 0.0 and 0.0 <= ratio < 1.0)
     return ClassCheck("decays_to_zero", ok,
                       None if ok else {"C": C, "ratio": ratio,
                                        "note": "analytic (geometric form)"})
@@ -341,6 +342,27 @@ def _check_decay(gain: TimeGain, grid: ClassGrid) -> ClassCheck:
                                "horizon": grid.decay_horizon,
                                "note": "grid estimate"})
     return ClassCheck("decays_to_zero", True)
+
+
+def _check_t_grid(gain: TimeGain, grid: ClassGrid, axiom: str, bad) -> ClassCheck:
+    """``axiom`` over the t grid in one :meth:`TimeGain.values` call: it fails
+    at the first t whose value ``bad`` marks, the witness ``{"t", "value"}``."""
+    ts = grid.t_grid()
+    vals = gain.values(ts.astype(float))
+    hits = np.flatnonzero(bad(vals))
+    if not hits.size:
+        return ClassCheck(axiom, True)
+    i = hits[0]
+    return ClassCheck(axiom, False, {"t": int(ts[i]), "value": float(vals[i])})
+
+
+def decay_checks(gain: TimeGain, grid: ClassGrid = None) -> list:
+    """The rule for a decaying gain q, whatever its ``decays`` flag says:
+    q(t) >= 0 on the t grid (``non_negative``) and q decays to zero
+    (``decays_to_zero``, analytic for a geometric form)."""
+    grid = grid or ClassGrid()
+    return [_check_t_grid(gain, grid, "non_negative", lambda v: v < 0.0),
+            _check_decay(gain, grid)]
 
 
 def validate_class(obj, grid: ClassGrid = None) -> ClassReport:
@@ -363,14 +385,9 @@ def validate_class(obj, grid: ClassGrid = None) -> ClassReport:
         return ClassReport(obj.name, obj.tag, checks)
     if isinstance(obj, TimeGain):
         if obj.decays:
-            neg = [(int(t), obj(t)) for t in grid.t_grid() if obj(t) < 0.0]
-            checks.append(ClassCheck("non_negative", not neg,
-                                     {"t": neg[0][0], "value": neg[0][1]} if neg else None))
-            checks.append(_check_decay(obj, grid))
-            return ClassReport(obj.name, "decaying", checks)
-        bad = [(int(t), obj(t)) for t in grid.t_grid() if not obj(t) > 0.0]
-        checks.append(ClassCheck("positive", not bad,
-                                 {"t": bad[0][0], "value": bad[0][1]} if bad else None))
+            return ClassReport(obj.name, "decaying", decay_checks(obj, grid))
+        # NaN is not positive
+        checks.append(_check_t_grid(obj, grid, "positive", lambda v: ~(v > 0.0)))
         return ClassReport(obj.name, "K+", checks)
     if isinstance(obj, KLEnvelope):
         # C * s * exp(-c t) in (C, c): a grid scan sees ties where the float

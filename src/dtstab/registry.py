@@ -129,7 +129,7 @@ def example_4_7(r: float) -> ExampleBundle:
                     "dead-beat reconstructible feedback -x2^2 (p=1)",
         sys=sys, cand=cand, feedback=feedback,
         closed=closed_loop(sys, feedback), psi=psi,
-        controller=synthesize_delay_controller(psi, p_y=1, k=1), r=r)
+        controller=synthesize_delay_controller(psi, p_y=1), r=r)
 
 
 EXAMPLES = {

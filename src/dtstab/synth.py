@@ -7,21 +7,25 @@ delay-chain controller stores the last p outputs and inputs in shift
 registers and applies Psi; its control action coincides with the state
 feedback after p steps regardless of the register initialization.  The
 window length p is always Psi's.
+
+The closed loop is a substitution, like every composite: the plant with the
+registers appended as integrator states (:func:`build_extended_system`),
+under one static expression feedback of (x, w) in which Psi reads the
+current output and the register slots, and the register input is the
+shifted register (:meth:`DelayChainController.feedback`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 from .certify import CertificateReport
-from .expr import Dims, Var, parse_expression
-from .system import (FAIL, PASS, _EMPTY, DisturbancePolicy, InputPolicy,
-                     SystemDef, WorstMargin, as_feedback, require_samples,
-                     simulate)
+from .expr import Dims, Var, parse_expression, substitute
+from .system import (FAIL, PASS, _EMPTY, DisturbancePolicy, StateFeedback,
+                     SystemDef, Trajectory, WorstMargin, _FieldsJSON,
+                     as_feedback, require_samples, simulate)
 
 __all__ = [
     "ChainResult", "iterate_maps",
@@ -63,9 +67,9 @@ def iterate_maps(sys: SystemDef, p: int, t: int, x, d_seq, u_seq) -> ChainResult
 
 
 class ReconstructionMap:
-    """Psi(t, y_p, y-window, u-window) -> a one-component input, for scalar
-    measured output and scalar input: expression text over ``t``,
-    ``y0..y<p>`` (``y<p>`` is the current output) and ``u0..u<p-1>``.
+    """Psi(t, y_p, y-window, u-window) -> a one-component input: expression
+    text over ``t``, ``y0..y<p>`` (the first measured output, ``y<p>`` the
+    current one) and ``u0..u<p-1>`` (the one input), windows oldest first.
     Anything but text is refused with ValueError.
     """
 
@@ -82,21 +86,11 @@ class ReconstructionMap:
         self.text = psi
         self.name = name or psi
 
-    def __call__(self, t, y_p, y_hist, u_hist) -> np.ndarray:
-        p = self.p
-        env = {f"y{i}": float(np.asarray(y_hist[i]).reshape(-1)[0])
-               for i in range(p)}
-        env[f"y{p}"] = float(np.asarray(y_p).reshape(-1)[0])
-        env.update({f"u{i}": float(np.asarray(u_hist[i]).reshape(-1)[0])
-                    for i in range(p)})
-        return np.array([self.expr.compiled()(float(t), _EMPTY, _EMPTY,
-                                              _EMPTY, env)])
-
     def rows(self, t, Y, U) -> np.ndarray:
         """Psi over N windows: ``t`` the N times, ``Y`` the (N, p+1, p_y)
         outputs y_0 .. y_p and ``U`` the (N, p, k) inputs, oldest first, in
-        one array call.  Row i equals the call on window i bit for bit (NaN
-        signs aside)."""
+        one array call.  Row i equals Psi's compiled evaluator on window i bit
+        for bit (NaN signs aside)."""
         t = np.asarray(t, dtype=float)
         p = self.p
         aux = {f"y{i}": Y[:, i, 0] for i in range(p + 1)}
@@ -115,9 +109,9 @@ def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
     SAMPLE_RADIUS].  A pass is "no violation found at these samples".
 
     The p-step chains of all samples run as arrays (:meth:`SystemDef.f_rows`
-    and ``h_rows`` at per-sample times), then the feedback k through its
-    :meth:`InputPolicy.rows` (a :class:`StateFeedback` as arrays, another
-    policy sample by sample, in sample order) and then Psi through
+    and ``h_rows`` at per-sample times), then the feedback k through
+    :meth:`StateFeedback.rows` (``k_fn`` an expression list or a
+    :class:`StateFeedback`, see :func:`as_feedback`) and then Psi through
     :meth:`ReconstructionMap.rows`.  Each value equals :func:`iterate_maps`
     and the pointwise calls bit for bit (NaN signs aside).  Calls run step
     by step across the samples, so of two samples that raise, the one whose
@@ -173,29 +167,27 @@ def _random_spots(sys, p, ts, count, rng):
     return spots
 
 
-def _max_abs(v) -> float:
-    """Largest |entry| (NaN wins); 0 for an empty input vector."""
-    return float(np.max(np.abs(v))) if v.size else 0.0
-
-
 def _max_abs_rows(A) -> np.ndarray:
-    """:func:`_max_abs` of every row of a 2-D array."""
+    """Largest |entry| of every row of a 2-D array (NaN wins; 0 for a row
+    without entries)."""
     return np.max(np.abs(A), axis=1) if A.shape[1] else np.zeros(A.shape[0])
 
 
 @dataclass
 class DelayChainController:
-    """Shift-register dynamic feedback: state w holds the last p outputs and
-    inputs; the applied input is Psi over the current output and the
-    retracted, time-reversed window.  Slots a particular Psi never reads are
-    still carried (fidelity to the register form over minimality).  The
-    window length p is Psi's.
+    """Shift-register dynamic feedback for a plant with one input: its state
+    w holds the last p measured outputs and the last p inputs, and the
+    applied input is Psi over the current output and that window.  Slots a
+    particular Psi never reads are still carried (fidelity to the register
+    form over minimality).  The window length p is Psi's.
+
+    The layout of w: the output slots w_1 .. w_p (``p_y`` entries each,
+    w_i = y(t-i)) and then the input slots w_{p+1} .. w_{2p} (w_{p+i} =
+    u(t-i)).  It lives in :meth:`feedback` only.
     """
 
     p_y: int
-    k: int
     psi: ReconstructionMap
-    retraction: Callable = None  # None = identity (full output-value set)
     w0: np.ndarray = None
 
     def __post_init__(self):
@@ -209,7 +201,7 @@ class DelayChainController:
 
     @property
     def state_dim(self):
-        return self.p * (self.p_y + self.k)
+        return self.p * (self.p_y + 1)
 
     def initial_state(self, w0=None) -> np.ndarray:
         if w0 is None:
@@ -219,121 +211,102 @@ class DelayChainController:
             return np.full(self.state_dim, w0[0])
         return w0.reshape(self.state_dim).copy()
 
-    def _blocks(self, w):
-        p, py, k = self.p, self.p_y, self.k
-        ys = [w[i * py:(i + 1) * py] for i in range(p)]
-        us = [w[p * py + i * k:p * py + (i + 1) * k] for i in range(p)]
-        return ys, us
+    def feedback(self, sys: SystemDef) -> StateFeedback:
+        """The controller as one static feedback of
+        ``build_extended_system(sys, state_dim)`` over its state (x, w).
 
-    def window(self, w):
-        """Retracted, oldest-first (y-window, u-window) as Psi consumes them."""
-        ys, us = self._blocks(w)
-        a = self.retraction or (lambda y: y)
-        y_hist = [np.asarray(a(ys[self.p - 1 - j]), dtype=float).reshape(-1)
-                  for j in range(self.p)]
-        u_hist = [us[self.p - 1 - j] for j in range(self.p)]
-        return y_hist, u_hist
-
-    def output(self, t, y, w) -> np.ndarray:
-        y_hist, u_hist = self.window(w)
-        return self.psi(t, np.asarray(y, dtype=float).reshape(-1), y_hist, u_hist)
-
-    def advance(self, w, y, u) -> np.ndarray:
-        """Pure shift/record: w_1 <- y, w_i <- w_{i-1}; same for the u block."""
-        ys, us = self._blocks(w)
-        ys = [np.asarray(y, dtype=float).reshape(-1)] + ys[:-1]
-        us = [np.asarray(u, dtype=float).reshape(-1)] + us[:-1]
-        return np.concatenate(ys + us)
+        Its first component is u: Psi with ``y<p> := h_1(t, x)``, and
+        ``y<j>`` and ``u<j>`` bound to the first entry of output slot p-j and
+        to input slot p-j (oldest first).  The rest is the register input v,
+        the shifted register: h(t, x), output slots 1 .. p-1, u and input
+        slots 1 .. p-1.  A plant without exactly one input, or whose
+        measured output is not ``p_y`` wide, is refused with ValueError.
+        """
+        if sys.k != 1:
+            raise ValueError(f"the delay-chain controller drives one input; "
+                             f"the plant has k={sys.k}")
+        if sys.p_y != self.p_y:
+            raise ValueError(f"the controller stores p_y={self.p_y} outputs a "
+                             f"slot; the plant measures p_y={sys.p_y}")
+        p, py, n = self.p, self.p_y, sys.n
+        ys = [Var(f"x{n + i}") for i in range(1, p * py + 1)]  # slot-major
+        us = [Var(f"x{n + p * py + i}") for i in range(1, p + 1)]
+        bindings = {f"y{p}": sys.h_exprs[0]}
+        for j in range(p):
+            bindings[f"y{j}"], bindings[f"u{j}"] = ys[(p - 1 - j) * py], us[p - 1 - j]
+        u = substitute(self.psi.expr, bindings)
+        v = [*sys.h_exprs, *ys[:(p - 1) * py], u, *us[:p - 1]]
+        return StateFeedback([u, *v], n=n + self.state_dim, name=self.descriptor())
 
     def descriptor(self):
         return f"delay-chain(p={self.p}, psi={self.psi.name})"
 
     def to_json(self):
-        return {"p": self.p,
-                "psi": self.psi.text,
-                "retraction": "identity" if self.retraction is None else
-                getattr(self.retraction, "__name__", "custom"),
-                "w0": self.w0.tolist()}
+        return {"p": self.p, "psi": self.psi.text, "w0": self.w0.tolist()}
 
 
-def synthesize_delay_controller(psi: ReconstructionMap, retraction=None,
-                                p_y: int = 1, k: int = 1,
+def synthesize_delay_controller(psi: ReconstructionMap, p_y: int = 1,
                                 w0=None) -> DelayChainController:
     """The delay-chain controller over Psi's window length p = psi.p."""
-    ctrl = DelayChainController(p_y=p_y, k=k, psi=psi, retraction=retraction)
+    ctrl = DelayChainController(p_y=p_y, psi=psi)
     if w0 is not None:
         ctrl.w0 = ctrl.initial_state(w0)
     return ctrl
 
 
 @dataclass
-class CoincidenceReport:
+class CoincidenceReport(_FieldsJSON):
+    """Verdict of a delay-chain run: whether the register held the exact
+    output and input history from ``coincident_from`` on, and the worst
+    |u - k| against a reference feedback there, with its witness."""
+
+    check: str
+    verdict: str
     p: int
-    from_t: int
+    coincident_from: int
     history_exact: bool
     history_witness: dict
-    coincidence_max_err: float
-    coincidence_witness: dict
+    max_err: float
+    witness: dict
     tol: float
-    verdict: str = ""
     notes: list = field(default_factory=list)
 
     @property
     def passed(self):
         return self.verdict != FAIL
 
-    def to_json(self):
-        return {"check": "output-feedback-coincidence", "verdict": self.verdict,
-                "p": self.p, "coincident_from": self.from_t,
-                "history_exact": self.history_exact,
-                "history_witness": self.history_witness,
-                "max_err": self.coincidence_max_err,
-                "witness": self.coincidence_witness, "tol": self.tol,
-                "notes": self.notes}
-
-
-class _DelayChainInput(InputPolicy):
-    """One run of a delay-chain controller as an input policy; records each
-    register state it reads in ``rows``."""
-
-    def __init__(self, ctrl: DelayChainController, w0):
-        self.ctrl, self.w, self.rows = ctrl, w0, []
-
-    def __call__(self, sys, t, x):
-        self.rows.append(self.w)
-        return self.ctrl.output(t, sys.h_eval(t, x), self.w)
-
-    def advance(self, t, y, u):
-        self.w = self.ctrl.advance(self.w, y, u)
-
-    def descriptor(self):
-        return self.ctrl.descriptor()
-
 
 def run_output_feedback(sys: SystemDef, ctrl: DelayChainController, t0: int,
                         x0, w0=None, dpol: DisturbancePolicy = None,
                         horizon: int = 40, reference_k=None,
                         tol: float = 1e-12):
-    """Closed loop of the plant with the delay-chain controller.
+    """Closed loop of the plant with the delay-chain controller: the
+    :func:`simulate` run of :func:`build_extended_system` from (x0, w0) under
+    the one static feedback :meth:`DelayChainController.feedback`, cut back
+    to the plant (x, its input u and measured output y, with the register
+    as ``w``).
 
-    Returns the :func:`simulate` trajectory (with register columns) and a
-    report verifying the register history w_i(t) = y(t-i), w_{p+i}(t) =
-    u(t-i) exactly for t >= t0 + p, and |u(t) - k(t, x(t))| <= tol*(1 + |k|)
-    there when a reference state feedback is supplied.  Rows before t0 + p
-    are the register-filling transient; any w0 is allowed, but a horizon
-    below p leaves no row to check and raises ValueError.
+    Returns that trajectory and a report verifying the register history
+    w_i(t) = y(t-i), w_{p+i}(t) = u(t-i) exactly for t >= t0 + p, and |u(t) -
+    k(t, x(t))| <= tol*(1 + |k|) there when a reference state feedback is
+    supplied.  Rows before t0 + p are the register-filling transient; any w0
+    is allowed, but a horizon below p leaves no row to check and raises
+    ValueError, as does a plant without exactly one input.
     """
-    p = ctrl.p
+    p, n, py = ctrl.p, sys.n, sys.p_y
+    fb = ctrl.feedback(sys)
     require_samples(horizon + 1 - p, "rows after the register-filling transient")
-    pol = _DelayChainInput(ctrl, ctrl.initial_state(w0))
-    traj = simulate(sys, t0, x0, dpol, pol, horizon)
-    traj.w = np.array(pol.rows)
-    T, U, yv = traj.t, traj.u, traj.y
+    s0 = np.concatenate([np.asarray(x0, dtype=float).reshape(n),
+                         ctrl.initial_state(w0)])
+    run = simulate(build_extended_system(sys, ctrl.state_dim), t0, s0, dpol, fb,
+                   horizon, meta={"u_policy": ctrl.descriptor()})
+    traj = Trajectory(t0=t0, t=run.t, x=run.x[:, :n], d=run.d, u=run.u[:, :1],
+                      Y=run.Y, y=run.y[:, :py], w=run.x[:, n:], meta=run.meta)
+    T, U, yv, W = traj.t, traj.u, traj.y, traj.w
 
     hist_wit = None  # the first (row, slot) that differs from the history
     for i, j in itertools.product(range(p, len(traj)), range(1, p + 1)):
-        ys, us = ctrl._blocks(traj.w[i])
-        yslot, uslot = ys[j - 1], us[j - 1]
+        yslot, uslot = W[i, (j - 1) * py:j * py], W[i, p * py + j - 1:p * py + j]
         if not (np.array_equal(yslot, yv[i - j])
                 and np.array_equal(uslot, U[i - j])):
             hist_wit = {"t": int(T[i]), "slot": j,
@@ -345,18 +318,18 @@ def run_output_feedback(sys: SystemDef, ctrl: DelayChainController, t0: int,
     verdict = PASS
     err = WorstMargin("rows after the register-filling transient", floor=0.0)
     if reference_k is not None:
-        ref = as_feedback(reference_k, sys.n)
-        want = [ref(sys, t, x) for t, x in zip(T[p:], traj.x[p:])]
-        errs = [_max_abs(u - k_ref) for u, k_ref in zip(U[p:], want)]
-        err.add(errs, [_max_abs(k_ref) for k_ref in want],
+        want = as_feedback(reference_k, n).rows(sys, T[p:], traj.x[p:])
+        errs = _max_abs_rows(U[p:] - want)
+        err.add(errs, _max_abs_rows(want),
                 lambda i: {"t": int(T[p + i]), "u": U[p + i].tolist(),
-                           "k_ref": want[i].tolist(), "err": errs[i]})
+                           "k_ref": want[i].tolist(), "err": float(errs[i])})
         verdict = err.verdict(tol)
     report = CoincidenceReport(
-        p=p, from_t=t0 + p, history_exact=history_exact,
-        history_witness=hist_wit, coincidence_max_err=err.margin,
-        coincidence_witness=err.witness, tol=tol,
-        verdict=verdict if history_exact else FAIL,
+        check="output-feedback-coincidence",
+        verdict=verdict if history_exact else FAIL, p=p,
+        coincident_from=t0 + p, history_exact=history_exact,
+        history_witness=hist_wit, max_err=err.margin, witness=err.witness,
+        tol=tol,
         notes=[f"rows [{t0}, {t0 + p}) are the register-filling transient"])
     return traj, report
 

@@ -596,15 +596,6 @@ class InputPolicy:
     def __call__(self, sys: SystemDef, t: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def rows(self, sys: SystemDef, t, X) -> np.ndarray:
-        """(N, ·) inputs at the N states X with per-row times ``t``: the
-        policy called row by row, in row order."""
-        return np.array([self(sys, ti, x) for ti, x in zip(np.asarray(t).tolist(), X)],
-                        dtype=float).reshape(len(X), -1)
-
-    def advance(self, t, y, u):
-        """Post-step hook for stateful (dynamic feedback) policies."""
-
     def descriptor(self) -> str:
         return type(self).__name__
 
@@ -667,9 +658,15 @@ class StateFeedback(InputPolicy):
         return f"state-feedback({self.name})"
 
 
-def as_feedback(fb, n: int) -> InputPolicy:
-    """An input policy as it is, anything else as a :class:`StateFeedback`."""
-    return fb if isinstance(fb, InputPolicy) else StateFeedback(fb, n=n)
+def as_feedback(fb, n: int) -> StateFeedback:
+    """A :class:`StateFeedback` as it is, an expression list as one over
+    x1..xn; another input policy is refused with ValueError."""
+    if isinstance(fb, StateFeedback):
+        return fb
+    if isinstance(fb, InputPolicy):
+        raise ValueError(f"the feedback {fb.descriptor()} is not an "
+                         f"expression; a state feedback is one")
+    return StateFeedback(fb, n=n)
 
 
 # --- trajectories ---
@@ -779,7 +776,6 @@ def simulate(sys: SystemDef, t0: int, x0, dpol: DisturbancePolicy = None,
         U[i], D[i] = u, d
         if i + 1 < N:
             x = f_(tf, x, d, u)
-            upol.advance(t, yv[i], u)
     info = {"d_policy": dpol.descriptor(), "u_policy": upol.descriptor()}
     if meta:
         info.update(meta)
@@ -816,9 +812,6 @@ def closed_loop(sys: SystemDef, fb) -> SystemDef:
     if sys.k == 0:
         return sys
     pol = as_feedback(fb, sys.n)
-    if not isinstance(pol, StateFeedback):
-        raise ValueError(f"the feedback {pol.descriptor()} is not an "
-                         f"expression; a closed loop substitutes one")
     k_exprs = pol.exprs
     if len(k_exprs) != sys.k:
         raise ValueError(f"feedback has {len(k_exprs)} components, "

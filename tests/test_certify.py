@@ -158,6 +158,20 @@ class TestRelaxedDecrease:
                                    StateGrid(ts=[0], xs=[[1.0]]))
 
 
+    @pytest.mark.parametrize("q, axiom", [
+        (geometric(1.0, 10.0), "decays_to_zero"),
+        (timegain_from_expr("10^t"), "decays_to_zero"),
+        (constant(0.1), "decays_to_zero"),
+        (timegain_from_expr("2^(-t) - 0.5", decays=True), "non_negative"),
+    ])
+    def test_q_that_does_not_decay_rejected(self, q, axiom):
+        # a growing or constant offset would let any V "decrease"
+        cand = LyapunovCandidate(V="abs(x1)", n=1, a3=linear(0.5), q=q)
+        with pytest.raises(ValueError, match=f"q {axiom} violated, witness"):
+            check_relaxed_decrease(halving_sys(), cand,
+                                   StateGrid(ts=[0], xs=[[1.0]]))
+
+
 class TestIOSDecrease:
     def sys_stable(self):
         return SystemDef(n=1, m=0, k=1, d_box=np.zeros((0, 2)),

@@ -110,20 +110,25 @@ class TestCertifyCommand:
                    "--out-dir", str(out))
         return code, json.loads((out / f"certify-{check}.json").read_text())
 
-    def test_geometric_q_past_the_float_range_is_inf(self, tmp_path):
-        # q = 10^t overflows past t = 308: the geometric gain is inf there,
-        # as the same formula written as text is, and the report is written
+    def test_growing_q_is_refused(self, tmp_path, capsys):
+        # q = 10^t grows (and overflows past t = 308): the relaxed decrease
+        # form needs a decaying q, so both spellings are refused with the
+        # decays_to_zero witness, exit 2 and no traceback
         system = {"n": 1, "m": 1, "k": 0, "d_box": [[-0.5, 0.5]],
                   "f": ["d1*x1"], "H": ["x1"], "name": "s"}
-        reports = []
+        sysfile = tmp_path / "sys.json"
+        sysfile.write_text(json.dumps(system))
         for tag, q in (("geometric", {"C": 1, "ratio": 10}), ("text", "10^t")):
-            code, report = self.certify_files(
-                tmp_path, system, {"V": "abs(x1)", "a3": "0.5*s", "q": q},
-                "relaxed-decrease", 320, tag)
-            assert code == 0 and report["verdict"] == "pass"
-            reports.append([report[key] for key in
-                            ("verdict", "worst_margin", "witness", "samples")])
-        assert reports[0] == reports[1]
+            candfile = tmp_path / f"cand-{tag}.json"
+            candfile.write_text(json.dumps({"V": "abs(x1)", "a3": "0.5*s", "q": q}))
+            code = run("certify", "--system", str(sysfile), "--candidate",
+                       str(candfile), "--check", "relaxed-decrease", "--t-max",
+                       "320", "--out-dir", str(tmp_path / tag))
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("error: q decays_to_zero violated, witness")
+            assert "Traceback" not in err
+            assert not (tmp_path / tag / "certify-relaxed-decrease.json").exists()
 
     @pytest.mark.parametrize("lam, code", [(0.5, 0), (0.4, 1)])
     def test_ios_decrease_from_files(self, tmp_path, lam, code):
@@ -211,13 +216,29 @@ class TestSynthesizeCommand:
                    "--simulate", "--horizon", "40", "--out-dir", str(tmp_path))
         assert code == 0
         ctrl = json.loads((tmp_path / "controller.json").read_text())
-        assert ctrl == {"p": 1, "psi": "-(y1^2+u0)^2",
-                        "retraction": "identity", "w0": [0.0, 0.0]}
+        assert ctrl == {"p": 1, "psi": "-(y1^2+u0)^2", "w0": [0.0, 0.0]}
         co = json.loads((tmp_path / "coincidence.json").read_text())
         assert co["coincident_from"] == 1
         assert co["verdict"] != "fail"
         header = (tmp_path / "closed_loop.csv").read_text().splitlines()[0]
         assert header == "t,x1,x2,x3,d1,u1,Y1,Y2,Y3,y1,w1,w2"
+
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_plant_without_one_input_is_refused(self, tmp_path, capsys, k):
+        # Psi gives one input: a plant with k = 2 would read a missing u2,
+        # one with k = 0 has no input to drive
+        sysfile = tmp_path / "s.json"
+        sysfile.write_text(json.dumps({
+            "n": 2, "m": 0, "k": k, "d_box": [],
+            "f": [f"x{i} + u{i}" if i <= k else f"x{i}" for i in (1, 2)],
+            "H": ["x1"], "name": f"s{k}"}))
+        code = run("synthesize", "--system", str(sysfile), "--psi=-y1",
+                   "--simulate", "--out-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: the delay-chain controller drives one input; "
+                       f"the plant has k={k}\n")
 
 
 class TestFalsifyCommand:

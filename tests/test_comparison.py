@@ -380,6 +380,56 @@ TAIL_GAINS = {
 }
 
 
+def loop_sign_checks(gain, grid):
+    """validate_class's t-grid scans by two scalar calls a t: the witness
+    {"t", "value"} of the first failing t, or None."""
+    if gain.decays:
+        bad = [(int(t), gain(t)) for t in grid.t_grid() if gain(t) < 0.0]
+    else:
+        bad = [(int(t), gain(t)) for t in grid.t_grid() if not gain(t) > 0.0]
+    return {"t": bad[0][0], "value": bad[0][1]} if bad else None
+
+
+SIGN_GAINS = {
+    "positive": "1 + t",
+    "zero_at_one": "1 - t",
+    "negative_late": "50 - t",
+    "nan_late": "1 + 0*(1e300*1e300)^max(t - 10, 0)",  # NaN past t = 10
+    "domain_late": "sqrt(40 - t)",  # raises past t = 40
+}
+
+
+@pytest.mark.parametrize("decays", [False, True])
+@pytest.mark.parametrize("name", sorted(SIGN_GAINS))
+def test_sign_scans_equal_the_scalar_loop(name, decays):
+    # one array call over the t grid: the same first witness, NaN not
+    # positive yet not negative, and the same domain error
+    gain = timegain_from_expr(SIGN_GAINS[name], decays=decays)
+    grid = ClassGrid()
+    axiom = "non_negative" if decays else "positive"
+    try:
+        want = loop_sign_checks(gain, grid)
+    except ExprDomainError as err:
+        with pytest.raises(ExprDomainError, match=str(err)):
+            validate_class(gain, grid)
+        return
+    with np.errstate(all="ignore"):
+        check = validate_class(gain, grid).checks[0]
+    assert check.axiom == axiom
+    assert check.passed == (want is None)
+    assert repr(check.witness) == repr(want)  # NaN reads "nan" on both sides
+
+
+def test_decay_checks_ignore_the_decays_flag():
+    for decays in (False, True):
+        grower = timegain_from_expr("2^t", decays=decays)
+        axioms = [(c.axiom, c.passed) for c in comparison_mod.decay_checks(grower)]
+        assert axioms == [("non_negative", True), ("decays_to_zero", False)]
+    # the zero gain decays whatever its ratio says
+    assert all(c.passed for c in comparison_mod.decay_checks(constant(0.0)))
+    assert not comparison_mod.decay_checks(constant(0.5))[1].passed
+
+
 @pytest.mark.parametrize("name", sorted(TAIL_GAINS))
 def test_tails_and_decay_grid_equal_the_scalar_loops(name):
     gain = timegain_from_expr(TAIL_GAINS[name], decays=True)

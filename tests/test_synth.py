@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dtstab.synth as synth
-from dtstab.expr import Var, substitute
+from dtstab.expr import Env, Var, eval_expression, substitute
 from dtstab.registry import example_2_3, example_4_7
 from dtstab.synth import (SAMPLE_RADIUS, DelayChainController,
                           ReconstructionMap, build_extended_system,
@@ -23,6 +23,13 @@ B47 = example_4_7(0.5)
 def integrator_chain_sys():
     return SystemDef(n=1, m=0, k=1, d_box=np.zeros((0, 2)), f=["x1 + u1"],
                      H=["x1"], name="summing")
+
+
+def two_output_sys():
+    """A plant with two measured outputs, the first of which Psi reads."""
+    return SystemDef(n=2, m=1, k=1, d_box=[[-0.5, 0.5]],
+                     f=["x2 + d1*x1", "0.5*x1*x2 + u1"], H=["x1", "x2"],
+                     h=["x1", "x2 - x1"], name="two-output")
 
 
 class TestIterateMaps:
@@ -83,40 +90,72 @@ class TestControllerStructure:
     def test_window_one_state_layout(self):
         ctrl = B47.controller
         assert ctrl.state_dim == 2  # one output slot plus one input slot
-        w1 = ctrl.advance(np.zeros(2), [1.0], [-1.0])
-        assert np.array_equal(w1, [1.0, -1.0])
-        # the applied input reads the stored previous input, not the output
-        u = ctrl.output(1, [2.0], w1)
-        assert np.array_equal(u, [-(2.0 ** 2 + -1.0) ** 2])
+        fb = ctrl.feedback(B47.sys)
+        # (x1, x2, x3 | w1 = y(t-1), w2 = u(t-1)) -> (u | v1, v2)
+        got = fb(None, 1, np.array([2.0, 5.0, 7.0, 1.0, -1.0]))
+        # the applied input reads the stored previous input, not the output,
+        # and the register takes the current output and that input
+        u = -(2.0 ** 2 + -1.0) ** 2
+        assert np.array_equal(got, [u, 2.0, u])
 
     def test_window_two_shift_and_reversal(self):
-        psi = ReconstructionMap("0", p=2)
-        ctrl = DelayChainController(p_y=1, k=1, psi=psi)
-        assert ctrl.state_dim == 4
+        sys = integrator_chain_sys()
         w = np.array([10.0, 20.0, 30.0, 40.0])  # (w1, w2 | w3, w4)
-        w2 = ctrl.advance(w, [1.0], [2.0])
-        assert np.array_equal(w2, [1.0, 10.0, 2.0, 30.0])
-        y_hist, u_hist = ctrl.window(w)
-        assert [v[0] for v in y_hist] == [20.0, 10.0]  # oldest first
-        assert [v[0] for v in u_hist] == [40.0, 30.0]
+        s = np.concatenate([[1.0], w])
+        # Psi reads the window oldest first: y0 = w2, y1 = w1, u0 = w4, u1 = w3
+        for text, want in (("y0", 20.0), ("y1", 10.0), ("y2", 1.0),
+                           ("u0", 40.0), ("u1", 30.0)):
+            ctrl = DelayChainController(p_y=1, psi=ReconstructionMap(text, p=2))
+            assert ctrl.state_dim == 4
+            got = ctrl.feedback(sys)(None, 0, s)
+            # v shifts the register: (y, w1 | u, w3)
+            assert np.array_equal(got, [want, 1.0, 10.0, want, 30.0]), text
+
+    def test_two_output_slots(self):
+        plant = two_output_sys()
+        ctrl = DelayChainController(p_y=2, psi=ReconstructionMap("y0 + 10*y1 + 100*u0", p=2))
+        assert ctrl.state_dim == 6
+        # x = (x1, x2); w = (y(t-1) | y(t-2) | u(t-1), u(t-2)), two entries a slot
+        s = np.array([3.0, 5.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+        y = plant.h_eval(0, s[:2])
+        got = ctrl.feedback(plant)(None, 0, s)
+        u = 4.0 + 10.0 * 1.0 + 100.0 * 32.0  # first entries only: y0 = w3, y1 = w1
+        assert np.array_equal(got, [u, *y, 1.0, 2.0, u, 16.0])
+
+    def test_plant_without_one_input_or_another_output_width_refused(self):
+        ctrl = B47.controller
+        for k in (0, 2):
+            plant = SystemDef(n=1, m=0, k=k, d_box=np.zeros((0, 2)),
+                              f=["x1" + "".join(f" + u{i}" for i in range(1, k + 1))],
+                              H=["x1"])
+            with pytest.raises(ValueError, match=f"one input; the plant has k={k}"):
+                ctrl.feedback(plant)
+            with pytest.raises(ValueError, match=f"k={k}"):
+                run_output_feedback(plant, ctrl, 0, [1.0], horizon=3)
+        with pytest.raises(ValueError, match="p_y=1 outputs a slot; the plant "
+                                             "measures p_y=2"):
+            ctrl.feedback(two_output_sys())
 
     def test_window_length_is_the_reconstruction_maps(self):
         psi = ReconstructionMap("-(y1^2+u0)^2", p=1)
-        ctrl = DelayChainController(p_y=1, k=1, psi=psi)
+        ctrl = DelayChainController(p_y=1, psi=psi)
         assert ctrl.p == psi.p == 1 and ctrl.state_dim == 2
 
-    def test_custom_retraction_applied_to_output_slots(self):
+    def test_retraction_is_refused(self):
+        # a retraction was a callable between the register and Psi; a
+        # callable cannot be substituted, so the argument is gone (a scaled
+        # window is written into Psi, see test_wrong_window_flags_mismatch)
         psi = ReconstructionMap("0", p=1)
-        ctrl = DelayChainController(p_y=1, k=1, psi=psi,
-                                    retraction=lambda y: 2.0 * y)
-        y_hist, u_hist = ctrl.window(np.array([3.0, 7.0]))
-        assert y_hist[0][0] == 6.0
-        assert u_hist[0][0] == 7.0
+        with pytest.raises(TypeError, match="retraction"):
+            synthesize_delay_controller(psi, retraction=lambda y: 2.0 * y)
+        with pytest.raises(TypeError, match="retraction"):
+            DelayChainController(p_y=1, psi=psi, retraction=lambda y: 2.0 * y)
+        with pytest.raises(TypeError, match="'k'"):
+            synthesize_delay_controller(psi, k=1)
 
     def test_json_description(self):
         js = B47.controller.to_json()
-        assert js == {"p": 1, "psi": "-(y1^2+u0)^2", "retraction": "identity",
-                      "w0": [0.0, 0.0]}
+        assert js == {"p": 1, "psi": "-(y1^2+u0)^2", "w0": [0.0, 0.0]}
 
 
 class TestRunOutputFeedback:
@@ -128,8 +167,8 @@ class TestRunOutputFeedback:
         assert traj.u[0, 0] == -1.0
         assert np.array_equal(traj.x[1], [2.0, 3.0, 3.5])
         assert traj.u[1, 0] == -9.0                       # = -x2(1)^2
-        assert rep.from_t == 1 and rep.history_exact
-        assert rep.coincidence_max_err == 0.0
+        assert rep.coincident_from == 1 and rep.history_exact
+        assert rep.max_err == 0.0
         assert rep.passed
 
     def test_zero_start_stays_zero(self):
@@ -160,24 +199,24 @@ class TestRunOutputFeedback:
             for i in range(1, len(traj) - 1):
                 assert V[i + 1] <= lam * V[i] * (1.0 + 1e-12) + 1e-300
 
-    def test_wrong_retraction_flags_mismatch(self):
+    def test_wrong_window_flags_mismatch(self):
         # target -x^2 on the summing plant; the window-two reconstruction
-        # reads the oldest output, so a scaled retraction corrupts it
+        # reads the oldest output, so scaling it corrupts the input
         sys = integrator_chain_sys()
         k_fn = StateFeedback(["-x1^2"], n=1)
         psi = ReconstructionMap("-(y0 + u0 + u1)^2", p=2)
+        scaled = ReconstructionMap("-(2*y0 + u0 + u1)^2", p=2)
         assert check_reconstruction(sys, k_fn, psi, n_samples=200,
                                     tol=0.0).passed
-        good = synthesize_delay_controller(psi, p_y=1, k=1)
-        bad = synthesize_delay_controller(psi, p_y=1, k=1,
-                                          retraction=lambda y: 2.0 * y)
+        good = synthesize_delay_controller(psi, p_y=1)
+        bad = synthesize_delay_controller(scaled, p_y=1)
         _, rep_good = run_output_feedback(sys, good, 0, [1.5], horizon=12,
                                           reference_k=k_fn)
         _, rep_bad = run_output_feedback(sys, bad, 0, [1.5], horizon=9,
                                          reference_k=k_fn)
         assert rep_good.passed
-        assert not rep_bad.passed
-        assert rep_bad.coincidence_max_err > 1.0
+        assert not rep_bad.passed and rep_bad.history_exact
+        assert rep_bad.max_err > 1.0
 
 
 class TestExtendedSystem:
@@ -285,9 +324,25 @@ class TestSeparationComposition:
 
 # --- run_output_feedback against the delay-chain loop it replaced ---
 
+def psi_closure(psi):
+    """Psi as a closure of (t, y_p, y-window, u-window), windows oldest
+    first, over the tree walker: the first entry of each output and input."""
+    def call(t, y_p, y_hist, u_hist):
+        p = psi.p
+        aux = {f"y{p}": float(np.asarray(y_p).reshape(-1)[0])}
+        for i in range(p):
+            aux[f"y{i}"] = float(np.asarray(y_hist[i]).reshape(-1)[0])
+            aux[f"u{i}"] = float(np.asarray(u_hist[i]).reshape(-1)[0])
+        return np.array([eval_expression(psi.expr, Env(t=float(t), aux=aux))])
+    return call
+
+
 def reference_delay_chain_loop(sys, ctrl, t0, x0, w0, dpol, horizon):
     """The closed loop rolled by hand, as run_output_feedback did before it
-    became ``simulate`` with the controller as an input policy."""
+    became a simulation of the extended plant: Psi evaluated on the current
+    output and the register window, and the register shifted by list code."""
+    p, py = ctrl.p, sys.p_y
+    psi = psi_closure(ctrl.psi)
     N = horizon + 1
     x = np.asarray(x0, dtype=float).reshape(sys.n)
     w = ctrl.initial_state(w0)
@@ -302,23 +357,72 @@ def reference_delay_chain_loop(sys, ctrl, t0, x0, w0, dpol, horizon):
         X[i], W[i] = x, w
         Yv[i] = sys.H_eval(t, x)
         yv[i] = sys.h_eval(t, x)
-        u = ctrl.output(t, yv[i], w)
+        ys = [w[j * py:(j + 1) * py] for j in range(p)]  # ys[j] = y(t-1-j)
+        us = [w[p * py + j:p * py + j + 1] for j in range(p)]
+        u = psi(t, yv[i], ys[::-1], us[::-1])
         U[i] = u
         D[i] = dpol(sys, t, x, u)
         if i + 1 < N:
             x = sys.f_eval(t, D[i], x, u)
-            w = ctrl.advance(w, yv[i], u)
+            w = np.concatenate([yv[i], *ys[:-1], u, *us[:-1]])
     return {"t": T, "x": X, "d": D, "u": U, "Y": Yv, "y": yv, "w": W}
 
 
+def reference_report(want, p, t0, reference_k, tol=1e-12):
+    """The coincidence report of a reference run, as the per-row loop made
+    it: register slots against the history, then |u - k| row by row."""
+    T, U, yv, W = want["t"], want["u"], want["y"], want["w"]
+    py = yv.shape[1]
+    hist_wit = None
+    for i in range(p, len(T)):
+        for j in range(1, p + 1):
+            yslot, uslot = W[i, (j - 1) * py:j * py], W[i, p * py + j - 1:p * py + j]
+            if not (np.array_equal(yslot, yv[i - j]) and np.array_equal(uslot, U[i - j])):
+                hist_wit = {"t": int(T[i]), "slot": j,
+                            "w_y": yslot.tolist(), "y": yv[i - j].tolist(),
+                            "w_u": uslot.tolist(), "u": U[i - j].tolist()}
+                break
+        if hist_wit:
+            break
+    verdict, err = "pass", WorstMargin("rows", floor=0.0)
+    if reference_k is not None:
+        ks = [reference_k(None, t, x) for t, x in zip(T[p:], want["x"][p:])]
+        errs = [float(np.max(np.abs(u - k))) for u, k in zip(U[p:], ks)]
+        err.add(errs, [float(np.max(np.abs(k))) for k in ks],
+                lambda i: {"t": int(T[p + i]), "u": U[p + i].tolist(),
+                           "k_ref": ks[i].tolist(), "err": errs[i]})
+        verdict = err.verdict(tol)
+    return {"check": "output-feedback-coincidence",
+            "verdict": verdict if hist_wit is None else "fail", "p": p,
+            "coincident_from": t0 + p, "history_exact": hist_wit is None,
+            "history_witness": hist_wit, "max_err": err.margin,
+            "witness": err.witness, "tol": tol,
+            "notes": [f"rows [{t0}, {t0 + p}) are the register-filling transient"]}
+
+
 def assert_bitwise(traj, want):
+    """Every column equal bit for bit, NaN signs aside (see float_bits)."""
     for name, arr in want.items():
         got = getattr(traj, name)
         assert got.shape == arr.shape and got.dtype == arr.dtype, name
         if arr.dtype.kind == "f":
-            assert np.array_equal(got.view(np.int64), arr.view(np.int64)), name
+            assert np.array_equal(float_bits(got), float_bits(arr)), name
         else:
             assert np.array_equal(got, arr), name
+
+
+def assert_run_equals_reference(sys, ctrl, t0, x0, w0, dpol, horizon,
+                                reference_k=None):
+    """run_output_feedback's trajectory and report equal the reference loop's
+    (``dpol`` builds a fresh disturbance policy for each run)."""
+    traj, rep = run_output_feedback(sys, ctrl, t0, x0, w0=w0, dpol=dpol(),
+                                    horizon=horizon, reference_k=reference_k)
+    want = reference_delay_chain_loop(sys, ctrl, t0, x0, w0, dpol(), horizon)
+    assert_bitwise(traj, want)
+    assert traj.meta["u_policy"] == ctrl.descriptor()
+    assert json.dumps(rep.to_json()) == json.dumps(
+        reference_report(want, ctrl.p, t0, reference_k))
+    return rep
 
 
 DISTURBANCES = {
@@ -338,26 +442,56 @@ def test_run_equals_reference_loop_example_4_7(r, kind):
         w0 = rng.uniform(-3.0, 3.0, size=2)
         t0 = int(rng.integers(0, 5))
         seed = int(rng.integers(2 ** 31))
-        traj, rep = run_output_feedback(b.sys, b.controller, t0, x0, w0=w0,
-                                        dpol=DISTURBANCES[kind](b.sys, seed),
-                                        horizon=25, reference_k=b.feedback)
-        want = reference_delay_chain_loop(b.sys, b.controller, t0, x0, w0,
-                                          DISTURBANCES[kind](b.sys, seed), 25)
-        assert_bitwise(traj, want)
+        rep = assert_run_equals_reference(
+            b.sys, b.controller, t0, x0, w0,
+            lambda: DISTURBANCES[kind](b.sys, seed), 25, b.feedback)
         assert rep.passed, rep.to_json()
 
 
-@pytest.mark.parametrize("retraction", [None, lambda y: 2.0 * y])
-def test_run_equals_reference_loop_integrator_chain(retraction):
+@pytest.mark.parametrize("p", [1, 2, 3], ids=["p1", "p2", "p3"])
+def test_run_equals_reference_loop_integrator_chain(p):
+    # -(y0 + u0 + .. + u<p-1>)^2 reconstructs -x^2 on the summing plant
     sys = integrator_chain_sys()
-    psi = ReconstructionMap("-(y0 + u0 + u1)^2", p=2)
-    ctrl = synthesize_delay_controller(psi, p_y=1, k=1, retraction=retraction)
+    psi = ReconstructionMap(f"-(y0 + {' + '.join(f'u{i}' for i in range(p))})^2", p=p)
+    ctrl = synthesize_delay_controller(psi, p_y=1)
+    rng = np.random.default_rng(p)
+    for w0 in (None, rng.uniform(-2.0, 2.0, size=ctrl.state_dim)):
+        rep = assert_run_equals_reference(
+            sys, ctrl, 3, [1.5], w0, lambda: ConstantDisturbance(sys.d_mid()), 9,
+            StateFeedback(["-x1^2"], n=1))
+        assert rep.passed and rep.history_exact
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0
+def test_run_equals_reference_loop_nan_psi():
+    # NaN once the current output is positive: the NaN runs through the
+    # registers, and NaN slots count as a history mismatch
+    sys = integrator_chain_sys()
+    psi = ReconstructionMap("-(y0 + u0 + u1)^2 + max(y2, 0)*1e300*1e300*0", p=2)
+    ctrl = synthesize_delay_controller(psi)
     for w0 in (None, [0.5, -1.0, 0.25, 2.0]):
-        traj, _ = run_output_feedback(sys, ctrl, 3, [1.5], w0=w0, horizon=9,
-                                      reference_k=StateFeedback(["-x1^2"], n=1))
-        want = reference_delay_chain_loop(sys, ctrl, 3, [1.5], w0,
-                                          ConstantDisturbance(sys.d_mid()), 9)
-        assert_bitwise(traj, want)
+        rep = assert_run_equals_reference(
+            sys, ctrl, 3, [1.5], w0, lambda: ConstantDisturbance(sys.d_mid()), 9,
+            StateFeedback(["-x1^2"], n=1))
+        assert not rep.history_exact and not rep.passed
+
+
+@pytest.mark.parametrize("p", [1, 2, 3], ids=["p1", "p2", "p3"])
+@pytest.mark.parametrize("kind", sorted(DISTURBANCES))
+def test_run_equals_reference_loop_two_outputs(p, kind):
+    plant = two_output_sys()
+    psi = {1: "y0*y1 - 0.25*u0", 2: "0.1*y0*y1 - 0.25*u0 + u1*y2",
+           3: "0.1*(y0 + y3) - 0.2*u2 + 0.05*u0*y1"}[p]
+    ctrl = synthesize_delay_controller(ReconstructionMap(psi, p=p), p_y=2)
+    rng = np.random.default_rng(p + len(kind))
+    for t0 in (0, 2):
+        x0 = rng.uniform(-1.0, 1.0, size=2)
+        w0 = rng.uniform(-1.0, 1.0, size=ctrl.state_dim)
+        seed = int(rng.integers(2 ** 31))
+        rep = assert_run_equals_reference(
+            plant, ctrl, t0, x0, w0, lambda: DISTURBANCES[kind](plant, seed), 15,
+            StateFeedback(["-0.5*x2"], n=2))
+        assert rep.history_exact
 
 
 # --- defects the margin rule mends ---
@@ -373,7 +507,7 @@ class TestReconstructionRule:
 
         def recording_psi(t, y_p, y_hist, u_hist):
             seen.append(y_p[0])
-            return psi(t, y_p, y_hist, u_hist)
+            return psi_closure(psi)(t, y_p, y_hist, u_hist)
 
         reference_check_reconstruction(B47.sys, policy_closure(B47.feedback),
                                        recording_psi, 1, n_samples=40, seed=3)
@@ -404,8 +538,8 @@ class TestCoincidenceRule:
             ReconstructionMap("1e300*1e300*0", p=1))  # NaN
         _, rep = run_output_feedback(B47.sys, ctrl, 0, [1.0, 2.0, 3.0],
                                      horizon=5, reference_k=B47.feedback)
-        assert math.isnan(rep.coincidence_max_err)
-        assert rep.coincidence_witness["t"] == 1       # the first row after p
+        assert math.isnan(rep.max_err)
+        assert rep.witness["t"] == 1       # the first row after p
         assert not rep.passed
 
     def test_horizon_below_p_raises(self):
@@ -422,16 +556,16 @@ class TestCoincidenceRule:
         with pytest.raises(ValueError, match="empty sample set"):
             run_output_feedback(sys, ctrl, 0, [1.5], horizon=1)
         _, rep = run_output_feedback(sys, ctrl, 0, [1.5], horizon=2)
-        assert rep.from_t == 2 and rep.history_exact
+        assert rep.coincident_from == 2 and rep.history_exact
 
     def test_mismatch_witness_names_the_row(self):
         flipped = synthesize_delay_controller(ReconstructionMap("(y1^2+u0)^2", p=1))
         traj, rep = run_output_feedback(B47.sys, flipped, 0, [1.0, 2.0, 3.0],
                                         horizon=4, reference_k=B47.feedback)
-        w = rep.coincidence_witness
+        w = rep.witness
         assert set(w) == {"t", "u", "k_ref", "err"}
         i = int(np.argmax(np.abs(traj.u[1:, 0] + traj.x[1:, 1] ** 2))) + 1
-        assert w["t"] == traj.t[i] and w["err"] == rep.coincidence_max_err > 0.0
+        assert w["t"] == traj.t[i] and w["err"] == rep.max_err > 0.0
         assert not rep.passed
 
 
@@ -474,8 +608,7 @@ def reference_check_reconstruction(sys, target, psi, p, n_samples=1000,
 
 
 class _PolicyTarget(InputPolicy):
-    """A target policy that is not a StateFeedback: the check calls it
-    sample by sample."""
+    """An input policy that is not a StateFeedback."""
 
     def __init__(self, fb):
         self.fb = fb
@@ -492,13 +625,13 @@ def policy_closure(pol):
 def assert_same_report(sys, k_fn, psi, k_ref=None, **kw):
     """The check equals the reference loop over closures: the system's
     point evaluators, ``k_ref`` (by default ``k_fn``'s call) and Psi's
-    scalar call."""
+    tree-walker closure."""
     got = check_reconstruction(sys, k_fn, psi, **kw)
     ref_sys = ClosureSystem(sys.n, sys.m, sys.k, sys.d_box, sys.f_eval,
                             sys.H_eval, sys.h_eval)
     want = reference_check_reconstruction(
         ref_sys, k_ref or policy_closure(k_fn),
-        lambda t, y_p, ys, us: psi(t, y_p, ys, us), psi.p, **kw)
+        psi_closure(psi), psi.p, **kw)
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
     return got
 
@@ -506,7 +639,7 @@ def assert_same_report(sys, k_fn, psi, k_ref=None, **kw):
 @pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
 def test_reconstruction_equals_reference_example_4_7(r):
     b = example_4_7(r)
-    targets = ((b.feedback, None), (_PolicyTarget(b.feedback), None),
+    targets = ((b.feedback, None),
                (StateFeedback(["-x2*x2"], n=3, k=1),
                 lambda t, x: np.array([-x[1] * x[1]])))
     for psi in (b.psi, ReconstructionMap("(y1^2+u0)^2", p=1)):
@@ -543,26 +676,15 @@ def test_reconstruction_few_samples_equal_reference():
         assert rep.samples == max(n_samples, len(ts))
 
 
-def test_policy_target_sees_the_reference_calls_in_order():
-    # a target that is not a StateFeedback is called sample by sample, in
-    # the reference's order
-    class Recording(InputPolicy):
-        def __init__(self, log, fb):
-            self.log, self.fb = log, fb
-
-        def __call__(self, sys, t, x):
-            self.log.append((t, x.tolist()))
-            return self.fb(sys, t, x)
-
-    chain = integrator_chain_sys()
-    for sys, fb, psi in ((B47.sys, B47.feedback, B47.psi),
-                         (chain, StateFeedback(["-x1^2"], n=1),
-                          ReconstructionMap("-(y0 + u0 + u1)^2", p=2))):
-        got, want = [], []
-        check_reconstruction(sys, Recording(got, fb), psi, n_samples=60, seed=8)
-        reference_check_reconstruction(sys, policy_closure(Recording(want, fb)),
-                                       psi, psi.p, n_samples=60, seed=8)
-        assert len(got) == 60 and got == want
+def test_policy_target_is_refused():
+    # a target feedback is an expression: another input policy, once called
+    # sample by sample, is refused, as a reference feedback is
+    target = _PolicyTarget(B47.feedback)
+    with pytest.raises(ValueError, match="is not an expression"):
+        check_reconstruction(B47.sys, target, B47.psi, n_samples=60, seed=8)
+    with pytest.raises(ValueError, match="is not an expression"):
+        run_output_feedback(B47.sys, B47.controller, 0, [1.0, 2.0, 3.0],
+                            horizon=4, reference_k=target)
 
 
 def uniform_spots(sys, p, ts, count, rng):
