@@ -93,10 +93,9 @@ class LyapunovCandidate:
     def validate_a3_bound(self, ss=None) -> list:
         """a3(s) <= s on a log grid (requirement of the relaxed decrease form)."""
         self.require("a3")
-        if ss is None:
-            ss = np.logspace(-9, 9, 60)
-        return [{"s": float(s), "a3": self.a3(s)}
-                for s in ss if self.a3(float(s)) > float(s)]
+        ss = np.logspace(-9, 9, 60) if ss is None else np.asarray(ss, float)
+        return [{"s": float(s), "a3": float(v)}
+                for s, v in zip(ss, self.a3.values(ss)) if v > s]
 
 
 @dataclass
@@ -244,7 +243,7 @@ def check_relaxed_decrease(sys: SystemDef, cand: LyapunovCandidate,
     bad = cand.validate_a3_bound()
     if bad:
         raise ValueError(f"a3(s) <= s violated, witness {bad[0]}")
-    for chk in decay_checks(cand.q):
+    for chk in decay_checks(cand.q).checks:
         if not chk.passed:
             raise ValueError(f"q {chk.axiom} violated, witness {chk.witness}")
     dvals = _d_values(sys, d_values)
@@ -295,16 +294,15 @@ def tau_bound(cand: LyapunovCandidate, eps: float, T: int,
     that a3^{-1}(2 sup_{t>=tau~} q) + sup_{t>=tau~} q <= a1(eps),
     num = a2(R max_{t0<=T} beta(t0)) + a3^{-1}(q_max) + q_max and
     den = sup_{t >= T+tau~} q.  "Integer part" is implemented as floor; tails
-    of q are exact for geometric q and grid estimates otherwise; q is floored
-    at Q_FLOOR to keep the formula defined when q reaches exact zero.  The
-    scan tries tau~ up to TAU_SCAN_CAP and stops at the first NaN tail of q;
-    either way the result is unbounded.
+    of q are exact for a literal or ``C * r^t`` q, however built or spelled,
+    and grid estimates otherwise; q is floored at Q_FLOOR to keep the
+    formula defined when q reaches exact zero.  The scan tries tau~ up to
+    TAU_SCAN_CAP and stops at the first NaN tail of q; either way the result
+    is unbounded.
     """
     cand.require("a1", "a2", "a3", "beta", "q")
     notes = ["integer part implemented as floor",
              f"q floored at {Q_FLOOR:g} where it vanishes"]
-    if not cand.q.decays:
-        notes.append("q is not flagged decaying; tau~ scan may not terminate")
     target = cand.a1(eps)
     tau_tilde = None
     for cand_tau in range(TAU_SCAN_CAP + 1):

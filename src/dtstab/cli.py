@@ -131,7 +131,7 @@ def _kfn_field(doc, key):
     return kfn_from_expr(doc[key]) if doc.get(key) else None
 
 
-def _gain_field(doc, key, decays=False):
+def _gain_field(doc, key):
     val = doc.get(key)
     if val is None:
         return None
@@ -139,7 +139,7 @@ def _gain_field(doc, key, decays=False):
         return geometric(float(val["C"]), float(val["ratio"]))
     if isinstance(val, (int, float)):
         return constant(float(val))
-    return timegain_from_expr(val, decays=decays)
+    return timegain_from_expr(val)
 
 
 def load_candidate(path: Path, n: int) -> LyapunovCandidate:
@@ -155,7 +155,7 @@ def load_candidate(path: Path, n: int) -> LyapunovCandidate:
         a1=_kfn_field(doc, "a1"), a2=_kfn_field(doc, "a2"),
         a3=_kfn_field(doc, "a3"),
         beta=_gain_field(doc, "beta"), mu=_gain_field(doc, "mu"),
-        phi=_gain_field(doc, "phi"), q=_gain_field(doc, "q", decays=True),
+        phi=_gain_field(doc, "phi"), q=_gain_field(doc, "q"),
         name=doc.get("name", doc["V"]))
 
 
@@ -337,6 +337,7 @@ def cmd_synthesize(args) -> int:
         psi = ReconstructionMap(args.psi, p=args.p)
         ctrl = synthesize_delay_controller(psi, p_y=sys_.p_y)
         reference = None
+    ctrl.feedback(sys_)  # refuses a plant the controller cannot drive
     out = Path(args.out_dir)
     path = write_report(out, "controller.json", ctrl.to_json())
     print(f"controller (p={ctrl.p}, state dim {ctrl.state_dim}) -> {path}")

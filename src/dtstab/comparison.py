@@ -43,6 +43,7 @@ __all__ = [
 
 INVERSE_CAP = 1e300  # KFn.inverse gives up once its bracket passes this
 TAIL_HORIZON = 4096  # times a non-geometric TimeGain.sup_tail samples past tau
+_S, _T = Var("s"), Var("t")
 
 
 def _num(c) -> Expr:
@@ -52,6 +53,38 @@ def _num(c) -> Expr:
     if not math.isfinite(c):
         raise ValueError(f"gain parameter {c!r} is not finite")
     return Neg(Num(-c)) if math.copysign(1.0, c) < 0.0 else Num(c)
+
+
+def _lit(node):
+    """The value of a literal (a ``Num`` or a negated ``Num``), else None."""
+    if isinstance(node, Neg) and isinstance(node.operand, Num):
+        return -node.operand.value
+    return node.value if isinstance(node, Num) else None
+
+
+def _power(expr):
+    """(a, p) when ``expr`` is ``s``, ``a*s`` or ``a*s^p`` with literals
+    a, p > 0, the shapes :func:`identity`, :func:`linear` and
+    :func:`power_fn` build; else None."""
+    a, p = 1.0, 1.0
+    if isinstance(expr, Bin) and expr.op == "*":
+        a, expr = _lit(expr.left), expr.right
+        if isinstance(expr, Bin) and expr.op == "^":
+            expr, p = expr.left, _lit(expr.right)
+    ok = a is not None and p is not None and a > 0.0 and p > 0.0
+    return (a, p) if ok and expr == _S else None
+
+
+def _geometric(expr):
+    """(C, ratio) when ``expr`` is a literal C (ratio 1) or ``C * ratio^t``
+    with literals C and ratio, the shapes :func:`constant` and
+    :func:`geometric` build and the parser gives for their text; else None."""
+    C, ratio = _lit(expr), 1.0
+    if isinstance(expr, Bin) and expr.op == "*":
+        pw = expr.right
+        if isinstance(pw, Bin) and pw.op == "^" and pw.right == _T:
+            C, ratio = _lit(expr.left), _lit(pw.left)
+    return None if C is None or ratio is None else (C, ratio)
 
 
 def _require_expr(gain):
@@ -68,7 +101,6 @@ class KFn:
     expr: Expr
     name: str = "kfn"
     tag: str = "K"  # "K" or "Kinf"
-    inv: Callable[[float], float] = None
 
     def __post_init__(self):
         if self.tag not in ("K", "Kinf"):
@@ -80,15 +112,19 @@ class KFn:
                                           {"s": float(s)}))
 
     def inverse(self, v: float) -> float:
-        """The map's inverse at v: ``inv`` if given, else bisection (the map
-        increasing)."""
-        if self.inv is not None:
-            return float(self.inv(float(v)))
+        """The map's inverse at v: NaN at NaN and 0 at v <= 0; else the
+        closed form ``(v / a)^(1/p)`` when the map is ``s``, ``a*s`` or
+        ``a*s^p`` with literals a, p > 0, however spelled; else bisection
+        (the map increasing)."""
         v = float(v)
         if math.isnan(v):
             return math.nan
         if v <= 0.0:
             return 0.0
+        closed = _power(self.expr)
+        if closed is not None:
+            a, p = closed
+            return v / a if p == 1.0 else math.pow(v / a, 1.0 / p)
         hi = 1.0
         while self(hi) < v:
             hi *= 2.0
@@ -118,25 +154,21 @@ def _gain_values(expr, arr, t, aux) -> np.ndarray:
     return out
 
 
-_S = Var("s")
-
-
 def identity() -> KFn:
-    return KFn(_S, "s", "Kinf", inv=lambda v: v)
+    return KFn(_S, "s", "Kinf")
 
 
 def linear(a: float, name: str = None) -> KFn:
     if a <= 0:
         raise ValueError("linear gain must be positive")
-    return KFn(Bin("*", _num(a), _S), name or f"{a!r}*s", "Kinf",
-               inv=lambda v: v / a)
+    return KFn(Bin("*", _num(a), _S), name or f"{a!r}*s", "Kinf")
 
 
 def power_fn(p: float, a: float = 1.0) -> KFn:
     if p <= 0 or a <= 0:
         raise ValueError("power and gain must be positive")
     return KFn(Bin("*", _num(a), Bin("^", _S, _num(p))), f"{a!r}*s^{p!r}",
-               "Kinf", inv=lambda v: math.pow(v / a, 1.0 / p))
+               "Kinf")
 
 
 def kfn_from_expr(text: str, tag: str = "K") -> KFn:
@@ -148,18 +180,16 @@ def kfn_from_expr(text: str, tag: str = "K") -> KFn:
 
 @dataclass
 class TimeGain:
-    """t -> expr(t): a positive gain (class K+) or a decaying offset q,
-    ``expr`` an AST in ``t``.
+    """t -> expr(t): a positive gain (class K+, :func:`validate_class`) or a
+    decaying offset q (:func:`decay_checks`), ``expr`` an AST in ``t``.
 
-    ``geometric=(C, ratio)`` marks the exact form C*ratio**t, for which tail
-    suprema are analytic; otherwise tails are estimated on a long grid and
-    flagged approximate.
+    A literal C or ``C * ratio^t`` with literals C and ratio, however built
+    or spelled, has analytic tail suprema and decay check; any other
+    expression is sampled on a long grid.
     """
 
     expr: Expr
     name: str = "gain"
-    decays: bool = False
-    geometric: tuple = None
 
     def __post_init__(self):
         _require_expr(self)
@@ -171,11 +201,9 @@ class TimeGain:
     def sup_tail(self, tau: int) -> float:
         """sup over t >= tau of the gain (exact for monotone geometric forms,
         else the max over t = tau..tau + TAIL_HORIZON; a NaN value wins)."""
-        if self.geometric is not None:
-            C, ratio = self.geometric
-            if 0.0 <= ratio <= 1.0:
-                return self(tau)
-            return math.inf
+        geo = _geometric(self.expr)
+        if geo is not None:
+            return self(tau) if 0.0 <= geo[1] <= 1.0 else math.inf
         ts = np.arange(tau, tau + TAIL_HORIZON + 1, dtype=float)
         return float(np.max(self.values(ts)))  # max propagates NaN
 
@@ -186,17 +214,16 @@ class TimeGain:
 
 
 def constant(c: float, name: str = None) -> TimeGain:
-    return TimeGain(_num(c), name or repr(float(c)), geometric=(c, 1.0))
+    return TimeGain(_num(c), name or repr(float(c)))
 
 
 def geometric(C: float, ratio: float, name: str = None) -> TimeGain:
     return TimeGain(Bin("*", _num(C), Bin("^", _num(ratio), Var("t"))),
-                    name or f"{C!r}*{ratio!r}^t",
-                    decays=0.0 <= ratio < 1.0, geometric=(C, ratio))
+                    name or f"{C!r}*{ratio!r}^t")
 
 
-def timegain_from_expr(text: str, decays: bool = False) -> TimeGain:
-    return TimeGain(parse_expression(text, Dims()), text, decays=decays)
+def timegain_from_expr(text: str) -> TimeGain:
+    return TimeGain(parse_expression(text, Dims()), text)
 
 
 @dataclass
@@ -331,8 +358,9 @@ def _geometric_decay(C, ratio) -> ClassCheck:
 
 
 def _check_decay(gain: TimeGain, grid: ClassGrid) -> ClassCheck:
-    if gain.geometric is not None:
-        return _geometric_decay(*gain.geometric)
+    geo = _geometric(gain.expr)
+    if geo is not None:
+        return _geometric_decay(*geo)
     vals = gain.values(np.arange(0, grid.decay_horizon + 1, dtype=float))
     suffix = np.maximum.accumulate(vals[::-1])[::-1]
     for eps in grid.decay_eps:
@@ -356,21 +384,24 @@ def _check_t_grid(gain: TimeGain, grid: ClassGrid, axiom: str, bad) -> ClassChec
     return ClassCheck(axiom, False, {"t": int(ts[i]), "value": float(vals[i])})
 
 
-def decay_checks(gain: TimeGain, grid: ClassGrid = None) -> list:
-    """The rule for a decaying gain q, whatever its ``decays`` flag says:
-    q(t) >= 0 on the t grid (``non_negative``) and q decays to zero
-    (``decays_to_zero``, analytic for a geometric form)."""
+def decay_checks(gain: TimeGain, grid: ClassGrid = None) -> ClassReport:
+    """The rule for a decaying gain q (tag ``decaying``): q(t) >= 0 on the t
+    grid (``non_negative``) and q decays to zero (``decays_to_zero``,
+    analytic for a geometric form)."""
     grid = grid or ClassGrid()
-    return [_check_t_grid(gain, grid, "non_negative", lambda v: v < 0.0),
-            _check_decay(gain, grid)]
+    return ClassReport(gain.name, "decaying",
+                       [_check_t_grid(gain, grid, "non_negative",
+                                      lambda v: v < 0.0),
+                        _check_decay(gain, grid)])
 
 
 def validate_class(obj, grid: ClassGrid = None) -> ClassReport:
     """Membership check for KFn / TimeGain / KLEnvelope.
 
-    Pass/fail per axiom with a witness on every failure.  K functions and
-    time gains are checked on grids; a failure witness remains a failure on
-    any finer grid containing it.  A KL envelope is checked analytically in
+    Pass/fail per axiom with a witness on every failure.  A time gain is
+    checked as K+ (``positive``); a decaying q has its own rule,
+    :func:`decay_checks`.  K functions and time gains are checked on grids;
+    a failure witness remains a failure on any finer grid containing it.  A KL envelope is checked analytically in
     its parameters, with the witness ``{"C", "c"}``.
     """
     grid = grid or ClassGrid()
@@ -384,8 +415,6 @@ def validate_class(obj, grid: ClassGrid = None) -> ClassReport:
             checks.append(_check_unbounded(obj, grid))
         return ClassReport(obj.name, obj.tag, checks)
     if isinstance(obj, TimeGain):
-        if obj.decays:
-            return ClassReport(obj.name, "decaying", decay_checks(obj, grid))
         # NaN is not positive
         checks.append(_check_t_grid(obj, grid, "positive", lambda v: ~(v > 0.0)))
         return ClassReport(obj.name, "K+", checks)

@@ -15,7 +15,8 @@ from dtstab.certify import (LyapunovCandidate, StateGrid,
                             check_rofs_inf_sup, check_sandwich,
                             compose_V_from_U, projection_fiber, tau_bound)
 from dtstab.comparison import (constant, geometric, identity, kfn_from_expr,
-                               linear, power_fn, timegain_from_expr)
+                               linear, power_fn, timegain_from_expr,
+                               validate_class)
 from dtstab.expr import Dims, ExprDomainError, parse_expression
 from dtstab.registry import (LAM_SQRT_PLANT, Q_SQRT_PLANT_C,
                              Q_SQRT_PLANT_RATIO, example_2_3, example_3_4,
@@ -162,7 +163,7 @@ class TestRelaxedDecrease:
         (geometric(1.0, 10.0), "decays_to_zero"),
         (timegain_from_expr("10^t"), "decays_to_zero"),
         (constant(0.1), "decays_to_zero"),
-        (timegain_from_expr("2^(-t) - 0.5", decays=True), "non_negative"),
+        (timegain_from_expr("2^(-t) - 0.5"), "non_negative"),
     ])
     def test_q_that_does_not_decay_rejected(self, q, axiom):
         # a growing or constant offset would let any V "decrease"
@@ -170,6 +171,19 @@ class TestRelaxedDecrease:
         with pytest.raises(ValueError, match=f"q {axiom} violated, witness"):
             check_relaxed_decrease(halving_sys(), cand,
                                    StateGrid(ts=[0], xs=[[1.0]]))
+
+
+    @pytest.mark.parametrize("a3", ["2*s", "s + sqrt(s)"])
+    def test_a3_bound_equals_the_two_call_loop(self, a3):
+        cand = LyapunovCandidate(V="abs(x1)", n=1, a3=kfn_from_expr(a3))
+        ss = np.logspace(-9, 9, 60)
+        # the former scan: a3 called twice at every s
+        want = [{"s": float(s), "a3": cand.a3(s)}
+                for s in ss if cand.a3(float(s)) > float(s)]
+        assert want  # both exceed s somewhere on the grid
+        got = cand.validate_a3_bound()
+        assert repr(got) == repr(want)
+        assert repr(cand.validate_a3_bound(list(ss))) == repr(want)
 
 
 class TestIOSDecrease:
@@ -276,7 +290,7 @@ class TestTauBound:
 
     def test_nan_tail_of_q_is_unbounded(self):
         # exp(t)*exp(-2*t)*exp(t) is inf*0*inf = NaN from t = 710 on
-        q = timegain_from_expr("exp(t)*exp(-2*t)*exp(t)*0.5^t", decays=True)
+        q = timegain_from_expr("exp(t)*exp(-2*t)*exp(t)*0.5^t")
         assert math.isnan(q.sup_tail(0))
         res = tau_bound(dataclasses.replace(B23.cand, q=q), 0.1, 0, 1.0)
         assert res.unbounded and res.tau is None and res.tau_tilde is None
@@ -324,6 +338,17 @@ class TestTransformedSystem:
         from dtstab.comparison import timegain_from_expr
         with pytest.raises(ValueError, match="positive"):
             build_transformed_system(B23.sys, timegain_from_expr("1 - t"))
+
+    def test_zero_gain_is_not_a_positive_mu(self):
+        # a decaying-looking zero gain is still no K+ gain: mu = 0 would
+        # divide by zero in the first f_eval
+        with pytest.raises(ValueError, match="mu must be a positive time gain") as ex:
+            build_transformed_system(B23.sys, geometric(0.0, 0.5))
+        assert "{'t': 0, 'value': 0.0}" in str(ex.value)
+        rep = validate_class(geometric(2.0, 0.9))
+        assert rep.passed and rep.tag == "K+"
+        assert [c.axiom for c in rep.checks] == ["positive"]
+        build_transformed_system(B23.sys, geometric(2.0, 0.9))
 
 
 class TestComposeV:
@@ -579,7 +604,7 @@ GAINS = {
                    beta=timegain_from_expr("2"),
                    mu=timegain_from_expr("0.5*0.5^t"),
                    a3=kfn_from_expr("0.1*s"),
-                   q=timegain_from_expr("0.5*0.5^t", decays=True),
+                   q=timegain_from_expr("0.5*0.5^t"),
                    phi=timegain_from_expr("2"),
                    p2=kfn_from_expr("s^2")),
 }

@@ -233,12 +233,17 @@ class TestSynthesizeCommand:
             "n": 2, "m": 0, "k": k, "d_box": [],
             "f": [f"x{i} + u{i}" if i <= k else f"x{i}" for i in (1, 2)],
             "H": ["x1"], "name": f"s{k}"}))
-        code = run("synthesize", "--system", str(sysfile), "--psi=-y1",
-                   "--simulate", "--out-dir", str(tmp_path))
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err == (f"error: the delay-chain controller drives one input; "
-                       f"the plant has k={k}\n")
+        # refused before controller.json is written, with or without
+        # --simulate
+        for extra in (["--simulate"], []):
+            out = tmp_path / f"out{len(extra)}"
+            code = run("synthesize", "--system", str(sysfile), "--psi=-y1",
+                       *extra, "--out-dir", str(out))
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err == (f"error: the delay-chain controller drives one "
+                           f"input; the plant has k={k}\n")
+            assert not (out / "controller.json").exists()
 
 
 class TestFalsifyCommand:

@@ -11,8 +11,7 @@ import dtstab.system as system_mod
 from dtstab.certify import LyapunovCandidate, tau_bound
 
 from dtstab.comparison import (ClassGrid, KFn, KLEnvelope, TimeGain,
-                               check_domination,
-                               constant, fit_kl_envelope, geometric, identity,
+                               check_domination, constant, decay_checks, fit_kl_envelope, geometric, identity,
                                kfn_from_expr, linear, power_fn, sup_f_sampler,
                                timegain_from_expr, validate_class)
 from dtstab.expr import ExprDomainError, Num, Var
@@ -39,15 +38,13 @@ def fixture_results():
     bounded_k = kfn_from_expr("s/(1+s)", tag="K")
     shifted = kfn_from_expr("s + 1", tag="K")
     envelope = KLEnvelope(6.0 * K_IOS, C_IOS)
-    flat_q = constant(1.0)
-    flat_q.decays = True
     return [
         ("identity-Kinf", validate_class(identity()), True),
         ("bounded-Kinf", validate_class(bounded), False),
         ("bounded-K", validate_class(bounded_k), True),
         ("envelope-KL", validate_class(envelope), True),
         ("shifted-K", validate_class(shifted), False),
-        ("flat-decaying-q", validate_class(flat_q), False),
+        ("flat-decaying-q", decay_checks(constant(1.0)), False),
     ]
 
 
@@ -85,9 +82,60 @@ class TestValidateClass:
 
     def test_geometric_decay_analytic(self):
         assert validate_class(geometric(7.5, 0.68)).passed
-        grower = geometric(1.0, 1.5)
-        grower.decays = True
-        assert not validate_class(grower).passed
+        assert decay_checks(geometric(7.5, 0.68)).passed
+        rep = decay_checks(geometric(1.0, 1.5))
+        assert rep.tag == "decaying" and not rep.passed
+        assert rep.failures()[0].witness == {
+            "C": 1.0, "ratio": 1.5, "note": "analytic (geometric form)"}
+        rep = decay_checks(timegain_from_expr("-2*0.5^t"))
+        assert [c.witness for c in rep.checks] == [
+            {"t": 0, "value": -2.0},
+            {"C": -2.0, "ratio": 0.5, "note": "analytic (geometric form)"}]
+
+    def test_zero_gain_decays_but_is_not_positive(self):
+        # the zero gain decays whatever its ratio says; it is no K+ gain
+        assert decay_checks(constant(0.0)).passed
+        assert decay_checks(geometric(0.0, 2.0)).passed
+        # a literal, built or written, has the analytic decay witness
+        for flat in (constant(0.5), timegain_from_expr("0.5")):
+            assert decay_checks(flat).checks[1].witness == {
+                "C": 0.5, "ratio": 1.0, "note": "analytic (geometric form)"}
+        grower = decay_checks(timegain_from_expr("2^t"))
+        assert [(c.axiom, c.passed) for c in grower.checks] == [
+            ("non_negative", True), ("decays_to_zero", False)]
+        rep = validate_class(geometric(0.0, 0.5))
+        assert rep.tag == "K+" and not rep.passed
+        assert rep.failures()[0].witness == {"t": 0, "value": 0.0}
+
+
+# the closed-form inverses KFn once carried as callables: the reference
+# for the closed forms now read off the expression
+OLD_INV = {
+    "identity": lambda a, p: lambda v: v,
+    "linear": lambda a, p: lambda v: v / a,
+    "power_fn": lambda a, p: lambda v: math.pow(v / a, 1.0 / p),
+}
+KFN_CASES = [("identity", 1.0, 1.0), ("linear", 0.25, 1.0),
+             ("linear", 3.0, 1.0), ("power_fn", 1.0, 1.0),
+             ("power_fn", 3.0, 1.0), ("power_fn", 1.0, 2.0),
+             ("power_fn", 2.0, 0.5), ("power_fn", 0.1, 3.0),
+             ("power_fn", 7.5, 0.37)]  # (kind, a, p)
+
+
+def _outcome(fn, v):
+    try:
+        return repr(fn(v))
+    except OverflowError:
+        return "OverflowError"
+
+
+def _kfn_spellings(kind, a, p):
+    """The factory K function of ``kind`` and its text spelling."""
+    if kind == "identity":
+        return identity(), kfn_from_expr("s")
+    if kind == "linear":
+        return linear(a), kfn_from_expr(f"{a!r}*s")
+    return power_fn(p, a), kfn_from_expr(f"{a!r}*s^{p!r}")
 
 
 class TestKFn:
@@ -106,16 +154,26 @@ class TestKFn:
 
 
     def test_inverse_of_nan_is_nan(self):
-        # bisection used to shrink toward 0 and return 6.2e-61
-        for f in (kfn_from_expr("s^2"), kfn_from_expr("s + sqrt(s)"),
-                  linear(0.25), power_fn(0.5, 2.0), identity()):
-            assert math.isnan(f.inverse(math.nan))
+        # bisection used to shrink toward 0 and return 6.2e-61; every
+        # inverse, closed form or bisection, is 0.0 at v <= 0
+        fns = [f for case in KFN_CASES for f in _kfn_spellings(*case)]
+        for f in fns + [kfn_from_expr("s^2"), kfn_from_expr("s + sqrt(s)")]:
+            assert math.isnan(f.inverse(math.nan)), f.name
+            for v in (0.0, -0.0, -1e-300, -1.0, -math.inf):
+                assert bits_of([f.inverse(v)]) == bits_of([0.0]), (f.name, v)
         assert kfn_from_expr("s^2").inverse(4.0) == 2.0
+
+    @pytest.mark.parametrize("text", ["2*s^0", "1*s^(-1)", "-2*s", "0*s"])
+    def test_no_closed_form_without_positive_literals(self, text):
+        # a*s^p with a <= 0 or p <= 0 is no K function: it bisects, and
+        # never reaches v = 3
+        with pytest.raises(ValueError, match="outside attainable range"):
+            kfn_from_expr(text).inverse(3.0)
 
     def test_nan_on_the_tau_bound_right_hand_side_is_unbounded(self):
         # q is finite on every tail tau_bound's scan reads and NaN (0*inf)
         # from t = 4210 on, inside the tail behind its denominator
-        q = timegain_from_expr("0.5^t + 0*exp(t - 3500)", decays=True)
+        q = timegain_from_expr("0.5^t + 0*exp(t - 3500)")
         assert not math.isnan(q.sup_tail(0)) and math.isnan(q.sup_tail(200))
         cand = LyapunovCandidate(V="x1^2 + x2^2", n=2, a1=identity(),
                                  a2=identity(), beta=constant(1.0),
@@ -123,6 +181,35 @@ class TestKFn:
         res = tau_bound(cand, 1.0, 200, 1.0)
         assert res.unbounded and res.tau is None
         assert "num/den not finite" in res.notes
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("kind, a, p", KFN_CASES)
+    def test_inverse_equals_the_old_closed_form(self, kind, a, p):
+        # repr round-trips a float bit for bit; an overflow must raise alike
+        vs = [float(v) for v in np.logspace(-300, 300, 601)]
+        want = [_outcome(OLD_INV[kind](a, p), v) for v in vs]
+        for f in _kfn_spellings(kind, a, p):
+            assert [_outcome(f.inverse, v) for v in vs] == want, f.name
+
+    @pytest.mark.parametrize("C, ratio", [(2.0, 0.5), (1.0, 1.0), (0.0, 0.5),
+                                          (1.0, 10.0), (-2.0, 0.5)])
+    def test_geometric_equals_its_text(self, C, ratio):
+        self._same_answers(geometric(C, ratio),
+                           timegain_from_expr(f"{C!r}*{ratio!r}^t"))
+
+    @pytest.mark.parametrize("c", [2.0, 1.0, 0.0, -0.0, -3.5])
+    def test_constant_equals_its_text(self, c):
+        self._same_answers(constant(c), timegain_from_expr(repr(c)))
+
+    @staticmethod
+    def _same_answers(built, text):
+        assert built.expr == text.expr
+        for tau in (0, 5, 200):
+            assert bits_of([built.sup_tail(tau)]) == bits_of([text.sup_tail(tau)])
+        got = [[(c.axiom, c.passed, c.witness) for c in decay_checks(g).checks]
+               for g in (built, text)]
+        assert repr(got[0]) == repr(got[1])
 
 
 class TestKLEnvelope:
@@ -380,14 +467,11 @@ TAIL_GAINS = {
 }
 
 
-def loop_sign_checks(gain, grid):
-    """validate_class's t-grid scans by two scalar calls a t: the witness
-    {"t", "value"} of the first failing t, or None."""
-    if gain.decays:
-        bad = [(int(t), gain(t)) for t in grid.t_grid() if gain(t) < 0.0]
-    else:
-        bad = [(int(t), gain(t)) for t in grid.t_grid() if not gain(t) > 0.0]
-    return {"t": bad[0][0], "value": bad[0][1]} if bad else None
+def loop_sign_checks(gain, grid, bad):
+    """A t-grid sign rule by two scalar calls a t: the witness {"t", "value"}
+    of the first t whose value ``bad`` marks, or None."""
+    hits = [(int(t), gain(t)) for t in grid.t_grid() if bad(gain(t))]
+    return {"t": hits[0][0], "value": hits[0][1]} if hits else None
 
 
 SIGN_GAINS = {
@@ -399,40 +483,34 @@ SIGN_GAINS = {
 }
 
 
-@pytest.mark.parametrize("decays", [False, True])
+@pytest.mark.parametrize("decaying", [False, True])
 @pytest.mark.parametrize("name", sorted(SIGN_GAINS))
-def test_sign_scans_equal_the_scalar_loop(name, decays):
+def test_sign_scans_equal_the_scalar_loop(name, decaying):
     # one array call over the t grid: the same first witness, NaN not
-    # positive yet not negative, and the same domain error
-    gain = timegain_from_expr(SIGN_GAINS[name], decays=decays)
+    # positive yet not negative, and the same domain error; the q rule
+    # (decay_checks) scans non_negative, validate_class scans positive
+    gain = timegain_from_expr(SIGN_GAINS[name])
     grid = ClassGrid()
-    axiom = "non_negative" if decays else "positive"
+    if decaying:
+        axiom, rule, bad = "non_negative", decay_checks, lambda v: v < 0.0
+    else:
+        axiom, rule, bad = "positive", validate_class, lambda v: not v > 0.0
     try:
-        want = loop_sign_checks(gain, grid)
+        want = loop_sign_checks(gain, grid, bad)
     except ExprDomainError as err:
         with pytest.raises(ExprDomainError, match=str(err)):
-            validate_class(gain, grid)
+            rule(gain, grid)
         return
     with np.errstate(all="ignore"):
-        check = validate_class(gain, grid).checks[0]
+        check = rule(gain, grid).checks[0]
     assert check.axiom == axiom
     assert check.passed == (want is None)
     assert repr(check.witness) == repr(want)  # NaN reads "nan" on both sides
 
 
-def test_decay_checks_ignore_the_decays_flag():
-    for decays in (False, True):
-        grower = timegain_from_expr("2^t", decays=decays)
-        axioms = [(c.axiom, c.passed) for c in comparison_mod.decay_checks(grower)]
-        assert axioms == [("non_negative", True), ("decays_to_zero", False)]
-    # the zero gain decays whatever its ratio says
-    assert all(c.passed for c in comparison_mod.decay_checks(constant(0.0)))
-    assert not comparison_mod.decay_checks(constant(0.5))[1].passed
-
-
 @pytest.mark.parametrize("name", sorted(TAIL_GAINS))
 def test_tails_and_decay_grid_equal_the_scalar_loops(name):
-    gain = timegain_from_expr(TAIL_GAINS[name], decays=True)
+    gain = timegain_from_expr(TAIL_GAINS[name])
     grid = ClassGrid()
     for tau in (0, 5, 200):
         try:
@@ -446,7 +524,7 @@ def test_tails_and_decay_grid_equal_the_scalar_loops(name):
         want = loop_check_decay(gain, grid)
     except ExprDomainError as err:
         with pytest.raises(ExprDomainError, match=str(err)):
-            validate_class(gain, grid)
+            decay_checks(gain, grid)
         return
     check = comparison_mod._check_decay(gain, grid)
     assert check.passed == (want is None)
