@@ -229,6 +229,13 @@ def check_contraction(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
                          "contraction", tol)
 
 
+def _require_decaying(q: TimeGain):
+    """ValueError naming the first :func:`decay_checks` axiom ``q`` fails."""
+    for chk in decay_checks(q).checks:
+        if not chk.passed:
+            raise ValueError(f"q {chk.axiom} violated, witness {chk.witness}")
+
+
 def check_relaxed_decrease(sys: SystemDef, cand: LyapunovCandidate,
                            grid: StateGrid, d_values=None,
                            tol: float = 1e-9) -> CertificateReport:
@@ -243,9 +250,7 @@ def check_relaxed_decrease(sys: SystemDef, cand: LyapunovCandidate,
     bad = cand.validate_a3_bound()
     if bad:
         raise ValueError(f"a3(s) <= s violated, witness {bad[0]}")
-    for chk in decay_checks(cand.q).checks:
-        if not chk.passed:
-            raise ValueError(f"q {chk.axiom} violated, witness {chk.witness}")
+    _require_decaying(cand.q)
     dvals = _d_values(sys, d_values)
     a3, q = cand.a3, cand.q
     return _sup_decrease(sys, cand, grid,
@@ -298,9 +303,14 @@ def tau_bound(cand: LyapunovCandidate, eps: float, T: int,
     and grid estimates otherwise; q is floored at Q_FLOOR to keep the
     formula defined when q reaches exact zero.  The scan tries tau~ up to
     TAU_SCAN_CAP and stops at the first NaN tail of q; either way the result
-    is unbounded.
+    is unbounded.  A q that is negative or does not decay to zero
+    (:func:`decay_checks`) is refused with ValueError, as
+    :func:`check_relaxed_decrease` refuses it, unless its tail from 0 is
+    NaN, which is reported unbounded.
     """
     cand.require("a1", "a2", "a3", "beta", "q")
+    if not math.isnan(cand.q.sup_tail(0)):  # a NaN tail is reported unbounded
+        _require_decaying(cand.q)
     notes = ["integer part implemented as floor",
              f"q floored at {Q_FLOOR:g} where it vanishes"]
     target = cand.a1(eps)

@@ -184,8 +184,8 @@ class TimeGain:
     decaying offset q (:func:`decay_checks`), ``expr`` an AST in ``t``.
 
     A literal C or ``C * ratio^t`` with literals C and ratio, however built
-    or spelled, has analytic tail suprema and decay check; any other
-    expression is sampled on a long grid.
+    or spelled, has an analytic decay check, and analytic tail suprema when
+    ratio >= 0; any other expression is sampled on a long grid.
     """
 
     expr: Expr
@@ -199,11 +199,21 @@ class TimeGain:
                                           _NO_AUX))
 
     def sup_tail(self, tau: int) -> float:
-        """sup over t >= tau of the gain (exact for monotone geometric forms,
-        else the max over t = tau..tau + TAIL_HORIZON; a NaN value wins)."""
+        """sup over t >= tau of the gain: exact for a literal or ``C * r^t``
+        with r >= 0, else the max over t = tau..tau + TAIL_HORIZON (a NaN
+        value wins).
+
+        Of ``C * r^t``: the zero gain (C = 0) and a negative gain rising
+        toward 0 (C < 0, r < 1) have supremum 0; a gain that does not rise
+        (C > 0 with r <= 1, or C < 0 with r >= 1) has q(tau); C > 0 with
+        r > 1 grows without bound.
+        """
         geo = _geometric(self.expr)
-        if geo is not None:
-            return self(tau) if 0.0 <= geo[1] <= 1.0 else math.inf
+        if geo is not None and geo[1] >= 0.0:
+            C, ratio = geo
+            if C == 0.0 or (C < 0.0 and ratio < 1.0):
+                return 0.0
+            return self(tau) if ratio <= 1.0 or C < 0.0 else math.inf
         ts = np.arange(tau, tau + TAIL_HORIZON + 1, dtype=float)
         return float(np.max(self.values(ts)))  # max propagates NaN
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .comparison import KFn, KLEnvelope, TimeGain
 from .expr import Bin, Call, Var, substitute
@@ -54,6 +55,12 @@ class FalsifyBudget:
         if self.max_trajectories < 0:
             raise ValueError("budget must be non-negative")
         _require_modes("mix", self.mix, ("corner", "greedy", "random"))
+        # the seed stream is replayable only from an integer seed
+        if (not isinstance(self.seed, (int, np.integer))
+                or isinstance(self.seed, bool) or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, "
+                             f"not {self.seed!r}")
+        self.seed = int(self.seed)
 
 
 def _require_modes(what, modes, known):
@@ -106,17 +113,21 @@ def _axis_states(n, radius):
     return [radius * eye[i] * sgn for i in range(n) for sgn in (1.0, -1.0)]
 
 
-def _d_policy(strategy, sys, idx, seed_seq):
+def _d_policy(strategy, sys, idx, child, words):
+    """Index ``idx``'s disturbance: a box corner, or a greedy or mixed random
+    policy named by ``child``, the random one drawing from the generator of
+    the PCG64 ``words`` of ``default_rng(child)``."""
     if strategy == "corner":
         corners = sys.d_corners
         return ConstantDisturbance(corners[idx % corners.shape[0]])
-    child = int(seed_seq.generate_state(1)[0])
     if strategy == "greedy":
         return GreedyDisturbance(grid=_GREEDY_GRID, seed=child)
-    return RandomDisturbance(seed=child, mode="mixed")
+    return RandomDisturbance._from_generator(_generator(words), child, "mixed")
 
 
-def _u_policy(mode, sys, idx, seed_seq, u_cap):
+def _u_policy(mode, sys, idx, words, u_cap):
+    """Index ``idx``'s input; a random one is 256 uniform rows drawn from the
+    generator of the PCG64 ``words`` of ``default_rng(child + 1)``."""
     if sys.k == 0 or mode == "zero":
         return ZeroInput()
     if mode == "constant":
@@ -124,29 +135,160 @@ def _u_policy(mode, sys, idx, seed_seq, u_cap):
         sign = 1.0 if idx % 2 == 0 else -1.0
         vec = np.full(sys.k, sign * level / math.sqrt(sys.k))
         return ConstantInput(vec)
-    rng = np.random.default_rng(int(seed_seq.generate_state(1)[0]) + 1)
-    seq = rng.uniform(-u_cap, u_cap, size=(256, sys.k))
+    seq = _generator(words).uniform(-u_cap, u_cap, size=(256, sys.k))
     return SequenceInput(seq)
 
 
+# --- block seeding: numpy's SeedSequence, hashed for a whole block at once ---
+#
+# SeedSequence is O'Neill's seed_seq_fe hash (PCG, HMC-CS-2014-0905): pure
+# uint32 arithmetic over a pool of four words, whose control flow depends
+# only on the number of entropy words.  So a block's sequences hash as
+# uint32 columns, and numpy arrays wrap exactly as the uint32 original does.
+
+_MASK32 = 0xFFFFFFFF
+_POOL = 4  # SeedSequence's default pool size
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy hashing (hashmix)
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(init, mult, count):
+    """The first ``count`` hash constants ``init * mult^j mod 2^32``."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _hashmix(value, consts):
+    """SeedSequence's ``hashmix`` of the uint32 ``value`` (broadcast along
+    the last axis) as successive calls whose hash constants are
+    ``consts[:-1]``, each call multiplying by the next constant."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of the uint32 arrays ``x`` and ``y``."""
+    value = x * _MIX_L - y * _MIX_R
+    return value ^ value >> 16
+
+
+def _seed_pools(first, rest=()):
+    """``SeedSequence(entropy).pool`` for rows of entropy words, (R, 4) uint32.
+
+    Each row's entropy is the columns of the uint32 matrix ``first`` (at
+    least four; a shorter entropy hashes as its zero-padded form) followed
+    by the (R, 1) columns ``rest``.  Rows broadcast, so a prefix shared by
+    every row is a one-row ``first``, hashed once.
+    """
+    extra = [first[:, j, None] for j in range(_POOL, first.shape[1])]
+    extra += list(rest)
+    consts = _hash_consts(_INIT_A, _MULT_A,
+                          _POOL * _POOL + _POOL * len(extra) + 1)
+    pool = _hashmix(first[:, :_POOL], consts[:_POOL + 1])
+    k = _POOL
+    for src in range(_POOL):  # every word into every other, in order
+        dst = [j for j in range(_POOL) if j != src]
+        pool[:, dst] = _mix(pool[:, dst],
+                            _hashmix(pool[:, src, None], consts[k:k + _POOL]))
+        k += _POOL - 1
+    for word in extra:  # each later word into every pool word
+        pool = _mix(pool, _hashmix(word, consts[k:k + _POOL + 1]))
+        k += _POOL
+    return pool
+
+
+def _generate_state(pools, n_words):
+    """``generate_state(n_words)`` of each pool row, (R, n_words) uint32."""
+    consts = _hash_consts(_INIT_B, _MULT_B, n_words + 1)
+    value = (pools[:, np.arange(n_words) % _POOL] ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
+
+
+def _spawn_states(seed, indices):
+    """``SeedSequence(seed, spawn_key=(i,)).generate_state(2)`` for every i
+    of ``indices``, (B, 2) uint32."""
+    # little-endian uint32 words, [0] for 0
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    head = np.zeros((1, max(len(words), _POOL)), dtype=np.uint32)
+    head[0, :len(words)] = words  # a spawned short entropy is zero-padded
+    idx = np.array(indices, dtype=np.uint64).reshape(-1, 1)
+    lo, hi = (idx & _MASK32).astype(np.uint32), (idx >> 32).astype(np.uint32)
+    pools = _seed_pools(head, [lo])
+    if hi.any():  # an index past 2^32 - 1 is a two-word spawn key
+        pools = np.where(hi > 0, _seed_pools(head, [lo, hi]), pools)
+    return _generate_state(pools, 2)
+
+
+def _generator_words(states):
+    """The PCG64 words of ``default_rng(state)``, ``default_rng(child)`` and
+    ``default_rng(child + 1)`` for each two-word ``state`` row, child its
+    first word: a (3, B, 4) uint64 array.  ``child + 1 = 2^32`` is the
+    two-word entropy [0, 1]."""
+    B = states.shape[0]
+    up = states[:, 0].astype(np.uint64) + 1
+    entropy = np.zeros((3, B, _POOL), dtype=np.uint32)
+    entropy[0, :, :2] = states
+    entropy[1, :, 0] = states[:, 0]
+    entropy[2, :, 0] = up & _MASK32
+    entropy[2, :, 1] = up >> 32
+    state = _generate_state(_seed_pools(entropy.reshape(3 * B, _POOL)), 8)
+    # PCG64 asks for 4 uint64 words: uint32 pairs, little-endian, as numpy reads them
+    return (state.astype("<u4", order="C").view("<u8").astype(np.uint64)
+            .reshape(3, B, 4))
+
+
+class _PCG64Words(ISeedSequence):
+    """A seed sequence that holds the four uint64 words ``PCG64`` asks for
+    and answers that request alone: ``PCG64(_PCG64Words(words))`` equals
+    ``PCG64(seq)`` when ``words`` is ``seq.generate_state(4, np.uint64)``."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 words, not {n_words} of "
+                             f"{np.dtype(dtype)}")
+        return self.words
+
+
+def _generator(words):
+    return np.random.Generator(np.random.PCG64(_PCG64Words(words)))
+
+
 def _trajectory_specs(sys, t0s, radius, budget, u_modes, indices):
-    """(t0, x0, d policy, u policy, meta) of each search index, fresh policies."""
+    """(t0, x0, d policy, u policy, meta) of each search index, fresh policies.
+
+    Index i's seed material is ``SeedSequence(budget.seed, spawn_key=(i,))``:
+    its two-word state seeds the direction of a random x0, and its first
+    word, child, names the greedy adversary and seeds the random disturbance
+    (``default_rng(child)``) and the random input table
+    (``default_rng(child + 1)``).  The whole block of sequences, and then
+    the PCG64 words of every generator, are hashed at once in uint32 numpy;
+    each generator is made from its ready words, the same generator bit for
+    bit as ``default_rng`` makes.
+    """
+    indices = list(indices)
+    states = _spawn_states(budget.seed, indices)
+    words = _generator_words(states)
     axis = _axis_states(sys.n, radius)
-    for i in indices:
-        seq = np.random.SeedSequence(budget.seed, spawn_key=(i,))
+    for r, (i, child) in enumerate(zip(indices, states[:, 0].tolist())):
         if radius == 0.0:
             x0 = np.zeros(sys.n)
         elif i < len(axis):
             x0 = axis[i]
         else:
-            rng = np.random.default_rng(seq.generate_state(2))
-            direction = rng.standard_normal(sys.n)
+            direction = _generator(words[0, r]).standard_normal(sys.n)
             nrm = math.sqrt(direction.dot(direction))  # as np.linalg.norm takes it
             direction = direction / nrm if nrm > 0 else np.eye(sys.n)[0]
             x0 = direction * (radius * _RADIUS_LADDER[i % len(_RADIUS_LADDER)])
         strategy = budget.mix[i % len(budget.mix)]
-        dpol = _d_policy(strategy, sys, i, seq)
-        upol = _u_policy(u_modes[i % len(u_modes)], sys, i, seq, budget.u_cap)
+        dpol = _d_policy(strategy, sys, i, child, words[1, r])
+        upol = _u_policy(u_modes[i % len(u_modes)], sys, i, words[2, r],
+                         budget.u_cap)
         yield (t0s[i % len(t0s)], x0, dpol, upol,
                {"index": i, "strategy": strategy})
 
@@ -270,6 +412,9 @@ def search_trajectories(sys: SystemDef, t0s: Sequence[int], radius: float,
     common worst cases); later ones draw random directions with radii on a
     fixed ladder of fractions of ``radius``.  Yields one Trajectory per index.
 
+    Trajectory i's policies come from ``SeedSequence(budget.seed,
+    spawn_key=(i,))`` (see ``_trajectory_specs``); the sequences of a block
+    are hashed together, the same stream as one sequence at a time.
     Trajectories are rolled in lock-step blocks of at most ROLLOUT_BLOCK,
     each equal bit for bit to its own :func:`simulate`.  When a block
     raises, it is rolled again one trajectory at a time from fresh policies,

@@ -538,6 +538,14 @@ class RandomDisturbance(DisturbancePolicy):
         self.seed = seed
         self.rng = np.random.default_rng(seed)
 
+    @classmethod
+    def _from_generator(cls, rng, seed, mode):
+        """``cls(seed, mode)`` from ``rng``, a ready generator equal to
+        ``default_rng(seed)``."""
+        pol = cls(rng, mode)  # default_rng passes a Generator through
+        pol.seed = seed
+        return pol
+
     def __call__(self, sys, t, x, u):
         return self.table(sys.d_box, 1)[0]
 

@@ -288,6 +288,17 @@ class TestTauBound:
         assert res.denominator == 1e-300
         assert res.tau > 10 ** 300
 
+    @pytest.mark.parametrize("q, axiom", [
+        (geometric(-2.0, 0.5), "non_negative"),
+        (timegain_from_expr("2^t"), "decays_to_zero"),
+        (constant(1.0), "decays_to_zero")])
+    def test_q_that_does_not_decay_is_refused(self, q, axiom):
+        # geometric(-2, 0.5) once got tau ~ 2.0e306 with no note, and a
+        # constant or growing q scanned toward TAU_SCAN_CAP
+        cand = dataclasses.replace(B23.cand, q=q)
+        with pytest.raises(ValueError, match=rf"^q {axiom} violated, witness"):
+            tau_bound(cand, 0.1, 0, 1.0)
+
     def test_nan_tail_of_q_is_unbounded(self):
         # exp(t)*exp(-2*t)*exp(t) is inf*0*inf = NaN from t = 710 on
         q = timegain_from_expr("exp(t)*exp(-2*t)*exp(t)*0.5^t")

@@ -259,6 +259,14 @@ class TestFalsifyCommand:
                    "--shrink-C", "0.01", "--out-dir", str(tmp_path))
         assert code == 1
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code = run("falsify", "--example", "example_2_3", "--budget", "8",
+                   "--seed", "-1", "--out-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: seed must be a non-negative integer")
+        assert not any(tmp_path.iterdir())
+
 
 class TestIdempotence:
     def test_same_argv_and_seed_byte_identical(self, tmp_path):

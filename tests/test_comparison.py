@@ -202,6 +202,32 @@ class TestClosedForms:
     def test_constant_equals_its_text(self, c):
         self._same_answers(constant(c), timegain_from_expr(repr(c)))
 
+    @pytest.mark.parametrize("C", [-2.0, 0.0, 2.0])
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0, 1.5])
+    def test_geometric_tail_is_the_true_supremum(self, C, ratio):
+        # against the grid path, which "C*r^t + 0" takes; for C = 0 and
+        # r = 1.5 the grid reads NaN from 0 * inf once 1.5^t overflows,
+        # and its other points are all 0
+        gain, grid = geometric(C, ratio), timegain_from_expr(f"{C!r}*{ratio!r}^t + 0")
+        for tau in (0, 5, 200):
+            ts = np.arange(tau, tau + comparison_mod.TAIL_HORIZON + 1, dtype=float)
+            with np.errstate(all="ignore"):
+                want, vals = grid.sup_tail(tau), grid.values(ts)
+            if math.isnan(want):
+                assert (C, ratio) == (0.0, 1.5)
+                want = float(np.nanmax(vals))
+            assert gain.sup_tail(tau) == want, tau
+            if C > 0.0:  # the rule before signs were handled, bit for bit
+                old = gain(tau) if ratio <= 1.0 else math.inf
+                assert bits_of([gain.sup_tail(tau)]) == bits_of([old])
+
+    def test_negative_ratio_takes_the_grid_path(self):
+        for C in (-2.0, 2.0):
+            gain = geometric(C, -0.5)
+            grid = timegain_from_expr(f"{C!r}*(-0.5)^t + 0")
+            for tau in (0, 5, 200):
+                assert bits_of([gain.sup_tail(tau)]) == bits_of([grid.sup_tail(tau)])
+
     @staticmethod
     def _same_answers(built, text):
         assert built.expr == text.expr

@@ -22,10 +22,10 @@ from dtstab.stability import (FalsifyBudget, adversarial_batch,
                               check_kl_estimate, falsify, search_trajectories)
 from dtstab.stability import test_output_attractivity as search_attractivity
 from dtstab.stability import test_output_stability as search_stability
-from dtstab.system import (ConstantDisturbance, GreedyDisturbance,
-                           RandomDisturbance, StateFeedback, SystemDef,
-                           Trajectory, ZeroInput, d_candidates, simulate,
-                           vecnorm)
+from dtstab.system import (ConstantDisturbance, ConstantInput,
+                           GreedyDisturbance, RandomDisturbance, SequenceInput,
+                           StateFeedback, SystemDef, Trajectory, ZeroInput,
+                           d_candidates, simulate, vecnorm)
 
 B23, B34, B47 = example_2_3(), example_3_4(), example_4_7(0.5)
 # the small-input system, with m = 2
@@ -85,6 +85,137 @@ def test_trajectory_specs_follow_the_documented_stream():
                 assert dpol.seed == child
             if mix[i % 3] == "random":
                 assert dpol.rng.random() == np.random.default_rng(child).random()
+
+
+# --- block seeding equals one SeedSequence and default_rng at a time ---
+
+def reference_specs(sys, t0s, radius, budget, u_modes, indices):
+    """The per-trajectory seeding that block hashing replaced: one
+    ``SeedSequence`` and up to three ``default_rng`` calls per index."""
+    axis = stability._axis_states(sys.n, radius)
+    ladder = (1.0, 0.75, 0.5, 0.25)
+    for i in indices:
+        seq = np.random.SeedSequence(budget.seed, spawn_key=(i,))
+        child = int(seq.generate_state(1)[0])
+        if radius == 0.0:
+            x0 = np.zeros(sys.n)
+        elif i < len(axis):
+            x0 = axis[i]
+        else:
+            rng = np.random.default_rng(seq.generate_state(2))
+            direction = rng.standard_normal(sys.n)
+            nrm = math.sqrt(direction.dot(direction))
+            direction = direction / nrm if nrm > 0 else np.eye(sys.n)[0]
+            x0 = direction * (radius * ladder[i % len(ladder)])
+        strategy = budget.mix[i % len(budget.mix)]
+        if strategy == "corner":
+            dpol = ConstantDisturbance(sys.d_corners[i % sys.d_corners.shape[0]])
+        elif strategy == "greedy":
+            dpol = GreedyDisturbance(grid=stability._GREEDY_GRID, seed=child)
+        else:
+            dpol = RandomDisturbance(seed=child, mode="mixed")
+        mode = u_modes[i % len(u_modes)]
+        if sys.k == 0 or mode == "zero":
+            upol = ZeroInput()
+        elif mode == "constant":
+            level = budget.u_cap * ladder[(i // 2) % len(ladder)]
+            sign = 1.0 if i % 2 == 0 else -1.0
+            upol = ConstantInput(np.full(sys.k, sign * level / math.sqrt(sys.k)))
+        else:
+            rng = np.random.default_rng(child + 1)
+            upol = SequenceInput(rng.uniform(-budget.u_cap, budget.u_cap,
+                                             size=(256, sys.k)))
+        yield (t0s[i % len(t0s)], x0, dpol, upol,
+               {"index": i, "strategy": strategy})
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+def assert_same_spec(got, want):
+    (t0, x0, dpol, upol, meta), (w_t0, w_x0, w_dpol, w_upol, w_meta) = got, want
+    assert t0 == w_t0 and meta == w_meta and same_bits(x0, w_x0)
+    assert type(dpol) is type(w_dpol) and dpol.descriptor() == w_dpol.descriptor()
+    assert type(upol) is type(w_upol) and upol.descriptor() == w_upol.descriptor()
+    if type(dpol) is ConstantDisturbance:
+        assert same_bits(dpol.value, w_dpol.value)
+    elif type(dpol) is RandomDisturbance:
+        assert dpol.rng.bit_generator.state == w_dpol.rng.bit_generator.state
+    if type(upol) is ConstantInput:
+        assert same_bits(upol.value, w_upol.value)
+    elif type(upol) is SequenceInput:
+        assert upol.t0 == w_upol.t0 and same_bits(upol.values, w_upol.values)
+
+
+@pytest.mark.parametrize("radius", [0.0, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_specs_equal_per_trajectory_seeding(n, radius):
+    # every mix entry and u mode; blocks inside the first 256 indices, one
+    # spanning index 256 and one far past it; a one-word and a two-word seed
+    mix = ("corner", "greedy", "random", "random")
+    u_modes = ("zero", "constant", "random")
+    sys = SystemDef(n=n, m=2, k=2, d_box=[[-1.0, 2.0], [0.5, 1.5]],
+                    f=[f"0.5*x{i + 1} + u1" for i in range(n)], H=["x1"])
+    for seed in (21, 2 ** 40 + 7):
+        budget = FalsifyBudget(mix=mix, seed=seed, u_cap=3.0)
+        for block in (range(0, 40), range(250, 262), range(1000, 1013)):
+            got = list(stability._trajectory_specs(sys, [0, 3, 5], radius,
+                                                   budget, u_modes, block))
+            want = list(reference_specs(sys, [0, 3, 5], radius, budget,
+                                        u_modes, block))
+            assert len(got) == len(want) == len(block)
+            for a, b in zip(got, want):
+                assert_same_spec(a, b)
+
+
+SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 70 + 12345, 2 ** 170 + 99]  # last: 6 words
+INDICES = list(range(601)) + [2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_block_hasher_equals_seed_sequence(seed):
+    states = stability._spawn_states(seed, INDICES)
+    want = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2)
+            for i in INDICES]
+    assert states.dtype == np.uint32 and np.array_equal(states, want)
+    words = stability._generator_words(states)
+    for r, state in enumerate(states):
+        child = int(state[0])
+        for k, entropy in enumerate((state, child, child + 1)):
+            seq = np.random.SeedSequence(entropy)
+            assert np.array_equal(words[k, r], seq.generate_state(4, np.uint64))
+            gen = stability._generator(words[k, r])
+            assert (gen.bit_generator.state
+                    == np.random.default_rng(entropy).bit_generator.state)
+
+
+def test_generator_words_carry_into_a_second_word():
+    # child = 2^32 - 1: default_rng(child + 1) hashes the entropy [0, 1]
+    states = np.array([[2 ** 32 - 1, 7], [2 ** 32 - 2, 0]], dtype=np.uint32)
+    words = stability._generator_words(states)
+    for r, child in enumerate((2 ** 32 - 1, 2 ** 32 - 2)):
+        for k, entropy in enumerate((states[r], child, child + 1)):
+            want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+            assert np.array_equal(words[k, r], want)
+    assert stability._spawn_states(3, []).shape == (0, 2)
+
+
+def test_pcg64_words_answer_pcg64_alone():
+    want = np.random.SeedSequence(5).generate_state(4, np.uint64)
+    stub = stability._PCG64Words(want)
+    assert stub.generate_state(4, np.uint64) is want
+    assert stub.generate_state(4, np.dtype("uint64")) is want
+    for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64),
+                           (4, np.int64)):
+        with pytest.raises(ValueError, match="holds 4 uint64 words"):
+            stub.generate_state(n_words, dtype)
+    with pytest.raises(ValueError, match="holds 4 uint64 words"):
+        stub.generate_state(4)
+    assert (np.random.PCG64(stub).state
+            == np.random.PCG64(np.random.SeedSequence(5)).state)
 
 
 @pytest.fixture
@@ -246,8 +377,8 @@ def random_mode(monkeypatch):
     d_policy = stability._d_policy
 
     def use(mode):
-        def patched(strategy, sys, idx, seed_seq):
-            pol = d_policy(strategy, sys, idx, seed_seq)
+        def patched(strategy, sys, idx, child, words):
+            pol = d_policy(strategy, sys, idx, child, words)
             if strategy == "random":
                 pol = RandomDisturbance(seed=pol.seed, mode=mode)
             return pol
@@ -256,20 +387,28 @@ def random_mode(monkeypatch):
     return use
 
 
+def assert_rolled_in_mode(trajs, mode):
+    """Every trajectory's disturbance was a random policy in ``mode``."""
+    assert trajs and all(traj.meta["d_policy"].startswith(f"random(mode={mode},")
+                         for traj in trajs)
+
+
 @pytest.mark.parametrize("mode", ["interior", "corner", "mixed"])
 @pytest.mark.parametrize("bundle", [B23, B34], ids=["m1", "m1_input"])
 def test_random_disturbance_modes(batched_only, random_mode, mode, bundle):
     random_mode(mode)
     budget = FalsifyBudget(max_trajectories=8, horizon=25, mix=("random",), seed=6)
-    check_search(bundle.sys, (0, 3, 1, 4), 2.0, budget,
-                 u_modes=("zero", "constant", "random"))
+    got = check_search(bundle.sys, (0, 3, 1, 4), 2.0, budget,
+                       u_modes=("zero", "constant", "random"))
+    assert_rolled_in_mode(got, mode)
 
 
 @pytest.mark.parametrize("mode", ["interior", "corner", "mixed"])
 def test_random_disturbance_two_dimensional_box(batched_only, random_mode, mode):
     random_mode(mode)
     budget = FalsifyBudget(max_trajectories=6, horizon=15, mix=("random",), seed=7)
-    check_search(SMALL, (0, 2, 4), 2.0, budget)
+    got = check_search(SMALL, (0, 2, 4), 2.0, budget)
+    assert_rolled_in_mode(got, mode)
 
 
 def test_sequence_input_offsets_and_exhaustion(batched_only):

@@ -459,6 +459,20 @@ class TestSearchInputsRejected:
         with pytest.raises(ValueError, match="mix must not be empty"):
             FalsifyBudget(mix=())
 
+    def test_seed_that_is_no_non_negative_integer(self):
+        # None once gave every trajectory fresh OS entropy, and -1 failed
+        # inside numpy at the first trajectory
+        for seed in (None, -1, 1.5, "3", True):
+            with pytest.raises(ValueError, match="seed must be a non-negative"):
+                FalsifyBudget(seed=seed)
+        budget = FalsifyBudget(max_trajectories=3, horizon=4, seed=np.int64(3))
+        assert type(budget.seed) is int
+        want = adversarial_batch(B23.sys, (0,), 1.0, FalsifyBudget(
+            max_trajectories=3, horizon=4, seed=3))
+        got = adversarial_batch(B23.sys, (0,), 1.0, budget)
+        assert all(np.array_equal(a.x, b.x) and a.meta == b.meta
+                   for a, b in zip(got, want))
+
     def test_empty_t0s(self):
         for total in (0, 4):
             with pytest.raises(ValueError, match="t0s must not be empty"):
