@@ -11,9 +11,9 @@ from .expr import (Dims, Env, Expr, ExprDomainError, ExprError, ExprNameError,
                    ExprSyntaxError, eval_expression, parse_expression)
 from .system import (ConstantDisturbance, ConstantInput, GreedyDisturbance,
                      InputPolicy, DisturbancePolicy, RandomDisturbance,
-                     SequenceInput, StateFeedback, SystemDef, Trajectory,
-                     ZeroInput, closed_loop, parse_system_file,
-                     reachable_bound, simulate, step, vecnorm)
+                     SequenceInput, SystemDef, Trajectory, ZeroInput,
+                     closed_loop, parse_system_file, reachable_bound,
+                     simulate, step, vecnorm)
 from .comparison import (KFn, KLEnvelope, TimeGain, check_domination, constant,
                          fit_kl_envelope, geometric, identity, kfn_from_expr,
                          linear, power_fn, timegain_from_expr, validate_class)

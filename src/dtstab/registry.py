@@ -30,8 +30,8 @@ from .stability import FalsifyBudget, adversarial_batch, check_ios_estimate
 from .synth import (DelayChainController, ReconstructionMap,
                     check_reconstruction, run_output_feedback,
                     synthesize_delay_controller)
-from .system import (CertificateReport, StateFeedback, SystemDef, WorstMargin,
-                     closed_loop, vecnorm)
+from .system import (CertificateReport, SystemDef, WorstMargin, closed_loop,
+                     vecnorm)
 
 __all__ = ["ExampleBundle", "EXAMPLES", "load_example",
            "example_2_3", "example_3_4", "example_4_7"]
@@ -58,7 +58,7 @@ class ExampleBundle:
     sigma: KLEnvelope = None
     rho: KFn = None
     gamma: TimeGain = None
-    feedback: StateFeedback = None
+    feedback: list = None  # a state feedback's expression list
     closed: SystemDef = None
     psi: ReconstructionMap = None
     controller: DelayChainController = None
@@ -115,7 +115,7 @@ def example_4_7(r: float) -> ExampleBundle:
         n=3, m=1, k=1, d_box=[[-r, r]],
         f=["x2", "x2^2 + u1", "d1*x3 + exp(t)*x2"],
         H=["x1", "x2", "x3"], h=["x1"], name="example_4_7")
-    feedback = StateFeedback(["-x2^2"], n=3, name="-x2^2")
+    feedback = ["-x2^2"]
     cand = LyapunovCandidate(
         V="abs(x1) + 3*exp(t)*abs(x2) + abs(x3)", n=3,
         a1=identity(), a2=identity(),

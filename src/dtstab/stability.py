@@ -52,15 +52,19 @@ class FalsifyBudget:
     u_cap: float = 5.0
 
     def __post_init__(self):
-        if self.max_trajectories < 0:
-            raise ValueError("budget must be non-negative")
         _require_modes("mix", self.mix, ("corner", "greedy", "random"))
-        # the seed stream is replayable only from an integer seed
-        if (not isinstance(self.seed, (int, np.integer))
-                or isinstance(self.seed, bool) or self.seed < 0):
-            raise ValueError(f"seed must be a non-negative integer, "
-                             f"not {self.seed!r}")
-        self.seed = int(self.seed)
+        # the counts size ranges and arrays, and the seed stream replays
+        # only from an integer seed; True is no count
+        for name in ("max_trajectories", "horizon", "seed"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, np.integer))
+                    or isinstance(value, bool) or value < 0):
+                raise ValueError(f"{name} must be a non-negative integer, "
+                                 f"not {value!r}")
+            setattr(self, name, int(value))
+        if not 0.0 <= self.u_cap < math.inf:  # NaN fails the comparison
+            raise ValueError(f"u_cap must be finite and non-negative, "
+                             f"not {self.u_cap!r}")
 
 
 def _require_modes(what, modes, known):

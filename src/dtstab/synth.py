@@ -8,11 +8,15 @@ registers and applies Psi; its control action coincides with the state
 feedback after p steps regardless of the register initialization.  The
 window length p is always Psi's.
 
-The closed loop is a substitution, like every composite: the plant with the
-registers appended as integrator states (:func:`build_extended_system`),
-under one static expression feedback of (x, w) in which Psi reads the
-current output and the register slots, and the register input is the
-shifted register (:meth:`DelayChainController.feedback`).
+A feedback, static or the controller's, is an expression list like f, H
+and h, never an input policy.  The closed loop is a substitution, like
+every composite: the plant with the registers appended as integrator states
+(:func:`build_extended_system`), closed by one static expression feedback
+of (x, w) in which Psi reads the current output and the register slots, and
+the register input is the shifted register
+(:meth:`DelayChainController.feedback`).  The result is one unforced system
+over (x, w) (:meth:`DelayChainController.closed_loop`) that
+:func:`simulate`, the searches and the checks take as it is.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ import numpy as np
 
 from .certify import CertificateReport
 from .expr import Dims, Var, parse_expression, substitute
-from .system import (FAIL, PASS, _EMPTY, DisturbancePolicy, StateFeedback,
-                     SystemDef, Trajectory, WorstMargin, _FieldsJSON,
-                     as_feedback, require_samples, simulate)
+from .system import (FAIL, PASS, _EMPTY, DisturbancePolicy, SystemDef,
+                     Trajectory, VectorMap, WorstMargin, _FieldsJSON,
+                     closed_loop, require_samples, simulate)
 
 __all__ = [
     "ChainResult", "iterate_maps",
@@ -109,15 +113,15 @@ def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
     SAMPLE_RADIUS].  A pass is "no violation found at these samples".
 
     The p-step chains of all samples run as arrays (:meth:`SystemDef.f_rows`
-    and ``h_rows`` at per-sample times), then the feedback k through
-    :meth:`StateFeedback.rows` (``k_fn`` an expression list or a
-    :class:`StateFeedback`, see :func:`as_feedback`) and then Psi through
+    and ``h_rows`` at per-sample times), then the feedback k (an expression
+    list over x1..xn of Psi's one component, else ValueError) through
+    :meth:`VectorMap.rows` and then Psi through
     :meth:`ReconstructionMap.rows`.  Each value equals :func:`iterate_maps`
     and the pointwise calls bit for bit (NaN signs aside).  Calls run step
     by step across the samples, so of two samples that raise, the one whose
     failing step comes first raises."""
     p = psi.p
-    target = as_feedback(k_fn, sys.n)
+    target = VectorMap(k_fn, "k", 1, n=sys.n)
     rng = np.random.default_rng(seed)
     ts = list(ts)
     # deterministic zero-window spots first: they pin the normalization
@@ -135,7 +139,7 @@ def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
         Y[:, i] = sys.h_rows(T + i, F)
         F = sys.f_rows(T + i, F, D[:, i], U[:, i])
     Y[:, p] = sys.h_rows(T + p, F)
-    lhs = target.rows(sys, T + p, F)
+    lhs = target.rows(T + p, F)
     rhs = psi.rows(T + p, Y, U)
     worst = WorstMargin("reconstruction samples")
     worst.add(_max_abs_rows(lhs - rhs), _max_abs_rows(rhs),
@@ -183,7 +187,8 @@ class DelayChainController:
 
     The layout of w: the output slots w_1 .. w_p (``p_y`` entries each,
     w_i = y(t-i)) and then the input slots w_{p+1} .. w_{2p} (w_{p+i} =
-    u(t-i)).  It lives in :meth:`feedback` only.
+    u(t-i)).  :meth:`feedback` builds it, and :func:`run_output_feedback`
+    reads it back.
     """
 
     p_y: int
@@ -211,9 +216,10 @@ class DelayChainController:
             return np.full(self.state_dim, w0[0])
         return w0.reshape(self.state_dim).copy()
 
-    def feedback(self, sys: SystemDef) -> StateFeedback:
+    def feedback(self, sys: SystemDef) -> list:
         """The controller as one static feedback of
-        ``build_extended_system(sys, state_dim)`` over its state (x, w).
+        ``build_extended_system(sys, state_dim)`` over its state (x, w): a
+        list of ASTs.
 
         Its first component is u: Psi with ``y<p> := h_1(t, x)``, and
         ``y<j>`` and ``u<j>`` bound to the first entry of output slot p-j and
@@ -236,7 +242,14 @@ class DelayChainController:
             bindings[f"y{j}"], bindings[f"u{j}"] = ys[(p - 1 - j) * py], us[p - 1 - j]
         u = substitute(self.psi.expr, bindings)
         v = [*sys.h_exprs, *ys[:(p - 1) * py], u, *us[:p - 1]]
-        return StateFeedback([u, *v], n=n + self.state_dim, name=self.descriptor())
+        return [u, *v]
+
+    def closed_loop(self, sys: SystemDef) -> SystemDef:
+        """The plant under the controller: the unforced system over (x, w)
+        that :func:`closed_loop` makes of the extended plant and
+        :meth:`feedback`."""
+        return closed_loop(build_extended_system(sys, self.state_dim),
+                           self.feedback(sys))
 
     def descriptor(self):
         return f"delay-chain(p={self.p}, psi={self.psi.name})"
@@ -281,26 +294,31 @@ def run_output_feedback(sys: SystemDef, ctrl: DelayChainController, t0: int,
                         horizon: int = 40, reference_k=None,
                         tol: float = 1e-12):
     """Closed loop of the plant with the delay-chain controller: the
-    :func:`simulate` run of :func:`build_extended_system` from (x0, w0) under
-    the one static feedback :meth:`DelayChainController.feedback`, cut back
-    to the plant (x, its input u and measured output y, with the register
-    as ``w``).
+    :func:`simulate` run of :meth:`DelayChainController.closed_loop` from
+    (x0, w0), with no input policy, cut back to the plant (x, its measured
+    output y, and the register as ``w``).  The applied input u is one
+    :meth:`VectorMap.rows` call over the run: the loop's component that
+    fills the newest input slot is u's AST itself.
 
     Returns that trajectory and a report verifying the register history
     w_i(t) = y(t-i), w_{p+i}(t) = u(t-i) exactly for t >= t0 + p, and |u(t) -
     k(t, x(t))| <= tol*(1 + |k|) there when a reference state feedback is
-    supplied.  Rows before t0 + p are the register-filling transient; any w0
-    is allowed, but a horizon below p leaves no row to check and raises
+    supplied (an expression list over x1..xn of one component, else
+    ValueError).  Rows before t0 + p are the register-filling transient; any
+    w0 is allowed, but a horizon below p leaves no row to check and raises
     ValueError, as does a plant without exactly one input.
     """
     p, n, py = ctrl.p, sys.n, sys.p_y
-    fb = ctrl.feedback(sys)
+    loop = ctrl.closed_loop(sys)
     require_samples(horizon + 1 - p, "rows after the register-filling transient")
+    k_ref = None if reference_k is None else VectorMap(reference_k, "k", 1, n=n)
     s0 = np.concatenate([np.asarray(x0, dtype=float).reshape(n),
                          ctrl.initial_state(w0)])
-    run = simulate(build_extended_system(sys, ctrl.state_dim), t0, s0, dpol, fb,
-                   horizon, meta={"u_policy": ctrl.descriptor()})
-    traj = Trajectory(t0=t0, t=run.t, x=run.x[:, :n], d=run.d, u=run.u[:, :1],
+    run = simulate(loop, t0, s0, dpol, horizon=horizon,
+                   meta={"u_policy": ctrl.descriptor()})
+    slot = n + p * py  # w_{p+1}(t+1) = u(t)
+    u = VectorMap(loop.f_exprs[slot:slot + 1], "u", n=loop.n).rows(run.t, run.x)
+    traj = Trajectory(t0=t0, t=run.t, x=run.x[:, :n], d=run.d, u=u,
                       Y=run.Y, y=run.y[:, :py], w=run.x[:, n:], meta=run.meta)
     T, U, yv, W = traj.t, traj.u, traj.y, traj.w
 
@@ -317,8 +335,8 @@ def run_output_feedback(sys: SystemDef, ctrl: DelayChainController, t0: int,
 
     verdict = PASS
     err = WorstMargin("rows after the register-filling transient", floor=0.0)
-    if reference_k is not None:
-        want = as_feedback(reference_k, n).rows(sys, T[p:], traj.x[p:])
+    if k_ref is not None:
+        want = k_ref.rows(T[p:], traj.x[p:])
         errs = _max_abs_rows(U[p:] - want)
         err.add(errs, _max_abs_rows(want),
                 lambda i: {"t": int(T[p + i]), "u": U[p + i].tolist(),

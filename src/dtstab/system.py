@@ -26,11 +26,11 @@ __all__ = [
     "SystemDef", "Trajectory", "SampleConfig", "ReachableBound",
     "DisturbancePolicy", "ConstantDisturbance", "RandomDisturbance",
     "GreedyDisturbance", "InputPolicy", "ZeroInput", "ConstantInput",
-    "SequenceInput", "StateFeedback",
+    "SequenceInput",
     "step", "simulate", "closed_loop", "reachable_bound",
     "parse_system_file", "vecnorm", "row_norms", "d_candidates",
     "sphere_points", "sampled_sup", "first_max", "require_samples",
-    "WorstMargin", "CertificateReport", "as_feedback", "bind_inputs",
+    "WorstMargin", "CertificateReport", "bind_inputs",
     "output_maps", "VectorMap", "EquilibriumWarning", "SystemFileError",
 ]
 
@@ -54,8 +54,9 @@ class VectorMap:
     a Lyapunov candidate V (dim 1).
 
     ``spec`` is a list of expression strings or ASTs, one per component
-    (strings are parsed against dimensions ``n``, ``m``, ``k``); a callable
-    is refused with :class:`SystemFileError`.  The map is evaluated by
+    (strings are parsed against dimensions ``n``, ``m``, ``k``); a callable,
+    or one string or AST not in a list, is refused with
+    :class:`SystemFileError`.  The map is evaluated by
     :meth:`eval` at one point, :meth:`rows` over N row-aligned points and
     :meth:`grid` over a product of outer and inner rows (one array
     evaluation per component), equal bit for bit.  ``dim``, when given, must
@@ -64,7 +65,7 @@ class VectorMap:
 
     def __init__(self, spec, what: str, dim: int = None, n: int = None,
                  m: int = 0, k: int = 0):
-        if callable(spec):
+        if callable(spec) or isinstance(spec, (str, Expr)):
             raise SystemFileError(f"{what} ({type(spec).__name__}) is not an "
                                   f"expression list")
         exprs = []
@@ -79,7 +80,13 @@ class VectorMap:
             raise SystemFileError(
                 f"{what} has {len(exprs)} components, expected {dim}")
         self.exprs, self.dim = tuple(exprs), len(exprs)
-        self._fns = [e.compiled() for e in exprs]
+
+    @functools.cached_property
+    def _fns(self):
+        """The point evaluators, compiled at the first point call: a map
+        evaluated only over rows, or only substituted, compiles no scalar
+        code."""
+        return [e.compiled() for e in self.exprs]
 
     def eval(self, t, x, d=_EMPTY, u=_EMPTY) -> np.ndarray:
         """The map at one point: a float ``t`` and float vectors."""
@@ -646,37 +653,6 @@ class SequenceInput(InputPolicy):
         return f"sequence(len={self.values.shape[0]})"
 
 
-class StateFeedback(InputPolicy):
-    """u = k(t, x) from an expression list over (t, x1..xn)."""
-
-    def __init__(self, fb, n=None, k=None, name="k"):
-        self.name = name
-        self._map = VectorMap(fb, name, k, n=n)
-        self.exprs = self._map.exprs
-
-    def __call__(self, sys, t, x):
-        return self._map.eval(float(t), np.asarray(x, dtype=float))
-
-    def rows(self, sys, t, X):
-        """Through the map's :meth:`VectorMap.rows`, equal to the calls bit
-        for bit."""
-        return self._map.rows(t, X)
-
-    def descriptor(self):
-        return f"state-feedback({self.name})"
-
-
-def as_feedback(fb, n: int) -> StateFeedback:
-    """A :class:`StateFeedback` as it is, an expression list as one over
-    x1..xn; another input policy is refused with ValueError."""
-    if isinstance(fb, StateFeedback):
-        return fb
-    if isinstance(fb, InputPolicy):
-        raise ValueError(f"the feedback {fb.descriptor()} is not an "
-                         f"expression; a state feedback is one")
-    return StateFeedback(fb, n=n)
-
-
 # --- trajectories ---
 
 @dataclass
@@ -809,24 +785,23 @@ def closed_loop(sys: SystemDef, fb) -> SystemDef:
     """Absorb a state feedback u = k(t, x) into the dynamics (k becomes 0).
 
     On an unforced system any feedback is vacuous and the system is returned
-    unchanged.  Otherwise u := k(t, x) is substituted into the plant's ASTs,
+    unchanged.  Otherwise the feedback, an expression list over (t, x1..xn)
+    one component per input, is substituted for u into the plant's ASTs,
     so the closed loop is again an expression system (same values bit for
     bit, and batchable); the outputs are the plant's (see
-    :func:`output_maps`).  A policy that is not a :class:`StateFeedback`,
-    or a feedback whose width is not k, is refused with ValueError.  The
-    zero equilibrium is preserved iff f(t,d,0,k(t,0)) = 0; this is
-    spot-checked and a warning is emitted otherwise.
+    :func:`output_maps`) and its name is the plant's and the feedback's
+    text.  Anything but an expression list of width k is refused with
+    ValueError (:class:`SystemFileError`).  The zero equilibrium is
+    preserved iff f(t,d,0,k(t,0)) = 0; this is spot-checked and a warning
+    is emitted otherwise.
     """
     if sys.k == 0:
         return sys
-    pol = as_feedback(fb, sys.n)
-    k_exprs = pol.exprs
-    if len(k_exprs) != sys.k:
-        raise ValueError(f"feedback has {len(k_exprs)} components, "
-                         f"the plant has k={sys.k} inputs")
+    k_exprs = VectorMap(fb, "feedback", sys.k, n=sys.n).exprs
+    text = ", ".join(map(str, k_exprs))
     out = SystemDef(n=sys.n, m=sys.m, k=0, d_box=sys.d_box,
                     f=bind_inputs(sys.f_exprs, k_exprs), **output_maps(sys),
-                    name=f"{sys.name}|{pol.descriptor()}")
+                    name=f"{sys.name}|state-feedback({text})")
     bad = out.check_equilibrium(ts=range(0, 21, 5))
     if bad:
         warnings.warn(f"feedback moves the zero equilibrium: {bad[0]}",

@@ -33,7 +33,7 @@ from dtstab.stability import build_small_input_system
 from dtstab.system import (SampleConfig, SystemDef, closed_loop,
                            d_candidates, reachable_bound, row_norms,
                            sampled_sup, sphere_points, vecnorm)
-from test_composite import ClosureSystem, reference_small_input
+from test_composite import ClosureSystem, reference_small_input, tree_feedback
 
 B23, B34, B47 = example_2_3(), example_3_4(), example_4_7(0.5)
 
@@ -308,11 +308,11 @@ def test_substitute_and_variables():
 
 
 def test_closed_loop_stays_an_expression_and_matches_the_closure():
-    fb = B47.feedback
-    cl = closed_loop(B47.sys, fb)
+    cl = closed_loop(B47.sys, B47.feedback)
     assert cl.k == 0
+    fb = tree_feedback(B47.feedback, 3)
     closure = ClosureSystem(3, 1, 0, B47.sys.d_box,
-                            lambda t, d, x, u: B47.sys.f_eval(t, d, x, fb(None, t, x)),
+                            lambda t, d, x, u: B47.sys.f_eval(t, d, x, fb(t, x)),
                             B47.sys.H_eval, B47.sys.h_eval)
     rng = np.random.default_rng(1)
     for _ in range(300):
@@ -482,9 +482,10 @@ def _report_matches(rep, worst, wit, count):
 def test_contraction_matches_legacy_on_closed_loop_and_native_systems():
     dvals = d_candidates(B47.sys.d_box, grid=5, random=3, rng=2)
     # the legacy loop runs over the closure of the plant and its feedback
+    fb = tree_feedback(B47.feedback, 3)
     closure = ClosureSystem(
         3, 1, 0, B47.sys.d_box,
-        lambda t, d, x, u: B47.sys.f_eval(t, d, x, B47.feedback(None, t, x)),
+        lambda t, d, x, u: B47.sys.f_eval(t, d, x, fb(t, x)),
         B47.sys.H_eval)
     lam = B47.cand.lam
     want = legacy_decrease(closure, B47.cand, GRID3, lambda t, x, V0, u: lam * V0, dvals)

@@ -27,9 +27,8 @@ from dtstab.certify import (LyapunovCandidate, build_transformed_system,
                             compose_V_from_U)
 from dtstab.stability import build_small_input_system
 from dtstab.synth import ReconstructionMap, build_extended_system
-from dtstab.system import (StateFeedback, SystemDef, SystemFileError,
-                           VectorMap, ZeroInput, bind_inputs, closed_loop,
-                           vecnorm)
+from dtstab.system import (InputPolicy, SystemDef, SystemFileError, VectorMap,
+                           ZeroInput, bind_inputs, closed_loop, vecnorm)
 
 B34, B47 = example_3_4(), example_4_7(0.5)
 
@@ -83,6 +82,30 @@ class ClosureSystem:
 
     def h_eval(self, t, x):
         return _vector(self._h(float(t), np.asarray(x, dtype=float)))
+
+
+def tree_feedback(k, n):
+    """A state feedback's expression list (text or ASTs) as a closure of (t,
+    x) over the tree walker ``eval_expression``: the reference for its
+    compiled and substituted forms.  A reference only."""
+    exprs = [parse_expression(e, Dims(n=n)) if isinstance(e, str) else e
+             for e in k]
+
+    def call(t, x):
+        env = Env(t=float(t), x=x)
+        return np.array([eval_expression(e, env) for e in exprs])
+    return call
+
+
+class TreeFeedback(InputPolicy):
+    """The same feedback as an input policy that :func:`simulate` calls
+    row by row.  A reference only."""
+
+    def __init__(self, k, n):
+        self.k = tree_feedback(k, n)
+
+    def __call__(self, sys, t, x):
+        return self.k(t, x)
 
 
 def reference_small_input(sys, p, theta):
@@ -187,7 +210,7 @@ REFUSED = {
     "small-input/theta-inf": lambda: linear(math.inf),
     "small-input/f": lambda: plant(1, f=CLOSURE_F),
     "closed-loop/f": lambda: plant(1, f=[CLOSURE_F]),
-    "closed-loop/k": lambda: StateFeedback(lambda t, x: [-x[1] ** 2], n=3),
+    "closed-loop/k": lambda: closed_loop(B47.sys, lambda t, x: [-x[1] ** 2]),
     "closed-loop/policy": lambda: closed_loop(B47.sys, ZeroInput()),
     "extended/f": lambda: VectorMap(CLOSURE_F, "f", 1, n=1, m=1),
     "extended/H": lambda: plant(1, H=CLOSURE_OUT),
@@ -215,7 +238,8 @@ REFUSED = {
 def test_parts_without_expressions_are_refused(case):
     with pytest.raises(ValueError, match="is not an expression|is not finite") as err:
         REFUSED[case]()
-    map_part = case.split("/")[-1] in ("f", "H", "h", "k", "V")
+    # a feedback is a map: a policy in its place is refused as one
+    map_part = case.split("/")[-1] in ("f", "H", "h", "k", "policy", "V")
     assert isinstance(err.value, SystemFileError) == map_part, case
 
 
@@ -223,6 +247,17 @@ def test_closed_loop_refuses_a_feedback_of_another_width():
     for fb in (["-x2^2", "5"], []):
         with pytest.raises(ValueError, match=f"feedback has {len(fb)} components"):
             closed_loop(B47.sys, fb)
+
+
+def test_one_text_or_ast_is_not_an_expression_list():
+    # a bare string was once read character by character: "0" closed the
+    # loop with u = 0, and "x1" failed to parse "x"
+    for make in (lambda: closed_loop(B47.sys, "0"),
+                 lambda: closed_loop(B47.sys, Var("x1")),
+                 lambda: VectorMap("x1", "V", n=1),
+                 lambda: plant(1, H="x1")):
+        with pytest.raises(SystemFileError, match="is not an expression list"):
+            make()
 
 
 def test_mutated_association_is_caught():

@@ -24,10 +24,13 @@ from dtstab.stability import test_output_attractivity as search_attractivity
 from dtstab.stability import test_output_stability as search_stability
 from dtstab.system import (ConstantDisturbance, ConstantInput,
                            GreedyDisturbance, RandomDisturbance, SequenceInput,
-                           StateFeedback, SystemDef, Trajectory, ZeroInput,
-                           d_candidates, simulate, vecnorm)
+                           SystemDef, Trajectory, ZeroInput, d_candidates,
+                           simulate, vecnorm)
+from test_composite import TreeFeedback
 
 B23, B34, B47 = example_2_3(), example_3_4(), example_4_7(0.5)
+# the plant under the delay-chain controller: unforced, over (x, w)
+LOOP47 = B47.controller.closed_loop(B47.sys)
 # the small-input system, with m = 2
 SMALL = build_small_input_system(B34.sys, constant(0.5), identity())
 FIELDS = ("t", "x", "d", "u", "Y", "y")
@@ -347,8 +350,10 @@ TIME_TERMS = SystemDef(n=2, m=2, k=0, d_box=[[-1.0, 1.5], [0.0, 2.0]],
 @pytest.mark.parametrize("t0", [0, 3])
 @pytest.mark.parametrize("sys, u_modes", [
     (B23.sys, ("zero",)), (TIME_TERMS, ("zero",)),
-    (B34.sys, ("zero", "constant", "random")), (SMALL, ("zero",))],
-    ids=["example_2_3", "time_terms", "example_3_4", "small_input"])
+    (B34.sys, ("zero", "constant", "random")), (SMALL, ("zero",)),
+    (LOOP47, ("zero",))],
+    ids=["example_2_3", "time_terms", "example_3_4", "small_input",
+         "delay_chain_loop"])
 def test_single_start_time_blocks_equal_simulate(batched_only, monkeypatch,
                                                  sys, u_modes, t0):
     seen = spy_times(monkeypatch, sys)
@@ -433,8 +438,8 @@ def test_roller_refuses_policy_kinds_without_a_table():
     budget = FalsifyBudget(max_trajectories=1, horizon=3)
     [(t0, x0, dpol, upol, meta)] = stability._trajectory_specs(
         B34.sys, [0], 1.0, budget, ("zero",), range(1))
-    feedback = StateFeedback(["-x2/4"], n=2)
-    with pytest.raises(TypeError, match="no input table for state-feedback"):
+    feedback = TreeFeedback(["-x2/4"], n=2)
+    with pytest.raises(TypeError, match="no input table for TreeFeedback"):
         stability._roll(B34.sys, [(t0, x0, dpol, feedback, meta)], 3)
     shifted = ShiftedDisturbance([0.5])
     with pytest.raises(TypeError, match="no disturbance table"):

@@ -100,6 +100,17 @@ class TestOutputAttractivity:
         assert rep.attained
         assert 2 <= rep.tau <= 25
 
+    def test_delay_chain_loop_finite_tau(self):
+        # the plant under the dynamic output feedback, one unforced system
+        # over (x, w) that the search takes as it is
+        b = example_4_7(0.5)
+        loop = b.controller.closed_loop(b.sys)
+        assert (loop.n, loop.k) == (5, 0)
+        rep = search_attractivity(loop, eps=0.01, T=2, R=1.0,
+                                  budget=FalsifyBudget(max_trajectories=24,
+                                                       horizon=60))
+        assert rep.attained and 0 < rep.tau < 60
+
     def test_growing_system_not_attained(self):
         rep = search_attractivity(tiny_sys("2*x1"), eps=1.0, T=0, R=1.0,
                                        budget=FalsifyBudget(max_trajectories=8,
@@ -472,6 +483,27 @@ class TestSearchInputsRejected:
         got = adversarial_batch(B23.sys, (0,), 1.0, budget)
         assert all(np.array_equal(a.x, b.x) and a.meta == b.meta
                    for a, b in zip(got, want))
+
+    def test_counts_that_are_no_non_negative_integers(self):
+        # 2.5 once raised TypeError from range, True ran one trajectory and
+        # a horizon of -1 was refused only once a search rolled
+        for name in ("max_trajectories", "horizon"):
+            for value in (2.5, -1, True, None, "3"):
+                with pytest.raises(ValueError,
+                                   match=f"{name} must be a non-negative integer"):
+                    FalsifyBudget(**{name: value})
+        budget = FalsifyBudget(max_trajectories=np.int64(3), horizon=np.int64(4))
+        assert type(budget.max_trajectories) is int and type(budget.horizon) is int
+
+    def test_u_cap_not_finite_or_negative(self):
+        # each once failed inside numpy's uniform at the first random input
+        for u_cap in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="u_cap must be finite"):
+                FalsifyBudget(u_cap=u_cap)
+        budget = FalsifyBudget(max_trajectories=6, horizon=3, u_cap=0.0)
+        batch = adversarial_batch(B34.sys, (0,), 1.0, budget,
+                                  u_modes=("constant", "random"))
+        assert all(np.all(traj.u == 0.0) for traj in batch)
 
     def test_empty_t0s(self):
         for total in (0, 4):

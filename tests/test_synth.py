@@ -12,10 +12,10 @@ from dtstab.synth import (SAMPLE_RADIUS, DelayChainController,
                           check_reconstruction, iterate_maps,
                           run_output_feedback, synthesize_delay_controller)
 from dtstab.system import (CertificateReport, ConstantDisturbance,
-                           ConstantInput, GreedyDisturbance, InputPolicy,
-                           RandomDisturbance, StateFeedback, SystemDef,
-                           WorstMargin, simulate)
-from test_composite import ClosureSystem
+                           ConstantInput, EquilibriumWarning,
+                           GreedyDisturbance, RandomDisturbance, SystemDef,
+                           SystemFileError, WorstMargin, simulate)
+from test_composite import ClosureSystem, TreeFeedback, tree_feedback
 
 B47 = example_4_7(0.5)
 
@@ -74,7 +74,7 @@ class TestCheckReconstruction:
 
     def test_output_function_always_reconstructible(self):
         # k(t, x) = theta(t, h(t, x)) reconstructs via the current output
-        k_fn = StateFeedback(["t*x1 + x1^3"], n=3)
+        k_fn = ["t*x1 + x1^3"]
         psi = ReconstructionMap("t*y1 + y1^3", p=1)
         rep = check_reconstruction(B47.sys, k_fn, psi, n_samples=500, tol=0.0)
         assert rep.verdict == "pass" and rep.worst_margin == 0.0
@@ -86,13 +86,18 @@ class TestCheckReconstruction:
         assert not rep.passed and rep.worst_margin > 0.0
 
 
+def feedback_at(ctrl, sys, t, s):
+    """The controller's feedback at one extended state, through the tree
+    walker."""
+    return tree_feedback(ctrl.feedback(sys), len(s))(t, s)
+
+
 class TestControllerStructure:
     def test_window_one_state_layout(self):
         ctrl = B47.controller
         assert ctrl.state_dim == 2  # one output slot plus one input slot
-        fb = ctrl.feedback(B47.sys)
         # (x1, x2, x3 | w1 = y(t-1), w2 = u(t-1)) -> (u | v1, v2)
-        got = fb(None, 1, np.array([2.0, 5.0, 7.0, 1.0, -1.0]))
+        got = feedback_at(ctrl, B47.sys, 1, np.array([2.0, 5.0, 7.0, 1.0, -1.0]))
         # the applied input reads the stored previous input, not the output,
         # and the register takes the current output and that input
         u = -(2.0 ** 2 + -1.0) ** 2
@@ -107,7 +112,7 @@ class TestControllerStructure:
                            ("u0", 40.0), ("u1", 30.0)):
             ctrl = DelayChainController(p_y=1, psi=ReconstructionMap(text, p=2))
             assert ctrl.state_dim == 4
-            got = ctrl.feedback(sys)(None, 0, s)
+            got = feedback_at(ctrl, sys, 0, s)
             # v shifts the register: (y, w1 | u, w3)
             assert np.array_equal(got, [want, 1.0, 10.0, want, 30.0]), text
 
@@ -118,7 +123,7 @@ class TestControllerStructure:
         # x = (x1, x2); w = (y(t-1) | y(t-2) | u(t-1), u(t-2)), two entries a slot
         s = np.array([3.0, 5.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
         y = plant.h_eval(0, s[:2])
-        got = ctrl.feedback(plant)(None, 0, s)
+        got = feedback_at(ctrl, plant, 0, s)
         u = 4.0 + 10.0 * 1.0 + 100.0 * 32.0  # first entries only: y0 = w3, y1 = w1
         assert np.array_equal(got, [u, *y, 1.0, 2.0, u, 16.0])
 
@@ -203,7 +208,7 @@ class TestRunOutputFeedback:
         # target -x^2 on the summing plant; the window-two reconstruction
         # reads the oldest output, so scaling it corrupts the input
         sys = integrator_chain_sys()
-        k_fn = StateFeedback(["-x1^2"], n=1)
+        k_fn = ["-x1^2"]
         psi = ReconstructionMap("-(y0 + u0 + u1)^2", p=2)
         scaled = ReconstructionMap("-(2*y0 + u0 + u1)^2", p=2)
         assert check_reconstruction(sys, k_fn, psi, n_samples=200,
@@ -230,7 +235,7 @@ class TestExtendedSystem:
 
     def test_constant_register_under_identity_input(self):
         ext = build_extended_system(B47.sys, 1)
-        hold = StateFeedback(["0", "x4"], n=4)
+        hold = TreeFeedback(["0", "x4"], n=4)
         traj = simulate(ext, 0, [0.5, -0.5, 1.0, 9.0],
                         ConstantDisturbance([0.2]), hold, horizon=8)
         assert np.all(traj.x[:, 3] == 9.0)
@@ -306,7 +311,7 @@ class TestSeparationComposition:
         ctrl = B47.controller
         ext = build_extended_system(B47.sys, ctrl.state_dim)
         u = substitute(ctrl.psi.expr, {"y1": Var("x1"), "u0": Var("x5")})
-        static_fb = StateFeedback([u, Var("x1"), u], n=5)
+        static_fb = TreeFeedback([u, Var("x1"), u], n=5)
 
         x0 = np.array([1.0, 2.0, 3.0])
         w0 = np.array([0.5, -0.25])
@@ -386,7 +391,8 @@ def reference_report(want, p, t0, reference_k, tol=1e-12):
             break
     verdict, err = "pass", WorstMargin("rows", floor=0.0)
     if reference_k is not None:
-        ks = [reference_k(None, t, x) for t, x in zip(T[p:], want["x"][p:])]
+        k_ref = tree_feedback(reference_k, want["x"].shape[1])
+        ks = [k_ref(t, x) for t, x in zip(T[p:], want["x"][p:])]
         errs = [float(np.max(np.abs(u - k))) for u, k in zip(U[p:], ks)]
         err.add(errs, [float(np.max(np.abs(k))) for k in ks],
                 lambda i: {"t": int(T[p + i]), "u": U[p + i].tolist(),
@@ -458,7 +464,7 @@ def test_run_equals_reference_loop_integrator_chain(p):
     for w0 in (None, rng.uniform(-2.0, 2.0, size=ctrl.state_dim)):
         rep = assert_run_equals_reference(
             sys, ctrl, 3, [1.5], w0, lambda: ConstantDisturbance(sys.d_mid()), 9,
-            StateFeedback(["-x1^2"], n=1))
+            ["-x1^2"])
         assert rep.passed and rep.history_exact
 
 
@@ -472,7 +478,7 @@ def test_run_equals_reference_loop_nan_psi():
     for w0 in (None, [0.5, -1.0, 0.25, 2.0]):
         rep = assert_run_equals_reference(
             sys, ctrl, 3, [1.5], w0, lambda: ConstantDisturbance(sys.d_mid()), 9,
-            StateFeedback(["-x1^2"], n=1))
+            ["-x1^2"])
         assert not rep.history_exact and not rep.passed
 
 
@@ -490,7 +496,7 @@ def test_run_equals_reference_loop_two_outputs(p, kind):
         seed = int(rng.integers(2 ** 31))
         rep = assert_run_equals_reference(
             plant, ctrl, t0, x0, w0, lambda: DISTURBANCES[kind](plant, seed), 15,
-            StateFeedback(["-0.5*x2"], n=2))
+            ["-0.5*x2"])
         assert rep.history_exact
 
 
@@ -509,7 +515,7 @@ class TestReconstructionRule:
             seen.append(y_p[0])
             return psi_closure(psi)(t, y_p, y_hist, u_hist)
 
-        reference_check_reconstruction(B47.sys, policy_closure(B47.feedback),
+        reference_check_reconstruction(B47.sys, tree_feedback(B47.feedback, 3),
                                        recording_psi, 1, n_samples=40, seed=3)
         rep = check_reconstruction(B47.sys, B47.feedback, psi,
                                    n_samples=40, seed=3)
@@ -536,8 +542,9 @@ class TestCoincidenceRule:
     def test_nan_controls_report_nan_and_a_witness(self):
         ctrl = synthesize_delay_controller(
             ReconstructionMap("1e300*1e300*0", p=1))  # NaN
-        _, rep = run_output_feedback(B47.sys, ctrl, 0, [1.0, 2.0, 3.0],
-                                     horizon=5, reference_k=B47.feedback)
+        with pytest.warns(EquilibriumWarning):  # a NaN input moves the origin
+            _, rep = run_output_feedback(B47.sys, ctrl, 0, [1.0, 2.0, 3.0],
+                                         horizon=5, reference_k=B47.feedback)
         assert math.isnan(rep.max_err)
         assert rep.witness["t"] == 1       # the first row after p
         assert not rep.passed
@@ -607,30 +614,15 @@ def reference_check_reconstruction(sys, target, psi, p, n_samples=1000,
                              worst.witness, worst.samples, tol)
 
 
-class _PolicyTarget(InputPolicy):
-    """An input policy that is not a StateFeedback."""
-
-    def __init__(self, fb):
-        self.fb = fb
-
-    def __call__(self, sys, t, x):
-        return self.fb(sys, t, x)
-
-
-def policy_closure(pol):
-    """A policy's call as a closure of (t, x), for the reference loop."""
-    return lambda t, x: pol(None, t, x)
-
-
 def assert_same_report(sys, k_fn, psi, k_ref=None, **kw):
     """The check equals the reference loop over closures: the system's
-    point evaluators, ``k_ref`` (by default ``k_fn``'s call) and Psi's
-    tree-walker closure."""
+    point evaluators, ``k_ref`` (by default ``k_fn`` through the tree
+    walker) and Psi's tree-walker closure."""
     got = check_reconstruction(sys, k_fn, psi, **kw)
     ref_sys = ClosureSystem(sys.n, sys.m, sys.k, sys.d_box, sys.f_eval,
                             sys.H_eval, sys.h_eval)
     want = reference_check_reconstruction(
-        ref_sys, k_ref or policy_closure(k_fn),
+        ref_sys, k_ref or tree_feedback(k_fn, sys.n),
         psi_closure(psi), psi.p, **kw)
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
     return got
@@ -640,7 +632,7 @@ def assert_same_report(sys, k_fn, psi, k_ref=None, **kw):
 def test_reconstruction_equals_reference_example_4_7(r):
     b = example_4_7(r)
     targets = ((b.feedback, None),
-               (StateFeedback(["-x2*x2"], n=3, k=1),
+               (["-x2*x2"],
                 lambda t, x: np.array([-x[1] * x[1]])))
     for psi in (b.psi, ReconstructionMap("(y1^2+u0)^2", p=1)):
         for k_fn, k_ref in targets:
@@ -653,7 +645,7 @@ def test_reconstruction_equals_reference_example_4_7(r):
 
 def test_reconstruction_equals_reference_integrator_chain():
     sys = integrator_chain_sys()
-    square = StateFeedback(["-x1^2"], n=1)
+    square = ["-x1^2"]
     for k_fn, k_ref in ((square, None),
                         (square, lambda t, x: np.array([-x[0] ** 2]))):
         for psi in (ReconstructionMap("-(y0 + u0 + u1)^2", p=2),
@@ -677,14 +669,29 @@ def test_reconstruction_few_samples_equal_reference():
 
 
 def test_policy_target_is_refused():
-    # a target feedback is an expression: another input policy, once called
+    # a target feedback is an expression: an input policy, once called
     # sample by sample, is refused, as a reference feedback is
-    target = _PolicyTarget(B47.feedback)
+    target = TreeFeedback(B47.feedback, 3)
     with pytest.raises(ValueError, match="is not an expression"):
         check_reconstruction(B47.sys, target, B47.psi, n_samples=60, seed=8)
     with pytest.raises(ValueError, match="is not an expression"):
         run_output_feedback(B47.sys, B47.controller, 0, [1.0, 2.0, 3.0],
                             horizon=4, reference_k=target)
+
+
+@pytest.mark.parametrize("k", [[], ["-x2^2", "-x2^2"], ["-x2^2", "5"]],
+                         ids=["width0", "width2", "width2_constant"])
+def test_feedback_of_another_width_than_psi_is_refused(k):
+    # Psi has one component: an empty target once passed vacuously with
+    # margin 0, a doubled one passed, and a reference ["-x2^2", "5"] failed
+    # by comparing the constant 5 against u
+    with pytest.raises(SystemFileError,
+                       match=f"k has {len(k)} components, expected 1"):
+        check_reconstruction(B47.sys, k, B47.psi, n_samples=50)
+    with pytest.raises(SystemFileError,
+                       match=f"k has {len(k)} components, expected 1"):
+        run_output_feedback(B47.sys, B47.controller, 0, [1.0, 2.0, 3.0],
+                            horizon=4, reference_k=k)
 
 
 def uniform_spots(sys, p, ts, count, rng):

@@ -9,10 +9,10 @@ from dtstab.registry import example_2_3, example_3_4, example_4_7
 from dtstab.system import (ConstantDisturbance, ConstantInput,
                            EquilibriumWarning, GreedyDisturbance,
                            RandomDisturbance, SampleConfig, SequenceInput,
-                           StateFeedback, SystemDef, SystemFileError,
-                           Trajectory, ZeroInput, closed_loop,
-                           parse_system_file, reachable_bound, simulate, step,
-                           vecnorm)
+                           SystemDef, SystemFileError, Trajectory, ZeroInput,
+                           closed_loop, parse_system_file, reachable_bound,
+                           simulate, step, vecnorm)
+from test_composite import TreeFeedback
 
 SYS23 = example_2_3().sys
 SYS34 = example_3_4().sys
@@ -145,12 +145,13 @@ class TestClosedLoop:
         assert closed_loop(SYS23, ["0"]) is SYS23
 
     def test_closed_loop_equals_policy_simulation(self):
-        fb = StateFeedback(["-x2^2"], n=3)
-        cl = closed_loop(SYS47, fb)
+        # the substitution against the feedback played as a policy through
+        # the tree walker
+        cl = closed_loop(SYS47, ["-x2^2"])
         t1 = simulate(cl, 0, [1.0, 2.0, 3.0], RandomDisturbance(seed=3),
                       horizon=15)
         t2 = simulate(SYS47, 0, [1.0, 2.0, 3.0], RandomDisturbance(seed=3),
-                      fb, horizon=15)
+                      TreeFeedback(["-x2^2"], n=3), horizon=15)
         assert np.array_equal(t1.x, t2.x)
         assert np.array_equal(t1.Y, t2.Y)
 
