@@ -84,9 +84,8 @@ class LyapunovCandidate:
         if missing:
             raise ValueError(f"candidate '{self.name}' lacks: {', '.join(missing)}")
 
-    def validate_zero(self, ts=range(0, 31, 5), n=None) -> list:
-        n = n if n is not None else self.n
-        zero = np.zeros(n)
+    def validate_zero(self, ts=range(0, 31, 5)) -> list:
+        zero = np.zeros(self.n)
         return [{"t": int(t), "V": self.V_eval(t, zero)}
                 for t in ts if self.V_eval(t, zero) != 0.0]
 
@@ -143,7 +142,10 @@ def _require_grid(grid):
 
 
 def _require_zero_at_origin(sys, cand):
-    bad = cand.validate_zero(n=sys.n)
+    if cand.n != sys.n:
+        raise ValueError(f"candidate '{cand.name}' is over n={cand.n} states, "
+                         f"the system over n={sys.n}")
+    bad = cand.validate_zero()
     if bad:
         raise ValueError(f"candidate '{cand.name}' is nonzero at the origin: "
                          f"{bad[0]}")

@@ -24,7 +24,7 @@ from .certify import (LyapunovCandidate, StateGrid, check_contraction,
 from .comparison import (KLEnvelope, constant, geometric, kfn_from_expr,
                          timegain_from_expr)
 from .expr import Dims, ExprError, parse_expression
-from .registry import EXAMPLES, example_3_4, load_example
+from .registry import EXAMPLES, load_example
 from .stability import (FalsifyBudget, adversarial_batch, check_ios_estimate,
                         check_kl_estimate, falsify, test_output_attractivity,
                         test_output_stability)
@@ -318,11 +318,8 @@ def cmd_verify(args) -> int:
 def _sigma_from(args, bundle):
     if args.sigma_C is not None and args.sigma_c is not None:
         return KLEnvelope(args.sigma_C, args.sigma_c)
-    if bundle is not None:
-        if bundle.sigma is not None:
-            return bundle.sigma
-        if bundle.name == "example_2_3":
-            return example_3_4().sigma  # same plant, unforced
+    if bundle is not None and bundle.sigma is not None:
+        return bundle.sigma
     raise UsageError("--sigma-C and --sigma-c required (no bundled envelope)")
 
 

@@ -282,6 +282,22 @@ class KLEnvelope:
                 out[..., i] = v
         return out
 
+    def row_bounds(self, batch, beta: TimeGain = None) -> np.ndarray:
+        """sigma(beta(t0)||x0||, t - t0) at every row of a batch of
+        trajectories, concatenated in trajectory order; ``beta`` defaults to
+        the envelope's.  One :meth:`decay_series` call steps all
+        trajectories at once, each row equal to the scalar call."""
+        beta = beta or self.beta
+        scale = [beta(traj.t0) * vecnorm(traj.x0) for traj in batch]
+        lengths = [len(traj) for traj in batch]
+        return self.decay_series(np.array(scale), max(lengths))[_ragged(lengths)]
+
+
+def _ragged(lengths):
+    """Mask of the first ``lengths[j]`` entries of row j of a (B, max) table:
+    the table's masked entries are the rows of a batch, concatenated."""
+    return np.arange(max(lengths)) < np.array(lengths)[:, None]
+
 
 # --- class validation ---
 
@@ -447,14 +463,15 @@ def validate_class(obj, grid: ClassGrid = None) -> ClassReport:
 @dataclass
 class KLFit:
     envelope: KLEnvelope
-    C: float
-    c: float
     max_slack: float
     witness: dict
     degenerate: bool
     failed: bool
     n_points: int
     notes: list
+
+    C = property(lambda self: self.envelope.C)  # read off the envelope
+    c = property(lambda self: self.envelope.c)
 
     @property
     def ok(self):
@@ -473,70 +490,66 @@ def fit_kl_envelope(batch: Sequence, beta: TimeGain = None) -> KLFit:
     Least squares on log(norm / scale) against t - t0 over rows with positive
     norm, with scale = beta(t0) * ||x0||; C is then inflated so the envelope
     dominates every observed point (point-by-point assertable, slack >= 0).
-    A NaN norm fails the fit: no envelope dominates it.
+    A NaN norm fails the fit: no envelope dominates it.  Rows are arrays over
+    the batch and both envelope passes are :meth:`KLEnvelope.row_bounds`.
     """
     if not batch:
         raise ValueError("empty batch")
     beta = beta or constant(1.0)
-    notes = []
-    rows = []  # (traj_index, dt, norm, scale)
-    for idx, traj in enumerate(batch):
-        norms = row_norms(traj.Y)
-        scale = beta(traj.t0) * vecnorm(traj.x0)
-        for i in range(len(traj)):
-            rows.append((idx, int(traj.t[i] - traj.t0), norms[i], scale))
-    nan_row = next(((idx, dt) for idx, dt, norm, _ in rows if norm != norm), None)
-    failed = nan_row is not None
-    if failed:
-        notes.append(f"NaN output norm at trajectory {nan_row[0]}, "
-                     f"t - t0 = {nan_row[1]}")
+    lengths = [len(traj) for traj in batch]
+    scale = np.repeat([beta(traj.t0) * vecnorm(traj.x0) for traj in batch],
+                      lengths)
+    owner = np.repeat(np.arange(len(batch)), lengths)
+    dt = np.concatenate([traj.t - traj.t0 for traj in batch]).astype(np.int64)
+    norms = row_norms(np.concatenate([traj.Y for traj in batch]))
+    nan_rows = np.flatnonzero(np.isnan(norms))[:1]
+    failed = nan_rows.size > 0
+    notes = [f"NaN output norm at trajectory {owner[i]}, t - t0 = {dt[i]}"
+             for i in nan_rows]
 
-    fit_pts = [(dt, math.log(norm / scale))
-               for _, dt, norm, scale in rows if norm > 0.0 and scale > 0.0]
-    if not fit_pts:
-        notes.append("all-zero batch: degenerate zero envelope")
-        env = KLEnvelope(0.0, 1.0, beta=beta)
-        return KLFit(env, 0.0, 1.0, 0.0, None, True, failed, 0, notes)
-
-    dts = np.array([p[0] for p in fit_pts], dtype=float)
-    logs = np.array([p[1] for p in fit_pts])
-    if np.ptp(dts) == 0.0:
-        slope, intercept = 0.0, float(np.max(logs))
-        notes.append("single time offset: no decay rate identifiable")
-    else:
-        slope, intercept = np.polyfit(dts, logs, 1)
-    c = -float(slope)
-    if not c > 0.0:
-        failed = True
-        notes.append(f"non-decaying data: fitted c = {c!r} <= 0")
-
-    # inflate C so the envelope's own evaluation dominates each observed row
-    base = KLEnvelope(1.0, c, beta=beta)
-    ratio_max, n_pts = 0.0, 0
-    for _, dt, norm, scale in rows:
-        if norm <= 0.0:
-            continue
-        n_pts += 1
-        if scale <= 0.0:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fit = (norms > 0.0) & (scale > 0.0)
+        if not fit.any():
+            notes.append("all-zero batch: degenerate zero envelope")
+            return KLFit(KLEnvelope(0.0, 1.0, beta=beta), 0.0, None, True,
+                         failed, 0, notes)
+        dts = dt[fit].astype(float)
+        # math.log point by point: np.log differs from it at some points
+        logs = np.array([math.log(r) for r in (norms[fit] / scale[fit]).tolist()])
+        if np.ptp(dts) == 0.0:
+            slope, intercept = 0.0, float(np.max(logs))
+            notes.append("single time offset: no decay rate identifiable")
+        else:
+            slope, intercept = np.polyfit(dts, logs, 1)
+        c = -float(slope)
+        if not c > 0.0:
             failed = True
-            notes.append("row with zero initial scale but nonzero output")
-            continue
-        b = base(scale, dt)
-        if b > 0.0:
-            ratio_max = max(ratio_max, norm / b)
-    C = max(math.exp(intercept), ratio_max) * (1.0 + 1e-12)
-    env = KLEnvelope(C, c, beta=beta)
+            notes.append(f"non-decaying data: fitted c = {c!r} <= 0")
 
-    max_slack, min_slack, witness = 0.0, math.inf, None
-    for idx, dt, norm, scale in rows:
-        bound = env(scale, dt)
-        slack = bound - norm
-        max_slack = max(max_slack, slack)
-        if norm > 0.0 and slack < min_slack:
-            min_slack = slack
-            witness = {"trajectory": idx, "dt": dt, "norm": norm,
-                       "bound": bound, "slack": slack}
-    return KLFit(env, C, c, max_slack, witness, False, failed, n_pts, notes)
+        # inflate C so the envelope's own evaluation dominates each observed
+        # row; a NaN norm counts as a point but never wins the ratio
+        counted = ~(norms <= 0.0)
+        zero_scale = int(np.sum(counted & (scale <= 0.0)))
+        notes += ["row with zero initial scale but nonzero output"] * zero_scale
+        failed = failed or zero_scale > 0
+        base = KLEnvelope(1.0, c, beta=beta).row_bounds(batch)
+        ratios = norms / base
+        ratio_max = float(np.max(ratios, initial=0.0,
+                                 where=(base > 0.0) & (ratios == ratios)))
+        C = max(math.exp(intercept), ratio_max) * (1.0 + 1e-12)
+        env = KLEnvelope(C, c, beta=beta)
+
+        bound = env.row_bounds(batch)
+        slack = bound - norms
+        max_slack = float(np.max(slack, initial=0.0, where=slack > 0.0))
+        rows = np.flatnonzero((norms > 0.0) & (slack < math.inf))
+    witness = None
+    if rows.size:  # the first least slack
+        i = rows[np.argmin(slack[rows])]
+        witness = {"trajectory": int(owner[i]), "dt": int(dt[i]),
+                   "norm": float(norms[i]), "bound": float(bound[i]),
+                   "slack": float(slack[i])}
+    return KLFit(env, max_slack, witness, False, failed, int(counted.sum()), notes)
 
 
 # --- domination checks (growth hypotheses) ---

@@ -717,12 +717,14 @@ def substitute(expr: Expr, bindings: Mapping[str, Expr]) -> Expr:
 
     Evaluating the result equals evaluating ``expr`` with those variables set
     to the values of their bindings, bit for bit: the same operations run on
-    the same operands.
+    the same operands.  A node none of whose children changed is returned
+    itself, so it keeps its compiled code.
     """
     if isinstance(expr, Var):
         return bindings.get(expr.name, expr)
     kids = expr.children()
-    if not kids:
+    new = tuple(substitute(c, bindings) for c in kids)
+    if all(a is b for a, b in zip(new, kids)):
         return expr
-    return expr._rebuild(tuple(substitute(c, bindings) for c in kids))
+    return expr._rebuild(new)
 

@@ -89,7 +89,9 @@ def example_2_3() -> ExampleBundle:
         name="example_2_3",
         description="planar sqrt-output plant, d in [-2,2]; relaxed-decrease "
                     "certificate with geometric offset",
-        sys=sys, cand=cand)
+        sys=sys, cand=cand,
+        # example_3_4's input-to-output envelope with u = 0
+        sigma=KLEnvelope(6.0 * K_IOS, C_IOS, beta=constant(1.0)))
 
 
 def example_3_4() -> ExampleBundle:
@@ -98,12 +100,11 @@ def example_3_4() -> ExampleBundle:
         n=2, m=1, k=1, d_box=[[-2.0, 2.0]],
         f=["d1*x1", "2^(-t)*d1*abs(x1)^0.5 + u1"],
         H=["x2"], name="example_3_4")
-    sigma = KLEnvelope(6.0 * K_IOS, C_IOS, beta=constant(1.0))
     return ExampleBundle(
         name="example_3_4",
         description="sqrt-output plant with additive input; linear exponential "
                     "input-to-output envelope",
-        sys=sys, cand=base.cand, sigma=sigma,
+        sys=sys, cand=base.cand, sigma=base.sigma,
         rho=linear(1.0 / 3.0, name="s/3"), gamma=constant(1.0),
         extras={"unforced": base.sys})
 

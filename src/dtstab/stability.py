@@ -19,14 +19,14 @@ from typing import Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .comparison import KFn, KLEnvelope, TimeGain
+from .comparison import KFn, KLEnvelope, TimeGain, _ragged
 from .expr import Bin, Call, Var, substitute
 from .system import (FAIL, ConstantDisturbance, ConstantInput,
                      GreedyDisturbance, RandomDisturbance, SequenceInput,
                      SystemDef, Trajectory, WorstMargin, ZeroInput,
                      bind_inputs, d_candidates, first_max,
                      output_maps, require_samples, row_norms, simulate,
-                     vecnorm, _beats, _FieldsJSON)
+                     _beats, _FieldsJSON)
 
 __all__ = [
     "FalsifyBudget", "StabilityReport", "EnvelopeReport",
@@ -62,9 +62,14 @@ class FalsifyBudget:
                 raise ValueError(f"{name} must be a non-negative integer, "
                                  f"not {value!r}")
             setattr(self, name, int(value))
-        if not 0.0 <= self.u_cap < math.inf:  # NaN fails the comparison
-            raise ValueError(f"u_cap must be finite and non-negative, "
-                             f"not {self.u_cap!r}")
+        _require_finite("u_cap", self.u_cap)
+
+
+def _require_finite(what, value):
+    """Refuse a ``value`` that is negative, infinite or NaN."""
+    if not 0.0 <= value < math.inf:  # NaN fails the comparison
+        raise ValueError(f"{what} must be finite and non-negative, "
+                         f"not {value!r}")
 
 
 def _require_modes(what, modes, known):
@@ -428,6 +433,7 @@ def search_trajectories(sys: SystemDef, t0s: Sequence[int], radius: float,
     t0s = list(t0s)
     if not t0s:
         raise ValueError("t0s must not be empty")
+    _require_finite("search radius", radius)
     _require_modes("u_modes", u_modes, ("zero", "constant", "random"))
     total = budget.max_trajectories
     for start in range(0, total, ROLLOUT_BLOCK):
@@ -530,8 +536,9 @@ def test_output_attractivity(sys: SystemDef, eps: float, T: int, R: float,
     a trajectory still exceeding at the end of the horizon reports
     "not attained" with the worst trajectory attached.
     """
-    if eps <= 0 or T < 0 or R < 0:
-        raise ValueError("require eps > 0, T >= 0, R >= 0")
+    if eps <= 0 or T < 0:
+        raise ValueError("require eps > 0 and T >= 0")
+    _require_finite("R", R)
     if sys.k != 0:
         raise ValueError("output attractivity is a property of unforced systems")
     budget = budget or FalsifyBudget(max_trajectories=64, horizon=120)
@@ -623,20 +630,6 @@ def _batch_bounds(bounds_of, batch, *gains):
         return np.concatenate([bounds_of([traj], *gains) for traj in batch])
 
 
-def _ragged(lengths):
-    """Mask of the first ``lengths[j]`` entries of row j of a (B, max) table:
-    the table's masked entries are the rows of a batch, concatenated."""
-    return np.arange(max(lengths)) < np.array(lengths)[:, None]
-
-
-def _decay_bounds(batch, sigma, beta):
-    """sigma(beta(t0)||x0||, t - t0) at every row of the batch, concatenated:
-    the envelope's exact recursion steps all trajectories at once."""
-    scale = [beta(traj.t0) * vecnorm(traj.x0) for traj in batch]
-    lengths = [len(traj) for traj in batch]
-    return sigma.decay_series(np.array(scale), max(lengths))[_ragged(lengths)]
-
-
 def _ios_bounds(batch, sigma, beta, rho, gamma, form, zeta, delta):
     """The input-to-output bound at every row of the batch, concatenated.
 
@@ -663,7 +656,7 @@ def _ios_bounds(batch, sigma, beta, rho, gamma, form, zeta, delta):
             held, f = run[:, i - 1] * g, run[:, i]
             run[:, i] = np.where((f > held) | (f != f), f, held)  # NaN f wins
     run = run[rows]
-    decay = _decay_bounds(batch, sigma, beta)
+    decay = sigma.row_bounds(batch, beta)
     return np.where((run > decay) | np.isnan(run), run, decay)
 
 
@@ -688,7 +681,7 @@ def check_kl_estimate(batch: Sequence[Trajectory], sigma: KLEnvelope,
                       beta: TimeGain = None, tol: float = 1e-9) -> EnvelopeReport:
     """Pointwise ||Y(t)|| <= sigma(beta(t0)||x0||, t - t0) over the batch."""
     batch = _with_rows(batch)
-    bounds = _batch_bounds(_decay_bounds, batch, sigma, beta or sigma.beta)
+    bounds = _batch_bounds(sigma.row_bounds, batch, beta or sigma.beta)
     return _row_check("kl", bounds, batch, tol)
 
 
@@ -768,9 +761,10 @@ def falsify(sys: SystemDef, sigma: KLEnvelope, beta: TimeGain = None,
     ios = rho is not None and sys.k > 0
     u_modes = ("zero", "constant", "random") if ios else ("zero",)
     if ios:
+        _require_gains("max", rho, gamma, None, None)
         bounds_of, gains = _ios_bounds, (sigma, beta, rho, gamma, "max", None, None)
     else:
-        bounds_of, gains = _decay_bounds, (sigma, beta)
+        bounds_of, gains = sigma.row_bounds, (beta,)
     best, wit, count = 0.0, None, 0
     trajs = iter(search_trajectories(sys, (0,), radius, budget, u_modes))
     while True:
@@ -782,17 +776,13 @@ def falsify(sys: SystemDef, sigma: KLEnvelope, beta: TimeGain = None,
             fault = exc
         count += len(chunk)
         if chunk:
-            if ios:
-                _require_gains("max", rho, gamma, None, None)
             bounds = _batch_bounds(bounds_of, chunk, *gains)
             norms, ratios = _row_ratios(chunk, bounds)
             ratios = ratios.reshape(len(chunk), -1)  # one horizon: equal rows
-            peaks = ratios[np.arange(len(chunk)), np.argmax(ratios, axis=1)]
-            win = None
-            for j, peak in enumerate(peaks.tolist()):
-                if _beats(peak, best):
-                    best, win = peak, j
-            if win is not None:  # the worst-margin row of the winner
+            peak, win = first_max(ratios[np.arange(len(chunk)),
+                                         np.argmax(ratios, axis=1)])
+            if _beats(peak, best):  # the worst-margin row of the winner
+                best = peak
                 rows = slice(win * ratios.shape[1], (win + 1) * ratios.shape[1])
                 _, row = first_max(norms[rows] - bounds[rows])
                 wit = _row_witness(chunk[win], row, norms[rows][row],

@@ -827,8 +827,8 @@ class ReachableBound:
 
 def reachable_bound(sys: SystemDef, r: float, T: int,
                     sample_cfg: SampleConfig = None) -> ReachableBound:
-    if r < 0 or T < 0:
-        raise ValueError("require r >= 0 and T >= 0")
+    if not 0.0 <= r < math.inf or T < 0:  # NaN fails the comparison
+        raise ValueError("require a finite r >= 0 and T >= 0")
     cfg = sample_cfg or SampleConfig(d_random=32, x_directions=64, u_directions=8)
     rng = np.random.default_rng(cfg.seed)
     dcands = d_candidates(sys.d_box, grid=cfg.d_grid, random=cfg.d_random, rng=rng)

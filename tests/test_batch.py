@@ -307,6 +307,21 @@ def test_substitute_and_variables():
     assert substitute(node, {}) == node
 
 
+def test_substitute_returns_unbound_nodes_themselves():
+    # a rebuilt composite compiles again: the closed loop of example_4_7
+    # once compiled d1*x3 + exp(t)*x2 anew on every build
+    node = parse_expression("x2^2 + u1*t + exp(t)*x1", Dims(n=2, k=1))
+    assert substitute(node, {}) is node
+    assert substitute(node, {"x3": Num(1.0)}) is node
+    closed = substitute(node, {"u1": Num(2.0)})
+    assert closed.right is node.right  # exp(t)*x1 reads no u1
+    assert closed.left.left is node.left.left  # nor does x2^2
+    assert closed.left is not node.left
+    cl = closed_loop(B47.sys, ["-x2^2"])
+    assert cl.f_exprs[2] is B47.sys.f_exprs[2]
+    assert cl.f_exprs[0] is B47.sys.f_exprs[0]
+
+
 def test_closed_loop_stays_an_expression_and_matches_the_closure():
     cl = closed_loop(B47.sys, B47.feedback)
     assert cl.k == 0

@@ -851,3 +851,26 @@ def test_contraction_on_transformed_system_equals_pointwise_loop():
                                   "contraction")
     assert dumps(got) == dumps(want)
     assert got.samples == len(grid)
+
+
+@pytest.mark.parametrize("n, V", [(3, "abs(x1) + abs(x3)"), (1, "abs(x1)")])
+def test_candidate_over_another_state_count_is_refused(n, V):
+    # n = 3 once raised IndexError in check_sandwich; n = 1 was checked as a
+    # V that ignores x2, failing the relaxed decrease
+    cand = LyapunovCandidate(V=V, n=n, a1=identity(), a2=identity(),
+                             beta=constant(2.0), lam=0.5, a3=linear(0.5),
+                             q=geometric(1.0, 0.5), phi=constant(1.0))
+    grid = grid23(ts=range(2), n_mag=2)
+    fiber = lambda t, y: np.array([[0.0, y[0]]])  # noqa: E731
+    checks = {
+        "sandwich": lambda: check_sandwich(B23.sys, cand, grid),
+        "contraction": lambda: check_contraction(B23.sys, cand, grid),
+        "relaxed": lambda: check_relaxed_decrease(B23.sys, cand, grid),
+        "ios": lambda: check_ios_decrease(B34.sys, cand, grid, [[0.0], [1.0]]),
+        "rofs": lambda: check_rofs_inf_sup(B34.sys, cand, fiber, [[0.0]],
+                                           ts=[0], ys=[[1.0]]),
+    }
+    for name, check in checks.items():
+        with pytest.raises(ValueError,
+                           match=f"is over n={n} states, the system over n=2"):
+            check()

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from dtstab.cli import main, num_expr
+from dtstab.registry import example_2_3, example_3_4
 from dtstab.system import parse_system_file
 
 
@@ -209,6 +210,12 @@ class TestVerifyCommand:
                    "--out-dir", str(tmp_path))
         assert code == 0
 
+    def test_example_2_3_bundles_example_3_4s_envelope(self):
+        # the unforced plant's commands read the forced plant's envelope
+        sigma23, sigma34 = example_2_3().sigma, example_3_4().sigma
+        assert (sigma23.C, sigma23.c, sigma23.beta.expr) == (
+            sigma34.C, sigma34.c, sigma34.beta.expr)
+
 
 class TestSynthesizeCommand:
     def test_controller_json_and_coincidence(self, tmp_path):
@@ -340,3 +347,21 @@ class TestCounterexampleEmission:
         csv = (tmp_path / "counterexample.csv").read_text().splitlines()
         assert csv[0] == "t,x1,Y1,y1"
         assert len(csv) == 52
+
+
+class TestSearchRadius:
+    @pytest.mark.parametrize("R", ["-1", "1e308*10 - 1e308*10", "1e308*10"],
+                             ids=["-1", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ("falsify", "--example", "example_2_3", "--budget", "20"),
+        ("verify", "--example", "example_3_4", "--property", "ios-estimate",
+         "--budget", "8"),
+        ("verify", "--example", "example_2_3", "--property", "kl-estimate",
+         "--budget", "8"),
+    ], ids=["falsify", "ios-estimate", "kl-estimate"])
+    def test_radius_not_finite_or_negative_exits_2(self, tmp_path, capsys,
+                                                   argv, R):
+        # -1 once gave "worst ratio 0.183319" and "pass"
+        assert run(*argv, "--R", R, "--out-dir", str(tmp_path)) == 2
+        assert "radius must be finite and non-negative" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())

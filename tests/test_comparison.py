@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import dtstab.system as system_mod
 from dtstab.certify import LyapunovCandidate, tau_bound
 
 from dtstab.comparison import (ClassGrid, KFn, KLEnvelope, TimeGain,
-                               check_domination, constant, decay_checks, fit_kl_envelope, geometric, identity,
+                               KLFit, check_domination, constant, decay_checks, fit_kl_envelope, geometric, identity,
                                kfn_from_expr, linear, power_fn, sup_f_sampler,
                                timegain_from_expr, validate_class)
 from dtstab.expr import ExprDomainError, Num, Var
@@ -328,6 +329,145 @@ class TestFitKLEnvelope:
         js = fit.to_json()
         for key in ("C", "c", "beta", "max_slack", "witness"):
             assert key in js
+
+
+def loop_fit_kl_envelope(batch, beta=None):
+    """The row-by-row fit that ``fit_kl_envelope`` replaced: every bound is
+    a scalar ``KLEnvelope`` call, re-running the recursion from t0."""
+    if not batch:
+        raise ValueError("empty batch")
+    beta = beta or constant(1.0)
+    notes = []
+    rows = []  # (traj_index, dt, norm, scale)
+    for idx, traj in enumerate(batch):
+        norms = system_mod.row_norms(traj.Y)
+        scale = beta(traj.t0) * system_mod.vecnorm(traj.x0)
+        for i in range(len(traj)):
+            rows.append((idx, int(traj.t[i] - traj.t0), norms[i], scale))
+    nan_row = next(((idx, dt) for idx, dt, norm, _ in rows if norm != norm), None)
+    failed = nan_row is not None
+    if failed:
+        notes.append(f"NaN output norm at trajectory {nan_row[0]}, "
+                     f"t - t0 = {nan_row[1]}")
+
+    fit_pts = [(dt, math.log(norm / scale))
+               for _, dt, norm, scale in rows if norm > 0.0 and scale > 0.0]
+    if not fit_pts:
+        notes.append("all-zero batch: degenerate zero envelope")
+        env = KLEnvelope(0.0, 1.0, beta=beta)
+        return KLFit(env, 0.0, None, True, failed, 0, notes)
+
+    dts = np.array([p[0] for p in fit_pts], dtype=float)
+    logs = np.array([p[1] for p in fit_pts])
+    if np.ptp(dts) == 0.0:
+        slope, intercept = 0.0, float(np.max(logs))
+        notes.append("single time offset: no decay rate identifiable")
+    else:
+        slope, intercept = np.polyfit(dts, logs, 1)
+    c = -float(slope)
+    if not c > 0.0:
+        failed = True
+        notes.append(f"non-decaying data: fitted c = {c!r} <= 0")
+
+    base = KLEnvelope(1.0, c, beta=beta)
+    ratio_max, n_pts = 0.0, 0
+    for _, dt, norm, scale in rows:
+        if norm <= 0.0:
+            continue
+        n_pts += 1
+        if scale <= 0.0:
+            failed = True
+            notes.append("row with zero initial scale but nonzero output")
+            continue
+        b = base(scale, dt)
+        if b > 0.0:
+            ratio_max = max(ratio_max, norm / b)
+    C = max(math.exp(intercept), ratio_max) * (1.0 + 1e-12)
+    env = KLEnvelope(C, c, beta=beta)
+
+    max_slack, min_slack, witness = 0.0, math.inf, None
+    for idx, dt, norm, scale in rows:
+        bound = env(scale, dt)
+        slack = bound - norm
+        max_slack = max(max_slack, slack)
+        if norm > 0.0 and slack < min_slack:
+            min_slack = slack
+            witness = {"trajectory": idx, "dt": dt, "norm": norm,
+                       "bound": bound, "slack": slack}
+    return KLFit(env, max_slack, witness, False, failed, n_pts, notes)
+
+
+def _bits(obj):
+    """``obj`` with every float (numpy or not) replaced by its bit pattern."""
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return ("float", bits_of([obj])[0])
+    if isinstance(obj, (bool, np.bool_)):
+        return ("bool", bool(obj))
+    if isinstance(obj, (int, np.integer)):
+        return ("int", int(obj))
+    return obj
+
+
+def _fit_fields(fit):
+    env = fit.envelope
+    return _bits({"C": env.C, "c": env.c, "g": env.g, "beta": env.beta.name,
+                  "max_slack": fit.max_slack, "witness": fit.witness,
+                  "degenerate": fit.degenerate, "failed": fit.failed,
+                  "n_points": fit.n_points, "notes": fit.notes,
+                  "json": fit.to_json()})
+
+
+def _fit_outcome(fit_fn, batch, beta):
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")  # polyfit's RankWarning on bad data
+        try:
+            return _fit_fields(fit_fn(batch, beta))
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+_FIT_SPECIAL = [math.nan, math.inf, 0.0, -0.0, 1e-300, 1e300, -2.0]
+_FIT_BETAS = {"none": None, "two": constant(2.0), "1+t": timegain_from_expr("1+t"),
+              "geometric": geometric(3.0, 0.5)}
+
+
+@st.composite
+def _fit_batches(draw):
+    """(batch, beta): trajectories of one output width (1 or 2) with decaying,
+    flat or growing outputs, zero or nonzero x0, t0 up to 3, one to eight
+    rows, and some outputs replaced by NaN, inf, zeros or extremes."""
+    p = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([1, 2]))
+    batch = []
+    for _ in range(draw(st.integers(1, 5))):
+        t0 = draw(st.integers(0, 3))
+        rows = draw(st.integers(1, 8))
+        x0 = [draw(st.sampled_from([0.0, 0.5, -1.0, 2.0, 1e-200]))
+              for _ in range(n)]
+        amp = draw(st.sampled_from([0.0, 1e-3, 0.7, 1.0, 3.0, 1e200]))
+        ratio = draw(st.sampled_from([0.3, 0.5, 0.9, 1.0, 1.5, 2.0]))
+        mix = draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p))
+        Y = [[amp * ratio ** i * (1.0 + 0.25 * m) for m in mix]
+             for i in range(rows)]
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, p - 1))
+            Y[i][j] = draw(st.sampled_from(_FIT_SPECIAL))
+        if draw(st.booleans()) and draw(st.booleans()):
+            Y = [[0.0] * p for _ in range(rows)]  # an all-zero row set
+        batch.append(make_traj(t0, x0, Y))
+    return batch, _FIT_BETAS[draw(st.sampled_from(sorted(_FIT_BETAS)))]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_fit_batches())
+def test_fit_equals_the_row_loop_bit_for_bit(case):
+    batch, beta = case
+    assert (_fit_outcome(fit_kl_envelope, batch, beta)
+            == _fit_outcome(loop_fit_kl_envelope, batch, beta))
 
 
 class TestCheckDomination:

@@ -505,6 +505,22 @@ class TestSearchInputsRejected:
                                   u_modes=("constant", "random"))
         assert all(np.all(traj.u == 0.0) for traj in batch)
 
+    @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+    def test_radius_not_finite_or_negative(self, radius):
+        # each once searched: falsify reported a worst ratio, attractivity
+        # "not attained" for NaN
+        budget = FalsifyBudget(max_trajectories=4, horizon=3)
+        match = "radius must be finite and non-negative"
+        with pytest.raises(ValueError, match=match):
+            adversarial_batch(B23.sys, (0,), radius, budget)
+        with pytest.raises(ValueError, match=match):
+            falsify(B23.sys, B34.sigma, budget=budget, radius=radius)
+        with pytest.raises(ValueError, match=match):
+            falsify(B34.sys, B34.sigma, rho=B34.rho, gamma=B34.gamma,
+                    budget=budget, radius=radius)
+        with pytest.raises(ValueError, match="R must be finite and non-negative"):
+            search_attractivity(B23.sys, 0.1, 0, radius, budget=budget)
+
     def test_empty_t0s(self):
         for total in (0, 4):
             with pytest.raises(ValueError, match="t0s must not be empty"):
@@ -584,7 +600,7 @@ class TestBatchEnvelopeChecks:
         batch = ragged_batch(sys)
         want = loop_bounds(form, batch, sigma, gains)
         if form == "kl":
-            got = stability._decay_bounds(batch, sigma, gains["beta"])
+            got = sigma.row_bounds(batch, gains["beta"])
         else:
             got = stability._ios_bounds(batch, sigma, *ios_args(form, gains))
         assert_same_bits(got, np.concatenate(want))
@@ -696,6 +712,16 @@ class TestFalsifyMatchesLoop:
         with pytest.raises(ValueError, match="max form needs rho and gamma"):
             falsify(B34.sys, B34.sigma, rho=B34.rho,
                     budget=FalsifyBudget(max_trajectories=3, horizon=4))
+
+    def test_missing_gamma_raises_before_any_roll(self, monkeypatch):
+        # the check once ran after the first block of 256 was rolled
+        rolled = []
+        monkeypatch.setattr(stability, "_roll", lambda sys, specs, horizon:
+                            rolled.append(len(specs)) or [])
+        with pytest.raises(ValueError, match="max form needs rho and gamma"):
+            falsify(B34.sys, B34.sigma, rho=B34.rho,
+                    budget=FalsifyBudget(max_trajectories=300, horizon=60))
+        assert rolled == []
 
     @pytest.mark.parametrize("rho, check_first", [
         # fails at s = 0: the first trajectory's check, before the roll error

@@ -165,6 +165,12 @@ class TestReachableBound:
         rb = reachable_bound(SYS23, 0.0, 4)
         assert np.array_equal(rb.rho, np.zeros(5))
 
+    @pytest.mark.parametrize("r", [-1.0, math.nan, math.inf])
+    def test_radius_not_finite_or_negative(self, r):
+        # NaN once gave rho = [nan, nan]
+        with pytest.raises(ValueError, match="require a finite r >= 0"):
+            reachable_bound(SYS47, r, 1)
+
     def test_linear_contraction(self):
         sys = SystemDef(n=1, m=0, k=0, d_box=np.zeros((0, 2)),
                         f=["0.5*x1"], H=["x1"], name="halving")
