@@ -30,8 +30,8 @@ import numpy as np
 
 from .expr import Bin, Dims, Expr, Neg, Num, Var, parse_expression, substitute
 from .system import (CertificateReport, SampleConfig, WorstMargin, _EMPTY,
-                     _NO_AUX, _sup_norm_f, d_candidates, row_norms,
-                     sphere_points, vecnorm)
+                     _NO_AUX, _sup_norm_f, d_candidates, require_samples,
+                     row_norms, sphere_points)
 
 __all__ = [
     "KFn", "TimeGain", "KLEnvelope", "identity", "linear", "power_fn",
@@ -287,10 +287,18 @@ class KLEnvelope:
         trajectories, concatenated in trajectory order; ``beta`` defaults to
         the envelope's.  One :meth:`decay_series` call steps all
         trajectories at once, each row equal to the scalar call."""
-        beta = beta or self.beta
-        scale = [beta(traj.t0) * vecnorm(traj.x0) for traj in batch]
+        scale = _initial_scales(batch, beta or self.beta)
         lengths = [len(traj) for traj in batch]
-        return self.decay_series(np.array(scale), max(lengths))[_ragged(lengths)]
+        return self.decay_series(scale, max(lengths))[_ragged(lengths)]
+
+
+def _initial_scales(batch, beta):
+    """beta(t0) * ||x0|| of every trajectory of a batch, each equal to the
+    scalar product (:meth:`TimeGain.values`, :func:`row_norms`)."""
+    t0s = np.array([float(traj.t0) for traj in batch])
+    x0s = np.array([traj.x0 for traj in batch])
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
+        return beta.values(t0s) * row_norms(x0s)
 
 
 def _ragged(lengths):
@@ -492,14 +500,17 @@ def fit_kl_envelope(batch: Sequence, beta: TimeGain = None) -> KLFit:
     dominates every observed point (point-by-point assertable, slack >= 0).
     A NaN norm fails the fit: no envelope dominates it.  Rows are arrays over
     the batch and both envelope passes are :meth:`KLEnvelope.row_bounds`.
+    A trajectory with no rows adds none (it has no x0 to scale by); notes
+    and the witness name a trajectory by its index in ``batch``, and a batch
+    without rows is refused.
     """
-    if not batch:
-        raise ValueError("empty batch")
+    kept = [j for j, traj in enumerate(batch) if len(traj)]
+    require_samples(len(kept), "trajectory rows")
+    batch = [batch[j] for j in kept]
     beta = beta or constant(1.0)
     lengths = [len(traj) for traj in batch]
-    scale = np.repeat([beta(traj.t0) * vecnorm(traj.x0) for traj in batch],
-                      lengths)
-    owner = np.repeat(np.arange(len(batch)), lengths)
+    scale = np.repeat(_initial_scales(batch, beta), lengths)
+    owner = np.repeat(kept, lengths)
     dt = np.concatenate([traj.t - traj.t0 for traj in batch]).astype(np.int64)
     norms = row_norms(np.concatenate([traj.Y for traj in batch]))
     nan_rows = np.flatnonzero(np.isnan(norms))[:1]

@@ -22,23 +22,25 @@ Conventions: ``0^0`` evaluates to 1; ``a^b`` with a < 0 and non-integer b,
 reported with the offending subexpression.  Evaluation is pure and
 deterministic; ASTs are immutable and safe to share.
 
-Each node generates one Python source, compiled twice: against scalar
-kernels (:meth:`Expr.compiled`, one point) and against an array namespace
-(:meth:`Expr.batched`, a slab of points).  The array namespace runs the
-operations IEEE 754 rounds exactly (``+ - * /``, ``sqrt``, ``abs``, negation)
-in numpy, keeps Python's comparison semantics for ``min``/``max``/``sign``
-and maps ``^``, ``exp`` and ``log`` element by element: ``math.pow``,
-``math.exp`` and ``math.log`` first, the guarded scalar kernels again over
-the whole slab when some point raises.  So every value equals the scalar
-result bit for bit; ``norm`` is
-:func:`vecnorm` of its arguments at one point and :func:`row_norms` of the
-stacked columns over a slab.  The one exception is the sign of a NaN, which
-IEEE 754 leaves unspecified: NaNs appear at the same points, but their sign
-bit may differ.
+Each node generates one Python source, compiled at most once per process
+per namespace, keyed by source: against scalar kernels
+(:meth:`Expr.compiled`, one point) and against an array namespace
+(:meth:`Expr.batched`, a slab of points).  The key is the source, not the
+AST: ``Num(0.0) == Num(-0.0)``, yet ``-0.0*x1`` and ``0.0*x1`` differ.  The
+array namespace runs the operations IEEE 754 rounds exactly (``+ - * /``,
+``sqrt``, ``abs``, negation) in numpy, keeps Python's comparison semantics
+for ``min``/``max``/``sign`` and maps ``^``, ``exp`` and ``log`` element by
+element: ``math.pow``, ``math.exp`` and ``math.log`` first, the guarded
+scalar kernels again over the whole slab when some point raises.  So every
+value equals the scalar result bit for bit; ``norm`` is :func:`vecnorm` of
+its arguments at one point and :func:`row_norms` of the stacked columns
+over a slab.  The one exception is the sign of a NaN, which IEEE 754 leaves
+unspecified: NaNs appear at the same points, but their sign bit may differ.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -238,8 +240,7 @@ class Expr:
         """
         fn = getattr(self, "_compiled", None)
         if fn is None:
-            src = "lambda t, x, d, u, aux: " + self._codegen()
-            fn = eval(src, _CODEGEN_NAMESPACE)  # namespace is module-controlled
+            fn = _scalar_code(self._codegen())
             object.__setattr__(self, "_compiled", fn)
         return fn
 
@@ -257,13 +258,7 @@ class Expr:
         """
         fn = getattr(self, "_batched", None)
         if fn is None:
-            src = "lambda t, x, d, u, aux: " + self._codegen()
-            columns = eval(src, _ARRAY_NAMESPACE)  # namespace is module-controlled
-
-            def fn(t, x, d, u, aux):
-                with np.errstate(all="ignore"):  # IEEE results, no warnings
-                    return columns(t, x, d, u, aux)
-
+            fn = _array_code(self._codegen())
             object.__setattr__(self, "_batched", fn)
         return fn
 
@@ -505,6 +500,36 @@ _ARRAY_NAMESPACE = {
     "_fn_pow": _elementwise(_pow, math.pow),
     "_fn_norm": _array_norm,
 }
+
+
+# --- one code object per distinct source and namespace, per process ---
+
+# Distinct sources a process keeps code for; a node keeps its own code past
+# eviction, so the bound only limits sharing.
+_CODE_CACHE_SIZE = 1024
+
+
+def _compile(source, namespace):
+    """``lambda t, x, d, u, aux: <source>`` with ``namespace`` as its globals."""
+    return eval("lambda t, x, d, u, aux: " + source,
+                namespace)  # namespace is module-controlled
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _scalar_code(source):
+    return _compile(source, _CODEGEN_NAMESPACE)
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _array_code(source):
+    # globals stay _ARRAY_NAMESPACE itself: a patched kernel is seen at call time
+    columns = _compile(source, _ARRAY_NAMESPACE)
+
+    def fn(t, x, d, u, aux):
+        with np.errstate(all="ignore"):  # IEEE results, no warnings
+            return columns(t, x, d, u, aux)
+
+    return fn
 
 
 # --- tokenizer ---

@@ -31,7 +31,7 @@ from .synth import (DelayChainController, ReconstructionMap,
                     check_reconstruction, run_output_feedback,
                     synthesize_delay_controller)
 from .system import (CertificateReport, SystemDef, WorstMargin, closed_loop,
-                     vecnorm)
+                     row_norms, vecnorm)
 
 __all__ = ["ExampleBundle", "EXAMPLES", "load_example",
            "example_2_3", "example_3_4", "example_4_7"]
@@ -179,11 +179,13 @@ def recursion_step_check(bundle, batch, tol=1e-9):
     worst = WorstMargin("trajectory steps")
     for traj in batch:
         root = math.sqrt(vecnorm(traj.x0))
-        ts = [float(t) for t in traj.t[:-1]]
-        lhs = np.array([cand.V_eval(t + 1.0, x) for t, x in zip(ts, traj.x[1:])])
-        rhs = np.array([(2.0 / _E) * cand.V_eval(t, x)
-                        + math.pow(2.0, 1.0 - t / 2.0) * root + vecnorm(u)
-                        for t, x, u in zip(ts, traj.x, traj.u)])
+        ts = traj.t[:-1].astype(float)
+        pow2 = np.fromiter((math.pow(2.0, 1.0 - t / 2.0) for t in ts.tolist()),
+                           float, count=ts.shape[0])
+        lhs = cand.V_rows(ts + 1.0, traj.x[1:])
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
+            rhs = ((2.0 / _E) * cand.V_rows(ts, traj.x[:-1]) + pow2 * root
+                   + row_norms(traj.u[:-1]))
         worst.add(lhs - rhs, rhs, lambda i: {
             "t": int(ts[i]), "lhs": float(lhs[i]), "rhs": float(rhs[i]),
             "meta": traj.meta})

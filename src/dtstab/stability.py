@@ -474,7 +474,7 @@ def test_output_stability(sys: SystemDef, eps: float, T: int,
     disturbance mix.
     Boundedness over all t >= t0 is only witnessed up to the search horizon.
     """
-    if eps <= 0 or T < 0:
+    if not eps > 0 or T < 0:  # a NaN eps fails the comparison
         raise ValueError("require eps > 0 and T >= 0")
     if sys.k != 0:
         raise ValueError("output stability is a property of unforced systems")
@@ -536,7 +536,7 @@ def test_output_attractivity(sys: SystemDef, eps: float, T: int, R: float,
     a trajectory still exceeding at the end of the horizon reports
     "not attained" with the worst trajectory attached.
     """
-    if eps <= 0 or T < 0:
+    if not eps > 0 or T < 0:  # a NaN eps fails the comparison
         raise ValueError("require eps > 0 and T >= 0")
     _require_finite("R", R)
     if sys.k != 0:

@@ -1,11 +1,13 @@
 import json
 import math
+import textwrap
 
 import pytest
 
 from dtstab.cli import main, num_expr
 from dtstab.registry import example_2_3, example_3_4
 from dtstab.system import parse_system_file
+from test_expr import run_fresh
 
 
 def run(*argv):
@@ -306,6 +308,24 @@ class TestIdempotence:
             files.append({p.relative_to(out): p.read_bytes()
                           for p in sorted(out.rglob("*")) if p.is_file()})
         assert files[0] and files[0] == files[1]
+
+    def test_self_test_stdout_cold_and_warm_byte_identical(self):
+        # a fresh interpreter compiles on the first run and shares the code
+        # of equal sources on the second
+        out = run_fresh(textwrap.dedent("""
+            import contextlib, io, json
+            from dtstab import cli
+            runs = []
+            for _ in range(2):
+                with contextlib.redirect_stdout(io.StringIO()) as buf:
+                    runs.append([cli.main(["examples", "--self-test"]),
+                                 buf.getvalue()])
+            print(json.dumps(runs))
+        """))
+        (code, cold), (code_warm, warm) = json.loads(out)
+        assert code == code_warm == 0
+        assert "PASS example_4_7[r=0.9] coincidence" in cold
+        assert cold.encode() == warm.encode()
 
 
 class TestVerifyStabilityCommand:

@@ -309,6 +309,29 @@ class TestFitKLEnvelope:
         assert fit_kl_envelope(batch).notes == [
             "NaN output norm at trajectory 1, t - t0 = 1"]
 
+    def test_trajectories_without_rows_add_none(self):
+        # a zero-row trajectory once raised IndexError from Trajectory.x0
+        batch = adversarial_batch(example_2_3().sys, (0, 2), 2.0,
+                                  FalsifyBudget(max_trajectories=20, horizon=15,
+                                                seed=3))
+        batch[4].Y[6] = math.nan
+        empty = replace(batch[0], t=batch[0].t[:0], x=batch[0].x[:0],
+                        d=batch[0].d[:0], u=batch[0].u[:0], Y=batch[0].Y[:0],
+                        y=batch[0].y[:0])
+        want = fit_kl_envelope(batch)
+        got = fit_kl_envelope([empty, *batch[:7], empty, *batch[7:]])
+        assert got.notes == ["NaN output norm at trajectory 5, t - t0 = 6"]
+        assert want.notes == ["NaN output norm at trajectory 4, t - t0 = 6"]
+        shift = 1 + (want.witness["trajectory"] >= 7)
+        assert got.witness == {**want.witness,
+                               "trajectory": want.witness["trajectory"] + shift}
+        got_fields, want_fields = _fit_fields(got), _fit_fields(want)
+        for key in ("C", "c", "max_slack", "failed", "n_points"):
+            assert got_fields[key] == want_fields[key], key
+        for rows in ([], [empty], [empty, empty]):
+            with pytest.raises(ValueError, match="no trajectory rows"):
+                fit_kl_envelope(rows)
+
     def test_domination_point_by_point_on_simulated_batch(self):
         bundle = example_2_3()
         budget = FalsifyBudget(max_trajectories=200, horizon=40, seed=7)

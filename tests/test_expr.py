@@ -1,15 +1,23 @@
+import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dtstab import expr as expr_mod
 from dtstab.expr import (
     Bin, Call, Dims, Env, ExprDomainError, ExprNameError, ExprSyntaxError,
     Neg, Num, Var, eval_expression, parse_expression, row_norms, vecnorm,
 )
+from dtstab.registry import load_example
 
 D21 = Dims(n=2, m=1, k=1, aux=frozenset({"y0", "y1", "u0"}))
 
@@ -272,3 +280,62 @@ def test_round_trip_on_registry_style_strings():
     for text in corpus:
         once = parse_expression(text, D21)
         assert parse_expression(once.to_string(), D21) == once
+
+
+# --- one code object per distinct source and namespace ---
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports this checkout;
+    returns its stdout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_self_test_compiles_each_distinct_source_once():
+    # without the cache one pass compiled 168 sources, 34 of them distinct
+    out = run_fresh(textwrap.dedent("""
+        import contextlib, io, json
+        from dtstab import cli, expr
+        calls, compile_ = [], expr._compile
+        def spy(source, namespace):
+            calls.append([namespace is expr._ARRAY_NAMESPACE, source])
+            return compile_(source, namespace)
+        expr._compile = spy
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["examples", "--self-test"]) == 0
+        print(json.dumps(calls))
+    """))
+    calls = [tuple(c) for c in json.loads(out)]
+    assert calls and len(calls) == len(set(calls))
+    assert {array for array, _ in calls} == {False, True}
+
+
+def test_rebuilt_bundle_and_loop_compile_nothing(monkeypatch):
+    first = load_example("example_4_7", r=0.5)
+    first.controller.closed_loop(first.sys)
+    calls = []
+    compile_ = expr_mod._compile
+    monkeypatch.setattr(expr_mod, "_compile",
+                        lambda *args: calls.append(args) or compile_(*args))
+    again = load_example("example_4_7", r=0.5)
+    again.controller.closed_loop(again.sys)
+    assert calls == []
+
+
+def test_code_is_keyed_by_source_not_by_ast():
+    # Num(-0.0) == Num(0.0) with equal hashes, yet the two sources differ
+    neg, pos = Bin("*", Num(-0.0), Var("x1")), Bin("*", Num(0.0), Var("x1"))
+    assert neg == pos and hash(neg) == hash(pos)
+    one = np.array([[1.0]])
+    for node, sign in ((neg, -1.0), (pos, 1.0)):
+        got = node.compiled()(0.0, [1.0], None, None, {})
+        assert got == 0.0 and math.copysign(1.0, got) == sign
+        col = node.batched()(0.0, one, None, None, {})
+        assert col.shape == (1,) and math.copysign(1.0, col[0]) == sign

@@ -40,6 +40,12 @@ class TestOutputStability:
         assert 0.2499 <= rep.delta <= 0.25
         assert rep.bracket[0] <= 0.25 <= rep.bracket[1] * (1 + 1e-9)
 
+    def test_nan_eps_is_refused(self):
+        # a NaN eps once searched and reported "no tested delta passes"
+        with pytest.raises(ValueError, match="require eps > 0"):
+            search_stability(B23.sys, eps=math.nan, T=0,
+                             budget=FalsifyBudget(max_trajectories=8, horizon=20))
+
     def test_zero_system_returns_cap(self):
         # dead state and identically zero output: every delta passes
         rep = search_stability(tiny_sys("0", H=["0"]), eps=1.0, T=2,
@@ -85,6 +91,13 @@ class TestOutputAttractivity:
                                        budget=FalsifyBudget(
                                            max_trajectories=48, horizon=120))
         assert rep.attained and rep.tau == 10
+
+    def test_nan_eps_is_refused(self):
+        # a NaN eps once searched and reported "not attained"
+        with pytest.raises(ValueError, match="require eps > 0"):
+            search_attractivity(B23.sys, eps=math.nan, T=0, R=1.0,
+                                budget=FalsifyBudget(max_trajectories=8,
+                                                     horizon=20))
 
     def test_zero_radius(self):
         rep = search_attractivity(B23.sys, eps=0.5, T=3, R=0.0,
