@@ -133,7 +133,9 @@ def _d_values(sys, d_values):
     if d_values is None:
         return d_candidates(sys.d_box, grid=9, random=256, rng=0)
     arr = np.asarray(d_values, dtype=float)
-    return arr.reshape(-1, sys.m) if sys.m else arr.reshape(-1, 0)
+    if sys.m:
+        return arr.reshape(-1, sys.m)
+    return arr.reshape(arr.shape[0] if arr.ndim > 1 else 1, 0)  # -1 needs columns
 
 
 def _require_grid(grid):

@@ -418,7 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, default=30)
     p.add_argument("--u-cap", type=num_expr, default=5.0)
     p.add_argument("--d-random", type=int, default=32,
-                   help="random disturbance samples on top of corners+grid")
+                   help="random disturbance samples on top of corners+grid; "
+                        "rofs-static ignores it and samples a fixed 5-point "
+                        "grid plus 8 random disturbances")
     p.set_defaults(handler=cmd_certify)
 
     p = sub.add_parser("verify", parents=[common],

@@ -174,10 +174,14 @@ def recursion_step_check(bundle, batch, tol=1e-9):
     """Row-wise one-step bound for example_3_4 trajectories:
 
     V(t+1) <= (2/e) V(t) + 2^(1 - t/2) ||x0||^(1/2) + |u(t)|.
+
+    A trajectory without rows has no x0 and no steps; it is skipped.
     """
     cand = bundle.cand
     worst = WorstMargin("trajectory steps")
     for traj in batch:
+        if not len(traj):
+            continue
         root = math.sqrt(vecnorm(traj.x0))
         ts = traj.t[:-1].astype(float)
         pow2 = np.fromiter((math.pow(2.0, 1.0 - t / 2.0) for t in ts.tolist()),

@@ -99,9 +99,7 @@ class StabilityReport:
     def passed(self):
         if self.prop == "output-stability":
             return self.delta is not None
-        if self.prop == "output-attractivity":
-            return bool(self.attained)
-        return self.counterexample is None
+        return bool(self.attained)  # output-attractivity
 
     def to_json(self):
         out = {"property": self.prop, "params": self.params,
