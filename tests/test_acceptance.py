@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+import reference as ref
 from dtstab.certify import (LyapunovCandidate, StateGrid,
                             build_transformed_system, check_contraction,
                             check_relaxed_decrease, check_rofs_inf_sup,
@@ -24,9 +25,6 @@ from dtstab.stability import test_output_attractivity as search_attractivity
 from dtstab.synth import check_reconstruction, run_output_feedback
 from dtstab.system import (ConstantDisturbance, RandomDisturbance,
                            d_candidates, simulate, vecnorm)
-
-from test_certify import tau_oracle
-from test_comparison import fixture_results
 
 B23 = example_2_3()
 B34 = example_3_4()
@@ -73,7 +71,7 @@ def test_criterion_2_sandwich_exact():
 
 def test_criterion_3_tau_dominates_observed_attainment():
     # reference point: independently recomputed formula value, exact integer
-    want, want_tt = tau_oracle(1.0, 0, 1.0)
+    want, want_tt = ref.tau_oracle(1.0, 0, 1.0)
     res = tau_bound(B23.cand, 1.0, 0, 1.0)
     ok = res.tau == want and res.tau_tilde == want_tt == 13
     details = [f"tau(1,0,1)={res.tau} (recomputed {want}, tau~=13 branch)"]
@@ -258,7 +256,7 @@ def test_criterion_9_property_suites():
 
     # six canonical class-validation fixtures
     six = all(report.passed == expected
-              for _, report, expected in fixture_results())
+              for _, report, expected in ref.class_fixtures())
     ok &= six
     notes.append("six class fixtures")
 

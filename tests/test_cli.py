@@ -4,10 +4,10 @@ import textwrap
 
 import pytest
 
+import reference as ref
 from dtstab.cli import main, num_expr
 from dtstab.registry import example_2_3, example_3_4
 from dtstab.system import parse_system_file
-from test_expr import run_fresh
 
 
 def run(*argv):
@@ -312,7 +312,7 @@ class TestIdempotence:
     def test_self_test_stdout_cold_and_warm_byte_identical(self):
         # a fresh interpreter compiles on the first run and shares the code
         # of equal sources on the second
-        out = run_fresh(textwrap.dedent("""
+        out = ref.run_fresh(textwrap.dedent("""
             import contextlib, io, json
             from dtstab import cli
             runs = []

@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,18 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 import dtstab.comparison as comparison_mod
 import dtstab.system as system_mod
-
+import reference as ref
 from dtstab.certify import LyapunovCandidate, tau_bound
-
 from dtstab.comparison import (ClassGrid, KFn, KLEnvelope, TimeGain,
-                               KLFit, check_domination, constant, decay_checks, fit_kl_envelope, geometric, identity,
+                               check_domination, constant, decay_checks,
+                               fit_kl_envelope, geometric, identity,
                                kfn_from_expr, linear, power_fn, sup_f_sampler,
                                timegain_from_expr, validate_class)
-from dtstab.expr import ExprDomainError, Num, Var
+from dtstab.expr import ExprDomainError
 from dtstab.registry import C_IOS, K_IOS, example_2_3
 from dtstab.stability import FalsifyBudget, adversarial_batch
 from dtstab.system import SampleConfig, SystemDef, Trajectory
-from test_batch import _extend, _value
 
 
 def make_traj(t0, x0, Y_vals, u_vals=None):
@@ -33,25 +31,9 @@ def make_traj(t0, x0, Y_vals, u_vals=None):
                       d=np.zeros((N, 0)), u=u, Y=Y, y=Y)
 
 
-# The six canonical class-validation fixtures.
-def fixture_results():
-    bounded = kfn_from_expr("s/(1+s)", tag="Kinf")
-    bounded_k = kfn_from_expr("s/(1+s)", tag="K")
-    shifted = kfn_from_expr("s + 1", tag="K")
-    envelope = KLEnvelope(6.0 * K_IOS, C_IOS)
-    return [
-        ("identity-Kinf", validate_class(identity()), True),
-        ("bounded-Kinf", validate_class(bounded), False),
-        ("bounded-K", validate_class(bounded_k), True),
-        ("envelope-KL", validate_class(envelope), True),
-        ("shifted-K", validate_class(shifted), False),
-        ("flat-decaying-q", decay_checks(constant(1.0)), False),
-    ]
-
-
 class TestValidateClass:
     def test_six_canonical_fixtures(self):
-        for name, report, expected in fixture_results():
+        for name, report, expected in ref.class_fixtures():
             assert report.passed == expected, (name, report.to_json())
 
     def test_failure_carries_witness(self):
@@ -123,13 +105,6 @@ KFN_CASES = [("identity", 1.0, 1.0), ("linear", 0.25, 1.0),
              ("power_fn", 7.5, 0.37)]  # (kind, a, p)
 
 
-def _outcome(fn, v):
-    try:
-        return repr(fn(v))
-    except OverflowError:
-        return "OverflowError"
-
-
 def _kfn_spellings(kind, a, p):
     """The factory K function of ``kind`` and its text spelling."""
     if kind == "identity":
@@ -161,7 +136,7 @@ class TestKFn:
         for f in fns + [kfn_from_expr("s^2"), kfn_from_expr("s + sqrt(s)")]:
             assert math.isnan(f.inverse(math.nan)), f.name
             for v in (0.0, -0.0, -1e-300, -1.0, -math.inf):
-                assert bits_of([f.inverse(v)]) == bits_of([0.0]), (f.name, v)
+                assert ref.same_bits(f.inverse(v), 0.0), (f.name, v)
         assert kfn_from_expr("s^2").inverse(4.0) == 2.0
 
     @pytest.mark.parametrize("text", ["2*s^0", "1*s^(-1)", "-2*s", "0*s"])
@@ -189,9 +164,11 @@ class TestClosedForms:
     def test_inverse_equals_the_old_closed_form(self, kind, a, p):
         # repr round-trips a float bit for bit; an overflow must raise alike
         vs = [float(v) for v in np.logspace(-300, 300, 601)]
-        want = [_outcome(OLD_INV[kind](a, p), v) for v in vs]
+        old = OLD_INV[kind](a, p)
+        want = [ref.outcome(lambda: old(v), message=False) for v in vs]
         for f in _kfn_spellings(kind, a, p):
-            assert [_outcome(f.inverse, v) for v in vs] == want, f.name
+            assert [ref.outcome(lambda: f.inverse(v), message=False)
+                    for v in vs] == want, f.name
 
     @pytest.mark.parametrize("C, ratio", [(2.0, 0.5), (1.0, 1.0), (0.0, 0.5),
                                           (1.0, 10.0), (-2.0, 0.5)])
@@ -220,20 +197,20 @@ class TestClosedForms:
             assert gain.sup_tail(tau) == want, tau
             if C > 0.0:  # the rule before signs were handled, bit for bit
                 old = gain(tau) if ratio <= 1.0 else math.inf
-                assert bits_of([gain.sup_tail(tau)]) == bits_of([old])
+                assert ref.same_bits(gain.sup_tail(tau), old)
 
     def test_negative_ratio_takes_the_grid_path(self):
         for C in (-2.0, 2.0):
             gain = geometric(C, -0.5)
             grid = timegain_from_expr(f"{C!r}*(-0.5)^t + 0")
             for tau in (0, 5, 200):
-                assert bits_of([gain.sup_tail(tau)]) == bits_of([grid.sup_tail(tau)])
+                assert ref.same_bits(gain.sup_tail(tau), grid.sup_tail(tau))
 
     @staticmethod
     def _same_answers(built, text):
         assert built.expr == text.expr
         for tau in (0, 5, 200):
-            assert bits_of([built.sup_tail(tau)]) == bits_of([text.sup_tail(tau)])
+            assert ref.same_bits(built.sup_tail(tau), text.sup_tail(tau))
         got = [[(c.axiom, c.passed, c.witness) for c in decay_checks(g).checks]
                for g in (built, text)]
         assert repr(got[0]) == repr(got[1])
@@ -315,9 +292,7 @@ class TestFitKLEnvelope:
                                   FalsifyBudget(max_trajectories=20, horizon=15,
                                                 seed=3))
         batch[4].Y[6] = math.nan
-        empty = replace(batch[0], t=batch[0].t[:0], x=batch[0].x[:0],
-                        d=batch[0].d[:0], u=batch[0].u[:0], Y=batch[0].Y[:0],
-                        y=batch[0].y[:0])
+        empty = ref.cut(batch[0], 0)
         want = fit_kl_envelope(batch)
         got = fit_kl_envelope([empty, *batch[:7], empty, *batch[7:]])
         assert got.notes == ["NaN output norm at trajectory 5, t - t0 = 6"]
@@ -325,9 +300,8 @@ class TestFitKLEnvelope:
         shift = 1 + (want.witness["trajectory"] >= 7)
         assert got.witness == {**want.witness,
                                "trajectory": want.witness["trajectory"] + shift}
-        got_fields, want_fields = _fit_fields(got), _fit_fields(want)
         for key in ("C", "c", "max_slack", "failed", "n_points"):
-            assert got_fields[key] == want_fields[key], key
+            assert ref.dumps(getattr(got, key)) == ref.dumps(getattr(want, key)), key
         for rows in ([], [empty], [empty, empty]):
             with pytest.raises(ValueError, match="no trajectory rows"):
                 fit_kl_envelope(rows)
@@ -339,10 +313,8 @@ class TestFitKLEnvelope:
         fit = fit_kl_envelope(batch)
         assert fit.c > 0.0  # output-stable plant: decay must appear
         for traj in batch:
-            scale = fit.envelope.beta(traj.t0) * np.linalg.norm(traj.x0)
-            bounds = fit.envelope.decay_series(scale, len(traj))
-            norms = np.abs(traj.Y[:, 0])
-            assert np.all(norms <= bounds)
+            assert np.all(np.abs(traj.Y[:, 0])
+                          <= ref.kl_bounds(traj, fit.envelope, fit.envelope.beta))
         assert fit.max_slack >= 0.0
         assert fit.witness["slack"] >= 0.0
 
@@ -354,103 +326,12 @@ class TestFitKLEnvelope:
             assert key in js
 
 
-def loop_fit_kl_envelope(batch, beta=None):
-    """The row-by-row fit that ``fit_kl_envelope`` replaced: every bound is
-    a scalar ``KLEnvelope`` call, re-running the recursion from t0."""
-    if not batch:
-        raise ValueError("empty batch")
-    beta = beta or constant(1.0)
-    notes = []
-    rows = []  # (traj_index, dt, norm, scale)
-    for idx, traj in enumerate(batch):
-        norms = system_mod.row_norms(traj.Y)
-        scale = beta(traj.t0) * system_mod.vecnorm(traj.x0)
-        for i in range(len(traj)):
-            rows.append((idx, int(traj.t[i] - traj.t0), norms[i], scale))
-    nan_row = next(((idx, dt) for idx, dt, norm, _ in rows if norm != norm), None)
-    failed = nan_row is not None
-    if failed:
-        notes.append(f"NaN output norm at trajectory {nan_row[0]}, "
-                     f"t - t0 = {nan_row[1]}")
-
-    fit_pts = [(dt, math.log(norm / scale))
-               for _, dt, norm, scale in rows if norm > 0.0 and scale > 0.0]
-    if not fit_pts:
-        notes.append("all-zero batch: degenerate zero envelope")
-        env = KLEnvelope(0.0, 1.0, beta=beta)
-        return KLFit(env, 0.0, None, True, failed, 0, notes)
-
-    dts = np.array([p[0] for p in fit_pts], dtype=float)
-    logs = np.array([p[1] for p in fit_pts])
-    if np.ptp(dts) == 0.0:
-        slope, intercept = 0.0, float(np.max(logs))
-        notes.append("single time offset: no decay rate identifiable")
-    else:
-        slope, intercept = np.polyfit(dts, logs, 1)
-    c = -float(slope)
-    if not c > 0.0:
-        failed = True
-        notes.append(f"non-decaying data: fitted c = {c!r} <= 0")
-
-    base = KLEnvelope(1.0, c, beta=beta)
-    ratio_max, n_pts = 0.0, 0
-    for _, dt, norm, scale in rows:
-        if norm <= 0.0:
-            continue
-        n_pts += 1
-        if scale <= 0.0:
-            failed = True
-            notes.append("row with zero initial scale but nonzero output")
-            continue
-        b = base(scale, dt)
-        if b > 0.0:
-            ratio_max = max(ratio_max, norm / b)
-    C = max(math.exp(intercept), ratio_max) * (1.0 + 1e-12)
-    env = KLEnvelope(C, c, beta=beta)
-
-    max_slack, min_slack, witness = 0.0, math.inf, None
-    for idx, dt, norm, scale in rows:
-        bound = env(scale, dt)
-        slack = bound - norm
-        max_slack = max(max_slack, slack)
-        if norm > 0.0 and slack < min_slack:
-            min_slack = slack
-            witness = {"trajectory": idx, "dt": dt, "norm": norm,
-                       "bound": bound, "slack": slack}
-    return KLFit(env, max_slack, witness, False, failed, n_pts, notes)
-
-
-def _bits(obj):
-    """``obj`` with every float (numpy or not) replaced by its bit pattern."""
-    if isinstance(obj, dict):
-        return {k: _bits(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_bits(v) for v in obj]
-    if isinstance(obj, (float, np.floating)):
-        return ("float", bits_of([obj])[0])
-    if isinstance(obj, (bool, np.bool_)):
-        return ("bool", bool(obj))
-    if isinstance(obj, (int, np.integer)):
-        return ("int", int(obj))
-    return obj
-
-
 def _fit_fields(fit):
     env = fit.envelope
-    return _bits({"C": env.C, "c": env.c, "g": env.g, "beta": env.beta.name,
-                  "max_slack": fit.max_slack, "witness": fit.witness,
-                  "degenerate": fit.degenerate, "failed": fit.failed,
-                  "n_points": fit.n_points, "notes": fit.notes,
-                  "json": fit.to_json()})
-
-
-def _fit_outcome(fit_fn, batch, beta):
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore")  # polyfit's RankWarning on bad data
-        try:
-            return _fit_fields(fit_fn(batch, beta))
-        except Exception as exc:
-            return type(exc), str(exc)
+    return {"C": env.C, "c": env.c, "g": env.g, "beta": env.beta.name,
+            "max_slack": fit.max_slack, "witness": fit.witness,
+            "degenerate": fit.degenerate, "failed": fit.failed,
+            "n_points": fit.n_points, "notes": fit.notes, "json": fit.to_json()}
 
 
 _FIT_SPECIAL = [math.nan, math.inf, 0.0, -0.0, 1e-300, 1e300, -2.0]
@@ -489,8 +370,9 @@ def _fit_batches(draw):
 @given(_fit_batches())
 def test_fit_equals_the_row_loop_bit_for_bit(case):
     batch, beta = case
-    assert (_fit_outcome(fit_kl_envelope, batch, beta)
-            == _fit_outcome(loop_fit_kl_envelope, batch, beta))
+    # polyfit warns (RankWarning) on bad data; outcome ignores it
+    assert (ref.outcome(lambda: _fit_fields(fit_kl_envelope(batch, beta)))
+            == ref.outcome(lambda: _fit_fields(ref.fit_kl_envelope(batch, beta))))
 
 
 class TestCheckDomination:
@@ -606,13 +488,6 @@ FACTORY_GAINS = {
 }
 
 
-def bits_of(values):
-    """Bit patterns of floats, every NaN mapped to one pattern."""
-    a = np.array(values, dtype=float)
-    a[np.isnan(a)] = math.nan
-    return a.view(np.int64).tolist()
-
-
 @pytest.mark.parametrize("name", sorted(FACTORY_GAINS))
 def test_factory_call_equals_values_past_the_range_and_outside_the_domain(name):
     gain, points, big, bad = FACTORY_GAINS[name]
@@ -620,7 +495,7 @@ def test_factory_call_equals_values_past_the_range_and_outside_the_domain(name):
         assert math.isinf(gain(big))
         points = points + [big]
     got = gain.values(np.array(points))
-    assert bits_of(got) == bits_of([gain(p) for p in points])
+    assert ref.same_bits(got, np.array([gain(p) for p in points]))
     if bad is not None:
         with pytest.raises(ExprDomainError) as scalar:
             gain(bad)
@@ -630,23 +505,6 @@ def test_factory_call_equals_values_past_the_range_and_outside_the_domain(name):
         assert not isinstance(scalar.value, ValueError)
 
 
-def loop_sup_tail(gain, tau):
-    """sup over t = tau..tau + TAIL_HORIZON by one scalar call a time."""
-    ts = np.arange(tau, tau + comparison_mod.TAIL_HORIZON + 1)
-    return float(np.max([gain(t) for t in ts]))
-
-
-def loop_check_decay(gain, grid):
-    """The grid decay rule by one scalar call a time."""
-    vals = np.array([gain(t) for t in np.arange(0, grid.decay_horizon + 1)])
-    suffix = np.maximum.accumulate(vals[::-1])[::-1]
-    for eps in grid.decay_eps:
-        if not np.any(suffix <= eps):
-            return {"eps": eps, "tail_min": float(suffix.min()),
-                    "horizon": grid.decay_horizon, "note": "grid estimate"}
-    return None
-
-
 TAIL_GAINS = {
     "slow": "2/(1 + t)",
     "fast": "0.5^t",
@@ -654,13 +512,6 @@ TAIL_GAINS = {
     "nan_first": "0*(1e300*1e300) + 1/(1 + t)",  # NaN everywhere
     "domain_late": "sqrt(100 - t)",  # raises past t = 100
 }
-
-
-def loop_sign_checks(gain, grid, bad):
-    """A t-grid sign rule by two scalar calls a t: the witness {"t", "value"}
-    of the first t whose value ``bad`` marks, or None."""
-    hits = [(int(t), gain(t)) for t in grid.t_grid() if bad(gain(t))]
-    return {"t": hits[0][0], "value": hits[0][1]} if hits else None
 
 
 SIGN_GAINS = {
@@ -684,17 +535,8 @@ def test_sign_scans_equal_the_scalar_loop(name, decaying):
         axiom, rule, bad = "non_negative", decay_checks, lambda v: v < 0.0
     else:
         axiom, rule, bad = "positive", validate_class, lambda v: not v > 0.0
-    try:
-        want = loop_sign_checks(gain, grid, bad)
-    except ExprDomainError as err:
-        with pytest.raises(ExprDomainError, match=str(err)):
-            rule(gain, grid)
-        return
-    with np.errstate(all="ignore"):
-        check = rule(gain, grid).checks[0]
-    assert check.axiom == axiom
-    assert check.passed == (want is None)
-    assert repr(check.witness) == repr(want)  # NaN reads "nan" on both sides
+    assert ref.outcome(lambda: rule(gain, grid).checks[0]) == ref.outcome(
+        lambda: ref.sign_check(gain, grid, axiom, bad))
 
 
 @pytest.mark.parametrize("name", sorted(TAIL_GAINS))
@@ -702,37 +544,18 @@ def test_tails_and_decay_grid_equal_the_scalar_loops(name):
     gain = timegain_from_expr(TAIL_GAINS[name])
     grid = ClassGrid()
     for tau in (0, 5, 200):
-        try:
-            want = loop_sup_tail(gain, tau)
-        except ExprDomainError as err:
-            with pytest.raises(ExprDomainError, match=str(err)):
-                gain.sup_tail(tau)
-            continue
-        assert bits_of([gain.sup_tail(tau)]) == bits_of([want])
-    try:
-        want = loop_check_decay(gain, grid)
-    except ExprDomainError as err:
-        with pytest.raises(ExprDomainError, match=str(err)):
-            decay_checks(gain, grid)
-        return
-    check = comparison_mod._check_decay(gain, grid)
-    assert check.passed == (want is None)
-    assert repr(check.witness) == repr(want)  # NaN reads "nan" on both sides
+        assert ref.outcome(lambda: gain.sup_tail(tau)) == ref.outcome(
+            lambda: ref.sup_tail(gain, tau, comparison_mod.TAIL_HORIZON))
+    assert ref.outcome(lambda: comparison_mod._check_decay(gain, grid)) == \
+        ref.outcome(lambda: ref.check_decay(gain, grid))
 
 
-def _gain_leaf(var):
-    return st.one_of(
-        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e300, 1e-300]).map(Num),
-        st.just(Var(var)))
-
-
-_gain_cases = st.sampled_from(["s", "t"]).flatmap(
-    lambda var: st.tuples(st.just(var),
-                          st.recursive(_gain_leaf(var), _extend, max_leaves=12)))
+_gain_cases = st.sampled_from([("s",), ("t",)]).flatmap(
+    lambda names: st.tuples(st.just(names[0]), ref.expressions(names, max_leaves=12)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_gain_cases, st.lists(_value, min_size=1, max_size=8))
+@given(_gain_cases, st.lists(ref.values, min_size=1, max_size=8))
 def test_gain_values_equal_per_element_calls(case, points):
     var, node = case
     gain = KFn(node, "generated") if var == "s" else TimeGain(node, "generated")
@@ -747,4 +570,4 @@ def test_gain_values_equal_per_element_calls(case, points):
         with pytest.raises(ExprDomainError):
             gain.values(np.array(points))
         return
-    assert bits_of(gain.values(np.array(points))) == bits_of(want)
+    assert ref.same_bits(gain.values(np.array(points)), np.array(want))

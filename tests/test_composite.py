@@ -1,22 +1,22 @@
 """Composite systems that stay expressions, against the closures they replace.
 
 ``build_small_input_system`` substitutes u_i := (P * Theta[s := norm(x)]) *
-d_{m+i} into the plant's ASTs.  ``reference_small_input`` below is the
+d_{m+i} into the plant's ASTs.  ``reference.small_input_system`` is the
 closure the builder returned before, evaluated point by point through
-:class:`ClosureSystem`; every value of the expression system must equal it
-bit for bit.  NaNs may differ only in their sign bit, which IEEE 754 leaves
+``reference.ClosureSystem``; every value of the expression system must equal
+it bit for bit.  NaNs may differ only in their sign bit, which IEEE 754 leaves
 unspecified.  Every map and gain is an expression: a callable given where one
 is expected is refused by the constructor.
 """
 
 import math
-import struct
 import warnings
 
 import numpy as np
 import pytest
 
 import dtstab.expr as expr_mod
+import reference as ref
 from dtstab.comparison import (KFn, TimeGain, constant, geometric, identity,
                                kfn_from_expr, linear, power_fn,
                                timegain_from_expr)
@@ -27,8 +27,8 @@ from dtstab.certify import (LyapunovCandidate, build_transformed_system,
                             compose_V_from_U)
 from dtstab.stability import build_small_input_system
 from dtstab.synth import ReconstructionMap, build_extended_system
-from dtstab.system import (InputPolicy, SystemDef, SystemFileError, VectorMap,
-                           ZeroInput, bind_inputs, closed_loop, vecnorm)
+from dtstab.system import (SystemDef, SystemFileError, VectorMap, ZeroInput,
+                           bind_inputs, closed_loop, vecnorm)
 
 B34, B47 = example_3_4(), example_4_7(0.5)
 
@@ -54,84 +54,6 @@ K_FNS = {
     "from_expr": kfn_from_expr("3*s + 2*s^0.5", tag="Kinf"),
     "from_expr_t": kfn_from_expr("s/(1 + s) + t*s"),  # t reads 0
 }
-
-
-def _vector(v):
-    return np.asarray(v, dtype=float).reshape(-1)
-
-
-class ClosureSystem:
-    """A system given by closures ``f(t, d, x, u)``, ``H(t, x)`` and ``h(t,
-    x)`` (``h=None``: H), for the tests' own point loops: it has the
-    dimensions, the box and the point evaluators ``f_eval``, ``H_eval`` and
-    ``h_eval`` of a :class:`SystemDef`, and nothing the package's array
-    kernels need.  A reference only."""
-
-    def __init__(self, n, m, k, d_box, f, H, h=None):
-        self.n, self.m, self.k = n, m, k
-        self.d_box = np.asarray(d_box, dtype=float).reshape(m, 2)
-        self._f, self._H, self._h = f, H, H if h is None else h
-
-    def f_eval(self, t, d, x, u=None):
-        u = np.zeros(0) if u is None else u
-        return _vector(self._f(float(t), *(np.asarray(a, dtype=float)
-                                           for a in (d, x, u))))
-
-    def H_eval(self, t, x):
-        return _vector(self._H(float(t), np.asarray(x, dtype=float)))
-
-    def h_eval(self, t, x):
-        return _vector(self._h(float(t), np.asarray(x, dtype=float)))
-
-
-def tree_feedback(k, n):
-    """A state feedback's expression list (text or ASTs) as a closure of (t,
-    x) over the tree walker ``eval_expression``: the reference for its
-    compiled and substituted forms.  A reference only."""
-    exprs = [parse_expression(e, Dims(n=n)) if isinstance(e, str) else e
-             for e in k]
-
-    def call(t, x):
-        env = Env(t=float(t), x=x)
-        return np.array([eval_expression(e, env) for e in exprs])
-    return call
-
-
-class TreeFeedback(InputPolicy):
-    """The same feedback as an input policy that :func:`simulate` calls
-    row by row.  A reference only."""
-
-    def __init__(self, k, n):
-        self.k = tree_feedback(k, n)
-
-    def __call__(self, sys, t, x):
-        return self.k(t, x)
-
-
-def reference_small_input(sys, p, theta):
-    """The small-input system as a closure over p, theta and the plant."""
-    m, k = sys.m, sys.k
-    box = np.vstack([sys.d_box, np.tile([-1.0, 1.0], (k, 1))])
-
-    def f_small(t, dd, x, u):
-        d, dprime = dd[:m], dd[m:]
-        amp = p(t) * theta(vecnorm(x))
-        return sys.f_eval(t, d, x, amp * dprime)
-
-    return ClosureSystem(sys.n, m + k, 0, box, f_small, sys.H_eval, sys.h_eval)
-
-
-def bits(a):
-    """Bit patterns of a float array, every NaN mapped to one pattern."""
-    a = np.array(a, dtype=float)
-    a[np.isnan(a)] = math.nan
-    return a.view(np.int64)
-
-
-def same_bits(a, b):
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
-    return struct.pack("<d", a) == struct.pack("<d", b)
 
 
 def states(n, rng):
@@ -161,22 +83,21 @@ def sample_points(small, seed):
     return pts
 
 
-def assert_matches_reference(small, ref, pts):
+def assert_matches_reference(small, loop, pts):
     """f_eval and f_rows (one time and per-row times) equal the reference."""
     kept = []
     for t, x, d in pts:
-        want = ref.f_eval(t, d, x)
+        want = loop.f_eval(t, d, x)
         kept.append((t, x, d, want))
-        assert np.array_equal(bits(small.f_eval(t, d, x)), bits(want)), (t, x, d)
+        assert ref.same_bits(small.f_eval(t, d, x), want), (t, x, d)
     T = np.array([t for t, _, _, _ in kept])
     X = np.array([x for _, x, _, _ in kept])
     D = np.array([d for _, _, d, _ in kept])
     want = np.array([w for _, _, _, w in kept])
-    assert np.array_equal(bits(small.f_rows(T, X, D)), bits(want))
+    assert ref.same_bits(small.f_rows(T, X, D), want)
     for t in np.unique(T):
         rows = T == t
-        assert np.array_equal(bits(small.f_rows(float(t), X[rows], D[rows])),
-                              bits(want[rows]))
+        assert ref.same_bits(small.f_rows(float(t), X[rows], D[rows]), want[rows])
 
 
 @pytest.mark.parametrize("plant", sorted(PLANTS))
@@ -188,9 +109,9 @@ def test_expression_small_input_equals_closure(plant, p, theta):
     assert small.k == 0
     assert small.m == sys.m + sys.k
     with np.errstate(all="ignore"):
-        assert_matches_reference(small, reference_small_input(sys, p, theta),
+        assert_matches_reference(small, ref.small_input_system(sys, p, theta),
                                  sample_points(small, seed=len(plant)))
-    assert np.array_equal(small.d_box, reference_small_input(sys, p, theta).d_box)
+    assert np.array_equal(small.d_box, ref.small_input_system(sys, p, theta).d_box)
 
 
 def plant(k, f=("d1*x1",), H=("x1",), h=None):
@@ -270,7 +191,7 @@ def test_mutated_association_is_caught():
     mutated = SystemDef(n=3, m=4, k=0, d_box=build_small_input_system(
         sys, p, theta).d_box, f=f, H=["x1", "x3"])
     with np.errstate(all="ignore"), pytest.raises(AssertionError):
-        assert_matches_reference(mutated, reference_small_input(sys, p, theta),
+        assert_matches_reference(mutated, ref.small_input_system(sys, p, theta),
                                  sample_points(mutated, seed=2))
 
 
@@ -285,7 +206,7 @@ def test_axis_norm_in_the_array_kernel_is_caught(monkeypatch):
     sys, p, theta = PLANT_M2, TIME_GAINS["constant"], K_FNS["identity"]
     small = build_small_input_system(sys, p, theta)
     with np.errstate(all="ignore"), pytest.raises(AssertionError):
-        assert_matches_reference(small, reference_small_input(sys, p, theta),
+        assert_matches_reference(small, ref.small_input_system(sys, p, theta),
                                  sample_points(small, seed=2))
 
 
@@ -312,14 +233,14 @@ def assert_gain_agrees(gain, points, values, walk, formula):
     the float range)."""
     for p, v in zip(points, values.tolist()):
         want = gain(p)
-        assert same_bits(v, want), p
-        assert same_bits(walk(p), want), p
+        assert ref.same_bits(v, want), p
+        assert ref.same_bits(walk(p), want), p
         if formula is not None:
             try:
                 closed = formula(p)
             except OverflowError:
                 closed = math.inf
-            assert same_bits(closed, want), p
+            assert ref.same_bits(closed, want), p
 
 
 @pytest.mark.parametrize("name", sorted(TIME_GAINS))
@@ -347,7 +268,7 @@ def test_constructor_expressions_are_parser_literals():
     # a negative constant is a negated literal, as the parser builds it
     for gain in (constant(-1.7), geometric(-2.0, -0.5), constant(-0.0)):
         assert parse_expression(gain.expr.to_string()) == gain.expr
-    assert same_bits(constant(-0.0)(5.0), -0.0)
+    assert ref.same_bits(constant(-0.0)(5.0), -0.0)
     # no literal spells inf or NaN
     for make in (lambda: constant(math.nan), lambda: geometric(1.0, math.inf),
                  lambda: power_fn(math.inf), lambda: linear(math.inf)):
@@ -371,16 +292,17 @@ def test_norm_equals_vecnorm_through_all_evaluators():
         with np.errstate(all="ignore"):
             want = np.array([vecnorm(r) for r in rows])
             # numpy's norm is the reference; one component is exactly abs
-            ref = np.array([abs(r[0]) if n == 1 else np.linalg.norm(r) for r in rows])
+            numpy_norm = np.array([abs(r[0]) if n == 1 else np.linalg.norm(r)
+                                   for r in rows])
             strided = np.array([vecnorm(r[::2]) for r in np.repeat(rows, 2, axis=1)])
-            assert np.array_equal(bits(want), bits(ref)), n
-            assert np.array_equal(bits(strided), bits(ref)), n
+            assert ref.same_bits(want, numpy_norm), n
+            assert ref.same_bits(strided, numpy_norm), n
             batched = node.batched()(0.0, rows.T, None, None, {})
             compiled = node.compiled()
             for i, x in enumerate(rows):
-                assert same_bits(float(compiled(0.0, x, None, None, {})), want[i])
-                assert same_bits(eval_expression(node, Env(x=x)), want[i])
-        assert np.array_equal(bits(batched), bits(want)), n
+                assert ref.same_bits(float(compiled(0.0, x, None, None, {})), want[i])
+                assert ref.same_bits(eval_expression(node, Env(x=x)), want[i])
+        assert ref.same_bits(batched, want), n
 
 
 def test_norm_parses_one_or_more_arguments():
@@ -455,5 +377,5 @@ def test_round_trip_and_evaluators_agree(name):
                       for i in range(N)]
             batched = np.broadcast_to(node.batched()(t, X.T, D.T, U.T, {}), (N,))
         for i in range(N):
-            assert same_bits(float(walked[i]), float(compiled[i]))
-            assert same_bits(float(batched[i]), float(compiled[i]))
+            assert ref.same_bits(float(walked[i]), float(compiled[i]))
+            assert ref.same_bits(float(batched[i]), float(compiled[i]))

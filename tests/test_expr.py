@@ -1,17 +1,14 @@
 import json
 import math
-import os
 import struct
-import subprocess
-import sys
 import textwrap
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference as ref
 from dtstab import expr as expr_mod
 from dtstab.expr import (
     Bin, Call, Dims, Env, ExprDomainError, ExprNameError, ExprSyntaxError,
@@ -163,29 +160,8 @@ class TestEval:
 
 # --- round-trip property: parse(print(parse(s))) is a fixed point ---
 
-_leaf = st.one_of(
-    st.floats(min_value=0.0, max_value=1e9, allow_nan=False,
-              allow_infinity=False).map(Num),
-    st.sampled_from(["t", "x1", "x2", "d1", "u1", "y0", "y1", "u0"]).map(Var),
-)
-
-
-def _extend(children):
-    unary_fns = st.sampled_from(["exp", "log", "abs", "sqrt", "sign"])
-    binary_fns = st.sampled_from(["min", "max", "pow"])
-    return st.one_of(
-        children.map(Neg),
-        st.tuples(st.sampled_from("+-*/^"), children, children).map(
-            lambda ops: Bin(ops[0], ops[1], ops[2])),
-        st.tuples(unary_fns, children).map(lambda fc: Call(fc[0], (fc[1],))),
-        st.tuples(binary_fns, children, children).map(
-            lambda fab: Call(fab[0], (fab[1], fab[2]))),
-        st.lists(children, min_size=1, max_size=4).map(
-            lambda args: Call("norm", tuple(args))),
-    )
-
-
-ast_strategy = st.recursive(_leaf, _extend, max_leaves=25)
+ast_strategy = ref.expressions(("t", "x1", "x2", "d1", "u1", "y0", "y1", "u0"),
+                               max_leaves=25)
 
 
 @settings(max_examples=300, deadline=None)
@@ -284,23 +260,9 @@ def test_round_trip_on_registry_style_strings():
 
 # --- one code object per distinct source and namespace ---
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def run_fresh(script):
-    """Run ``script`` in a fresh interpreter that imports this checkout;
-    returns its stdout."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def test_self_test_compiles_each_distinct_source_once():
     # without the cache one pass compiled 168 sources, 34 of them distinct
-    out = run_fresh(textwrap.dedent("""
+    out = ref.run_fresh(textwrap.dedent("""
         import contextlib, io, json
         from dtstab import cli, expr
         calls, compile_ = [], expr._compile

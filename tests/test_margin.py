@@ -1,8 +1,9 @@
 """One margin rule: every check decides through ``system.WorstMargin``.
 
-The scans it replaced are kept here as references (one row, one point at a
-time); the rewritten checks must report the same worst margin, witness,
-count and verdict, NaN included.  Zero samples never pass.
+The rule's boundaries, ties and NaNs are tested on the accumulator itself;
+the checks built on it must report the worst margin, witness, count and
+verdict of their one-row or one-point loops in ``reference.py``, NaN
+included.  Zero samples never pass.
 """
 
 import math
@@ -10,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-import dtstab.stability as stability
+import reference as ref
 from dtstab.certify import check_rofs_inf_sup
 from dtstab.comparison import (KLEnvelope, check_domination, constant,
                                identity, kfn_from_expr, linear)
@@ -21,8 +22,7 @@ from dtstab.stability import (FalsifyBudget, adversarial_batch,
                               search_trajectories)
 from dtstab.stability import test_output_attractivity as search_attractivity
 from dtstab.stability import test_output_stability as search_stability
-from dtstab.system import (FAIL, PASS, PASS_TOL, Trajectory, WorstMargin,
-                           _beats, row_norms, vecnorm)
+from dtstab.system import FAIL, PASS, PASS_TOL, WorstMargin
 
 B23, B34, B47 = example_2_3(), example_3_4(), example_4_7(0.5)
 
@@ -127,41 +127,6 @@ def test_rofs_with_every_fiber_empty_raises():
 
 # --- the rewritten scans against the scans they replaced ---
 
-def legacy_row_check(bounds_per_traj, batch, tol):
-    worst_ratio, worst_margin, witness, rows = 0.0, -math.inf, None, 0
-    for traj, bounds in zip(batch, bounds_per_traj):
-        norms = row_norms(traj.Y)
-        for i, (norm, bound) in enumerate(zip(norms, bounds)):
-            rows += 1
-            bound = float(bound)
-            margin = norm - bound
-            ratio = 0.0 if norm == 0.0 else (norm / bound if bound > 0.0 else math.inf)
-            if _beats(ratio, worst_ratio):
-                worst_ratio = ratio
-            if _beats(margin, worst_margin):
-                worst_margin = margin
-                witness = {"t": int(traj.t[i]), "t0": int(traj.t0),
-                           "x0": traj.x0.tolist(), "norm": norm,
-                           "bound": bound, "meta": traj.meta}
-    passed = bool(worst_margin <= tol * (1.0 + abs(witness["bound"]))) \
-        if witness else True
-    return passed, worst_ratio, worst_margin, witness, rows
-
-
-def same(a, b):
-    return a == b or (a != a and b != b)
-
-
-def assert_same_witness(got, want):
-    assert got.keys() == want.keys()
-    assert all(same(got[k], want[k]) for k in want)
-
-
-def with_outputs(traj, Y):
-    return Trajectory(t0=traj.t0, t=traj.t, x=traj.x, d=traj.d, u=traj.u,
-                      Y=Y, y=Y, meta=traj.meta)
-
-
 def envelope_batch():
     """Searched trajectories plus one all-zero and one NaN output trajectory."""
     budget = FalsifyBudget(max_trajectories=24, horizon=15, seed=5)
@@ -169,51 +134,26 @@ def envelope_batch():
                               u_modes=("zero", "constant", "random"))
     nans = batch[0].Y.copy()
     nans[[4, 9]] = math.nan
-    return batch + [with_outputs(batch[0], np.zeros_like(nans)),
-                    with_outputs(batch[0], nans)]
+    return batch + [ref.cut(batch[0], Y=np.zeros_like(nans)),
+                    ref.cut(batch[0], Y=nans)]
 
 
 @pytest.mark.parametrize("C", [6.0 * 3.8, 0.5, 0.0])
 @pytest.mark.parametrize("form", ["kl", "ios"])
 @pytest.mark.parametrize("nan_row", [False, True])
-def test_envelope_checks_equal_the_row_loop(monkeypatch, C, form, nan_row):
-    seen = []
-    original = stability._row_check
-
-    def spy(form, bounds, batch, tol):  # flat bounds, split per trajectory
-        starts = np.cumsum([len(traj) for traj in batch])[:-1]
-        seen.append((np.split(bounds, starts), batch, tol))
-        return original(form, bounds, batch, tol)
-
-    monkeypatch.setattr(stability, "_row_check", spy)
+def test_envelope_checks_equal_the_row_loop(C, form, nan_row):
+    # C = 0: every nonzero output has the ratio inf
     sigma = KLEnvelope(C, 0.2, beta=constant(1.0))
     batch = envelope_batch()[:None if nan_row else -1]
     if form == "kl":
-        rep = check_kl_estimate(batch, sigma)
+        rep, gains = check_kl_estimate(batch, sigma), {}
     else:
-        rep = check_ios_estimate(batch, sigma, rho=linear(1 / 3), gamma=constant(1.0))
-    passed, ratio, margin, witness, rows = legacy_row_check(*seen[0])
-    assert (rep.passed, rep.rows) == (passed, rows)
-    assert same(rep.worst_ratio, ratio) and same(rep.worst_margin, margin)
-    assert_same_witness(rep.witness, witness)
+        gains = dict(rho=linear(1 / 3), gamma=constant(1.0))
+        rep = check_ios_estimate(batch, sigma, **gains)
+    assert ref.dumps(rep) == ref.dumps(ref.check_estimate(
+        batch, sigma, form="kl" if form == "kl" else "max", **gains))
     if nan_row:
         assert not rep.passed and math.isnan(rep.worst_margin)
-
-
-def legacy_domination(sampler, zeta, beta, Ts, ss, tol):
-    worst, witness, count = -math.inf, None, 0
-    for T in Ts:
-        bT = beta(T)
-        for s in ss:
-            lhs = float(sampler(T, float(s)))
-            rhs = zeta(bT * float(s))
-            margin = lhs - rhs
-            count += 1
-            if _beats(margin, worst):
-                worst = margin
-                witness = {"T": int(T), "s": float(s), "lhs": lhs, "rhs": rhs}
-    passed = worst <= tol * (1.0 + abs(witness["rhs"])) if witness else True
-    return passed, worst, witness, count
 
 
 @pytest.mark.parametrize("sampler", [
@@ -224,30 +164,8 @@ def legacy_domination(sampler, zeta, beta, Ts, ss, tol):
 def test_domination_equals_the_point_loop(sampler):
     Ts, ss = (0, 1, 2, 5), np.logspace(-3, 3, 13)
     rep = check_domination(sampler, identity(), constant(1.0), Ts=Ts, ss=ss)
-    passed, worst, witness, count = legacy_domination(sampler, identity(),
-                                                      constant(1.0), Ts, ss, 1e-9)
-    assert (rep.passed, rep.samples) == (passed, count)
-    assert same(rep.worst_margin, worst)
-    assert_same_witness(rep.witness, witness)
-
-
-def legacy_recursion(bundle, batch, tol):
-    cand = bundle.cand
-    worst, wit = -math.inf, None
-    for traj in batch:
-        root = math.sqrt(vecnorm(traj.x0))
-        for i in range(len(traj) - 1):
-            t = float(traj.t[i])
-            v0 = cand.V_eval(t, traj.x[i])
-            v1 = cand.V_eval(t + 1.0, traj.x[i + 1])
-            rhs = (2.0 / math.e) * v0 + math.pow(2.0, 1.0 - t / 2.0) * root \
-                + vecnorm(traj.u[i])
-            margin = v1 - rhs
-            if _beats(margin, worst):
-                worst, wit = margin, {"t": int(t), "lhs": v1, "rhs": rhs,
-                                      "meta": traj.meta}
-    passed = wit is None or worst <= tol * (1.0 + abs(wit["rhs"]))
-    return passed, worst, wit
+    assert ref.dumps(rep) == ref.dumps(ref.check_domination(
+        sampler, identity(), constant(1.0), Ts, ss))
 
 
 def test_recursion_check_equals_the_step_loop():
@@ -255,13 +173,24 @@ def test_recursion_check_equals_the_step_loop():
     batch = adversarial_batch(B34.sys, (0, 1), 5.0, budget,
                               u_modes=("zero", "constant", "random"))
     for tol in (1e-9, 0.0):
-        rep = recursion_step_check(B34, batch, tol)
-        passed, worst, wit = legacy_recursion(B34, batch, tol)
-        assert rep.passed == passed
-        assert (rep.worst_margin, rep.witness) == (worst, wit)
+        assert ref.dumps(recursion_step_check(B34, batch, tol)) == ref.dumps(
+            ref.recursion_step_check(B34, batch, tol))
+
+
+def test_recursion_check_skips_trajectories_without_rows():
+    # a zero-row trajectory once raised IndexError from Trajectory.x0
+    batch = adversarial_batch(B34.sys, (0,), 1.0,
+                              FalsifyBudget(max_trajectories=5, horizon=10),
+                              u_modes=("zero", "constant", "random"))
+    empty = ref.cut(batch[0], 0)
+    rep = recursion_step_check(B34, [empty, *batch[1:]])
+    assert ref.dumps(rep) == ref.dumps(recursion_step_check(B34, batch[1:]))
+    assert rep.samples == 4 * 10
+    with pytest.raises(ValueError, match="empty sample set: no trajectory steps"):
+        recursion_step_check(B34, [empty, ref.cut(batch[1], 1)])
 
 
 def test_zero_output_under_a_zero_bound_has_ratio_zero():
-    zero = with_outputs(envelope_batch()[0], np.zeros((16, 1)))
+    zero = ref.cut(envelope_batch()[0], Y=np.zeros((16, 1)))
     rep = check_kl_estimate([zero], KLEnvelope(0.0, 0.2, beta=constant(1.0)))
     assert (rep.worst_ratio, rep.worst_margin, rep.passed) == (0.0, 0.0, True)

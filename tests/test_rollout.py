@@ -2,8 +2,10 @@
 
 ``search_trajectories`` rolls its trajectories in lock-step blocks; every
 trajectory must equal, field for field and bit for bit, the one ``simulate``
-rolls from the same (t0, x0, policies) of the documented seed stream.  NaNs
-may differ only in their sign bit, which IEEE 754 leaves unspecified.
+rolls from the same (t0, x0, policies) of the documented seed stream
+(``reference.search_trajectories``; ``test_differential.py`` compares the
+two on generated systems).  NaNs may differ only in their sign bit, which
+IEEE 754 leaves unspecified.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import dtstab.stability as stability
+import reference as ref
 from dtstab.comparison import KLEnvelope, constant, identity
 from dtstab.expr import ExprDomainError
 from dtstab.registry import (example_2_3, example_3_4, example_4_7,
@@ -26,7 +29,6 @@ from dtstab.system import (ConstantDisturbance, ConstantInput,
                            GreedyDisturbance, RandomDisturbance, SequenceInput,
                            SystemDef, Trajectory, ZeroInput, d_candidates,
                            simulate, vecnorm)
-from test_composite import TreeFeedback
 
 B23, B34, B47 = example_2_3(), example_3_4(), example_4_7(0.5)
 # the plant under the delay-chain controller: unforced, over (x, w)
@@ -37,26 +39,8 @@ FIELDS = ("t", "x", "d", "u", "Y", "y")
 
 
 def assert_same(got, want):
-    """Equal bit for bit (signed zeros included), NaNs at the same places."""
-    assert got.t0 == want.t0 and type(got.t0) is type(want.t0)
-    assert got.meta == want.meta
-    for name in FIELDS:
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        if a.dtype.kind != "f":
-            assert np.array_equal(a, b), name
-            continue
-        nan = np.isnan(a)
-        assert np.array_equal(nan, np.isnan(b)), name
-        assert np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)), name
-
-
-def reference(sys, t0s, radius, budget, u_modes=("zero",)):
-    """One ``simulate`` per index of the seed stream, with fresh policies."""
-    specs = stability._trajectory_specs(sys, list(t0s), radius, budget, u_modes,
-                                        range(budget.max_trajectories))
-    return [simulate(sys, t0, x0, dpol, upol, budget.horizon, meta=meta)
-            for t0, x0, dpol, upol, meta in specs]
+    """Equal field for field and bit for bit (NaN signs aside), t0's type too."""
+    assert type(got.t0) is type(want.t0) and ref.dumps(got) == ref.dumps(want)
 
 
 def test_trajectory_specs_follow_the_documented_stream():
@@ -92,65 +76,19 @@ def test_trajectory_specs_follow_the_documented_stream():
 
 # --- block seeding equals one SeedSequence and default_rng at a time ---
 
-def reference_specs(sys, t0s, radius, budget, u_modes, indices):
-    """The per-trajectory seeding that block hashing replaced: one
-    ``SeedSequence`` and up to three ``default_rng`` calls per index."""
-    axis = stability._axis_states(sys.n, radius)
-    ladder = (1.0, 0.75, 0.5, 0.25)
-    for i in indices:
-        seq = np.random.SeedSequence(budget.seed, spawn_key=(i,))
-        child = int(seq.generate_state(1)[0])
-        if radius == 0.0:
-            x0 = np.zeros(sys.n)
-        elif i < len(axis):
-            x0 = axis[i]
-        else:
-            rng = np.random.default_rng(seq.generate_state(2))
-            direction = rng.standard_normal(sys.n)
-            nrm = math.sqrt(direction.dot(direction))
-            direction = direction / nrm if nrm > 0 else np.eye(sys.n)[0]
-            x0 = direction * (radius * ladder[i % len(ladder)])
-        strategy = budget.mix[i % len(budget.mix)]
-        if strategy == "corner":
-            dpol = ConstantDisturbance(sys.d_corners[i % sys.d_corners.shape[0]])
-        elif strategy == "greedy":
-            dpol = GreedyDisturbance(grid=stability._GREEDY_GRID, seed=child)
-        else:
-            dpol = RandomDisturbance(seed=child, mode="mixed")
-        mode = u_modes[i % len(u_modes)]
-        if sys.k == 0 or mode == "zero":
-            upol = ZeroInput()
-        elif mode == "constant":
-            level = budget.u_cap * ladder[(i // 2) % len(ladder)]
-            sign = 1.0 if i % 2 == 0 else -1.0
-            upol = ConstantInput(np.full(sys.k, sign * level / math.sqrt(sys.k)))
-        else:
-            rng = np.random.default_rng(child + 1)
-            upol = SequenceInput(rng.uniform(-budget.u_cap, budget.u_cap,
-                                             size=(256, sys.k)))
-        yield (t0s[i % len(t0s)], x0, dpol, upol,
-               {"index": i, "strategy": strategy})
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.dtype == b.dtype and a.shape == b.shape
-            and np.array_equal(a.view(np.int64), b.view(np.int64)))
-
-
 def assert_same_spec(got, want):
     (t0, x0, dpol, upol, meta), (w_t0, w_x0, w_dpol, w_upol, w_meta) = got, want
-    assert t0 == w_t0 and meta == w_meta and same_bits(x0, w_x0)
+    assert t0 == w_t0 and meta == w_meta and ref.same_bits(x0, w_x0)
     assert type(dpol) is type(w_dpol) and dpol.descriptor() == w_dpol.descriptor()
     assert type(upol) is type(w_upol) and upol.descriptor() == w_upol.descriptor()
     if type(dpol) is ConstantDisturbance:
-        assert same_bits(dpol.value, w_dpol.value)
+        assert ref.same_bits(dpol.value, w_dpol.value)
     elif type(dpol) is RandomDisturbance:
         assert dpol.rng.bit_generator.state == w_dpol.rng.bit_generator.state
     if type(upol) is ConstantInput:
-        assert same_bits(upol.value, w_upol.value)
+        assert ref.same_bits(upol.value, w_upol.value)
     elif type(upol) is SequenceInput:
-        assert upol.t0 == w_upol.t0 and same_bits(upol.values, w_upol.values)
+        assert upol.t0 == w_upol.t0 and ref.same_bits(upol.values, w_upol.values)
 
 
 @pytest.mark.parametrize("radius", [0.0, 2.0])
@@ -167,8 +105,8 @@ def test_block_specs_equal_per_trajectory_seeding(n, radius):
         for block in (range(0, 40), range(250, 262), range(1000, 1013)):
             got = list(stability._trajectory_specs(sys, [0, 3, 5], radius,
                                                    budget, u_modes, block))
-            want = list(reference_specs(sys, [0, 3, 5], radius, budget,
-                                        u_modes, block))
+            want = list(ref.trajectory_specs(sys, [0, 3, 5], radius, budget,
+                                             u_modes, block))
             assert len(got) == len(want) == len(block)
             for a, b in zip(got, want):
                 assert_same_spec(a, b)
@@ -229,11 +167,10 @@ def batched_only(monkeypatch):
     monkeypatch.setattr(stability, "simulate", refuse)
 
 
-def check_search(sys, t0s, radius, budget, u_modes=("zero",)):
+def check_search(sys, t0s, radius, budget, u_modes=("zero",),
+                 specs=ref.trajectory_specs):
     got = list(search_trajectories(sys, t0s, radius, budget, u_modes))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stability, "simulate", simulate)
-        want = reference(sys, t0s, radius, budget, u_modes)
+    want = list(ref.search_trajectories(sys, t0s, radius, budget, u_modes, specs))
     assert len(got) == len(want) == budget.max_trajectories
     for a, b in zip(got, want):
         assert_same(a, b)
@@ -404,7 +341,7 @@ def test_random_disturbance_modes(batched_only, random_mode, mode, bundle):
     random_mode(mode)
     budget = FalsifyBudget(max_trajectories=8, horizon=25, mix=("random",), seed=6)
     got = check_search(bundle.sys, (0, 3, 1, 4), 2.0, budget,
-                       u_modes=("zero", "constant", "random"))
+                       ("zero", "constant", "random"), stability._trajectory_specs)
     assert_rolled_in_mode(got, mode)
 
 
@@ -412,7 +349,8 @@ def test_random_disturbance_modes(batched_only, random_mode, mode, bundle):
 def test_random_disturbance_two_dimensional_box(batched_only, random_mode, mode):
     random_mode(mode)
     budget = FalsifyBudget(max_trajectories=6, horizon=15, mix=("random",), seed=7)
-    got = check_search(SMALL, (0, 2, 4), 2.0, budget)
+    got = check_search(SMALL, (0, 2, 4), 2.0, budget, ("zero",),
+                       stability._trajectory_specs)
     assert_rolled_in_mode(got, mode)
 
 
@@ -438,7 +376,7 @@ def test_roller_refuses_policy_kinds_without_a_table():
     budget = FalsifyBudget(max_trajectories=1, horizon=3)
     [(t0, x0, dpol, upol, meta)] = stability._trajectory_specs(
         B34.sys, [0], 1.0, budget, ("zero",), range(1))
-    feedback = TreeFeedback(["-x2/4"], n=2)
+    feedback = ref.TreeFeedback(["-x2/4"], n=2)
     with pytest.raises(TypeError, match="no input table for TreeFeedback"):
         stability._roll(B34.sys, [(t0, x0, dpol, feedback, meta)], 3)
     shifted = ShiftedDisturbance([0.5])
@@ -707,10 +645,8 @@ def test_search_decodes_random_tables_without_per_row_draws(batched_only):
         mp.setattr(RandomDisturbance, "__call__", refuse)
         got = list(search_trajectories(B34.sys, (0, 2), 1.5, budget,
                                        ("zero", "constant", "random")))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stability, "simulate", simulate)
-        want = reference(B34.sys, (0, 2), 1.5, budget,
-                         ("zero", "constant", "random"))
+    want = ref.search_trajectories(B34.sys, (0, 2), 1.5, budget,
+                                   ("zero", "constant", "random"))
     assert sum(g.meta["strategy"] == "random" for g in got) == 6
     for a, b in zip(got, want, strict=True):
         assert_same(a, b)

@@ -1,25 +1,23 @@
 import itertools
-import json
 import math
 
 import numpy as np
 import pytest
 
 import dtstab.stability as stability
+import reference as ref
 from dtstab.comparison import (KLEnvelope, check_domination,
                                constant, geometric, identity, kfn_from_expr,
                                linear, power_fn, sup_f_sampler,
                                timegain_from_expr)
-from dtstab.expr import ExprDomainError
 from dtstab.registry import example_2_3, example_3_4, example_4_7
-from dtstab.stability import (EnvelopeReport, FalsifyBudget, FalsifyReport,
-                              adversarial_batch, build_small_input_system,
-                              check_ios_estimate, check_kl_estimate, falsify)
+from dtstab.stability import (FalsifyBudget, adversarial_batch,
+                              build_small_input_system, check_ios_estimate,
+                              check_kl_estimate, falsify)
 from dtstab.stability import test_output_attractivity as search_attractivity
 from dtstab.stability import test_output_stability as search_stability
-from dtstab.system import (FAIL, ConstantDisturbance, ConstantInput,
-                           SampleConfig, SystemDef, Trajectory, WorstMargin,
-                           _beats, first_max, row_norms, simulate, vecnorm)
+from dtstab.system import (ConstantDisturbance, ConstantInput, SampleConfig,
+                           SystemDef, Trajectory, simulate, vecnorm)
 
 B23 = example_2_3()
 B34 = example_3_4()
@@ -212,113 +210,6 @@ class TestIOSEstimate:
         assert rep.passed
 
 
-def loop_ios_bounds(traj, sigma, beta, rho=None, gamma=None, form="max",
-                    zeta=None, delta=None):
-    """``check_ios_estimate``'s bounds as its per-row loop computed them
-    before the rows became arrays (finite inputs; Python ``max`` passes over
-    a NaN fresh term, which the array form no longer does)."""
-    n_rows = len(traj)
-    decay = sigma.decay_series(beta(traj.t0) * vecnorm(traj.x0), n_rows)
-    bounds = np.empty(n_rows)
-    run = -math.inf
-    for i in range(n_rows):
-        tau = float(traj.t[i])
-        nu = vecnorm(traj.u[i]) if traj.u.shape[1] else 0.0
-        if form == "max":
-            fresh = sigma(beta(tau) * rho(gamma(tau) * nu), 0)
-            run = fresh if i == 0 else max(run * sigma.g, fresh)
-        else:
-            fresh = zeta(delta(tau) * nu)
-            run = fresh if i == 0 else max(run, fresh)
-        bounds[i] = max(decay[i], run)
-    return bounds
-
-
-def traj_ios_bounds(traj, sigma, beta, rho, gamma, form, zeta, delta):
-    """``_ios_bounds`` of one trajectory as it was computed before batches:
-    fresh terms as arrays, the running-term recurrence over plain floats
-    (a NaN fresh term wins)."""
-    tau = traj.t.astype(float)
-    nu = row_norms(traj.u)
-    if form == "max":
-        lead = beta.values(tau) * rho.values(gamma.values(tau) * nu)
-        fresh = (float(sigma.C) * lead).tolist()  # sigma(lead, 0)
-        g = sigma.g
-    else:
-        fresh = zeta.values(delta.values(tau) * nu).tolist()
-        g = 1.0
-    runs = fresh[:1]
-    for f in fresh[1:]:
-        run = runs[-1] * g
-        runs.append(f if f > run or f != f else run)
-    run = np.array(runs, dtype=float)
-    decay = sigma.decay_series(beta(traj.t0) * vecnorm(traj.x0), len(traj))
-    return np.where((run > decay) | np.isnan(run), run, decay)
-
-
-def traj_kl_bounds(traj, sigma, beta):
-    return sigma.decay_series(beta(traj.t0) * vecnorm(traj.x0), len(traj))
-
-
-def loop_row_check(form, bounds_per_traj, batch, tol):
-    """``_row_check`` as it scanned before batches: one ratio scan and one
-    ``WorstMargin.add`` a trajectory."""
-    worst, worst_ratio = WorstMargin("trajectory rows"), 0.0
-    for traj, bounds in zip(batch, bounds_per_traj):
-        norms = row_norms(traj.Y)
-        bounds = np.asarray(bounds, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(norms == 0.0, 0.0,
-                              np.where(bounds > 0.0, norms / bounds, math.inf))
-        ratio, _ = first_max(ratios)
-        if _beats(ratio, worst_ratio):
-            worst_ratio = ratio
-        worst.add(norms - bounds, bounds, lambda i: {
-            "t": int(traj.t[i]), "t0": int(traj.t0), "x0": traj.x0.tolist(),
-            "norm": float(norms[i]), "bound": float(bounds[i]), "meta": traj.meta})
-    passed = worst.verdict(tol) != FAIL
-    return EnvelopeReport(form, passed, worst_ratio, worst.margin, worst.witness,
-                          worst.samples, tol)
-
-
-def loop_falsify(sys, sigma, beta=None, rho=None, gamma=None, budget=None,
-                 radius=1.0):
-    """``falsify`` as it searched before batches: each trajectory checked
-    on its own as it is yielded."""
-    budget = budget or FalsifyBudget()
-    beta = beta or sigma.beta
-    ios = rho is not None and sys.k > 0
-    u_modes = ("zero", "constant", "random") if ios else ("zero",)
-    best, wit, count = 0.0, None, 0
-    for traj in stability.search_trajectories(sys, (0,), radius, budget, u_modes):
-        count += 1
-        if ios:
-            if gamma is None:
-                raise ValueError("max form needs rho and gamma")
-            bounds = traj_ios_bounds(traj, sigma, beta, rho, gamma, "max",
-                                     None, None)
-        else:
-            bounds = traj_kl_bounds(traj, sigma, beta)
-        rep = loop_row_check("ios" if ios else "kl", [bounds], [traj], 0.0)
-        if _beats(rep.worst_ratio, best):
-            best = rep.worst_ratio
-            wit = rep.witness
-    return FalsifyReport(best, wit, count, "ios" if ios else "kl", budget.seed,
-                         notes=["ratio <= 1: no violation found within budget"])
-
-
-def assert_same_bits(got, want):
-    """Equal arrays bit for bit, NaNs at the same places (any sign)."""
-    assert got.dtype == want.dtype and got.shape == want.shape
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
-
-
-def dumps(rep):
-    return json.dumps(rep.to_json(), sort_keys=True)
-
-
 TWO_INPUTS = SystemDef(n=2, m=1, k=2, d_box=[[-0.5, 0.5]],
                        f=["0.6*x1 + 0.2*d1*x2 + u1", "0.5*x2 - 0.1*x1 + u2*u1/4"],
                        H=["x1", "x2"])
@@ -353,22 +244,14 @@ class TestIOSBoundsMatchLoop:
         batch = adversarial_batch(sys, (0, 4, 9), 1.0, budget,
                                   u_modes=("zero", "constant", "random"))
         assert {traj.t0 for traj in batch} == {0, 4, 9}
-        if form == "max":
-            kw = dict(rho=gains["rho"], gamma=gains["gamma"])
-        else:
-            kw = dict(zeta=gains["zeta"], delta=gains["delta"])
-        want = [loop_ios_bounds(traj, sigma, gains["beta"], form=form, **kw)
-                for traj in batch]
-        args = (sigma, gains["beta"], kw.get("rho"), kw.get("gamma"), form,
-                kw.get("zeta"), kw.get("delta"))
-        for traj, ref in zip(batch, want):
-            assert_same_bits(stability._ios_bounds([traj], *args), ref)
-        assert_same_bits(stability._ios_bounds(batch, *args), np.concatenate(want))
+        want = reference_bounds(form, batch, sigma, gains)
+        args = (sigma, *ios_args(form, gains))
+        for traj, bounds in zip(batch, want):
+            assert ref.same_bits(stability._ios_bounds([traj], *args), np.array(bounds))
+        assert ref.same_bits(stability._ios_bounds(batch, *args), np.concatenate(want))
         for tol in (1e-9, 0.0):
-            rep = check_ios_estimate(batch, sigma, gains["beta"], form=form,
-                                     tol=tol, **kw)
-            ref = loop_row_check(form, want, batch, tol)
-            assert rep == ref
+            rep = batch_check(form, batch, sigma, gains, tol)
+            assert ref.dumps(rep) == ref.dumps(ref.row_check(form, want, batch, tol))
 
     def test_max_form_is_the_sup_of_its_definition(self):
         # the row bound at t is max(sigma(beta(t0)|x0|, t - t0), max over
@@ -389,7 +272,7 @@ class TestIOSBoundsMatchLoop:
         got = stability._ios_bounds(batch, sigma, beta, B34.rho, B34.gamma,
                                     "max", None, None)
         assert len(want) == 88 and np.abs(np.array(want)).max() > 0.0
-        assert_same_bits(got, np.array(want))
+        assert ref.same_bits(got, np.array(want))
 
     def test_undersized_gain_fails_at_the_same_row(self):
         batch = adversarial_batch(B34.sys, (0, 2), 1.0,
@@ -398,10 +281,9 @@ class TestIOSBoundsMatchLoop:
         small = KLEnvelope(0.05, 0.4)
         rep = check_ios_estimate(batch, small, constant(1.0), linear(0.01),
                                  constant(1.0))
-        want = [loop_ios_bounds(traj, small, constant(1.0), linear(0.01),
-                                constant(1.0)) for traj in batch]
         assert not rep.passed
-        assert rep == loop_row_check("max", want, batch, 1e-9)
+        assert ref.dumps(rep) == ref.dumps(ref.check_estimate(
+            batch, small, constant(1.0), "max", rho=linear(0.01), gamma=constant(1.0)))
 
 
 class TestSmallInputSystem:
@@ -553,35 +435,28 @@ class TestSearchInputsRejected:
 
 # --- the batch envelope checks and falsify against the loops they replaced ---
 
-def cut(traj, rows, Y=None, u=None):
-    """The first ``rows`` rows of a trajectory, outputs or inputs replaced."""
-    Y = traj.Y[:rows] if Y is None else Y
-    return Trajectory(t0=traj.t0, t=traj.t[:rows], x=traj.x[:rows],
-                      d=traj.d[:rows], u=traj.u[:rows] if u is None else u,
-                      Y=Y, y=Y, meta=traj.meta)
-
-
 def ragged_batch(sys):
     """Searched trajectories cut to different lengths, one with NaN outputs
     and (with inputs) one with a NaN input."""
     budget = FalsifyBudget(max_trajectories=10, horizon=20, seed=4, u_cap=2.0)
     batch = adversarial_batch(sys, (0, 3), 1.0, budget,
                               u_modes=("zero", "constant", "random"))
-    batch = [cut(traj, n) for traj, n in zip(batch, itertools.cycle((21, 1, 9, 14)))]
+    batch = [ref.cut(traj, n) for traj, n in zip(batch, itertools.cycle((21, 1, 9, 14)))]
     Y = batch[2].Y.copy()
     Y[[3, 5]] = math.nan
-    batch[2] = cut(batch[2], 9, Y=Y)
+    batch[2] = ref.cut(batch[2], 9, Y=Y)
     if sys.k:
         u = batch[4].u.copy()
         u[2] = math.nan
-        batch[4] = cut(batch[4], 21, u=u)
+        batch[4] = ref.cut(batch[4], 21, u=u)
     return batch
 
 
-def loop_bounds(form, batch, sigma, gains):
+def reference_bounds(form, batch, sigma, gains):
+    """Each trajectory's row bounds by the per-row loops."""
     if form == "kl":
-        return [traj_kl_bounds(traj, sigma, gains["beta"]) for traj in batch]
-    return [traj_ios_bounds(traj, sigma, *ios_args(form, gains)) for traj in batch]
+        return [ref.kl_bounds(traj, sigma, gains["beta"]) for traj in batch]
+    return [ref.ios_bounds(traj, sigma, *ios_args(form, gains)) for traj in batch]
 
 
 def ios_args(form, gains):
@@ -611,16 +486,15 @@ class TestBatchEnvelopeChecks:
     def test_ragged_batch_with_nans(self, form, gains, envelope, sys):
         sigma = ENVELOPES[envelope]
         batch = ragged_batch(sys)
-        want = loop_bounds(form, batch, sigma, gains)
+        want = reference_bounds(form, batch, sigma, gains)
         if form == "kl":
             got = sigma.row_bounds(batch, gains["beta"])
         else:
             got = stability._ios_bounds(batch, sigma, *ios_args(form, gains))
-        assert_same_bits(got, np.concatenate(want))
+        assert ref.same_bits(got, np.concatenate(want))
         for tol in (1e-9, 0.0):
             rep = batch_check(form, batch, sigma, gains, tol)
-            ref = loop_row_check("kl" if form == "kl" else form, want, batch, tol)
-            assert dumps(rep) == dumps(ref)
+            assert ref.dumps(rep) == ref.dumps(ref.row_check(form, want, batch, tol))
             assert not rep.passed  # the NaN outputs fail
 
     def test_empty_batches_raise(self):
@@ -634,24 +508,24 @@ class TestBatchEnvelopeChecks:
     def test_zero_row_trajectories_add_no_rows(self, form, envelope):
         sigma, gains = ENVELOPES[envelope], EXPR_GAINS
         batch = ragged_batch(B34.sys)
-        empty = [cut(traj, 0) for traj in batch[:2]]
+        empty = [ref.cut(traj, 0) for traj in batch[:2]]
         for holes in ([0, 3], [len(batch)], [0, 0, 5]):
             with_empty = list(batch)
             for k, at in enumerate(holes):
                 with_empty.insert(at, empty[k % 2])
             rep = batch_check(form, with_empty, sigma, gains, 1e-9)
-            assert dumps(rep) == dumps(batch_check(form, batch, sigma, gains, 1e-9))
+            assert ref.dumps(rep) == ref.dumps(batch_check(form, batch, sigma, gains, 1e-9))
             assert rep.rows == sum(len(traj) for traj in batch)
         for rows in ([0, 0], [0, 6], [6, 0]):
-            cuts = [cut(traj, n) for traj, n in zip(batch, rows)]
+            cuts = [ref.cut(traj, n) for traj, n in zip(batch, rows)]
             kept = [traj for traj in cuts if len(traj)]
             if not kept:
                 with pytest.raises(ValueError,
                                    match="empty sample set: no trajectory rows"):
                     batch_check(form, cuts, sigma, gains, 1e-9)
                 continue
-            assert (dumps(batch_check(form, cuts, sigma, gains, 1e-9))
-                    == dumps(batch_check(form, kept, sigma, gains, 1e-9)))
+            assert (ref.dumps(batch_check(form, cuts, sigma, gains, 1e-9))
+                    == ref.dumps(batch_check(form, kept, sigma, gains, 1e-9)))
 
     def test_first_failing_trajectory_names_the_error(self):
         # over the whole batch beta (evaluated first) fails at the third
@@ -662,11 +536,10 @@ class TestBatchEnvelopeChecks:
                      rho=identity())
         batch = [simulate(B34.sys, t0, [1.0, -1.0], ConstantDisturbance([0.5]),
                           ConstantInput([1.0]), horizon=5) for t0 in (0, 10, 20)]
-        with pytest.raises(ExprDomainError) as loop:
-            loop_bounds("max", batch, B34.sigma, gains)
-        with pytest.raises(ExprDomainError) as batched:
-            batch_check("max", batch, B34.sigma, gains, 1e-9)
-        assert str(batched.value) == str(loop.value) == "sqrt of a negative number"
+        error = ref.outcome(lambda: batch_check("max", batch, B34.sigma, gains, 1e-9))[1]
+        assert error == ref.outcome(lambda: reference_bounds("max", batch, B34.sigma,
+                                                             gains))[1]
+        assert error == ("ExprDomainError", "sqrt of a negative number")
 
 
 FALSIFY_CASES = {
@@ -691,8 +564,8 @@ class TestFalsifyMatchesLoop:
         sys, sigma, gains = FALSIFY_CASES[case]
         budget = FalsifyBudget(max_trajectories=n, horizon=12, seed=n, u_cap=2.0)
         rep = falsify(sys, sigma, budget=budget, radius=2.0, **gains)
-        assert dumps(rep) == dumps(loop_falsify(sys, sigma, budget=budget,
-                                                radius=2.0, **gains))
+        assert ref.dumps(rep) == ref.dumps(ref.falsify(sys, sigma, budget=budget,
+                                                       radius=2.0, **gains))
         assert rep.n_trajectories == n and rep.witness is not None
 
     def test_nan_outputs(self):
@@ -700,8 +573,8 @@ class TestFalsifyMatchesLoop:
                         f=["x1*1e300*1e300 - x1*1e300*1e300"], H=["x1"])
         budget = FalsifyBudget(max_trajectories=6, horizon=5)
         rep = falsify(sys, KLEnvelope(2.0, 0.1), budget=budget)
-        assert dumps(rep) == dumps(loop_falsify(sys, KLEnvelope(2.0, 0.1),
-                                                budget=budget))
+        assert ref.dumps(rep) == ref.dumps(ref.falsify(sys, KLEnvelope(2.0, 0.1),
+                                                       budget=budget))
         assert math.isnan(rep.ratio) and rep.witness["t"] == 1
 
     def test_chunks_that_divide_the_budget(self, monkeypatch):
@@ -709,17 +582,17 @@ class TestFalsifyMatchesLoop:
         sys, sigma, gains = FALSIFY_CASES["ios"]
         for n in (7, 21, 23):
             budget = FalsifyBudget(max_trajectories=n, horizon=8, seed=2)
-            assert dumps(falsify(sys, sigma, budget=budget, **gains)) == dumps(
-                loop_falsify(sys, sigma, budget=budget, **gains))
+            assert ref.dumps(falsify(sys, sigma, budget=budget, **gains)) == ref.dumps(
+                ref.falsify(sys, sigma, budget=budget, **gains))
 
     def test_search_returning_a_list(self, monkeypatch):
         sys, sigma, gains = FALSIFY_CASES["ios"]
         budget = FalsifyBudget(max_trajectories=300, horizon=8, seed=5)
-        want = dumps(falsify(sys, sigma, budget=budget, **gains))
+        want = ref.dumps(falsify(sys, sigma, budget=budget, **gains))
         search = stability.search_trajectories
         monkeypatch.setattr(stability, "search_trajectories",
                             lambda *a, **k: list(search(*a, **k)))
-        assert dumps(falsify(sys, sigma, budget=budget, **gains)) == want
+        assert ref.dumps(falsify(sys, sigma, budget=budget, **gains)) == want
 
     def test_missing_gamma_raises_like_the_check(self):
         with pytest.raises(ValueError, match="max form needs rho and gamma"):
@@ -750,11 +623,8 @@ class TestFalsifyMatchesLoop:
         sys = SystemDef(n=1, m=1, k=1, d_box=[[-0.1, 0.1]],
                         f=["0.5*x1 + 0.1*d1 + 0*log(u1 + 1)"], H=["x1"])
         budget = FalsifyBudget(max_trajectories=12, horizon=6, seed=1)
-        errors = []
-        for run in (falsify, loop_falsify):
-            with pytest.raises(ExprDomainError) as caught:
-                run(sys, KLEnvelope(3.0, 0.4), rho=kfn_from_expr(rho),
-                    gamma=constant(1.0), budget=budget, radius=1.0)
-            errors.append(str(caught.value))
-        assert errors[0] == errors[1]
-        assert (errors[0] != "log of a non-positive number") == check_first
+        got, want = (ref.outcome(lambda: run(
+            sys, KLEnvelope(3.0, 0.4), rho=kfn_from_expr(rho), gamma=constant(1.0),
+            budget=budget, radius=1.0))[1] for run in (falsify, ref.falsify))
+        assert got == want and got[0] == "ExprDomainError"
+        assert (got[1] != "log of a non-positive number") == check_first

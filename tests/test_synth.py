@@ -1,21 +1,20 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
 import dtstab.synth as synth
-from dtstab.expr import Env, Var, eval_expression, substitute
+import reference as ref
+from dtstab.expr import Var, substitute
 from dtstab.registry import example_2_3, example_4_7
-from dtstab.synth import (SAMPLE_RADIUS, DelayChainController,
-                          ReconstructionMap, build_extended_system,
+from dtstab.synth import (DelayChainController, ReconstructionMap,
+                          build_extended_system,
                           check_reconstruction, iterate_maps,
                           run_output_feedback, synthesize_delay_controller)
-from dtstab.system import (CertificateReport, ConstantDisturbance,
-                           ConstantInput, EquilibriumWarning,
-                           GreedyDisturbance, RandomDisturbance, SystemDef,
-                           SystemFileError, WorstMargin, simulate)
-from test_composite import ClosureSystem, TreeFeedback, tree_feedback
+from dtstab.system import (ConstantDisturbance, ConstantInput,
+                           EquilibriumWarning, GreedyDisturbance,
+                           RandomDisturbance, SystemDef, SystemFileError,
+                           simulate)
 
 B47 = example_4_7(0.5)
 
@@ -89,7 +88,7 @@ class TestCheckReconstruction:
 def feedback_at(ctrl, sys, t, s):
     """The controller's feedback at one extended state, through the tree
     walker."""
-    return tree_feedback(ctrl.feedback(sys), len(s))(t, s)
+    return ref.tree_feedback(ctrl.feedback(sys), len(s))(t, s)
 
 
 class TestControllerStructure:
@@ -235,7 +234,7 @@ class TestExtendedSystem:
 
     def test_constant_register_under_identity_input(self):
         ext = build_extended_system(B47.sys, 1)
-        hold = TreeFeedback(["0", "x4"], n=4)
+        hold = ref.TreeFeedback(["0", "x4"], n=4)
         traj = simulate(ext, 0, [0.5, -0.5, 1.0, 9.0],
                         ConstantDisturbance([0.2]), hold, horizon=8)
         assert np.all(traj.x[:, 3] == 9.0)
@@ -251,38 +250,14 @@ class TestExtendedSystem:
         assert np.array_equal(lifted.x[:, :3], orig.x)
 
 
-def reference_extended_system(sys, w_dim):
-    """The extended system as closures over the plant's maps."""
-    n, k = sys.n, sys.k
-
-    def f_ext(t, d, s, uv):
-        x, u, v = s[:n], uv[:k], uv[k:]
-        return np.concatenate([sys.f_eval(t, d, x, u), v])
-
-    def H_ext(t, s):
-        return sys.H_eval(t, s[:n])
-
-    def h_ext(t, s):
-        return np.concatenate([sys.h_eval(t, s[:n]), s[n:]])
-
-    return ClosureSystem(n + w_dim, sys.m, k + w_dim, sys.d_box, f_ext, H_ext, h_ext)
-
-
-def float_bits(a):
-    """Bit patterns of a float array, every NaN mapped to one pattern."""
-    a = np.array(a, dtype=float)
-    a[np.isnan(a)] = math.nan
-    return a.view(np.int64)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # huge states overflow
 @pytest.mark.parametrize("plant, w_dim", [
     (B47.sys, 1), (B47.sys, B47.controller.state_dim), (integrator_chain_sys(), 4)],
     ids=["example_4_7_w1", "example_4_7_p1", "integrator_chain_p2"])
 def test_extended_system_equals_reference_closures(plant, w_dim):
-    ext, ref = build_extended_system(plant, w_dim), reference_extended_system(plant, w_dim)
+    ext, loop = build_extended_system(plant, w_dim), ref.extended_system(plant, w_dim)
     assert ext.name.endswith(f"|extended(w={w_dim})")
-    assert (ext.n, ext.m, ext.k) == (ref.n, ref.m, ref.k)
+    assert (ext.n, ext.m, ext.k) == (loop.n, loop.m, loop.k)
     assert (ext.p_Y, ext.p_y) == (plant.p_Y, plant.p_y + w_dim)
     rng = np.random.default_rng(w_dim)
     N = 120
@@ -293,12 +268,11 @@ def test_extended_system_equals_reference_closures(plant, w_dim):
     U = rng.uniform(-5.0, 5.0, size=(N, ext.k))
     F, Y, y = ext.f_rows(t, X, D, U), ext.H_rows(t, X), ext.h_rows(t, X)
     for i in range(N):
-        want = ref.f_eval(t[i], D[i], X[i], U[i])
-        assert np.array_equal(float_bits(F[i]), float_bits(want)), i
-        assert np.array_equal(float_bits(ext.f_eval(t[i], D[i], X[i], U[i])),
-                              float_bits(want)), i
-        assert np.array_equal(float_bits(Y[i]), float_bits(ref.H_eval(t[i], X[i]))), i
-        assert np.array_equal(float_bits(y[i]), float_bits(ref.h_eval(t[i], X[i]))), i
+        want = loop.f_eval(t[i], D[i], X[i], U[i])
+        assert ref.same_bits(F[i], want), i
+        assert ref.same_bits(ext.f_eval(t[i], D[i], X[i], U[i]), want), i
+        assert ref.same_bits(Y[i], loop.H_eval(t[i], X[i])), i
+        assert ref.same_bits(y[i], loop.h_eval(t[i], X[i])), i
 
 
 class TestSeparationComposition:
@@ -311,7 +285,7 @@ class TestSeparationComposition:
         ctrl = B47.controller
         ext = build_extended_system(B47.sys, ctrl.state_dim)
         u = substitute(ctrl.psi.expr, {"y1": Var("x1"), "u0": Var("x5")})
-        static_fb = TreeFeedback([u, Var("x1"), u], n=5)
+        static_fb = ref.TreeFeedback([u, Var("x1"), u], n=5)
 
         x0 = np.array([1.0, 2.0, 3.0])
         w0 = np.array([0.5, -0.25])
@@ -329,105 +303,18 @@ class TestSeparationComposition:
 
 # --- run_output_feedback against the delay-chain loop it replaced ---
 
-def psi_closure(psi):
-    """Psi as a closure of (t, y_p, y-window, u-window), windows oldest
-    first, over the tree walker: the first entry of each output and input."""
-    def call(t, y_p, y_hist, u_hist):
-        p = psi.p
-        aux = {f"y{p}": float(np.asarray(y_p).reshape(-1)[0])}
-        for i in range(p):
-            aux[f"y{i}"] = float(np.asarray(y_hist[i]).reshape(-1)[0])
-            aux[f"u{i}"] = float(np.asarray(u_hist[i]).reshape(-1)[0])
-        return np.array([eval_expression(psi.expr, Env(t=float(t), aux=aux))])
-    return call
-
-
-def reference_delay_chain_loop(sys, ctrl, t0, x0, w0, dpol, horizon):
-    """The closed loop rolled by hand, as run_output_feedback did before it
-    became a simulation of the extended plant: Psi evaluated on the current
-    output and the register window, and the register shifted by list code."""
-    p, py = ctrl.p, sys.p_y
-    psi = psi_closure(ctrl.psi)
-    N = horizon + 1
-    x = np.asarray(x0, dtype=float).reshape(sys.n)
-    w = ctrl.initial_state(w0)
-    T = np.arange(t0, t0 + N)
-    X = np.empty((N, sys.n))
-    D = np.empty((N, sys.m))
-    U = np.empty((N, sys.k))
-    Yv = np.empty((N, sys.p_Y))
-    yv = np.empty((N, sys.p_y))
-    W = np.empty((N, ctrl.state_dim))
-    for i, t in enumerate(T):
-        X[i], W[i] = x, w
-        Yv[i] = sys.H_eval(t, x)
-        yv[i] = sys.h_eval(t, x)
-        ys = [w[j * py:(j + 1) * py] for j in range(p)]  # ys[j] = y(t-1-j)
-        us = [w[p * py + j:p * py + j + 1] for j in range(p)]
-        u = psi(t, yv[i], ys[::-1], us[::-1])
-        U[i] = u
-        D[i] = dpol(sys, t, x, u)
-        if i + 1 < N:
-            x = sys.f_eval(t, D[i], x, u)
-            w = np.concatenate([yv[i], *ys[:-1], u, *us[:-1]])
-    return {"t": T, "x": X, "d": D, "u": U, "Y": Yv, "y": yv, "w": W}
-
-
-def reference_report(want, p, t0, reference_k, tol=1e-12):
-    """The coincidence report of a reference run, as the per-row loop made
-    it: register slots against the history, then |u - k| row by row."""
-    T, U, yv, W = want["t"], want["u"], want["y"], want["w"]
-    py = yv.shape[1]
-    hist_wit = None
-    for i in range(p, len(T)):
-        for j in range(1, p + 1):
-            yslot, uslot = W[i, (j - 1) * py:j * py], W[i, p * py + j - 1:p * py + j]
-            if not (np.array_equal(yslot, yv[i - j]) and np.array_equal(uslot, U[i - j])):
-                hist_wit = {"t": int(T[i]), "slot": j,
-                            "w_y": yslot.tolist(), "y": yv[i - j].tolist(),
-                            "w_u": uslot.tolist(), "u": U[i - j].tolist()}
-                break
-        if hist_wit:
-            break
-    verdict, err = "pass", WorstMargin("rows", floor=0.0)
-    if reference_k is not None:
-        k_ref = tree_feedback(reference_k, want["x"].shape[1])
-        ks = [k_ref(t, x) for t, x in zip(T[p:], want["x"][p:])]
-        errs = [float(np.max(np.abs(u - k))) for u, k in zip(U[p:], ks)]
-        err.add(errs, [float(np.max(np.abs(k))) for k in ks],
-                lambda i: {"t": int(T[p + i]), "u": U[p + i].tolist(),
-                           "k_ref": ks[i].tolist(), "err": errs[i]})
-        verdict = err.verdict(tol)
-    return {"check": "output-feedback-coincidence",
-            "verdict": verdict if hist_wit is None else "fail", "p": p,
-            "coincident_from": t0 + p, "history_exact": hist_wit is None,
-            "history_witness": hist_wit, "max_err": err.margin,
-            "witness": err.witness, "tol": tol,
-            "notes": [f"rows [{t0}, {t0 + p}) are the register-filling transient"]}
-
-
-def assert_bitwise(traj, want):
-    """Every column equal bit for bit, NaN signs aside (see float_bits)."""
-    for name, arr in want.items():
-        got = getattr(traj, name)
-        assert got.shape == arr.shape and got.dtype == arr.dtype, name
-        if arr.dtype.kind == "f":
-            assert np.array_equal(float_bits(got), float_bits(arr)), name
-        else:
-            assert np.array_equal(got, arr), name
-
-
 def assert_run_equals_reference(sys, ctrl, t0, x0, w0, dpol, horizon,
                                 reference_k=None):
     """run_output_feedback's trajectory and report equal the reference loop's
     (``dpol`` builds a fresh disturbance policy for each run)."""
     traj, rep = run_output_feedback(sys, ctrl, t0, x0, w0=w0, dpol=dpol(),
                                     horizon=horizon, reference_k=reference_k)
-    want = reference_delay_chain_loop(sys, ctrl, t0, x0, w0, dpol(), horizon)
-    assert_bitwise(traj, want)
+    want = ref.delay_chain_loop(sys, ctrl, t0, x0, w0, dpol(), horizon)
+    for name, column in want.items():
+        assert ref.same_bits(getattr(traj, name), column), name
     assert traj.meta["u_policy"] == ctrl.descriptor()
-    assert json.dumps(rep.to_json()) == json.dumps(
-        reference_report(want, ctrl.p, t0, reference_k))
+    assert ref.dumps(rep) == ref.dumps(
+        ref.coincidence_report(want, ctrl.p, t0, reference_k))
     return rep
 
 
@@ -513,10 +400,10 @@ class TestReconstructionRule:
 
         def recording_psi(t, y_p, y_hist, u_hist):
             seen.append(y_p[0])
-            return psi_closure(psi)(t, y_p, y_hist, u_hist)
+            return ref.psi_closure(psi)(t, y_p, y_hist, u_hist)
 
-        reference_check_reconstruction(B47.sys, tree_feedback(B47.feedback, 3),
-                                       recording_psi, 1, n_samples=40, seed=3)
+        ref.check_reconstruction(B47.sys, ref.tree_feedback(B47.feedback, 3),
+                                 recording_psi, 1, n_samples=40, seed=3)
         rep = check_reconstruction(B47.sys, B47.feedback, psi,
                                    n_samples=40, seed=3)
         assert rep.verdict == "fail" and math.isnan(rep.worst_margin)
@@ -578,53 +465,17 @@ class TestCoincidenceRule:
 
 # --- check_reconstruction against the sample loop it replaced ---
 
-def reference_check_reconstruction(sys, target, psi, p, n_samples=1000,
-                                   ts=range(0, 11), seed=0, tol=0.0):
-    """check_reconstruction as it was: one iterate_maps, one ``target(t,
-    x)`` and one ``psi(t, y_p, y_hist, u_hist)`` call per sample, all three
-    closures.  Kept as the reference only."""
-    rng = np.random.default_rng(seed)
-    ts = list(ts)
-    d_mid = (sys.d_box[:, 0] + sys.d_box[:, 1]) / 2.0
-    spots = [(int(t), np.zeros(sys.n), np.tile(d_mid, (p, 1)),
-              np.zeros((p, sys.k))) for t in ts]
-    for _ in range(max(n_samples - len(spots), 0)):
-        t = int(ts[rng.integers(0, len(ts))])
-        x = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, size=sys.n)
-        d_seq = rng.uniform(sys.d_box[:, 0], sys.d_box[:, 1], size=(p, sys.m))
-        u_seq = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, size=(p, sys.k))
-        spots.append((t, x, d_seq, u_seq))
-    lhs, rhs = [], []
-    for t, x, d_seq, u_seq in spots:
-        res = iterate_maps(sys, p, t, x, d_seq, u_seq)
-        lhs.append(np.asarray(target(t + p, res.F_p), dtype=float))
-        rhs.append(psi(t + p, res.y_p, res.y_hist, list(u_seq)))
-
-    def max_abs(v):
-        return float(np.max(np.abs(v))) if v.size else 0.0
-
-    worst = WorstMargin("reconstruction samples")
-    worst.add([max_abs(a - b) for a, b in zip(lhs, rhs)],
-              [max_abs(b) for b in rhs],
-              lambda i: {"t": spots[i][0], "x": spots[i][1].tolist(),
-                         "d_seq": spots[i][2].tolist(),
-                         "u_seq": spots[i][3].tolist(),
-                         "lhs": lhs[i].tolist(), "rhs": rhs[i].tolist()})
-    return CertificateReport("reconstruction", worst.verdict(tol), worst.margin,
-                             worst.witness, worst.samples, tol)
-
-
 def assert_same_report(sys, k_fn, psi, k_ref=None, **kw):
     """The check equals the reference loop over closures: the system's
     point evaluators, ``k_ref`` (by default ``k_fn`` through the tree
     walker) and Psi's tree-walker closure."""
     got = check_reconstruction(sys, k_fn, psi, **kw)
-    ref_sys = ClosureSystem(sys.n, sys.m, sys.k, sys.d_box, sys.f_eval,
-                            sys.H_eval, sys.h_eval)
-    want = reference_check_reconstruction(
-        ref_sys, k_ref or tree_feedback(k_fn, sys.n),
-        psi_closure(psi), psi.p, **kw)
-    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    closures = ref.ClosureSystem(sys.n, sys.m, sys.k, sys.d_box, sys.f_eval,
+                                 sys.H_eval, sys.h_eval)
+    want = ref.check_reconstruction(
+        closures, k_ref or ref.tree_feedback(k_fn, sys.n),
+        ref.psi_closure(psi), psi.p, **kw)
+    assert ref.dumps(got) == ref.dumps(want)
     return got
 
 
@@ -671,7 +522,7 @@ def test_reconstruction_few_samples_equal_reference():
 def test_policy_target_is_refused():
     # a target feedback is an expression: an input policy, once called
     # sample by sample, is refused, as a reference feedback is
-    target = TreeFeedback(B47.feedback, 3)
+    target = ref.TreeFeedback(B47.feedback, 3)
     with pytest.raises(ValueError, match="is not an expression"):
         check_reconstruction(B47.sys, target, B47.psi, n_samples=60, seed=8)
     with pytest.raises(ValueError, match="is not an expression"):
@@ -694,18 +545,6 @@ def test_feedback_of_another_width_than_psi_is_refused(k):
                             horizon=4, reference_k=k)
 
 
-def uniform_spots(sys, p, ts, count, rng):
-    """The sample draws as they were: three ``rng.uniform`` calls a sample."""
-    spots = []
-    for _ in range(count):
-        t = int(ts[rng.integers(0, len(ts))])
-        x = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, size=sys.n)
-        d_seq = rng.uniform(sys.d_box[:, 0], sys.d_box[:, 1], size=(p, sys.m))
-        u_seq = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, size=(p, sys.k))
-        spots.append((t, x, d_seq, u_seq))
-    return spots
-
-
 @pytest.mark.parametrize("sys, p", [
     (example_4_7(0.5).sys, 1), (example_4_7(0.5).sys, 3),
     (integrator_chain_sys(), 2),
@@ -715,12 +554,8 @@ def uniform_spots(sys, p, ts, count, rng):
 def test_one_draw_a_sample_equals_three_uniform_draws(sys, p):
     ts = list(range(3, 9))
     for seed in range(40):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         got = synth._random_spots(sys, p, ts, 25, rng)
-        want = uniform_spots(sys, p, ts, 25, ref)
-        for a, b in zip(got, want):
-            assert a[0] == b[0]
-            for u, v in zip(a[1:], b[1:]):
-                assert u.shape == v.shape
-                assert np.array_equal(u.view(np.int64), v.view(np.int64))
-        assert rng.bit_generator.state == ref.bit_generator.state
+        want = ref.random_spots(sys, p, ts, 25, twin)
+        assert ref.dumps(got) == ref.dumps(want)
+        assert rng.bit_generator.state == twin.bit_generator.state

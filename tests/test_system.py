@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import reference as ref
 from dtstab.expr import ExprDomainError
 from dtstab.registry import example_2_3, example_3_4, example_4_7
 from dtstab.system import (ConstantDisturbance, ConstantInput,
@@ -12,7 +13,6 @@ from dtstab.system import (ConstantDisturbance, ConstantInput,
                            SystemDef, SystemFileError, Trajectory, ZeroInput,
                            closed_loop, parse_system_file, reachable_bound,
                            simulate, step, vecnorm)
-from test_composite import TreeFeedback
 
 SYS23 = example_2_3().sys
 SYS34 = example_3_4().sys
@@ -151,7 +151,7 @@ class TestClosedLoop:
         t1 = simulate(cl, 0, [1.0, 2.0, 3.0], RandomDisturbance(seed=3),
                       horizon=15)
         t2 = simulate(SYS47, 0, [1.0, 2.0, 3.0], RandomDisturbance(seed=3),
-                      TreeFeedback(["-x2^2"], n=3), horizon=15)
+                      ref.TreeFeedback(["-x2^2"], n=3), horizon=15)
         assert np.array_equal(t1.x, t2.x)
         assert np.array_equal(t1.Y, t2.Y)
 
