@@ -135,7 +135,7 @@ def _d_values(sys, d_values):
     arr = np.asarray(d_values, dtype=float)
     if sys.m:
         return arr.reshape(-1, sys.m)
-    return arr.reshape(arr.shape[0] if arr.ndim > 1 else 1, 0)  # -1 needs columns
+    return arr.reshape(len(arr) if arr.ndim > 1 else 1, 0)  # -1 cannot infer rows of 0
 
 
 def _require_grid(grid):

@@ -126,7 +126,7 @@ def expressions(names: tuple, max_leaves=20):
     """ASTs over the variables ``names`` (a parser literal is never
     negative: a negative number is a negated literal), with every operator
     and function of the language."""
-    leaf = st.one_of(_NUMBERS.map(Num), st.sampled_from(names).map(Var))
+    leaf = st.one_of(st.sampled_from(names).map(Var), _NUMBERS.map(Num))
     return st.recursive(leaf, _extend, max_leaves=max_leaves)
 
 
@@ -190,10 +190,9 @@ class Worst:
 # --- composites as closures ---
 
 class ClosureSystem:
-    """A system given by closures ``f(t, d, x, u)``, ``H(t, x)`` and ``h(t,
-    x)`` (``h=None``: H): the dimensions, the box and the point evaluators
-    ``f_eval``, ``H_eval`` and ``h_eval`` of a :class:`SystemDef`, and
-    nothing the package's array kernels need."""
+    """A system of closures ``f(t, d, x, u)``, ``H(t, x)`` and ``h(t, x)``
+    (None: H), with a :class:`SystemDef`'s dimensions, box and point
+    evaluators and nothing the array kernels need."""
 
     def __init__(self, n, m, k, d_box, f, H, h=None):
         self.n, self.m, self.k = n, m, k
@@ -225,8 +224,7 @@ def tree_feedback(k, n):
 
 
 class TreeFeedback(InputPolicy):
-    """The same feedback as an input policy that :func:`simulate` calls row
-    by row."""
+    """The same feedback as an input policy, for :func:`simulate`."""
 
     def __init__(self, k, n):
         self.k = tree_feedback(k, n)
@@ -892,8 +890,7 @@ def delay_chain_loop(sys, ctrl, t0, x0, w0, dpol, horizon):
 
 
 def coincidence_report(want, p, t0, reference_k, tol=1e-12):
-    """The coincidence report of a :func:`delay_chain_loop` run, row by row:
-    register slots against the history, then |u - k|."""
+    """The coincidence report of a :func:`delay_chain_loop` run, row by row."""
     T, U, yv, W = want["t"], want["u"], want["y"], want["w"]
     py = yv.shape[1]
     hist_wit = None
@@ -938,9 +935,8 @@ def random_spots(sys, p, ts, count, rng):
 
 def check_reconstruction(sys, target, psi, p, n_samples=1000, ts=range(0, 11),
                          seed=0, tol=0.0):
-    """``check_reconstruction`` one sample at a time: one ``iterate_maps``,
-    one ``target(t, x)`` and one ``psi(t, y_p, y_hist, u_hist)`` call, all
-    three closures."""
+    """``check_reconstruction`` one sample at a time: ``iterate_maps`` and
+    the closures ``target(t, x)`` and ``psi(t, y_p, y_hist, u_hist)``."""
     rng = np.random.default_rng(seed)
     ts = list(ts)
     d_mid = (sys.d_box[:, 0] + sys.d_box[:, 1]) / 2.0

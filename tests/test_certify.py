@@ -497,7 +497,7 @@ class TestToleranceAndWeightedModes:
         assert rep.details["lower"]["verdict"] == "fail"
 
 
-# --- gains past the float range or outside their domain, against the loops ---
+# --- array right-hand sides against the point loops they replaced ---
 
 # V is NaN where |x1| > 100: "expr" adds inf * 0, "native" multiplies by
 # 1 + 0 * inf^max(|x1| - 100, 0), through the power kernel

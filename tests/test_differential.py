@@ -1,8 +1,8 @@
 """Each fast path against its plain-loop reference in ``reference.py``, on
 generated expression systems.
 
-One strategy draws systems with n, m and k in 0..3, a finite box and f, H
-and h from the shared expression strategy, so values run through NaN, inf,
+One strategy draws systems with n, m and k in 0..3 and f, H and h built
+on the shared expression strategy, so values run through NaN, inf,
 overflow and domain errors.  Each pair compares bits (a NaN's sign aside);
 where the reference raises, the exception's type and message.
 ``VectorMap.rows`` and ``grid``, and the sandwich check through them, take
@@ -25,6 +25,7 @@ from dtstab.certify import (LyapunovCandidate, StateGrid, check_contraction,
                             check_sandwich)
 from dtstab.comparison import (constant, geometric, identity, linear,
                                power_fn, timegain_from_expr)
+from dtstab.expr import Bin, Var
 from dtstab.stability import FalsifyBudget, search_trajectories
 from dtstab.system import SystemDef, row_norms
 
@@ -37,21 +38,26 @@ def assert_same_outcome(fast, slow, message=True):
 
 @st.composite
 def systems(draw, max_leaves=6):
-    """An expression system: n, m and k in 0..3, a finite box, f, H (one or
-    two components) and h (H, or one or two components of its own)."""
+    """An expression system: n, m and k in 0..3, a box of positive widths,
+    f_i = a + d_j * b and one or two outputs c + x_j (H, and h or not), a, b
+    and c drawn, so that a greedy disturbance has scores to choose from."""
     n, m, k = (draw(st.integers(0, 3)) for _ in range(3))
-    box = []
-    for _ in range(m):
-        lo = draw(st.floats(-4.0, 4.0))
-        box.append([lo, lo + draw(st.floats(0.0, 4.0))])
+    box = [[lo, lo + draw(st.floats(0.5, 4.0))] for lo in
+           (draw(st.floats(-4.0, 4.0)) for _ in range(m))]
     xs = [f"x{i + 1}" for i in range(n)]
     full = ref.expressions(("t", *xs, *(f"d{i + 1}" for i in range(m)),
                             *(f"u{i + 1}" for i in range(k))), max_leaves)
-    outputs = st.lists(ref.expressions(("t", *xs), max_leaves), min_size=1,
-                       max_size=2)
-    return SystemDef(n=n, m=m, k=k, d_box=np.array(box).reshape(m, 2),
-                     f=[draw(full) for _ in range(n)], H=draw(outputs),
-                     h=draw(st.none() | outputs))
+    states = ref.expressions(("t", *xs), max_leaves)
+
+    def plus(part, term):
+        return Bin("+", draw(part), term) if term else draw(part)
+
+    def outputs():
+        return [plus(states, n and Var(xs[j % n])) for j in range(draw(st.integers(1, 2)))]
+
+    f = [plus(full, m and Bin("*", Var(f"d{i % m + 1}"), draw(full))) for i in range(n)]
+    return SystemDef(n=n, m=m, k=k, d_box=np.array(box).reshape(m, 2), f=f,
+                     H=outputs(), h=outputs() if draw(st.booleans()) else None)
 
 
 def rows(draw, count, width, elements=ref.values):
@@ -74,7 +80,7 @@ def map_cases(draw):
     return sys, name, t, rows(draw, N, sys.n), D, U
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(map_cases())
 def test_vector_maps_equal_point_evaluation(case):
     sys, name, t, X, D, U = case
@@ -82,7 +88,7 @@ def test_vector_maps_equal_point_evaluation(case):
     want = ref.outcome(lambda: ref.map_rows(vm, t, X, D, U), message=False)
     assert ref.outcome(lambda: vm.rows(t, X, D, U), message=False) == want
     assert ref.outcome(lambda: ref.map_rows(vm, t, X, D, U, walk=True),
-                   message=False) == want
+                       message=False) == want
     # one time over a product: X outer, D inner
     t0 = float(np.ravel(t)[0])
     sets = (X[:, None], None if D is None else D[None], None if U is None else U[:, None])
@@ -139,7 +145,7 @@ def search_cases(draw):
                            seed=draw(st.integers(0, 2 ** 40)),
                            u_cap=draw(st.sampled_from([0.0, 2.0])))
     t0s = tuple(draw(st.lists(st.integers(-3, 260), min_size=1, max_size=3)))
-    return (draw(systems(max_leaves=4)), t0s, draw(st.sampled_from([0.0, 0.5, 2.0])),
+    return (draw(systems()), t0s, draw(st.sampled_from([2.0, 0.5, 0.0])),
             budget, entries(["zero", "constant", "random"]),
             draw(st.sampled_from([2, 3, 256])))
 
@@ -157,8 +163,8 @@ def test_search_equals_simulate(case):
         mp.setattr(stability, "ROLLOUT_BLOCK", block)
         if want[1] is None:  # no row raises: every block rolls in lock-step
             mp.setattr(stability, "simulate", refuse)
-        assert ref.outcome(lambda: search_trajectories(sys, t0s, radius, budget,
-                                                   u_modes)) == want
+        assert ref.outcome(lambda: search_trajectories(
+            sys, t0s, radius, budget, u_modes)) == want
 
 
 # --- the decrease and sandwich checks against their point loops ---
@@ -193,7 +199,7 @@ def certificate_cases(draw):
             rows(draw, draw(st.integers(1, 3)), sys.k))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(certificate_cases())
 def test_certificate_checks_equal_their_loops(case):
     sys, cand, grid, dvals, us = case
