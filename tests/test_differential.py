@@ -37,7 +37,7 @@ def assert_same_outcome(fast, slow, message=True):
 # --- generated systems ---
 
 @st.composite
-def systems(draw, max_leaves=6):
+def systems(draw):
     """An expression system: n, m and k in 0..3, a box of positive widths,
     f_i = a + d_j * b and one or two outputs c + x_j (H, and h or not), a, b
     and c drawn, so that a greedy disturbance has scores to choose from."""
@@ -46,8 +46,8 @@ def systems(draw, max_leaves=6):
            (draw(st.floats(-4.0, 4.0)) for _ in range(m))]
     xs = [f"x{i + 1}" for i in range(n)]
     full = ref.expressions(("t", *xs, *(f"d{i + 1}" for i in range(m)),
-                            *(f"u{i + 1}" for i in range(k))), max_leaves)
-    states = ref.expressions(("t", *xs), max_leaves)
+                            *(f"u{i + 1}" for i in range(k))), max_leaves=6)
+    states = ref.expressions(("t", *xs), max_leaves=6)
 
     def plus(part, term):
         return Bin("+", draw(part), term) if term else draw(part)
