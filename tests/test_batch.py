@@ -273,6 +273,29 @@ def test_contraction_matches_legacy_on_closed_loop_and_native_systems():
         ref.check_contraction(closure, B47.cand, grid, dvals, tol=1e-12))
 
 
+def test_relaxed_and_ios_decrease_match_legacy():
+    grid = StateGrid.from_axes(range(4), [0.0, 1e-3, -2.0, 300.0], [0.0, 1.0, -100.0])
+    dvals = np.array([[-2.0], [-0.5], [0.0], [1.0], [2.0]])
+    assert ref.dumps(check_relaxed_decrease(B23.sys, B23.cand, grid, d_values=dvals)) \
+        == ref.dumps(ref.check_relaxed_decrease(B23.sys, B23.cand, grid, dvals))
+    ios = LyapunovCandidate(V=B23.cand.V, n=2, lam=0.9, a3=identity(), phi=constant(2.0))
+    us = np.array([[-1.0], [0.0], [0.25], [3.0]])
+    assert ref.dumps(check_ios_decrease(B34.sys, ios, grid, us, d_values=dvals)) \
+        == ref.dumps(ref.check_ios_decrease(B34.sys, ios, grid, us, dvals))
+
+
+def test_sandwich_matches_legacy_with_and_without_mu():
+    grid = StateGrid.from_axes(range(5), [0.0, 1e-3, -2.0, 300.0], [0.0, 1.0, -100.0])
+    with_mu = LyapunovCandidate(V=B23.cand.V, n=2, a1=identity(), a2=identity(),
+                                beta=constant(2.0), mu=geometric(0.5, 0.5))
+    for cand in (B23.cand, with_mu):
+        assert ref.dumps(check_sandwich(B23.sys, cand, grid)) \
+            == ref.dumps(ref.check_sandwich(B23.sys, cand, grid))
+    grid3 = StateGrid.from_axes(range(3), [0.0, 1.0, -2.5], [0.0, 0.7, -3.0], [0.0, 5.0])
+    assert ref.dumps(check_sandwich(B47.sys, B47.cand, grid3)) \
+        == ref.dumps(ref.check_sandwich(B47.sys, B47.cand, grid3))
+
+
 @pytest.mark.parametrize("mode", ["plain", "strong", "zero"])
 def test_rofs_matches_legacy(mode):
     fiber = projection_fiber([0], {1: [-1.0, 0.0, 1.0], 2: [0.0, 2.0]}, 3)
