@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .comparison import KFn, TimeGain, decay_checks, validate_class
+from .comparison import S_GRID, KFn, TimeGain, decay_checks, validate_class
 from .expr import (Bin, Call, Dims, Expr, Neg, Num, Var, parse_expression,
                    substitute)
 from .system import (FAIL, PASS, PASS_TOL, CertificateReport, SystemDef,
@@ -39,6 +39,7 @@ __all__ = [
 TAU_SCAN_CAP = 10 ** 6  # last tau~ candidate tau_bound tries
 Q_FLOOR = 1e-300  # tau_bound's floor on tails of q that reach exact zero
 ROFS_FILTER_TOL = 1e-8  # output norm counted as zero by the "strong" ROFS filter
+ZERO_TIMES = range(0, 31, 5)  # t at which validate_zero evaluates V(t, 0)
 
 
 @dataclass
@@ -84,17 +85,17 @@ class LyapunovCandidate:
         if missing:
             raise ValueError(f"candidate '{self.name}' lacks: {', '.join(missing)}")
 
-    def validate_zero(self, ts=range(0, 31, 5)) -> list:
+    def validate_zero(self) -> list:
+        """V(t, 0) = 0 at t in ZERO_TIMES: the times where it is not."""
         zero = np.zeros(self.n)
         return [{"t": int(t), "V": self.V_eval(t, zero)}
-                for t in ts if self.V_eval(t, zero) != 0.0]
+                for t in ZERO_TIMES if self.V_eval(t, zero) != 0.0]
 
-    def validate_a3_bound(self, ss=None) -> list:
-        """a3(s) <= s on a log grid (requirement of the relaxed decrease form)."""
+    def validate_a3_bound(self) -> list:
+        """a3(s) <= s on S_GRID (requirement of the relaxed decrease form)."""
         self.require("a3")
-        ss = np.logspace(-9, 9, 60) if ss is None else np.asarray(ss, float)
         return [{"s": float(s), "a3": float(v)}
-                for s, v in zip(ss, self.a3.values(ss)) if v > s]
+                for s, v in zip(S_GRID, self.a3.values(S_GRID)) if v > s]
 
 
 @dataclass

@@ -10,9 +10,9 @@ AST of their formula and refuse a parameter that no literal spells (inf,
 NaN).
 
 Class membership of K functions and time gains is validated numerically on
-grids (tolerance 0 at grid points, strict inequalities checked as ``>`` with
-ties reported), not symbolically.  KL envelopes are restricted to the
-parametric family ``C * s * exp(-c*t)`` and validated analytically in
+the fixed grids below (tolerance 0 at grid points, strict inequalities
+checked as ``>`` with ties reported), not symbolically.  KL envelopes are
+restricted to the parametric family ``C * s * exp(-c*t)`` and validated analytically in
 (C, c).  At integer times they are evaluated by the exact geometric
 recursion ``sigma(s, t+1) = exp(-c) * sigma(s, t)`` so that this identity
 holds bitwise.  NaN is never passed over: a NaN value wins a
@@ -28,7 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import Bin, Dims, Expr, Neg, Num, Var, parse_expression, substitute
+from .expr import (Bin, Dims, Expr, ExprDomainError, Neg, Num, Var,
+                   parse_expression, substitute)
 from .system import (CertificateReport, SampleConfig, WorstMargin, _EMPTY,
                      _NO_AUX, _sup_norm_f, d_candidates, require_samples,
                      row_norms, sphere_points)
@@ -36,13 +37,18 @@ from .system import (CertificateReport, SampleConfig, WorstMargin, _EMPTY,
 __all__ = [
     "KFn", "TimeGain", "KLEnvelope", "identity", "linear", "power_fn",
     "kfn_from_expr", "constant", "geometric", "timegain_from_expr",
-    "ClassGrid", "ClassReport", "validate_class", "decay_checks",
+    "ClassReport", "validate_class", "decay_checks",
     "KLFit", "fit_kl_envelope", "check_domination",
     "sup_f_sampler",
 ]
 
 INVERSE_CAP = 1e300  # KFn.inverse gives up once its bracket passes this
-TAIL_HORIZON = 4096  # times a non-geometric TimeGain.sup_tail samples past tau
+TAIL_HORIZON = 4096  # steps a non-geometric gain is sampled past tau or 0
+S_GRID = np.logspace(-9.0, 9.0, 60)  # s of the strictly-increasing check
+S_PROBES = np.logspace(9.0, 300.0, 40)  # s of the unboundedness probes
+UNBOUNDED_TARGETS = (1.0, 1e3, 1e6, 1e9, 1e12)  # values a K-infinity map must pass
+T_GRID = np.arange(101)  # t of the sign checks of a time gain
+DECAY_EPS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)  # levels a decaying tail must reach
 _S, _T = Var("s"), Var("t")
 
 
@@ -148,9 +154,19 @@ class KFn:
 def _gain_values(expr, arr, t, aux) -> np.ndarray:
     """``expr`` at every element of ``arr``: one array call with time ``t``
     and auxiliaries ``aux``, equal bit for bit to the scalar calls (NaN signs
-    aside); raises :class:`ExprDomainError` iff one of them does."""
+    aside).  When it raises, the scalar calls run in C order, so the error
+    is the first failing element's."""
     out = np.empty(arr.shape)
-    out[...] = expr.batched()(t, _EMPTY, _EMPTY, _EMPTY, aux)  # or a float
+    try:
+        out[...] = expr.batched()(t, _EMPTY, _EMPTY, _EMPTY, aux)  # or a float
+    except ExprDomainError:
+        point = expr.compiled()
+        t = np.broadcast_to(t, arr.shape)
+        aux = {name: np.broadcast_to(v, arr.shape) for name, v in aux.items()}
+        for i in np.ndindex(arr.shape):
+            point(float(t[i]), _EMPTY, _EMPTY, _EMPTY,
+                  {name: float(v[i]) for name, v in aux.items()})
+        raise
     return out
 
 
@@ -310,26 +326,6 @@ def _ragged(lengths):
 # --- class validation ---
 
 @dataclass
-class ClassGrid:
-    s_lo: float = 1e-9
-    s_hi: float = 1e9
-    s_points: int = 60
-    t_max: int = 100
-    t_step: int = 1
-    unbounded_targets: tuple = (1.0, 1e3, 1e6, 1e9, 1e12)
-    s_probe_hi: float = 1e300
-    decay_eps: tuple = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    decay_horizon: int = 4096
-
-    def s_grid(self):
-        return np.logspace(math.log10(self.s_lo), math.log10(self.s_hi),
-                           self.s_points)
-
-    def t_grid(self):
-        return np.arange(0, self.t_max + 1, self.t_step)
-
-
-@dataclass
 class ClassCheck:
     axiom: str
     passed: bool
@@ -359,9 +355,9 @@ class ClassReport:
         }
 
 
-def _check_strictly_increasing(fn, ss) -> ClassCheck:
+def _check_strictly_increasing(fn) -> ClassCheck:
     prev_s, prev_v = 0.0, fn(0.0)
-    for s in ss:
+    for s in S_GRID:
         v = fn(float(s))
         if not v > prev_v:
             return ClassCheck("strictly_increasing", False,
@@ -371,14 +367,12 @@ def _check_strictly_increasing(fn, ss) -> ClassCheck:
     return ClassCheck("strictly_increasing", True)
 
 
-def _check_unbounded(fn, grid: ClassGrid) -> ClassCheck:
-    probes = np.logspace(math.log10(max(grid.s_hi, 1.0)),
-                         math.log10(grid.s_probe_hi), 40)
-    for target in grid.unbounded_targets:
-        if not any(fn(float(s)) > target for s in probes):
+def _check_unbounded(fn) -> ClassCheck:
+    for target in UNBOUNDED_TARGETS:
+        if not any(fn(float(s)) > target for s in S_PROBES):
             return ClassCheck("unbounded", False,
-                              {"target": target, "s_max": float(probes[-1]),
-                               "value": fn(float(probes[-1]))})
+                              {"target": target, "s_max": float(S_PROBES[-1]),
+                               "value": fn(float(S_PROBES[-1]))})
     return ClassCheck("unbounded", True)
 
 
@@ -391,66 +385,62 @@ def _geometric_decay(C, ratio) -> ClassCheck:
                                        "note": "analytic (geometric form)"})
 
 
-def _check_decay(gain: TimeGain, grid: ClassGrid) -> ClassCheck:
+def _check_decay(gain: TimeGain) -> ClassCheck:
     geo = _geometric(gain.expr)
     if geo is not None:
         return _geometric_decay(*geo)
-    vals = gain.values(np.arange(0, grid.decay_horizon + 1, dtype=float))
+    vals = gain.values(np.arange(0, TAIL_HORIZON + 1, dtype=float))
     suffix = np.maximum.accumulate(vals[::-1])[::-1]
-    for eps in grid.decay_eps:
+    for eps in DECAY_EPS:
         if not np.any(suffix <= eps):
             return ClassCheck("decays_to_zero", False,
                               {"eps": eps, "tail_min": float(suffix.min()),
-                               "horizon": grid.decay_horizon,
+                               "horizon": TAIL_HORIZON,
                                "note": "grid estimate"})
     return ClassCheck("decays_to_zero", True)
 
 
-def _check_t_grid(gain: TimeGain, grid: ClassGrid, axiom: str, bad) -> ClassCheck:
-    """``axiom`` over the t grid in one :meth:`TimeGain.values` call: it fails
+def _check_t_grid(gain: TimeGain, axiom: str, bad) -> ClassCheck:
+    """``axiom`` over T_GRID in one :meth:`TimeGain.values` call: it fails
     at the first t whose value ``bad`` marks, the witness ``{"t", "value"}``."""
-    ts = grid.t_grid()
-    vals = gain.values(ts.astype(float))
+    vals = gain.values(T_GRID.astype(float))
     hits = np.flatnonzero(bad(vals))
     if not hits.size:
         return ClassCheck(axiom, True)
     i = hits[0]
-    return ClassCheck(axiom, False, {"t": int(ts[i]), "value": float(vals[i])})
+    return ClassCheck(axiom, False, {"t": int(T_GRID[i]), "value": float(vals[i])})
 
 
-def decay_checks(gain: TimeGain, grid: ClassGrid = None) -> ClassReport:
-    """The rule for a decaying gain q (tag ``decaying``): q(t) >= 0 on the t
-    grid (``non_negative``) and q decays to zero (``decays_to_zero``,
+def decay_checks(gain: TimeGain) -> ClassReport:
+    """The rule for a decaying gain q (tag ``decaying``): q(t) >= 0 on
+    T_GRID (``non_negative``) and q decays to zero (``decays_to_zero``,
     analytic for a geometric form)."""
-    grid = grid or ClassGrid()
     return ClassReport(gain.name, "decaying",
-                       [_check_t_grid(gain, grid, "non_negative",
-                                      lambda v: v < 0.0),
-                        _check_decay(gain, grid)])
+                       [_check_t_grid(gain, "non_negative", lambda v: v < 0.0),
+                        _check_decay(gain)])
 
 
-def validate_class(obj, grid: ClassGrid = None) -> ClassReport:
+def validate_class(obj) -> ClassReport:
     """Membership check for KFn / TimeGain / KLEnvelope.
 
     Pass/fail per axiom with a witness on every failure.  A time gain is
     checked as K+ (``positive``); a decaying q has its own rule,
-    :func:`decay_checks`.  K functions and time gains are checked on grids;
-    a failure witness remains a failure on any finer grid containing it.  A KL envelope is checked analytically in
-    its parameters, with the witness ``{"C", "c"}``.
+    :func:`decay_checks`.  K functions and time gains are checked on the
+    module's fixed grids.  A KL envelope is checked analytically in its
+    parameters, with the witness ``{"C", "c"}``.
     """
-    grid = grid or ClassGrid()
     checks = []
     if isinstance(obj, KFn):
         v0 = obj(0.0)
         checks.append(ClassCheck("zero_at_zero", v0 == 0.0,
                                  None if v0 == 0.0 else {"value": v0}))
-        checks.append(_check_strictly_increasing(obj, grid.s_grid()))
+        checks.append(_check_strictly_increasing(obj))
         if obj.tag == "Kinf":
-            checks.append(_check_unbounded(obj, grid))
+            checks.append(_check_unbounded(obj))
         return ClassReport(obj.name, obj.tag, checks)
     if isinstance(obj, TimeGain):
         # NaN is not positive
-        checks.append(_check_t_grid(obj, grid, "positive", lambda v: ~(v > 0.0)))
+        checks.append(_check_t_grid(obj, "positive", lambda v: ~(v > 0.0)))
         return ClassReport(obj.name, "K+", checks)
     if isinstance(obj, KLEnvelope):
         # C * s * exp(-c t) in (C, c): a grid scan sees ties where the float

@@ -18,7 +18,7 @@ Every entry's bundle passes its own certificate checks (``self_test``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,6 @@ class ExampleBundle:
     psi: ReconstructionMap = None
     controller: DelayChainController = None
     r: float = None
-    extras: dict = field(default_factory=dict)
 
     def self_test(self, tol: float = 1e-9, seed: int = 42) -> list:
         """Run the bundle through its own certificate checks.
@@ -105,8 +104,7 @@ def example_3_4() -> ExampleBundle:
         description="sqrt-output plant with additive input; linear exponential "
                     "input-to-output envelope",
         sys=sys, cand=base.cand, sigma=base.sigma,
-        rho=linear(1.0 / 3.0, name="s/3"), gamma=constant(1.0),
-        extras={"unforced": base.sys})
+        rho=linear(1.0 / 3.0, name="s/3"), gamma=constant(1.0))
 
 
 def example_4_7(r: float) -> ExampleBundle:

@@ -39,6 +39,7 @@ _RADIUS_LADDER = (1.0, 0.75, 0.5, 0.25)
 ROLLOUT_BLOCK = 256  # trajectories a search rolls in lock-step at once
 _GREEDY_GRID = 5  # per-dimension candidate grid of the search's greedy adversary
 BISECT_ITERS = 20  # bisection steps of test_output_stability after bracketing
+DELTA_CAP = 1e6  # the first delta test_output_stability tries
 
 
 @dataclass
@@ -283,7 +284,7 @@ def _trajectory_specs(sys, t0s, radius, budget, u_modes, indices):
     words = _generator_words(states)
     axis = _axis_states(sys.n, radius)
     for r, (i, child) in enumerate(zip(indices, states[:, 0].tolist())):
-        if radius == 0.0:
+        if radius == 0.0 or sys.n == 0:  # n = 0: no direction to draw
             x0 = np.zeros(sys.n)
         elif i < len(axis):
             x0 = axis[i]
@@ -462,11 +463,10 @@ def _worst_output(sys, t0s, radius, budget):
 
 
 def test_output_stability(sys: SystemDef, eps: float, T: int,
-                          budget: FalsifyBudget = None,
-                          delta_cap: float = 1e6) -> StabilityReport:
+                          budget: FalsifyBudget = None) -> StabilityReport:
     """Search for the largest delta with ||x0|| <= delta keeping ||Y|| <= eps.
 
-    Geometric first pass from delta_cap downward, then BISECT_ITERS
+    Geometric first pass from DELTA_CAP downward, then BISECT_ITERS
     bisection steps on the bracketing interval; the per-delta trial is an
     adversarial search over initial times t0 <= T, sphere-sampled x0 and the
     disturbance mix.
@@ -491,7 +491,7 @@ def test_output_stability(sys: SystemDef, eps: float, T: int,
     lo = None
     hi = None
     last_fail_traj = last_fail_peak = None
-    delta = delta_cap
+    delta = DELTA_CAP
     for _ in range(19):
         ok, peak, traj = trial(delta)
         if ok:
@@ -508,7 +508,7 @@ def test_output_stability(sys: SystemDef, eps: float, T: int,
             notes=notes + ["no tested delta passes"])
     if hi is None:
         return StabilityReport("output-stability", {"eps": eps, "T": T},
-                               delta=delta_cap, bracket=(delta_cap, None),
+                               delta=DELTA_CAP, bracket=(DELTA_CAP, None),
                                budget_used=trials * budget.max_trajectories,
                                seed=budget.seed,
                                notes=notes + ["delta_cap passes outright"])

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import CertificateReport
+from .comparison import _gain_values
 from .expr import Dims, Var, parse_expression, substitute
-from .system import (FAIL, PASS, _EMPTY, DisturbancePolicy, SystemDef,
+from .system import (FAIL, PASS, DisturbancePolicy, SystemDef,
                      Trajectory, VectorMap, WorstMargin, _FieldsJSON,
                      closed_loop, require_samples, simulate)
 
@@ -93,15 +94,14 @@ class ReconstructionMap:
     def rows(self, t, Y, U) -> np.ndarray:
         """Psi over N windows: ``t`` the N times, ``Y`` the (N, p+1, p_y)
         outputs y_0 .. y_p and ``U`` the (N, p, k) inputs, oldest first, in
-        one array call.  Row i equals Psi's compiled evaluator on window i bit
-        for bit (NaN signs aside)."""
+        one array call, as :func:`~dtstab.comparison._gain_values` takes it:
+        row i equals Psi's compiled evaluator on window i bit for bit (NaN
+        signs aside), errors included."""
         t = np.asarray(t, dtype=float)
         p = self.p
         aux = {f"y{i}": Y[:, i, 0] for i in range(p + 1)}
         aux.update({f"u{i}": U[:, i, 0] for i in range(p)})
-        out = np.empty((t.shape[0], 1))
-        out[:, 0] = self.expr.batched()(t, _EMPTY, _EMPTY, _EMPTY, aux)  # or a float
-        return out
+        return _gain_values(self.expr, t, t, aux)[:, None]
 
 
 def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
@@ -193,12 +193,6 @@ class DelayChainController:
 
     p_y: int
     psi: ReconstructionMap
-    w0: np.ndarray = None
-
-    def __post_init__(self):
-        if self.w0 is None:
-            self.w0 = np.zeros(self.state_dim)
-        self.w0 = np.asarray(self.w0, dtype=float).reshape(self.state_dim)
 
     @property
     def p(self):
@@ -209,8 +203,10 @@ class DelayChainController:
         return self.p * (self.p_y + 1)
 
     def initial_state(self, w0=None) -> np.ndarray:
+        """The register at the start: zero unless ``w0`` is given (one value
+        fills every slot)."""
         if w0 is None:
-            return self.w0.copy()
+            return np.zeros(self.state_dim)
         w0 = np.asarray(w0, dtype=float).reshape(-1)
         if w0.size == 1 and self.state_dim > 1:
             return np.full(self.state_dim, w0[0])
@@ -255,16 +251,14 @@ class DelayChainController:
         return f"delay-chain(p={self.p}, psi={self.psi.name})"
 
     def to_json(self):
-        return {"p": self.p, "psi": self.psi.text, "w0": self.w0.tolist()}
+        return {"p": self.p, "psi": self.psi.text,
+                "w0": self.initial_state().tolist()}
 
 
-def synthesize_delay_controller(psi: ReconstructionMap, p_y: int = 1,
-                                w0=None) -> DelayChainController:
+def synthesize_delay_controller(psi: ReconstructionMap,
+                                p_y: int = 1) -> DelayChainController:
     """The delay-chain controller over Psi's window length p = psi.p."""
-    ctrl = DelayChainController(p_y=p_y, psi=psi)
-    if w0 is not None:
-        ctrl.w0 = ctrl.initial_state(w0)
-    return ctrl
+    return DelayChainController(p_y=p_y, psi=psi)
 
 
 @dataclass

@@ -59,8 +59,9 @@ class VectorMap:
     :class:`SystemFileError`.  The map is evaluated by
     :meth:`eval` at one point, :meth:`rows` over N row-aligned points and
     :meth:`grid` over a product of outer and inner rows (one array
-    evaluation per component), equal bit for bit.  ``dim``, when given, must
-    match the expression count.
+    evaluation per component), equal bit for bit, errors included: of
+    several failing points, the first in C order raises.  ``dim``, when
+    given, must match the expression count.
     """
 
     def __init__(self, spec, what: str, dim: int = None, n: int = None,
@@ -106,11 +107,8 @@ class VectorMap:
         N = X.shape[0]
         t = np.asarray(t, dtype=float)
         t = float(t) if t.ndim == 0 else t.reshape(N)
-        out = np.empty((N, self.dim))
         cols = (X.T, _EMPTY if D is None else D.T, _EMPTY if U is None else U.T)
-        for j, e in enumerate(self.exprs):
-            out[:, j] = e.batched()(t, *cols, _NO_AUX)  # a float fills the column
-        return out
+        return self._fill(np.empty((N, self.dim)), t, cols, X, D, U)
 
     def grid(self, t, X, D=None, U=None) -> np.ndarray:
         """(R, K, dim) values at one time ``t`` on a product of row sets:
@@ -120,11 +118,25 @@ class VectorMap:
         array evaluation over (R, 1) and (1, K) columns, so a term that reads
         only the outer sets runs R times, not R·K."""
         shape = np.broadcast_shapes(*(A.shape[:2] for A in (X, D, U) if A is not None))
-        out = np.empty(shape + (self.dim,))
-        t = float(t)
         cols = [_EMPTY if A is None else A.transpose(2, 0, 1) for A in (X, D, U)]
-        for j, e in enumerate(self.exprs):
-            out[:, :, j] = e.batched()(t, *cols, _NO_AUX)  # broadcasts, or a float fills
+        return self._fill(np.empty(shape + (self.dim,)), float(t), cols, X, D, U)
+
+    def _fill(self, out, t, cols, X, D, U):
+        """``out[..., j]``: component j over the columns ``cols``, broadcast
+        (a float fills).  On :class:`ExprDomainError`, :meth:`eval` runs at
+        each point of ``out``, t and the row sets X, D and U broadcast to
+        it, in C order: the first failing point's error is raised."""
+        try:
+            for j, e in enumerate(self.exprs):
+                out[..., j] = e.batched()(t, *cols, _NO_AUX)
+        except ExprDomainError:
+            shape = out.shape[:-1]
+            t = np.broadcast_to(t, shape)
+            sets = [None if A is None else np.broadcast_to(A, shape + A.shape[-1:])
+                    for A in (X, D, U)]
+            for i in np.ndindex(shape):
+                self.eval(float(t[i]), *(_EMPTY if A is None else A[i] for A in sets))
+            raise
         return out
 
 
@@ -415,10 +427,9 @@ def sampled_sup(sys: "SystemDef", t, sets, score, keep: int = 0):
     expression term of f that reads only the outer sets runs once per outer
     row, not once per innermost row.  Slabs are contiguous runs of the
     nested-loop order, in which ``score`` sees them; only the scores of the
-    whole product (8 bytes a point) are held at once.  When a slab raises :class:`ExprDomainError`, its points are
-    evaluated one by one through :meth:`SystemDef.f_eval`, in nested-loop
-    order, and the first failing point's error is raised, whatever the slab
-    bounds.
+    whole product (8 bytes a point) are held at once.  A slab's points are
+    in the C order of its grid, so an :class:`ExprDomainError` is the first
+    failing point's in nested-loop order, whatever the slab bounds.
     """
     names = [name for name, _ in sets]
     dims = {"d": sys.m, "x": sys.n, "u": sys.k}
@@ -446,13 +457,7 @@ def sampled_sup(sys: "SystemDef", t, sets, score, keep: int = 0):
                    for name, r in zip(names[:j], rows)}
             got[names[j]] = rows[j][None, k0:k1]
             got.update((name, r[None]) for name, r in zip(names[j + 1:], rows[j + 1:]))
-            try:
-                F = sys._fmap.grid(t, got["x"], got["d"], got.get("u"))
-            except ExprDomainError:
-                for p in range(hi - lo):  # raises the first failing point's error
-                    point = {name: r[idx[name][p]] for name, r in zip(names, rows)}
-                    sys.f_eval(t, point["d"], point["x"], point.get("u"))
-                raise
+            F = sys._fmap.grid(t, got["x"], got["d"], got.get("u"))
             scores[lo:hi] = score(F.reshape(hi - lo, sys.n), idx)  # a float fills
     scores = scores.reshape(groups, size)
     arg = np.argmax(scores, axis=1)  # the first NaN, else the first max
@@ -822,7 +827,6 @@ class ReachableBound:
     T: int
     rho: np.ndarray
     witnesses: list
-    label: str = "sampled bound"
 
 
 def reachable_bound(sys: SystemDef, r: float, T: int,

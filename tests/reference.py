@@ -34,7 +34,7 @@ from mpmath import mp, mpf
 from mpmath import e as mp_e
 from mpmath import floor as mp_floor
 
-from dtstab import stability
+from dtstab import comparison, stability
 from dtstab.certify import ROFS_FILTER_TOL, ROFSEntry, ROFSReport
 from dtstab.comparison import (ClassCheck, KLEnvelope, KLFit, constant,
                                decay_checks, identity, kfn_from_expr,
@@ -596,7 +596,7 @@ def trajectory_specs(sys, t0s, radius, budget, u_modes, indices):
     for i in indices:
         seq = np.random.SeedSequence(budget.seed, spawn_key=(i,))
         child = int(seq.generate_state(1)[0])
-        if radius == 0.0:
+        if radius == 0.0 or sys.n == 0:
             x0 = np.zeros(sys.n)
         elif i < len(axis):
             x0 = axis[i]
@@ -806,22 +806,23 @@ def sup_tail(gain, tau, horizon):
     return float(np.max([gain(t) for t in ts]))
 
 
-def check_decay(gain, grid):
+def check_decay(gain):
     """``comparison._check_decay``'s grid rule by one scalar call a time."""
-    vals = np.array([gain(t) for t in np.arange(0, grid.decay_horizon + 1)])
+    horizon = comparison.TAIL_HORIZON
+    vals = np.array([gain(t) for t in np.arange(0, horizon + 1)])
     suffix = np.maximum.accumulate(vals[::-1])[::-1]
-    for eps in grid.decay_eps:
+    for eps in comparison.DECAY_EPS:
         if not np.any(suffix <= eps):
             return ClassCheck("decays_to_zero", False, {
                 "eps": eps, "tail_min": float(suffix.min()),
-                "horizon": grid.decay_horizon, "note": "grid estimate"})
+                "horizon": horizon, "note": "grid estimate"})
     return ClassCheck("decays_to_zero", True)
 
 
-def sign_check(gain, grid, axiom, bad):
+def sign_check(gain, axiom, bad):
     """A t-grid sign rule by two scalar calls a t: it fails at the first t
     whose value ``bad`` marks."""
-    hits = [(int(t), gain(t)) for t in grid.t_grid() if bad(gain(t))]
+    hits = [(int(t), gain(t)) for t in comparison.T_GRID if bad(gain(t))]
     return ClassCheck(axiom, not hits, {"t": hits[0][0], "value": hits[0][1]}
                       if hits else None)
 

@@ -18,11 +18,13 @@ from dtstab.certify import (LyapunovCandidate, StateGrid, check_contraction,
                             check_rofs_inf_sup, check_sandwich,
                             projection_fiber)
 from dtstab.comparison import (check_domination, constant, geometric,
-                               identity, sup_f_sampler)
+                               identity, kfn_from_expr, sup_f_sampler,
+                               timegain_from_expr)
 from dtstab.expr import (_ARRAY_NAMESPACE, Call, Dims, ExprDomainError, Num,
                          Var, _exp, _log, _pow, parse_expression, substitute)
 from dtstab.registry import example_2_3, example_3_4, example_4_7
 from dtstab.stability import build_small_input_system
+from dtstab.synth import ReconstructionMap
 from dtstab.system import (SampleConfig, SystemDef, VectorMap, closed_loop,
                            d_candidates, reachable_bound, row_norms,
                            sampled_sup, sphere_points, vecnorm)
@@ -90,6 +92,24 @@ def test_math_map_domain_error_is_the_first_failing_rows(text, rows, message):
     X = np.array(rows)
     assert ref.outcome(lambda: vm.rows(0.0, X)) == ref.outcome(
         lambda: ref.map_rows(vm, 0.0, X)) == ("[]", ("ExprDomainError", message))
+
+
+def test_first_failing_point_not_subexpression_raises():
+    # the first point fails on sqrt, a later one on log: the array call of
+    # log, which runs first, raises, but the error is the first point's
+    want = ("[]", ("ExprDomainError", "sqrt of a negative number"))
+    H = SystemDef(n=2, m=0, k=0, d_box=np.zeros((0, 2)), f=["x1", "x2"],
+                  H=["log(x1) + sqrt(x2)"])
+    X = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    assert ref.outcome(lambda: H.H_rows(0.0, X)) == want
+    assert ref.outcome(lambda: H._Hmap.grid(0.0, X[:, None])) == want
+    assert ref.outcome(lambda: H._Hmap.grid(0.0, X[None])) == want
+    points = np.array([3.0, -1.0])
+    assert ref.outcome(lambda: kfn_from_expr("log(s) + sqrt(2 - s)").values(points)) == want
+    assert ref.outcome(lambda: timegain_from_expr("log(t) + sqrt(2 - t)").values(points)) == want
+    psi = ReconstructionMap("log(y1) + sqrt(y0)", p=1)
+    Y = np.array([[[-1.0], [1.0]], [[1.0], [-1.0]]])
+    assert ref.outcome(lambda: psi.rows([0.0, 0.0], Y, np.zeros((2, 1, 1)))) == want
 
 
 # --- the element-wise kernels against the scalar kernel, point by point ---

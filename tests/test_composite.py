@@ -328,9 +328,6 @@ def built_systems():
             out[f"{name}[{r}]"] = bundle.sys
             if bundle.closed is not None:
                 out[f"{name}[{r}].closed"] = bundle.closed
-            for key, extra in bundle.extras.items():
-                if isinstance(extra, SystemDef):
-                    out[f"{name}[{r}].{key}"] = extra
     out["closed_loop[u01]"] = closed_loop(
         SystemDef(n=1, m=0, k=1, d_box=np.zeros((0, 2)), f=["x1 + u01"], H=["x1"]),
         ["-0.5*x1"])

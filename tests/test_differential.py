@@ -1,21 +1,29 @@
 """Each fast path against its plain-loop reference in ``reference.py``, on
-generated expression systems.
+generated expression systems and trajectory batches.
 
 One strategy draws systems with n, m and k in 0..3 and f, H and h built
 on the shared expression strategy, so values run through NaN, inf,
-overflow and domain errors.  Each pair compares bits (a NaN's sign aside);
-where the reference raises, the exception's type and message.
-``VectorMap.rows`` and ``grid``, and the sandwich check through them, take
-one subexpression over all points at a time, so they raise the error of the
-first failing subexpression, not point: those pairs compare the type alone.
-``sampled_sup`` evaluates a raising slab again point by point, and a search
-rolls a raising block again through ``simulate``, so their messages match.
+overflow and domain errors; another draws ragged trajectory batches whose
+outputs and inputs take every special value.  Each pair compares bits (a
+NaN's sign aside) and, where the reference raises, the exception's type
+and message.  A raising array call is evaluated again point by point
+(``VectorMap.rows`` and ``grid``, a gain's ``values``), a search rolls a
+raising block again through ``simulate``, and an envelope check bounds a
+raising batch again one trajectory at a time, so their messages match.
+Four pairs compare the type alone.  The tree walker's messages name the
+failing subexpression.  The sandwich check evaluates V, H and the gains
+one map at a time over all points, and ``_ios_bounds`` (so
+``check_ios_estimate``) each gain over all rows at a time, so where two
+maps fail at different points, the reference raises the first point's
+error and the fast path the first map's.
 Hypothesis runs derandomized (``conftest.py``), ``max_examples`` fixed.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dtstab.stability as stability
 import dtstab.system as system_mod
@@ -23,11 +31,14 @@ import reference as ref
 from dtstab.certify import (LyapunovCandidate, StateGrid, check_contraction,
                             check_ios_decrease, check_relaxed_decrease,
                             check_sandwich)
-from dtstab.comparison import (constant, geometric, identity, linear,
-                               power_fn, timegain_from_expr)
+from dtstab.comparison import (KLEnvelope, constant, geometric, identity,
+                               kfn_from_expr, linear, power_fn,
+                               timegain_from_expr)
 from dtstab.expr import Bin, Var
-from dtstab.stability import FalsifyBudget, search_trajectories
-from dtstab.system import SystemDef, row_norms
+from dtstab.registry import C_IOS, K_IOS
+from dtstab.stability import (FalsifyBudget, check_ios_estimate,
+                              check_kl_estimate, search_trajectories)
+from dtstab.system import SystemDef, Trajectory, row_norms
 
 
 def assert_same_outcome(fast, slow, message=True):
@@ -85,15 +96,15 @@ def map_cases(draw):
 def test_vector_maps_equal_point_evaluation(case):
     sys, name, t, X, D, U = case
     vm = {"f": sys._fmap, "H": sys._Hmap, "h": sys._hmap}[name]
-    want = ref.outcome(lambda: ref.map_rows(vm, t, X, D, U), message=False)
-    assert ref.outcome(lambda: vm.rows(t, X, D, U), message=False) == want
+    want = ref.outcome(lambda: ref.map_rows(vm, t, X, D, U))
+    assert ref.outcome(lambda: vm.rows(t, X, D, U)) == want
     assert ref.outcome(lambda: ref.map_rows(vm, t, X, D, U, walk=True),
-                       message=False) == want
+                       message=False) == ref.outcome(lambda: ref.map_rows(vm, t, X, D, U),
+                                                     message=False)
     # one time over a product: X outer, D inner
     t0 = float(np.ravel(t)[0])
     sets = (X[:, None], None if D is None else D[None], None if U is None else U[:, None])
-    assert_same_outcome(lambda: vm.grid(t0, *sets), lambda: ref.map_grid(vm, t0, *sets),
-                        message=False)
+    assert_same_outcome(lambda: vm.grid(t0, *sets), lambda: ref.map_grid(vm, t0, *sets))
 
 
 # --- sampled_sup against the f_eval point loop ---
@@ -213,3 +224,89 @@ def test_certificate_checks_equal_their_loops(case):
                         lambda: ref.check_contraction(sys, cand, grid, dvals))
     assert_same_outcome(lambda: check_relaxed_decrease(sys, cand, grid, d_values=dvals),
                         lambda: ref.check_relaxed_decrease(sys, cand, grid, dvals))
+
+
+# --- the envelope bounds and checks against their row loops ---
+
+TIME_GAINS = (constant(1.0), timegain_from_expr("1"), geometric(1.5, 0.9),
+              timegain_from_expr("1.5*0.9^t"), timegain_from_expr("1 + 2^(-t)"),
+              timegain_from_expr("sqrt(2 - t)"))  # the last raises past t = 2
+K_GAINS = (identity(), kfn_from_expr("s"), linear(1.0 / 3.0), kfn_from_expr("s/3"),
+           power_fn(1.2, 4.0), kfn_from_expr("4*s^1.2"),
+           kfn_from_expr("sqrt(s - 1)"))  # the last raises below s = 1
+
+
+def trajectory(t0, x0, u, Y):
+    """A trajectory of the rows of ``u`` and ``Y`` from time t0: only x0
+    of its states is read."""
+    N = Y.shape[0]
+    x = np.zeros((N, len(x0)))
+    x[:1] = x0
+    return Trajectory(t0=t0, t=np.arange(t0, t0 + N), x=x, d=np.zeros((N, 0)),
+                      u=u, Y=Y, y=Y)
+
+
+@st.composite
+def envelope_cases(draw):
+    """(batch, sigma, beta, gains): 1 to 4 trajectories of 1 to 6 rows with
+    t0 in 0..3, x0, u and Y of every special value, and up to two zero-row
+    trajectories among them; sigma's (C, c), beta and the max and sup
+    forms' gains drawn from a few spellings, some of which raise."""
+    n, k, p = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 2))
+
+    def traj(N):
+        return trajectory(draw(st.integers(0, 3)), rows(draw, 1, n)[0],
+                          rows(draw, N, k), rows(draw, N, p))
+
+    batch = [traj(draw(st.integers(1, 6))) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 2))):
+        batch.insert(draw(st.integers(0, len(batch))), traj(0))
+    for j, item in enumerate(batch):
+        item.meta = {"index": j}
+    sigma = KLEnvelope(draw(st.sampled_from([0.0, 0.5, 2.0, 6.0 * K_IOS])),
+                       draw(st.sampled_from([-0.2, 0.0, 0.4, C_IOS, 30.0])))
+    pick = lambda options: draw(st.sampled_from(options))  # noqa: E731
+    gains = dict(rho=pick(K_GAINS), gamma=pick(TIME_GAINS),
+                 zeta=pick(K_GAINS), delta=pick(TIME_GAINS))
+    return batch, sigma, pick(TIME_GAINS), gains
+
+
+def case_of(sigma, x0, u, Y):
+    """A hand-picked one-trajectory envelope case from time 0, every gain
+    the identity or 1."""
+    batch = [trajectory(0, np.array(x0), np.array(u).reshape(len(Y), -1),
+                        np.array(Y).reshape(len(Y), -1))]
+    one = constant(1.0)
+    return batch, sigma, one, dict(rho=identity(), gamma=one, zeta=identity(), delta=one)
+
+
+@settings(max_examples=100, deadline=None)
+@given(envelope_cases())
+# test_stability's NaN input, whose fresh term wins the running term
+@example(case_of(KLEnvelope(2, 0.5), [1.0], [0.0, math.nan, 0.0, 0.0],
+                 [1.0, 0.5, 0.25, 0.1]))
+# test_rollout's NaN outputs after an overflow
+@example(case_of(KLEnvelope(2.0, 0.1), [1.0], np.zeros((4, 0)),
+                 [1.0, math.nan, math.nan, math.nan]))
+# test_stability's trajectory at rest under a small envelope
+@example(case_of(KLEnvelope(0.01, 1.0), [0.0, 0.0], np.zeros((11, 0)), [0.0] * 11))
+def test_envelopes_equal_their_row_loops(case):
+    batch, sigma, beta, gains = case
+    rowed = [traj for traj in batch if len(traj)]  # row_bounds takes no empty one
+
+    def flat(bounds):
+        return lambda: np.array([b for traj in rowed for b in bounds(traj)], dtype=float)
+
+    assert_same_outcome(lambda: sigma.row_bounds(rowed, beta),
+                        flat(lambda traj: ref.kl_bounds(traj, sigma, beta)))
+    assert_same_outcome(lambda: check_kl_estimate(batch, sigma, beta),
+                        lambda: ref.check_estimate(batch, sigma, beta))
+    for form in ("max", "sup"):
+        assert_same_outcome(
+            lambda: stability._ios_bounds(rowed, sigma, beta, form=form, **gains),
+            flat(lambda traj: ref.ios_bounds(traj, sigma, beta, form=form, **gains)),
+            message=False)
+        assert_same_outcome(
+            lambda: check_ios_estimate(batch, sigma, beta, form=form, **gains),
+            lambda: ref.check_estimate(batch, sigma, beta, form, **gains),
+            message=False)

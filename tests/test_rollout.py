@@ -92,14 +92,15 @@ def assert_same_spec(got, want):
 
 
 @pytest.mark.parametrize("radius", [0.0, 2.0])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_block_specs_equal_per_trajectory_seeding(n, radius):
     # every mix entry and u mode; blocks inside the first 256 indices, one
-    # spanning index 256 and one far past it; a one-word and a two-word seed
+    # spanning index 256 and one far past it; a one-word and a two-word seed.
+    # With n = 0 there is no direction to draw: x0 is the empty state.
     mix = ("corner", "greedy", "random", "random")
     u_modes = ("zero", "constant", "random")
     sys = SystemDef(n=n, m=2, k=2, d_box=[[-1.0, 2.0], [0.5, 1.5]],
-                    f=[f"0.5*x{i + 1} + u1" for i in range(n)], H=["x1"])
+                    f=[f"0.5*x{i + 1} + u1" for i in range(n)], H=["x1" if n else "t"])
     for seed in (21, 2 ** 40 + 7):
         budget = FalsifyBudget(mix=mix, seed=seed, u_cap=3.0)
         for block in (range(0, 40), range(250, 262), range(1000, 1013)):
