@@ -3,7 +3,9 @@
     python tests/golden/regen.py      # rewrite cli.json and tau.json
 
 ``cli.json`` holds, for the six CLI argvs of the benchmark's cli workload
-at seeds 1, 3 and 7: the exit code, the sha256 of stdout (the out-dir path
+and four certify argvs (the sandwich on example_2_3 and example_4_7, the
+relaxed decrease on example_2_3 and the contraction on example_4_7 at the
+CLI defaults) at seeds 1, 3 and 7: the exit code, the sha256 of stdout (the out-dir path
 replaced by ``<out-dir>``), the sha256 of each report file and every JSON
 report of at most ``SMALL_BYTES`` bytes in full.  ``tau.json`` holds
 criterion 3's twelve ``tau_bound`` results (tau, tau~, numerator and
@@ -45,6 +47,11 @@ ARGVS = (
     ["falsify", "--example", "example_2_3", "--budget", "1000"],
     ["verify", "--example", "example_3_4", "--property", "ios-estimate"],
     ["synthesize", "--example", "example_4_7", "--r", "0.5", "--simulate"],
+    ["certify", "--example", "example_2_3", "--check", "sandwich"],
+    ["certify", "--example", "example_4_7", "--r", "0.5", "--check", "sandwich"],
+    ["certify", "--example", "example_2_3", "--check", "relaxed-decrease"],
+    ["certify", "--example", "example_4_7", "--r", "0.5", "--check",
+     "contraction"],
 )
 SMALL_BYTES = 4096
 PLACEHOLDER = "<out-dir>"
