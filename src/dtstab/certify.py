@@ -21,12 +21,12 @@ from typing import Sequence
 import numpy as np
 
 from .comparison import S_GRID, KFn, TimeGain, decay_checks, validate_class
-from .expr import (Bin, Call, Dims, Expr, Neg, Num, Var, parse_expression,
-                   substitute)
+from .expr import (Bin, Call, Dims, Expr, ExprDomainError, Neg, Num, Var,
+                   parse_expression, substitute)
 from .system import (FAIL, PASS, PASS_TOL, CertificateReport, SystemDef,
                      VectorMap, WorstMargin, _beats, d_candidates,
                      _FieldsJSON, require_samples,
-                     row_norms, sampled_sup)
+                     row_norms, sampled_sup, vecnorm)
 
 __all__ = [
     "LyapunovCandidate", "CertificateReport", "StateGrid",
@@ -79,6 +79,12 @@ class LyapunovCandidate:
     def V_rows(self, t, X) -> np.ndarray:
         """V(t, x) for every row x of X, bit-identical to :meth:`V_eval`."""
         return self._map.rows(t, X)[:, 0]
+
+    def V_grid(self, t, X) -> np.ndarray:
+        """V on a broadcast product: X (..., n) and ``t`` a time or an array
+        of times (see :meth:`VectorMap.grid`); shaped like X without its
+        last axis, or broadcast with t."""
+        return self._map.grid(t, X)[..., 0]
 
     def require(self, *names):
         missing = [nm for nm in names if getattr(self, nm) is None]
@@ -158,28 +164,36 @@ def check_sandwich(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
                    tol: float = 1e-9) -> CertificateReport:
     """Two-sided bound a1(||H|| + mu(t)||x||) <= V(t,x) <= a2(beta(t)||x||).
 
-    ``mu=None`` checks the plain form a1(||H||) <= V.
+    ``mu=None`` checks the plain form a1(||H||) <= V.  V, H and each gain
+    are one array evaluation over the grid's (t, x) product; when one
+    raises, the point loop runs again, so the first failing point's error
+    is raised.
     """
     cand.require("a1", "a2", "beta")
     _require_zero_at_origin(sys, cand)
     _require_grid(grid)
-    xs = grid.xs
-    nx = row_norms(xs)
+    ts, xs = grid.ts, grid.xs
+    tc = np.asarray(ts, dtype=float)[:, None]  # times down, states across
+    try:
+        V = cand.V_grid(tc, xs[None])
+        nY, nx = row_norms(sys.H_grid(tc, xs[None])), row_norms(xs)
+        lo_arg = nY + cand.mu.values(tc) * nx if cand.mu is not None else nY
+        lo_lhs = cand.a1.values(lo_arg)
+        hi_rhs = cand.a2.values(cand.beta.values(tc) * nx)
+    except ExprDomainError:
+        _sandwich_points(sys, cand, grid)
+        raise
     lo, hi = WorstMargin("states"), WorstMargin("states")
 
-    def witness(t, lhs, rhs):
-        return lambda i: {"t": int(t), "x": xs[i].tolist(), "d": None,
-                          "u": None, "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+    def witness(lhs, rhs):
+        def at(i):
+            ti, xi = divmod(i, len(xs))
+            return {"t": int(ts[ti]), "x": xs[xi].tolist(), "d": None, "u": None,
+                    "lhs": float(lhs[ti, xi]), "rhs": float(rhs[ti, xi])}
+        return at
 
-    for t in grid.ts:
-        bt = cand.beta(t)
-        V = cand.V_rows(t, xs)
-        nY = row_norms(sys.H_rows(t, xs))
-        lo_arg = nY + cand.mu(t) * nx if cand.mu is not None else nY
-        lo_lhs = cand.a1.values(lo_arg)
-        hi_rhs = cand.a2.values(bt * nx)
-        lo.add(lo_lhs - V, V, witness(t, lo_lhs, V))
-        hi.add(V - hi_rhs, hi_rhs, witness(t, V, hi_rhs))
+    lo.add(lo_lhs - V, V, witness(lo_lhs, V))
+    hi.add(V - hi_rhs, hi_rhs, witness(V, hi_rhs))
     lo_v, hi_v = lo.verdict(tol), hi.verdict(tol)
     side, worst = ("upper", hi) if _beats(hi.margin, lo.margin) else ("lower", lo)
     return CertificateReport(
@@ -189,33 +203,62 @@ def check_sandwich(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
                  for name, v, m in (("lower", lo_v, lo), ("upper", hi_v, hi))})
 
 
+def _sandwich_points(sys, cand, grid):
+    """The sandwich's scalar calls in loop order (beta and mu at each t,
+    then V, H, a1 and a2 at each x), so that the first failing point
+    raises."""
+    for t in grid.ts:
+        bt = cand.beta(t)
+        mt = cand.mu(t) if cand.mu is not None else None
+        for x in grid.xs:
+            cand.V_eval(t, x)
+            nY, nx = vecnorm(sys.H_eval(t, x)), vecnorm(x)
+            cand.a1(nY + mt * nx if mt is not None else nY)
+            cand.a2(bt * nx)
+
+
 def _sup_decrease(sys, cand, grid, rhs_fn, dvals, check_name, tol,
                   u_values=None):
     """Shared kernel: sup_d V(t+1, f(t,d,x,u)) <= rhs(t, V, us) pointwise.
 
-    ``rhs_fn(t, V0, us)`` gets the V values of the grid's states and the
-    input rows, and returns the right-hand sides as an array broadcastable
-    to (states, inputs).
+    One :func:`sampled_sup` call over the (t, x, u, d) product takes the
+    first maximum over d at each (t, x, u).  ``rhs_fn(tc, V0, us)`` gets
+    the grid's times as a column, the V values of its (t, x) product and
+    the input rows, and returns the right-hand sides as an array
+    broadcastable to (times, states, inputs).  When an evaluation raises,
+    the check runs again one time at a time, V0, the sup and the rhs at
+    each, so the error is the one of the first time that fails.
     """
     us = np.zeros((1, 0)) if u_values is None else u_values
     _require_grid(grid)  # sampled_sup checks d, u
-    xs = grid.xs
+    ts, xs = grid.ts, grid.xs
     sets = (("x", xs), ("u", us), ("d", dvals))
+
+    def run(ts):
+        tc = np.asarray(ts, dtype=float)[:, None]
+        t_next = np.asarray(ts + 1, dtype=float)
+        V0 = cand.V_grid(tc, xs[None])
+        sup_v, arg_d = sampled_sup(sys, (("t", ts),) + sets,
+                                   lambda F, idx: cand.V_grid(t_next[idx["t"]], F),
+                                   keep=3)
+        return sup_v, arg_d, np.broadcast_to(rhs_fn(tc, V0, us), sup_v.shape)
+
+    try:
+        sup_v, arg_d, rhs = run(ts)
+    except ExprDomainError:
+        for i in range(len(ts)):
+            run(ts[i:i + 1])
+        raise
+
+    def witness(i):
+        ti, xi, ui = np.unravel_index(i, sup_v.shape)
+        return {"t": int(ts[ti]), "x": xs[xi].tolist(),
+                "d": dvals[arg_d[ti, xi, ui]].tolist(),
+                "u": us[ui].tolist() if u_values is not None else None,
+                "lhs": float(sup_v[ti, xi, ui]), "rhs": float(rhs[ti, xi, ui])}
+
     worst = WorstMargin("states")
-    for t in grid.ts:
-        V0 = cand.V_rows(t, xs)
-        sup_v, arg_d = sampled_sup(sys, t, sets,
-                                   lambda F, idx: cand.V_rows(t + 1, F), keep=2)
-        rhs = np.broadcast_to(rhs_fn(t, V0, us), sup_v.shape)
-
-        def witness(i):
-            xi, ui = divmod(i, len(us))
-            return {"t": int(t), "x": xs[xi].tolist(),
-                    "d": dvals[arg_d[xi, ui]].tolist(),
-                    "u": us[ui].tolist() if u_values is not None else None,
-                    "lhs": float(sup_v[xi, ui]), "rhs": float(rhs[xi, ui])}
-
-        worst.add(sup_v - rhs, rhs, witness)
+    worst.add(sup_v - rhs, rhs, witness)
     return CertificateReport(check_name, worst.verdict(tol), worst.margin,
                              worst.witness, worst.samples, tol)
 
@@ -230,7 +273,7 @@ def check_contraction(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
     dvals = _d_values(sys, d_values)
     lam = cand.lam
     return _sup_decrease(sys, cand, grid,
-                         lambda t, V0, us: (lam * V0)[:, None], dvals,
+                         lambda t, V0, us: (lam * V0)[..., None], dvals,
                          "contraction", tol)
 
 
@@ -259,7 +302,7 @@ def check_relaxed_decrease(sys: SystemDef, cand: LyapunovCandidate,
     dvals = _d_values(sys, d_values)
     a3, q = cand.a3, cand.q
     return _sup_decrease(sys, cand, grid,
-                         lambda t, V0, us: (V0 - a3.values(V0) + q(t))[:, None],
+                         lambda t, V0, us: (V0 - a3.values(V0) + q.values(t))[..., None],
                          dvals, "relaxed-decrease", tol)
 
 
@@ -276,8 +319,8 @@ def check_ios_decrease(sys: SystemDef, cand: LyapunovCandidate,
     lam, a3, phi = cand.lam, cand.a3, cand.phi
     return _sup_decrease(
         sys, cand, grid,
-        lambda t, V0, us: (lam * V0[:, None]
-                           + a3.values(phi(t) * row_norms(us))[None, :]),
+        lambda t, V0, us: (lam * V0[..., None]
+                           + a3.values(phi.values(t)[..., None] * row_norms(us))),
         dvals, "ios-decrease", tol, u_values=u_values)
 
 
@@ -503,9 +546,10 @@ def check_rofs_inf_sup(sys: SystemDef, cand: LyapunovCandidate,
                                              {}, 0, "zero-output fiber empty; skipped"))
                     continue
                 out_sup, _ = sampled_sup(
-                    sys, t, (("u", u_candidates), ("x", zero_fiber), ("d", dvals)),
-                    lambda F, idx: row_norms(sys.H_rows(t + 1, F)), keep=1)
-                cands = u_candidates[out_sup <= ROFS_FILTER_TOL]
+                    sys, (("t", [t]), ("u", u_candidates), ("x", zero_fiber),
+                          ("d", dvals)),
+                    lambda F, idx: row_norms(sys.H_grid(t + 1, F)), keep=2)
+                cands = u_candidates[out_sup[0] <= ROFS_FILTER_TOL]
                 if cands.shape[0] == 0:
                     entries.append(ROFSEntry(
                         int(t), y.tolist(), math.inf, None, {}, 0,
@@ -517,8 +561,9 @@ def check_rofs_inf_sup(sys: SystemDef, cand: LyapunovCandidate,
                 continue
             lam_V0 = lam * cand.V_rows(t, fiber)
             sups, args = sampled_sup(
-                sys, t, (("u", cands), ("x", fiber), ("d", dvals)),
-                lambda F, idx: cand.V_rows(t + 1, F) - lam_V0[idx["x"]], keep=1)
+                sys, (("t", [t]), ("u", cands), ("x", fiber), ("d", dvals)),
+                lambda F, idx: cand.V_grid(t + 1, F) - lam_V0[idx["x"]], keep=2)
+            sups, args = sups[0], args[0]
             j = int(np.argmin(sups))  # the first inf; NaN wins
             xi, di = divmod(int(args[j]), len(dvals))
             entries.append(ROFSEntry(int(t), y.tolist(), float(sups[j]),

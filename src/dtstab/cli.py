@@ -12,6 +12,7 @@ the same argv and seed produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 from pathlib import Path
@@ -461,10 +462,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built at the first :func:`main` call of the process:
+    ``parse_args`` keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as ex:
         return int(ex.code) if ex.code is not None else 0
     tol = args.tol

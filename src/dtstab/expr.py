@@ -185,7 +185,8 @@ def vecnorm(v) -> float:
 
 
 def row_norms(rows) -> np.ndarray:
-    """:func:`vecnorm` of every row of a 2-D array, bit for bit.
+    """:func:`vecnorm` of every row of an array, bit for bit: the norms over
+    the last axis, shaped by the others.
 
     ``np.linalg.norm`` of a vector is ``sqrt(x.dot(x))``; ``np.vecdot`` runs
     the same dot kernel on each contiguous row (``np.linalg.norm(axis=1)``
@@ -193,8 +194,8 @@ def row_norms(rows) -> np.ndarray:
     inf, without a warning.
     """
     rows = np.ascontiguousarray(rows, dtype=float)
-    if rows.shape[1] == 1:
-        return np.abs(rows[:, 0])
+    if rows.shape[-1] == 1:
+        return np.abs(rows[..., 0])
     with np.errstate(over="ignore"):  # a row's dot may overflow to inf
         return np.sqrt(np.vecdot(rows, rows))
 

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .comparison import KFn, KLEnvelope, TimeGain, _ragged
-from .expr import Bin, Call, Var, substitute
+from .expr import Bin, Call, ExprDomainError, Var, substitute, vecnorm
 from .system import (FAIL, ConstantDisturbance, ConstantInput,
                      GreedyDisturbance, RandomDisturbance, SequenceInput,
                      SystemDef, Trajectory, WorstMargin, ZeroInput,
@@ -635,17 +635,29 @@ def _ios_bounds(batch, sigma, beta, rho, gamma, form, zeta, delta):
     (``values``); the running-term recurrence is one loop over the step
     index on arrays as wide as the batch.  A NaN fresh term wins the running
     term and a NaN running term the row's bound, so a NaN input fails the
-    check.
+    check.  When a gain raises, the gains run again row by row through their
+    scalar calls, so the first failing row's error is raised.
     """
-    tau = np.concatenate([traj.t for traj in batch]).astype(float)
-    nu = row_norms(np.concatenate([traj.u for traj in batch]))
-    if form == "max":
-        lead = beta.values(tau) * rho.values(gamma.values(tau) * nu)
-        fresh = float(sigma.C) * lead  # sigma(lead, 0)
-        g = sigma.g
-    else:
-        fresh = zeta.values(delta.values(tau) * nu)
-        g = 1.0
+    try:
+        tau = np.concatenate([traj.t for traj in batch]).astype(float)
+        nu = row_norms(np.concatenate([traj.u for traj in batch]))
+        if form == "max":
+            lead = beta.values(tau) * rho.values(gamma.values(tau) * nu)
+            fresh = float(sigma.C) * lead  # sigma(lead, 0)
+            g = sigma.g
+        else:
+            fresh = zeta.values(delta.values(tau) * nu)
+            g = 1.0
+        decay = sigma.row_bounds(batch, beta)
+    except ExprDomainError:
+        for traj in batch:
+            beta(traj.t0)  # the decay term's scale
+            for t, u in zip(traj.t, traj.u):
+                if form == "max":
+                    beta(t) * rho(gamma(t) * vecnorm(u))
+                else:
+                    zeta(delta(t) * vecnorm(u))
+        raise
     rows = _ragged([len(traj) for traj in batch])
     run = np.zeros(rows.shape)
     run[rows] = fresh
@@ -654,7 +666,6 @@ def _ios_bounds(batch, sigma, beta, rho, gamma, form, zeta, delta):
             held, f = run[:, i - 1] * g, run[:, i]
             run[:, i] = np.where((f > held) | (f != f), f, held)  # NaN f wins
     run = run[rows]
-    decay = sigma.row_bounds(batch, beta)
     return np.where((run > decay) | np.isnan(run), run, decay)
 
 

@@ -58,7 +58,7 @@ class VectorMap:
     or one string or AST not in a list, is refused with
     :class:`SystemFileError`.  The map is evaluated by
     :meth:`eval` at one point, :meth:`rows` over N row-aligned points and
-    :meth:`grid` over a product of outer and inner rows (one array
+    :meth:`grid` over a broadcast product of row sets and times (one array
     evaluation per component), equal bit for bit, errors included: of
     several failing points, the first in C order raises.  ``dim``, when
     given, must match the expression count.
@@ -111,15 +111,21 @@ class VectorMap:
         return self._fill(np.empty((N, self.dim)), t, cols, X, D, U)
 
     def grid(self, t, X, D=None, U=None) -> np.ndarray:
-        """(R, K, dim) values at one time ``t`` on a product of row sets:
-        each of X, D and U (None: the empty vector) is an (R, 1, ·) array of
-        outer rows or a (1, K, ·) array of inner rows, and entry (r, k) equals
-        :meth:`eval` at the (r, k) rows bit for bit.  A component is one
-        array evaluation over (R, 1) and (1, K) columns, so a term that reads
-        only the outer sets runs R times, not R·K."""
-        shape = np.broadcast_shapes(*(A.shape[:2] for A in (X, D, U) if A is not None))
-        cols = [_EMPTY if A is None else A.transpose(2, 0, 1) for A in (X, D, U)]
-        return self._fill(np.empty(shape + (self.dim,)), float(t), cols, X, D, U)
+        """Values on a broadcast product of row sets: each of X, D and U
+        (None: the empty vector) is an array of rows ``(..., dim)`` and ``t``
+        a time or an array of times, their leading shapes broadcasting
+        together to S; returns (S, dim), entry s equal to :meth:`eval` at the
+        s rows bit for bit.  A component is one array evaluation over the
+        sets' columns, each at its own shape, so a term that reads only t
+        runs once per time and a term that reads only the outer rows once
+        per outer row, not once per point.  A t of one element is a float."""
+        t = np.asarray(t, dtype=float)
+        sets = (X, D, U)
+        shape = np.broadcast_shapes(t.shape, *(A.shape[:-1] for A in sets if A is not None))
+        cols = [_EMPTY if A is None else A.transpose(A.ndim - 1, *range(A.ndim - 1))
+                for A in sets]  # component first
+        t = float(t.reshape(-1)[0]) if t.size == 1 else t
+        return self._fill(np.empty(shape + (self.dim,)), t, cols, *sets)
 
     def _fill(self, out, t, cols, X, D, U):
         """``out[..., j]``: component j over the columns ``cols``, broadcast
@@ -207,6 +213,11 @@ class SystemDef:
         """H(t, x) for every row of X (``t`` one time or a column): (N, p_Y),
         bit-identical to H_eval."""
         return self._Hmap.rows(t, X)
+
+    def H_grid(self, t, X) -> np.ndarray:
+        """H on a broadcast product: X (..., n) and ``t`` a time or an array
+        of times (see :meth:`VectorMap.grid`); (..., p_Y)."""
+        return self._Hmap.grid(t, X)
 
     def h_rows(self, t, X) -> np.ndarray:
         """h(t, x) for every row of X (``t`` one time or a column): (N, p_y),
@@ -404,13 +415,31 @@ class CertificateReport(_FieldsJSON):
         return self.verdict != FAIL
 
 
-def sampled_sup(sys: "SystemDef", t, sets, score, keep: int = 0):
+class _SlabIndex:
+    """The index arrays of one slab, each built when a score reads it:
+    ``idx[name]`` is the ``arange`` of the set's rows in the slab along its
+    own axis, of length 1 on the others."""
+
+    def __init__(self, names, cuts):
+        self._names, self._cuts = names, cuts
+
+    def __getitem__(self, name):
+        i = self._names.index(name)
+        cut, ones = self._cuts[i], [1] * len(self._cuts)
+        ones[i] = -1
+        return np.arange(cut.start, cut.stop).reshape(ones)
+
+
+def sampled_sup(sys: "SystemDef", sets, score, keep: int = 0):
     """First maximum of ``score`` over f(t, d, x, u) on a product of sample sets.
 
-    ``sets`` lists (name, rows) pairs, name in "d", "x", "u", outermost loop
-    first; a left-out "u" is the empty input.  ``score(F, idx)`` maps a
-    slab's (N, n) successor states and its index arrays ``idx[name]`` to N
-    values.  The first ``keep`` sets are kept: the maximum is taken over the
+    ``sets`` lists (name, rows) pairs, name in "t", "d", "x", "u", outermost
+    loop first; "t" is required (a fixed time is a one-row t set), and a
+    left-out "u" is the empty input.  The product has one axis per set, in
+    set order.  ``score(F, idx)`` maps a slab's successor states F, shaped
+    (..., n) with one axis per set, and its index arrays ``idx[name]`` (see
+    :class:`_SlabIndex`) to values that broadcast to F's leading shape.
+    The first ``keep`` sets are kept: the maximum is taken over the
     remaining sets separately for each index tuple of the kept ones.
 
     Returns (sup, arg): the maximum and the flat index, in nested-loop order
@@ -418,50 +447,59 @@ def sampled_sup(sys: "SystemDef", t, sets, score, keep: int = 0):
     sets, or a float and an int when keep=0.  NaN wins the max, so a NaN
     score is reported, never passed over.
 
-    Points are evaluated in slabs of at most SLAB_ROWS points through
-    :meth:`VectorMap.grid`.  The innermost set is the last one with more
-    than one row; the one-row sets after it are (1, 1) columns, which change
-    no flat index.  A slab is R rows of the outer sets (the sets before the
-    innermost, in loop order) times K rows of the innermost set, all of it,
-    or a chunk of it with R = 1 when it alone is longer than a slab.  So an
-    expression term of f that reads only the outer sets runs once per outer
-    row, not once per innermost row.  Slabs are contiguous runs of the
-    nested-loop order, in which ``score`` sees them; only the scores of the
-    whole product (8 bytes a point) are held at once.  A slab's points are
-    in the C order of its grid, so an :class:`ExprDomainError` is the first
-    failing point's in nested-loop order, whatever the slab bounds.
+    Points are evaluated in slabs through :meth:`VectorMap.grid`.  A slab
+    is a block of whole rows of one axis, the outermost whose rows (the
+    product of the axes after it) hold at most SLAB_ROWS points, with every
+    outer axis at one index; a block holds at most SLAB_ROWS points, or one
+    row.  Each set enters the slab as its own broadcast axis, so an
+    expression term of f that reads only t runs once per time of the slab,
+    and one that reads only outer sets once per outer row.  Slabs are
+    contiguous runs of the nested-loop order, in which ``score`` sees them;
+    each slab's first maxima fold into the running ones, so only the kept
+    results and one slab are held.  A slab's points are in the C order of
+    its grid, so an :class:`ExprDomainError` is the first failing point's
+    in nested-loop order, whatever the slab bounds.
     """
     names = [name for name, _ in sets]
-    dims = {"d": sys.m, "x": sys.n, "u": sys.k}
-    rows = []
-    for name, r in sets:
+    if "t" not in names:
+        raise ValueError("sampled_sup needs a t set")
+    dims = {"t": 1, "d": sys.m, "x": sys.n, "u": sys.k}
+    placed, shape = {}, []
+    for i, (name, r) in enumerate(sets):
         r = np.asarray(r, dtype=float)
         require_samples(r.shape[0], f"{name} values")
-        rows.append(r.reshape(r.shape[0], dims[name]))
-    shape = tuple(r.shape[0] for r in rows)
-    groups, size = math.prod(shape[:keep]), math.prod(shape[keep:])
-    j = max((i for i, count in enumerate(shape) if count > 1), default=0)  # innermost
-    outer, inner = math.prod(shape[:j]), shape[j]
-    per_slab = max(1, SLAB_ROWS // inner)  # outer rows in a slab
-    chunk = min(inner, SLAB_ROWS)  # innermost rows in a slab
-
-    scores = np.empty(groups * size)
-    for r0 in range(0, outer, per_slab):
-        r1 = min(outer, r0 + per_slab)
-        for k0 in range(0, inner, chunk):
-            k1 = min(inner, k0 + chunk)
-            lo, hi = r0 * inner + k0, (r1 - 1) * inner + k1
-            idx = dict(zip(names, np.unravel_index(np.arange(lo, hi), shape)))
-            # each outer row of the slab spans k1 - k0 consecutive points
-            got = {name: r[idx[name][::k1 - k0], None]
-                   for name, r in zip(names[:j], rows)}
-            got[names[j]] = rows[j][None, k0:k1]
-            got.update((name, r[None]) for name, r in zip(names[j + 1:], rows[j + 1:]))
-            F = sys._fmap.grid(t, got["x"], got["d"], got.get("u"))
-            scores[lo:hi] = score(F.reshape(hi - lo, sys.n), idx)  # a float fills
-    scores = scores.reshape(groups, size)
-    arg = np.argmax(scores, axis=1)  # the first NaN, else the first max
-    sup = scores[np.arange(groups), arg]
+        axes = [1] * len(sets)
+        axes[i] = r.shape[0]
+        placed[name] = r.reshape(axes + [dims[name]])  # the set along axis i
+        shape.append(r.shape[0])
+    a, inner = len(shape) - 1, 1  # split axis, points in one of its rows
+    while a > 0 and inner * shape[a] <= SLAB_ROWS:
+        inner *= shape[a]
+        a -= 1
+    step = max(1, SLAB_ROWS // inner)  # rows of axis a in a slab
+    whole = [slice(0, count) for count in shape[a + 1:]]
+    size = math.prod(shape[keep:])  # points per kept index tuple
+    sup = np.empty(math.prod(shape[:keep]))
+    arg = np.empty(sup.shape, dtype=np.intp)
+    views = [(name, rows, (slice(None),) * i) for i, (name, rows) in enumerate(placed.items())]
+    for lead in np.ndindex(*shape[:a]):
+        lo = sum(j * math.prod(shape[i + 1:]) for i, j in enumerate(lead))
+        for r0 in range(0, shape[a], step):
+            cuts = ([slice(j, j + 1) for j in lead]
+                    + [slice(r0, min(shape[a], r0 + step))] + whole)
+            got = {name: rows[axis + (cuts[len(axis)],)] for name, rows, axis in views}
+            F = sys._fmap.grid(got["t"][..., 0], got["x"], got["d"], got.get("u"))
+            S = score(F, _SlabIndex(names, cuts))
+            if np.shape(S) != F.shape[:-1]:
+                S = np.broadcast_to(S, F.shape[:-1])
+            S = S.reshape(-1, min(S.size, size))  # one row per kept tuple
+            i = np.argmax(S, axis=1)  # the first NaN, else the first max
+            v = S[np.arange(i.shape[0]), i]
+            g, start = divmod(lo + r0 * inner, size)  # the slab's first point
+            if start == 0:  # the slab starts its kept tuples
+                sup[g:g + v.shape[0]], arg[g:g + v.shape[0]] = v, i
+            elif _beats(v[0], sup[g]):  # it continues one tuple's scan
+                sup[g], arg[g] = v[0], start + i[0]
     if keep == 0:
         return float(sup[0]), int(arg[0])
     return sup.reshape(shape[:keep]), arg.reshape(shape[:keep])
@@ -473,27 +511,28 @@ def _norm_score(F, idx):
 
 def _sup_norm_f(sys: "SystemDef", t_max: int, t_cap: int, sets, memo=None):
     """First maximum of ||f(t, d, x, u)|| over t = 0..t_max and the sample
-    product ``sets`` (as in :func:`sampled_sup`), scanning t in order from
-    a best of 0; a NaN wins.  More than ``t_cap`` times are thinned to at
-    most ``t_cap`` evenly spread integers.  Returns (sup, t, flat index of
-    the product), t and index None when no sample exceeds 0.
+    product ``sets`` (as in :func:`sampled_sup`, without "t"), scanning t
+    in order from a best of 0; a NaN wins.  More than ``t_cap`` times are
+    thinned to at most ``t_cap`` evenly spread integers.  Returns (sup, t,
+    flat index of the product), t and index None when no sample exceeds 0.
 
     ``memo``, a dict t -> (sup, flat index) of this product's time slices,
     saves re-evaluating a slice: a slice found there is read, not evaluated,
-    and a slice evaluated is stored (one that raises is not).  The scan over
-    t is the same either way.
+    and a slice evaluated (one :func:`sampled_sup` call with a one-row t
+    set) is stored; one that raises is not.  The scan over t is the same
+    either way.
     """
     ts = np.arange(0, t_max + 1)
     if ts.shape[0] > t_cap:
         ts = np.unique(np.linspace(0, t_max, t_cap).astype(int))
     memo = {} if memo is None else memo
     best, arg_t, arg_i = 0.0, None, None
-    for t in ts:
+    for t in ts.tolist():
         if t not in memo:
-            memo[t] = sampled_sup(sys, t, sets, _norm_score)
+            memo[t] = sampled_sup(sys, (("t", [t]),) + tuple(sets), _norm_score)
         val, i = memo[t]
         if _beats(val, best):
-            best, arg_t, arg_i = val, int(t), i
+            best, arg_t, arg_i = val, t, i
     return best, arg_t, arg_i
 
 

@@ -1,6 +1,7 @@
 """Golden outputs of the dtstab CLI and of acceptance criterion 3.
 
-    python tests/golden/regen.py      # rewrite cli.json and tau.json
+    python tests/golden/regen.py           # rewrite cli.json and tau.json
+    python tests/golden/regen.py --check   # list what differs, write nothing
 
 ``cli.json`` holds, for the six CLI argvs of the benchmark's cli workload
 and four certify argvs (the sandwich on example_2_3 and example_4_7, the
@@ -13,10 +14,13 @@ denominator) as ``float.hex``.  Both record the numpy version and
 ``platform.libc_ver()``: the bits depend on numpy and on libm.
 
 ``tests/test_golden.py`` recomputes both in process and compares.  A
-change that alters them on purpose runs this script and says why in
-CHANGES.md.
+change that alters them on purpose runs this script with ``--check``, which
+lists each differing entry and part (an argv with its seed and a report
+file, or a tau case and a field) and exits 1 on any difference, then
+without it, and says why in CHANGES.md.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -111,11 +115,65 @@ def text(doc) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def main():
-    for name, doc in corpus().items():
-        FILES[name].write_text(text(doc))
-        print(f"wrote {FILES[name]}")
+def _entries(name, doc) -> dict:
+    """The entries of a document by label: an argv with its seed, or a tau
+    case."""
+    if name == "cli":
+        return {" ".join(run["argv"]): run for run in doc["runs"]}
+    return {f"eps={row['eps']} T={row['T']} R={row['R']}": row
+            for row in doc["results"]}
+
+
+def _parts(name, got, want) -> list:
+    """The parts in which two entries of one label differ: the exit code,
+    stdout and each report file of a run, or the fields of a tau case."""
+    if name != "cli":
+        return sorted(key for key in got.keys() | want.keys()
+                      if got.get(key) != want.get(key))
+    parts = [key for key in ("exit", "stdout_sha256") if got[key] != want[key]]
+    files = got["files_sha256"].keys() | want["files_sha256"].keys()
+    return parts + sorted(
+        f for f in files if any(got[key].get(f) != want[key].get(f)
+                                for key in ("files_sha256", "reports")))
+
+
+def differences(name, doc, kept) -> list:
+    """(label, part) for each part in which document ``doc`` differs from
+    ``kept``; an entry in only one of them is "added" or "removed"."""
+    now, then = _entries(name, doc), _entries(name, kept)
+    out = []
+    for label in [*then, *(label for label in now if label not in then)]:
+        if label not in now or label not in then:
+            out.append((label, "added" if label in now else "removed"))
+        else:
+            out.extend((label, part) for part in _parts(name, now[label], then[label]))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the kept files, write nothing, and "
+                             "exit 1 if any entry differs")
+    args = parser.parse_args(argv)
+    docs = corpus()
+    if not args.check:
+        for name, doc in docs.items():
+            FILES[name].write_text(text(doc))
+            print(f"wrote {FILES[name]}")
+        return 0
+    found = 0
+    for name, doc in docs.items():
+        kept = json.loads(FILES[name].read_text())
+        if kept["platform"] != doc["platform"]:
+            print(f"{FILES[name].name}: recorded with {kept['platform']}, "
+                  f"run with {doc['platform']}")
+        for label, part in differences(name, doc, kept):
+            print(f"{FILES[name].name}: {label}: {part}")
+            found += 1
+    print(f"{found} differences")
+    return 1 if found else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -336,14 +336,17 @@ def map_rows(vm, t, X, D=None, U=None, walk=False):
 
 
 def map_grid(vm, t, X, D=None, U=None):
-    """``VectorMap.grid``: :func:`map_rows` at one time over the (r, k)
-    entries of the product of (R, 1, .) and (1, K, .) row sets, row-major;
-    (R, K, dim)."""
-    R, K = np.broadcast_shapes(*(A.shape[:2] for A in (X, D, U) if A is not None))
+    """``VectorMap.grid``: :func:`map_rows` over the entries of the broadcast
+    product of the times ``t`` and the (..., dim) row sets, row-major;
+    (S, dim) for the broadcast shape S."""
+    t = np.asarray(t, dtype=float)
+    shape = np.broadcast_shapes(t.shape, *(A.shape[:-1] for A in (X, D, U) if A is not None))
+    N = math.prod(shape)
     flat = [None if A is None else
-            np.broadcast_to(A, (R, K, A.shape[2])).reshape(R * K, A.shape[2])
+            np.broadcast_to(A, shape + A.shape[-1:]).reshape(N, A.shape[-1])
             for A in (X, D, U)]
-    return map_rows(vm, float(t), *flat).reshape(R, K, vm.dim)
+    return map_rows(vm, np.broadcast_to(t, shape).reshape(N), *flat).reshape(
+        shape + (vm.dim,))
 
 
 def kernel_points(kernel, args):
@@ -356,12 +359,13 @@ def kernel_points(kernel, args):
 
 # --- sampled suprema and the certificate checks ---
 
-def sampled_sup(sys, t, sets, score, keep=0):
+def sampled_sup(sys, sets, score, keep=0):
     """``sampled_sup`` as a point loop: ``f_eval`` and ``score`` at each
-    point of the product in nested-loop order (the first failing point
-    raises), and the first maximum (a NaN wins) past the ``keep`` sets."""
+    point of the product (a time of the "t" set and rows of the others) in
+    nested-loop order (the first failing point raises), and the first
+    maximum (a NaN wins) past the ``keep`` sets."""
     names = [name for name, _ in sets]
-    dims = {"d": sys.m, "x": sys.n, "u": sys.k}
+    dims = {"t": 1, "d": sys.m, "x": sys.n, "u": sys.k}
     rows = [np.asarray(r, dtype=float).reshape(len(r), dims[name]) for name, r in sets]
     for name, r in zip(names, rows):
         require_samples(len(r), f"{name} values")
@@ -369,7 +373,7 @@ def sampled_sup(sys, t, sets, score, keep=0):
     scores = []
     for index in itertools.product(*map(range, shape)):
         point = {name: r[i] for name, r, i in zip(names, rows, index)}
-        F = sys.f_eval(t, point["d"], point["x"], point.get("u"))
+        F = sys.f_eval(point["t"][0], point["d"], point["x"], point.get("u"))
         idx = {name: np.array([i]) for name, i in zip(names, index)}
         scores.append(float(np.broadcast_to(score(F[None, :], idx), (1,))[0]))
     size = math.prod(shape[keep:])

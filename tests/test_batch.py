@@ -7,6 +7,7 @@ are hand-picked cases against the loops of ``reference.py``;
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,7 +339,7 @@ def test_first_maximum_wins_ties():
     assert rep.witness["t"] == 0 and rep.witness["x"] == [2.0]
     assert rep.witness["d"] == [-1.0]
     assert ref.dumps(rep) == ref.dumps(ref.check_contraction(sys, cand, grid, dvals))
-    sup, arg = sampled_sup(sys, 3, (("d", dvals), ("x", grid.xs)),
+    sup, arg = sampled_sup(sys, (("t", [3]), ("d", dvals), ("x", grid.xs)),
                            lambda F, idx: row_norms(F))
     assert (sup, arg) == (2.0, 1 * 3 + 1)  # d = -1, x = 2
 
@@ -355,36 +356,58 @@ _SLAB_SETS["x"][4, 0] = math.nan  # NaN wins, at its first occurrence
 
 def test_slabs_do_not_change_the_result(monkeypatch):
     for order in ("xud", "uxd", "dxu"):  # caller orders of certify, rofs, reach
-        sets = tuple((name, _SLAB_SETS[name]) for name in order)
+        # a trailing one-row t set changes no flat index
+        sets = tuple((name, _SLAB_SETS[name]) for name in order) + (("t", [2]),)
         seen = []
 
         def score(F, idx, order=order, sets=sets):
-            seen.append(np.ravel_multi_index([idx[name] for name in order],
-                                             [len(r) for _, r in sets]))
-            return F[:, 0] + F[:, 1]
+            seen.append(np.ravel_multi_index(
+                np.broadcast_arrays(*[idx[name] for name, _ in sets]),
+                [len(r) for _, r in sets]).ravel())
+            return F[..., 0] + F[..., 1]
 
         monkeypatch.setattr(system_mod, "SLAB_ROWS", 4096)
-        full = [sampled_sup(_SLAB_SYS, 2, sets, score, keep=k) for k in range(3)]
-        inner = len(sets[-1][1])
+        full = [sampled_sup(_SLAB_SYS, sets, score, keep=k) for k in range(3)]
+        inner = len(sets[-2][1])
         for slab in (1, 2, inner - 1, inner, inner + 1, 7, 64):  # below K, at K, above
             monkeypatch.setattr(system_mod, "SLAB_ROWS", slab)
             for k in range(3):
-                want = ref.sampled_sup(_SLAB_SYS, 2, sets, score, keep=k)
+                want = ref.sampled_sup(_SLAB_SYS, sets, score, keep=k)
                 seen.clear()
-                got = sampled_sup(_SLAB_SYS, 2, sets, score, keep=k)
+                got = sampled_sup(_SLAB_SYS, sets, score, keep=k)
                 assert ref.dumps(got) == ref.dumps(full[k]) == ref.dumps(want), (order, slab, k)
                 # slabs of at most SLAB_ROWS points, contiguous, in nested-loop order
-                assert max(len(s) for s in seen) <= slab
+                assert max(s.size for s in seen) <= slab
                 assert np.concatenate(seen).tolist() == list(range(13 * 5 * 3))
         sup, arg = full[0]
         assert math.isnan(sup)
         assert arg == {"xud": 4 * 15, "uxd": 4 * 5, "dxu": 4 * 3}[order]
 
 
+def test_running_maximum_holds_one_slab_not_the_product():
+    """With keep=0 each slab's first maximum folds into one running maximum:
+    64 times of 4096 points hold a few slabs at once, not the product's
+    scores (64 slabs of 8 bytes a point)."""
+    sys = SystemDef(n=1, m=1, k=0, d_box=[[-1.0, 1.0]], f=["x1*d1 + 2^(-t)"],
+                    H=["x1"])
+    axis = np.linspace(-1.0, 1.0, 64)[:, None]
+    sets = (("t", np.arange(64)), ("x", axis), ("d", axis))
+    score = lambda F, idx: row_norms(F)  # noqa: E731
+    sampled_sup(sys, sets, score)  # compiles f's code
+    tracemalloc.start()
+    try:
+        got = sampled_sup(sys, sets, score)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (2.0, 0)  # t = 0, x = d = -1
+    assert peak < 10 * system_mod.SLAB_ROWS * 8, peak
+
+
 # A state-only power before and after one-row sets: (system, sets, SLAB_ROWS,
-# the sizes the array ``_pow`` is mapped over, slab by slab).  The innermost
-# set is the last with more than one row, so a trailing one-row set (the
-# empty input of an unforced system) leaves the set before it innermost.
+# the sizes the array ``_pow`` is mapped over, slab by slab).  Every set is
+# its own axis of the slab, so a one-row set (the empty input of an unforced
+# system, a fixed time) is an axis of length 1 and spreads no term of f.
 _POW_SYS = SystemDef(n=2, m=1, k=1, d_box=[[-1.0, 1.0]],
                      f=["abs(x1)^0.5*d1 + u1", "norm(x1, x2) - d1*u1"], H=["x1"])
 _POW_SYS0 = SystemDef(n=2, m=1, k=0, d_box=[[-1.0, 1.0]],
@@ -446,16 +469,17 @@ def test_sampled_sup_matches_the_flat_slab_reference(monkeypatch, case, slab):
     sys, sets = _PARITY[case]
     monkeypatch.setattr(system_mod, "SLAB_ROWS", slab)
     scores = {"norm": lambda F, idx: row_norms(F),
-              "first": lambda F, idx: F[:, 0] * (1.0 + idx[sets[0][0]]),
-              "second": lambda F, idx: F[:, 1]}
+              "first": lambda F, idx: F[..., 0] * (1.0 + idx[sets[0][0]]),
+              "second": lambda F, idx: F[..., 1]}
+    sets += (("t", [3]),)  # one time, innermost: the flat indices of the rest
     for keep in range(3):
         for name, score in scores.items():
-            got = sampled_sup(sys, 3, sets, score, keep=keep)
-            want = ref.sampled_sup(sys, 3, sets, score, keep=keep)
+            got = sampled_sup(sys, sets, score, keep=keep)
+            want = ref.sampled_sup(sys, sets, score, keep=keep)
             assert ref.dumps(got) == ref.dumps(want), (keep, name)
     if case == "NaN and overflow points":
-        assert math.isnan(sampled_sup(sys, 3, sets, scores["norm"])[0])
-        sups, _ = sampled_sup(sys, 3, sets, scores["second"], keep=1)
+        assert math.isnan(sampled_sup(sys, sets, scores["norm"])[0])
+        sups, _ = sampled_sup(sys, sets, scores["second"], keep=1)
         assert sups[3] == math.inf  # a state-only exp past the float range
 
 
@@ -485,20 +509,20 @@ def test_state_only_power_runs_once_per_outer_row(monkeypatch):
         return power(a, b)
 
     monkeypatch.setitem(_ARRAY_NAMESPACE, "_pow", counting_pow)
-    sets = (("x", xs), ("d", ds))
-    score = lambda F, idx: F[:, 0]  # noqa: E731
+    sets = (("x", xs), ("d", ds), ("t", [1]))
+    score = lambda F, idx: F[..., 0]  # noqa: E731
     for slab, per_slab in ((4096, [13]), (10, [2] * 6 + [1]), (3, [1] * 26)):
         monkeypatch.setattr(system_mod, "SLAB_ROWS", slab)
         mapped.clear()
-        got = sampled_sup(sys, 1, sets, score, keep=1)
+        got = sampled_sup(sys, sets, score, keep=1)
         assert mapped == per_slab, slab
-        assert ref.dumps(got) == ref.dumps(ref.sampled_sup(sys, 1, sets, score, keep=1))
+        assert ref.dumps(got) == ref.dumps(ref.sampled_sup(sys, sets, score, keep=1))
 
 
 @pytest.mark.parametrize("case", list(_ONE_ROW_CASES))
 def test_state_only_power_runs_once_per_row_past_one_row_sets(monkeypatch, case):
-    """One-row sets after the last larger set never take the innermost slot,
-    so ``abs(x1)^0.5`` is mapped over the x rows of a slab, not its points."""
+    """One-row sets are axes of length 1, wherever they stand, so
+    ``abs(x1)^0.5`` is mapped over the x rows of a slab, not its points."""
     sys, sets, slab, per_slab = _ONE_ROW_CASES[case]
     mapped = []
     power = _ARRAY_NAMESPACE["_pow"]
@@ -510,9 +534,10 @@ def test_state_only_power_runs_once_per_row_past_one_row_sets(monkeypatch, case)
     monkeypatch.setitem(_ARRAY_NAMESPACE, "_pow", counting_pow)
     monkeypatch.setattr(system_mod, "SLAB_ROWS", slab)
     score = lambda F, idx: row_norms(F)  # noqa: E731
-    got = sampled_sup(sys, 1, sets, score)
+    sets += (("t", [1]),)
+    got = sampled_sup(sys, sets, score)
     assert mapped == per_slab
-    assert ref.dumps(got) == ref.dumps(ref.sampled_sup(sys, 1, sets, score))
+    assert ref.dumps(got) == ref.dumps(ref.sampled_sup(sys, sets, score))
 
 
 @pytest.mark.parametrize("f, sets", [
@@ -528,14 +553,15 @@ def test_domain_errors_match_the_point_loop(monkeypatch, f, sets):
     negative x1 and a negative d1, and the array ``sqrt`` fails first, yet
     the first failing point, (x, d) = (1, -1), fails on ``log``."""
     sys = SystemDef(n=1, m=1, k=0, d_box=[[-3.0, 3.0]], f=f, H=["x1"])
-    score = lambda F, idx: F[:, 0]  # noqa: E731
-    want = ref.outcome(lambda: ref.sampled_sup(sys, 0, sets, score))
+    score = lambda F, idx: F[..., 0]  # noqa: E731
+    sets += (("t", [0]),)
+    want = ref.outcome(lambda: ref.sampled_sup(sys, sets, score))
     assert want[1][0] == "ExprDomainError"
     if f == ["sqrt(x1) + log(d1)"] and sets[0][0] == "x":
         assert want[1][1] == "log of a non-positive number"
     for slab in (1, 2, 3, 4096):
         monkeypatch.setattr(system_mod, "SLAB_ROWS", slab)
-        assert ref.outcome(lambda: sampled_sup(sys, 0, sets, score)) == want, slab
+        assert ref.outcome(lambda: sampled_sup(sys, sets, score)) == want, slab
 
 
 def test_nan_candidate_fails_contraction():

@@ -328,6 +328,35 @@ class TestIdempotence:
         assert cold.encode() == warm.encode()
 
 
+    def test_a_later_main_call_equals_a_fresh_process(self, tmp_path):
+        # main builds its parser once per process: a call after others, one
+        # with other options and one refused by the parser, sees only its
+        # own argv and the defaults
+        first = ["certify", "--example", "example_4_7", "--r", "0.5", "--check",
+                 "contraction", "--t-max", "2", "--d-random", "8", "--seed", "3",
+                 "--tol", "0.5", "--out-dir", str(tmp_path / "first")]
+        refused = ["certify", "--check", "no-such-check"]
+        last = ["certify", "--example", "example_2_3", "--check", "sandwich",
+                "--out-dir", str(tmp_path / "last")]
+
+        def runs(*argvs):
+            return json.loads(ref.run_fresh(textwrap.dedent(f"""
+                import contextlib, io, json
+                from dtstab import cli
+                runs = []
+                for argv in {json.dumps(argvs)}:
+                    with contextlib.redirect_stdout(io.StringIO()) as buf, \\
+                            contextlib.redirect_stderr(io.StringIO()):
+                        runs.append([cli.main(argv), buf.getvalue()])
+                print(json.dumps(runs))
+            """)))
+
+        later = runs(first, refused, last)
+        assert [code for code, _ in later] == [0, 2, 0]
+        assert later[2] == runs(last)[0]
+        assert "sandwich on 'example_2_3'" in later[2][1]
+
+
 class TestVerifyStabilityCommand:
     def test_output_stability_report(self, tmp_path):
         code = run("verify", "--example", "example_2_3",

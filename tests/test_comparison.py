@@ -408,12 +408,13 @@ _PEAK_AT_2 = SystemDef(n=1, m=1, k=0, d_box=[[-1.0, 1.0]],
 
 
 def _counting_sampled_sup(monkeypatch):
-    """Record the time of every sampled_sup call the sup-||f|| scan makes."""
+    """Record the times of the t slices that the sup-||f|| scan evaluates,
+    in the order of its sampled_sup calls."""
     calls, real = [], system_mod.sampled_sup
 
-    def counting(sys, t, *args, **kwargs):
-        calls.append(int(t))
-        return real(sys, t, *args, **kwargs)
+    def counting(sys, sets, *args, **kwargs):
+        calls.extend(int(t) for name, rows in sets if name == "t" for t in rows)
+        return real(sys, sets, *args, **kwargs)
 
     monkeypatch.setattr(system_mod, "sampled_sup", counting)
     return calls

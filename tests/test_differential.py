@@ -4,18 +4,16 @@ generated expression systems and trajectory batches.
 One strategy draws systems with n, m and k in 0..3 and f, H and h built
 on the shared expression strategy, so values run through NaN, inf,
 overflow and domain errors; another draws ragged trajectory batches whose
-outputs and inputs take every special value.  Each pair compares bits (a
-NaN's sign aside) and, where the reference raises, the exception's type
-and message.  A raising array call is evaluated again point by point
-(``VectorMap.rows`` and ``grid``, a gain's ``values``), a search rolls a
-raising block again through ``simulate``, and an envelope check bounds a
-raising batch again one trajectory at a time, so their messages match.
-Four pairs compare the type alone.  The tree walker's messages name the
-failing subexpression.  The sandwich check evaluates V, H and the gains
-one map at a time over all points, and ``_ios_bounds`` (so
-``check_ios_estimate``) each gain over all rows at a time, so where two
-maps fail at different points, the reference raises the first point's
-error and the fast path the first map's.
+outputs and inputs take every special value.  ``sampled_sup`` cases draw
+a set of times as one more axis of the product.  Each pair compares bits
+(a NaN's sign aside) and, where the reference raises, the exception's
+type and message.  A raising array call is evaluated again point by point
+(``VectorMap.rows`` and ``grid``, a gain's ``values``, the sandwich
+check's maps and gains, ``_ios_bounds``'s gains row by row), a search
+rolls a raising block again through ``simulate``, and an envelope check
+bounds a raising batch again one trajectory at a time, so their messages
+match.  One pair compares the type alone: the tree walker's messages name
+the failing subexpression.
 Hypothesis runs derandomized (``conftest.py``), ``max_examples`` fixed.
 """
 
@@ -95,16 +93,18 @@ def map_cases(draw):
 @given(map_cases())
 def test_vector_maps_equal_point_evaluation(case):
     sys, name, t, X, D, U = case
+    N = X.shape[0]
     vm = {"f": sys._fmap, "H": sys._Hmap, "h": sys._hmap}[name]
     want = ref.outcome(lambda: ref.map_rows(vm, t, X, D, U))
     assert ref.outcome(lambda: vm.rows(t, X, D, U)) == want
     assert ref.outcome(lambda: ref.map_rows(vm, t, X, D, U, walk=True),
                        message=False) == ref.outcome(lambda: ref.map_rows(vm, t, X, D, U),
                                                      message=False)
-    # one time over a product: X outer, D inner
-    t0 = float(np.ravel(t)[0])
+    # a product: X outer, D inner, at one time and at one time per X row
     sets = (X[:, None], None if D is None else D[None], None if U is None else U[:, None])
-    assert_same_outcome(lambda: vm.grid(t0, *sets), lambda: ref.map_grid(vm, t0, *sets))
+    for times in (float(np.ravel(t)[0]), np.broadcast_to(t, (N,))[:, None]):
+        assert_same_outcome(lambda: vm.grid(times, *sets),
+                            lambda: ref.map_grid(vm, times, *sets))
 
 
 # --- sampled_sup against the f_eval point loop ---
@@ -112,34 +112,54 @@ def test_vector_maps_equal_point_evaluation(case):
 SCORES = {
     "norm": lambda sets: lambda F, idx: row_norms(F),
     "first column, weighted": lambda sets: lambda F, idx: (
-        F[:, :1].sum(axis=1) * (1.0 + idx[sets[0][0]])),
+        F[..., :1].sum(axis=-1) * (1.0 + idx[sets[0][0]])),
     "norm less the inner index": lambda sets: lambda F, idx: (
         row_norms(F) - idx[sets[-1][0]]),
 }
+# times with repeats, so that equal maxima fall in different t slices
+TIMES = st.one_of(st.sampled_from([0.0, 1.0, 3.0]), ref.values)
 
 
 @st.composite
 def sup_cases(draw):
-    """(system, t, sets, keep, SLAB_ROWS, score): the sets in any order, of
-    one to four rows each; an unforced system may leave out "u"."""
+    """(system, sets, keep, SLAB_ROWS, score): a "t" set of one to four
+    times and the other sets of one to four rows each, in any order; an
+    unforced system may leave out "u"."""
     sys = draw(systems())
-    names = ["x", "d"] + (["u"] if sys.k or draw(st.booleans()) else [])
+    names = ["t", "x", "d"] + (["u"] if sys.k or draw(st.booleans()) else [])
     dims = {"x": sys.n, "d": sys.m, "u": sys.k}
-    sets = tuple((name, rows(draw, draw(st.integers(1, 4)), dims[name]))
+    sets = tuple((name, np.array(draw(st.lists(TIMES, min_size=1, max_size=4)))
+                  if name == "t" else rows(draw, draw(st.integers(1, 4)), dims[name]))
                  for name in draw(st.permutations(names)))
-    return (sys, draw(st.integers(0, 5)), sets, draw(st.integers(0, len(sets))),
+    return (sys, sets, draw(st.integers(0, len(sets))),
             draw(st.sampled_from([1, 2, 3, 5, 4096])), draw(st.sampled_from(sorted(SCORES))))
+
+
+def sup_case(f, times, keep, slab=4096, score="norm"):
+    """A hand-picked case: f over (t, x1, d1) at the times ``times``
+    (outermost), two states and two disturbances."""
+    sys = SystemDef(n=1, m=1, k=0, d_box=[[-1.0, 1.0]], f=f, H=["x1"])
+    sets = (("t", np.array(times)), ("x", np.array([[1.0], [-2.0]])),
+            ("d", np.array([[-1.0], [1.0]])))
+    return sys, sets, keep, slab, score
 
 
 @settings(max_examples=150, deadline=None)
 @given(sup_cases())
+# equal maxima in different t slices: the first slice's is kept
+@example(sup_case(["x1*d1"], [0.0, 1.0, 2.0], 0, slab=2))
+@example(sup_case(["x1*d1 + 0*t"], [2.0, 0.0, 2.0], 1, slab=1))
+# a NaN in a later slice wins over the earlier maxima
+@example(sup_case(["x1*d1 + t"], [5.0, 0.0, math.nan], 0, slab=3))
+@example(sup_case(["x1*d1*(1 + t)"], [1.0, math.nan, math.nan, 2.0], 2, slab=1,
+                  score="norm less the inner index"))
 def test_sampled_sup_equals_the_point_loop(case):
-    sys, t, sets, keep, slab, score = case
+    sys, sets, keep, slab, score = case
     score = SCORES[score](sets)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(system_mod, "SLAB_ROWS", slab)
-        assert_same_outcome(lambda: system_mod.sampled_sup(sys, t, sets, score, keep),
-                            lambda: ref.sampled_sup(sys, t, sets, score, keep))
+        assert_same_outcome(lambda: system_mod.sampled_sup(sys, sets, score, keep),
+                            lambda: ref.sampled_sup(sys, sets, score, keep))
 
 
 # --- search_trajectories against simulate ---
@@ -193,13 +213,15 @@ def candidate_V(n, kind):
 @st.composite
 def certificate_cases(draw):
     """(system, candidate with every gain, grid, d values, u values): a3
-    exceeds s only for a forced system, which the relaxed form skips."""
+    exceeds s only for a forced system, which the relaxed form skips; a1
+    may raise below s = 1 and beta past t = 2."""
     sys = draw(systems())
     pick = lambda *options: draw(st.sampled_from(options))  # noqa: E731
     K = (identity(), linear(1.5), power_fn(2.0))
     cand = LyapunovCandidate(
         V=candidate_V(sys.n, pick("norm", "decaying", "nan far")), n=sys.n,
-        a1=pick(*K), a2=pick(*K), beta=pick(constant(2.0), timegain_from_expr("1 + t")),
+        a1=pick(*K, K_GAINS[-1]), a2=pick(*K),
+        beta=pick(constant(2.0), timegain_from_expr("1 + t"), TIME_GAINS[-1]),
         mu=pick(None, geometric(0.5, 0.5)), lam=pick(0.5, 0.9),
         a3=pick(linear(0.1), *(K if sys.k else K[:1])),
         q=pick(geometric(0.5, 0.5), constant(0.0)),
@@ -210,12 +232,24 @@ def certificate_cases(draw):
             rows(draw, draw(st.integers(1, 3)), sys.k))
 
 
+def sandwich_case(H, V, xs):
+    """A hand-picked case at t = 0: f the identity on two states, the
+    output H, the candidate V and every gain the identity or 1."""
+    sys = SystemDef(n=2, m=0, k=0, d_box=np.zeros((0, 2)), f=["x1", "x2"], H=[H])
+    one = constant(1.0)
+    cand = LyapunovCandidate(V=V, n=2, a1=identity(), a2=identity(), beta=one,
+                             lam=0.5, a3=linear(0.1), q=constant(0.0), phi=one)
+    return sys, cand, StateGrid(ts=[0], xs=xs), np.zeros((1, 0)), np.zeros((1, 0))
+
+
 @settings(max_examples=100, deadline=None)
 @given(certificate_cases())
+# H fails at the first state and V at the second: H's error is raised
+@example(sandwich_case("sqrt(x1)", "log(1 + x2)", [[-1.0, 1.0], [1.0, -1.0]]))
 def test_certificate_checks_equal_their_loops(case):
     sys, cand, grid, dvals, us = case
     assert_same_outcome(lambda: check_sandwich(sys, cand, grid),
-                        lambda: ref.check_sandwich(sys, cand, grid), message=False)
+                        lambda: ref.check_sandwich(sys, cand, grid))
     if sys.k:
         assert_same_outcome(lambda: check_ios_decrease(sys, cand, grid, us, d_values=dvals),
                             lambda: ref.check_ios_decrease(sys, cand, grid, us, dvals))
@@ -271,13 +305,14 @@ def envelope_cases(draw):
     return batch, sigma, pick(TIME_GAINS), gains
 
 
-def case_of(sigma, x0, u, Y):
+def case_of(sigma, x0, u, Y, **gains):
     """A hand-picked one-trajectory envelope case from time 0, every gain
-    the identity or 1."""
+    not in ``gains`` the identity or 1."""
     batch = [trajectory(0, np.array(x0), np.array(u).reshape(len(Y), -1),
                         np.array(Y).reshape(len(Y), -1))]
     one = constant(1.0)
-    return batch, sigma, one, dict(rho=identity(), gamma=one, zeta=identity(), delta=one)
+    return batch, sigma, one, dict(dict(rho=identity(), gamma=one, zeta=identity(),
+                                        delta=one), **gains)
 
 
 @settings(max_examples=100, deadline=None)
@@ -290,6 +325,9 @@ def case_of(sigma, x0, u, Y):
                  [1.0, math.nan, math.nan, math.nan]))
 # test_stability's trajectory at rest under a small envelope
 @example(case_of(KLEnvelope(0.01, 1.0), [0.0, 0.0], np.zeros((11, 0)), [0.0] * 11))
+# rho fails at t = 0 (log of 0) and gamma at t = 3: rho's error is raised
+@example(case_of(KLEnvelope(2.0, 0.5), [1.0], np.zeros((4, 1)), [1.0, 0.5, 0.25, 0.1],
+                 rho=kfn_from_expr("log(s)"), gamma=TIME_GAINS[-1]))
 def test_envelopes_equal_their_row_loops(case):
     batch, sigma, beta, gains = case
     rowed = [traj for traj in batch if len(traj)]  # row_bounds takes no empty one
@@ -304,9 +342,7 @@ def test_envelopes_equal_their_row_loops(case):
     for form in ("max", "sup"):
         assert_same_outcome(
             lambda: stability._ios_bounds(rowed, sigma, beta, form=form, **gains),
-            flat(lambda traj: ref.ios_bounds(traj, sigma, beta, form=form, **gains)),
-            message=False)
+            flat(lambda traj: ref.ios_bounds(traj, sigma, beta, form=form, **gains)))
         assert_same_outcome(
             lambda: check_ios_estimate(batch, sigma, beta, form=form, **gains),
-            lambda: ref.check_estimate(batch, sigma, beta, form, **gains),
-            message=False)
+            lambda: ref.check_estimate(batch, sigma, beta, form, **gains))
