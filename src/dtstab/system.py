@@ -118,13 +118,12 @@ class VectorMap:
         s rows bit for bit.  A component is one array evaluation over the
         sets' columns, each at its own shape, so a term that reads only t
         runs once per time and a term that reads only the outer rows once
-        per outer row, not once per point.  A t of one element is a float."""
+        per outer row, not once per point."""
         t = np.asarray(t, dtype=float)
         sets = (X, D, U)
         shape = np.broadcast_shapes(t.shape, *(A.shape[:-1] for A in sets if A is not None))
         cols = [_EMPTY if A is None else A.transpose(A.ndim - 1, *range(A.ndim - 1))
                 for A in sets]  # component first
-        t = float(t.reshape(-1)[0]) if t.size == 1 else t
         return self._fill(np.empty(shape + (self.dim,)), t, cols, *sets)
 
     def _fill(self, out, t, cols, X, D, U):
@@ -489,9 +488,7 @@ def sampled_sup(sys: "SystemDef", sets, score, keep: int = 0):
                     + [slice(r0, min(shape[a], r0 + step))] + whole)
             got = {name: rows[axis + (cuts[len(axis)],)] for name, rows, axis in views}
             F = sys._fmap.grid(got["t"][..., 0], got["x"], got["d"], got.get("u"))
-            S = score(F, _SlabIndex(names, cuts))
-            if np.shape(S) != F.shape[:-1]:
-                S = np.broadcast_to(S, F.shape[:-1])
+            S = np.broadcast_to(score(F, _SlabIndex(names, cuts)), F.shape[:-1])
             S = S.reshape(-1, min(S.size, size))  # one row per kept tuple
             i = np.argmax(S, axis=1)  # the first NaN, else the first max
             v = S[np.arange(i.shape[0]), i]
@@ -517,19 +514,21 @@ def _sup_norm_f(sys: "SystemDef", t_max: int, t_cap: int, sets, memo=None):
     flat index of the product), t and index None when no sample exceeds 0.
 
     ``memo``, a dict t -> (sup, flat index) of this product's time slices,
-    saves re-evaluating a slice: a slice found there is read, not evaluated,
-    and a slice evaluated (one :func:`sampled_sup` call with a one-row t
-    set) is stored; one that raises is not.  The scan over t is the same
-    either way.
+    saves re-evaluating a slice: the slices not found there are evaluated
+    in one :func:`sampled_sup` call over their times and stored (none is
+    when the call raises).  The scan over t is the same either way.
     """
     ts = np.arange(0, t_max + 1)
     if ts.shape[0] > t_cap:
         ts = np.unique(np.linspace(0, t_max, t_cap).astype(int))
     memo = {} if memo is None else memo
+    missing = [t for t in ts.tolist() if t not in memo]
+    if missing:
+        sups, args = sampled_sup(sys, (("t", missing),) + tuple(sets), _norm_score,
+                                 keep=1)
+        memo.update(zip(missing, zip(sups.tolist(), args.tolist())))
     best, arg_t, arg_i = 0.0, None, None
     for t in ts.tolist():
-        if t not in memo:
-            memo[t] = sampled_sup(sys, (("t", [t]),) + tuple(sets), _norm_score)
         val, i = memo[t]
         if _beats(val, best):
             best, arg_t, arg_i = val, t, i
