@@ -219,46 +219,34 @@ def _sandwich_points(sys, cand, grid):
 
 def _sup_decrease(sys, cand, grid, rhs_fn, dvals, check_name, tol,
                   u_values=None):
-    """Shared kernel: sup_d V(t+1, f(t,d,x,u)) <= rhs(t, V, us) pointwise.
+    """Shared kernel: sup_d V(t+1, f(t,d,x,u)) <= rhs(t, V0, us) pointwise.
 
-    One :func:`sampled_sup` call over the (t, x, u, d) product takes the
-    first maximum over d at each (t, x, u).  ``rhs_fn(tc, V0, us)`` gets
-    the grid's times as a column, the V values of its (t, x) product and
-    the input rows, and returns the right-hand sides as an array
-    broadcastable to (times, states, inputs).  When an evaluation raises,
-    the check runs again one time at a time, V0, the sup and the rhs at
-    each, so the error is the one of the first time that fails.
+    At each time of the grid, one :func:`sampled_sup` call over the (x, u,
+    d) product takes the first maximum over d at each (x, u).
+    ``rhs_fn(t, V0, us)`` gets the V values of the grid's states and the
+    input rows, and returns the right-hand sides as an array broadcastable
+    to (states, inputs).
     """
     us = np.zeros((1, 0)) if u_values is None else u_values
     _require_grid(grid)  # sampled_sup checks d, u
-    ts, xs = grid.ts, grid.xs
+    xs = grid.xs
     sets = (("x", xs), ("u", us), ("d", dvals))
-
-    def run(ts):
-        tc = np.asarray(ts, dtype=float)[:, None]
-        t_next = np.asarray(ts + 1, dtype=float)
-        V0 = cand.V_grid(tc, xs[None])
-        sup_v, arg_d = sampled_sup(sys, (("t", ts),) + sets,
-                                   lambda F, idx: cand.V_grid(t_next[idx["t"]], F),
-                                   keep=3)
-        return sup_v, arg_d, np.broadcast_to(rhs_fn(tc, V0, us), sup_v.shape)
-
-    try:
-        sup_v, arg_d, rhs = run(ts)
-    except ExprDomainError:
-        for i in range(len(ts)):
-            run(ts[i:i + 1])
-        raise
-
-    def witness(i):
-        ti, xi, ui = np.unravel_index(i, sup_v.shape)
-        return {"t": int(ts[ti]), "x": xs[xi].tolist(),
-                "d": dvals[arg_d[ti, xi, ui]].tolist(),
-                "u": us[ui].tolist() if u_values is not None else None,
-                "lhs": float(sup_v[ti, xi, ui]), "rhs": float(rhs[ti, xi, ui])}
-
     worst = WorstMargin("states")
-    worst.add(sup_v - rhs, rhs, witness)
+    for t in grid.ts:
+        V0 = cand.V_rows(t, xs)
+        sup_v, arg_d = sampled_sup(sys, (("t", [t]),) + sets,
+                                   lambda F, idx: cand.V_grid(t + 1, F), keep=3)
+        sup_v, arg_d = sup_v[0], arg_d[0]
+        rhs = np.broadcast_to(rhs_fn(t, V0, us), sup_v.shape)
+
+        def witness(i):
+            xi, ui = divmod(i, len(us))
+            return {"t": int(t), "x": xs[xi].tolist(),
+                    "d": dvals[arg_d[xi, ui]].tolist(),
+                    "u": us[ui].tolist() if u_values is not None else None,
+                    "lhs": float(sup_v[xi, ui]), "rhs": float(rhs[xi, ui])}
+
+        worst.add(sup_v - rhs, rhs, witness)
     return CertificateReport(check_name, worst.verdict(tol), worst.margin,
                              worst.witness, worst.samples, tol)
 
@@ -273,7 +261,7 @@ def check_contraction(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
     dvals = _d_values(sys, d_values)
     lam = cand.lam
     return _sup_decrease(sys, cand, grid,
-                         lambda t, V0, us: (lam * V0)[..., None], dvals,
+                         lambda t, V0, us: (lam * V0)[:, None], dvals,
                          "contraction", tol)
 
 
@@ -302,7 +290,7 @@ def check_relaxed_decrease(sys: SystemDef, cand: LyapunovCandidate,
     dvals = _d_values(sys, d_values)
     a3, q = cand.a3, cand.q
     return _sup_decrease(sys, cand, grid,
-                         lambda t, V0, us: (V0 - a3.values(V0) + q.values(t))[..., None],
+                         lambda t, V0, us: (V0 - a3.values(V0) + q(t))[:, None],
                          dvals, "relaxed-decrease", tol)
 
 
@@ -319,8 +307,8 @@ def check_ios_decrease(sys: SystemDef, cand: LyapunovCandidate,
     lam, a3, phi = cand.lam, cand.a3, cand.phi
     return _sup_decrease(
         sys, cand, grid,
-        lambda t, V0, us: (lam * V0[..., None]
-                           + a3.values(phi.values(t)[..., None] * row_norms(us))),
+        lambda t, V0, us: (lam * V0[:, None]
+                           + a3.values(phi(t) * row_norms(us))[None, :]),
         dvals, "ios-decrease", tol, u_values=u_values)
 
 

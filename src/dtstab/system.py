@@ -12,6 +12,7 @@ policy.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import warnings
@@ -118,12 +119,13 @@ class VectorMap:
         s rows bit for bit.  A component is one array evaluation over the
         sets' columns, each at its own shape, so a term that reads only t
         runs once per time and a term that reads only the outer rows once
-        per outer row, not once per point."""
+        per outer row, not once per point.  A t of one element is a float."""
         t = np.asarray(t, dtype=float)
         sets = (X, D, U)
         shape = np.broadcast_shapes(t.shape, *(A.shape[:-1] for A in sets if A is not None))
         cols = [_EMPTY if A is None else A.transpose(A.ndim - 1, *range(A.ndim - 1))
                 for A in sets]  # component first
+        t = float(t.reshape(-1)[0]) if t.size == 1 else t
         return self._fill(np.empty(shape + (self.dim,)), t, cols, *sets)
 
     def _fill(self, out, t, cols, X, D, U):
@@ -481,14 +483,16 @@ def sampled_sup(sys: "SystemDef", sets, score, keep: int = 0):
     sup = np.empty(math.prod(shape[:keep]))
     arg = np.empty(sup.shape, dtype=np.intp)
     views = [(name, rows, (slice(None),) * i) for i, (name, rows) in enumerate(placed.items())]
-    for lead in np.ndindex(*shape[:a]):
+    for lead in itertools.product(*map(range, shape[:a])):
         lo = sum(j * math.prod(shape[i + 1:]) for i, j in enumerate(lead))
         for r0 in range(0, shape[a], step):
             cuts = ([slice(j, j + 1) for j in lead]
                     + [slice(r0, min(shape[a], r0 + step))] + whole)
             got = {name: rows[axis + (cuts[len(axis)],)] for name, rows, axis in views}
             F = sys._fmap.grid(got["t"][..., 0], got["x"], got["d"], got.get("u"))
-            S = np.broadcast_to(score(F, _SlabIndex(names, cuts)), F.shape[:-1])
+            S = score(F, _SlabIndex(names, cuts))
+            if np.shape(S) != F.shape[:-1]:
+                S = np.broadcast_to(S, F.shape[:-1])
             S = S.reshape(-1, min(S.size, size))  # one row per kept tuple
             i = np.argmax(S, axis=1)  # the first NaN, else the first max
             v = S[np.arange(i.shape[0]), i]
