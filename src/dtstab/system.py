@@ -451,8 +451,8 @@ def sampled_sup(sys: "SystemDef", sets, score, keep: int = 0):
     Points are evaluated in slabs through :meth:`VectorMap.grid`.  A slab
     is a block of whole rows of one axis, the outermost whose rows (the
     product of the axes after it) hold at most SLAB_ROWS points, with every
-    outer axis at one index; a block holds at most SLAB_ROWS points, or one
-    row.  Each set enters the slab as its own broadcast axis, so an
+    outer axis at one index; a block holds at most SLAB_ROWS points.  Each
+    set enters the slab as its own broadcast axis, so an
     expression term of f that reads only t runs once per time of the slab,
     and one that reads only outer sets once per outer row.  Slabs are
     contiguous runs of the nested-loop order, in which ``score`` sees them;
@@ -465,13 +465,13 @@ def sampled_sup(sys: "SystemDef", sets, score, keep: int = 0):
     if "t" not in names:
         raise ValueError("sampled_sup needs a t set")
     dims = {"t": 1, "d": sys.m, "x": sys.n, "u": sys.k}
-    placed, shape = {}, []
+    views, shape = [], []  # (name, the set along axis i, the index before axis i)
     for i, (name, r) in enumerate(sets):
         r = np.asarray(r, dtype=float)
         require_samples(r.shape[0], f"{name} values")
         axes = [1] * len(sets)
         axes[i] = r.shape[0]
-        placed[name] = r.reshape(axes + [dims[name]])  # the set along axis i
+        views.append((name, r.reshape(axes + [dims[name]]), (slice(None),) * i))
         shape.append(r.shape[0])
     a, inner = len(shape) - 1, 1  # split axis, points in one of its rows
     while a > 0 and inner * shape[a] <= SLAB_ROWS:
@@ -482,7 +482,6 @@ def sampled_sup(sys: "SystemDef", sets, score, keep: int = 0):
     size = math.prod(shape[keep:])  # points per kept index tuple
     sup = np.empty(math.prod(shape[:keep]))
     arg = np.empty(sup.shape, dtype=np.intp)
-    views = [(name, rows, (slice(None),) * i) for i, (name, rows) in enumerate(placed.items())]
     for lead in itertools.product(*map(range, shape[:a])):
         lo = sum(j * math.prod(shape[i + 1:]) for i, j in enumerate(lead))
         for r0 in range(0, shape[a], step):
