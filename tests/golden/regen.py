@@ -3,12 +3,14 @@
     python tests/golden/regen.py           # rewrite cli.json and tau.json
     python tests/golden/regen.py --check   # list what differs, write nothing
 
-``cli.json`` holds, for the six CLI argvs of the benchmark's cli workload
-and four certify argvs (the sandwich on example_2_3 and example_4_7, the
+``cli.json`` holds, for the six CLI argvs of the benchmark's cli workload,
+four certify argvs (the sandwich on example_2_3 and example_4_7, the
 relaxed decrease on example_2_3 and the contraction on example_4_7 at the
-CLI defaults) at seeds 1, 3 and 7: the exit code, the sha256 of stdout (the out-dir path
-replaced by ``<out-dir>``), the sha256 of each report file and every JSON
-report of at most ``SMALL_BYTES`` bytes in full.  ``tau.json`` holds
+CLI defaults), two simulate argvs on example_2_3 (the random and the
+greedy disturbance) and two verify argvs on example_2_3 (the KL estimate
+and the output attractivity) at seeds 1, 3 and 7: the exit code, the sha256 of
+stdout (the out-dir path replaced by ``<out-dir>``), the sha256 of each
+report file and every JSON report of at most ``SMALL_BYTES`` bytes in full.  ``tau.json`` holds
 criterion 3's twelve ``tau_bound`` results (tau, tau~, numerator and
 denominator) as ``float.hex``.  Both record the numpy version and
 ``platform.libc_ver()``: the bits depend on numpy and on libm.
@@ -56,6 +58,11 @@ ARGVS = (
     ["certify", "--example", "example_2_3", "--check", "relaxed-decrease"],
     ["certify", "--example", "example_4_7", "--r", "0.5", "--check",
      "contraction"],
+    ["simulate", "--example", "example_2_3", "--x0", "1,1", "--d-policy", "random"],
+    ["simulate", "--example", "example_2_3", "--x0", "1,1", "--d-policy", "greedy"],
+    ["verify", "--property", "kl-estimate", "--example", "example_2_3"],
+    ["verify", "--property", "output-attractivity", "--example", "example_2_3",
+     "--eps", "0.1", "--T", "5"],
 )
 SMALL_BYTES = 4096
 PLACEHOLDER = "<out-dir>"
