@@ -77,14 +77,11 @@ class LyapunovCandidate:
         return float(self._V(float(t), np.asarray(x, dtype=float)))
 
     def V_rows(self, t, X) -> np.ndarray:
-        """V(t, x) for every row x of X, bit-identical to :meth:`V_eval`."""
-        return self._map.rows(t, X)[:, 0]
-
-    def V_grid(self, t, X) -> np.ndarray:
-        """V on a broadcast product: X (..., n) and ``t`` a time or an array
-        of times (see :meth:`VectorMap.grid`); shaped like X without its
-        last axis, or broadcast with t."""
-        return self._map.grid(t, X)[..., 0]
+        """V(t, x) over the rows x of X (..., n) at ``t``, a time or times
+        that broadcast with them (see :meth:`VectorMap.rows`): shaped like X
+        without its last axis, or broadcast with t; bit-identical to
+        :meth:`V_eval`."""
+        return self._map.rows(t, X)[..., 0]
 
     def require(self, *names):
         missing = [nm for nm in names if getattr(self, nm) is None]
@@ -175,8 +172,8 @@ def check_sandwich(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
     ts, xs = grid.ts, grid.xs
     tc = np.asarray(ts, dtype=float)[:, None]  # times down, states across
     try:
-        V = cand.V_grid(tc, xs[None])
-        nY, nx = row_norms(sys.H_grid(tc, xs[None])), row_norms(xs)
+        V = cand.V_rows(tc, xs[None])
+        nY, nx = row_norms(sys.H_rows(tc, xs[None])), row_norms(xs)
         lo_arg = nY + cand.mu.values(tc) * nx if cand.mu is not None else nY
         lo_lhs = cand.a1.values(lo_arg)
         hi_rhs = cand.a2.values(cand.beta.values(tc) * nx)
@@ -225,7 +222,10 @@ def _sup_decrease(sys, cand, grid, rhs_fn, dvals, check_name, tol,
     d) product takes the first maximum over d at each (x, u).
     ``rhs_fn(t, V0, us)`` gets the V values of the grid's states and the
     input rows, and returns the right-hand sides as an array broadcastable
-    to (states, inputs).
+    to (states, inputs).  When the sup or the right-hand sides of a time
+    raise :class:`ExprDomainError`, the time runs again point by point in
+    loop order (at each (x, u) the d loop, then the right-hand side), so
+    the first failing point's error is raised.
     """
     us = np.zeros((1, 0)) if u_values is None else u_values
     _require_grid(grid)  # sampled_sup checks d, u
@@ -234,10 +234,18 @@ def _sup_decrease(sys, cand, grid, rhs_fn, dvals, check_name, tol,
     worst = WorstMargin("states")
     for t in grid.ts:
         V0 = cand.V_rows(t, xs)
-        sup_v, arg_d = sampled_sup(sys, (("t", [t]),) + sets,
-                                   lambda F, idx: cand.V_grid(t + 1, F), keep=3)
-        sup_v, arg_d = sup_v[0], arg_d[0]
-        rhs = np.broadcast_to(rhs_fn(t, V0, us), sup_v.shape)
+        try:
+            sup_v, arg_d = sampled_sup(sys, (("t", [t]),) + sets,
+                                       lambda F, idx: cand.V_rows(t + 1, F), keep=3)
+            sup_v, arg_d = sup_v[0], arg_d[0]
+            rhs = np.broadcast_to(rhs_fn(t, V0, us), sup_v.shape)
+        except ExprDomainError:
+            for xi, x in enumerate(xs):
+                for ui, u in enumerate(us):
+                    for d in dvals:
+                        cand.V_eval(t + 1, sys.f_eval(t, d, x, u))
+                    rhs_fn(t, V0[xi:xi + 1], us[ui:ui + 1])
+            raise
 
         def witness(i):
             xi, ui = divmod(i, len(us))
@@ -536,7 +544,7 @@ def check_rofs_inf_sup(sys: SystemDef, cand: LyapunovCandidate,
                 out_sup, _ = sampled_sup(
                     sys, (("t", [t]), ("u", u_candidates), ("x", zero_fiber),
                           ("d", dvals)),
-                    lambda F, idx: row_norms(sys.H_grid(t + 1, F)), keep=2)
+                    lambda F, idx: row_norms(sys.H_rows(t + 1, F)), keep=2)
                 cands = u_candidates[out_sup[0] <= ROFS_FILTER_TOL]
                 if cands.shape[0] == 0:
                     entries.append(ROFSEntry(
@@ -550,7 +558,7 @@ def check_rofs_inf_sup(sys: SystemDef, cand: LyapunovCandidate,
             lam_V0 = lam * cand.V_rows(t, fiber)
             sups, args = sampled_sup(
                 sys, (("t", [t]), ("u", cands), ("x", fiber), ("d", dvals)),
-                lambda F, idx: cand.V_grid(t + 1, F) - lam_V0[idx["x"]], keep=2)
+                lambda F, idx: cand.V_rows(t + 1, F) - lam_V0[idx["x"]], keep=2)
             sups, args = sups[0], args[0]
             j = int(np.argmin(sups))  # the first inf; NaN wins
             xi, di = divmod(int(args[j]), len(dvals))

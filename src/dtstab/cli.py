@@ -99,31 +99,28 @@ def _unforced(sys_, bundle):
 
 
 def _d_policy(args, sys):
-    kind = getattr(args, "d_policy", "mid")
+    """The policy ``--d-policy`` names (argparse refuses any other)."""
+    kind = args.d_policy
     if kind == "mid":
         return ConstantDisturbance(sys.d_mid())
     if kind == "constant":
-        if getattr(args, "d_value", None) is None:
+        if args.d_value is None:
             raise UsageError("--d-value required for --d-policy constant")
         return ConstantDisturbance(args.d_value)
     if kind == "corner":
         return ConstantDisturbance(sys.d_box[:, 1])
     if kind == "random":
         return RandomDisturbance(seed=args.seed, mode="mixed")
-    if kind == "greedy":
-        return GreedyDisturbance(seed=args.seed)
-    raise UsageError(f"unknown disturbance policy {kind!r}")
+    return GreedyDisturbance(seed=args.seed)
 
 
 def _u_policy(args, sys):
-    kind = getattr(args, "u_policy", "zero")
-    if sys.k == 0 or kind == "zero":
+    """The policy ``--u-policy`` names: zero or constant."""
+    if sys.k == 0 or args.u_policy == "zero":
         return ZeroInput()
-    if kind == "constant":
-        if getattr(args, "u_value", None) is None:
-            raise UsageError("--u-value required for --u-policy constant")
-        return ConstantInput(args.u_value)
-    raise UsageError(f"unknown input policy {kind!r}")
+    if args.u_value is None:
+        raise UsageError("--u-value required for --u-policy constant")
+    return ConstantInput(args.u_value)
 
 
 # --- candidate loading for file-based systems ---
@@ -180,9 +177,7 @@ def _candidate_descriptor(cand):
 def cmd_examples(args) -> int:
     if not args.self_test:
         for name in sorted(EXAMPLES):
-            bundle = load_example(name, r=0.5) if name == "example_4_7" \
-                else load_example(name)
-            print(f"{name}: {bundle.description}")
+            print(f"{name}: {load_example(name, r=0.5).description}")
         return 0
     failures = 0
     names = [args.example] if args.example else sorted(EXAMPLES)
@@ -190,8 +185,7 @@ def cmd_examples(args) -> int:
         variants = [(name, None)] if name != "example_4_7" else \
             [(name, r) for r in (0.0, 0.5, 0.9)]
         for vname, r in variants:
-            bundle = load_example(vname, r=r) if r is not None \
-                else load_example(vname)
+            bundle = load_example(vname, r=r)
             for label, rep in bundle.self_test(tol=args.tol, seed=args.seed):
                 ok = rep.passed
                 tag = f"{vname}" + (f"[r={r}]" if r is not None else "")
@@ -255,15 +249,13 @@ def cmd_certify(args) -> int:
         us = np.repeat(us, sys_.k, axis=1)
         rep = check_ios_decrease(plant, cand, grid, us, d_values=dvals,
                                  tol=args.tol)
-    elif args.check == "rofs-static":
+    else:  # rofs-static
         free = {i: [-1.0, 0.0, 1.0] for i in range(1, sys_.n)}
         fiber = projection_fiber([0], free, sys_.n)
         us = np.linspace(-10.0, 10.0, 21).reshape(-1, 1)
         ys = [[v] for v in (-1.0, 0.0, 1.0)]
         rep = check_rofs_inf_sup(sys_, cand, fiber, us, ts=range(3), ys=ys,
                                  d_values=dvals, tol=args.tol)
-    else:
-        raise UsageError(f"unknown check {args.check!r}")
     payload = rep.to_json()
     payload["system"] = sys_.name
     payload["candidate"] = _candidate_descriptor(cand)
@@ -285,7 +277,7 @@ def cmd_verify(args) -> int:
     elif args.prop == "output-attractivity":
         rep = test_output_attractivity(_unforced(sys_, bundle), args.eps,
                                        args.T, args.R, budget=budget)
-    elif args.prop in ("kl-estimate", "ios-estimate"):
+    else:  # kl-estimate or ios-estimate
         sigma = _sigma_from(args, bundle)
         with_inputs = args.prop == "ios-estimate"
         if with_inputs and sys_.k == 0:
@@ -303,8 +295,6 @@ def cmd_verify(args) -> int:
                                      tol=args.tol)
         else:
             rep = check_kl_estimate(batch, sigma, sigma.beta, tol=args.tol)
-    else:
-        raise UsageError(f"unknown property {args.prop!r}")
     payload = rep.to_json()
     payload["system"] = sys_.name
     path = write_report(out, f"verify-{args.prop}.json", payload)
@@ -389,6 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--r", type=num_expr, default=None,
                         help="disturbance bound for example_4_7 (in [0,1))")
 
+    rollout = argparse.ArgumentParser(add_help=False)  # simulate, synthesize
+    rollout.add_argument("--x0", type=vec_expr)
+    rollout.add_argument("--t0", type=int, default=0)
+    rollout.add_argument("--d-policy", default="mid",
+                         choices=["mid", "constant", "corner", "random", "greedy"])
+    rollout.add_argument("--d-value", type=vec_expr)
+
     parser = argparse.ArgumentParser(
         prog="dtstab",
         description="robust-stability laboratory for discrete-time systems")
@@ -399,13 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--self-test", action="store_true")
     p.set_defaults(handler=cmd_examples)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[common, rollout],
                        help="roll a trajectory and write the CSV")
-    p.add_argument("--x0", type=vec_expr)
-    p.add_argument("--t0", type=int, default=0)
-    p.add_argument("--d-policy", default="mid",
-                   choices=["mid", "constant", "corner", "random", "greedy"])
-    p.add_argument("--d-value", type=vec_expr)
     p.add_argument("--u-policy", default="zero", choices=["zero", "constant"])
     p.add_argument("--u-value", type=vec_expr)
     p.set_defaults(handler=cmd_simulate)
@@ -438,17 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", default="s")
     p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("synthesize", parents=[common],
+    p = sub.add_parser("synthesize", parents=[common, rollout],
                        help="build the delay-chain output-feedback controller")
     p.add_argument("--psi", help="reconstruction expression for file systems")
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--simulate", action="store_true")
-    p.add_argument("--x0", type=vec_expr)
     p.add_argument("--w0", type=vec_expr)
-    p.add_argument("--t0", type=int, default=0)
-    p.add_argument("--d-policy", default="mid",
-                   choices=["mid", "constant", "corner", "random", "greedy"])
-    p.add_argument("--d-value", type=vec_expr)
     p.set_defaults(handler=cmd_synthesize)
 
     p = sub.add_parser("falsify", parents=[common],

@@ -616,18 +616,6 @@ def _row_check(form, bounds, batch, tol):
                           worst.margin, worst.witness, worst.samples, tol)
 
 
-def _batch_bounds(bounds_of, batch, *gains):
-    """``bounds_of(batch, *gains)``, the flat bounds of all rows.  When that
-    raises, each trajectory is bounded alone, in order, so the error is the
-    first failing trajectory's, as checking one trajectory at a time gives."""
-    try:
-        return bounds_of(batch, *gains)
-    except Exception:
-        if len(batch) < 2:
-            raise
-        return np.concatenate([bounds_of([traj], *gains) for traj in batch])
-
-
 def _ios_bounds(batch, sigma, beta, rho, gamma, form, zeta, delta):
     """The input-to-output bound at every row of the batch, concatenated.
 
@@ -690,7 +678,7 @@ def check_kl_estimate(batch: Sequence[Trajectory], sigma: KLEnvelope,
                       beta: TimeGain = None, tol: float = 1e-9) -> EnvelopeReport:
     """Pointwise ||Y(t)|| <= sigma(beta(t0)||x0||, t - t0) over the batch."""
     batch = _with_rows(batch)
-    bounds = _batch_bounds(sigma.row_bounds, batch, beta or sigma.beta)
+    bounds = sigma.row_bounds(batch, beta or sigma.beta)
     return _row_check("kl", bounds, batch, tol)
 
 
@@ -710,8 +698,7 @@ def check_ios_estimate(batch: Sequence[Trajectory], sigma: KLEnvelope,
     beta = beta or sigma.beta
     _require_gains(form, rho, gamma, zeta, delta)
     batch = _with_rows(batch)
-    bounds = _batch_bounds(_ios_bounds, batch, sigma, beta, rho, gamma, form,
-                           zeta, delta)
+    bounds = _ios_bounds(batch, sigma, beta, rho, gamma, form, zeta, delta)
     return _row_check(form, bounds, batch, tol)
 
 
@@ -785,7 +772,7 @@ def falsify(sys: SystemDef, sigma: KLEnvelope, beta: TimeGain = None,
             fault = exc
         count += len(chunk)
         if chunk:
-            bounds = _batch_bounds(bounds_of, chunk, *gains)
+            bounds = bounds_of(chunk, *gains)
             norms, ratios = _row_ratios(chunk, bounds)
             ratios = ratios.reshape(len(chunk), -1)  # one horizon: equal rows
             peak, win = first_max(ratios[np.arange(len(chunk)),

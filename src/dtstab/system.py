@@ -57,9 +57,8 @@ class VectorMap:
     ``spec`` is a list of expression strings or ASTs, one per component
     (strings are parsed against dimensions ``n``, ``m``, ``k``); a callable,
     or one string or AST not in a list, is refused with
-    :class:`SystemFileError`.  The map is evaluated by
-    :meth:`eval` at one point, :meth:`rows` over N row-aligned points and
-    :meth:`grid` over a broadcast product of row sets and times (one array
+    :class:`SystemFileError`.  The map is evaluated by :meth:`eval` at one
+    point and by :meth:`rows` over row sets that broadcast (one array
     evaluation per component), equal bit for bit, errors included: of
     several failing points, the first in C order raises.  ``dim``, when
     given, must match the expression count.
@@ -90,6 +89,11 @@ class VectorMap:
         code."""
         return [e.compiled() for e in self.exprs]
 
+    @functools.cached_property
+    def _arrays(self):
+        """The array evaluators, fetched at the first :meth:`rows` call."""
+        return [e.batched() for e in self.exprs]
+
     def eval(self, t, x, d=_EMPTY, u=_EMPTY) -> np.ndarray:
         """The map at one point: a float ``t`` and float vectors."""
         return np.array([fn(t, x, d, u, _NO_AUX) for fn in self._fns], dtype=float)
@@ -100,44 +104,42 @@ class VectorMap:
         return self._fns[0](t, x, d, u, _NO_AUX)
 
     def rows(self, t, X, D=None, U=None) -> np.ndarray:
-        """(N, dim) values at the rows of the (N, ·) arrays X, D and U (None:
-        the empty vector).  ``t`` is one time for every row or a column of N
-        per-row times.  Row i equals :meth:`eval` of row i bit for bit (NaN
-        sign bits aside, see :mod:`dtstab.expr`)."""
+        """Values on row sets: each of X, D and U (None: the empty vector)
+        is an array of rows ``(..., dim)`` and ``t`` a time or an array of
+        times, their leading shapes broadcasting together to S; returns (S,
+        dim), entry s equal to :meth:`eval` at the s rows bit for bit (NaN
+        sign bits aside, see :mod:`dtstab.expr`).  Row-aligned (N, ·) sets
+        with one time or a 1-D array of N per-row times give (N, dim); a
+        per-row column of times is 1-D, since an (N, 1) one broadcasts
+        against the rows to (N, N).  A component is one array evaluation
+        over the sets' columns, each at its own shape, so a term that reads
+        only t runs once per time and a term that reads only the outer rows
+        once per outer row, not once per point.  A t of one element is
+        passed as a float.
+
+        On :class:`ExprDomainError`, :meth:`eval` runs at each point of S in
+        C order, so the first failing point's error is raised."""
         X = np.asarray(X, dtype=float)
-        N = X.shape[0]
-        t = np.asarray(t, dtype=float)
-        t = float(t) if t.ndim == 0 else t.reshape(N)
-        cols = (X.T, _EMPTY if D is None else D.T, _EMPTY if U is None else U.T)
-        return self._fill(np.empty((N, self.dim)), t, cols, X, D, U)
-
-    def grid(self, t, X, D=None, U=None) -> np.ndarray:
-        """Values on a broadcast product of row sets: each of X, D and U
-        (None: the empty vector) is an array of rows ``(..., dim)`` and ``t``
-        a time or an array of times, their leading shapes broadcasting
-        together to S; returns (S, dim), entry s equal to :meth:`eval` at the
-        s rows bit for bit.  A component is one array evaluation over the
-        sets' columns, each at its own shape, so a term that reads only t
-        runs once per time and a term that reads only the outer rows once
-        per outer row, not once per point.  A t of one element is a float."""
-        t = np.asarray(t, dtype=float)
-        sets = (X, D, U)
-        shape = np.broadcast_shapes(t.shape, *(A.shape[:-1] for A in sets if A is not None))
-        cols = [_EMPTY if A is None else A.transpose(A.ndim - 1, *range(A.ndim - 1))
-                for A in sets]  # component first
-        t = float(t.reshape(-1)[0]) if t.size == 1 else t
-        return self._fill(np.empty(shape + (self.dim,)), t, cols, *sets)
-
-    def _fill(self, out, t, cols, X, D, U):
-        """``out[..., j]``: component j over the columns ``cols``, broadcast
-        (a float fills).  On :class:`ExprDomainError`, :meth:`eval` runs at
-        each point of ``out``, t and the row sets X, D and U broadcast to
-        it, in C order: the first failing point's error is raised."""
+        shape, t_shape = X.shape[:-1], ()
+        if type(t) is not float:  # an int, a numpy scalar or an array of times
+            t = np.asarray(t, dtype=float)
+            t_shape = t.shape
+            t = t.item() if t.size == 1 else t
+        if ((t_shape and t_shape != shape)
+                or (D is not None and D.shape[:-1] != shape)
+                or (U is not None and U.shape[:-1] != shape)):
+            shape = np.broadcast_shapes(
+                t_shape, *(A.shape[:-1] for A in (X, D, U) if A is not None))
+        if len(shape) > 1:  # component first (.T would reverse every axis)
+            cols = [_EMPTY if A is None else A.transpose(A.ndim - 1, *range(A.ndim - 1))
+                    for A in (X, D, U)]
+        else:
+            cols = (X.T, _EMPTY if D is None else D.T, _EMPTY if U is None else U.T)
+        out = np.empty(shape + (self.dim,))
         try:
-            for j, e in enumerate(self.exprs):
-                out[..., j] = e.batched()(t, *cols, _NO_AUX)
+            for j, fn in enumerate(self._arrays):
+                out[..., j] = fn(t, *cols, _NO_AUX)  # a float fills
         except ExprDomainError:
-            shape = out.shape[:-1]
             t = np.broadcast_to(t, shape)
             sets = [None if A is None else np.broadcast_to(A, shape + A.shape[-1:])
                     for A in (X, D, U)]
@@ -200,7 +202,7 @@ class SystemDef:
     def f_rows(self, t, X, D, U=None) -> np.ndarray:
         """f(t, d, x, u) for the row-aligned (N, dim) arrays X, D, U.
 
-        ``t`` is one time for every row or a column of N per-row times.
+        ``t`` is one time for every row or a 1-D array of N per-row times.
         Returns (N, n) rows, each bit-identical to :meth:`f_eval` of its row
         (see :meth:`VectorMap.rows`).
         """
@@ -211,18 +213,14 @@ class SystemDef:
         return self._fmap.rows(t, X, D, U)
 
     def H_rows(self, t, X) -> np.ndarray:
-        """H(t, x) for every row of X (``t`` one time or a column): (N, p_Y),
+        """H(t, x) over the rows of X (..., n) at ``t``, a time or times
+        that broadcast with them (see :meth:`VectorMap.rows`): (..., p_Y),
         bit-identical to H_eval."""
         return self._Hmap.rows(t, X)
 
-    def H_grid(self, t, X) -> np.ndarray:
-        """H on a broadcast product: X (..., n) and ``t`` a time or an array
-        of times (see :meth:`VectorMap.grid`); (..., p_Y)."""
-        return self._Hmap.grid(t, X)
-
     def h_rows(self, t, X) -> np.ndarray:
-        """h(t, x) for every row of X (``t`` one time or a column): (N, p_y),
-        bit-identical to h_eval."""
+        """h(t, x) over the rows of X (..., n) at ``t``, as :meth:`H_rows`:
+        (..., p_y), bit-identical to h_eval."""
         return self._hmap.rows(t, X)
 
     def h_eval(self, t, x) -> np.ndarray:
@@ -448,7 +446,7 @@ def sampled_sup(sys: "SystemDef", sets, score, keep: int = 0):
     sets, or a float and an int when keep=0.  NaN wins the max, so a NaN
     score is reported, never passed over.
 
-    Points are evaluated in slabs through :meth:`VectorMap.grid`.  A slab
+    Points are evaluated in slabs through :meth:`VectorMap.rows`.  A slab
     is a block of whole rows of one axis, the outermost whose rows (the
     product of the axes after it) hold at most SLAB_ROWS points, with every
     outer axis at one index; a block holds at most SLAB_ROWS points.  Each
@@ -457,9 +455,10 @@ def sampled_sup(sys: "SystemDef", sets, score, keep: int = 0):
     and one that reads only outer sets once per outer row.  Slabs are
     contiguous runs of the nested-loop order, in which ``score`` sees them;
     each slab's first maxima fold into the running ones, so only the kept
-    results and one slab are held.  A slab's points are in the C order of
-    its grid, so an :class:`ExprDomainError` is the first failing point's
-    in nested-loop order, whatever the slab bounds.
+    results and one slab are held.  When f or the score raises
+    :class:`ExprDomainError` on a slab, both run again at each of its points
+    in nested-loop order, f and then the score, so the first failing
+    point's error is raised, whatever the slab bounds.
     """
     names = [name for name, _ in sets]
     if "t" not in names:
@@ -487,9 +486,14 @@ def sampled_sup(sys: "SystemDef", sets, score, keep: int = 0):
         for r0 in range(0, shape[a], step):
             cuts = ([slice(j, j + 1) for j in lead]
                     + [slice(r0, min(shape[a], r0 + step))] + whole)
-            got = {name: rows[axis + (cuts[len(axis)],)] for name, rows, axis in views}
-            F = sys._fmap.grid(got["t"][..., 0], got["x"], got["d"], got.get("u"))
-            S = score(F, _SlabIndex(names, cuts))
+            try:
+                F = _slab_f(sys, views, cuts)
+                S = score(F, _SlabIndex(names, cuts))
+            except ExprDomainError:  # f and the score again, point by point
+                for index in itertools.product(*(range(c.start, c.stop) for c in cuts)):
+                    point = [slice(j, j + 1) for j in index]
+                    score(_slab_f(sys, views, point), _SlabIndex(names, point))
+                raise
             if np.shape(S) != F.shape[:-1]:
                 S = np.broadcast_to(S, F.shape[:-1])
             S = S.reshape(-1, min(S.size, size))  # one row per kept tuple
@@ -503,6 +507,12 @@ def sampled_sup(sys: "SystemDef", sets, score, keep: int = 0):
     if keep == 0:
         return float(sup[0]), int(arg[0])
     return sup.reshape(shape[:keep]), arg.reshape(shape[:keep])
+
+
+def _slab_f(sys, views, cuts):
+    """f over the slab ``cuts`` of the product (see :func:`sampled_sup`)."""
+    got = {name: rows[axis + (cuts[len(axis)],)] for name, rows, axis in views}
+    return sys._fmap.rows(got["t"][..., 0], got["x"], got["d"], got.get("u"))
 
 
 def _norm_score(F, idx):

@@ -336,9 +336,9 @@ def map_rows(vm, t, X, D=None, U=None, walk=False):
 
 
 def map_grid(vm, t, X, D=None, U=None):
-    """``VectorMap.grid``: :func:`map_rows` over the entries of the broadcast
-    product of the times ``t`` and the (..., dim) row sets, row-major;
-    (S, dim) for the broadcast shape S."""
+    """``VectorMap.rows`` over row sets that broadcast: :func:`map_rows`
+    over the entries of the broadcast product of the times ``t`` and the
+    (..., dim) row sets, row-major; (S, dim) for the broadcast shape S."""
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(t.shape, *(A.shape[:-1] for A in (X, D, U) if A is not None))
     N = math.prod(shape)

@@ -103,8 +103,8 @@ def test_first_failing_point_not_subexpression_raises():
                   H=["log(x1) + sqrt(x2)"])
     X = np.array([[1.0, -1.0], [-1.0, 1.0]])
     assert ref.outcome(lambda: H.H_rows(0.0, X)) == want
-    assert ref.outcome(lambda: H._Hmap.grid(0.0, X[:, None])) == want
-    assert ref.outcome(lambda: H._Hmap.grid(0.0, X[None])) == want
+    assert ref.outcome(lambda: H._Hmap.rows(0.0, X[:, None])) == want
+    assert ref.outcome(lambda: H._Hmap.rows(0.0, X[None])) == want
     points = np.array([3.0, -1.0])
     assert ref.outcome(lambda: kfn_from_expr("log(s) + sqrt(2 - s)").values(points)) == want
     assert ref.outcome(lambda: timegain_from_expr("log(t) + sqrt(2 - t)").values(points)) == want

@@ -613,6 +613,28 @@ def test_gain_domain_error_is_an_expr_domain_error():
     assert str(err.value) == str(want.value)
 
 
+def test_decrease_raises_the_first_failing_points_error():
+    # f fails only at the second state; the first fails later in its loop:
+    # on V(t+1, f) in the contraction, on a3 of its right-hand side in the
+    # relaxed decrease
+    grid, no_d = StateGrid(ts=[0], xs=[[1.9], [-2.0]]), np.zeros((1, 0))
+    sys = SystemDef(n=1, m=0, k=0, d_box=np.zeros((0, 2)),
+                    f=["3*sqrt(x1 + 1) - 3"], H=["x1"])
+    cand = LyapunovCandidate(V="log(2 - x1) - log(2)", n=1, lam=0.5)
+    want = ("ExprDomainError", "log of a non-positive number")
+    assert ref.outcome(lambda: check_contraction(sys, cand, grid)) == ref.outcome(
+        lambda: ref.check_contraction(sys, cand, grid, no_d)) == ("[]", want)
+
+    grid = StateGrid(ts=[0], xs=[[-1.0], [-4.0]])
+    sys = SystemDef(n=1, m=0, k=0, d_box=np.zeros((0, 2)), f=["log(x1 + 3)"],
+                    H=["x1"])
+    cand = LyapunovCandidate(V="x1", n=1, a3=kfn_from_expr("s*sqrt(s)/(1+s)"),
+                             q=constant(0.0))
+    want = ("ExprDomainError", "sqrt of a negative number")
+    assert ref.outcome(lambda: check_relaxed_decrease(sys, cand, grid)) == ref.outcome(
+        lambda: ref.check_relaxed_decrease(sys, cand, grid, no_d)) == ("[]", want)
+
+
 # --- the graph transform and the composed V against their closures ---
 
 TRANSFORMS = {

@@ -7,7 +7,9 @@ import pytest
 import reference as ref
 from dtstab.cli import main, num_expr
 from dtstab.registry import example_2_3, example_3_4
-from dtstab.system import parse_system_file
+from dtstab.system import (ConstantDisturbance, ConstantInput,
+                           GreedyDisturbance, RandomDisturbance, ZeroInput,
+                           parse_system_file, simulate)
 
 
 def run(*argv):
@@ -45,6 +47,31 @@ class TestExitCodes:
 
     def test_no_source_given(self):
         assert run("certify", "--check", "sandwich") == 2
+
+    def test_negative_tolerance(self, capsys):
+        assert run("certify", "--example", "example_2_3", "--check", "sandwich",
+                   "--tol=-1e-9") == 2
+        assert capsys.readouterr().err == "error: tolerance must be non-negative\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--example", "example_2_3", "--d-policy", "worst"],
+        ["synthesize", "--example", "example_4_7", "--r", "0.5", "--d-policy", "worst"],
+        ["simulate", "--example", "example_3_4", "--u-policy", "random"],
+        ["certify", "--example", "example_2_3", "--check", "decrease"],
+        ["verify", "--example", "example_2_3", "--property", "stability"],
+    ])
+    def test_unknown_choice(self, argv, capsys):
+        assert run(*argv) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--example", "example_2_3", "--d-policy", "constant"], "--d-value"),
+        (["--example", "example_3_4", "--u-policy", "constant"], "--u-value"),
+    ])
+    def test_constant_policy_without_its_value(self, tmp_path, capsys, argv, flag):
+        assert run("simulate", *argv, "--out-dir", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} required")
+        assert not (tmp_path / "trajectory.csv").exists()
 
 
 class TestExamplesCommand:
@@ -195,6 +222,30 @@ class TestSimulateCommand:
         assert "(peak output norm nan)" in capsys.readouterr().out
 
 
+# each policy flag against the policy objects it names, at --seed 5
+POLICY_FLAGS = {
+    "d constant": (example_2_3, ["--d-policy", "constant", "--d-value", "0.5"],
+                   lambda sys: (ConstantDisturbance([0.5]), ZeroInput())),
+    "d random": (example_2_3, ["--d-policy", "random"],
+                 lambda sys: (RandomDisturbance(seed=5, mode="mixed"), ZeroInput())),
+    "d greedy": (example_2_3, ["--d-policy", "greedy"],
+                 lambda sys: (GreedyDisturbance(seed=5), ZeroInput())),
+    "u constant": (example_3_4, ["--u-policy", "constant", "--u-value", "2"],
+                   lambda sys: (ConstantDisturbance(sys.d_mid()), ConstantInput([2.0]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POLICY_FLAGS))
+def test_simulate_policy_flags_roll_their_policies(tmp_path, case):
+    example, flags, policies = POLICY_FLAGS[case]
+    sys = example().sys
+    assert run("simulate", "--example", example.__name__, "--x0", "1,1", "--seed", "5",
+               "--horizon", "6", *flags, "--out-dir", str(tmp_path)) == 0
+    simulate(sys, 0, [1.0, 1.0], *policies(sys), 6, meta={"seed": 5}).write_csv(
+        tmp_path / "want.csv")
+    assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 class TestVerifyCommand:
     def test_output_attractivity_tau(self, tmp_path):
         code = run("verify", "--example", "example_2_3",
@@ -232,6 +283,25 @@ class TestSynthesizeCommand:
         header = (tmp_path / "closed_loop.csv").read_text().splitlines()[0]
         assert header == "t,x1,x2,x3,d1,u1,Y1,Y2,Y3,y1,w1,w2"
 
+
+    def test_without_simulate_only_the_controller_is_written(self, tmp_path, capsys):
+        code = run("synthesize", "--example", "example_4_7", "--r", "0.5",
+                   "--out-dir", str(tmp_path))
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["controller.json"]
+        ctrl = json.loads((tmp_path / "controller.json").read_text())
+        assert ctrl == {"p": 1, "psi": "-(y1^2+u0)^2", "w0": [0.0, 0.0]}
+        assert capsys.readouterr().out == (
+            f"controller (p=1, state dim 2) -> {tmp_path / 'controller.json'}\n")
+
+    def test_a_system_file_needs_psi(self, tmp_path, capsys):
+        sysfile = tmp_path / "s.json"
+        sysfile.write_text(json.dumps({"n": 1, "m": 0, "k": 1, "d_box": [],
+                                       "f": ["x1 + u1"], "H": ["x1"]}))
+        assert run("synthesize", "--system", str(sysfile),
+                   "--out-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "error: --psi required for file-based systems\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_plant_without_one_input_is_refused(self, tmp_path, capsys, k):

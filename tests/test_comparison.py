@@ -231,6 +231,11 @@ class TestKLEnvelope:
         env = KLEnvelope(3.0, 0.2)
         assert all(env(0.0, t) == 0.0 for t in range(50))
 
+    def test_a_non_integer_or_negative_time_takes_the_closed_form(self):
+        env = KLEnvelope(2.0, 0.5)
+        assert env(3.0, 1.5) == 2.0 * 3.0 * math.exp(-0.75)
+        assert env(3.0, -1) == 2.0 * 3.0 * math.exp(0.5)
+
     def test_decay_series_matches_pointwise(self):
         env = KLEnvelope(2.5, 0.31)
         series = env.decay_series(1.7, 40)

@@ -8,12 +8,12 @@ outputs and inputs take every special value.  ``sampled_sup`` cases draw
 a set of times as one more axis of the product.  Each pair compares bits
 (a NaN's sign aside) and, where the reference raises, the exception's
 type and message.  A raising array call is evaluated again point by point
-(``VectorMap.rows`` and ``grid``, a gain's ``values``, the sandwich
-check's maps and gains, ``_ios_bounds``'s gains row by row), a search
-rolls a raising block again through ``simulate``, and an envelope check
-bounds a raising batch again one trajectory at a time, so their messages
-match.  One pair compares the type alone: the tree walker's messages name
-the failing subexpression.
+(``VectorMap.rows``, a gain's ``values``, a ``sampled_sup`` slab's f and
+score, a decrease check's time, the sandwich check's maps and gains,
+``_ios_bounds``'s gains row by row), and a search rolls a raising block
+again through ``simulate``, so their messages match.  One pair compares
+the type alone: the tree walker's messages name the failing
+subexpression.
 Hypothesis runs derandomized (``conftest.py``), ``max_examples`` fixed.
 """
 
@@ -75,16 +75,24 @@ def rows(draw, count, width, elements=ref.values):
                      for _ in range(count)]).reshape(count, width)
 
 
-# --- VectorMap.rows and grid against eval ---
+# --- VectorMap.rows against eval ---
 
 @st.composite
 def map_cases(draw):
-    """(system, map, t, X, D, U): f, H or h at points with every special
-    value, t one time or a column of per-row times."""
+    """(system, map, t, X, D, U): f, H or h at N points with every special
+    value; t a float, a one-element array, a 1-D column of N per-row times
+    or an (N, 1) column, which broadcasts against the rows."""
     sys = draw(systems())
     name = draw(st.sampled_from(["f", "H", "h"]))
     N = draw(st.integers(1, 6))
-    t = draw(ref.values) if draw(st.booleans()) else rows(draw, N, 1)[:, 0]
+    kind = draw(st.sampled_from(["float", "one element", "per row", "column"]))
+    if kind == "float":
+        t = draw(ref.values)
+    elif kind == "one element":
+        t = np.array([draw(ref.values)])
+    else:
+        t = rows(draw, N, 1)
+        t = t[:, 0] if kind == "per row" else t
     D, U = (rows(draw, N, sys.m), rows(draw, N, sys.k)) if name == "f" else (None, None)
     return sys, name, t, rows(draw, N, sys.n), D, U
 
@@ -93,18 +101,15 @@ def map_cases(draw):
 @given(map_cases())
 def test_vector_maps_equal_point_evaluation(case):
     sys, name, t, X, D, U = case
-    N = X.shape[0]
     vm = {"f": sys._fmap, "H": sys._Hmap, "h": sys._hmap}[name]
-    want = ref.outcome(lambda: ref.map_rows(vm, t, X, D, U))
-    assert ref.outcome(lambda: vm.rows(t, X, D, U)) == want
-    assert ref.outcome(lambda: ref.map_rows(vm, t, X, D, U, walk=True),
-                       message=False) == ref.outcome(lambda: ref.map_rows(vm, t, X, D, U),
-                                                     message=False)
-    # a product: X outer, D inner, at one time and at one time per X row
+    assert_same_outcome(lambda: vm.rows(t, X, D, U), lambda: ref.map_grid(vm, t, X, D, U))
+    if np.ndim(t) < 2:  # one time per row: the compiled code against the tree walker
+        assert ref.outcome(lambda: ref.map_rows(vm, t, X, D, U, walk=True),
+                           message=False) == ref.outcome(lambda: ref.map_rows(vm, t, X, D, U),
+                                                         message=False)
+    # a product: X outer, D inner; a 1-D t runs along D, an (N, 1) one along X
     sets = (X[:, None], None if D is None else D[None], None if U is None else U[:, None])
-    for times in (float(np.ravel(t)[0]), np.broadcast_to(t, (N,))[:, None]):
-        assert_same_outcome(lambda: vm.grid(times, *sets),
-                            lambda: ref.map_grid(vm, times, *sets))
+    assert_same_outcome(lambda: vm.rows(t, *sets), lambda: ref.map_grid(vm, t, *sets))
 
 
 # --- sampled_sup against the f_eval point loop ---
@@ -115,6 +120,9 @@ SCORES = {
         F[..., :1].sum(axis=-1) * (1.0 + idx[sets[0][0]])),
     "norm less the inner index": lambda sets: lambda F, idx: (
         row_norms(F) - idx[sets[-1][0]]),
+    # raises where ||f|| <= 1
+    "log of the norm less one": lambda sets: lambda F, idx: (
+        kfn_from_expr("log(s - 1)").values(row_norms(F))),
 }
 # times with repeats, so that equal maxima fall in different t slices
 TIMES = st.one_of(st.sampled_from([0.0, 1.0, 3.0]), ref.values)
@@ -153,6 +161,9 @@ def sup_case(f, times, keep, slab=4096, score="norm"):
 @example(sup_case(["x1*d1 + t"], [5.0, 0.0, math.nan], 0, slab=3))
 @example(sup_case(["x1*d1*(1 + t)"], [1.0, math.nan, math.nan, 2.0], 2, slab=1,
                   score="norm less the inner index"))
+# the score fails at the first state and f at the second, in one slab: the
+# score's error is raised
+@example(sup_case(["x1 + 0*sqrt(x1 + 1)"], [0.0], 0, score="log of the norm less one"))
 def test_sampled_sup_equals_the_point_loop(case):
     sys, sets, keep, slab, score = case
     score = SCORES[score](sets)
@@ -201,25 +212,27 @@ def test_search_equals_simulate(case):
 # --- the decrease and sandwich checks against their point loops ---
 
 def candidate_V(n, kind):
-    """A V that is 0 at the origin and never raises; "nan far" is NaN
-    (inf * 0) where |x1| > 100."""
+    """A V that is 0 at the origin: "nan far" is NaN (inf * 0) where |x1| >
+    100, and "raises" raises on log where x1 >= 2 and on sqrt where x1 < -1;
+    the others never raise."""
     if n == 0:
         return "0"
     norm = f"norm({', '.join(f'x{i + 1}' for i in range(n))})"
     return {"norm": norm, "decaying": f"exp(-t)*abs(x1) + {norm}",
-            "nan far": f"{norm} + max(abs(x1) - 100, 0)*1e300*1e300*0"}[kind]
+            "nan far": f"{norm} + max(abs(x1) - 100, 0)*1e300*1e300*0",
+            "raises": f"{norm} + log(2 - x1) - log(2) + sqrt(1 + x1) - 1"}[kind]
 
 
 @st.composite
 def certificate_cases(draw):
     """(system, candidate with every gain, grid, d values, u values): a3
-    exceeds s only for a forced system, which the relaxed form skips; a1
-    may raise below s = 1 and beta past t = 2."""
+    exceeds s only for a forced system, which the relaxed form skips; V may
+    raise, a1 below s = 1 and beta past t = 2."""
     sys = draw(systems())
     pick = lambda *options: draw(st.sampled_from(options))  # noqa: E731
     K = (identity(), linear(1.5), power_fn(2.0))
     cand = LyapunovCandidate(
-        V=candidate_V(sys.n, pick("norm", "decaying", "nan far")), n=sys.n,
+        V=candidate_V(sys.n, pick("norm", "decaying", "nan far", "raises")), n=sys.n,
         a1=pick(*K, K_GAINS[-1]), a2=pick(*K),
         beta=pick(constant(2.0), timegain_from_expr("1 + t"), TIME_GAINS[-1]),
         mu=pick(None, geometric(0.5, 0.5)), lam=pick(0.5, 0.9),
@@ -242,10 +255,26 @@ def sandwich_case(H, V, xs):
     return sys, cand, StateGrid(ts=[0], xs=xs), np.zeros((1, 0)), np.zeros((1, 0))
 
 
+def decrease_case(f, V, a3, xs):
+    """A hand-picked case at t = 0: the one-state system f without
+    disturbance, the candidate V with lam 0.5, a3 and q = 0, and the states
+    ``xs``."""
+    sys = SystemDef(n=1, m=0, k=0, d_box=np.zeros((0, 2)), f=[f], H=["x1"])
+    one = constant(1.0)
+    cand = LyapunovCandidate(V=V, n=1, a1=identity(), a2=identity(), beta=one,
+                             lam=0.5, a3=kfn_from_expr(a3), q=constant(0.0), phi=one)
+    return (sys, cand, StateGrid(ts=[0], xs=np.array(xs).reshape(-1, 1)),
+            np.zeros((1, 0)), np.zeros((1, 0)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(certificate_cases())
 # H fails at the first state and V at the second: H's error is raised
 @example(sandwich_case("sqrt(x1)", "log(1 + x2)", [[-1.0, 1.0], [1.0, -1.0]]))
+# V(t+1, f) fails at the first state and f at the second: V's error
+@example(decrease_case("3*sqrt(x1 + 1) - 3", "log(2 - x1) - log(2)", "s", [1.9, -2.0]))
+# a3 fails at the first state's right-hand side and f at the second: a3's
+@example(decrease_case("log(x1 + 3)", "x1", "s*sqrt(s)/(1+s)", [-1.0, -4.0]))
 def test_certificate_checks_equal_their_loops(case):
     sys, cand, grid, dvals, us = case
     assert_same_outcome(lambda: check_sandwich(sys, cand, grid),

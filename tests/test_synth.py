@@ -145,6 +145,12 @@ class TestControllerStructure:
         ctrl = DelayChainController(p_y=1, psi=psi)
         assert ctrl.p == psi.p == 1 and ctrl.state_dim == 2
 
+    def test_one_initial_value_fills_every_slot(self):
+        ctrl = DelayChainController(p_y=1, psi=ReconstructionMap("y0 + u1", p=2))
+        assert ctrl.initial_state().tolist() == [0.0] * 4
+        assert ctrl.initial_state(2.5).tolist() == [2.5] * 4
+        assert ctrl.initial_state([[1.0, 2.0], [3.0, 4.0]]).tolist() == [1.0, 2.0, 3.0, 4.0]
+
     def test_retraction_is_refused(self):
         # a retraction was a callable between the register and Psi; a
         # callable cannot be substituted, so the argument is gone (a scaled

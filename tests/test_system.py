@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -11,8 +12,9 @@ from dtstab.system import (ConstantDisturbance, ConstantInput,
                            EquilibriumWarning, GreedyDisturbance,
                            RandomDisturbance, SampleConfig, SequenceInput,
                            SystemDef, SystemFileError, Trajectory, ZeroInput,
-                           closed_loop, parse_system_file, reachable_bound,
-                           simulate, step, vecnorm)
+                           closed_loop, d_candidates, parse_system_file,
+                           reachable_bound, sampled_sup, simulate, step,
+                           vecnorm)
 
 SYS23 = example_2_3().sys
 SYS34 = example_3_4().sys
@@ -307,6 +309,52 @@ class TestPolicyProperties:
         assert pol(SYS34, 3, None)[0] == 1.0
         assert pol(SYS34, 4, None)[0] == 2.0
         assert pol(SYS34, 9, None)[0] == 0.0
+
+    def test_sequence_input_takes_one_value_a_step(self):
+        # 1-D values are one one-entry input a step
+        pol = SequenceInput([1.0, 2.0], t0=3)
+        assert [pol(SYS34, t, None).tolist() for t in (2, 3, 4, 5)] == [
+            [0.0], [1.0], [2.0], [0.0]]
+        assert pol.descriptor() == "sequence(len=2)"
+
+
+class TestSamples:
+    def test_corners_past_the_cap_hold_the_rest_at_the_midpoint(self):
+        # 2^9 corners exceed 256: the first 8 axes give the corners, the
+        # ninth its midpoint
+        sys = SystemDef(n=1, m=9, k=0, d_box=[[-1.0, 1.0]] * 8 + [[0.0, 3.0]],
+                        f=["x1"], H=["x1"])
+        want = [list(c) + [1.5] for c in itertools.product([-1.0, 1.0], repeat=8)]
+        assert sys.d_corners.tolist() == want
+
+    def test_large_grids_sweep_each_axis_through_the_midpoint(self):
+        # 9^4 = 6561 grid points exceed 4096: 16 corners and 4 sweeps of 9
+        # points, which share the midpoint, so 16 + 4*9 - 3 rows
+        got = d_candidates([[-1.0, 1.0]] * 4, grid=9)
+        axis = np.linspace(-1.0, 1.0, 9)
+        sweeps = [[v if j == i else 0.0 for j in range(4)] for i in range(4) for v in axis]
+        want = list(itertools.product([-1.0, 1.0], repeat=4)) + sweeps
+        assert got.shape == (49, 4)
+        assert got.tolist() == np.unique(np.array(want), axis=0).tolist()
+
+    def test_equilibrium_witnesses_name_the_output_maps(self):
+        sys = SystemDef(n=1, m=0, k=0, d_box=np.zeros((0, 2)), f=["x1"],
+                        H=["x1 + 1"], h=["t"])
+        assert sys.check_equilibrium(ts=range(2)) == [
+            {"map": "H", "t": 0, "value": [1.0]},
+            {"map": "H", "t": 1, "value": [1.0]},
+            {"map": "h", "t": 1, "value": [1.0]}]
+
+    def test_a_score_may_return_a_broadcastable_shape(self):
+        # the score reads only the x index: the first of its maxima is at
+        # the last x and the first d, flat index 2*2 + 0
+        sys = SystemDef(n=1, m=1, k=0, d_box=[[-1.0, 1.0]], f=["x1*d1"], H=["x1"])
+        sets = (("t", [0.0]), ("x", [[1.0], [2.0], [3.0]]), ("d", [[-1.0], [1.0]]))
+
+        def score(F, idx):
+            return idx["x"] * 1.0
+
+        assert sampled_sup(sys, sets, score) == ref.sampled_sup(sys, sets, score) == (2.0, 4)
 
 
 def test_csv_roundtrip_with_register_columns(tmp_path):
