@@ -19,8 +19,12 @@ Functions: exp, log, abs, sqrt, sign, min, max, pow, and the variadic
 
 Conventions: ``0^0`` evaluates to 1; ``a^b`` with a < 0 and non-integer b,
 ``log``/``sqrt`` of a negative number and division by zero are domain errors
-reported with the offending subexpression.  Evaluation is pure and
-deterministic; ASTs are immutable and safe to share.
+reported with the offending subexpression.  A literal exponent 2 or 0.5
+(``a^2``, ``pow(a, 0.5)``) is ``a*a`` or ``sqrt(abs(a))``, correctly rounded
+where ``math.pow`` is not, with ``math.pow``'s answers where IEEE 754 does
+not decide: a negative base with 0.5 is a domain error, ``(-0.0)^0.5`` is
+0.0 and ``(-inf)^0.5`` is inf.  Evaluation is pure and deterministic; ASTs
+are immutable and safe to share.
 
 Each node generates one Python source, compiled at most once per process
 per namespace, keyed by source: against scalar kernels
@@ -28,14 +32,15 @@ per namespace, keyed by source: against scalar kernels
 (:meth:`Expr.batched`, a slab of points).  The key is the source, not the
 AST: ``Num(0.0) == Num(-0.0)``, yet ``-0.0*x1`` and ``0.0*x1`` differ.  The
 array namespace runs the operations IEEE 754 rounds exactly (``+ - * /``,
-``sqrt``, ``abs``, negation) in numpy, keeps Python's comparison semantics
-for ``min``/``max``/``sign`` and maps ``^``, ``exp`` and ``log`` element by
-element: ``math.pow``, ``math.exp`` and ``math.log`` first, the guarded
-scalar kernels again over the whole slab when some point raises.  So every
-value equals the scalar result bit for bit; ``norm`` is :func:`vecnorm` of
-its arguments at one point and :func:`row_norms` of the stacked columns
-over a slab.  The one exception is the sign of a NaN, which IEEE 754 leaves
-unspecified: NaNs appear at the same points, but their sign bit may differ.
+``sqrt``, ``abs``, negation, so also ``a^2`` and ``a^0.5``) in numpy, keeps
+Python's comparison semantics for ``min``/``max``/``sign`` and maps the
+other ``^``, ``exp`` and ``log`` element by element: ``math.pow``,
+``math.exp`` and ``math.log`` first, the guarded scalar kernels again over
+the whole slab when some point raises.  So every value equals the scalar
+result bit for bit; ``norm`` is :func:`vecnorm` of its arguments at one
+point and :func:`row_norms` of the stacked columns over a slab.  The one
+exception is the sign of a NaN, which IEEE 754 leaves unspecified: NaNs
+appear at the same points, but their sign bit may differ.
 """
 
 from __future__ import annotations
@@ -134,6 +139,29 @@ def _pow(a, b):
     except OverflowError:
         neg = a < 0.0 and float(b).is_integer() and int(b) % 2 == 1
         return -math.inf if neg else math.inf
+
+
+def _square(a):
+    return a * a  # correctly rounded, an overflow is inf; serves columns too
+
+
+def _root(a):
+    # sqrt is correctly rounded; _pow(a, 0.5)'s answers where IEEE does not
+    # decide: a negative base raises, (-0.0)^0.5 = 0.0 and (-inf)^0.5 = inf
+    if a < 0.0 and a != -math.inf:
+        raise ExprDomainError("negative base with non-integer exponent")
+    return math.sqrt(abs(a))
+
+
+# A literal exponent 2 or 0.5 runs as x*x or sqrt in every evaluator, in place
+# of math.pow, which libm does not round correctly.  Other exponents keep
+# _pow: x*x*x rounds twice.
+_EXACT_POWERS = {2.0: _square, 0.5: _root}
+
+
+def _exact_power(exponent):
+    """The exact kernel of a literal exponent, or None."""
+    return _EXACT_POWERS.get(exponent.value) if isinstance(exponent, Num) else None
 
 
 def _div(a, b):
@@ -365,9 +393,9 @@ class Bin(Expr):
         return Bin(self.op, *children)
 
     def _codegen(self):
-        a, b = self.left._codegen(), self.right._codegen()
         if self.op == "^":
-            return f"_pow({a}, {b})"
+            return _power_code("_pow", self.left, self.right)
+        a, b = self.left._codegen(), self.right._codegen()
         if self.op == "/":
             return f"_div({a}, {b})"
         return f"({a} {self.op} {b})"
@@ -390,8 +418,17 @@ class Call(Expr):
         return Call(self.fn, tuple(children))
 
     def _codegen(self):
+        if self.fn == "pow":
+            return _power_code("_fn_pow", *self.args)
         args = ", ".join(a._codegen() for a in self.args)
         return f"_fn_{self.fn}({args})"
+
+
+def _power_code(kernel, base, exponent):
+    exact = _exact_power(exponent)
+    if exact:
+        return f"{exact.__name__}({base._codegen()})"
+    return f"{kernel}({base._codegen()}, {exponent._codegen()})"
 
 
 # A vector component is read as a Python float: numpy scalar arithmetic gives
@@ -400,6 +437,8 @@ _CODEGEN_NAMESPACE = {
     "__builtins__": {},
     "_float": float,
     "_pow": _pow,
+    "_square": _square,
+    "_root": _root,
     "_div": _div,
     **{f"_fn_{name}": fn for name, (_, fn) in _FUNCTIONS.items()},
 }
@@ -452,6 +491,17 @@ def _array_div(a, b):
     return np.true_divide(a, b)
 
 
+def _array_root(a):
+    if not _has_array(a):
+        return _root(a)
+    # the least value but NaN (0.0 if none): one reduction when no base is
+    # negative
+    if (np.fmin.reduce(a, axis=None, initial=0.0) < 0.0
+            and np.any(a[a < 0.0] != -math.inf)):
+        raise ExprDomainError("negative base with non-integer exponent")
+    return np.sqrt(np.abs(a))
+
+
 def _array_sqrt(a):
     if not _has_array(a):
         return _sqrt(a)
@@ -491,6 +541,7 @@ _ARRAY_NAMESPACE = {
     **_CODEGEN_NAMESPACE,
     "_float": _column,
     "_pow": _elementwise(_pow, math.pow),
+    "_root": _array_root,
     "_div": _array_div,
     "_fn_exp": _elementwise(_exp, math.exp),
     "_fn_log": _elementwise(_log, math.log),
@@ -726,13 +777,15 @@ def eval_expression(expr: Expr, env: Env) -> float:
                 return a * b
             if expr.op == "/":
                 return _div(a, b)
-            return _pow(a, b)
+            exact = _exact_power(expr.right)
+            return exact(a) if exact else _pow(a, b)
         except ExprDomainError as ex:
             raise ExprDomainError(str(ex).split(" in subexpression")[0], expr) from None
     if isinstance(expr, Call):
         args = [eval_expression(a, env) for a in expr.args]
+        exact = expr.fn == "pow" and _exact_power(expr.args[1])
         try:
-            return _FUNCTIONS[expr.fn][1](*args)
+            return exact(args[0]) if exact else _FUNCTIONS[expr.fn][1](*args)
         except ExprDomainError as ex:
             raise ExprDomainError(str(ex).split(" in subexpression")[0], expr) from None
     raise TypeError(f"not an Expr node: {expr!r}")

@@ -106,6 +106,16 @@ _NUMBERS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e300, 1e-300]),
                      st.floats(0.0, 1e9))
 
 
+# parser-built subexpressions whose values are -0.0, -1, inf, -inf and NaN
+_INF = Bin("*", Num(1e300), Num(1e300))
+_SPECIALS = st.sampled_from([Neg(Num(0.0)), Neg(Num(1.0)), _INF, Neg(_INF),
+                             Bin("-", _INF, _INF)])
+
+
+def _literal_power(base, exponent, call):
+    return Call("pow", (base, exponent)) if call else Bin("^", base, exponent)
+
+
 def _extend(children):
     unary = st.sampled_from(["exp", "log", "abs", "sqrt", "sign"])
     binary = st.sampled_from(["min", "max", "pow"])
@@ -113,6 +123,9 @@ def _extend(children):
         children.map(Neg),
         st.tuples(st.sampled_from("+-*/^"), children, children).map(
             lambda ops: Bin(*ops)),
+        # a literal 2 or 0.5 exponent (the exact kernels), often of a special
+        st.builds(_literal_power, st.one_of(children, _SPECIALS),
+                  st.sampled_from([Num(2.0), Num(0.5)]), st.booleans()),
         st.tuples(unary, children).map(lambda fa: Call(fa[0], (fa[1],))),
         st.tuples(binary, children, children).map(
             lambda fab: Call(fab[0], (fab[1], fab[2]))),
@@ -125,7 +138,8 @@ def _extend(children):
 def expressions(names: tuple, max_leaves=20):
     """ASTs over the variables ``names`` (a parser literal is never
     negative: a negative number is a negated literal), with every operator
-    and function of the language."""
+    and function of the language; the literal exponents 2 and 0.5 are
+    drawn often, on bases that include -0.0, -1, inf, -inf and NaN."""
     leaf = st.one_of(st.sampled_from(names).map(Var), _NUMBERS.map(Num))
     return st.recursive(leaf, _extend, max_leaves=max_leaves)
 

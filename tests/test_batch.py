@@ -405,9 +405,10 @@ def test_running_maximum_holds_one_slab_not_the_product():
 
 
 # A state-only power before and after one-row sets: (system, sets, SLAB_ROWS,
-# the sizes the array ``_pow`` is mapped over, slab by slab).  Every set is
-# its own axis of the slab, so a one-row set (the empty input of an unforced
-# system, a fixed time) is an axis of length 1 and spreads no term of f.
+# the sizes the array ``_root`` of ``abs(x1)^0.5`` runs over, slab by slab).
+# Every set is its own axis of the slab, so a one-row set (the empty input of
+# an unforced system, a fixed time) is an axis of length 1 and spreads no term
+# of f.
 _POW_SYS = SystemDef(n=2, m=1, k=1, d_box=[[-1.0, 1.0]],
                      f=["abs(x1)^0.5*d1 + u1", "norm(x1, x2) - d1*u1"], H=["x1"])
 _POW_SYS0 = SystemDef(n=2, m=1, k=0, d_box=[[-1.0, 1.0]],
@@ -495,20 +496,27 @@ def test_norm_of_outer_and_inner_columns_matches_row_norms():
     assert got.tobytes() == row_norms(pairs.reshape(30, 2)).tobytes()
 
 
+def _kernel_sizes(monkeypatch, name):
+    """The operand size of every call of the one-operand array kernel
+    ``name``, appended as the kernel runs."""
+    sizes = []
+    kernel = _ARRAY_NAMESPACE[name]
+
+    def counting(a):
+        sizes.append(np.size(a))
+        return kernel(a)
+
+    monkeypatch.setitem(_ARRAY_NAMESPACE, name, counting)
+    return sizes
+
+
 def test_state_only_power_runs_once_per_outer_row(monkeypatch):
-    """A term of f that reads only the outer sets is mapped over the R outer
-    rows of a slab, not its R*K points."""
+    """A term of f that reads only the outer sets runs over the R outer rows
+    of a slab, not its R*K points."""
     sys = SystemDef(n=2, m=1, k=0, d_box=[[-1.0, 1.0]],
                     f=["x1^2*d1", "x2 + d1"], H=["x1"])
     xs, ds = _SLAB_SETS["x"], _SLAB_SETS["d"]
-    mapped = []
-    power = _ARRAY_NAMESPACE["_pow"]
-
-    def counting_pow(a, b):
-        mapped.append(max(np.size(a), np.size(b)))
-        return power(a, b)
-
-    monkeypatch.setitem(_ARRAY_NAMESPACE, "_pow", counting_pow)
+    mapped = _kernel_sizes(monkeypatch, "_square")
     sets = (("x", xs), ("d", ds), ("t", [1]))
     score = lambda F, idx: F[..., 0]  # noqa: E731
     for slab, per_slab in ((4096, [13]), (10, [2] * 6 + [1]), (3, [1] * 26)):
@@ -522,16 +530,9 @@ def test_state_only_power_runs_once_per_outer_row(monkeypatch):
 @pytest.mark.parametrize("case", list(_ONE_ROW_CASES))
 def test_state_only_power_runs_once_per_row_past_one_row_sets(monkeypatch, case):
     """One-row sets are axes of length 1, wherever they stand, so
-    ``abs(x1)^0.5`` is mapped over the x rows of a slab, not its points."""
+    ``abs(x1)^0.5`` runs over the x rows of a slab, not its points."""
     sys, sets, slab, per_slab = _ONE_ROW_CASES[case]
-    mapped = []
-    power = _ARRAY_NAMESPACE["_pow"]
-
-    def counting_pow(a, b):
-        mapped.append(max(np.size(a), np.size(b)))
-        return power(a, b)
-
-    monkeypatch.setitem(_ARRAY_NAMESPACE, "_pow", counting_pow)
+    mapped = _kernel_sizes(monkeypatch, "_root")
     monkeypatch.setattr(system_mod, "SLAB_ROWS", slab)
     score = lambda F, idx: row_norms(F)  # noqa: E731
     sets += (("t", [1]),)

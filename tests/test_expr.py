@@ -15,6 +15,7 @@ from dtstab.expr import (
     Neg, Num, Var, eval_expression, parse_expression, row_norms, vecnorm,
 )
 from dtstab.registry import load_example
+from dtstab.system import VectorMap
 
 D21 = Dims(n=2, m=1, k=1, aux=frozenset({"y0", "y1", "u0"}))
 
@@ -154,7 +155,7 @@ class TestEval:
             x1 = rng.uniform(-100.0, 100.0)
             d = rng.uniform(-2.0, 2.0)
             got = fn(t, np.array([x1, 0.0]), np.array([d]), np.zeros(0), {})
-            want = 2.0 ** (-t) * d * abs(x1) ** 0.5
+            want = 2.0 ** (-t) * d * math.sqrt(abs(x1))
             assert got == want
 
 
@@ -239,6 +240,85 @@ def test_inf_times_zero_component_is_nan_without_warning():
         col = expr.batched()(0.0, np.array([[0.0, 2.0], [0.0, 0.0]]),
                              np.zeros((1, 2)), np.zeros((1, 2)), {})
         assert math.isnan(col[0]) and col[1] == math.inf
+
+
+# --- literal exponents 2 and 0.5: a*a and sqrt(abs(a)) in every evaluator ---
+
+SQUARES = ["x1^2", "pow(x1, 2)"]
+EXACT_FORMS = SQUARES + ["x1^0.5", "pow(x1, 0.5)"]
+# the last two: glibc's pow(x, 2) and pow(x, 0.5) are an ulp off x*x and
+# sqrt(x) there
+EDGE_POINTS = [-0.0, 0.0, 5e-324, -5e-324, 1e-200, 1e200, 1e308, -1.0,
+               -math.inf, math.inf, math.nan, -1.523386358242358, 10.299824237515514]
+NEGATIVE_BASE = "negative base with non-integer exponent"
+
+
+def exact_power_spec(form, a):
+    """``a*a``, or ``sqrt(abs(a))``, or ``_pow``'s message for a negative
+    base: -0.0 and -inf take ``math.pow``'s 0.0 and inf."""
+    if form in SQUARES:
+        return a * a
+    if a < 0.0 and a != -math.inf:
+        return NEGATIVE_BASE
+    return math.sqrt(abs(a))
+
+
+def value_or_message(run):
+    try:
+        return run()
+    except ExprDomainError as exc:
+        return str(exc)
+
+
+def assert_spec_bits(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@pytest.mark.parametrize("form", EXACT_FORMS)
+def test_exact_powers_give_the_spec_bits_in_every_evaluator(form):
+    node = parse_expression(form, D21)
+    column = node.batched()
+    for a in EDGE_POINTS:
+        want = exact_power_spec(form, a)
+        env = Env(x=[a, 0.0], d=[0.0], u=[0.0])
+        walked = value_or_message(lambda: eval_expression(node, env))
+        if isinstance(want, str):  # the tree walker names the subexpression
+            assert walked == f"{want} in subexpression '{node.to_string()}'"
+        else:
+            assert_spec_bits(walked, want)
+        assert_spec_bits(value_or_message(
+            lambda: node.compiled()(0.0, env.x, env.d, env.u, {})), want)
+        alone = value_or_message(lambda: column(0.0, np.array([[a]]), None, None, {}))
+        assert_spec_bits(alone if isinstance(alone, str) else float(alone[0]), want)
+    wants = [exact_power_spec(form, a) for a in EDGE_POINTS]
+    mixed = value_or_message(lambda: column(0.0, np.array([EDGE_POINTS]), None, None, {}))
+    if form in SQUARES:
+        assert ref.same_bits(mixed, np.array(wants))
+    else:
+        assert mixed == NEGATIVE_BASE
+
+
+@pytest.mark.parametrize("form", EXACT_FORMS)
+def test_rows_raise_the_first_failing_points_error_past_an_exact_power(form):
+    # 1/(x1 - 1e308) fails at 1e308, which comes after the first negative
+    # base: the root's error is raised although its component comes second
+    vm = VectorMap(["1/(x1 - 1e308)", form], "f", n=1)
+    X = np.array(EDGE_POINTS)[:, None]
+    got = ref.outcome(lambda: vm.rows(0.0, X))
+    assert got == ref.outcome(lambda: ref.map_rows(vm, 0.0, X))
+    first = "division by zero" if form in SQUARES else NEGATIVE_BASE
+    assert got[1] == ("ExprDomainError", first)
+
+
+@pytest.mark.parametrize("text", ["x1^3", "x1^2.5", "x1^(1/2)", "x1^-2",
+                                  "x1^x2", "pow(x1, 1.5)", "2^x1", "0.5^x1"])
+def test_other_exponents_keep_the_pow_kernel(text):
+    source = parse_expression(text, D21)._codegen()
+    assert "_pow(" in source
+    assert "_square" not in source and "_root" not in source
 
 
 def test_round_trip_on_registry_style_strings():

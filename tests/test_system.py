@@ -23,15 +23,15 @@ SYS47 = example_4_7(0.5).sys
 
 # hand-coded reference dynamics, independent of the expression engine
 def f23_ref(t, d, x):
-    return np.array([d[0] * x[0], 2.0 ** (-t) * d[0] * abs(x[0]) ** 0.5])
+    return np.array([d[0] * x[0], 2.0 ** (-t) * d[0] * math.sqrt(abs(x[0]))])
 
 
 def f34_ref(t, d, x, u):
-    return np.array([d[0] * x[0], 2.0 ** (-t) * d[0] * abs(x[0]) ** 0.5 + u[0]])
+    return np.array([d[0] * x[0], 2.0 ** (-t) * d[0] * math.sqrt(abs(x[0])) + u[0]])
 
 
 def f47_ref(t, d, x, u):
-    return np.array([x[1], x[1] ** 2 + u[0], d[0] * x[2] + math.exp(t) * x[1]])
+    return np.array([x[1], x[1] * x[1] + u[0], d[0] * x[2] + math.exp(t) * x[1]])
 
 
 class TestStep:
