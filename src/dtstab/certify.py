@@ -10,23 +10,27 @@ passes are evidence at the sampled points only.  A NaN margin fails (the
 witness is its first occurrence), and an empty sample set is a ValueError.
 The attainment-time formula :func:`tau_bound` reports an unbounded result
 when no tau~ up to TAU_SCAN_CAP qualifies or a tail supremum of q is NaN.
+
+The decrease checks and both sandwich sides are (lhs, rhs) pairs run by
+one driver, :func:`_worst_margins`; each side but the decrease's sampled
+sup is one expression that :func:`substitute` builds from V and the gains.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .comparison import S_GRID, KFn, TimeGain, decay_checks, validate_class
+from .comparison import S_GRID, KFn, TimeGain, _num, decay_checks, validate_class
 from .expr import (Bin, Call, Dims, Expr, ExprDomainError, Neg, Num, Var,
                    parse_expression, substitute)
-from .system import (FAIL, PASS, PASS_TOL, CertificateReport, SystemDef,
-                     VectorMap, WorstMargin, _beats, d_candidates,
-                     _FieldsJSON, require_samples,
-                     row_norms, sampled_sup, vecnorm)
+from .system import (_EMPTY, _NO_AUX, FAIL, PASS, PASS_TOL, CertificateReport,
+                     SystemDef, VectorMap, WorstMargin, _beats, _FieldsJSON,
+                     d_candidates, require_samples, row_norms, sampled_sup)
 
 __all__ = [
     "LyapunovCandidate", "CertificateReport", "StateGrid",
@@ -142,11 +146,6 @@ def _d_values(sys, d_values):
     return arr.reshape(len(arr) if arr.ndim > 1 else 1, 0)  # -1 cannot infer rows of 0
 
 
-def _require_grid(grid):
-    require_samples(len(grid.ts), "times")
-    require_samples(len(grid.xs), "states")
-
-
 def _require_zero_at_origin(sys, cand):
     if cand.n != sys.n:
         raise ValueError(f"candidate '{cand.name}' is over n={cand.n} states, "
@@ -161,36 +160,17 @@ def check_sandwich(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
                    tol: float = 1e-9) -> CertificateReport:
     """Two-sided bound a1(||H|| + mu(t)||x||) <= V(t,x) <= a2(beta(t)||x||).
 
-    ``mu=None`` checks the plain form a1(||H||) <= V.  V, H and each gain
-    are one array evaluation over the grid's (t, x) product; when one
-    raises, the point loop runs again, so the first failing point's error
-    is raised.
+    ``mu=None`` checks the plain form a1(||H||) <= V.  Both sides are pairs
+    of :func:`_worst_margins`.
     """
     cand.require("a1", "a2", "beta")
     _require_zero_at_origin(sys, cand)
-    _require_grid(grid)
-    ts, xs = grid.ts, grid.xs
-    tc = np.asarray(ts, dtype=float)[:, None]  # times down, states across
-    try:
-        V = cand.V_rows(tc, xs[None])
-        nY, nx = row_norms(sys.H_rows(tc, xs[None])), row_norms(xs)
-        lo_arg = nY + cand.mu.values(tc) * nx if cand.mu is not None else nY
-        lo_lhs = cand.a1.values(lo_arg)
-        hi_rhs = cand.a2.values(cand.beta.values(tc) * nx)
-    except ExprDomainError:
-        _sandwich_points(sys, cand, grid)
-        raise
-    lo, hi = WorstMargin("states"), WorstMargin("states")
-
-    def witness(lhs, rhs):
-        def at(i):
-            ti, xi = divmod(i, len(xs))
-            return {"t": int(ts[ti]), "x": xs[xi].tolist(), "d": None, "u": None,
-                    "lhs": float(lhs[ti, xi]), "rhs": float(rhs[ti, xi])}
-        return at
-
-    lo.add(lo_lhs - V, V, witness(lo_lhs, V))
-    hi.add(V - hi_rhs, hi_rhs, witness(V, hi_rhs))
+    V, nx = cand._map.exprs[0], _norm([Var(f"x{i + 1}") for i in range(sys.n)])
+    lo_arg = _norm(sys.H_exprs)
+    if cand.mu is not None:
+        lo_arg = Bin("+", lo_arg, Bin("*", cand.mu.expr, nx))
+    lo, hi = _worst_margins(sys, cand, grid, [
+        (_at(cand.a1, lo_arg), V), (V, _at(cand.a2, Bin("*", cand.beta.expr, nx)))])
     lo_v, hi_v = lo.verdict(tol), hi.verdict(tol)
     side, worst = ("upper", hi) if _beats(hi.margin, lo.margin) else ("lower", lo)
     return CertificateReport(
@@ -200,61 +180,70 @@ def check_sandwich(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
                  for name, v, m in (("lower", lo_v, lo), ("upper", hi_v, hi))})
 
 
-def _sandwich_points(sys, cand, grid):
-    """The sandwich's scalar calls in loop order (beta and mu at each t,
-    then V, H, a1 and a2 at each x), so that the first failing point
-    raises."""
-    for t in grid.ts:
-        bt = cand.beta(t)
-        mt = cand.mu(t) if cand.mu is not None else None
-        for x in grid.xs:
-            cand.V_eval(t, x)
-            nY, nx = vecnorm(sys.H_eval(t, x)), vecnorm(x)
-            cand.a1(nY + mt * nx if mt is not None else nY)
-            cand.a2(bt * nx)
+def _norm(args):
+    """The AST norm(args), or 0.0 over no arguments."""
+    return Call("norm", tuple(args)) if args else Num(0.0)
 
 
-def _sup_decrease(sys, cand, grid, rhs_fn, dvals, check_name, tol,
-                  u_values=None):
-    """Shared kernel: sup_d V(t+1, f(t,d,x,u)) <= rhs(t, V0, us) pointwise.
+def _at(gain: KFn, arg):
+    """The AST of ``gain(arg)``; a K function reads t as 0."""
+    return substitute(gain.expr, {"s": arg, "t": Num(0.0)})
 
-    At each time of the grid, one :func:`sampled_sup` call over the (x, u,
-    d) product takes the first maximum over d at each (x, u).
-    ``rhs_fn(t, V0, us)`` gets the V values of the grid's states and the
-    input rows, and returns the right-hand sides as an array broadcastable
-    to (states, inputs).  When the sup or the right-hand sides of a time
-    raise :class:`ExprDomainError`, the time runs again point by point in
-    loop order (at each (x, u) the d loop, then the right-hand side), so
-    the first failing point's error is raised.
+
+def _worst_margins(sys, cand, grid, pairs, dvals=None, u_values=None):
+    """One :class:`WorstMargin` per pair (lhs, rhs) of ``lhs <= rhs``, over
+    the product of the grid's times and states and the input rows
+    ``u_values`` (None: one empty input, whose witness reads u None).
+
+    A side is an expression over (t, x, u), except an lhs of None: V(t+1,
+    f(t, d, x, u)) at its first maximum over the rows ``dvals``, one
+    :func:`sampled_sup` call per time, whose witness carries that d.  The
+    other sides are one :meth:`VectorMap.rows` call over the product.  When
+    an evaluation raises :class:`ExprDomainError`, the product runs again
+    point by point in nested-loop order, at each (t, x, u) each pair in
+    turn, its lhs (at each d) and then its rhs, so the first failing
+    point's error is raised.
     """
+    ts, xs = grid.ts, grid.xs
+    require_samples(len(ts), "times")
+    require_samples(len(xs), "states")  # sampled_sup checks d, u
     us = np.zeros((1, 0)) if u_values is None else u_values
-    _require_grid(grid)  # sampled_sup checks d, u
-    xs = grid.xs
-    sets = (("x", xs), ("u", us), ("d", dvals))
-    worst = WorstMargin("states")
-    for t in grid.ts:
-        V0 = cand.V_rows(t, xs)
-        try:
-            sup_v, arg_d = sampled_sup(sys, (("t", [t]),) + sets,
-                                       lambda F, idx: cand.V_rows(t + 1, F), keep=3)
-            sup_v, arg_d = sup_v[0], arg_d[0]
-            rhs = np.broadcast_to(rhs_fn(t, V0, us), sup_v.shape)
-        except ExprDomainError:
-            for xi, x in enumerate(xs):
-                for ui, u in enumerate(us):
+    sides = {id(e): e for pair in pairs for e in pair if e is not None}
+    try:
+        if dvals is not None:
+            succ, arg_d = map(np.concatenate, zip(*(
+                sampled_sup(sys, (("t", [t]), ("x", xs), ("u", us), ("d", dvals)),
+                            lambda F, idx: cand.V_rows(t + 1, F), keep=3) for t in ts)))
+        rows = VectorMap(list(sides.values()), "sides").rows(
+            np.asarray(ts, dtype=float)[:, None, None], xs[None, :, None], None,
+            us[None, None])
+    except ExprDomainError:
+        for t, x, u in itertools.product(ts, xs, us):
+            for side in (e for pair in pairs for e in pair):
+                if side is None:
                     for d in dvals:
                         cand.V_eval(t + 1, sys.f_eval(t, d, x, u))
-                    rhs_fn(t, V0[xi:xi + 1], us[ui:ui + 1])
-            raise
+                else:
+                    side.compiled()(float(t), x, _EMPTY, u, _NO_AUX)
+        raise
+    values = dict(zip(sides, np.moveaxis(rows, -1, 0)))
+    margins = []
+    for lhs, rhs in pairs:
+        L, R = succ if lhs is None else values[id(lhs)], values[id(rhs)]
 
         def witness(i):
-            xi, ui = divmod(i, len(us))
-            return {"t": int(t), "x": xs[xi].tolist(),
-                    "d": dvals[arg_d[xi, ui]].tolist(),
-                    "u": us[ui].tolist() if u_values is not None else None,
-                    "lhs": float(sup_v[xi, ui]), "rhs": float(rhs[xi, ui])}
+            at = np.unravel_index(i, R.shape)
+            return {"t": int(ts[at[0]]), "x": xs[at[1]].tolist(),
+                    "d": None if lhs is not None else dvals[arg_d[at]].tolist(),
+                    "u": None if u_values is None else us[at[2]].tolist(),
+                    "lhs": float(L[at]), "rhs": float(R[at])}
 
-        worst.add(sup_v - rhs, rhs, witness)
+        margins.append(WorstMargin("states"))
+        margins[-1].add(L - R, R, witness)
+    return margins
+
+
+def _decrease_report(check_name, worst, tol):
     return CertificateReport(check_name, worst.verdict(tol), worst.margin,
                              worst.witness, worst.samples, tol)
 
@@ -267,10 +256,9 @@ def check_contraction(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
     cand.require("lam")
     _require_zero_at_origin(sys, cand)
     dvals = _d_values(sys, d_values)
-    lam = cand.lam
-    return _sup_decrease(sys, cand, grid,
-                         lambda t, V0, us: (lam * V0)[:, None], dvals,
-                         "contraction", tol)
+    rhs = Bin("*", _num(cand.lam), cand._map.exprs[0])
+    worst, = _worst_margins(sys, cand, grid, [(None, rhs)], dvals)
+    return _decrease_report("contraction", worst, tol)
 
 
 def _require_decaying(q: TimeGain):
@@ -296,10 +284,10 @@ def check_relaxed_decrease(sys: SystemDef, cand: LyapunovCandidate,
         raise ValueError(f"a3(s) <= s violated, witness {bad[0]}")
     _require_decaying(cand.q)
     dvals = _d_values(sys, d_values)
-    a3, q = cand.a3, cand.q
-    return _sup_decrease(sys, cand, grid,
-                         lambda t, V0, us: (V0 - a3.values(V0) + q(t))[:, None],
-                         dvals, "relaxed-decrease", tol)
+    V = cand._map.exprs[0]
+    rhs = Bin("+", Bin("-", V, _at(cand.a3, V)), cand.q.expr)
+    worst, = _worst_margins(sys, cand, grid, [(None, rhs)], dvals)
+    return _decrease_report("relaxed-decrease", worst, tol)
 
 
 def check_ios_decrease(sys: SystemDef, cand: LyapunovCandidate,
@@ -312,12 +300,11 @@ def check_ios_decrease(sys: SystemDef, cand: LyapunovCandidate,
     _require_zero_at_origin(sys, cand)
     dvals = _d_values(sys, d_values)
     u_values = np.asarray(u_values, dtype=float).reshape(-1, sys.k)
-    lam, a3, phi = cand.lam, cand.a3, cand.phi
-    return _sup_decrease(
-        sys, cand, grid,
-        lambda t, V0, us: (lam * V0[:, None]
-                           + a3.values(phi(t) * row_norms(us))[None, :]),
-        dvals, "ios-decrease", tol, u_values=u_values)
+    nu = _norm([Var(f"u{i + 1}") for i in range(sys.k)])
+    rhs = Bin("+", Bin("*", _num(cand.lam), cand._map.exprs[0]),
+              _at(cand.a3, Bin("*", cand.phi.expr, nu)))
+    worst, = _worst_margins(sys, cand, grid, [(None, rhs)], dvals, u_values)
+    return _decrease_report("ios-decrease", worst, tol)
 
 
 # --- attainment-time formula ---

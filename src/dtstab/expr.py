@@ -486,7 +486,8 @@ def _elementwise(kernel, fast):
 def _array_div(a, b):
     if not _has_array(a, b):
         return _div(a, b)
-    if np.any(np.equal(b, 0.0)):
+    # a zero of either sign is the only falsy float; NaN is truthy
+    if (not b.all()) if isinstance(b, np.ndarray) else b == 0.0:
         raise ExprDomainError("division by zero")
     return np.true_divide(a, b)
 
@@ -505,7 +506,8 @@ def _array_root(a):
 def _array_sqrt(a):
     if not _has_array(a):
         return _sqrt(a)
-    if np.any(a < 0.0):
+    # the least value but NaN (0.0 if none): one reduction
+    if np.fmin.reduce(a, axis=None, initial=0.0) < 0.0:
         raise ExprDomainError("sqrt of a negative number")
     return np.sqrt(a)
 

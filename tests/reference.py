@@ -457,21 +457,20 @@ def sup_f_sampler(sys, cfg, seed):
 
 def sup_decrease(sys, cand, grid, rhs_fn, dvals, check_name, tol=1e-9,
                  u_values=None):
-    """``certify._sup_decrease`` as nested point loops: at each (t, x, u) the
+    """The decrease checks as nested point loops: at each (t, x, u) the
     first maximum over d of V(t+1, f(t, d, x, u)) through ``f_eval`` and
     ``V_eval`` (a NaN wins) against one ``rhs_fn(t, x, V(t, x), u)`` call."""
     us = np.zeros((1, 0)) if u_values is None else u_values
     worst = Worst()
     for t in grid.ts:
-        V0 = [cand.V_eval(t, x) for x in grid.xs]
-        for x, v0 in zip(grid.xs, V0):
+        for x in grid.xs:
             for u in us:
                 lhs, arg = None, None
                 for j, d in enumerate(dvals):
                     v = cand.V_eval(t + 1, sys.f_eval(t, d, x, u))
                     if lhs is None or beats(v, lhs):
                         lhs, arg = v, j
-                rhs = rhs_fn(t, x, v0, u)
+                rhs = rhs_fn(t, x, cand.V_eval(t, x), u)
                 worst.add(lhs - rhs, rhs, lambda: {
                     "t": int(t), "x": x.tolist(), "d": dvals[arg].tolist(),
                     "u": u.tolist() if u_values is not None else None,
@@ -504,12 +503,11 @@ def check_sandwich(sys, cand, grid, tol=1e-9):
     gains a1 and a2 by their scalar calls."""
     lo, hi = Worst(), Worst()
     for t in grid.ts:
-        bt = cand.beta(t)
-        mt = cand.mu(t) if cand.mu is not None else None
         for x in grid.xs:
-            V, nx, nY = cand.V_eval(t, x), vecnorm(x), vecnorm(sys.H_eval(t, x))
-            lhs = cand.a1(nY + mt * nx if mt is not None else nY)
-            rhs = cand.a2(bt * nx)
+            nx, nY = vecnorm(x), vecnorm(sys.H_eval(t, x))
+            lhs = cand.a1(nY + cand.mu(t) * nx if cand.mu is not None else nY)
+            V = cand.V_eval(t, x)
+            rhs = cand.a2(cand.beta(t) * nx)
             for side, margin, a, b in ((lo, lhs - V, lhs, V), (hi, V - rhs, V, rhs)):
                 side.add(margin, b, lambda a=a, b=b: {
                     "t": int(t), "x": x.tolist(), "d": None, "u": None,

@@ -58,6 +58,19 @@ def test_domain_error_raised_iff_some_point_raises():
         fn(0.0, np.array([[1.0, -2.0], [3.0, 4.0]]), None, None, {})
     with pytest.raises(ExprDomainError):
         fn(0.0, np.array([[1.0, 2.0], [3.0, 0.0]]), None, None, {})
+    # sqrt and division test their domain by one reduction over the column
+    # (division by a literal by one float test): columns of special values,
+    # NaN mixed with zeros among them, raise iff some point raises
+    columns = [[math.nan], [-0.0], [0.0], [5e-324], [-5e-324], [math.inf],
+               [-math.inf], [math.nan, 0.0], [0.0, math.nan], [math.nan, -0.0],
+               [math.nan, -1.0], [math.nan, math.nan], [2.0, -0.0, math.nan]]
+    for text in ("sqrt(x1)", "1/x1", "x1/x1", "x1/0", "x1/-0", "x1/2"):
+        node = parse_expression(text, Dims(n=1))
+        for col in columns:
+            assert ref.outcome(lambda: node.batched()(
+                0.0, np.array([col]), None, None, {})) == ref.outcome(
+                lambda: np.array([node.compiled()(0.0, np.array([v]), None, None, {})
+                                  for v in col])), (text, col)
 
 
 @pytest.mark.parametrize("text, rows", [

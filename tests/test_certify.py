@@ -14,11 +14,12 @@ from dtstab.certify import (LyapunovCandidate, StateGrid,
 from dtstab.comparison import (constant, geometric, identity, kfn_from_expr,
                                linear, power_fn, timegain_from_expr,
                                validate_class)
-from dtstab.expr import Dims, ExprDomainError, parse_expression
+from dtstab.expr import (Dims, Env, ExprDomainError, eval_expression,
+                         parse_expression)
 from dtstab.registry import (LAM_SQRT_PLANT, Q_SQRT_PLANT_C,
                              Q_SQRT_PLANT_RATIO, example_2_3, example_3_4,
                              example_4_7)
-from dtstab.system import RandomDisturbance, SystemDef, simulate
+from dtstab.system import RandomDisturbance, SystemDef, simulate, vecnorm
 
 B23, B34 = example_2_3(), example_3_4()
 D23 = np.array([[-2.0], [-1.0], [0.0], [1.0], [2.0]])
@@ -633,6 +634,66 @@ def test_decrease_raises_the_first_failing_points_error():
     want = ("ExprDomainError", "sqrt of a negative number")
     assert ref.outcome(lambda: check_relaxed_decrease(sys, cand, grid)) == ref.outcome(
         lambda: ref.check_relaxed_decrease(sys, cand, grid, no_d)) == ("[]", want)
+
+
+# --- witnesses replayed through the tree walker ---
+
+def _tree(e, t, x=(), d=(), u=(), **aux):
+    return eval_expression(e, Env(t=t, x=x, d=d, u=u, aux=aux))
+
+
+def _replayed(check, sys, cand, w):
+    """(lhs, rhs) of a certificate check at the witness's (t, x, d, u), from
+    V, f, H and the gains by the tree walker."""
+    V = parse_expression(cand.V, Dims(n=cand.n)) if isinstance(cand.V, str) else cand.V
+    t, x, u = w["t"], w["x"], w["u"] or []
+    v, nx = _tree(V, t, x), vecnorm(x)
+    kfn = lambda gain, s: _tree(gain.expr, 0.0, s=s)  # noqa: E731
+    gain = lambda g: _tree(g.expr, t)  # noqa: E731
+    if check == "lower":
+        nY = vecnorm([_tree(h, t, x) for h in sys.H_exprs])
+        return kfn(cand.a1, nY + gain(cand.mu) * nx if cand.mu is not None else nY), v
+    if check == "upper":
+        return v, kfn(cand.a2, gain(cand.beta) * nx)
+    F = [_tree(f, t, x, w["d"], u) for f in sys.f_exprs]
+    rhs = {"contraction": lambda: cand.lam * v,
+           "relaxed-decrease": lambda: v - kfn(cand.a3, v) + gain(cand.q),
+           "ios-decrease": lambda: cand.lam * v + kfn(cand.a3, gain(cand.phi) * vecnorm(u))}
+    return _tree(V, t + 1, F), rhs[check]()
+
+
+def off_origin(grid):
+    """``grid`` without the origin, whose margins are 0 in every check."""
+    return StateGrid(ts=grid.ts, xs=grid.xs[np.any(grid.xs != 0.0, axis=1)])
+
+
+def test_witnesses_replay_through_the_tree_walker():
+    # each certificate check of the bundled examples on their self-test
+    # grids less the origin, a sandwich with mu, and an input-driven decrease
+    g23 = off_origin(grid23())
+    with_mu = dataclasses.replace(B23.cand, mu=geometric(0.5, 0.5))
+    ios = LyapunovCandidate(V=B23.cand.V, n=2, lam=0.9, a3=power_fn(2.0),
+                            phi=timegain_from_expr("1 + 2^(-t)"))
+    runs = [(B23.sys, B23.cand, check_sandwich(B23.sys, B23.cand, g23)),
+            (B23.sys, with_mu, check_sandwich(B23.sys, with_mu, g23)),
+            (B23.sys, B23.cand, check_relaxed_decrease(B23.sys, B23.cand, g23,
+                                                       d_values=D23)),
+            (B34.sys, ios, check_ios_decrease(B34.sys, ios, g23, [[-1.0], [0.5], [3.0]],
+                                              d_values=D23))]
+    axis = [0.0, 1.0, -1.0, 5.0, -5.0]
+    g47 = off_origin(StateGrid.from_axes(range(0, 11), axis, axis, axis))
+    for r in (0.0, 0.5, 0.9):
+        b47 = example_4_7(r)
+        runs += [(b47.sys, b47.cand, check_sandwich(b47.sys, b47.cand, g47)),
+                 (b47.closed, b47.cand, check_contraction(b47.closed, b47.cand, g47,
+                                                          tol=1e-12))]
+    for sys, cand, rep in runs:
+        sides = ({k: d["witness"] for k, d in rep.details.items()}
+                 if rep.check == "sandwich" else {rep.check: rep.witness})
+        for check, w in sides.items():
+            assert w["lhs"] != 0.0 or w["rhs"] != 0.0
+            assert ref.same_bits(_replayed(check, sys, cand, w),
+                                 (w["lhs"], w["rhs"])), (sys.name, check, w)
 
 
 # --- the graph transform and the composed V against their closures ---

@@ -1,19 +1,20 @@
 """Each fast path against its plain-loop reference in ``reference.py``, on
 generated expression systems and trajectory batches.
 
-One strategy draws systems with n, m and k in 0..3 and f, H and h built
-on the shared expression strategy, so values run through NaN, inf,
-overflow and domain errors; another draws ragged trajectory batches whose
-outputs and inputs take every special value.  ``sampled_sup`` cases draw
-a set of times as one more axis of the product.  Each pair compares bits
-(a NaN's sign aside) and, where the reference raises, the exception's
-type and message.  A raising array call is evaluated again point by point
+One strategy draws systems with n, m and k in 0..3 (k >= 1 for the
+inf-sup over a measured-output fiber) and f, H and h built on the shared
+expression strategy, so values run through NaN, inf, overflow and domain
+errors; another draws ragged trajectory batches whose outputs and inputs
+take every special value.  ``sampled_sup`` cases draw a set of times as
+one more axis of the product.  Each pair compares bits (a NaN's sign
+aside) and, where the reference raises, the exception's type and
+message.  A raising array call is evaluated again point by point
 (``VectorMap.rows``, a gain's ``values``, a ``sampled_sup`` slab's f and
-score, a decrease check's time, the sandwich check's maps and gains,
-``_ios_bounds``'s gains row by row), and a search rolls a raising block
-again through ``simulate``, so their messages match.  One pair compares
-the type alone: the tree walker's messages name the failing
-subexpression.
+score, ``_ios_bounds``'s gains row by row), the certificate checks' one
+driver runs its whole (t, x, u) product again in nested-loop order, and
+a search rolls a raising block again through ``simulate``, so their
+messages match.  One pair compares the type alone: the tree walker's
+messages name the failing subexpression.
 Hypothesis runs derandomized (``conftest.py``), ``max_examples`` fixed.
 """
 
@@ -28,7 +29,7 @@ import dtstab.system as system_mod
 import reference as ref
 from dtstab.certify import (LyapunovCandidate, StateGrid, check_contraction,
                             check_ios_decrease, check_relaxed_decrease,
-                            check_sandwich)
+                            check_rofs_inf_sup, check_sandwich)
 from dtstab.comparison import (KLEnvelope, constant, geometric, identity,
                                kfn_from_expr, linear, power_fn,
                                timegain_from_expr)
@@ -46,11 +47,12 @@ def assert_same_outcome(fast, slow, message=True):
 # --- generated systems ---
 
 @st.composite
-def systems(draw):
-    """An expression system: n, m and k in 0..3, a box of positive widths,
-    f_i = a + d_j * b and one or two outputs c + x_j (H, and h or not), a, b
-    and c drawn, so that a greedy disturbance has scores to choose from."""
-    n, m, k = (draw(st.integers(0, 3)) for _ in range(3))
+def systems(draw, min_k=0):
+    """An expression system: n and m in 0..3 and k in min_k..3, a box of
+    positive widths, f_i = a + d_j * b and one or two outputs c + x_j (H,
+    and h or not), a, b and c drawn, so that a greedy disturbance has scores
+    to choose from."""
+    n, m, k = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(min_k, 3))
     box = [[lo, lo + draw(st.floats(0.5, 4.0))] for lo in
            (draw(st.floats(-4.0, 4.0)) for _ in range(m))]
     xs = [f"x{i + 1}" for i in range(n)]
@@ -275,6 +277,10 @@ def decrease_case(f, V, a3, xs):
 @example(decrease_case("3*sqrt(x1 + 1) - 3", "log(2 - x1) - log(2)", "s", [1.9, -2.0]))
 # a3 fails at the first state's right-hand side and f at the second: a3's
 @example(decrease_case("log(x1 + 3)", "x1", "s*sqrt(s)/(1+s)", [-1.0, -4.0]))
+# V(t+1, f) fails at the first state (sqrt) and V(t, x) at the second (log):
+# the first state's successor is raised, in one nested-loop order
+@example(decrease_case("x1 - 3", "log(2 - x1) - log(2) + sqrt(1 + x1) - 1", "s",
+                       [0.0, 5.0]))
 def test_certificate_checks_equal_their_loops(case):
     sys, cand, grid, dvals, us = case
     assert_same_outcome(lambda: check_sandwich(sys, cand, grid),
@@ -287,6 +293,50 @@ def test_certificate_checks_equal_their_loops(case):
                         lambda: ref.check_contraction(sys, cand, grid, dvals))
     assert_same_outcome(lambda: check_relaxed_decrease(sys, cand, grid, d_values=dvals),
                         lambda: ref.check_relaxed_decrease(sys, cand, grid, dvals))
+
+
+# --- the static output-feedback inf-sup check against its loops ---
+
+@st.composite
+def rofs_cases(draw):
+    """(system with k >= 1, candidate, fiber rows, u candidates, times,
+    outputs, d values, mode): the fiber sampler returns the drawn rows,
+    none or some, at every (t, y)."""
+    sys = draw(systems(min_k=1))
+    kind = draw(st.sampled_from(["norm", "decaying", "nan far", "raises"]))
+    cand = LyapunovCandidate(V=candidate_V(sys.n, kind), n=sys.n,
+                             lam=draw(st.sampled_from([0.5, 0.9])))
+    return (sys, cand, rows(draw, draw(st.integers(0, 4)), sys.n),
+            rows(draw, draw(st.integers(1, 3)), sys.k),
+            sorted(draw(st.sets(st.integers(0, 4), min_size=1, max_size=2))),
+            list(rows(draw, draw(st.integers(1, 2)), sys.p_y)),
+            rows(draw, draw(st.integers(1, 3)), sys.m),
+            draw(st.sampled_from(["plain", "strong", "zero"])))
+
+
+def rofs_case(mode):
+    """A hand-picked case: x1 steered by d1*u1 from a fiber with two
+    zero-output states, so that the strong mode keeps the input 0 only."""
+    sys = SystemDef(n=2, m=1, k=1, d_box=[[-1.0, 1.0]], f=["x1 + d1*u1", "0.5*x2"],
+                    H=["x1"])
+    cand = LyapunovCandidate(V="norm(x1, x2)", n=2, lam=0.9)
+    return (sys, cand, np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]]),
+            np.array([[0.0], [1.0], [-2.0]]), [0, 3], [np.zeros(1), np.ones(1)],
+            np.array([[-1.0], [0.5], [1.0]]), mode)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rofs_cases())
+@example(rofs_case("plain"))
+@example(rofs_case("strong"))
+@example(rofs_case("zero"))
+def test_rofs_equals_its_loops(case):
+    sys, cand, fiber, us, ts, ys, dvals, mode = case
+    sampler = lambda t, y: fiber  # noqa: E731
+    assert_same_outcome(
+        lambda: check_rofs_inf_sup(sys, cand, sampler, us, ts, ys, mode=mode,
+                                   d_values=dvals),
+        lambda: ref.check_rofs_inf_sup(sys, cand, sampler, us, ts, ys, dvals, mode=mode))
 
 
 # --- the envelope bounds and checks against their row loops ---
