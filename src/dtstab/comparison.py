@@ -158,7 +158,8 @@ def _gain_values(expr, arr, t, aux) -> np.ndarray:
     is the first failing element's."""
     out = np.empty(arr.shape)
     try:
-        out[...] = expr.batched()(t, _EMPTY, _EMPTY, _EMPTY, aux)  # or a float
+        with np.errstate(all="ignore"):  # IEEE results, no warnings
+            out[...] = expr.batched()(t, _EMPTY, _EMPTY, _EMPTY, aux)  # or a float
     except ExprDomainError:
         point = expr.compiled()
         t = np.broadcast_to(t, arr.shape)

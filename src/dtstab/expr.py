@@ -284,6 +284,9 @@ class Expr:
         a column, or a float when the value does not depend on the slab.  Bit-identical to
         :meth:`compiled` at every point (NaN signs aside, see the module
         docstring); raises :class:`ExprDomainError` iff some point would.
+        The function runs under the caller's numpy error state: enter
+        ``np.errstate(all="ignore")`` around a call for IEEE results without
+        warnings.
         """
         fn = getattr(self, "_batched", None)
         if fn is None:
@@ -577,13 +580,14 @@ def _scalar_code(source):
 @functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
 def _array_code(source):
     # globals stay _ARRAY_NAMESPACE itself: a patched kernel is seen at call time
-    columns = _compile(source, _ARRAY_NAMESPACE)
+    return _compile(source, _ARRAY_NAMESPACE)
 
-    def fn(t, x, d, u, aux):
-        with np.errstate(all="ignore"):  # IEEE results, no warnings
-            return columns(t, x, d, u, aux)
 
-    return fn
+def _columns_code(exprs):
+    """``fn(t, x, d, u, aux)`` -> the tuple of every expression's array value
+    (see :meth:`Expr.batched`): one code object for a whole map, from the
+    same cache."""
+    return _array_code("(" + "".join(f"{e._codegen()}, " for e in exprs) + ")")
 
 
 # --- tokenizer ---

@@ -26,7 +26,7 @@ from .system import (FAIL, ConstantDisturbance, ConstantInput,
                      SystemDef, Trajectory, WorstMargin, ZeroInput,
                      bind_inputs, d_candidates, first_max,
                      output_maps, require_samples, row_norms, simulate,
-                     _beats, _FieldsJSON)
+                     _beats, _EMPTY, _FieldsJSON, _NO_AUX)
 
 __all__ = [
     "FalsifyBudget", "StabilityReport", "EnvelopeReport",
@@ -309,21 +309,24 @@ def _roll(sys, specs, horizon):
     Only the policy kinds the search builds are rolled; any other, or a
     greedy adversary on a grid other than ``_GREEDY_GRID``, raises
     TypeError.  Zero, constant and sequence inputs and corner and random
-    disturbances do not read the state, so their (B, N, .) tables are
-    filled before the first step; a random row's table is one
-    ``RandomDisturbance.table`` call, equal to the N picks ``simulate``
-    makes from its generator.
+    disturbances do not read the state, so their tables are filled before
+    the first step; a random row's table is one ``RandomDisturbance.table``
+    call, equal to the N picks ``simulate`` makes from its generator.
 
-    Each greedy trajectory steps as C rows, one per candidate d of the
-    output-seeking adversary.  A step makes one ``f_rows`` call over the
-    other rows and all candidate rows and one ``H_rows`` call at t + 1 over
-    the results, plus one ``h_rows`` call when the system has its own h.
+    The block's state is kept component first: x, d, u, Y and y are (N,
+    dim, B) arrays, so each step hands (dim, R) columns straight to the
+    maps' fused array code (``VectorMap._columns``), and the whole roll runs
+    under one ``np.errstate``.  Each greedy trajectory steps as C rows, one
+    per candidate d of the output-seeking adversary.  A step makes one f
+    call at t over the other rows and all candidate rows and one H call at
+    t + 1 over f's columns, plus one h call when the system has its own h.
     Each greedy row then takes ``GreedyDisturbance.__call__``'s pick, the
     first strict maximum of ||H(t + 1, f)||, never a NaN, ``cands[0]`` when
     every score is NaN; the picked candidate's successor and output are the
     row's next state and output.  The last step evaluates the candidate
     rows only.  Times are a column of per-row times, or one float when the
-    whole block starts at the same t0.
+    whole block starts at the same t0.  Each trajectory's (N, dim) arrays
+    are transposed out of the block once, at the end.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -338,71 +341,75 @@ def _roll(sys, specs, horizon):
                 ConstantDisturbance, RandomDisturbance, GreedyDisturbance):
             raise TypeError(f"no disturbance table for {dpol.descriptor()}")
     greedy = [type(dpol) is GreedyDisturbance for dpol in dpols]
-    # row i of the block's arrays is spec order[i]: the greedy rows last
+    # column i of the block's arrays is spec order[i]: the greedy rows last
     order = sorted(range(B), key=greedy.__getitem__)
     G = sum(greedy)
     rest = B - G
     Ti = np.array([t0s[j] for j in order])[:, None] + np.arange(N)
-    X = np.empty((B, N, n))
-    D = np.empty((B, N, sys.m))
-    U = np.zeros((B, N, sys.k))
-    Yv = np.empty((B, N, sys.p_Y))
+    X = np.empty((N, n, B))
+    D = np.empty((N, sys.m, B))
+    U = np.zeros((N, sys.k, B))
+    Yv = np.empty((N, sys.p_Y, B))
     box = sys.d_box
     for i, j in enumerate(order):
         upol, dpol = upols[j], dpols[j]
         if type(upol) is ConstantInput:
-            U[i] = upol.value
+            U[:, :, i] = upol.value
         elif type(upol) is SequenceInput:
             k = Ti[i] - upol.t0
             inside = (k >= 0) & (k < upol.values.shape[0])
-            U[i, inside] = upol.values[k[inside]]  # zeros outside the table
+            U[inside, :, i] = upol.values[k[inside]]  # zeros outside the table
         if type(dpol) is ConstantDisturbance:
-            D[i] = dpol.value
+            D[:, :, i] = dpol.value
         elif type(dpol) is RandomDisturbance:
-            D[i] = dpol.table(box, N)
+            D[:, :, i] = dpol.table(box, N)
     # one start time: a term of t alone is evaluated once a step, as a scalar
     t0 = float(t0s[0]) if len(set(t0s)) == 1 else Ti[:, 0].astype(float)
-    X[:, 0] = np.array([X0[j] for j in order], dtype=float).reshape(B, n)
-    Yv[:, 0] = sys.H_rows(t0, X[:, 0])
-    yv = None if sys.h is None else np.empty((B, N, sys.p_y))
+    X[0] = np.array([X0[j] for j in order], dtype=float).reshape(B, n).T
+    f, H, h = sys._fmap._columns, sys._Hmap._columns, sys._hmap._columns
+    yv = None if sys.h is None else np.empty((N, sys.p_y, B))
     cands = (d_candidates(box, grid=_GREEDY_GRID, random=0) if G
              else np.empty((0, sys.m)))
     C = len(cands)
-    # the rows a step evaluates, by the block row whose x and u they read:
-    # the other rows, then C per greedy row, the candidates in order
+    # the columns a step evaluates, by the block column whose x and u they
+    # read: the other rows, then C per greedy row, the candidates in order
     src = np.concatenate([np.arange(rest), np.repeat(np.arange(rest, B), C)])
-    Xs, Ds, Us = (np.empty((src.size, dim)) for dim in (n, sys.m, sys.k))
-    Ds[rest:] = np.tile(cands, (G, 1))
+    Xs, Ds, Us, Fs, Ys = (np.empty((dim, src.size))
+                          for dim in (n, sys.m, sys.k, n, sys.p_Y))
+    Ds[:, rest:] = np.tile(cands.T, G)
     ts = t0 if isinstance(t0, float) else t0[src]
-    succ = np.arange(B)  # the evaluated row that is each block row's successor
-    first = rest + np.arange(G) * C  # each greedy row's first candidate row
-    for s in range(N):
-        x = X[:, s]
-        if yv is not None:
-            yv[:, s] = sys.h_rows(t0 + s, x)
-        last = s + 1 == N
-        if last and not G:
-            break
-        # every index is in range: mode "clip" only skips take's buffering
-        x.take(src, axis=0, out=Xs, mode="clip")
-        U[:, s].take(src, axis=0, out=Us, mode="clip")
-        Ds[:rest] = D[:rest, s]
-        rows = slice(rest if last else 0, None)  # the last step: candidates only
-        t = ts + s if isinstance(ts, float) else ts[rows] + s
-        F = sys.f_rows(t, Xs[rows], Ds[rows], Us[rows])
-        Yn = sys.H_rows(t + 1.0, F)
-        if G:
-            score = row_norms(Yn[len(Yn) - G * C:]).reshape(G, C)
-            # a norm is never negative, so a NaN scored -1 is never picked
-            # over a number, and an all-NaN row picks cands[0]
-            best = np.fmax(score, -1.0, out=score).argmax(axis=1)
-            cands.take(best, axis=0, out=D[rest:, s], mode="clip")
-            np.add(first, best, out=succ[rest:])
-        if not last:
-            F.take(succ, axis=0, out=X[:, s + 1], mode="clip")
-            Yn.take(succ, axis=0, out=Yv[:, s + 1], mode="clip")
-    if yv is None:
-        yv = Yv.copy()  # y reuses H, in an array of its own
+    succ = np.arange(B)  # the evaluated column that is each block column's successor
+    first = rest + np.arange(G) * C  # each greedy row's first candidate column
+    with np.errstate(all="ignore"):  # IEEE results, no warnings
+        _fill(Yv[0], H(t0, X[0], _EMPTY, _EMPTY, _NO_AUX))
+        for s in range(N):
+            x = X[s]
+            if yv is not None:
+                _fill(yv[s], h(t0 + s, x, _EMPTY, _EMPTY, _NO_AUX))
+            last = s + 1 == N
+            if last and not G:
+                break
+            # every index is in range: mode "clip" only skips take's buffering
+            x.take(src, axis=1, out=Xs, mode="clip")
+            U[s].take(src, axis=1, out=Us, mode="clip")
+            Ds[:, :rest] = D[s, :, :rest]
+            rows = slice(rest if last else 0, None)  # the last step: candidates only
+            t = ts + s if isinstance(ts, float) else ts[rows] + s
+            F = _fill(Fs[:, rows], f(t, Xs[:, rows], Ds[:, rows], Us[:, rows], _NO_AUX))
+            Yn = _fill(Ys[:, rows], H(t + 1.0, F, _EMPTY, _EMPTY, _NO_AUX))
+            if G:
+                score = row_norms(Yn[:, Yn.shape[1] - G * C:].T).reshape(G, C)
+                # a norm is never negative, so a NaN scored -1 is never picked
+                # over a number, and an all-NaN row picks cands[0]
+                best = np.fmax(score, -1.0, out=score).argmax(axis=1)
+                D[s, :, rest:] = cands[best].T
+                np.add(first, best, out=succ[rest:])
+            if not last:
+                F.take(succ, axis=1, out=X[s + 1], mode="clip")
+                Yn.take(succ, axis=1, out=Yv[s + 1], mode="clip")
+    X, D, U, Yv = (np.ascontiguousarray(A.transpose(2, 0, 1)) for A in (X, D, U, Yv))
+    # y reuses H in an array of its own
+    yv = Yv.copy() if yv is None else np.ascontiguousarray(yv.transpose(2, 0, 1))
     trajs = [None] * B
     for i, j in enumerate(order):
         trajs[j] = Trajectory(t0=t0s[j], t=Ti[i], x=X[i], d=D[i], u=U[i],
@@ -410,6 +417,13 @@ def _roll(sys, specs, horizon):
                               meta={"d_policy": dpols[j].descriptor(),
                                     "u_policy": upols[j].descriptor(), **metas[j]})
     return trajs
+
+
+def _fill(out, values):
+    """``out`` with row j set to a fused map's entry j (a float fills)."""
+    for j, value in enumerate(values):
+        out[j] = value
+    return out
 
 
 def search_trajectories(sys: SystemDef, t0s: Sequence[int], radius: float,

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .expr import (Dims, Expr, ExprDomainError, parse_expression, row_norms,
-                   substitute, vecnorm)
+                   substitute, vecnorm, _columns_code)
 
 __all__ = [
     "SystemDef", "Trajectory", "SampleConfig", "ReachableBound",
@@ -58,8 +58,8 @@ class VectorMap:
     (strings are parsed against dimensions ``n``, ``m``, ``k``); a callable,
     or one string or AST not in a list, is refused with
     :class:`SystemFileError`.  The map is evaluated by :meth:`eval` at one
-    point and by :meth:`rows` over row sets that broadcast (one array
-    evaluation per component), equal bit for bit, errors included: of
+    point and by :meth:`rows` over row sets that broadcast (one fused array
+    call for all components), equal bit for bit, errors included: of
     several failing points, the first in C order raises.  ``dim``, when
     given, must match the expression count.
     """
@@ -90,9 +90,11 @@ class VectorMap:
         return [e.compiled() for e in self.exprs]
 
     @functools.cached_property
-    def _arrays(self):
-        """The array evaluators, fetched at the first :meth:`rows` call."""
-        return [e.batched() for e in self.exprs]
+    def _columns(self):
+        """The one array evaluator, ``fn(t, x, d, u, aux)`` -> a tuple of
+        the components' columns (or floats), fetched at the first array call;
+        it runs under the caller's ``np.errstate``."""
+        return _columns_code(self.exprs)
 
     def eval(self, t, x, d=_EMPTY, u=_EMPTY) -> np.ndarray:
         """The map at one point: a float ``t`` and float vectors."""
@@ -111,11 +113,12 @@ class VectorMap:
         sign bits aside, see :mod:`dtstab.expr`).  Row-aligned (N, ·) sets
         with one time or a 1-D array of N per-row times give (N, dim); a
         per-row column of times is 1-D, since an (N, 1) one broadcasts
-        against the rows to (N, N).  A component is one array evaluation
-        over the sets' columns, each at its own shape, so a term that reads
-        only t runs once per time and a term that reads only the outer rows
-        once per outer row, not once per point.  A t of one element is
-        passed as a float.
+        against the rows to (N, N).  The sets are handed over component
+        first, and one call of the fused code object evaluates every
+        component under one ``np.errstate``; each operation runs at its
+        operands' own shape, so a term that reads only t runs once per time
+        and a term that reads only the outer rows once per outer row, not
+        once per point.  A t of one element is passed as a float.
 
         On :class:`ExprDomainError`, :meth:`eval` runs at each point of S in
         C order, so the first failing point's error is raised."""
@@ -137,8 +140,10 @@ class VectorMap:
             cols = (X.T, _EMPTY if D is None else D.T, _EMPTY if U is None else U.T)
         out = np.empty(shape + (self.dim,))
         try:
-            for j, fn in enumerate(self._arrays):
-                out[..., j] = fn(t, *cols, _NO_AUX)  # a float fills
+            with np.errstate(all="ignore"):  # IEEE results, no warnings
+                values = self._columns(t, *cols, _NO_AUX)
+            for j, value in enumerate(values):
+                out[..., j] = value  # a float fills
         except ExprDomainError:
             t = np.broadcast_to(t, shape)
             sets = [None if A is None else np.broadcast_to(A, shape + A.shape[-1:])

@@ -99,8 +99,29 @@ def map_cases(draw):
     return sys, name, t, rows(draw, N, sys.n), D, U
 
 
+# the fused tuple holds floats: a component of t alone (a float at one time,
+# a column at per-row times), constants, and f of n = 0 with no component
+T_ONLY = SystemDef(n=2, m=1, k=0, d_box=[[-1.0, 1.0]], f=["2^(-t)", "x1*d1 + x2"],
+                   H=["x2", "0.5"], h=["t"])
+NO_STATE = SystemDef(n=0, m=1, k=0, d_box=[[-1.0, 1.0]], f=[], H=["1.5"])
+# both components raise, at different points: the first failing point in C
+# order is row 1's 1/x2, though log(x1) comes first and fails at row 2
+TWO_RAISE = SystemDef(n=2, m=0, k=0, d_box=np.zeros((0, 2)), f=["log(x1)", "1/x2"],
+                      H=["x1"])
+X3 = np.array([[2.0, 1.0], [0.5, 0.0], [-1.0, 3.0]])
+D3 = np.array([[-1.0], [0.25], [1.0]])
+PER_ROW = np.array([0.0, 1.0, 6.0])
+
+
 @settings(max_examples=100, deadline=None)
 @given(map_cases())
+@example((T_ONLY, "f", 2.0, X3, D3, np.zeros((3, 0))))
+@example((T_ONLY, "f", PER_ROW, X3, D3, np.zeros((3, 0))))
+@example((T_ONLY, "H", 1.0, X3, None, None))
+@example((T_ONLY, "h", PER_ROW, X3, None, None))
+@example((NO_STATE, "f", 3.0, np.zeros((3, 0)), D3, np.zeros((3, 0))))
+@example((NO_STATE, "H", PER_ROW, np.zeros((3, 0)), None, None))
+@example((TWO_RAISE, "f", 0.0, X3, np.zeros((3, 0)), np.zeros((3, 0))))
 def test_vector_maps_equal_point_evaluation(case):
     sys, name, t, X, D, U = case
     vm = {"f": sys._fmap, "H": sys._Hmap, "h": sys._hmap}[name]
@@ -200,6 +221,10 @@ def refuse(*args, **kwargs):
 
 @settings(max_examples=100, deadline=None)
 @given(search_cases())
+@example((T_ONLY, (0,), 2.0, FalsifyBudget(9, 5, seed=2), ("zero",), 256))
+@example((T_ONLY, (0, 3), 2.0, FalsifyBudget(9, 5, seed=2), ("zero",), 3))
+@example((NO_STATE, (1,), 0.0, FalsifyBudget(6, 4, seed=3), ("zero",), 256))
+@example((NO_STATE, (1, 2), 0.0, FalsifyBudget(6, 4, seed=3), ("zero",), 256))
 def test_search_equals_simulate(case):
     sys, t0s, radius, budget, u_modes, block = case
     want = ref.outcome(lambda: ref.search_trajectories(sys, t0s, radius, budget, u_modes))

@@ -10,6 +10,7 @@ IEEE 754 leaves unspecified.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -269,14 +270,23 @@ def test_larger_budget_extends_smaller_one(batched_only, monkeypatch):
 
 # --- a block with one start time steps with one float time ---
 
+def spy_columns(monkeypatch, sys, record):
+    """Call ``record(name, t, x)`` on every call of the fused array code of
+    f, H and the system's own h (h=None reuses H's map), by map name."""
+    maps = {"f": sys._fmap, "H": sys._Hmap}
+    if sys.h is not None:
+        maps["h"] = sys._hmap
+    for name, vmap in maps.items():
+        def spy(t, x, *args, _name=name, _original=vmap._columns):
+            record(_name, t, x)
+            return _original(t, x, *args)
+        monkeypatch.setattr(vmap, "_columns", spy)
+
+
 def spy_times(monkeypatch, sys):
-    """Record the type of every time the block's row evaluators get."""
+    """Record the type of every time the block's maps get."""
     seen = set()
-    for name in ("f_rows", "H_rows", "h_rows"):
-        def spy(t, *args, _original=getattr(sys, name)):
-            seen.add(type(t))
-            return _original(t, *args)
-        monkeypatch.setattr(sys, name, spy)
+    spy_columns(monkeypatch, sys, lambda name, t, x: seen.add(type(t)))
     return seen
 
 
@@ -485,12 +495,10 @@ def test_candidate_raising_at_the_last_step_falls_back_in_order(batched_only,
 @pytest.mark.parametrize("mix", [("corner", "greedy", "random"), ("random", "corner")])
 @pytest.mark.parametrize("sys", [TIME_TERMS, B34.sys], ids=["own_h", "h_is_H"])
 def test_one_row_call_per_map_and_step(batched_only, monkeypatch, sys, mix):
-    calls = {"f_rows": [], "H_rows": [], "h_rows": []}
-    for name in calls:
-        def counted(t, X, *args, _name=name, _original=getattr(sys, name)):
-            calls[_name].append(len(X))
-            return _original(t, X, *args)
-        monkeypatch.setattr(sys, name, counted)
+    # the fused f, H and h code objects get (n, R) state columns
+    calls = {"f": [], "H": [], "h": []}
+    spy_columns(monkeypatch, sys,
+                lambda name, t, x: calls[name].append(x.shape[1]))
     horizon, B = 9, 12
     budget = FalsifyBudget(max_trajectories=B, horizon=horizon, mix=mix, seed=15)
     check_search(sys, (0, 4), 1.0, budget, ("zero", "random"))
@@ -500,9 +508,59 @@ def test_one_row_call_per_map_and_step(batched_only, monkeypatch, sys, mix):
     # one over the candidates alone for the last row's picks; H: the first
     # row's outputs, then one call a step at t + 1 over f's rows
     step = [B - G + G * C] * (N - 1)
-    assert calls["f_rows"] == (step + [G * C] if G else step)
-    assert calls["H_rows"] == [B] + calls["f_rows"]
-    assert calls["h_rows"] == ([B] * N if sys.h is not None else [])
+    assert calls["f"] == (step + [G * C] if G else step)
+    assert calls["H"] == [B] + calls["f"]
+    assert calls["h"] == ([B] * N if sys.h is not None else [])
+
+
+# --- numpy's error state: one np.errstate a roll, restored as found ---
+
+def test_the_roller_leaves_numpy_error_state_as_it_found_it():
+    # from x0 = -1 a row with d = 1 reaches x1 = -3 at t = 2, where f
+    # raises: at horizon 2 no f is taken there, at horizon 6 it is
+    sys = SystemDef(n=1, m=1, k=0, d_box=[[-1.0, 1.0]],
+                    f=["x1 - d1 + 0*sqrt(x1 + 2)"], H=["x1"])
+    fine = FalsifyBudget(max_trajectories=4, horizon=2, mix=("corner",), seed=5)
+    budget = FalsifyBudget(max_trajectories=4, horizon=6, mix=("corner", "greedy"),
+                           seed=5)
+    for state in ({}, {"all": "print"}, {"over": "raise", "invalid": "warn"}):
+        with np.errstate(**state):
+            before = np.geterr()
+            stability._roll(sys, list(stability._trajectory_specs(
+                sys, [0], 1.0, fine, ("zero",), range(4))), 2)
+            assert np.geterr() == before
+            specs = list(stability._trajectory_specs(sys, [0], 1.0, budget,
+                                                     ("zero",), range(4)))
+            with pytest.raises(ExprDomainError, match="sqrt of a negative"):
+                stability._roll(sys, specs, 6)
+            assert np.geterr() == before
+    # the search falls back to simulate: index 0 is yielded, index 1 raises
+    got, stream = [], search_trajectories(sys, (0,), 1.0, budget)
+    with pytest.raises(ExprDomainError) as raised:
+        for traj in stream:
+            got.append(traj)
+    specs = stability._trajectory_specs(sys, [0], 1.0, budget, ("zero",), range(2))
+    (t0, x0, dpol, upol, meta), second = next(specs), next(specs)
+    assert len(got) == 1
+    assert_same(got[0], simulate(sys, t0, x0, dpol, upol, 6, meta=meta))
+    with pytest.raises(ExprDomainError) as want:
+        simulate(sys, *second[:4], 6, meta=second[4])
+    assert str(raised.value) == str(want.value)
+
+
+def test_an_overflowing_search_emits_no_warning(batched_only):
+    # inf, inf - inf and inf * 0 at every step, in f, H and the own h
+    sys = SystemDef(n=2, m=1, k=0, d_box=[[-1.0, 1.0]],
+                    f=["x1*1e200 + d1", "x1*1e200 - x2*1e200"],
+                    H=["x1", "x2*1e200"], h=["x2*x1"])
+    budget = FalsifyBudget(max_trajectories=9, horizon=7, seed=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = list(search_trajectories(sys, (0, 2), 1.0, budget))
+    want = list(ref.search_trajectories(sys, (0, 2), 1.0, budget))
+    for a, b in zip(got, want, strict=True):
+        assert_same(a, b)
+    assert any(np.isnan(traj.x).any() and np.isinf(traj.x).any() for traj in got)
 
 
 def test_random_draw_form_equals_generator_uniform():
