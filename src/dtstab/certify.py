@@ -186,7 +186,12 @@ def _norm(args):
 
 
 def _at(gain: KFn, arg):
-    """The AST of ``gain(arg)``; a K function reads t as 0."""
+    """The AST of ``gain(arg)``; a K function reads t as 0.  A gain that does
+    not read s is constant, so not class K, and would never evaluate ``arg``:
+    it is refused with ValueError."""
+    if "s" not in gain.expr.variables():
+        raise ValueError(f"K function {gain.name!r} does not read s: a "
+                         f"constant gain is not class K")
     return substitute(gain.expr, {"s": arg, "t": Num(0.0)})
 
 

@@ -51,7 +51,10 @@ def num_expr(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"numeric flag may not reference variables: {text!r}")
     from .expr import eval_expression, Env
-    return float(eval_expression(node, Env()))
+    try:
+        return float(eval_expression(node, Env()))
+    except ExprError as ex:  # argparse converts outside main's handler
+        raise argparse.ArgumentTypeError(str(ex)) from None
 
 
 def vec_expr(text: str) -> np.ndarray:
@@ -461,13 +464,13 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as ex:
         return int(ex.code) if ex.code is not None else 0
-    tol = args.tol
-    if tol < 0:
+    if not args.tol >= 0:  # NaN too
         print("error: tolerance must be non-negative", file=_sys.stderr)
         return 2
     try:
         return args.handler(args)
-    except (UsageError, ExprError, KeyError, ValueError) as ex:
+    except (UsageError, ExprError, KeyError, ValueError,
+            argparse.ArgumentTypeError) as ex:  # num_expr on a file's field
         print(f"error: {ex}", file=_sys.stderr)
         return 2
 

@@ -156,17 +156,16 @@ def _gain_values(expr, arr, t, aux) -> np.ndarray:
     and auxiliaries ``aux``, equal bit for bit to the scalar calls (NaN signs
     aside).  When it raises, the scalar calls run in C order, so the error
     is the first failing element's."""
-    out = np.empty(arr.shape)
+    out, fn = np.empty(arr.shape), expr.compiled()
     try:
         with np.errstate(all="ignore"):  # IEEE results, no warnings
-            out[...] = expr.batched()(t, _EMPTY, _EMPTY, _EMPTY, aux)  # or a float
+            out[...] = fn(t, _EMPTY, _EMPTY, _EMPTY, aux)  # or a float
     except ExprDomainError:
-        point = expr.compiled()
         t = np.broadcast_to(t, arr.shape)
         aux = {name: np.broadcast_to(v, arr.shape) for name, v in aux.items()}
         for i in np.ndindex(arr.shape):
-            point(float(t[i]), _EMPTY, _EMPTY, _EMPTY,
-                  {name: float(v[i]) for name, v in aux.items()})
+            fn(float(t[i]), _EMPTY, _EMPTY, _EMPTY,
+               {name: float(v[i]) for name, v in aux.items()})
         raise
     return out
 

@@ -27,20 +27,21 @@ not decide: a negative base with 0.5 is a domain error, ``(-0.0)^0.5`` is
 are immutable and safe to share.
 
 Each node generates one Python source, compiled at most once per process
-per namespace, keyed by source: against scalar kernels
-(:meth:`Expr.compiled`, one point) and against an array namespace
-(:meth:`Expr.batched`, a slab of points).  The key is the source, not the
-AST: ``Num(0.0) == Num(-0.0)``, yet ``-0.0*x1`` and ``0.0*x1`` differ.  The
-array namespace runs the operations IEEE 754 rounds exactly (``+ - * /``,
-``sqrt``, ``abs``, negation, so also ``a^2`` and ``a^0.5``) in numpy, keeps
-Python's comparison semantics for ``min``/``max``/``sign`` and maps the
-other ``^``, ``exp`` and ``log`` element by element: ``math.pow``,
-``math.exp`` and ``math.log`` first, the guarded scalar kernels again over
-the whole slab when some point raises.  So every value equals the scalar
-result bit for bit; ``norm`` is :func:`vecnorm` of its arguments at one
-point and :func:`row_norms` of the stacked columns over a slab.  The one
-exception is the sign of a NaN, which IEEE 754 leaves unspecified: NaNs
-appear at the same points, but their sign bit may differ.
+against one namespace, keyed by source (:meth:`Expr.compiled`); the one
+code object evaluates a single point and a slab of points.  The key is the
+source, not the AST: ``Num(0.0) == Num(-0.0)``, yet ``-0.0*x1`` and
+``0.0*x1`` differ.  At a point, a component is read as a Python float and
+every operation runs its guarded scalar kernel.  Over a slab, the
+operations IEEE 754 rounds exactly (``+ - * /``, ``sqrt``, ``abs``,
+negation, so also ``a^2`` and ``a^0.5``) run in numpy, ``min``/``max``/
+``sign`` keep Python's comparison semantics and the other ``^``, ``exp``
+and ``log`` map element by element: ``math.pow``, ``math.exp`` and
+``math.log`` first, the guarded scalar kernels again over the whole slab
+when some point raises.  So every value equals the point result bit for
+bit; ``norm`` is :func:`vecnorm` of its arguments at one point and
+:func:`row_norms` of the stacked columns over a slab.  The one exception
+is the sign of a NaN, which IEEE 754 leaves unspecified: NaNs appear at
+the same points, but their sign bit may differ.
 """
 
 from __future__ import annotations
@@ -262,36 +263,28 @@ class Expr:
         return self.to_string()
 
     def compiled(self) -> Callable:
-        """Compiled evaluator ``fn(t, x, d, u, aux) -> float``.
+        """Compiled evaluator ``fn(t, x, d, u, aux)`` at one point or over a
+        slab of points.
 
-        Bit-identical to :func:`eval_expression` (same guarded kernel); domain
-        errors from compiled code do not name the offending subexpression.
+        At a point (float ``t``, float vectors and auxiliaries) it returns a
+        float bit-identical to :func:`eval_expression` (same guarded kernel)
+        and warns of nothing; its domain errors do not name the offending
+        subexpression.  Over a slab, ``x``, ``d`` and ``u`` are indexed by
+        component, so ``x[i]`` is the column of ``x_{i+1}`` (pass the ``(N,
+        n)`` row array transposed); ``t`` and the auxiliaries are floats or
+        columns.  Columns of shapes that broadcast together, such as (R, 1)
+        and (1, K), give the broadcast shape, and each operation runs at its
+        operands' own shape.  It returns a column, or a float when the value
+        does not depend on the slab, equal to the point calls bit for bit
+        (NaN signs aside, see the module docstring), and raises
+        :class:`ExprDomainError` iff some point would.  A slab runs under
+        the caller's numpy error state: enter ``np.errstate(all="ignore")``
+        around the call for IEEE results without warnings.
         """
         fn = getattr(self, "_compiled", None)
         if fn is None:
-            fn = _scalar_code(self._codegen())
+            fn = _code(self._codegen())
             object.__setattr__(self, "_compiled", fn)
-        return fn
-
-    def batched(self) -> Callable:
-        """Array evaluator ``fn(t, x, d, u, aux)`` over a slab of points.
-
-        ``x``, ``d`` and ``u`` are indexed by component, so ``x[i]`` is the
-        column of ``x_{i+1}`` over the slab (pass the ``(N, n)`` row array
-        transposed); ``t`` is a float or a column.  Columns of shapes that
-        broadcast together, such as (R, 1) and (1, K), give the broadcast
-        shape, and each operation runs at its operands' own shape.  Returns
-        a column, or a float when the value does not depend on the slab.  Bit-identical to
-        :meth:`compiled` at every point (NaN signs aside, see the module
-        docstring); raises :class:`ExprDomainError` iff some point would.
-        The function runs under the caller's numpy error state: enter
-        ``np.errstate(all="ignore")`` around a call for IEEE results without
-        warnings.
-        """
-        fn = getattr(self, "_batched", None)
-        if fn is None:
-            fn = _array_code(self._codegen())
-            object.__setattr__(self, "_batched", fn)
         return fn
 
     def children(self) -> tuple:
@@ -342,10 +335,9 @@ class Var(Expr):
         if name == "t":
             return "t"
         if name[0] in "xdu" and name[1:].isdigit() and int(name[1:]) >= 1:
-            # aux declarations shadow indexed names (as in the evaluator);
-            # _float makes a component a Python float (see _CODEGEN_NAMESPACE)
+            # aux declarations shadow indexed names (as in the evaluator)
             return (f"(aux[{name!r}] if {name!r} in aux"
-                    f" else _float({name[0]}[{int(name[1:]) - 1}]))")
+                    f" else _read({name[0]}[{int(name[1:]) - 1}]))")
         return f"aux[{name!r}]"
 
 
@@ -434,27 +426,26 @@ def _power_code(kernel, base, exponent):
     return f"{kernel}({base._codegen()}, {exponent._codegen()})"
 
 
-# A vector component is read as a Python float: numpy scalar arithmetic gives
-# the same IEEE values but warns on overflow and on inf * 0.
-_CODEGEN_NAMESPACE = {
-    "__builtins__": {},
-    "_float": float,
-    "_pow": _pow,
-    "_square": _square,
-    "_root": _root,
-    "_div": _div,
-    **{f"_fn_{name}": fn for name, (_, fn) in _FUNCTIONS.items()},
-}
+# --- the namespace: each kernel takes a point's floats or a slab's columns ---
+
+# A slab's columns are exactly this class; each kernel tests its operands
+# for it inline, so a point's call costs one frame over its scalar kernel.
+_ndarray = np.ndarray
 
 
-# --- array namespace: the same generated source over columns of points ---
+def _read(v):
+    # a slab's column passes through; a point's component becomes a Python
+    # float: numpy scalar arithmetic gives the same IEEE values but warns on
+    # overflow and on inf * 0
+    return v if type(v) is _ndarray else float(v)
+
 
 def _has_array(*args):
-    return any(isinstance(a, np.ndarray) for a in args)
+    return _ndarray in map(type, args)
 
 
-def _elementwise(kernel, fast):
-    """Apply a scalar kernel point by point; all-scalar calls stay scalar.
+def _elementwise(kernel, fast, *args):
+    """Apply a scalar kernel to a slab point by point.
 
     ``fast`` is the ``math`` function the kernel guards, which equals it
     wherever it returns: it is mapped first, in C.  When some point raises
@@ -463,40 +454,48 @@ def _elementwise(kernel, fast):
     of one shape pair up as they are, a scalar operand is repeated as it
     is; only arrays of different shapes are broadcast.
     """
+    arrays = [a for a in args if type(a) is _ndarray]
+    shape = arrays[0].shape
+    if all(a.shape == shape for a in arrays):
+        lists = [a.ravel().tolist() if type(a) is _ndarray
+                 else itertools.repeat(a) for a in args]
+    else:
+        cols = np.broadcast_arrays(*args)
+        shape = cols[0].shape
+        lists = [c.ravel().tolist() for c in cols]
+    size = math.prod(shape)
+    try:
+        values = np.fromiter(map(fast, *lists), float, count=size)
+    except (ValueError, OverflowError):
+        values = np.fromiter(map(kernel, *lists), float, count=size)
+    return values.reshape(shape)
 
-    def apply(*args):
-        arrays = [a for a in args if isinstance(a, np.ndarray)]
-        if not arrays:
-            return kernel(*args)
-        shape = arrays[0].shape
-        if all(a.shape == shape for a in arrays):
-            lists = [a.ravel().tolist() if isinstance(a, np.ndarray)
-                     else itertools.repeat(a) for a in args]
-        else:
-            cols = np.broadcast_arrays(*args)
-            shape = cols[0].shape
-            lists = [c.ravel().tolist() for c in cols]
-        size = math.prod(shape)
-        try:
-            values = np.fromiter(map(fast, *lists), float, count=size)
-        except (ValueError, OverflowError):
-            values = np.fromiter(map(kernel, *lists), float, count=size)
-        return values.reshape(shape)
 
-    return apply
+def _array_pow(a, b):
+    if type(a) is not _ndarray and type(b) is not _ndarray:
+        return _pow(a, b)
+    return _elementwise(_pow, math.pow, a, b)
+
+
+def _array_exp(a):
+    return _elementwise(_exp, math.exp, a) if type(a) is _ndarray else _exp(a)
+
+
+def _array_log(a):
+    return _elementwise(_log, math.log, a) if type(a) is _ndarray else _log(a)
 
 
 def _array_div(a, b):
-    if not _has_array(a, b):
+    if type(a) is not _ndarray and type(b) is not _ndarray:
         return _div(a, b)
     # a zero of either sign is the only falsy float; NaN is truthy
-    if (not b.all()) if isinstance(b, np.ndarray) else b == 0.0:
+    if (not b.all()) if type(b) is _ndarray else b == 0.0:
         raise ExprDomainError("division by zero")
     return np.true_divide(a, b)
 
 
 def _array_root(a):
-    if not _has_array(a):
+    if type(a) is not _ndarray:
         return _root(a)
     # the least value but NaN (0.0 if none): one reduction when no base is
     # negative
@@ -507,7 +506,7 @@ def _array_root(a):
 
 
 def _array_sqrt(a):
-    if not _has_array(a):
+    if type(a) is not _ndarray:
         return _sqrt(a)
     # the least value but NaN (0.0 if none): one reduction
     if np.fmin.reduce(a, axis=None, initial=0.0) < 0.0:
@@ -516,16 +515,20 @@ def _array_sqrt(a):
 
 
 def _array_min(a, b):
+    if type(a) is not _ndarray and type(b) is not _ndarray:
+        return min(a, b)
     # min(a, b) keeps a unless b < a: NaN and signed-zero ties as in Python
-    return np.where(b < a, b, a) if _has_array(a, b) else min(a, b)
+    return np.where(b < a, b, a)
 
 
 def _array_max(a, b):
-    return np.where(b > a, b, a) if _has_array(a, b) else max(a, b)
+    if type(a) is not _ndarray and type(b) is not _ndarray:
+        return max(a, b)
+    return np.where(b > a, b, a)
 
 
 def _array_sign(a):
-    if not _has_array(a):
+    if type(a) is not _ndarray:
         return _sign(a)
     return np.where(a > 0.0, 1.0, np.where(a < 0.0, -1.0, 0.0))
 
@@ -538,56 +541,49 @@ def _array_norm(*args):
     return row_norms(stacked).reshape(cols[0].shape)
 
 
-def _column(col):
-    return col  # x[i] is the column of x_{i+1} over the slab
-
-
-_ARRAY_NAMESPACE = {
-    **_CODEGEN_NAMESPACE,
-    "_float": _column,
-    "_pow": _elementwise(_pow, math.pow),
+_NAMESPACE = {
+    "__builtins__": {},
+    "_read": _read,
+    "_pow": _array_pow,
+    "_square": _square,
     "_root": _array_root,
     "_div": _array_div,
-    "_fn_exp": _elementwise(_exp, math.exp),
-    "_fn_log": _elementwise(_log, math.log),
+    "_fn_exp": _array_exp,
+    "_fn_log": _array_log,
+    "_fn_abs": abs,
     "_fn_sqrt": _array_sqrt,
     "_fn_sign": _array_sign,
     "_fn_min": _array_min,
     "_fn_max": _array_max,
-    "_fn_pow": _elementwise(_pow, math.pow),
+    "_fn_pow": _array_pow,
     "_fn_norm": _array_norm,
 }
 
 
-# --- one code object per distinct source and namespace, per process ---
+# --- one code object per distinct source, per process ---
 
 # Distinct sources a process keeps code for; a node keeps its own code past
 # eviction, so the bound only limits sharing.
 _CODE_CACHE_SIZE = 1024
 
 
-def _compile(source, namespace):
-    """``lambda t, x, d, u, aux: <source>`` with ``namespace`` as its globals."""
+def _compile(source):
+    """``lambda t, x, d, u, aux: <source>`` with :data:`_NAMESPACE` as its
+    globals (itself, so a patched kernel is seen at call time)."""
     return eval("lambda t, x, d, u, aux: " + source,
-                namespace)  # namespace is module-controlled
+                _NAMESPACE)  # the namespace is module-controlled
 
 
 @functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
-def _scalar_code(source):
-    return _compile(source, _CODEGEN_NAMESPACE)
-
-
-@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
-def _array_code(source):
-    # globals stay _ARRAY_NAMESPACE itself: a patched kernel is seen at call time
-    return _compile(source, _ARRAY_NAMESPACE)
+def _code(source):
+    return _compile(source)
 
 
 def _columns_code(exprs):
-    """``fn(t, x, d, u, aux)`` -> the tuple of every expression's array value
-    (see :meth:`Expr.batched`): one code object for a whole map, from the
-    same cache."""
-    return _array_code("(" + "".join(f"{e._codegen()}, " for e in exprs) + ")")
+    """``fn(t, x, d, u, aux)`` -> the tuple of every expression's value (see
+    :meth:`Expr.compiled`), left to right: one code object for a whole map,
+    from the same cache."""
+    return _code("(" + "".join(f"{e._codegen()}, " for e in exprs) + ")")
 
 
 # --- tokenizer ---

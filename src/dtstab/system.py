@@ -83,27 +83,22 @@ class VectorMap:
         self.exprs, self.dim = tuple(exprs), len(exprs)
 
     @functools.cached_property
-    def _fns(self):
-        """The point evaluators, compiled at the first point call: a map
-        evaluated only over rows, or only substituted, compiles no scalar
-        code."""
-        return [e.compiled() for e in self.exprs]
-
-    @functools.cached_property
     def _columns(self):
-        """The one array evaluator, ``fn(t, x, d, u, aux)`` -> a tuple of
-        the components' columns (or floats), fetched at the first array call;
-        it runs under the caller's ``np.errstate``."""
+        """The one evaluator, ``fn(t, x, d, u, aux)`` -> the tuple of the
+        components' values: floats at a point, columns (or floats) over a
+        slab, fetched at the first call; a slab runs under the caller's
+        ``np.errstate``."""
         return _columns_code(self.exprs)
 
     def eval(self, t, x, d=_EMPTY, u=_EMPTY) -> np.ndarray:
-        """The map at one point: a float ``t`` and float vectors."""
-        return np.array([fn(t, x, d, u, _NO_AUX) for fn in self._fns], dtype=float)
+        """The map at one point: a float ``t`` and float vectors.  The
+        components run in order, so the first failing one raises."""
+        return np.array(self._columns(t, x, d, u, _NO_AUX), dtype=float)
 
     def scalar(self, t, x, d=_EMPTY, u=_EMPTY):
         """The first component's float at one point, without building the
-        vector."""
-        return self._fns[0](t, x, d, u, _NO_AUX)
+        vector (every component runs, as in :meth:`eval`)."""
+        return self._columns(t, x, d, u, _NO_AUX)[0]
 
     def rows(self, t, X, D=None, U=None) -> np.ndarray:
         """Values on row sets: each of X, D and U (None: the empty vector)

@@ -1,6 +1,6 @@
 """Batched evaluation against the scalar paths it replaces.
 
-The array namespace of the expression codegen, the row norms and the
+The slab calls of the expression codegen, the row norms and the
 sampled-sup kernel must reproduce the scalar evaluator bit for bit.  Here
 are hand-picked cases against the loops of ``reference.py``;
 ``test_differential.py`` drives the same pairs on generated systems.
@@ -21,7 +21,7 @@ from dtstab.certify import (LyapunovCandidate, StateGrid, check_contraction,
 from dtstab.comparison import (check_domination, constant, geometric,
                                identity, kfn_from_expr, sup_f_sampler,
                                timegain_from_expr)
-from dtstab.expr import (_ARRAY_NAMESPACE, Call, Dims, ExprDomainError, Num,
+from dtstab.expr import (_NAMESPACE, Call, Dims, ExprDomainError, Num,
                          Var, _exp, _log, _pow, parse_expression, substitute)
 from dtstab.registry import example_2_3, example_3_4, example_4_7
 from dtstab.stability import build_small_input_system
@@ -33,26 +33,26 @@ from dtstab.system import (SampleConfig, SystemDef, VectorMap, closed_loop,
 B23, B34, B47 = example_2_3(), example_3_4(), example_4_7(0.5)
 
 
-# --- the array namespace against the compiled scalar code ---
+# --- slab calls of the one code object against its point calls ---
 
 def test_array_namespace_keeps_python_min_max_sign_semantics():
     a = np.array([0.0, -0.0, math.nan, 1.0, math.nan])
     b = np.array([-0.0, 0.0, 1.0, math.nan, -2.0])
     for fn in ("min", "max"):
         node = Call(fn, (Var("x1"), Var("x2")))
-        got = node.batched()(0.0, np.vstack([a, b]), None, None, {})
+        got = node.compiled()(0.0, np.vstack([a, b]), None, None, {})
         want = [node.compiled()(0.0, np.array([p, q]), None, None, {})
                 for p, q in zip(a, b)]
         assert all(ref.same_bits(float(g), w) for g, w in zip(got, want))
     sign = Call("sign", (Var("x1"),))
-    got = sign.batched()(0.0, np.array([[-0.0, 0.0, math.nan, -3.0, 2.0]]),
+    got = sign.compiled()(0.0, np.array([[-0.0, 0.0, math.nan, -3.0, 2.0]]),
                          None, None, {})
     assert got.tolist() == [0.0, 0.0, 0.0, -1.0, 1.0]
 
 
 def test_domain_error_raised_iff_some_point_raises():
     node = parse_expression("log(x1) + 1/x2", Dims(n=2))
-    fn = node.batched()
+    fn = node.compiled()
     assert fn(0.0, np.array([[1.0, 2.0], [3.0, 4.0]]), None, None, {}).shape == (2,)
     with pytest.raises(ExprDomainError):
         fn(0.0, np.array([[1.0, -2.0], [3.0, 4.0]]), None, None, {})
@@ -67,7 +67,7 @@ def test_domain_error_raised_iff_some_point_raises():
     for text in ("sqrt(x1)", "1/x1", "x1/x1", "x1/0", "x1/-0", "x1/2"):
         node = parse_expression(text, Dims(n=1))
         for col in columns:
-            assert ref.outcome(lambda: node.batched()(
+            assert ref.outcome(lambda: node.compiled()(
                 0.0, np.array([col]), None, None, {})) == ref.outcome(
                 lambda: np.array([node.compiled()(0.0, np.array([v]), None, None, {})
                                   for v in col])), (text, col)
@@ -157,7 +157,7 @@ KERNELS = {"^": ("_pow", _pow), "pow": ("_fn_pow", _pow),
 
 def assert_maps_like_the_kernel(name, args):
     ns_name, kernel = KERNELS[name]
-    fn = _ARRAY_NAMESPACE[ns_name]
+    fn = _NAMESPACE[ns_name]
     got = ref.outcome(lambda: fn(*args))  # values and shape, or the error
     assert got == ref.outcome(lambda: ref.kernel_points(kernel, args))
     if got[1] is None and not any(isinstance(a, np.ndarray) for a in args):
@@ -499,7 +499,7 @@ def test_sampled_sup_matches_the_flat_slab_reference(monkeypatch, case, slab):
 
 def test_norm_of_outer_and_inner_columns_matches_row_norms():
     rng = np.random.default_rng(8)
-    norm = parse_expression("norm(x1, d1)", Dims(n=1, m=1)).batched()
+    norm = parse_expression("norm(x1, d1)", Dims(n=1, m=1)).compiled()
     xs = rng.standard_normal(6) * 10.0 ** rng.uniform(-200, 200, 6)
     ds = rng.standard_normal(5) * 10.0 ** rng.uniform(-200, 200, 5)
     xs[0], ds[1] = -0.0, math.inf
@@ -513,13 +513,13 @@ def _kernel_sizes(monkeypatch, name):
     """The operand size of every call of the one-operand array kernel
     ``name``, appended as the kernel runs."""
     sizes = []
-    kernel = _ARRAY_NAMESPACE[name]
+    kernel = _NAMESPACE[name]
 
     def counting(a):
         sizes.append(np.size(a))
         return kernel(a)
 
-    monkeypatch.setitem(_ARRAY_NAMESPACE, name, counting)
+    monkeypatch.setitem(_NAMESPACE, name, counting)
     return sizes
 
 

@@ -614,6 +614,24 @@ def test_gain_domain_error_is_an_expr_domain_error():
     assert str(err.value) == str(want.value)
 
 
+def test_gain_that_does_not_read_s_is_refused():
+    # a1 = 0*1 would never evaluate its argument sqrt(x1), so it would skip
+    # the domain error the reference raises at x1 = -1
+    sys = SystemDef(n=1, m=0, k=0, d_box=np.zeros((0, 2)), f=["x1"],
+                    H=["sqrt(x1)"])
+    grid = StateGrid(ts=[0], xs=[[1.0], [-1.0]])
+    cand = LyapunovCandidate(V="abs(x1)", n=1, a1=kfn_from_expr("0*1"),
+                             a2=identity(), beta=constant(1.0))
+    with pytest.raises(ExprDomainError, match="sqrt of a negative number"):
+        ref.check_sandwich(sys, cand, grid)
+    with pytest.raises(ValueError, match="K function '0\\*1' does not read s"):
+        check_sandwich(sys, cand, grid)
+    cand = LyapunovCandidate(V="abs(x1)", n=1, a3=kfn_from_expr("0*1"),
+                             q=geometric(0.5, 0.5))
+    with pytest.raises(ValueError, match="'0\\*1' does not read s"):
+        check_relaxed_decrease(halving_sys(), cand, grid)
+
+
 def test_decrease_raises_the_first_failing_points_error():
     # f fails only at the second state; the first fails later in its loop:
     # on V(t+1, f) in the contraction, on a3 of its right-hand side in the

@@ -53,6 +53,37 @@ class TestExitCodes:
                    "--tol=-1e-9") == 2
         assert capsys.readouterr().err == "error: tolerance must be non-negative\n"
 
+    def test_nan_tolerance(self, capsys):
+        # 0*exp(1000) is 0*inf: NaN is refused like a negative tolerance
+        assert run("certify", "--example", "example_2_3", "--check", "sandwich",
+                   "--tol", "0*exp(1000)") == 2
+        assert capsys.readouterr().err == "error: tolerance must be non-negative\n"
+
+    @pytest.mark.parametrize("value, message", [
+        ("1/0", "division by zero"), ("sqrt(-1)", "sqrt of a negative number")])
+    def test_numeric_flag_outside_its_domain(self, tmp_path, capsys, value,
+                                             message):
+        # argparse converts the flag before main's handler runs
+        assert run("verify", "--example", "example_2_3", "--property",
+                   "output-attractivity", "--eps", value,
+                   "--out-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --eps: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("lam, message", [
+        ("1/0", "division by zero"), ("1+", "unexpected end of input")])
+    def test_candidate_lambda_outside_its_domain(self, tmp_path, capsys, lam,
+                                                 message):
+        sysfile, candfile = tmp_path / "sys.json", tmp_path / "cand.json"
+        sysfile.write_text(json.dumps({
+            "n": 1, "m": 0, "k": 0, "d_box": [], "f": ["0.5*x1"], "H": ["x1"]}))
+        candfile.write_text(json.dumps({"V": "abs(x1)", "lambda": lam}))
+        assert run("certify", "--system", str(sysfile), "--candidate",
+                   str(candfile), "--check", "contraction",
+                   "--out-dir", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--example", "example_2_3", "--d-policy", "worst"],
         ["synthesize", "--example", "example_4_7", "--r", "0.5", "--d-policy", "worst"],

@@ -202,7 +202,7 @@ def test_axis_norm_in_the_array_kernel_is_caught(monkeypatch):
             return expr_mod._norm(*args)
         return np.linalg.norm(np.stack(np.broadcast_arrays(*args), axis=1), axis=1)
 
-    monkeypatch.setitem(expr_mod._ARRAY_NAMESPACE, "_fn_norm", axis_norm)
+    monkeypatch.setitem(expr_mod._NAMESPACE, "_fn_norm", axis_norm)
     sys, p, theta = PLANT_M2, TIME_GAINS["constant"], K_FNS["identity"]
     small = build_small_input_system(sys, p, theta)
     with np.errstate(all="ignore"), pytest.raises(AssertionError):
@@ -297,12 +297,12 @@ def test_norm_equals_vecnorm_through_all_evaluators():
             strided = np.array([vecnorm(r[::2]) for r in np.repeat(rows, 2, axis=1)])
             assert ref.same_bits(want, numpy_norm), n
             assert ref.same_bits(strided, numpy_norm), n
-            batched = node.batched()(0.0, rows.T, None, None, {})
             compiled = node.compiled()
+            column = compiled(0.0, rows.T, None, None, {})
             for i, x in enumerate(rows):
                 assert ref.same_bits(float(compiled(0.0, x, None, None, {})), want[i])
                 assert ref.same_bits(eval_expression(node, Env(x=x)), want[i])
-        assert ref.same_bits(batched, want), n
+        assert ref.same_bits(column, want), n
 
 
 def test_norm_parses_one_or_more_arguments():
@@ -312,7 +312,7 @@ def test_norm_parses_one_or_more_arguments():
     with pytest.raises(expr_mod.ExprSyntaxError):
         parse_expression("norm()", Dims(n=1))
     # scalar and column arguments mix in the array kernel
-    got = node.batched()(6.0, np.array([[2.0, 0.0], [1.5, 4.0]]), None, None, {})
+    got = node.compiled()(6.0, np.array([[2.0, 0.0], [1.5, 4.0]]), None, None, {})
     assert got.tolist() == [vecnorm([2.0, 3.0, 6.0]), vecnorm([0.0, 8.0, 6.0])]
 
 
@@ -368,11 +368,11 @@ def test_round_trip_and_evaluators_agree(name):
                             for i in range(N)]
             except ExprDomainError:
                 with pytest.raises(ExprDomainError):
-                    node.batched()(t, X.T, D.T, U.T, {})
+                    node.compiled()(t, X.T, D.T, U.T, {})
                 continue
             walked = [eval_expression(node, Env(t=t[i], x=X[i], d=D[i], u=U[i]))
                       for i in range(N)]
-            batched = np.broadcast_to(node.batched()(t, X.T, D.T, U.T, {}), (N,))
+            column = np.broadcast_to(node.compiled()(t, X.T, D.T, U.T, {}), (N,))
         for i in range(N):
             assert ref.same_bits(float(walked[i]), float(compiled[i]))
-            assert ref.same_bits(float(batched[i]), float(compiled[i]))
+            assert ref.same_bits(float(column[i]), float(compiled[i]))

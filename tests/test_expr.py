@@ -212,7 +212,7 @@ def test_norm_past_float_range_is_inf_without_warning():
         assert struct.pack("<d", eval_expression(expr, env)) == inf_bits
         got = expr.compiled()(env.t, env.x, env.d, env.u, dict(env.aux))
         assert struct.pack("<d", got) == inf_bits
-        col = expr.batched()(0.0, X.T, np.zeros((1, 2)), np.zeros((1, 2)),
+        col = expr.compiled()(0.0, X.T, np.zeros((1, 2)), np.zeros((1, 2)),
                              dict(env.aux))
         assert col.tolist() == [math.inf, 2.0]
         assert struct.pack("<d", vecnorm([0.0, 2.1e244])) == inf_bits
@@ -237,13 +237,41 @@ def test_inf_times_zero_component_is_nan_without_warning():
         want = eval_expression(expr, env)
         got = expr.compiled()(env.t, env.x, env.d, env.u, dict(env.aux))
         assert math.isnan(want) and struct.pack("<d", got) == struct.pack("<d", want)
-        with np.errstate(all="ignore"):  # batched() leaves errstate to its caller
-            col = expr.batched()(0.0, np.array([[0.0, 2.0], [0.0, 0.0]]),
+        with np.errstate(all="ignore"):  # a slab leaves errstate to its caller
+            col = expr.compiled()(0.0, np.array([[0.0, 2.0], [0.0, 0.0]]),
                                  np.zeros((1, 2)), np.zeros((1, 2)), {})
         assert math.isnan(col[0]) and col[1] == math.inf
         # VectorMap.rows enters np.errstate itself
         got = VectorMap([expr], "f").rows(0.0, np.array([[0.0, 0.0], [2.0, 0.0]]))
         assert math.isnan(got[0, 0]) and got[1, 0] == math.inf
+
+
+def test_point_call_on_numpy_rows_is_a_python_float_without_warning():
+    # the one code object reads a point's component as a Python float: a
+    # numpy scalar would warn at the overflow of x1*x2 and at 0 * inf
+    rows = np.array([[1e200, 1e200], [0.0, math.inf], [3.0, 0.5]])
+    cases = [("x1*x2", [math.inf, math.nan, 1.5]),
+             ("x1*x2 + exp(x1)", [math.inf, math.nan, 1.5 + math.exp(3.0)]),
+             ("x1^2 * x2", [math.inf, math.nan, 4.5])]
+    for text, wants in cases:
+        fn = parse_expression(text, D21).compiled()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, want in zip(rows, wants):
+                got = fn(0.0, x, np.zeros(1), np.zeros(1), {})
+                assert type(got) is float, text
+                assert ref.same_bits(got, want), (text, x)
+
+
+def test_vector_map_eval_raises_the_first_failing_components_error():
+    vm = VectorMap(["x1", "log(x1)", "1/x2", "sqrt(x2 - 1)"], "f", n=2)
+    for x, message in (([-1.0, 0.0], "log of a non-positive number"),
+                       ([1.0, 0.0], "division by zero"),
+                       ([1.0, 0.5], "sqrt of a negative number")):
+        with pytest.raises(ExprDomainError) as err:
+            vm.eval(0.0, np.array(x))
+        assert str(err.value) == message, x
+    assert vm.eval(0.0, np.array([1.0, 2.0])).tolist() == [1.0, 0.0, 0.5, 1.0]
 
 
 # --- literal exponents 2 and 0.5: a*a and sqrt(abs(a)) in every evaluator ---
@@ -284,10 +312,10 @@ def assert_spec_bits(got, want):
 @pytest.mark.parametrize("form", EXACT_FORMS)
 def test_exact_powers_give_the_spec_bits_in_every_evaluator(form):
     node = parse_expression(form, D21)
-    bare = node.batched()
+    bare = node.compiled()
 
     def column(*args):
-        with np.errstate(all="ignore"):  # batched() leaves errstate to its caller
+        with np.errstate(all="ignore"):  # a slab leaves errstate to its caller
             return bare(*args)
 
     for a in EDGE_POINTS:
@@ -347,25 +375,25 @@ def test_round_trip_on_registry_style_strings():
         assert parse_expression(once.to_string(), D21) == once
 
 
-# --- one code object per distinct source and namespace ---
+# --- one code object per distinct source ---
 
 def test_self_test_compiles_each_distinct_source_once():
-    # without the cache one pass compiled 168 sources, 34 of them distinct
+    # without the cache one pass compiled 168 sources, 34 of them distinct;
+    # with one namespace a source serves its point and its slab calls
     out = ref.run_fresh(textwrap.dedent("""
         import contextlib, io, json
         from dtstab import cli, expr
         calls, compile_ = [], expr._compile
-        def spy(source, namespace):
-            calls.append([namespace is expr._ARRAY_NAMESPACE, source])
-            return compile_(source, namespace)
+        def spy(source):
+            calls.append(source)
+            return compile_(source)
         expr._compile = spy
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["examples", "--self-test"]) == 0
         print(json.dumps(calls))
     """))
-    calls = [tuple(c) for c in json.loads(out)]
+    calls = json.loads(out)
     assert calls and len(calls) == len(set(calls))
-    assert {array for array, _ in calls} == {False, True}
 
 
 def test_rebuilt_bundle_and_loop_compile_nothing(monkeypatch):
@@ -388,5 +416,5 @@ def test_code_is_keyed_by_source_not_by_ast():
     for node, sign in ((neg, -1.0), (pos, 1.0)):
         got = node.compiled()(0.0, [1.0], None, None, {})
         assert got == 0.0 and math.copysign(1.0, got) == sign
-        col = node.batched()(0.0, one, None, None, {})
+        col = node.compiled()(0.0, one, None, None, {})
         assert col.shape == (1,) and math.copysign(1.0, col[0]) == sign

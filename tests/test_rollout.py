@@ -271,14 +271,17 @@ def test_larger_budget_extends_smaller_one(batched_only, monkeypatch):
 # --- a block with one start time steps with one float time ---
 
 def spy_columns(monkeypatch, sys, record):
-    """Call ``record(name, t, x)`` on every call of the fused array code of
-    f, H and the system's own h (h=None reuses H's map), by map name."""
+    """Call ``record(name, t, x)`` on every slab call (``x`` of (n, R)
+    columns) of the fused code of f, H and the system's own h (h=None reuses
+    H's map), by map name; the point calls of ``simulate`` are not
+    recorded."""
     maps = {"f": sys._fmap, "H": sys._Hmap}
     if sys.h is not None:
         maps["h"] = sys._hmap
     for name, vmap in maps.items():
         def spy(t, x, *args, _name=name, _original=vmap._columns):
-            record(_name, t, x)
+            if x.ndim == 2:
+                record(_name, t, x)
             return _original(t, x, *args)
         monkeypatch.setattr(vmap, "_columns", spy)
 
