@@ -186,13 +186,13 @@ def _norm(args):
 
 
 def _at(gain: KFn, arg):
-    """The AST of ``gain(arg)``; a K function reads t as 0.  A gain that does
-    not read s is constant, so not class K, and would never evaluate ``arg``:
-    it is refused with ValueError."""
+    """The AST of ``gain(arg)`` (:meth:`KFn.at`).  A gain that does not read
+    s is constant, so not class K, and would never evaluate ``arg``: it is
+    refused with ValueError."""
     if "s" not in gain.expr.variables():
         raise ValueError(f"K function {gain.name!r} does not read s: a "
                          f"constant gain is not class K")
-    return substitute(gain.expr, {"s": arg, "t": Num(0.0)})
+    return gain.at(arg)
 
 
 def _worst_margins(sys, cand, grid, pairs, dvals=None, u_values=None):
@@ -248,11 +248,6 @@ def _worst_margins(sys, cand, grid, pairs, dvals=None, u_values=None):
     return margins
 
 
-def _decrease_report(check_name, worst, tol):
-    return CertificateReport(check_name, worst.verdict(tol), worst.margin,
-                             worst.witness, worst.samples, tol)
-
-
 def check_contraction(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
                       d_values=None, tol: float = 1e-9) -> CertificateReport:
     """sup_d V(t+1, f(t,d,x)) <= lam * V(t,x) on an unforced system."""
@@ -263,7 +258,7 @@ def check_contraction(sys: SystemDef, cand: LyapunovCandidate, grid: StateGrid,
     dvals = _d_values(sys, d_values)
     rhs = Bin("*", _num(cand.lam), cand._map.exprs[0])
     worst, = _worst_margins(sys, cand, grid, [(None, rhs)], dvals)
-    return _decrease_report("contraction", worst, tol)
+    return worst.report("contraction", tol)
 
 
 def _require_decaying(q: TimeGain):
@@ -292,7 +287,7 @@ def check_relaxed_decrease(sys: SystemDef, cand: LyapunovCandidate,
     V = cand._map.exprs[0]
     rhs = Bin("+", Bin("-", V, _at(cand.a3, V)), cand.q.expr)
     worst, = _worst_margins(sys, cand, grid, [(None, rhs)], dvals)
-    return _decrease_report("relaxed-decrease", worst, tol)
+    return worst.report("relaxed-decrease", tol)
 
 
 def check_ios_decrease(sys: SystemDef, cand: LyapunovCandidate,
@@ -309,7 +304,7 @@ def check_ios_decrease(sys: SystemDef, cand: LyapunovCandidate,
     rhs = Bin("+", Bin("*", _num(cand.lam), cand._map.exprs[0]),
               _at(cand.a3, Bin("*", cand.phi.expr, nu)))
     worst, = _worst_margins(sys, cand, grid, [(None, rhs)], dvals, u_values)
-    return _decrease_report("ios-decrease", worst, tol)
+    return worst.report("ios-decrease", tol)
 
 
 # --- attainment-time formula ---
@@ -512,6 +507,8 @@ def check_rofs_inf_sup(sys: SystemDef, cand: LyapunovCandidate,
     """
     if mode not in ("plain", "strong", "zero"):
         raise ValueError(f"unknown mode {mode!r}")
+    if sys.k < 1:
+        raise ValueError("static output feedback needs an input channel (k >= 1)")
     cand.require("lam")
     _require_zero_at_origin(sys, cand)
     lam = cand.lam

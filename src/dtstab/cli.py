@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys as _sys
 from pathlib import Path
 
@@ -464,8 +465,8 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as ex:
         return int(ex.code) if ex.code is not None else 0
-    if not args.tol >= 0:  # NaN too
-        print("error: tolerance must be non-negative", file=_sys.stderr)
+    if not 0 <= args.tol < math.inf:  # NaN too
+        print("error: tolerance must be finite and non-negative", file=_sys.stderr)
         return 2
     try:
         return args.handler(args)

@@ -1,13 +1,13 @@
 """Comparison functions: classes K / K-infinity, positive time gains, KL envelopes.
 
 A K function or a time gain is one expression AST, ``expr``: in the
-auxiliary ``s`` for a K function, in ``t`` for a time gain.  A scalar call
-runs the compiled expression and :meth:`KFn.values` / :meth:`TimeGain.values`
-its array form, so the two agree bit for bit at every point (NaN signs
-aside), errors included, and composites substitute the same AST (see
-``stability.build_small_input_system``).  The constructors below build the
-AST of their formula and refuse a parameter that no literal spells (inf,
-NaN).
+auxiliary ``s`` for a K function, in ``t`` for a time gain.  Composites
+bind a K function only through :meth:`KFn.at` (``s := arg``, ``t := 0``).
+Each gain evaluates through one one-component
+:class:`~dtstab.system.VectorMap`, a K function's ``at(t)``: its scalar call
+and its ``values`` (one ``rows`` call) agree bit for bit at every point
+(NaN signs aside), errors included.  The constructors below build the AST
+of their formula and refuse a parameter that no literal spells (inf, NaN).
 
 Class membership of K functions and time gains is validated numerically on
 the fixed grids below (tolerance 0 at grid points, strict inequalities
@@ -28,10 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import (Bin, Dims, Expr, ExprDomainError, Neg, Num, Var,
-                   parse_expression, substitute)
-from .system import (CertificateReport, SampleConfig, WorstMargin, _EMPTY,
-                     _NO_AUX, _sup_norm_f, d_candidates, require_samples,
+from .expr import Bin, Dims, Expr, Neg, Num, Var, parse_expression, substitute
+from .system import (CertificateReport, SampleConfig, VectorMap, WorstMargin,
+                     _EMPTY, _sup_norm_f, d_candidates, require_samples,
                      row_norms, sphere_points)
 
 __all__ = [
@@ -112,10 +111,15 @@ class KFn:
         if self.tag not in ("K", "Kinf"):
             raise ValueError("tag must be 'K' or 'Kinf'")
         _require_expr(self)
+        self._map = VectorMap([self.at(_T)], self.name)  # s read as t alone
+
+    def at(self, arg: Expr) -> Expr:
+        """The AST of the map at ``arg``: ``s := arg`` and ``t := 0``, the
+        one binding of a K function's expression."""
+        return substitute(self.expr, {"s": arg, "t": Num(0.0)})
 
     def __call__(self, s: float) -> float:
-        return float(self.expr.compiled()(0.0, _EMPTY, _EMPTY, _EMPTY,
-                                          {"s": float(s)}))
+        return self._map.scalar(float(s), _EMPTY)
 
     def inverse(self, v: float) -> float:
         """The map's inverse at v: NaN at NaN and 0 at v <= 0; else the
@@ -146,28 +150,11 @@ class KFn:
         return hi
 
     def values(self, s: np.ndarray) -> np.ndarray:
-        """The map at every element of the float array ``s`` (see
-        :func:`_gain_values`)."""
-        return _gain_values(self.expr, s, 0.0, {"s": s})
-
-
-def _gain_values(expr, arr, t, aux) -> np.ndarray:
-    """``expr`` at every element of ``arr``: one array call with time ``t``
-    and auxiliaries ``aux``, equal bit for bit to the scalar calls (NaN signs
-    aside).  When it raises, the scalar calls run in C order, so the error
-    is the first failing element's."""
-    out, fn = np.empty(arr.shape), expr.compiled()
-    try:
-        with np.errstate(all="ignore"):  # IEEE results, no warnings
-            out[...] = fn(t, _EMPTY, _EMPTY, _EMPTY, aux)  # or a float
-    except ExprDomainError:
-        t = np.broadcast_to(t, arr.shape)
-        aux = {name: np.broadcast_to(v, arr.shape) for name, v in aux.items()}
-        for i in np.ndindex(arr.shape):
-            fn(float(t[i]), _EMPTY, _EMPTY, _EMPTY,
-               {name: float(v[i]) for name, v in aux.items()})
-        raise
-    return out
+        """The map at every element of the float array ``s``: one
+        :meth:`VectorMap.rows` call, equal bit for bit to the scalar calls
+        (NaN signs aside); of several failing elements, the first in C order
+        raises."""
+        return self._map.rows(s, _EMPTY)[..., 0]
 
 
 def identity() -> KFn:
@@ -209,10 +196,10 @@ class TimeGain:
 
     def __post_init__(self):
         _require_expr(self)
+        self._map = VectorMap([self.expr], self.name)
 
     def __call__(self, t: float) -> float:
-        return float(self.expr.compiled()(float(t), _EMPTY, _EMPTY, _EMPTY,
-                                          _NO_AUX))
+        return self._map.scalar(float(t), _EMPTY)
 
     def sup_tail(self, tau: int) -> float:
         """sup over t >= tau of the gain: exact for a literal or ``C * r^t``
@@ -234,9 +221,9 @@ class TimeGain:
         return float(np.max(self.values(ts)))  # max propagates NaN
 
     def values(self, t: np.ndarray) -> np.ndarray:
-        """The gain at every element of the float array ``t`` (see
-        :func:`_gain_values`)."""
-        return _gain_values(self.expr, t, t, _NO_AUX)
+        """The gain at every element of the float array ``t``, as
+        :meth:`KFn.values` takes it."""
+        return self._map.rows(t, _EMPTY)[..., 0]
 
 
 def constant(c: float, name: str = None) -> TimeGain:
@@ -564,16 +551,17 @@ def check_domination(sampler: Callable[[float, float], float], zeta: KFn,
     """
     if ss is None:
         ss = np.logspace(-6, 6, 25)
-    ss = [float(s) for s in ss]
+    ss = np.array(ss, dtype=float)
     worst = WorstMargin("(T, s) samples")
     for T in Ts:
         bT = beta(T)
-        lhs = np.array([sampler(T, s) for s in ss], dtype=float)
-        rhs = np.array([zeta(bT * s) for s in ss], dtype=float)
+        lhs = np.array([sampler(T, s) for s in ss.tolist()], dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
+            rhs = zeta.values(bT * ss)
         worst.add(lhs - rhs, rhs, lambda i: {
-            "T": int(T), "s": ss[i], "lhs": float(lhs[i]), "rhs": float(rhs[i])})
-    return CertificateReport("domination", worst.verdict(tol), worst.margin,
-                             worst.witness, worst.samples, tol)
+            "T": int(T), "s": float(ss[i]), "lhs": float(lhs[i]),
+            "rhs": float(rhs[i])})
+    return worst.report("domination", tol)
 
 
 def sup_f_sampler(sys, cfg: SampleConfig = None, seed: int = 0):

@@ -30,8 +30,7 @@ from .stability import FalsifyBudget, adversarial_batch, check_ios_estimate
 from .synth import (DelayChainController, ReconstructionMap,
                     check_reconstruction, run_output_feedback,
                     synthesize_delay_controller)
-from .system import (CertificateReport, SystemDef, WorstMargin, closed_loop,
-                     row_norms, vecnorm)
+from .system import SystemDef, WorstMargin, closed_loop, row_norms, vecnorm
 
 __all__ = ["ExampleBundle", "EXAMPLES", "load_example",
            "example_2_3", "example_3_4", "example_4_7"]
@@ -47,6 +46,7 @@ Q_SQRT_PLANT_RATIO = _E / 4.0
 # Input-to-output envelope constants: K = 1/(1 - 2/e), c = log(2/(1 + 2/e)).
 K_IOS = 1.0 / (1.0 - 2.0 / _E)
 C_IOS = math.log(2.0 / (1.0 + 2.0 / _E))
+_POW2 = timegain_from_expr("2^(1 - t/2)")  # recursion_step_check's offset gain
 
 
 @dataclass
@@ -182,8 +182,7 @@ def recursion_step_check(bundle, batch, tol=1e-9):
             continue
         root = math.sqrt(vecnorm(traj.x0))
         ts = traj.t[:-1].astype(float)
-        pow2 = np.fromiter((math.pow(2.0, 1.0 - t / 2.0) for t in ts.tolist()),
-                           float, count=ts.shape[0])
+        pow2 = _POW2.values(ts)
         lhs = cand.V_rows(ts + 1.0, traj.x[1:])
         with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
             rhs = ((2.0 / _E) * cand.V_rows(ts, traj.x[:-1]) + pow2 * root
@@ -191,8 +190,7 @@ def recursion_step_check(bundle, batch, tol=1e-9):
         worst.add(lhs - rhs, rhs, lambda i: {
             "t": int(ts[i]), "lhs": float(lhs[i]), "rhs": float(rhs[i]),
             "meta": traj.meta})
-    return CertificateReport("per-step-recursion", worst.verdict(tol),
-                             worst.margin, worst.witness, worst.samples, tol)
+    return worst.report("per-step-recursion", tol)
 
 
 def _self_test_3_4(bundle, tol, seed):

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .comparison import KFn, KLEnvelope, TimeGain, _ragged
-from .expr import Bin, Call, ExprDomainError, Var, substitute, vecnorm
+from .expr import Bin, Call, ExprDomainError, Var, vecnorm
 from .system import (FAIL, ConstantDisturbance, ConstantInput,
                      GreedyDisturbance, RandomDisturbance, SequenceInput,
                      SystemDef, Trajectory, WorstMargin, ZeroInput,
@@ -720,15 +720,16 @@ def build_small_input_system(sys: SystemDef, p: TimeGain, theta: KFn) -> SystemD
     """Close the input channel with the bounded state-scaled disturbance
     u = p(t) theta(||x||) d', d' ranging over the unit box appended to D.
 
-    u_i := (P * Theta[s := norm(x1, ..., xn)]) * d_{m+i} is substituted into
-    the plant's ASTs, so the system is an expression system, and batchable;
-    the outputs are the plant's (see :func:`output_maps`).
+    u_i := (P * theta.at(norm(x1, ..., xn))) * d_{m+i} is substituted into
+    the plant's ASTs (:meth:`KFn.at` reads theta's t as 0), so the system is
+    an expression system, and batchable; the outputs are the plant's (see
+    :func:`output_maps`).
     """
     if sys.k < 1:
         raise ValueError("system has no input channel")
     m, k = sys.m, sys.k
     size = Call("norm", tuple(Var(f"x{i + 1}") for i in range(sys.n)))
-    amp = Bin("*", p.expr, substitute(theta.expr, {"s": size}))
+    amp = Bin("*", p.expr, theta.at(size))
     f_small = bind_inputs(sys.f_exprs, [Bin("*", amp, Var(f"d{m + i + 1}"))
                                     for i in range(k)])
     box = np.vstack([sys.d_box, np.tile([-1.0, 1.0], (k, 1))])

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import CertificateReport
-from .comparison import _gain_values
-from .expr import Dims, Var, parse_expression, substitute
+from .expr import Dims, Expr, Var, parse_expression, substitute
 from .system import (FAIL, PASS, DisturbancePolicy, SystemDef,
                      Trajectory, VectorMap, WorstMargin, _FieldsJSON,
                      closed_loop, require_samples, simulate)
@@ -75,7 +74,8 @@ class ReconstructionMap:
     """Psi(t, y_p, y-window, u-window) -> a one-component input: expression
     text over ``t``, ``y0..y<p>`` (the first measured output, ``y<p>`` the
     current one) and ``u0..u<p-1>`` (the one input), windows oldest first.
-    Anything but text is refused with ValueError.
+    Anything but text is refused with ValueError.  Only :meth:`at` binds
+    the window; Psi evaluates as one ``VectorMap``, ``at`` over x1..x<2p+1>.
     """
 
     def __init__(self, psi, p: int, name: str = None):
@@ -90,18 +90,20 @@ class ReconstructionMap:
         self.expr = parse_expression(psi, Dims(aux=aux))
         self.text = psi
         self.name = name or psi
+        window = [Var(f"x{i + 1}") for i in range(2 * p + 1)]
+        self._map = VectorMap([self.at(window[:p + 1], window[p + 1:])], "Psi")
+
+    def at(self, ys, us) -> Expr:
+        """The AST of Psi over the window ASTs ``ys`` (p + 1 of them) and
+        ``us`` (p): ``y<i> := ys[i]`` and ``u<i> := us[i]``."""
+        return substitute(self.expr, {**{f"y{i}": y for i, y in enumerate(ys)},
+                                      **{f"u{i}": u for i, u in enumerate(us)}})
 
     def rows(self, t, Y, U) -> np.ndarray:
-        """Psi over N windows: ``t`` the N times, ``Y`` the (N, p+1, p_y)
-        outputs y_0 .. y_p and ``U`` the (N, p, k) inputs, oldest first, in
-        one array call, as :func:`~dtstab.comparison._gain_values` takes it:
-        row i equals Psi's compiled evaluator on window i bit for bit (NaN
-        signs aside), errors included."""
-        t = np.asarray(t, dtype=float)
-        p = self.p
-        aux = {f"y{i}": Y[:, i, 0] for i in range(p + 1)}
-        aux.update({f"u{i}": U[:, i, 0] for i in range(p)})
-        return _gain_values(self.expr, t, t, aux)[:, None]
+        """Psi over N windows, (N, 1): ``t`` the N times, ``Y`` the (N, p+1,
+        p_y) outputs y_0 .. y_p and ``U`` the (N, p, k) inputs, oldest
+        first, their first entries in one :meth:`VectorMap.rows` call."""
+        return self._map.rows(t, np.concatenate([Y[:, :, 0], U[:, :, 0]], axis=1))
 
 
 def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
@@ -147,8 +149,7 @@ def check_reconstruction(sys: SystemDef, k_fn, psi: ReconstructionMap,
                          "d_seq": spots[i][2].tolist(),
                          "u_seq": spots[i][3].tolist(),
                          "lhs": lhs[i].tolist(), "rhs": rhs[i].tolist()})
-    return CertificateReport("reconstruction", worst.verdict(tol), worst.margin,
-                             worst.witness, worst.samples, tol)
+    return worst.report("reconstruction", tol)
 
 
 def _random_spots(sys, p, ts, count, rng):
@@ -233,10 +234,8 @@ class DelayChainController:
         p, py, n = self.p, self.p_y, sys.n
         ys = [Var(f"x{n + i}") for i in range(1, p * py + 1)]  # slot-major
         us = [Var(f"x{n + p * py + i}") for i in range(1, p + 1)]
-        bindings = {f"y{p}": sys.h_exprs[0]}
-        for j in range(p):
-            bindings[f"y{j}"], bindings[f"u{j}"] = ys[(p - 1 - j) * py], us[p - 1 - j]
-        u = substitute(self.psi.expr, bindings)
+        # y0..y<p-1> and u0..u<p-1> are output and input slots p..1
+        u = self.psi.at([*ys[::py][::-1], sys.h_exprs[0]], us[::-1])
         v = [*sys.h_exprs, *ys[:(p - 1) * py], u, *us[:p - 1]]
         return [u, *v]
 

@@ -386,6 +386,11 @@ class WorstMargin:
             return PASS_TOL
         return FAIL
 
+    def report(self, check: str, tol) -> "CertificateReport":
+        """The :class:`CertificateReport` of check ``check`` under ``tol``."""
+        return CertificateReport(check, self.verdict(tol), self.margin,
+                                 self.witness, self.samples, tol)
+
 
 class _FieldsJSON:
     """A dataclass whose fields are its JSON keys: :meth:`to_json` maps each

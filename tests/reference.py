@@ -39,8 +39,8 @@ from dtstab.certify import ROFS_FILTER_TOL, ROFSEntry, ROFSReport
 from dtstab.comparison import (ClassCheck, KLEnvelope, KLFit, constant,
                                decay_checks, identity, kfn_from_expr,
                                validate_class)
-from dtstab.expr import (Bin, Call, Dims, Env, Neg, Num, Var, eval_expression,
-                         parse_expression)
+from dtstab.expr import (Bin, Call, Dims, Env, ExprDomainError, Neg, Num, Var,
+                         eval_expression, parse_expression)
 from dtstab.registry import C_IOS, K_IOS
 from dtstab.stability import EnvelopeReport, FalsifyBudget, FalsifyReport
 from dtstab.synth import SAMPLE_RADIUS, iterate_maps
@@ -326,6 +326,20 @@ def psi_closure(psi):
             aux[f"u{i}"] = float(np.asarray(u_hist[i]).reshape(-1)[0])
         return np.array([eval_expression(psi.expr, Env(t=float(t), aux=aux))])
     return call
+
+
+def psi_rows(psi, t, Y, U):
+    """``ReconstructionMap.rows``: :func:`psi_closure` at each window in
+    order, (N, 1); the first failing window raises, its message without the
+    subexpression that the tree walker names."""
+    call = psi_closure(psi)
+    out = []
+    for i in range(len(t)):
+        try:
+            out.append(call(t[i], Y[i, -1], Y[i, :-1], U[i]))
+        except ExprDomainError as ex:
+            raise ExprDomainError(str(ex).split(" in subexpression")[0]) from None
+    return np.array(out).reshape(len(t), 1)
 
 
 # --- maps and array kernels ---

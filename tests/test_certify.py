@@ -458,6 +458,18 @@ class TestROFS:
                                  ys=None, mode="zero")
         assert rep.passed
 
+    @pytest.mark.parametrize("mode", ["plain", "strong", "zero"])
+    def test_refused_without_an_input_channel(self, mode):
+        # without an input channel there are no u candidates to range over
+        sys = SystemDef(n=1, m=0, k=0, d_box=np.zeros((0, 2)),
+                        f=["0.5*x1"], H=["x1"], name="unforced")
+        cand = LyapunovCandidate(V="abs(x1)", n=1, lam=0.5)
+        fiber = lambda t, y: np.array([[y[0]]])
+        with pytest.raises(ValueError, match=r"^static output feedback needs "
+                           r"an input channel \(k >= 1\)$"):
+            check_rofs_inf_sup(sys, cand, fiber, np.zeros((3, 1)), ts=[0],
+                               ys=[[1.0]], mode=mode)
+
     def test_projection_fiber_helper(self):
         sampler = projection_fiber([0], {1: [-1.0, 1.0], 2: [0.0]}, n=3)
         pts = sampler(0, [7.0])

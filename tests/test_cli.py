@@ -12,6 +12,9 @@ from dtstab.system import (ConstantDisturbance, ConstantInput,
                            parse_system_file, simulate)
 
 
+TOL_ERROR = "error: tolerance must be finite and non-negative\n"
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -51,13 +54,28 @@ class TestExitCodes:
     def test_negative_tolerance(self, capsys):
         assert run("certify", "--example", "example_2_3", "--check", "sandwich",
                    "--tol=-1e-9") == 2
-        assert capsys.readouterr().err == "error: tolerance must be non-negative\n"
+        assert capsys.readouterr().err == TOL_ERROR
 
     def test_nan_tolerance(self, capsys):
         # 0*exp(1000) is 0*inf: NaN is refused like a negative tolerance
         assert run("certify", "--example", "example_2_3", "--check", "sandwich",
                    "--tol", "0*exp(1000)") == 2
-        assert capsys.readouterr().err == "error: tolerance must be non-negative\n"
+        assert capsys.readouterr().err == TOL_ERROR
+
+    def test_infinite_tolerance(self, tmp_path, capsys):
+        # an infinite tolerance would pass every finite margin and write
+        # "tol": Infinity, which strict JSON parsers reject
+        assert run("certify", "--example", "example_2_3", "--check",
+                   "contraction", "--tol", "exp(1000)",
+                   "--out-dir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == TOL_ERROR
+        assert not list(tmp_path.iterdir())
+
+    def test_rofs_static_without_an_input_channel(self, tmp_path, capsys):
+        assert run("certify", "--example", "example_2_3", "--check",
+                   "rofs-static", "--out-dir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            "error: static output feedback needs an input channel (k >= 1)\n")
 
     @pytest.mark.parametrize("value, message", [
         ("1/0", "division by zero"), ("sqrt(-1)", "sqrt of a negative number")])

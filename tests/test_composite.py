@@ -1,6 +1,6 @@
 """Composite systems that stay expressions, against the closures they replace.
 
-``build_small_input_system`` substitutes u_i := (P * Theta[s := norm(x)]) *
+``build_small_input_system`` substitutes u_i := (P * theta.at(norm(x))) *
 d_{m+i} into the plant's ASTs.  ``reference.small_input_system`` is the
 closure the builder returned before, evaluated point by point through
 ``reference.ClosureSystem``; every value of the expression system must equal
@@ -193,6 +193,19 @@ def test_mutated_association_is_caught():
     with np.errstate(all="ignore"), pytest.raises(AssertionError):
         assert_matches_reference(mutated, ref.small_input_system(sys, p, theta),
                                  sample_points(mutated, seed=2))
+
+
+def test_small_input_reads_a_k_functions_t_as_zero():
+    # a K function's t reads 0 in the small-input system, as in its own call
+    theta = KFn(parse_expression("(1+t)*s", Dims(aux=frozenset({"s"}))))
+    p = constant(1.0)
+    small = build_small_input_system(B34.sys, p, theta)
+    t, x, d = 3.0, np.array([0.0, 1.0]), np.array([0.0, 1.0])
+    u = p(t) * theta(vecnorm(x)) * d[1]
+    assert small.f_eval(t, d, x)[1] == B34.sys.f_eval(t, d[:1], x, [u])[1] == 1.0
+    with np.errstate(all="ignore"):
+        assert_matches_reference(small, ref.small_input_system(B34.sys, p, theta),
+                                 sample_points(small, seed=4))
 
 
 def test_axis_norm_in_the_array_kernel_is_caught(monkeypatch):

@@ -37,6 +37,7 @@ from dtstab.expr import Bin, Var
 from dtstab.registry import C_IOS, K_IOS
 from dtstab.stability import (FalsifyBudget, check_ios_estimate,
                               check_kl_estimate, search_trajectories)
+from dtstab.synth import ReconstructionMap
 from dtstab.system import SystemDef, Trajectory, row_norms
 
 
@@ -133,6 +134,39 @@ def test_vector_maps_equal_point_evaluation(case):
     # a product: X outer, D inner; a 1-D t runs along D, an (N, 1) one along X
     sets = (X[:, None], None if D is None else D[None], None if U is None else U[:, None])
     assert_same_outcome(lambda: vm.rows(t, *sets), lambda: ref.map_grid(vm, t, *sets))
+
+
+# --- Psi's rows against its tree-walker closure ---
+
+@st.composite
+def psi_cases(draw):
+    """(Psi, t, Y, U): a Psi over t, y0..y<p> and u0..u<p-1>, p in 1..3, at
+    N windows whose entries take every special value; each output has a
+    second entry, which Psi never reads."""
+    p = draw(st.integers(1, 3))
+    names = ("t", *(f"y{i}" for i in range(p + 1)), *(f"u{i}" for i in range(p)))
+    psi = ReconstructionMap(draw(ref.expressions(names, max_leaves=8)).to_string(), p)
+    N = draw(st.integers(1, 5))
+    return (psi, rows(draw, N, 1)[:, 0], rows(draw, N * (p + 1), 2).reshape(N, p + 1, 2),
+            rows(draw, N * p, 1).reshape(N, p, 1))
+
+
+def window_case(psi, U):
+    """Psi at p = 2 on the windows of ``U`` (N, 2), at t = 1..N, with y_i =
+    i + 0.5 in every window."""
+    U = np.array(U, dtype=float)[:, :, None]
+    Y = np.broadcast_to(np.arange(3.0)[:, None] + 0.5, (len(U), 3, 1))
+    return ReconstructionMap(psi, 2), np.arange(1.0, len(U) + 1), Y, U
+
+
+@settings(max_examples=100, deadline=None)
+@given(psi_cases())
+# u1 is Psi's input window, which shadows the input index u1 (u[0])
+@example(window_case("u1 - 4*u0 + y2*t", [[1.0, 3.0], [-2.0, 0.5]]))
+@example(window_case("log(u1) + y0", [[1.0, 2.0], [3.0, 0.0], [-1.0, -1.0]]))
+def test_psi_rows_equal_the_closure(case):
+    psi, t, Y, U = case
+    assert_same_outcome(lambda: psi.rows(t, Y, U), lambda: ref.psi_rows(psi, t, Y, U))
 
 
 # --- sampled_sup against the f_eval point loop ---
